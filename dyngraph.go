@@ -122,11 +122,12 @@ func (d *DynGraph) LiveArcs() int { return d.st.LiveArcs() }
 // router sends leaf mutations to H mode and hub mutations to L mode.
 func (d *DynGraph) MutationHint(u, v uint32) int { return d.st.Hint(u, v) }
 
-// Compact freezes base+overlay into a fresh immutable Graph (sorted,
-// de-duplicated, validated via the standard builder) for scan-heavy
-// phases. Quiescent: all mutators must have drained.
+// Compact freezes base+overlay into a fresh immutable Graph (rows
+// sorted and unique, validated like a loaded file) for scan-heavy
+// phases, materialising rows on the System's threads. Quiescent: all
+// mutators must have drained.
 func (d *DynGraph) Compact() (*Graph, error) {
-	csr, err := d.st.Compact()
+	csr, err := d.st.Compact(d.sys.threads)
 	if err != nil {
 		return nil, err
 	}
@@ -239,23 +240,24 @@ func (v *GraphView) HasEdge(u, w uint32) bool {
 // Degree returns u's out-degree as of the pinned epoch (an O(deg)
 // chain resolve, unlike the advisory LiveDegree word).
 func (v *GraphView) Degree(u uint32) int {
-	var buf [8]uint32
-	return len(v.d.st.NeighborsAt(u, v.epoch, buf[:0]))
+	return v.d.st.DegreeAt(u, v.epoch)
 }
 
 // Arcs counts the live out-arcs as of the pinned epoch (2× the edge
-// count on undirected graphs). O(V+E).
+// count on undirected graphs). O(V+E), spread over the System's
+// threads.
 func (v *GraphView) Arcs() int {
-	return v.d.st.ArcsAt(v.epoch)
+	return v.d.st.ArcsAt(v.epoch, v.d.sys.threads)
 }
 
 // NumVertices returns |V|.
 func (v *GraphView) NumVertices() int { return v.d.st.NumVertices() }
 
 // Compact freezes the pinned epoch's topology into a fresh immutable
-// Graph. Unlike DynGraph.Compact it is safe while mutators run.
+// Graph, materialising rows on the System's threads. Unlike
+// DynGraph.Compact it is safe while mutators run.
 func (v *GraphView) Compact() (*Graph, error) {
-	csr, err := v.d.st.CompactAt(v.epoch)
+	csr, err := v.d.st.CompactAt(v.epoch, v.d.sys.threads)
 	if err != nil {
 		return nil, err
 	}

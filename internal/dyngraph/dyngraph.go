@@ -50,12 +50,14 @@ package dyngraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"tufast/internal/graph"
 	"tufast/internal/mem"
 	"tufast/internal/sched"
+	"tufast/internal/worklist"
 )
 
 const (
@@ -115,6 +117,9 @@ type Store struct {
 	head  mem.Addr      // n words: head[v] = address of v's first block, 0 = none
 	deg   mem.Addr      // n words: deg[v] = live out-degree of v
 	stamp atomic.Uint64 // current write stamp; see SetWriteStamp
+	// scratch pools the scan kernel's key buffers (*scanScratch), so a
+	// warmed reader resolves a chain without allocating.
+	scratch sync.Pool
 }
 
 // New creates an overlay store over base, allocating its head and
@@ -133,6 +138,7 @@ func New(sp *mem.Space, base *graph.CSR) *Store {
 	// Stamp 0 is reserved for the base adjacency; fresh mutations
 	// commit at stamp 1 until the owner installs a batch stamp.
 	s.stamp.Store(1)
+	s.scratch.New = func() any { return new(scanScratch) }
 	return s
 }
 
@@ -189,9 +195,8 @@ func (s *Store) degOf(v uint32) mem.Addr  { return s.deg + mem.Addr(v) }
 // baseHas reports whether the frozen base holds arc u→v (binary search
 // of the sorted base adjacency; no shared state touched).
 func (s *Store) baseHas(u, v uint32) bool {
-	nb := s.base.Neighbors(u)
-	i := sort.Search(len(nb), func(i int) bool { return nb[i] >= v })
-	return i < len(nb) && nb[i] == v
+	_, ok := slices.BinarySearch(s.base.Neighbors(u), v)
+	return ok
 }
 
 // findLatest scans u's whole chain for the LAST entry targeting w — the
@@ -373,71 +378,80 @@ func (s *Store) Neighbors(r reader, u uint32, buf []uint32) []uint32 {
 	return s.neighborsAt(r, u, StampLatest, buf)
 }
 
-// neighborsAt is Neighbors pinned at maxStamp. Entries with stamp >
-// maxStamp are skipped; among a target's remaining versions the last in
-// chain order wins (stamps are non-decreasing per target).
-func (s *Store) neighborsAt(r reader, u uint32, maxStamp uint64, buf []uint32) []uint32 {
-	s.check(u)
-	out := buf[:0]
-	// ents collects target<<1|tomb in chain order; a stable sort by
-	// target then leaves each target's newest version last in its run.
-	var ents []uint64
-	b := mem.Addr(r.Read(u, s.headOf(u)))
-	for b != 0 {
-		used := r.Read(u, b+1)
-		if used > slotsPerBlock {
-			used = slotsPerBlock
-		}
+// scanScratch is the scan kernel's reusable key buffer.
+type scanScratch struct{ keys []uint64 }
+
+const (
+	// scanFill appends the resolved row to out; without it scan only
+	// counts the row.
+	scanFill = 1 << iota
+	// scanDropSelf leaves a base self-loop u→u out of the row, as
+	// graph.Build does (chains never hold one: AddArc refuses u == v).
+	scanDropSelf
+)
+
+// scan is the one chain-scan kernel behind every adjacency reader: it
+// resolves u's out-neighbors as of maxStamp and returns the row's
+// length, appending the row itself — sorted, unique — to out under
+// scanFill. Entries with stamp > maxStamp are skipped. Each remaining
+// version becomes a key target<<32|seq<<1|tomb, seq being its position
+// in chain order (chains are far shorter than 2^31 entries: the arena
+// is), so one plain sort leaves every target's newest version last in
+// its run, and a single merge against the sorted base row applies the
+// winners. It allocates nothing once sc.keys and out have grown.
+func (s *Store) scan(r reader, u uint32, maxStamp uint64, sc *scanScratch, out []uint32, mode int) ([]uint32, int) {
+	base := s.base.Neighbors(u)
+	keys := sc.keys[:0]
+	for b := mem.Addr(r.Read(u, s.headOf(u))); b != 0; b = mem.Addr(r.Read(u, b)) {
+		used := min(r.Read(u, b+1), slotsPerBlock)
 		for i := mem.Addr(0); i < mem.Addr(used); i++ {
 			e := r.Read(u, b+slotBase+i)
-			if e&entryValid == 0 || entryStamp(e) > maxStamp {
-				continue
+			if e&entryValid != 0 && entryStamp(e) <= maxStamp {
+				keys = append(keys, uint64(entryTarget(e))<<32|uint64(len(keys))<<1|(e&entryTomb)>>1)
 			}
-			ent := uint64(entryTarget(e)) << 1
-			if e&entryTomb != 0 {
-				ent |= 1
-			}
-			ents = append(ents, ent)
 		}
-		b = mem.Addr(r.Read(u, b))
 	}
-	base := s.base.Neighbors(u)
-	if len(ents) == 0 {
-		return append(out, base...)
+	if mode&scanDropSelf != 0 && s.baseHas(u, u) {
+		keys = append(keys, uint64(u)<<32|1) // the only key for target u: a tombstone
 	}
-	sort.SliceStable(ents, func(i, j int) bool { return ents[i]>>1 < ents[j]>>1 })
-	var adds, dels []uint32
-	for i, ent := range ents {
-		if i+1 < len(ents) && ents[i+1]>>1 == ent>>1 {
+	sc.keys = keys
+	slices.Sort(keys)
+	n, bi := 0, 0
+	for k, key := range keys {
+		t := uint32(key >> 32)
+		if k+1 < len(keys) && uint32(keys[k+1]>>32) == t {
 			continue // superseded by a newer version of the same target
 		}
-		if ent&1 != 0 {
-			dels = append(dels, uint32(ent>>1))
-		} else {
-			adds = append(adds, uint32(ent>>1))
+		j := bi
+		for j < len(base) && base[j] < t {
+			j++
+		}
+		n += j - bi
+		if mode&scanFill != 0 {
+			out = append(out, base[bi:j]...)
+		}
+		if bi = j; bi < len(base) && base[bi] == t {
+			bi++ // the overlay decides this base arc
+		}
+		if key&1 == 0 {
+			n++
+			if mode&scanFill != 0 {
+				out = append(out, t)
+			}
 		}
 	}
-	ai, di := 0, 0
-	for _, v := range base {
-		for ai < len(adds) && adds[ai] < v {
-			out = append(out, adds[ai])
-			ai++
-		}
-		if ai < len(adds) && adds[ai] == v {
-			ai++ // re-added base arc: keep the base copy below
-		}
-		for di < len(dels) && dels[di] < v {
-			di++
-		}
-		if di < len(dels) && dels[di] == v {
-			di++
-			continue // tombstoned base arc
-		}
-		out = append(out, v)
+	if mode&scanFill != 0 {
+		out = append(out, base[bi:]...)
 	}
-	for ; ai < len(adds); ai++ {
-		out = append(out, adds[ai])
-	}
+	return out, n + len(base) - bi
+}
+
+// neighborsAt is Neighbors pinned at maxStamp.
+func (s *Store) neighborsAt(r reader, u uint32, maxStamp uint64, buf []uint32) []uint32 {
+	s.check(u)
+	sc := s.scratch.Get().(*scanScratch)
+	out, _ := s.scan(r, u, maxStamp, sc, buf[:0], scanFill)
+	s.scratch.Put(sc)
 	return out
 }
 
@@ -497,17 +511,49 @@ func (s *Store) LiveArcs() int {
 	return total
 }
 
-// ArcsAt counts the live out-arcs as of epoch maxStamp — an O(V+E)
-// chain scan, exact for the pinned epoch and safe while mutators run
-// (the deg words are only advisory under concurrency; this is not).
-func (s *Store) ArcsAt(maxStamp uint64) int {
-	total := 0
-	var buf []uint32
-	for u := uint32(0); int(u) < s.n; u++ {
-		buf = s.NeighborsAt(u, maxStamp, buf[:0])
-		total += len(buf)
-	}
-	return total
+// DegreeAt returns u's out-degree as of epoch maxStamp: the scan kernel
+// in count-only mode, so no adjacency is materialised. Safe while
+// mutators run (see NeighborsAt).
+func (s *Store) DegreeAt(u uint32, maxStamp uint64) int {
+	s.check(u)
+	sc := s.scratch.Get().(*scanScratch)
+	_, n := s.scan(quiescent{s.sp}, u, maxStamp, sc, nil, 0)
+	s.scratch.Put(sc)
+	return n
+}
+
+// sweepGrain is how many vertices a sweep worker claims at a time:
+// small enough that the hub-heavy low ids of a power-law graph spread
+// over every worker, large enough to amortise the claim.
+const sweepGrain = 64
+
+// sweep runs fn over [0, n) in dynamically claimed vertex chunks on up
+// to threads goroutines, each call with a scratch of its own, and
+// returns once every chunk is done.
+func (s *Store) sweep(threads int, fn func(sc *scanScratch, lo, hi uint32)) {
+	worklist.Range(s.n, threads, sweepGrain, func(_, lo, hi int) {
+		sc := s.scratch.Get().(*scanScratch)
+		fn(sc, uint32(lo), uint32(hi))
+		s.scratch.Put(sc)
+	})
+}
+
+// ArcsAt counts the live out-arcs as of epoch maxStamp on up to threads
+// goroutines — an O(V+E) count-only chain scan, exact for the pinned
+// epoch and safe while mutators run (the deg words are only advisory
+// under concurrency; this is not). It is the arc count of CompactAt's
+// CSR at the same stamp, so a base self-loop is not counted.
+func (s *Store) ArcsAt(maxStamp uint64, threads int) int {
+	var total atomic.Int64
+	s.sweep(threads, func(sc *scanScratch, lo, hi uint32) {
+		sum := 0
+		for u := lo; u < hi; u++ {
+			_, n := s.scan(quiescent{s.sp}, u, maxStamp, sc, nil, scanDropSelf)
+			sum += n
+		}
+		total.Add(int64(sum))
+	})
+	return int(total.Load())
 }
 
 // Hint returns the routing size hint for a mutation of edge (u, v): the
@@ -615,32 +661,52 @@ func (s *Store) CompactChain(tx sched.Tx, u uint32, keep uint64) bool {
 }
 
 // Compact freezes the overlay into a fresh CSR (the paper-shaped
-// structure scan-heavy phases want), reusing graph.Build so adjacency
-// is sorted, de-duplicated and validated exactly like a loaded graph.
-// Quiescent: all mutators must have drained. Use CompactAt to build
-// the CSR of a pinned epoch while mutators run.
-func (s *Store) Compact() (*graph.CSR, error) {
-	return s.compactAt(StampLatest)
+// structure scan-heavy phases want). Quiescent: all mutators must have
+// drained. Use CompactAt to build the CSR of a pinned epoch while
+// mutators run.
+func (s *Store) Compact(threads int) (*graph.CSR, error) {
+	return s.CompactAt(StampLatest, threads)
 }
 
-// CompactAt freezes the overlay as of epoch maxStamp into a fresh CSR.
-// Safe while mutators run (see NeighborsAt); the caller must hold a
-// pin at maxStamp.
-func (s *Store) CompactAt(maxStamp uint64) (*graph.CSR, error) {
-	return s.compactAt(maxStamp)
-}
-
-func (s *Store) compactAt(maxStamp uint64) (*graph.CSR, error) {
-	edges := make([]graph.Edge, 0, s.base.NumEdges())
-	var buf []uint32
-	for u := uint32(0); int(u) < s.n; u++ {
-		buf = s.NeighborsAt(u, maxStamp, buf[:0])
-		for _, v := range buf {
-			edges = append(edges, graph.Edge{U: u, V: v})
-		}
+// CompactAt freezes the overlay as of epoch maxStamp into a fresh CSR,
+// materialised directly on up to threads goroutines: each claimed
+// vertex chunk has the scan kernel write its sorted, unique,
+// self-loop-free rows back to back, one chain walk per vertex; a prefix
+// sum over the row lengths gives the offsets, and the chunks are copied
+// to their places in the adjacency. graph.FromCSRParts then validates
+// the result exactly like a loaded file. Safe while mutators run: every
+// worker is one more lock-free NeighborsAt reader (see there) and
+// workers share no word they write. The caller must hold a pin at
+// maxStamp.
+func (s *Store) CompactAt(maxStamp uint64, threads int) (*graph.CSR, error) {
+	if s.n <= 0 {
+		return nil, fmt.Errorf("dyngraph: compact of %d vertices", s.n)
 	}
-	// For an undirected base the live arc set already holds both
-	// directions; Symmetrize re-asserts that and sets the flag on the
-	// result (Build de-duplicates the mirrored copies).
-	return graph.Build(s.n, edges, graph.BuildOptions{Symmetrize: s.base.Undirected()})
+	offsets := make([]uint64, s.n+1)
+	// parts[lo/sweepGrain] holds the rows of the chunk starting at lo (a
+	// single-worker sweep is one chunk starting at 0).
+	parts := make([][]uint32, (s.n+sweepGrain-1)/sweepGrain)
+	s.sweep(threads, func(sc *scanScratch, lo, hi uint32) {
+		// The deg words are advisory here, which is all a capacity
+		// hint needs: a snapshot is rarely far behind them.
+		hint := 0
+		for u := lo; u < hi; u++ {
+			hint += s.LiveDegree(u)
+		}
+		rows := make([]uint32, 0, hint)
+		for u := lo; u < hi; u++ {
+			var n int
+			rows, n = s.scan(quiescent{s.sp}, u, maxStamp, sc, rows, scanFill|scanDropSelf)
+			offsets[u+1] = uint64(n)
+		}
+		parts[lo/sweepGrain] = rows
+	})
+	for u := 0; u < s.n; u++ {
+		offsets[u+1] += offsets[u]
+	}
+	adj := make([]uint32, offsets[s.n])
+	for i, rows := range parts {
+		copy(adj[offsets[i*sweepGrain]:], rows)
+	}
+	return graph.FromCSRParts(s.n, offsets, adj, s.base.Undirected())
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tufast/internal/graph"
@@ -175,7 +176,7 @@ func TestCompactOracle(t *testing.T) {
 			}
 		}
 		want := graph.MustBuild(n, edges, graph.BuildOptions{Symmetrize: undirected})
-		got, err := s.Compact()
+		got, err := s.Compact(2)
 		if err != nil {
 			t.Fatalf("undirected=%v: Compact: %v", undirected, err)
 		}
@@ -197,6 +198,282 @@ func TestCompactOracle(t *testing.T) {
 		if got.Undirected() != undirected {
 			t.Fatalf("compact lost Undirected flag: got %v want %v", got.Undirected(), undirected)
 		}
+	}
+}
+
+// slowRowAt resolves u's out-neighbors as of maxStamp the obvious way,
+// sharing nothing with the scan kernel: walk the chain in order, let
+// each target's last version stamped ≤ maxStamp win in a map laid over
+// the base row, then sort what is live.
+func slowRowAt(s *Store, u uint32, maxStamp uint64) []uint32 {
+	live := map[uint32]bool{}
+	for _, v := range s.base.Neighbors(u) {
+		live[v] = true
+	}
+	for b := mem.Addr(s.sp.Load(s.headOf(u))); b != 0; b = mem.Addr(s.sp.Load(b)) {
+		for i := mem.Addr(0); i < mem.Addr(s.sp.Load(b+1)); i++ {
+			if e := s.sp.Load(b + slotBase + i); e&entryValid != 0 && entryStamp(e) <= maxStamp {
+				live[entryTarget(e)] = e&entryTomb == 0
+			}
+		}
+	}
+	var row []uint32
+	for v, on := range live {
+		if on {
+			row = append(row, v)
+		}
+	}
+	slices.Sort(row)
+	return row
+}
+
+// referenceCompactAt is the compaction this package shipped before
+// direct materialisation, kept only as the differential reference:
+// flatten every row into an edge list and replay it through
+// graph.Build (count, scatter, per-row sort, de-duplicate, self-loop
+// drop, Symmetrize on an undirected base). Its rows come from
+// slowRowAt, so it checks the kernel and the stitching at once.
+func referenceCompactAt(s *Store, maxStamp uint64) (*graph.CSR, error) {
+	var edges []graph.Edge
+	for u := uint32(0); int(u) < s.n; u++ {
+		for _, v := range slowRowAt(s, u, maxStamp) {
+			edges = append(edges, graph.Edge{U: u, V: v})
+		}
+	}
+	return graph.Build(s.n, edges, graph.BuildOptions{Symmetrize: s.base.Undirected()})
+}
+
+// csrBytes is g's binary file image: header (n, arcs, undirected),
+// offsets, adjacency and checksum — equal images are byte-identical
+// offsets and adj.
+func csrBytes(t *testing.T, g *graph.CSR) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.WriteBinary(&buf); err != nil {
+		t.Fatalf("WriteBinary: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestCompactAtDifferential drives seeded random streams over directed
+// and undirected bases through a dozen epochs and holds CompactAt, at
+// every epoch and thread count, byte-identical to both the replayed
+// truth of that epoch and the Build-based reference. The streams cover
+// a 2k-degree hub (vertex 0), a band of isolated vertices, self-loop
+// attempts, a pool of hot pairs toggled again and again (several
+// versions of one target in one chain, in-place flips within an epoch)
+// and one base arc scripted tombstone → re-add → tombstone → … across
+// consecutive epochs; then every chain is rewritten by CompactChain at
+// a mid-stream watermark and the retained epochs are checked again.
+func TestCompactAtDifferential(t *testing.T) {
+	const (
+		n        = 2400
+		touched  = 2300 // vertices ≥ touched stay isolated
+		hubDeg   = 2000
+		epochs   = 12
+		perEpoch = 1500
+	)
+	seeds := int64(3)
+	if testing.Short() {
+		seeds = 1
+	}
+	for _, undirected := range []bool{false, true} {
+		for seed := int64(1); seed <= seeds; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			var baseEdges []graph.Edge
+			for v := uint32(1); v <= hubDeg; v++ {
+				baseEdges = append(baseEdges, graph.Edge{U: 0, V: v})
+			}
+			for i := 0; i < 6000; i++ {
+				baseEdges = append(baseEdges, graph.Edge{U: uint32(1 + rng.Intn(touched-1)), V: uint32(1 + rng.Intn(touched-1))})
+			}
+			base := graph.MustBuild(n, baseEdges, graph.BuildOptions{Symmetrize: undirected})
+			sp := mem.NewSpace(SpaceWords(n, 8*epochs*perEpoch))
+			s, tx := New(sp, base), directTx{sp}
+
+			live := map[uint64]bool{} // the truth, arc by arc
+			for u := uint32(0); u < n; u++ {
+				for _, v := range base.Neighbors(u) {
+					live[uint64(u)<<32|uint64(v)] = true
+				}
+			}
+			mutate := func(u, v uint32, del bool) {
+				arcs := [][2]uint32{{u, v}}
+				if undirected {
+					arcs = append(arcs, [2]uint32{v, u})
+				}
+				for _, a := range arcs {
+					k := uint64(a[0])<<32 | uint64(a[1])
+					var changed bool
+					if del {
+						changed = s.RemoveArc(tx, a[0], a[1])
+					} else {
+						changed = s.AddArc(tx, a[0], a[1])
+					}
+					if want := a[0] != a[1] && live[k] == del; changed != want {
+						t.Fatalf("mutate(%d,%d,del=%v) changed=%v, want %v", a[0], a[1], del, changed, want)
+					}
+					if a[0] != a[1] {
+						live[k] = !del
+					}
+				}
+			}
+			truthBytes := func() []byte {
+				var edges []graph.Edge
+				for k, on := range live {
+					if on {
+						edges = append(edges, graph.Edge{U: uint32(k >> 32), V: uint32(k)})
+					}
+				}
+				return csrBytes(t, graph.MustBuild(n, edges, graph.BuildOptions{Symmetrize: undirected}))
+			}
+			hot := make([][2]uint32, 200)
+			for i := range hot {
+				hot[i] = [2]uint32{uint32(rng.Intn(touched)), uint32(rng.Intn(touched))}
+			}
+			truth := [][]byte{truthBytes()} // truth[e] = file image as of epoch e
+			for e := uint64(1); e <= epochs; e++ {
+				s.SetWriteStamp(e)
+				mutate(0, 1, e%2 == 1) // a base arc: tombstone, re-add, tombstone, …
+				for i := 0; i < perEpoch; i++ {
+					u, v := uint32(rng.Intn(touched)), uint32(rng.Intn(touched))
+					switch p := rng.Intn(100); {
+					case p < 40:
+						u, v = hot[rng.Intn(len(hot))][0], hot[rng.Intn(len(hot))][1]
+					case p < 55:
+						u = 0 // the hub's own chain
+					case p < 58:
+						v = u // self-loop attempt
+					}
+					mutate(u, v, rng.Intn(3) == 0)
+				}
+				truth = append(truth, truthBytes())
+			}
+
+			check := func(stage string, from uint64) {
+				for e := from; e <= epochs; e++ {
+					ref, err := referenceCompactAt(s, e)
+					if err != nil {
+						t.Fatalf("%s: reference at %d: %v", stage, e, err)
+					}
+					if !bytes.Equal(csrBytes(t, ref), truth[e]) {
+						t.Fatalf("%s undirected=%v seed=%d: reference at epoch %d differs from the replayed truth", stage, undirected, seed, e)
+					}
+					for _, threads := range []int{1, 2, 3, 8} {
+						got, err := s.CompactAt(e, threads)
+						if err != nil {
+							t.Fatalf("%s: CompactAt(%d, %d): %v", stage, e, threads, err)
+						}
+						if !bytes.Equal(csrBytes(t, got), truth[e]) {
+							t.Fatalf("%s undirected=%v seed=%d: CompactAt(%d) on %d threads is not byte-identical to the reference", stage, undirected, seed, e, threads)
+						}
+					}
+				}
+				got, err := s.Compact(2)
+				if err != nil || !bytes.Equal(csrBytes(t, got), truth[epochs]) {
+					t.Fatalf("%s undirected=%v seed=%d: Compact differs from the final truth (err %v)", stage, undirected, seed, err)
+				}
+			}
+			check("full history", 0)
+
+			// The pinned readers agree with the compacted rows.
+			const at = epochs / 2
+			g, err := s.CompactAt(at, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf []uint32
+			for u := uint32(0); u < n; u++ {
+				row := g.Neighbors(u)
+				if buf = s.NeighborsAt(u, at, buf); !slices.Equal(buf, row) {
+					t.Fatalf("NeighborsAt(%d) = %v, compacted row %v", u, buf, row)
+				}
+				if d := s.DegreeAt(u, at); d != len(row) {
+					t.Fatalf("DegreeAt(%d) = %d, compacted row has %d", u, d, len(row))
+				}
+				for _, v := range row {
+					if !s.HasArcAt(u, v, at) {
+						t.Fatalf("HasArcAt(%d,%d) = false for a compacted arc", u, v)
+					}
+				}
+				if v := uint32(rng.Intn(n)); s.HasArcAt(u, v, at) != slices.Contains(row, v) {
+					t.Fatalf("HasArcAt(%d,%d) disagrees with the compacted row", u, v)
+				}
+			}
+			for _, threads := range []int{1, 3} {
+				if a := s.ArcsAt(at, threads); a != g.NumEdges() {
+					t.Fatalf("ArcsAt on %d threads = %d, compacted graph has %d", threads, a, g.NumEdges())
+				}
+			}
+			if d := g.Degree(n - 1); d != 0 {
+				t.Fatalf("isolated vertex compacted to degree %d", d)
+			}
+
+			// GC at a mid-stream watermark: every epoch ≥ keep still
+			// compacts to its truth out of the rewritten chains.
+			rewritten := 0
+			for u := uint32(0); u < n; u++ {
+				if s.CompactChain(tx, u, at) {
+					rewritten++
+				}
+			}
+			if rewritten == 0 {
+				t.Fatal("CompactChain rewrote nothing; the stream should leave superseded versions")
+			}
+			check("after chain GC", at)
+		}
+	}
+}
+
+// TestCompactDropsBaseSelfLoops: a loaded base may carry self-loops
+// (graph.Build drops them only on request); compaction must leave them
+// out as the Build-based path did, while the readers keep showing the
+// base as it is.
+func TestCompactDropsBaseSelfLoops(t *testing.T) {
+	base := graph.MustBuild(5, []graph.Edge{{U: 1, V: 1}, {U: 1, V: 3}, {U: 2, V: 2}, {U: 4, V: 0}, {U: 4, V: 4}},
+		graph.BuildOptions{KeepSelfLoops: true})
+	sp := mem.NewSpace(SpaceWords(5, 64))
+	s, tx := New(sp, base), directTx{sp}
+	s.AddArc(tx, 1, 0)
+	s.RemoveArc(tx, 4, 0)
+	got, err := s.Compact(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := referenceCompactAt(s, StampLatest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(csrBytes(t, got), csrBytes(t, ref)) {
+		t.Fatalf("rows %v %v %v differ from the reference", got.Neighbors(1), got.Neighbors(2), got.Neighbors(4))
+	}
+	if want := []uint32{0, 3}; !slices.Equal(got.Neighbors(1), want) {
+		t.Errorf("compacted row of 1 = %v, want %v", got.Neighbors(1), want)
+	}
+	if want := []uint32{0, 1, 3}; !slices.Equal(s.NeighborsNow(1, nil), want) {
+		t.Errorf("NeighborsNow(1) = %v, want %v", s.NeighborsNow(1, nil), want)
+	}
+	if a := s.ArcsAt(StampLatest, 2); a != got.NumEdges() {
+		t.Errorf("ArcsAt = %d, compacted graph has %d arcs", a, got.NumEdges())
+	}
+}
+
+// TestCompactMoreThreadsThanVertices: n < threads must neither hang
+// nor drop a row.
+func TestCompactMoreThreadsThanVertices(t *testing.T) {
+	s, tx := newTestStore(t, 3, []graph.Edge{{U: 0, V: 1}}, true)
+	s.AddArc(tx, 1, 2)
+	s.AddArc(tx, 2, 1)
+	got, err := s.Compact(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := graph.MustBuild(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}, graph.BuildOptions{Symmetrize: true})
+	if !bytes.Equal(csrBytes(t, got), csrBytes(t, want)) {
+		t.Fatalf("rows %v %v %v", got.Neighbors(0), got.Neighbors(1), got.Neighbors(2))
+	}
+	if a := s.ArcsAt(StampLatest, 8); a != 4 {
+		t.Fatalf("ArcsAt = %d, want 4", a)
 	}
 }
 

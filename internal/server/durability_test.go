@@ -2,13 +2,17 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -229,6 +233,11 @@ func TestCrashRecoveryTornTailMidAppend(t *testing.T) {
 			acked = append(acked, ackedBatch{epoch: epoch, ops: ops})
 		case http.StatusInternalServerError:
 			sawCrash = true
+		case http.StatusServiceUnavailable:
+			// Batches after the torn one are refused before they apply.
+			if !sawCrash {
+				t.Fatalf("batch %d refused before the log died", i)
+			}
 		default:
 			t.Fatalf("batch %d: status %d", i, code)
 		}
@@ -268,6 +277,109 @@ func TestCrashRecoveryTornTailMidAppend(t *testing.T) {
 	}
 	if rb, _ := dur["replayed_batches"].(float64); int(rb) != len(acked) {
 		t.Fatalf("/v1/health replayed_batches %v, want %d", dur["replayed_batches"], len(acked))
+	}
+}
+
+// frozenState is what a poisoned graph must hold still: the epoch, the
+// pinned view's arc count and a hash of the compacted topology.
+func frozenState(t *testing.T, g *graphInstance) (epoch uint64, arcs int, topo uint32) {
+	t.Helper()
+	view := g.dyn.View()
+	defer view.Close()
+	csr, err := view.Compact()
+	if err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	h := crc32.NewIEEE()
+	for u := uint32(0); int(u) < csr.NumVertices(); u++ {
+		_ = binary.Write(h, binary.LittleEndian, uint32(csr.Degree(u)))
+		_ = binary.Write(h, binary.LittleEndian, csr.Neighbors(u))
+	}
+	return view.Epoch(), view.Arcs(), h.Sum32()
+}
+
+// TestCrashRecoveryPoisonedLogFreezesGraph: once the log has
+// fail-stopped — here through a failed interval fsync, the way a dying
+// disk does it — every later batch must be refused with 503 before it
+// applies: the epoch, the arc count and the compacted topology stay
+// exactly where the poison found them, standing bookkeeping sees
+// nothing, and a reboot recovers the acknowledged batches and accepts
+// writes again.
+func TestCrashRecoveryPoisonedLogFreezesGraph(t *testing.T) {
+	dir := t.TempDir()
+	var failSync atomic.Bool
+	hooks := &wal.Hooks{SyncErr: func() error {
+		if failSync.Load() {
+			return errors.New("injected EIO")
+		}
+		return nil
+	}}
+	s := startDurableServer(t, dir, DurabilityConfig{Sync: wal.SyncAlways, walHooks: hooks})
+	client := &http.Client{}
+	base := "http://" + s.Addr()
+	rng := rand.New(rand.NewSource(11))
+
+	var acked []ackedBatch
+	for i := 0; i < 6; i++ {
+		ops := distinctBatch(rng, 200, 24)
+		code, epoch := postBatch(t, client, base, ops)
+		if code != http.StatusOK {
+			t.Fatalf("batch %d: status %d", i, code)
+		}
+		acked = append(acked, ackedBatch{epoch: epoch, ops: ops})
+	}
+	// The batch whose fsync fails has already committed in memory when
+	// the log dies under it (that much is inherent: apply precedes
+	// append); it is answered 500 and is the last thing memory takes.
+	failSync.Store(true)
+	unacked := distinctBatch(rng, 200, 24)
+	if code, _ := postBatch(t, client, base, unacked); code != http.StatusInternalServerError {
+		t.Fatalf("batch over the failing fsync: status %d, want 500", code)
+	}
+	epoch, arcs, topo := frozenState(t, s.def)
+	batches := s.def.met.mutBatches.Load()
+	seq := s.def.mutSeq.Load()
+
+	const refused = 12
+	for i := 0; i < refused; i++ {
+		if code, _ := postBatch(t, client, base, distinctBatch(rng, 200, 24)); code != http.StatusServiceUnavailable {
+			t.Fatalf("batch %d after poison: status %d, want 503", i, code)
+		}
+	}
+	if e, a, h := frozenState(t, s.def); e != epoch || a != arcs || h != topo {
+		t.Fatalf("graph moved under a poisoned log: epoch %d→%d, arcs %d→%d, topology %08x→%08x", epoch, e, arcs, a, topo, h)
+	}
+	if got := s.def.mutSeq.Load(); got != seq {
+		t.Fatalf("refused batches opened the mutation bracket: mutSeq %d→%d", seq, got)
+	}
+	if got := s.def.met.mutBatches.Load(); got != batches {
+		t.Fatalf("refused batches were counted as applied: %d→%d", batches, got)
+	}
+	if code, health := getJSON(t, client, base+"/v1/health"); code != http.StatusOK || health["status"] != "degraded" {
+		t.Fatalf("/v1/health on a poisoned log: %d %v", code, health["status"])
+	}
+	// Reads keep serving the frozen epoch.
+	if code, body := getJSON(t, client, base+"/v1/graph"); code != http.StatusOK || uint64(body["epoch"].(float64)) != epoch {
+		t.Fatalf("GET /v1/graph on a poisoned log: %d %v", code, body)
+	}
+	crashServer(s)
+
+	failSync.Store(false)
+	s2 := startDurableServer(t, dir, DurabilityConfig{Sync: wal.SyncAlways})
+	t.Cleanup(func() { shutdownServer(t, s2) })
+	// The 500 batch's record reached the file before its fsync failed;
+	// this process never lost the page cache, so recovery may replay it
+	// — an unacknowledged batch is indeterminate, never a refused one.
+	switch rec := s2.Recovery(); rec.ReplayedBatches {
+	case uint64(len(acked)):
+	case uint64(len(acked)) + 1:
+		acked = append(acked, ackedBatch{epoch: epoch, ops: unacked})
+	default:
+		t.Fatalf("replayed %d batches, want %d or %d", rec.ReplayedBatches, len(acked), len(acked)+1)
+	}
+	assertRecoveredTopology(t, s2, acked)
+	if code, _ := postBatch(t, client, "http://"+s2.Addr(), distinctBatch(rng, 200, 8)); code != http.StatusOK {
+		t.Fatalf("post-reboot batch: status %d", code)
 	}
 }
 

@@ -113,6 +113,25 @@ func TestGraphReadsUnderMutations(t *testing.T) {
 	if got := int(body["live_arcs"].(float64)); got != v.Arcs() {
 		t.Errorf("final live_arcs = %d, view says %d", got, v.Arcs())
 	}
+
+	// With a snapshot cached for the epoch the count comes from it: the
+	// emptied arcs cache stays empty, and the answer is the same.
+	if _, _, err := s.def.snapshot(); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	s.def.arcsMu.Lock()
+	s.def.arcsOK = false
+	s.def.arcsMu.Unlock()
+	_, body = getJSON(t, client, base+"/v1/graph")
+	if got := int(body["live_arcs"].(float64)); got != v.Arcs() {
+		t.Errorf("live_arcs from the cached snapshot = %d, view says %d", got, v.Arcs())
+	}
+	s.def.arcsMu.Lock()
+	scanned := s.def.arcsOK
+	s.def.arcsMu.Unlock()
+	if scanned {
+		t.Error("live_arcs scanned the chains although a snapshot of the epoch was cached")
+	}
 }
 
 // TestMutationSeqlockSingleWriter pins the seqlock contract repairOnce

@@ -445,9 +445,30 @@ type edgeBatch struct {
 	Ops []edgeOp `json:"ops"`
 }
 
+// walErr returns the cause once the graph's log has fail-stopped (nil
+// on a healthy or ephemeral graph). A batch applied after that would
+// commit in memory, bump the epoch and feed standing queries with
+// state no restart can recover, so handleEdges freezes the graph on
+// it: 503 with no apply, no epoch bump, no batchCommitted. Reads and
+// jobs keep serving the frozen epoch; recovery is a restart.
+func (s *graphInstance) walErr() error {
+	if s.wlog == nil {
+		return nil
+	}
+	return s.wlog.Err()
+}
+
+func refuseFrozen(w http.ResponseWriter, cause error) {
+	writeError(w, http.StatusServiceUnavailable, "graph is read-only until restart: wal failed: "+cause.Error())
+}
+
 func (s *graphInstance) handleEdges(w http.ResponseWriter, r *http.Request) {
 	if s.srv.draining.Load() || s.deleted.Load() {
 		writeError(w, http.StatusServiceUnavailable, "draining")
+		return
+	}
+	if werr := s.walErr(); werr != nil {
+		refuseFrozen(w, werr)
 		return
 	}
 	var batch edgeBatch
@@ -487,7 +508,14 @@ func (s *graphInstance) handleEdges(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	s.mutMu.Lock()  // single-writer seqlock bracket; see the field docs
+	s.mutMu.Lock() // single-writer seqlock bracket; see the field docs
+	if werr := s.walErr(); werr != nil {
+		// Poisoned while this batch decoded or queued for the bracket:
+		// refuse before anything moves (see walErr).
+		s.mutMu.Unlock()
+		refuseFrozen(w, werr)
+		return
+	}
 	s.mutSeq.Add(1) // odd: batch in flight
 	if s.cfg.mutGate != nil {
 		s.cfg.mutGate()
@@ -727,15 +755,24 @@ func (s *graphInstance) handleGraph(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// liveArcs returns view's exact live arc count, serving repeat polls
-// of an unchanged epoch from a one-entry cache: the count is a full
-// O(V+E) multi-version chain scan, far too heavy to rerun for every
-// stats request between mutations. The scan runs outside arcsMu (it
-// can overlap a concurrent miss at another epoch); epochs are
-// monotone, so last-writer-wins publication keyed by ≥ keeps the
-// cache at the newest computed epoch.
+// liveArcs returns view's exact live arc count. A snapshot cached for
+// the view's epoch already holds it (its rows are the live arcs), so
+// that answers first; otherwise repeat polls of an unchanged epoch are
+// served from a one-entry cache, because the count is a full O(V+E)
+// multi-version chain scan, far too heavy to rerun for every stats
+// request between mutations. The scan runs outside arcsMu (it can
+// overlap a concurrent miss at another epoch); epochs are monotone, so
+// last-writer-wins publication keyed by ≥ keeps the cache at the
+// newest computed epoch.
 func (s *graphInstance) liveArcs(view *tufast.GraphView) int {
 	e := view.Epoch()
+	s.snapMu.Lock()
+	if s.snapGraph != nil && s.snapEpoch == e {
+		n := s.snapGraph.NumEdges()
+		s.snapMu.Unlock()
+		return n
+	}
+	s.snapMu.Unlock()
 	s.arcsMu.Lock()
 	if s.arcsOK && s.arcsEpoch == e {
 		n := s.arcsVal

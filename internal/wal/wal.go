@@ -217,13 +217,17 @@ type Log struct {
 	dir string
 	opt Options
 
-	mu      sync.Mutex
-	f       *os.File // active segment, open for append
-	active  segment
-	sealed  []segment // older segments, oldest first
-	dirty   bool      // bytes appended since the last fsync
-	failErr error     // non-nil once the log fail-stopped; see Poison
-	buf     []byte    // frame scratch, reused across Appends (under mu)
+	mu     sync.Mutex
+	f      *os.File // active segment, open for append
+	active segment
+	sealed []segment // older segments, oldest first
+	dirty  bool      // bytes appended since the last fsync
+	buf    []byte    // frame scratch, reused across Appends (under mu)
+
+	// failErr is non-nil once the log fail-stopped (see Poison): set
+	// once, under mu, and read without it, so the serving layer can ask
+	// per request without queueing behind an fsync.
+	failErr atomic.Pointer[error]
 
 	appends     atomic.Uint64
 	appendedOps atomic.Uint64
@@ -470,7 +474,7 @@ func encodeRecord(buf []byte, epoch uint64, ops []Op) []byte {
 func (l *Log) Append(epoch uint64, ops []Op) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.failErr != nil {
+	if l.Err() != nil {
 		return l.failedLocked()
 	}
 	if l.f == nil {
@@ -531,24 +535,25 @@ func (l *Log) Poison(cause error) {
 // Err returns the cause the log fail-stopped with, or nil while the
 // log is healthy.
 func (l *Log) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.failErr
+	if p := l.failErr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 func (l *Log) poisonLocked(cause error) {
-	if l.failErr == nil {
-		l.failErr = cause
+	if l.failErr.Load() == nil {
+		l.failErr.Store(&cause)
 	}
 }
 
 func (l *Log) failedLocked() error {
-	return fmt.Errorf("%w: %w; restart to recover", ErrLogFailed, l.failErr)
+	return fmt.Errorf("%w: %w; restart to recover", ErrLogFailed, l.Err())
 }
 
 // syncLocked fsyncs the active segment; callers hold l.mu.
 func (l *Log) syncLocked() error {
-	if l.failErr != nil {
+	if l.Err() != nil {
 		return l.failedLocked()
 	}
 	if !l.dirty || l.f == nil {

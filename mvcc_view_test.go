@@ -4,13 +4,15 @@
 // applies half the stream sequentially and snapshots per-epoch truth
 // via replay; phase 2 turns 8 mutator workers loose on the rest while
 // the main goroutine cross-examines pinned views against the frozen
-// truth — under -race this is the whole lock-free-read safety
+// truth, sampling their readers and compacting them whole on 8 chunk
+// workers — under -race this is the whole lock-free-read safety
 // argument in executable form.
 package tufast_test
 
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -70,6 +72,40 @@ func checkView(t *testing.T, v *tufast.GraphView, adj [][]uint32, rng *rand.Rand
 		if v.HasEdge(u, w) != has {
 			t.Fatalf("epoch %d: HasEdge(%d,%d) = %v, want %v", v.Epoch(), u, w, !has, has)
 		}
+	}
+}
+
+// checkCompact freezes v into a CSR and holds every row to the truth
+// adjacency of v's epoch, then holds the view's own readers —
+// Neighbors, Degree, HasEdge, Arcs — to the compacted rows. Called from
+// the test goroutine only, while the mutators run.
+func checkCompact(t *testing.T, v *tufast.GraphView, adj [][]uint32) {
+	t.Helper()
+	g, err := v.Compact()
+	if err != nil {
+		t.Fatalf("epoch %d: Compact: %v", v.Epoch(), err)
+	}
+	var buf []uint32
+	for u := range adj {
+		row := g.Neighbors(uint32(u))
+		if !slices.Equal(row, adj[u]) {
+			t.Fatalf("epoch %d: compacted row %d = %v, want %v", v.Epoch(), u, row, adj[u])
+		}
+		if buf = v.Neighbors(uint32(u), buf); !slices.Equal(buf, row) {
+			t.Fatalf("epoch %d: Neighbors(%d) = %v, compacted row %v", v.Epoch(), u, buf, row)
+		}
+		if d := v.Degree(uint32(u)); d != len(row) {
+			t.Fatalf("epoch %d: Degree(%d) = %d, compacted row has %d", v.Epoch(), u, d, len(row))
+		}
+		if len(row) > 0 && !v.HasEdge(uint32(u), row[len(row)/2]) {
+			t.Fatalf("epoch %d: HasEdge(%d,%d) = false for a compacted arc", v.Epoch(), u, row[len(row)/2])
+		}
+	}
+	if a := v.Arcs(); a != g.NumEdges() {
+		t.Fatalf("epoch %d: Arcs = %d, compacted graph has %d", v.Epoch(), a, g.NumEdges())
+	}
+	if !g.Undirected() {
+		t.Fatalf("epoch %d: compaction lost the undirected flag", v.Epoch())
 	}
 }
 
@@ -182,6 +218,7 @@ func TestMVCCViewOracle(t *testing.T) {
 		for _, e := range sampled {
 			v := d.ViewAt(e)
 			checkView(t, v, truths[e], rng, 40)
+			checkCompact(t, v, truths[e])
 			v.Close()
 		}
 	}
@@ -193,6 +230,7 @@ func TestMVCCViewOracle(t *testing.T) {
 
 	// The long-pinned view never drifted.
 	checkView(t, pinned, truths[sampled[len(sampled)-1]], rng, 200)
+	checkCompact(t, pinned, truths[sampled[len(sampled)-1]])
 
 	// Phase-2 epochs: batches took their epochs in commit order, so the
 	// topology at a committed epoch is the phase-1 prefix plus every
@@ -216,6 +254,7 @@ func TestMVCCViewOracle(t *testing.T) {
 	for e, adj := range checks {
 		v := d.ViewAt(e)
 		checkView(t, v, adj, rng, 200)
+		checkCompact(t, v, adj)
 		v.Close()
 	}
 }

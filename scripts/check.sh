@@ -2,9 +2,9 @@
 # check.sh — the repo's pre-merge gate: formatting, vet, the
 # transaction- and concurrency-contract analyzer suite (tufastcheck,
 # with -strict-ignores), and the test suite under the race detector
-# (short profile). Run from the repo root or
-# anywhere inside it; `make check` is an alias and `make lint` runs the
-# analyzer stage alone.
+# (short profile, one run, failures summarised by cmd/testsummary).
+# Run from the repo root or anywhere inside it; `make check` is an
+# alias and `make lint` runs the analyzer stage alone.
 set -eu
 
 # Fail fast, and clearly, if the toolchain is missing rather than
@@ -55,35 +55,15 @@ go vet ./internal/server ./cmd/tufastd ./cmd/tufast-loadgen ./algorithms
 go run ./cmd/tufastcheck ./internal/server ./cmd/tufastd ./cmd/tufast-loadgen ./algorithms
 end
 
+# One run of the whole suite under the race detector. The summariser
+# prints a line per package as it finishes and, on failure, every
+# failing test grouped by package under the output it produced, so the
+# crash matrix (TestCrashRecovery*), the tenancy suite (TestTenancy*)
+# and the MVCC view oracle (TestMVCCViewOracle) fail with their own
+# diagnostics without being run a second time by name. The pipe's
+# status is the summariser's, which is 1 on any failure.
 begin "go test -race (short)"
-go test -race -short ./...
-end
-
-# The crash matrix is the executable form of the durability argument
-# (kill-and-restart at every awkward instant, recovered topology
-# cross-examined against the ReplayEdges oracle over the acknowledged
-# batches). It runs inside ./... above; re-run it by name so a
-# recovery regression fails with the matrix's own diagnostics.
-begin "crash recovery matrix (race)"
-go test -race -short -run 'TestCrashRecovery' ./internal/server
-end
-
-# The tenancy suite is the executable form of the multi-graph
-# isolation argument (per-tenant topology oracles under concurrent
-# cross-tenant mutation, quota 429s, and a three-graph kill-and-
-# recover). It runs inside ./... above; re-run it by name so a tenancy
-# regression fails with the suite's own diagnostics.
-begin "multi-graph tenancy suite (race)"
-go test -race -short -run 'TestTenancy' ./internal/server
-end
-
-# The MVCC view oracle is the executable form of the lock-free-read
-# safety argument (pinned views cross-examined against replayed truth
-# while 8 mutator workers commit around them). It runs inside ./...
-# above; re-run it by name so a multi-version visibility regression
-# fails with the oracle's own diagnostics, not a package-level FAIL.
-begin "mvcc view oracle (race)"
-go test -race -short -run 'TestMVCCViewOracle' .
+go test -race -short -json ./... | go run ./cmd/testsummary
 end
 
 echo "All checks passed."
