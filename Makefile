@@ -1,6 +1,9 @@
 # Convenience targets; scripts/check.sh is the canonical gate.
+# Repeatable performance numbers come from benchmark/ (bash
+# benchmark/run.sh --workload <id>); `make bench` is the paper's
+# figures.
 
-.PHONY: build test lint check bench bench-snapshot bench-stream bench-serve bench-standing bench-mvcc bench-wal bench-tenancy bench-diff loadgen-smoke
+.PHONY: build test lint check bench loadgen-smoke
 
 build:
 	go build ./...
@@ -19,72 +22,6 @@ check:
 
 bench:
 	go test -bench=. -benchtime=1x ./internal/bench/
-
-# bench-snapshot writes a machine-readable performance snapshot
-# (commits/sec plus per-mode abort-reason breakdowns for the figure
-# workloads) that CI archives as a non-blocking artifact.
-bench-snapshot:
-	go run ./cmd/tufast-bench -short -snapshot BENCH_pr3.json
-
-# bench-stream writes the streaming-workload snapshot (mutation
-# throughput + per-mode commit mix of the dynamic-graph subsystem),
-# archived by CI as a non-blocking artifact.
-bench-stream:
-	go run ./cmd/tufast-bench -short -stream-snapshot BENCH_pr4.json
-
-# bench-serve runs the closed-loop load generator against an
-# in-process tufastd (mixed reads/writes) and writes the serving
-# throughput + latency-percentile snapshot CI archives.
-bench-serve:
-	go run ./cmd/tufast-loadgen -inprocess -gen-n 5000 -duration 3s -clients 4 -write-frac 0.2 -snapshot BENCH_pr5.json
-
-# bench-standing runs the standing-vs-recompute comparison: two equal
-# phases against one in-process daemon under the same mixed
-# insert/delete write stream — per-epoch pagerank recompute jobs, then
-# the same queries standing, served from the resident delta-maintained
-# result — and writes both figures (plus repair-lag and standing-hit
-# counters) to the snapshot CI archives. PageRank is the figure's
-# algorithm because its repairs stay O(delta) under deletes; standing
-# cc now repairs delete batches locally too (bounded re-flood from the
-# deletion frontier), so either would do, but pagerank keeps the
-# figure comparable across snapshots.
-bench-standing:
-	go run ./cmd/tufast-loadgen -compare-standing -gen-n 5000 -duration 8s -clients 8 -write-frac 0.1 -algos pagerank -snapshot BENCH_pr6.json
-
-# bench-mvcc runs the MVCC snapshot-path figure: per snapshot path
-# (RWMutex-era exclusive-lock compaction, then epoch-pinned MVCC
-# views), measure closed-loop write capacity on a fresh daemon, then
-# drive a fixed ~30% offered mutation load against 0, 1, and 4 paced
-# analytics clients — each phase on its own fresh daemon — and write
-# the goodput-vs-analytics-load figure CI archives. The acceptance
-# line: 4-job mutation goodput within 2x of the 0-job baseline on the
-# MVCC path.
-bench-mvcc:
-	go run ./cmd/tufast-loadgen -compare-mvcc -gen-n 5000 -duration 2s -clients 4 -algos degree -snapshot BENCH_pr8.json
-
-# bench-wal runs the WAL-overhead figure: four phases of the same
-# pure-write closed loop — no WAL, then durable daemons at fsync
-# policy none/interval/always, each on a fresh daemon over a fresh
-# temp data dir — and writes throughput per phase to the snapshot CI
-# archives. The acceptance line: sync=interval within 25% of the
-# no-WAL baseline.
-bench-wal:
-	go run ./cmd/tufast-loadgen -compare-wal -gen-n 5000 -duration 2s -clients 4 -snapshot BENCH_pr9.json
-
-# bench-tenancy runs the multi-graph tenancy figure: aggregate
-# pure-write goodput with the same client pool split across 1, 2, and
-# 4 tenant graphs (fresh daemon per phase), then a noisy-neighbor pair
-# — a paced victim tenant sharing the daemon with a closed-loop
-# aggressor — without and with admission quotas on the aggressor. The
-# acceptance line: the victim's write p99 in the quota phase stays
-# bounded (no worse than the unquota'd phase).
-bench-tenancy:
-	go run ./cmd/tufast-loadgen -compare-tenancy -gen-n 5000 -duration 2s -clients 4 -snapshot BENCH_pr10.json
-
-# bench-diff prints per-workload throughput deltas between the two
-# most recent BENCH_*.json snapshots. Trend report, never a gate.
-bench-diff:
-	./scripts/benchdiff.sh
 
 # loadgen-smoke is the CI smoke: a short, low-rate mixed run that
 # exercises the whole serving path (admission, jobs, cache, drain).

@@ -26,8 +26,6 @@ func main() {
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		verbose = flag.Bool("v", false, "print experiment telemetry")
 		list    = flag.Bool("list", false, "list experiment ids and exit")
-		snap    = flag.String("snapshot", "", "write a machine-readable performance snapshot (throughput + per-mode metrics) to this JSON file and exit")
-		ssnap   = flag.String("stream-snapshot", "", "write a streaming-workload snapshot (mutation throughput + mode mix) to this JSON file and exit")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: tufast-bench [flags] <experiment>... | all\n\nexperiments:\n")
@@ -42,24 +40,6 @@ func main() {
 
 	if *list {
 		fmt.Println(strings.Join(bench.IDs(), " "))
-		return
-	}
-	if *snap != "" {
-		opts := bench.Options{Scale: *scale, Threads: *threads, Short: *short}
-		if err := bench.WriteSnapshot(opts, *snap); err != nil {
-			fmt.Fprintln(os.Stderr, "tufast-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *snap)
-		return
-	}
-	if *ssnap != "" {
-		opts := bench.Options{Scale: *scale, Threads: *threads, Short: *short}
-		if err := bench.WriteStreamSnapshot(opts, *ssnap); err != nil {
-			fmt.Fprintln(os.Stderr, "tufast-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *ssnap)
 		return
 	}
 	args := flag.Args()

@@ -1,28 +1,23 @@
 // Command tufast-loadgen drives a tufastd daemon with a closed-loop
-// mixed read/write workload and reports latency percentiles, so the
-// serving path is benchmarkable end to end.
+// mixed read/write workload and reports latency percentiles: the
+// operator's tool for aiming load at a daemon, local or remote.
+// Repeatable serving measurements live in benchmark/ (workloads
+// serve_write and serve_mixed), not here.
 //
 // Usage:
 //
 //	tufast-loadgen -addr 127.0.0.1:8080 -clients 8 -duration 10s
-//	tufast-loadgen -inprocess -duration 2s -snapshot BENCH_pr5.json
+//	tufast-loadgen -inprocess -duration 2s -rps 50
 //
 // Each client loops: with probability -write-frac it POSTs a mutation
 // batch to /v1/edges, otherwise it submits an analytics job and polls
 // it to a terminal state (a cache hit completes inline). With -rps 0
 // the loop is closed (next request only after the previous finishes);
 // a positive -rps paces clients to the target aggregate rate.
+// -standing submits the reads as standing queries instead.
 //
 // -inprocess starts a daemon in this process over a generated graph —
-// the self-contained mode `make bench-serve` and the CI smoke use.
-//
-// -tenants N creates N named tenant graphs (t1..tN) on the daemon and
-// splits the client pool across them, driving each through its
-// /v1/graphs/{name}/... routes. -compare-tenancy produces the tenancy
-// figure: aggregate write goodput at 1/2/4 tenants, then a
-// noisy-neighbor pair — a paced victim sharing the daemon with a
-// closed-loop aggressor — with and without admission quotas on the
-// aggressor.
+// the self-contained mode `make loadgen-smoke` uses.
 package main
 
 import (
@@ -41,55 +36,32 @@ import (
 	"time"
 
 	"tufast"
-	"tufast/internal/bench"
-	"tufast/internal/obs"
 	"tufast/internal/server"
-	"tufast/internal/wal"
 )
 
 type options struct {
-	addr        string
-	inprocess   bool
-	genN        int
-	genDeg      int
-	seed        uint64
-	clients     int
-	duration    time.Duration
-	rps         float64
-	writeFrac   float64
-	delFrac     float64
-	batch       int
-	algos       []string
-	timeoutMS   int64
-	queue       int
-	workers     int
-	standing    bool
-	compare     bool
-	compareMVCC bool
-	compareWAL  bool
-	compareTen  bool
-	tenants     int
-	dataDir     string
-	walSync     string
-	readPace    time.Duration
-	writePace   time.Duration
-	snapshot    string
-
-	// prefix roots every per-graph request; empty means the legacy
-	// unnamed routes (the "default" graph). Set to "/v1/graphs/<name>"
-	// to drive one tenant.
-	prefix string
+	addr      string
+	inprocess bool
+	genN      int
+	genDeg    int
+	seed      uint64
+	clients   int
+	duration  time.Duration
+	rps       float64
+	writeFrac float64
+	delFrac   float64
+	batch     int
+	algos     []string
+	timeoutMS int64
+	queue     int
+	workers   int
+	standing  bool
 }
 
-// url builds a per-graph endpoint URL under the active route prefix,
-// e.g. o.url("/edges") is /v1/edges for the default graph and
-// /v1/graphs/t1/edges for tenant t1.
+// url builds an endpoint URL on the daemon's default graph, e.g.
+// o.url("/edges") is http://<addr>/v1/edges.
 func (o options) url(path string) string {
-	pre := o.prefix
-	if pre == "" {
-		pre = "/v1"
-	}
-	return "http://" + o.addr + pre + path
+	return "http://" + o.addr + "/v1" + path
 }
 
 func main() {
@@ -111,34 +83,10 @@ func main() {
 	flag.IntVar(&o.queue, "queue", 64, "in-process server: admission queue depth")
 	flag.IntVar(&o.workers, "job-workers", 2, "in-process server: concurrent analytics jobs")
 	flag.BoolVar(&o.standing, "standing", false, "submit analytics jobs as standing queries (restricts -algos to pagerank,cc)")
-	flag.BoolVar(&o.compare, "compare-standing", false, "run two phases over one in-process daemon — per-epoch recompute, then standing — and write both to -snapshot")
-	flag.BoolVar(&o.compareMVCC, "compare-mvcc", false, "measure mutation throughput on MVCC views under 0/1/4 concurrent analytics clients and write it to -snapshot")
-	flag.BoolVar(&o.compareWAL, "compare-wal", false, "measure pure-write throughput without a WAL and at each WAL sync policy (none/interval/always), and write all phases to -snapshot")
-	flag.BoolVar(&o.compareTen, "compare-tenancy", false, "measure aggregate goodput at 1/2/4 tenants plus noisy-neighbor victim latency with and without quotas, and write all phases to -snapshot")
-	flag.IntVar(&o.tenants, "tenants", 0, "create N named tenant graphs and split the client pool across them (0 = drive the default graph)")
-	flag.StringVar(&o.dataDir, "data-dir", "", "in-process server: durability directory (WAL + checkpoints); empty = ephemeral")
-	flag.StringVar(&o.walSync, "wal-sync", "always", "in-process server: WAL fsync policy (always|interval|none)")
-	flag.StringVar(&o.snapshot, "snapshot", "", "write a serving-throughput snapshot (BENCH_*.json shape) to this file")
 	flag.Parse()
 	o.algos = strings.Split(algoList, ",")
-	if o.standing || o.compare {
+	if o.standing {
 		o.algos = standingAlgos(o.algos)
-	}
-	if o.compareMVCC {
-		runCompareMVCC(o)
-		return
-	}
-	if o.compareWAL {
-		runCompareWAL(o)
-		return
-	}
-	if o.compareTen {
-		runCompareTenancy(o)
-		return
-	}
-	if o.compare {
-		runCompare(o)
-		return
 	}
 
 	var srv *server.Server
@@ -157,33 +105,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	var rep *report
-	if o.tenants > 0 {
-		rep = runTenants(o)
-	} else {
-		rep = run(o)
-	}
-	rep.print()
+	run(o).print()
 
-	var snap obs.Snapshot
-	if o.snapshot != "" {
-		if err := fetchJSON("http://"+o.addr+"/metrics", &snap); err != nil {
-			fmt.Fprintln(os.Stderr, "tufast-loadgen: fetch metrics:", err)
-		}
-	}
 	if srv != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
 			fmt.Fprintln(os.Stderr, "tufast-loadgen: shutdown:", err)
 		}
-	}
-	if o.snapshot != "" {
-		if err := writeSnapshot(o, rep, snap); err != nil {
-			fmt.Fprintln(os.Stderr, "tufast-loadgen:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", o.snapshot)
 	}
 }
 
@@ -202,592 +131,28 @@ func standingAlgos(algos []string) []string {
 	return out
 }
 
-// runCompare runs the standing-vs-recompute figure: two equal phases
-// over one in-process daemon and write stream — phase one submits
-// plain jobs (every read pays a per-epoch recompute or cache probe),
-// phase two the same mix as standing queries served from resident
-// delta-maintained results.
-func runCompare(o options) {
-	o.inprocess = true
-	srv, err := startInProcess(o)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tufast-loadgen:", err)
-		os.Exit(1)
-	}
-	o.addr = srv.Addr()
-	fmt.Printf("loadgen: in-process tufastd on %s (compare: recompute vs standing)\n", o.addr)
-
-	base := o
-	base.standing = false
-	fmt.Printf("loadgen: phase 1/2 per-epoch recompute (%v)\n", o.duration)
-	baseRep := run(base)
-	baseRep.print()
-
-	stand := o
-	stand.standing = true
-	fmt.Printf("loadgen: phase 2/2 standing (%v)\n", o.duration)
-	standRep := run(stand)
-	standRep.print()
-
-	var snap obs.Snapshot
-	if o.snapshot != "" {
-		if err := fetchJSON("http://"+o.addr+"/metrics", &snap); err != nil {
-			fmt.Fprintln(os.Stderr, "tufast-loadgen: fetch metrics:", err)
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "tufast-loadgen: shutdown:", err)
-	}
-	if o.snapshot != "" {
-		if err := writeCompareSnapshot(o, baseRep, standRep, snap); err != nil {
-			fmt.Fprintln(os.Stderr, "tufast-loadgen:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", o.snapshot)
-	}
-	baseRate := float64(baseRep.readsDone) / baseRep.duration.Seconds()
-	standRate := float64(standRep.readsDone) / standRep.duration.Seconds()
-	if baseRate > 0 {
-		fmt.Printf("loadgen: standing speedup %.1fx (%.1f/s vs %.1f/s)\n",
-			standRate/baseRate, standRate, baseRate)
-	}
-}
-
-// runCompareMVCC produces the MVCC mutation-throughput figure: it
-// measures closed-loop write capacity on MVCC views, then offers a
-// fixed ~30% of that capacity while 0, 1, and 4 paced analytics
-// clients run. The question the figure answers is how much of a
-// constant offered mutation load the serving path still delivers while
-// snapshots are being compacted. (The RWMutex-era baseline this was
-// originally compared against is retired with its code path; its
-// numbers live in the BENCH_pr8 snapshot.)
-//
-// Both client pools are paced (writers to the offered load, readers
-// with think time) rather than closed-loop: on a small box unpaced
-// pools just starve each other of CPU, burying the locking difference
-// under scheduler noise. Every phase gets a fresh daemon so overlay
-// growth from one phase doesn't distort another — snapshot cost scales
-// with accumulated history, and comparing a cold 0-job phase against a
-// 4-job phase run over four phases' worth of edits would measure
-// history depth, not locking.
-func runCompareMVCC(o options) {
-	o.inprocess = true
-	o.readPace = 250 * time.Millisecond
-	var entries []bench.PerfEntry
-	var snap obs.Snapshot
-	rates := map[string]float64{}
-	// runPhase boots a fresh daemon, drives one phase, and tears it
-	// down. grabMetrics captures /metrics before shutdown so the final
-	// report entry can carry the server-side counters.
-	runPhase := func(jobs int, grabMetrics bool) *report {
-		srvOpts := o
-		srvOpts.duration = o.duration + 2*time.Second
-		srv, err := startInProcess(srvOpts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tufast-loadgen:", err)
-			os.Exit(1)
-		}
-		o.addr = srv.Addr()
-		rep := runMixed(o, o.clients, jobs)
-		if grabMetrics {
-			if err := fetchJSON("http://"+o.addr+"/metrics", &snap); err != nil {
-				fmt.Fprintln(os.Stderr, "tufast-loadgen: fetch metrics:", err)
-			}
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		if err := srv.Shutdown(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "tufast-loadgen: shutdown:", err)
-		}
-		cancel()
-		return rep
-	}
-
-	fmt.Printf("loadgen: mvcc — closed-loop write capacity (%v)\n", o.duration)
-	capRep := runPhase(0, false)
-	capacity := float64(capRep.writeOps) / capRep.duration.Seconds()
-	rates["mut-mvcc-capacity"] = capacity
-	entries = append(entries, bench.PerfEntry{
-		Workload: "mut-mvcc-capacity", TxnPerSec: capacity,
-	})
-	fmt.Printf("  capacity %.0f ops/s (%d batches)\n", capacity, capRep.writes)
-
-	offered := 0.3 * capacity
-	o.writePace = time.Duration(float64(o.clients*o.batch) / offered * float64(time.Second))
-	for _, jobs := range []int{0, 1, 4} {
-		fmt.Printf("loadgen: mvcc — %.0f ops/s offered vs %d analytics clients (%v)\n",
-			offered, jobs, o.duration)
-		rep := runPhase(jobs, jobs == 4 && o.snapshot != "")
-		rate := float64(rep.writeOps) / rep.duration.Seconds()
-		name := fmt.Sprintf("mut-mvcc-%djobs", jobs)
-		rates[name] = rate
-		entries = append(entries, bench.PerfEntry{Workload: name, TxnPerSec: rate})
-		fmt.Printf("  writes %.0f ops/s (%d batches), reads done %d, errors %d\n",
-			rate, rep.writes, rep.readsDone, rep.httpErrors)
-	}
-	if base, loaded := rates["mut-mvcc-0jobs"], rates["mut-mvcc-4jobs"]; base > 0 {
-		fmt.Printf("loadgen: mvcc mutation goodput under 4 analytics clients: %.0f%% of zero-analytics (%.0f/s vs %.0f/s)\n",
-			100*loaded/base, loaded, base)
-	}
-	if o.snapshot != "" {
-		if len(entries) > 0 {
-			entries[len(entries)-1].Metrics = snap
-		}
-		out := bench.PerfReport{
-			Dataset: "serving-powerlaw",
-			Threads: o.clients,
-			Scale:   1,
-			Entries: entries,
-		}
-		buf, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tufast-loadgen:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(o.snapshot, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "tufast-loadgen:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", o.snapshot)
-	}
-}
-
-// runCompareWAL produces the WAL-overhead figure: pure-write
-// closed-loop throughput on a fresh daemon per phase — no durability,
-// then a WAL at each sync policy (none, interval, always) — so
-// BENCH_pr9.json answers what crash durability costs at each fsync
-// policy. Each durable phase writes into its own temp data dir, torn
-// down after the run.
-func runCompareWAL(o options) {
-	o.inprocess = true
-	phases := []struct{ name, sync string }{
-		{"nowal", ""},
-		{"wal-none", "none"},
-		{"wal-interval", "interval"},
-		{"wal-always", "always"},
-	}
-	var entries []bench.PerfEntry
-	var snap obs.Snapshot
-	rates := map[string]float64{}
-	for i, ph := range phases {
-		oo := o
-		if ph.sync != "" {
-			dir, err := os.MkdirTemp("", "tufast-walbench-")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tufast-loadgen:", err)
-				os.Exit(1)
-			}
-			defer os.RemoveAll(dir)
-			oo.dataDir, oo.walSync = dir, ph.sync
-		}
-		srv, err := startInProcess(oo)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tufast-loadgen:", err)
-			os.Exit(1)
-		}
-		oo.addr = srv.Addr()
-		fmt.Printf("loadgen: phase %s — pure-write closed loop (%v)\n", ph.name, o.duration)
-		rep := runMixed(oo, oo.clients, 0)
-		if i == len(phases)-1 && o.snapshot != "" {
-			if err := fetchJSON("http://"+oo.addr+"/metrics", &snap); err != nil {
-				fmt.Fprintln(os.Stderr, "tufast-loadgen: fetch metrics:", err)
-			}
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		if err := srv.Shutdown(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "tufast-loadgen: shutdown:", err)
-		}
-		cancel()
-		rate := float64(rep.writeOps) / rep.duration.Seconds()
-		rates[ph.name] = rate
-		entries = append(entries, bench.PerfEntry{Workload: "mut-" + ph.name, TxnPerSec: rate})
-		fmt.Printf("  writes %.0f ops/s (%d batches), errors %d\n", rate, rep.writes, rep.httpErrors)
-	}
-	if base := rates["nowal"]; base > 0 {
-		for _, ph := range phases[1:] {
-			fmt.Printf("loadgen: %s throughput %.0f%% of no-WAL (%.0f/s vs %.0f/s)\n",
-				ph.name, 100*rates[ph.name]/base, rates[ph.name], base)
-		}
-	}
-	if o.snapshot != "" {
-		if len(entries) > 0 {
-			entries[len(entries)-1].Metrics = snap
-		}
-		out := bench.PerfReport{
-			Dataset: "serving-powerlaw",
-			Threads: o.clients,
-			Scale:   1,
-			Entries: entries,
-		}
-		buf, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tufast-loadgen:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(o.snapshot, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "tufast-loadgen:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", o.snapshot)
-	}
-}
-
-// putTenant registers a named graph on the daemon via
-// PUT /v1/graphs/{name}, generated server-side from a vertex count and
-// average degree, optionally quota-governed.
-func putTenant(addr, name string, vertices, deg int, quotas *server.Quotas) error {
-	body := map[string]any{"vertices": vertices, "avg_degree": deg, "undirected": true}
-	if quotas != nil {
-		body["quotas"] = quotas
-	}
-	buf, _ := json.Marshal(body)
-	req, err := http.NewRequest(http.MethodPut, "http://"+addr+"/v1/graphs/"+name, bytes.NewReader(buf))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("PUT /v1/graphs/%s: %s", name, resp.Status)
-	}
-	return nil
-}
-
-// mergeReports folds per-tenant reports into one aggregate: counters
-// sum, latency samples pool, and the duration is the longest phase so
-// aggregate rates stay conservative.
-func mergeReports(reps []*report) *report {
-	out := &report{}
-	for _, r := range reps {
-		if r == nil {
-			continue
-		}
-		if r.duration > out.duration {
-			out.duration = r.duration
-		}
-		out.readsDone += r.readsDone
-		out.cacheHits += r.cacheHits
-		out.standingHits += r.standingHits
-		out.rejected += r.rejected
-		out.deadlines += r.deadlines
-		out.canceled += r.canceled
-		out.failed += r.failed
-		out.writes += r.writes
-		out.writeOps += r.writeOps
-		out.httpErrors += r.httpErrors
-		out.readLat = append(out.readLat, r.readLat...)
-		out.writeLat = append(out.writeLat, r.writeLat...)
-	}
-	return out
-}
-
-// runTenants is the -tenants N mode: create t1..tN on the daemon,
-// split the client pool evenly, and drive each tenant's named routes
-// with run()'s mixed workload concurrently. Returns the aggregate
-// report.
-func runTenants(o options) *report {
-	per := o.clients / o.tenants
-	if per < 1 {
-		per = 1
-	}
-	reps := make([]*report, o.tenants)
-	var wg sync.WaitGroup
-	for i := 0; i < o.tenants; i++ {
-		name := fmt.Sprintf("t%d", i+1)
-		if err := putTenant(o.addr, name, o.genN, o.genDeg, nil); err != nil {
-			fmt.Fprintln(os.Stderr, "tufast-loadgen:", err)
-			os.Exit(1)
-		}
-		oo := o
-		oo.prefix = "/v1/graphs/" + name
-		oo.clients = per
-		oo.seed = o.seed + uint64(i)*1_000_003
-		wg.Add(1)
-		go func(i int, oo options) {
-			defer wg.Done()
-			reps[i] = run(oo)
-		}(i, oo)
-	}
-	wg.Wait()
-	agg := mergeReports(reps)
-	for i, r := range reps {
-		fmt.Printf("loadgen: tenant t%d — %d reads (%.1f/s), %d batches (%.0f ops/s)\n",
-			i+1, r.readsDone, float64(r.readsDone)/r.duration.Seconds(),
-			r.writes, float64(r.writeOps)/r.duration.Seconds())
-	}
-	fmt.Printf("loadgen: aggregate over %d tenants (%d clients each):\n", o.tenants, per)
-	return agg
-}
-
-// runCompareTenancy produces the tenancy figure in two halves. First,
-// aggregate pure-write goodput at 1, 2, and 4 tenants — same total
-// client pool split across the fleet, fresh daemon per phase — which
-// answers what fan-out across per-graph seqlocks costs (or buys) over
-// one shared write lock. Second, a noisy-neighbor pair: a paced victim
-// tenant shares the daemon with a closed-loop aggressor driving writes
-// and analytics, once with no quotas and once with the aggressor
-// quota-capped (mutation token bucket + one inflight job). The figure's
-// acceptance line is the victim's write p99 staying bounded in the
-// quota phase.
-func runCompareTenancy(o options) {
-	o.inprocess = true
-	var entries []bench.PerfEntry
-	var snap obs.Snapshot
-	gauges := map[string]int64{}
-
-	boot := func() *server.Server {
-		srv, err := startInProcess(o)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tufast-loadgen:", err)
-			os.Exit(1)
-		}
-		return srv
-	}
-	stop := func(srv *server.Server) {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "tufast-loadgen: shutdown:", err)
-		}
-	}
-
-	for _, tenants := range []int{1, 2, 4} {
-		srv := boot()
-		o.addr = srv.Addr()
-		per := o.clients / tenants
-		if per < 1 {
-			per = 1
-		}
-		fmt.Printf("loadgen: tenancy — %d tenant(s) × %d writer(s), pure-write closed loop (%v)\n",
-			tenants, per, o.duration)
-		reps := make([]*report, tenants)
-		var wg sync.WaitGroup
-		for i := 0; i < tenants; i++ {
-			name := fmt.Sprintf("t%d", i+1)
-			if err := putTenant(o.addr, name, o.genN, o.genDeg, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "tufast-loadgen:", err)
-				os.Exit(1)
-			}
-			oo := o
-			oo.prefix = "/v1/graphs/" + name
-			oo.seed = o.seed + uint64(i)*1_000_003
-			wg.Add(1)
-			go func(i int, oo options) {
-				defer wg.Done()
-				reps[i] = runMixed(oo, per, 0)
-			}(i, oo)
-		}
-		wg.Wait()
-		stop(srv)
-		agg := mergeReports(reps)
-		rate := float64(agg.writeOps) / agg.duration.Seconds()
-		entries = append(entries, bench.PerfEntry{
-			Workload: fmt.Sprintf("tenancy-goodput-%dg", tenants), TxnPerSec: rate,
-		})
-		fmt.Printf("  aggregate %.0f ops/s (%d batches), errors %d\n", rate, agg.writes, agg.httpErrors)
-	}
-
-	// Noisy-neighbor phases: the victim offers a fixed paced load; the
-	// aggressor runs closed-loop writers plus two closed-loop analytics
-	// clients. The quota phase caps the aggressor's mutation rate and
-	// inflight jobs.
-	noisyQuotas := &server.Quotas{
-		MaxInflightJobs: 1,
-		MutBatchRate:    50,
-		MutBatchBurst:   10,
-	}
-	for _, ph := range []struct {
-		key    string
-		quotas *server.Quotas
-	}{
-		{"noquota", nil},
-		{"quota", noisyQuotas},
-	} {
-		srv := boot()
-		o.addr = srv.Addr()
-		if err := putTenant(o.addr, "victim", o.genN, o.genDeg, nil); err != nil {
-			fmt.Fprintln(os.Stderr, "tufast-loadgen:", err)
-			os.Exit(1)
-		}
-		if err := putTenant(o.addr, "noisy", o.genN, o.genDeg, ph.quotas); err != nil {
-			fmt.Fprintln(os.Stderr, "tufast-loadgen:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("loadgen: tenancy — noisy neighbor, %s (%v)\n", ph.key, o.duration)
-		victim := o
-		victim.prefix = "/v1/graphs/victim"
-		victim.writePace = 25 * time.Millisecond
-		noisy := o
-		noisy.prefix = "/v1/graphs/noisy"
-		noisy.seed = o.seed + 7_368_787
-		var vicRep, noisyRep *report
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { defer wg.Done(); vicRep = runMixed(victim, 2, 0) }()
-		go func() { defer wg.Done(); noisyRep = runMixed(noisy, o.clients, 2) }()
-		wg.Wait()
-		if ph.key == "quota" && o.snapshot != "" {
-			if err := fetchJSON("http://"+o.addr+"/metrics", &snap); err != nil {
-				fmt.Fprintln(os.Stderr, "tufast-loadgen: fetch metrics:", err)
-			}
-		}
-		stop(srv)
-		sort.Slice(vicRep.writeLat, func(i, j int) bool { return vicRep.writeLat[i] < vicRep.writeLat[j] })
-		p99 := pct(vicRep.writeLat, 0.99)
-		gauges["victim_write_p99_"+ph.key+"_us"] = p99.Microseconds()
-		vicRate := float64(vicRep.writeOps) / vicRep.duration.Seconds()
-		noisyRate := float64(noisyRep.writeOps) / noisyRep.duration.Seconds()
-		entries = append(entries,
-			bench.PerfEntry{Workload: "tenancy-victim-" + ph.key, TxnPerSec: vicRate},
-			bench.PerfEntry{Workload: "tenancy-noisy-" + ph.key, TxnPerSec: noisyRate},
-		)
-		fmt.Printf("  victim %.0f ops/s p99=%v; noisy %.0f ops/s (%d quota rejections)\n",
-			vicRate, p99.Round(time.Microsecond), noisyRate, noisyRep.rejected)
-	}
-
-	if no, q := gauges["victim_write_p99_noquota_us"], gauges["victim_write_p99_quota_us"]; no > 0 {
-		fmt.Printf("loadgen: tenancy victim write p99 %dµs unquota'd vs %dµs with aggressor quotas\n", no, q)
-	}
-	if o.snapshot != "" {
-		if snap.Gauges == nil {
-			snap.Gauges = make(map[string]int64)
-		}
-		for k, v := range gauges {
-			snap.Gauges[k] = v
-		}
-		if len(entries) > 0 {
-			entries[len(entries)-1].Metrics = snap
-		}
-		out := bench.PerfReport{
-			Dataset: "serving-powerlaw",
-			Threads: o.clients,
-			Scale:   1,
-			Entries: entries,
-		}
-		buf, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tufast-loadgen:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(o.snapshot, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "tufast-loadgen:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", o.snapshot)
-	}
-}
-
-// runMixed drives writeClients pure-writer loops and readClients
-// pure-analytics loops for one phase — the fixed-role split the MVCC
-// figure needs, vs run()'s per-request coin flip.
-func runMixed(o options, writeClients, readClients int) *report {
-	rep := &report{}
-	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: writeClients + readClients}}
-	var info struct {
-		Vertices int `json:"vertices"`
-	}
-	if err := fetchJSON(o.url("/graph"), &info); err != nil || info.Vertices == 0 {
-		fmt.Fprintln(os.Stderr, "tufast-loadgen: cannot reach daemon:", err)
-		os.Exit(1)
-	}
-	n := info.Vertices
-	deadline := time.Now().Add(o.duration)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < writeClients; c++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(o.seed) + int64(id)*7919))
-			for time.Now().Before(deadline) {
-				iterStart := time.Now()
-				doWrite(o, client, rng, n, rep)
-				if o.writePace > 0 {
-					if sleep := o.writePace - time.Since(iterStart); sleep > 0 {
-						time.Sleep(sleep)
-					}
-				}
-			}
-		}(c)
-	}
-	for c := 0; c < readClients; c++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(o.seed) + 1_000_003 + int64(id)*104_729))
-			algoIdx := id
-			for time.Now().Before(deadline) {
-				doRead(o, client, rng, n, rep, o.algos[algoIdx%len(o.algos)])
-				algoIdx++
-				if o.readPace > 0 {
-					time.Sleep(o.readPace)
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	rep.duration = time.Since(start)
-	return rep
-}
-
-// startInProcess builds a generated-graph daemon in this process,
-// with the routing thresholds the streaming benchmarks use so laptop
-// graphs still spread mutations across H/O/L. A non-empty o.dataDir
-// boots the durable path (WAL + checkpoints) instead of an ephemeral
-// server.
+// startInProcess builds an ephemeral generated-graph daemon in this
+// process, with routing thresholds low enough that laptop graphs still
+// spread mutations across H/O/L.
 func startInProcess(o options) (*server.Server, error) {
-	loadBase := func() (*tufast.Graph, error) {
-		return tufast.GeneratePowerLaw(o.genN, o.genN*o.genDeg, 2.1, o.seed).Undirect(), nil
+	g := tufast.GeneratePowerLaw(o.genN, o.genN*o.genDeg, 2.1, o.seed).Undirect()
+	budget := int(float64(o.batch*o.clients) * (o.duration.Seconds() + 1) * 200)
+	if budget < 1_000_000 {
+		budget = 1_000_000
 	}
-	mkDyn := func(g *tufast.Graph) *tufast.DynGraph {
-		budget := int(float64(o.batch*o.clients) * (o.duration.Seconds() + 1) * 200)
-		if budget < 1_000_000 {
-			budget = 1_000_000
-		}
-		// Eight standing slots at up to four vertex arrays each, matching
-		// tufastd's sizing.
-		standingWords := 8 * 4 * (g.NumVertices() + 8)
-		sys := tufast.NewSystem(g, tufast.Options{
-			SpaceWords: tufast.DynSpaceWords(g, budget) + standingWords,
-			HMaxHint:   64,
-			OMaxHint:   256,
-		})
-		return tufast.NewDynGraph(sys)
-	}
-	cfg := server.Config{
+	// Eight standing slots at up to four vertex arrays each, matching
+	// tufastd's sizing.
+	standingWords := 8 * 4 * (g.NumVertices() + 8)
+	sys := tufast.NewSystem(g, tufast.Options{
+		SpaceWords: tufast.DynSpaceWords(g, budget) + standingWords,
+		HMaxHint:   64,
+		OMaxHint:   256,
+	})
+	srv := server.New(tufast.NewDynGraph(sys), server.Config{
 		Addr:       "127.0.0.1:0",
 		QueueDepth: o.queue,
 		JobWorkers: o.workers,
-	}
-	var srv *server.Server
-	if o.dataDir != "" {
-		pol, err := wal.ParseSyncPolicy(o.walSync)
-		if err != nil {
-			return nil, err
-		}
-		srv, err = server.OpenDurable(cfg, server.DurabilityConfig{
-			DataDir: o.dataDir,
-			Sync:    pol,
-			// Benchmark phases are seconds long; a mid-phase background
-			// checkpoint would perturb the figure.
-			CheckpointInterval: -1,
-		}, loadBase, mkDyn)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		g, err := loadBase()
-		if err != nil {
-			return nil, err
-		}
-		srv = server.New(mkDyn(g), cfg)
-	}
+	})
 	if err := srv.Start(); err != nil {
 		return nil, err
 	}
@@ -855,7 +220,7 @@ func run(o options) *report {
 	var info struct {
 		Vertices int `json:"vertices"`
 	}
-	if err := fetchJSON(o.url("/graph"), &info); err != nil || info.Vertices == 0 {
+	if err := fetchJSON(client, o.url("/graph"), &info); err != nil || info.Vertices == 0 {
 		fmt.Fprintln(os.Stderr, "tufast-loadgen: cannot reach daemon:", err)
 		os.Exit(1)
 	}
@@ -1002,7 +367,7 @@ func doRead(o options, client *http.Client, rng *rand.Rand, n int, rep *report, 
 		var st struct {
 			Status string `json:"status"`
 		}
-		if err := fetchJSONClient(client, o.url("/jobs/"+view.JobID), &st); err != nil {
+		if err := fetchJSON(client, o.url("/jobs/"+view.JobID), &st); err != nil {
 			rep.mu.Lock()
 			rep.httpErrors++
 			rep.mu.Unlock()
@@ -1038,11 +403,7 @@ func doRead(o options, client *http.Client, rng *rand.Rand, n int, rep *report, 
 	rep.mu.Unlock()
 }
 
-func fetchJSON(url string, v any) error {
-	return fetchJSONClient(http.DefaultClient, url, v)
-}
-
-func fetchJSONClient(client *http.Client, url string, v any) error {
+func fetchJSON(client *http.Client, url string, v any) error {
 	resp, err := client.Get(url)
 	if err != nil {
 		return err
@@ -1053,66 +414,4 @@ func fetchJSONClient(client *http.Client, url string, v any) error {
 		return fmt.Errorf("GET %s: %s", url, resp.Status)
 	}
 	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-// writeSnapshot emits the serving-throughput figure in the same
-// PerfReport shape as BENCH_pr3/pr4, so scripts/benchdiff.sh can put
-// the snapshots side by side. Latency percentiles ride in the gauges.
-func writeSnapshot(o options, rep *report, snap obs.Snapshot) error {
-	secs := rep.duration.Seconds()
-	if snap.Gauges == nil {
-		snap.Gauges = make(map[string]int64)
-	}
-	snap.Gauges["read_p50_us"] = pct(rep.readLat, 0.50).Microseconds()
-	snap.Gauges["read_p90_us"] = pct(rep.readLat, 0.90).Microseconds()
-	snap.Gauges["read_p99_us"] = pct(rep.readLat, 0.99).Microseconds()
-	snap.Gauges["write_p50_us"] = pct(rep.writeLat, 0.50).Microseconds()
-	snap.Gauges["write_p99_us"] = pct(rep.writeLat, 0.99).Microseconds()
-
-	out := bench.PerfReport{
-		Dataset: "serving-powerlaw",
-		Threads: o.clients,
-		Scale:   1,
-		Txns:    rep.readsDone + rep.writes,
-		Entries: []bench.PerfEntry{
-			{Workload: "serve-read", TxnPerSec: float64(rep.readsDone) / secs, Metrics: snap},
-			{Workload: "serve-write", TxnPerSec: float64(rep.writeOps) / secs},
-		},
-	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(o.snapshot, append(buf, '\n'), 0o644)
-}
-
-// writeCompareSnapshot emits the standing-vs-recompute figure: one
-// entry per phase in the PerfReport shape, with both phases' read
-// latency percentiles and the daemon's cumulative metrics (standing
-// hits, repair lag) riding along.
-func writeCompareSnapshot(o options, base, stand *report, snap obs.Snapshot) error {
-	if snap.Gauges == nil {
-		snap.Gauges = make(map[string]int64)
-	}
-	snap.Gauges["recompute_read_p50_us"] = pct(base.readLat, 0.50).Microseconds()
-	snap.Gauges["recompute_read_p99_us"] = pct(base.readLat, 0.99).Microseconds()
-	snap.Gauges["standing_read_p50_us"] = pct(stand.readLat, 0.50).Microseconds()
-	snap.Gauges["standing_read_p99_us"] = pct(stand.readLat, 0.99).Microseconds()
-
-	out := bench.PerfReport{
-		Dataset: "serving-powerlaw",
-		Threads: o.clients,
-		Scale:   1,
-		Txns:    base.readsDone + stand.readsDone + base.writes + stand.writes,
-		Entries: []bench.PerfEntry{
-			{Workload: "serve-read-recompute", TxnPerSec: float64(base.readsDone) / base.duration.Seconds()},
-			{Workload: "serve-read-standing", TxnPerSec: float64(stand.readsDone) / stand.duration.Seconds(), Metrics: snap},
-			{Workload: "serve-write", TxnPerSec: float64(base.writeOps+stand.writeOps) / (base.duration.Seconds() + stand.duration.Seconds())},
-		},
-	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(o.snapshot, append(buf, '\n'), 0o644)
 }

@@ -6,7 +6,7 @@
 //	tufast -algo pagerank -dataset twitter-mpi -system tufast
 //	tufast -algo bfs -graph edges.txt -system ligra
 //
-// Systems: tufast, stm, 2pl, occ, to, htm-only, hsync, hto (TM-based);
+// Systems: tufast, stm, 2pl, occ, to, hsync, hto (TM-based);
 // ligra, galois, powergraph, powerlyra, graphchi (engines).
 package main
 
@@ -38,7 +38,7 @@ import (
 func main() {
 	var (
 		algoName = flag.String("algo", "pagerank", "pagerank|bfs|wcc|triangle|bellman-ford|spfa|mis|matching")
-		system   = flag.String("system", "tufast", "tufast|stm|2pl|occ|to|htm-only|hsync|hto|ligra|galois|powergraph|powerlyra|graphchi")
+		system   = flag.String("system", "tufast", "tufast|stm|2pl|occ|to|hsync|hto|ligra|galois|powergraph|powerlyra|graphchi")
 		dataset  = flag.String("dataset", "twitter-mpi", "synthetic dataset stand-in (see tufast-bench table2)")
 		graphIn  = flag.String("graph", "", "edge list file or .bin graph (overrides -dataset)")
 		scale    = flag.Float64("scale", 1.0, "dataset scale multiplier")
@@ -170,7 +170,7 @@ func symmetrize(g *graph.CSR) *graph.CSR {
 func run(ctx context.Context, g *graph.CSR, algoName, system string, threads int, source uint32, onSched func(sched.Scheduler)) (string, sched.Scheduler, error) {
 	n := g.NumVertices()
 	switch system {
-	case "tufast", "stm", "2pl", "occ", "to", "htm-only", "hsync", "hto":
+	case "tufast", "stm", "2pl", "occ", "to", "hsync", "hto":
 		sp := mem.NewSpace(algo.SpaceWordsFor(n))
 		var s sched.Scheduler
 		switch system {
@@ -184,8 +184,6 @@ func run(ctx context.Context, g *graph.CSR, algoName, system string, threads int
 			s = sched.NewOCC(sp, vlock.NewTable(n))
 		case "to":
 			s = sched.NewTO(sp, vlock.NewTable(n), n)
-		case "htm-only":
-			s = sched.NewHTMOnly(sp, 8)
 		case "hsync":
 			s = sched.NewHSync(sp, 8)
 		case "hto":

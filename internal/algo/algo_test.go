@@ -39,9 +39,6 @@ func schedFactories(n int) map[string]func(sp *mem.Space) sched.Scheduler {
 		"stm": func(sp *mem.Space) sched.Scheduler {
 			return sched.NewSTM(sp)
 		},
-		"htm-only": func(sp *mem.Space) sched.Scheduler {
-			return sched.NewHTMOnly(sp, 8)
-		},
 		"hsync": func(sp *mem.Space) sched.Scheduler {
 			return sched.NewHSync(sp, 8)
 		},

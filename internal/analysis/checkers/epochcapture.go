@@ -22,7 +22,7 @@ import (
 //     with the next writer (the PR 6 handleEdges bug).
 //  2. An Epoch() call (or a read of an unexported epoch counter field)
 //     reached with no mutex held after the function released a
-//     topology lock — a field named topo or wmu — earlier on. The
+//     topology lock — a field named mutMu or wmu — earlier on. The
 //     value read belongs to nobody's critical section.
 //  3. A non-view Epoch() call positioned after a View()/ViewAt() call
 //     that pinned a GraphView in the same function body. Everything the
@@ -41,8 +41,9 @@ var EpochCapture = &analysis.Analyzer{
 }
 
 // topoLockNames are the struct fields recognized as topology locks: the
-// serving plane's topo and the embedded runtime's wmu.
-var topoLockNames = map[string]bool{"topo": true, "wmu": true}
+// serving plane's mutation-bracket lock mutMu and the embedded
+// runtime's wmu.
+var topoLockNames = map[string]bool{"mutMu": true, "wmu": true}
 
 func runEpochCapture(pass *analysis.Pass) {
 	for _, file := range pass.Files {

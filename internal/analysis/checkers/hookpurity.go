@@ -16,7 +16,7 @@ import (
 // deadlocks outright. Flagged in a hook body, or one same-package call
 // away from it:
 //
-//   - acquiring a topology lock (a field named topo or wmu) — already
+//   - acquiring a topology lock (a field named mutMu or wmu) — already
 //     held by the apply path
 //   - a channel send or receive with no escape hatch: not a select arm
 //     in a select that has a default or a ctx.Done() case

@@ -11,8 +11,8 @@ import (
 )
 
 type serv struct {
-	topo sync.RWMutex
-	dyn  *tufast.DynGraph
+	mutMu sync.RWMutex
+	dyn   *tufast.DynGraph
 }
 
 // stale re-reads the graph epoch after the batch: a concurrent writer
@@ -32,35 +32,35 @@ func (s *serv) captured(ops []tufast.StreamOp) uint64 {
 // drifted reads the epoch after releasing the topology lock: the value
 // belongs to nobody's critical section.
 func (s *serv) drifted() uint64 {
-	s.topo.RLock()
+	s.mutMu.RLock()
 	n := s.dyn.NumVertices()
-	s.topo.RUnlock()
+	s.mutMu.RUnlock()
 	_ = n
 	return s.dyn.Epoch() // want "outside the critical section"
 }
 
 // underLock reads under the lock that bounds the epoch.
 func (s *serv) underLock() uint64 {
-	s.topo.RLock()
-	defer s.topo.RUnlock()
+	s.mutMu.RLock()
+	defer s.mutMu.RUnlock()
 	return s.dyn.Epoch() // nowant
 }
 
 // reacquired re-enters the critical section before reading.
 func (s *serv) reacquired() uint64 {
-	s.topo.Lock()
-	s.topo.Unlock()
-	s.topo.RLock()
-	defer s.topo.RUnlock()
+	s.mutMu.Lock()
+	s.mutMu.Unlock()
+	s.mutMu.RLock()
+	defer s.mutMu.RUnlock()
 	return s.dyn.Epoch() // nowant: a topology lock covers the read
 }
 
 // probe is the reviewed optimistic-cache pattern: read lock-free, then
 // revalidate under the lock before trusting the entry.
 func (s *serv) probe() uint64 {
-	s.topo.RLock()
-	s.topo.RUnlock()
-	return s.dyn.Epoch() //tufast:ignore epochcapture optimistic cache probe, revalidated under topo
+	s.mutMu.RLock()
+	s.mutMu.RUnlock()
+	return s.dyn.Epoch() //tufast:ignore epochcapture optimistic cache probe, revalidated under mutMu
 }
 
 // mixed tags results read through a pinned view with a fresh graph
@@ -82,13 +82,13 @@ func (s *serv) pinned() (int, uint64) {
 
 // counter exercises the unexported-field form of the same rule.
 type counter struct {
-	topo  sync.Mutex
+	mutMu sync.Mutex
 	epoch uint64
 }
 
 func (c *counter) bump() uint64 {
-	c.topo.Lock()
+	c.mutMu.Lock()
 	c.epoch++ // nowant: bumped under the lock
-	c.topo.Unlock()
+	c.mutMu.Unlock()
 	return c.epoch // want "epoch field read outside the critical section"
 }

@@ -12,15 +12,15 @@ import (
 )
 
 type eng struct {
-	topo sync.RWMutex
-	out  chan uint32
-	dyn  *tufast.DynGraph
+	mutMu sync.RWMutex
+	out   chan uint32
+	dyn   *tufast.DynGraph
 }
 
 // OnEdge is recognized by name and signature; both operations block.
 func (e *eng) OnEdge(tx tufast.Tx, op tufast.StreamOp, changed bool, emit func(u uint32)) error {
-	e.topo.RLock() // want "topology lock"
-	e.topo.RUnlock()
+	e.mutMu.RLock() // want "topology lock"
+	e.mutMu.RUnlock()
 	e.out <- 1 // want "block on a channel send"
 	return nil
 }
@@ -59,8 +59,8 @@ func (e *eng) opts(ctx context.Context) tufast.StreamOptions {
 // compose covers literal arguments to the hook combinators.
 func compose(e *eng) {
 	_ = tufast.ComposeOnEdge(func(tx tufast.Tx, op tufast.StreamOp, changed bool, emit func(u uint32)) error {
-		e.topo.Lock() // want "topology lock"
-		e.topo.Unlock()
+		e.mutMu.Lock() // want "topology lock"
+		e.mutMu.Unlock()
 		return nil
 	})
 }

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"tufast/internal/core"
@@ -12,7 +10,6 @@ import (
 	"tufast/internal/graph/gen"
 	"tufast/internal/mem"
 	"tufast/internal/sched"
-	"tufast/internal/trace"
 	"tufast/internal/worklist"
 )
 
@@ -113,39 +110,4 @@ func FigStream(o Options) []Table {
 			snap.Modes["O2L"].Commits, snap.Modes["L"].Commits, st.LiveArcs())
 	}
 	return []Table{*t}
-}
-
-// StreamSnapshot runs the streaming workloads and collects throughput
-// plus the full per-mode observability snapshot — the machine-readable
-// companion to FigStream that make bench-stream archives.
-func StreamSnapshot(o Options) PerfReport {
-	o = o.normalize()
-	rep := PerfReport{Dataset: "twitter-mpi", Threads: o.Threads, Scale: o.Scale}
-	for _, wl := range streamWorkloads() {
-		sp, st, ops := streamSetup(o, wl)
-		tf := core.New(sp, st.NumVertices(), streamConfig())
-		tps := runStream(st, ops, tf, o.Threads, 4096)
-		snap := tf.Metrics().Snapshot()
-		snap.Gauges = map[string]int64{"adaptive_period": int64(tf.CurrentPeriod())}
-		rep.Txns += len(ops)
-		rep.Entries = append(rep.Entries, PerfEntry{
-			Workload:  wl.name,
-			TxnPerSec: tps,
-			Metrics:   snap,
-		})
-		trace.Logf("stream snapshot %s: %d ops, %.0f ops/s, %d commits",
-			wl.name, len(ops), tps, snap.Commits())
-	}
-	return rep
-}
-
-// WriteStreamSnapshot writes the streaming performance snapshot as
-// indented JSON to path (make bench-stream → BENCH_pr4.json).
-func WriteStreamSnapshot(o Options, path string) error {
-	rep := StreamSnapshot(o)
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }

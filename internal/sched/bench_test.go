@@ -54,12 +54,6 @@ func BenchmarkSTMTxn(b *testing.B) {
 	})
 }
 
-func BenchmarkHTMOnlyTxn(b *testing.B) {
-	benchScheduler(b, func(sp *mem.Space) Scheduler {
-		return NewHTMOnly(sp, 8)
-	})
-}
-
 func BenchmarkHSyncTxn(b *testing.B) {
 	benchScheduler(b, func(sp *mem.Space) Scheduler {
 		return NewHSync(sp, 8)

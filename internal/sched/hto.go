@@ -193,12 +193,16 @@ func (w *htoWorker) Read(v uint32, addr mem.Addr) uint64 {
 		ThrowAbort("read too late")
 	}
 	casMax(&w.s.rts[v], w.ts)
+	s1 := w.s.locks.Stamp(v)
+	if !vlock.StampFree(s1) {
+		ThrowAbort("dirty read")
+	}
 	val, ver, okc := w.s.sp.ReadConsistent(addr)
 	if !okc {
 		ThrowAbort("line locked")
 	}
-	if o, heldX := w.s.locks.ExclusiveOwner(v); heldX && o != w.tid {
-		ThrowAbort("dirty read")
+	if w.s.locks.Stamp(v) != s1 {
+		ThrowAbort("writer during read")
 	}
 	if w.s.wts[v].Load() > w.ts {
 		ThrowAbort("newer writer during read")

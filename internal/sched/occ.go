@@ -169,8 +169,16 @@ func (w *occWorker) commit() bool {
 			w.releaseLocks(vs[:acquired])
 			return false
 		}
-		seen[v] = pre
 		acquired++
+		// Stamp and TryExclusive are two steps: a competitor that locked,
+		// installed and released between them left a stamp newer than pre,
+		// and validating reads of v against pre would pass over a value
+		// that changed.
+		if w.s.locks.Stamp(v) != vlock.StampAfterExclusive(pre, w.tid) {
+			w.releaseLocks(vs[:acquired])
+			return false
+		}
+		seen[v] = pre
 	}
 	if !w.validate(seen) {
 		w.releaseLocks(vs)

@@ -6,7 +6,6 @@
 //	occ      Silo-style optimistic concurrency control
 //	to       timestamp ordering
 //	stm      TL2/TinySTM-style software transactional memory
-//	htmonly  "everything in one HTM" with a global-lock fallback
 //	hsync    HTM-first hybrid with STM fallback (HSync-like)
 //	hto      HTM-accelerated timestamp ordering (H-TO-like)
 //

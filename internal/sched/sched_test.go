@@ -39,9 +39,6 @@ func makeAll(n int) map[string]func() (Scheduler, *mem.Space) {
 		"stm": mk(func(sp *mem.Space) Scheduler {
 			return NewSTM(sp)
 		}),
-		"htm-only": mk(func(sp *mem.Space) Scheduler {
-			return NewHTMOnly(sp, 4)
-		}),
 		"hsync": mk(func(sp *mem.Space) Scheduler {
 			return NewHSync(sp, 4)
 		}),
@@ -256,33 +253,8 @@ func TestDeadlockResolution(t *testing.T) {
 	}
 }
 
-// TestHTMOnlyFallsBackOnCapacity: a transaction too big for the HTM must
-// still commit via the global-lock fallback.
-func TestHTMOnlyFallsBackOnCapacity(t *testing.T) {
-	n := 20_000
-	sp := mem.NewSpace(2*n + 64)
-	s := NewHTMOnly(sp, 4)
-	w := s.Worker(0)
-	err := w.Run(n, func(tx Tx) error {
-		for i := 0; i < n; i++ {
-			tx.Write(uint32(i%64), mem.Addr(i), 7)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i += 997 {
-		if sp.Load(mem.Addr(i)) != 7 {
-			t.Fatalf("word %d not written", i)
-		}
-	}
-	if s.HTMStats.AbortCapacity.Load() == 0 {
-		t.Fatal("expected a capacity abort before fallback")
-	}
-}
-
-// TestHSyncFallsBackToSTM similarly.
+// TestHSyncFallsBackToSTM: a transaction too big for the HTM must
+// still commit via the STM fallback.
 func TestHSyncFallsBackToSTM(t *testing.T) {
 	n := 20_000
 	sp := mem.NewSpace(2*n + 64)

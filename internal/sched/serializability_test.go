@@ -139,11 +139,10 @@ func TestSerializabilityHistories(t *testing.T) {
 		"2pl-nowait": func(sp *mem.Space) Scheduler {
 			return NewTPL(sp, vlock.NewTable(words), nil, deadlock.NoWait)
 		},
-		"occ":      func(sp *mem.Space) Scheduler { return NewOCC(sp, vlock.NewTable(words)) },
-		"to":       func(sp *mem.Space) Scheduler { return NewTO(sp, vlock.NewTable(words), words) },
-		"stm":      func(sp *mem.Space) Scheduler { return NewSTM(sp) },
-		"htm-only": func(sp *mem.Space) Scheduler { return NewHTMOnly(sp, 4) },
-		"hsync":    func(sp *mem.Space) Scheduler { return NewHSync(sp, 4) },
+		"occ":   func(sp *mem.Space) Scheduler { return NewOCC(sp, vlock.NewTable(words)) },
+		"to":    func(sp *mem.Space) Scheduler { return NewTO(sp, vlock.NewTable(words), words) },
+		"stm":   func(sp *mem.Space) Scheduler { return NewSTM(sp) },
+		"hsync": func(sp *mem.Space) Scheduler { return NewHSync(sp, 4) },
 		"hto": func(sp *mem.Space) Scheduler {
 			return NewHTO(sp, vlock.NewTable(words), words, 100)
 		},

@@ -150,7 +150,9 @@ func casMax(a *atomic.Uint64, v uint64) {
 }
 
 // Read implements Tx. Protocol: publish our read intent (advance rts)
-// BEFORE loading, then verify no newer writer slipped in while we read.
+// BEFORE loading, bracket the load with the vertex stamp so no writer
+// held or took v's lock while we read (an older one that locks later
+// sees our rts and aborts), then verify no newer writer slipped in.
 func (w *toWorker) Read(v uint32, addr mem.Addr) uint64 {
 	simcost.Tax()
 	if _, own := w.held.Get(uint64(v)); own {
@@ -161,9 +163,13 @@ func (w *toWorker) Read(v uint32, addr mem.Addr) uint64 {
 		ThrowAbort("read too late")
 	}
 	casMax(&w.s.rts[v], w.ts)
-	val := w.s.sp.Load(addr)
-	if o, heldX := w.s.locks.ExclusiveOwner(v); heldX && o != w.tid {
+	s1 := w.s.locks.Stamp(v)
+	if !vlock.StampFree(s1) {
 		ThrowAbort("dirty read")
+	}
+	val := w.s.sp.Load(addr)
+	if w.s.locks.Stamp(v) != s1 {
+		ThrowAbort("writer during read")
 	}
 	if w.s.wts[v].Load() > w.ts {
 		ThrowAbort("newer writer during read")

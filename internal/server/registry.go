@@ -137,13 +137,10 @@ type graphInstance struct {
 	sys *tufast.System
 	dyn *tufast.DynGraph
 
-	// topo orders mutation batches (shared) against standing-query
-	// seeding (exclusive); see Server's former field docs.
-	//
-	//tufast:lockorder 20
-	topo sync.RWMutex
-
-	// mutMu makes the mutation plane's seqlock bracket single-writer.
+	// mutMu makes the mutation plane's seqlock bracket single-writer,
+	// and is what standing-query seeding takes to exclude batches: no
+	// batch commits between a seed's read of the topology and its hooks
+	// going live.
 	//
 	//tufast:lockorder 15
 	mutMu sync.Mutex

@@ -520,7 +520,6 @@ func (s *graphInstance) handleEdges(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.mutGate != nil {
 		s.cfg.mutGate()
 	}
-	s.topo.RLock()
 	// Once a batch enters the bracket it runs to completion: a client
 	// disconnect mid-apply must not cancel it halfway, because memory
 	// would then hold a subset of the batch that no WAL record can
@@ -534,7 +533,6 @@ func (s *graphInstance) handleEdges(w http.ResponseWriter, r *http.Request) {
 		OnEdge: s.streamOnEdge,
 		Emit:   s.streamEmit,
 	})
-	s.topo.RUnlock()
 	var walErr error
 	if stats.Inserted+stats.Removed > 0 {
 		switch {

@@ -41,7 +41,8 @@ type standingManager struct {
 	// mu guards registry mutations (register/remove); the hook fan-out
 	// reads the copy-on-write active list instead, so the per-op cost
 	// with no standing queries is one atomic load. seed() republishes
-	// the active list while holding topo, so mu ranks below it.
+	// the active list while holding the instance's mutMu, so mu ranks
+	// below it.
 	//
 	//tufast:lockorder 40
 	mu    sync.Mutex
@@ -184,11 +185,11 @@ func (m *standingManager) emit(u uint32) {
 }
 
 // batchCommitted is called by the mutation plane after every effective
-// batch (post topo.RLock release): it marks each query stale and wakes
-// its repair worker. A batch's deletes are logged on cc queries BEFORE
-// the gen bump: a repair that loads gen and sees this batch counted is
-// then guaranteed (by the atomic's ordering) to also see its log
-// entries, so a stable publish can never have skipped a delete.
+// batch, still inside the mutMu bracket: it marks each query stale and
+// wakes its repair worker. A batch's deletes are logged on cc queries
+// BEFORE the gen bump: a repair that loads gen and sees this batch
+// counted is then guaranteed (by the atomic's ordering) to also see its
+// log entries, so a stable publish can never have skipped a delete.
 func (m *standingManager) batchCommitted(stats tufast.StreamStats, ops []tufast.StreamOp) {
 	qs := m.active.Load()
 	if qs == nil {
@@ -276,9 +277,10 @@ func (m *standingManager) ensure(req JobRequest, jobID string) (*standingQuery, 
 }
 
 // seed constructs the resident computation at a quiescent point and
-// makes it visible to the mutation hooks. Holding topo exclusively is
-// what guarantees no batch commits between "initial state read" and
-// "hooks active" — a batch in that gap would be invisible to both.
+// makes it visible to the mutation hooks. Holding mutMu, the mutation
+// bracket's own lock, is what guarantees no batch commits between
+// "initial state read" and "hooks active" — a batch in that gap would
+// be invisible to both.
 func (m *standingManager) seed(q *standingQuery) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -288,8 +290,8 @@ func (m *standingManager) seed(q *standingQuery) (err error) {
 			err = fmt.Errorf("standing %s: seed failed: %v", q.req.Algo, r)
 		}
 	}()
-	m.s.topo.Lock()
-	defer m.s.topo.Unlock()
+	m.s.mutMu.Lock()
+	defer m.s.mutMu.Unlock()
 	// q is already registered in byKey, so views() can reach it while
 	// the computation is still being built: publish the pr/cc pointers
 	// under q.mu. The hooks need no lock — they find q through the

@@ -515,3 +515,152 @@ func TestStandingListEndpoint(t *testing.T) {
 		t.Errorf("listed view lacks key: %v", q)
 	}
 }
+
+// TestStandingSeedExcludesBatches pins the exclusion seed() gets from
+// the mutation bracket's own lock: a registration that arrives while a
+// batch is inside the bracket does not build its resident computation
+// until the batch has left, so the batch is part of the initial state
+// it reads. A seed overlapping the batch would read a topology the
+// batch is still changing with no hook installed to deliver the rest.
+// The batch bridges two rings into one component through a new hub, so
+// missing it shows in both oracles.
+func TestStandingSeedExcludesBatches(t *testing.T) {
+	const ring, n, eps = 100, 2 * 100, 1e-7
+	var edges []tufast.EdgePair
+	for i := 0; i < ring; i++ {
+		edges = append(edges,
+			tufast.EdgePair{U: uint32(i), V: uint32((i + 1) % ring)},
+			tufast.EdgePair{U: uint32(ring + i), V: uint32(ring + (i+1)%ring)})
+	}
+	g, err := tufast.BuildGraph(n, edges, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := tufast.NewDynGraph(tufast.NewSystem(g, tufast.Options{
+		Threads:    4,
+		SpaceWords: tufast.DynSpaceWords(g, 10_000) + 8*(n+8),
+	}))
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unpark := func() { releaseOnce.Do(func() { close(release) }) }
+	cfg := Config{JobWorkers: 2, QueueDepth: 8, GCInterval: -1}
+	cfg.mutGate = func() {
+		entered <- struct{}{}
+		<-release
+	}
+	s := startServer(t, d, cfg)
+	defer unpark() // a failure while parked must not stall Shutdown
+	base := "http://" + s.Addr()
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}}
+	defer client.CloseIdleConnections()
+
+	ops := make([]map[string]any, 0, ring/2)
+	for v := ring; v < n; v += 2 {
+		ops = append(ops, map[string]any{"u": 0, "v": v})
+	}
+	batchEpoch := make(chan uint64, 1)
+	go func() {
+		code, body, _ := postJSON(t, client, base+"/v1/edges", map[string]any{"ops": ops})
+		if code != http.StatusOK {
+			t.Errorf("batch: %d %v", code, body)
+			batchEpoch <- 0
+			return
+		}
+		batchEpoch <- uint64(body["epoch"].(float64))
+	}()
+	select {
+	case <-entered: // the batch is parked inside its bracket
+	case <-time.After(10 * time.Second):
+		t.Fatal("batch never entered the mutation bracket")
+	}
+
+	reqs := map[string]JobRequest{
+		"pagerank": {Algo: "pagerank", Eps: eps, Standing: true},
+		"cc":       {Algo: "cc", Standing: true},
+	}
+	jobIDs := map[string]string{}
+	for algo, req := range reqs {
+		extra := map[string]any{}
+		if algo == "pagerank" {
+			extra["eps"] = eps
+		}
+		code, view := submitStanding(t, client, base, algo, extra)
+		if code != http.StatusAccepted {
+			t.Fatalf("register standing %s: %d %v", algo, code, view)
+		}
+		jobIDs[algo] = view["job_id"].(string)
+		if err := req.normalize(s.cfg, n); err != nil {
+			t.Fatal(err)
+		}
+		reqs[algo] = req
+	}
+	// Wait until both registrations are in the registry (seed is the
+	// next thing ensure does), then give an unexcluded seed ample time
+	// to finish: building either computation over 200 vertices takes
+	// microseconds.
+	queries := map[string]*standingQuery{}
+	deadline := time.Now().Add(10 * time.Second)
+	for len(queries) < len(reqs) {
+		if time.Now().After(deadline) {
+			t.Fatal("registrations never reached the standing registry")
+		}
+		for algo, req := range reqs {
+			if q := s.def.standing.lookup(req.cacheKey()); q != nil {
+				queries[algo] = q
+			}
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	time.Sleep(150 * time.Millisecond)
+	for algo, q := range queries {
+		q.mu.Lock()
+		seeded := q.pr != nil || q.cc != nil
+		q.mu.Unlock()
+		if seeded {
+			t.Fatalf("standing %s seeded while a batch was inside the mutation bracket", algo)
+		}
+	}
+
+	unpark()
+	epoch := <-batchEpoch
+	for algo, id := range jobIDs {
+		final := pollJob(t, client, base, id)
+		if final["status"] != StatusDone {
+			t.Fatalf("standing %s registration: %v", algo, final)
+		}
+		// The registration's result is the query's first publish.
+		if got := uint64(final["epoch"].(float64)); got != epoch {
+			t.Errorf("standing %s first published at epoch %d, the parked batch committed %d", algo, got, epoch)
+		}
+	}
+	waitStandingStable(t, client, base, 2)
+
+	snap, _, err := s.def.snapshot()
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	wantRanks, err := algorithms.PageRank(tufast.NewSystem(snap, tufast.Options{Threads: 4}), reqs["pagerank"].Damping, eps)
+	if err != nil {
+		t.Fatalf("oracle pagerank: %v", err)
+	}
+	wantComp, err := algorithms.ConnectedComponents(tufast.NewSystem(snap, tufast.Options{Threads: 4}))
+	if err != nil {
+		t.Fatalf("oracle cc: %v", err)
+	}
+	gotRanks := queries["pagerank"].pr.Ranks()
+	for v := range wantRanks {
+		if diff := math.Abs(gotRanks[v] - wantRanks[v]); diff > 1e-3*wantRanks[v] {
+			t.Fatalf("standing rank[%d] = %g, from-scratch says %g", v, gotRanks[v], wantRanks[v])
+		}
+	}
+	gotComp := queries["cc"].cc.Components()
+	for v := range wantComp {
+		if gotComp[v] != wantComp[v] {
+			t.Fatalf("standing label[%d] = %d, from-scratch says %d", v, gotComp[v], wantComp[v])
+		}
+	}
+	if wantComp[0] != wantComp[ring] {
+		t.Fatal("the batch did not bridge the two rings: the oracle is not exercising it")
+	}
+}

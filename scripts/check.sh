@@ -1,8 +1,9 @@
 #!/bin/sh
 # check.sh — the repo's pre-merge gate: formatting, vet, the
 # transaction- and concurrency-contract analyzer suite (tufastcheck,
-# with -strict-ignores), and the test suite under the race detector
-# (short profile, one run, failures summarised by cmd/testsummary).
+# with -strict-ignores), the test suite under the race detector (short
+# profile, one run, failures summarised by cmd/testsummary), and the
+# serializability oracles again under oversubscription.
 # Run from the repo root or anywhere inside it; `make check` is an
 # alias and `make lint` runs the analyzer stage alone.
 set -eu
@@ -47,12 +48,14 @@ begin "tufastcheck"
 go run ./cmd/tufastcheck -strict-ignores ./...
 end
 
-# The serving path (daemon, load generator, server package) is covered
-# by ./... above; this stage re-runs vet + the contract analyzers over
-# it by name so a failure points straight at the serving subsystem.
-begin "serving path (vet + tufastcheck)"
-go vet ./internal/server ./cmd/tufastd ./cmd/tufast-loadgen ./algorithms
-go run ./cmd/tufastcheck ./internal/server ./cmd/tufastd ./cmd/tufast-loadgen ./algorithms
+# The serving binaries' dependency set can only shrink: neither the
+# daemon nor the load generator links the paper-reproduction harness or
+# the comparison engines.
+begin "serving binaries link no reproduction code"
+if go list -deps ./cmd/tufastd ./cmd/tufast-loadgen | grep -E '^tufast/internal/(bench|engines)'; then
+    echo "cmd/tufastd or cmd/tufast-loadgen links the packages above" >&2
+    exit 1
+fi
 end
 
 # One run of the whole suite under the race detector. The summariser
@@ -64,6 +67,35 @@ end
 # status is the summariser's, which is 1 on any failure.
 begin "go test -race (short)"
 go test -race -short -json ./... | go run ./cmd/testsummary
+end
+
+# Serializability under oversubscription: the isolated run above passes
+# on schedulers that lose updates once threads outnumber cores, so the
+# same oracles run again as eight concurrent processes at -cpu 8, over
+# every baseline scheduler and over core's cross-mode histories.
+begin "oversubscribed serializability (8 processes, -cpu 8)"
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go test -c -o "$tmp/sched.test" ./internal/sched
+go test -c -o "$tmp/core.test" ./internal/core
+oversubscribed() { # test binary, -test.run pattern, -test.count
+    pids=""
+    for i in 1 2 3 4 5 6 7 8; do
+        "$1" -test.run "$2" -test.count="$3" -test.cpu 8 >"$tmp/out.$i" 2>&1 &
+        pids="$pids $!"
+    done
+    failed=0
+    for pid in $pids; do
+        wait "$pid" || failed=$((failed + 1))
+    done
+    if [ "$failed" -ne 0 ]; then
+        echo "$1: $failed of 8 processes failed" >&2
+        grep -h -A1 -e '--- FAIL' -e '^panic:' "$tmp"/out.* >&2 || tail -n 20 "$tmp"/out.* >&2
+        exit 1
+    fi
+}
+oversubscribed "$tmp/sched.test" 'TestSerializabilityHistories|TestBankTransfer|TestCounterIsolation|TestWriteSkewPrevented' 50
+oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestIsolationAcrossModes' 30
 end
 
 echo "All checks passed."
