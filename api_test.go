@@ -263,3 +263,15 @@ func TestGraphEdgeListWrite(t *testing.T) {
 		t.Fatal("mismatch")
 	}
 }
+
+// TestLibraryCarriesNoTax: the paper reproduction's software-barrier cost
+// model is injected by internal/bench and cmd/tufast alone; a System
+// built through the public API runs L mode at its real cost.
+func TestLibraryCarriesNoTax(t *testing.T) {
+	g := tufast.GeneratePowerLaw(200, 800, 2.1, 1)
+	for _, opt := range []tufast.Options{{}, {Threads: 2, HMaxHint: 8, OMaxHint: 16, Deadlock: tufast.DeadlockNoWait}} {
+		if tufast.NewSystem(g, opt).Core().Config().Tax != nil {
+			t.Fatalf("NewSystem(%+v) carries a simulation tax", opt)
+		}
+	}
+}

@@ -32,6 +32,7 @@ import (
 	"tufast/internal/mem"
 	"tufast/internal/obs"
 	"tufast/internal/sched"
+	"tufast/internal/simcost"
 	"tufast/internal/vlock"
 )
 
@@ -175,7 +176,7 @@ func run(ctx context.Context, g *graph.CSR, algoName, system string, threads int
 		var s sched.Scheduler
 		switch system {
 		case "tufast":
-			s = core.New(sp, n, core.Config{})
+			s = core.New(sp, n, core.Config{Tax: simcost.Tax})
 		case "stm":
 			s = sched.NewSTM(sp)
 		case "2pl":
@@ -188,6 +189,12 @@ func run(ctx context.Context, g *graph.CSR, algoName, system string, threads int
 			s = sched.NewHSync(sp, 8)
 		case "hto":
 			s = sched.NewHTO(sp, vlock.NewTable(n), n, 1000)
+		}
+		// -system compares schedulers as the paper's figures do, so
+		// every software barrier pays the reproduction's tax: the
+		// baselines here, TuFast's L mode through its Config above.
+		if t, ok := s.(interface{ SetTax(func()) }); ok {
+			t.SetTax(simcost.Tax)
 		}
 		if onSched != nil {
 			onSched(s)

@@ -90,10 +90,10 @@ func Fig11(o Options) []Table {
 		}
 
 		tufast := runTMApps(g, gu, func(sp *mem.Space, n int) sched.Scheduler {
-			return core.New(sp, n, core.Config{})
+			return newTuFast(sp, n, core.Config{})
 		}, o.Threads)
 		stm := runTMApps(g, gu, func(sp *mem.Space, n int) sched.Scheduler {
-			return sched.NewSTM(sp)
+			return taxed(sched.NewSTM(sp))
 		}, o.Threads)
 
 		ligra := map[string]float64{}
@@ -180,7 +180,7 @@ func Fig12(o Options) []Table {
 		}
 
 		tufast := runTMApps(g, gu, func(sp *mem.Space, n int) sched.Scheduler {
-			return core.New(sp, n, core.Config{})
+			return newTuFast(sp, n, core.Config{})
 		}, o.Threads)
 
 		distApps := func(cut dist.Cut) map[string]float64 {

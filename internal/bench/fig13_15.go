@@ -68,7 +68,7 @@ func Fig15(o Options) []Table {
 	var tables []Table
 	for _, kind := range []Workload{RM, RW} {
 		sp, base := newWorkloadSpace(n)
-		tf := core.New(sp, n, core.Config{})
+		tf := newTuFast(sp, n, core.Config{})
 		runWorkload(g, sp, tf, kind, base, txns, o.Threads)
 		ms := tf.ModeStats()
 		snap := tf.Metrics().Snapshot()

@@ -35,7 +35,7 @@ func Fig16(o Options) []Table {
 		row := []any{period}
 		for _, kind := range []Workload{RM, RW} {
 			sp, base := newWorkloadSpace(n)
-			tf := core.New(sp, n, core.Config{AdaptivePeriod: false, PeriodInit: period})
+			tf := newTuFast(sp, n, core.Config{AdaptivePeriod: false, PeriodInit: period})
 			row = append(row, runWorkload(g, sp, tf, kind, base, txns, o.Threads))
 		}
 		periodTab.AddRow(row...)
@@ -51,7 +51,7 @@ func Fig16(o Options) []Table {
 		row := []any{retries}
 		for _, kind := range []Workload{RM, RW} {
 			sp, base := newWorkloadSpace(n)
-			tf := core.New(sp, n, core.Config{HRetries: retries})
+			tf := newTuFast(sp, n, core.Config{HRetries: retries})
 			row = append(row, runWorkload(g, sp, tf, kind, base, txns, o.Threads))
 		}
 		retryTab.AddRow(row...)
@@ -77,7 +77,7 @@ func Fig17(o Options) []Table {
 	run := func(adaptive bool) ([]windowSample, float64) {
 		sp := mem.NewSpace(algo.SpaceWordsFor(g.NumVertices()))
 		cfg := core.Config{AdaptivePeriod: adaptive, PeriodInit: 1000}
-		tf := core.New(sp, g.NumVertices(), cfg)
+		tf := newTuFast(sp, g.NumVertices(), cfg)
 		r := algo.NewRuntime(g, sp, tf, o.Threads)
 
 		var samples []windowSample
@@ -176,7 +176,7 @@ func Ablation(o Options) []Table {
 		row := []any{v.name}
 		for _, kind := range []Workload{RM, RW} {
 			sp, base := newWorkloadSpace(n)
-			tf := core.New(sp, n, v.cfg)
+			tf := newTuFast(sp, n, v.cfg)
 			row = append(row, runWorkload(g, sp, tf, kind, base, txns, o.Threads))
 		}
 		t.AddRow(row...)

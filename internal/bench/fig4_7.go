@@ -236,27 +236,33 @@ func Fig7(o Options) []Table {
 		row := []any{fmt.Sprintf("%.1f", contention)}
 		for _, name := range []string{"2PL", "OCC", "TO"} {
 			sp, base := newWorkloadSpace(n)
-			var s sched.Scheduler
-			switch name {
-			case "2PL":
-				tpl := sched.NewTPL(sp, vlock.NewTable(n), deadlock.NewDetector(512), deadlock.Detect)
-				// Read-then-update transactions under plain S/X locks live
-				// on the upgrade path, which deadlocks under contention;
-				// production 2PL uses update/exclusive-upfront locking for
-				// such workloads, and the paper's Fig. 7 2PL can only win
-				// at high contention with it.
-				tpl.SetExclusiveOnly(true)
-				s = tpl
-			case "OCC":
-				s = sched.NewOCC(sp, vlock.NewTable(n))
-			case "TO":
-				s = sched.NewTO(sp, vlock.NewTable(n), n)
-			}
+			s := fig7Scheduler(name, sp, n)
 			row = append(row, contendedThroughput(g, sp, base, s, txns, o.Threads, contention))
 		}
 		t.AddRow(row...)
 	}
 	return []Table{*t}
+}
+
+// fig7Scheduler builds one of Fig. 7's three schedulers, taxed like the
+// §VI-B set.
+func fig7Scheduler(name string, sp *mem.Space, n int) sched.Scheduler {
+	switch name {
+	case "2PL":
+		tpl := taxed(sched.NewTPL(sp, vlock.NewTable(n), deadlock.NewDetector(512), deadlock.Detect))
+		// Read-then-update transactions under plain S/X locks live on
+		// the upgrade path, which deadlocks under contention; production
+		// 2PL uses update/exclusive-upfront locking for such workloads,
+		// and the paper's Fig. 7 2PL can only win at high contention
+		// with it.
+		tpl.SetExclusiveOnly(true)
+		return tpl
+	case "OCC":
+		return taxed(sched.NewOCC(sp, vlock.NewTable(n)))
+	case "TO":
+		return taxed(sched.NewTO(sp, vlock.NewTable(n), n))
+	}
+	panic("bench: no Fig. 7 scheduler named " + name)
 }
 
 // contendedThroughput runs the Fig. 7 micro-benchmark: each transaction

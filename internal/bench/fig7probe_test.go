@@ -4,10 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"tufast/internal/deadlock"
 	"tufast/internal/graph/gen"
-	"tufast/internal/sched"
-	"tufast/internal/vlock"
 )
 
 func TestProbeFig7Cells(t *testing.T) {
@@ -16,17 +13,7 @@ func TestProbeFig7Cells(t *testing.T) {
 	for _, name := range []string{"2PL", "OCC", "TO"} {
 		for _, c := range []float64{0, 1.0} {
 			sp, base := newWorkloadSpace(n)
-			var s sched.Scheduler
-			switch name {
-			case "2PL":
-				tpl := sched.NewTPL(sp, vlock.NewTable(n), deadlock.NewDetector(512), deadlock.Detect)
-				tpl.SetExclusiveOnly(true)
-				s = tpl
-			case "OCC":
-				s = sched.NewOCC(sp, vlock.NewTable(n))
-			case "TO":
-				s = sched.NewTO(sp, vlock.NewTable(n), n)
-			}
+			s := fig7Scheduler(name, sp, n)
 			start := time.Now()
 			tput := contendedThroughput(g, sp, base, s, 2000, 8, c)
 			t.Logf("%s c=%.1f: %.0f txn/s (%v) aborts=%d deadlocks=%d", name, c, tput,

@@ -17,7 +17,7 @@ func TestProbeHTORW(t *testing.T) {
 	g := ds.Generate(0.02)
 	n := g.NumVertices()
 	sp, base := newWorkloadSpace(n)
-	s := sched.NewHTO(sp, vlock.NewTable(n), n, 1000)
+	s := taxed(sched.NewHTO(sp, vlock.NewTable(n), n, 1000))
 	start := time.Now()
 	tput := runWorkload(g, sp, s, RW, base, 2000, 4)
 	el := time.Since(start)

@@ -17,7 +17,7 @@ func TestProbeTuFastRM(t *testing.T) {
 	n := g.NumVertices()
 	t.Logf("|V|=%d |E|=%d maxdeg=%d", n, g.NumEdges(), g.MaxDegree())
 	sp, base := newWorkloadSpace(n)
-	tf := core.New(sp, n, core.Config{})
+	tf := newTuFast(sp, n, core.Config{})
 	start := time.Now()
 	tput := runWorkload(g, sp, tf, RM, base, 20000, 4)
 	t.Logf("500 txns in %v (%.0f txn/s)", time.Since(start), tput)

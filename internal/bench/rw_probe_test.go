@@ -17,7 +17,7 @@ func TestProbeRWBreakdown(t *testing.T) {
 	t.Logf("|V|=%d |E|=%d maxdeg=%d", n, g.NumEdges(), g.MaxDegree())
 
 	sp, base := newWorkloadSpace(n)
-	tf := core.New(sp, n, core.Config{})
+	tf := newTuFast(sp, n, core.Config{})
 	start := time.Now()
 	tput := runWorkload(g, sp, tf, RW, base, 6000, 8)
 	t.Logf("TuFast RW: %.0f txn/s in %v", tput, time.Since(start).Round(time.Millisecond))

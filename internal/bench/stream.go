@@ -102,7 +102,7 @@ func FigStream(o Options) []Table {
 	}
 	for _, wl := range streamWorkloads() {
 		sp, st, ops := streamSetup(o, wl)
-		tf := core.New(sp, st.NumVertices(), streamConfig())
+		tf := newTuFast(sp, st.NumVertices(), streamConfig())
 		tps := runStream(st, ops, tf, o.Threads, 4096)
 		snap := tf.Metrics().Snapshot()
 		t.AddRow(wl.name, len(ops), tps,

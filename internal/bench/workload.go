@@ -10,6 +10,7 @@ import (
 	"tufast/internal/graph"
 	"tufast/internal/mem"
 	"tufast/internal/sched"
+	"tufast/internal/simcost"
 	"tufast/internal/vlock"
 )
 
@@ -32,19 +33,38 @@ func (w Workload) String() string {
 	return "RW"
 }
 
+// The reproduction's cost model (internal/simcost) is injected here and
+// nowhere else in the library's dependency set: every scheduler a figure
+// measures is built through newTuFast or taxed, so software barriers —
+// the baselines' and TuFast's own L mode — pay the calibrated tax that
+// keeps Fig. 7/13/14/15 orderings honest, while tufast.NewSystem, tufastd
+// and benchmark/ run without it.
+
+// newTuFast builds a TuFast system whose L mode pays the tax.
+func newTuFast(sp *mem.Space, n int, cfg core.Config) *core.System {
+	cfg.Tax = simcost.Tax
+	return core.New(sp, n, cfg)
+}
+
+// taxed installs the tax on a freshly built baseline scheduler.
+func taxed[S interface{ SetTax(func()) }](s S) S {
+	s.SetTax(simcost.Tax)
+	return s
+}
+
 // schedulerSet builds the §VI-B comparison set over one space. The
 // TuFast system is returned separately so callers can read its mode
 // stats.
 func schedulerSet(sp *mem.Space, n int) (map[string]sched.Scheduler, *core.System) {
-	tf := core.New(sp, n, core.Config{})
+	tf := newTuFast(sp, n, core.Config{})
 	det := deadlock.NewDetector(512)
 	return map[string]sched.Scheduler{
 		"TuFast": tf,
-		"2PL":    sched.NewTPL(sp, vlock.NewTable(n), det, deadlock.Detect),
-		"OCC":    sched.NewOCC(sp, vlock.NewTable(n)),
-		"STM":    sched.NewSTM(sp),
-		"HSync":  sched.NewHSync(sp, 8),
-		"H-TO":   sched.NewHTO(sp, vlock.NewTable(n), n, 1000),
+		"2PL":    taxed(sched.NewTPL(sp, vlock.NewTable(n), det, deadlock.Detect)),
+		"OCC":    taxed(sched.NewOCC(sp, vlock.NewTable(n))),
+		"STM":    taxed(sched.NewSTM(sp)),
+		"HSync":  taxed(sched.NewHSync(sp, 8)),
+		"H-TO":   taxed(sched.NewHTO(sp, vlock.NewTable(n), n, 1000)),
 	}, tf
 }
 

@@ -30,3 +30,16 @@ func TestWorkloadPerScheduler(t *testing.T) {
 		}
 	}
 }
+
+// TestReproductionInjectsTax: the figures' TuFast carries the cost model
+// in its L mode (the library's does not; see the root package's
+// TestLibraryCarriesNoTax), on every path that builds one.
+func TestReproductionInjectsTax(t *testing.T) {
+	sp, _ := newWorkloadSpace(64)
+	if _, tf := schedulerSet(sp, 64); tf.Config().Tax == nil {
+		t.Error("schedulerSet's TuFast has no tax")
+	}
+	if newTuFast(sp, 64, streamConfig()).Config().Tax == nil {
+		t.Error("newTuFast dropped the tax")
+	}
+}

@@ -26,16 +26,20 @@ import (
 // Config tunes the TuFast runtime. The zero value is usable: every field
 // is defaulted by normalize.
 type Config struct {
-	// HMaxHint is the largest size hint (in shared words) still routed to
-	// H mode first. Defaults to the emulated HTM capacity in words;
-	// transactions between the random-access practical limit and this
-	// bound will typically take one capacity abort and proceed to O mode,
-	// exactly as on real TSX.
+	// HMaxHint is the hard ceiling on H mode: a transaction whose size
+	// hint (in shared words) exceeds it never starts in H. Defaults to
+	// the emulated HTM capacity in words, the sequential limit; where a
+	// footprint really stops fitting depends on how its lines fall into
+	// the 64 cache sets, which no static threshold captures (R-MAT
+	// neighbour ids overflow one set at hints under 256), so below the
+	// ceiling the router learns per size class whether H attempts end in
+	// capacity aborts and starts such a class in O (see router.go).
 	HMaxHint int
 
-	// OMaxHint is the largest size hint still routed through O mode;
-	// larger transactions go straight to L mode (Fig. 10 "size makes H/O
-	// mode impossible").
+	// OMaxHint is the hard ceiling on O mode: larger transactions go
+	// straight to L mode (Fig. 10 "size makes H/O mode impossible").
+	// Below it the router learns per size class whether O entries end in
+	// L anyway and sends such a class straight there.
 	OMaxHint int
 
 	// HRetries bounds H-mode retries on transient aborts (§IV-D studies
@@ -66,6 +70,13 @@ type Config struct {
 	// conflict detection inside O-mode segments (ablation: the value of
 	// HTM assistance in O mode).
 	DisableEarlyAbort bool
+
+	// Tax, when non-nil, is charged once per L-mode operation: the paper
+	// reproduction's software-barrier cost model (internal/simcost),
+	// injected by internal/bench and cmd/tufast so Fig. 13-15 compare
+	// TuFast's lock-based mode with the baselines on equal terms. The
+	// public API never sets it.
+	Tax func()
 }
 
 // normalize fills zero fields with defaults.

@@ -2,7 +2,7 @@ package core
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 
 	"tufast/internal/gentab"
 	"tufast/internal/htm"
@@ -37,6 +37,10 @@ type hCtx struct {
 
 	held []uint32 // exclusive locks currently held (commit window only)
 
+	// check is validateSubs bound once: a method value made per attempt
+	// would allocate on the hottest path there is.
+	check htm.Check
+
 	nreads, nwrites uint64
 }
 
@@ -46,11 +50,13 @@ type hSub struct {
 }
 
 func newHCtx(w *worker) *hCtx {
-	return &hCtx{
+	h := &hCtx{
 		w:      w,
 		tx:     htm.NewTx(w.s.sp, &w.s.htmStats),
 		vstate: gentab.New(6),
 	}
+	h.check = h.validateSubs
+	return h
 }
 
 // runH drives fn through H mode with retries (Fig. 10): transient aborts
@@ -74,7 +80,6 @@ func (w *worker) runH(fn sched.TxFunc) (done bool, err error) {
 			w.s.stats.Writes.Add(h.nwrites)
 			w.s.mode.record(ClassH, h.nreads+h.nwrites)
 			w.probe.TxCommit(obs.ModeH, w.attempts, w.span)
-			w.bo.Reset()
 			return true, nil
 		}
 		w.s.stats.Aborts.Add(1)
@@ -90,7 +95,7 @@ func (w *worker) runH(fn sched.TxFunc) (done bool, err error) {
 			w.probe.TxStop(obs.ModeH, sched.StopReason(err), w.attempts)
 			return true, err
 		}
-		w.bo.Wait()
+		w.bo.WaitObserved(&w.probe)
 	}
 }
 
@@ -102,7 +107,7 @@ func (h *hCtx) begin() {
 	h.nreads, h.nwrites = 0, 0
 	// One hook validates every subscription (registered once to avoid a
 	// closure per vertex).
-	h.tx.AddCheck(h.validateSubs)
+	h.tx.AddCheck(h.check)
 }
 
 func (h *hCtx) validateSubs() bool {
@@ -161,9 +166,7 @@ func (h *hCtx) commit() bool {
 	}
 	locks := h.w.s.locks
 	tid := h.w.tid
-	if len(h.wvs) > 1 {
-		sort.Slice(h.wvs, func(i, j int) bool { return h.wvs[i] < h.wvs[j] })
-	}
+	slices.Sort(h.wvs)
 	h.held = h.held[:0]
 	for _, v := range h.wvs {
 		idx, _ := h.vstate.Get(uint64(v))

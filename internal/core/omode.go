@@ -2,7 +2,7 @@ package core
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 
 	"tufast/internal/gentab"
 	"tufast/internal/htm"
@@ -39,7 +39,6 @@ type oCtx struct {
 
 	// Commit-phase write-vertex bookkeeping, reused across attempts.
 	wvs   []uint32
-	wpre  []uint64
 	wvIdx *gentab.Table
 	// held tracks the exclusive locks actually acquired by the in-flight
 	// commit, so a panic escaping the commit window can be unwound by
@@ -121,7 +120,6 @@ func (w *worker) runO(fn sched.TxFunc) (done bool, err error) {
 			}
 			w.s.mode.record(class, o.nreads+o.nwrites)
 			w.probe.TxCommit(omode, w.attempts, w.span)
-			w.bo.Reset()
 			return true, nil
 		}
 		w.s.stats.Aborts.Add(1)
@@ -144,7 +142,12 @@ func (w *worker) runO(fn sched.TxFunc) (done bool, err error) {
 			w.probe.TxStop(obs.ModeO, sched.StopReason(err), w.attempts)
 			return true, err
 		}
-		w.bo.Wait()
+		// A capacity abort is deterministic: the halved segment fits or
+		// it does not, and nobody has to get out of the way first. Only
+		// a conflict is worth waiting out.
+		if !o.capacityAbort {
+			w.bo.WaitObserved(&w.probe)
+		}
 	}
 	return false, nil
 }
@@ -290,7 +293,6 @@ func (o *oCtx) commit() bool {
 	// Collect and sort distinct write vertices (order avoids needless
 	// mutual aborts between O committers; try-lock keeps us wait-free).
 	o.wvs = o.wvs[:0]
-	o.wpre = o.wpre[:0]
 	o.wvIdx.Reset()
 	for i := range o.writes {
 		v := o.writes[i].v
@@ -299,22 +301,19 @@ func (o *oCtx) commit() bool {
 			o.wvs = append(o.wvs, v)
 		}
 	}
-	sort.Slice(o.wvs, func(i, j int) bool { return o.wvs[i] < o.wvs[j] })
+	slices.Sort(o.wvs)
 	o.wvIdx.Reset() // re-key after the sort
 	for i, v := range o.wvs {
 		o.wvIdx.Put(uint64(v), int32(i))
 	}
-	o.wpre = append(o.wpre, make([]uint64, len(o.wvs))...)
 	o.held = o.held[:0]
-	for i, v := range o.wvs {
+	for _, v := range o.wvs {
 		// Bounded spin before giving up (Silo commits do the same): an
 		// instant abort on a momentarily-held lock causes escalation
 		// cascades under write contention.
 		acquired := false
 		for attempt := 0; attempt < 32; attempt++ {
-			p := locks.Stamp(v)
-			if vlock.StampFree(p) && locks.TryExclusive(v, tid) {
-				o.wpre[i] = p
+			if vlock.StampFree(locks.Stamp(v)) && locks.TryExclusive(v, tid) {
 				o.held = append(o.held, v)
 				acquired = true
 				break

@@ -64,10 +64,7 @@ func New(sp *mem.Space, nVertices int, cfg Config) *System {
 		period: newPeriodController(cfg.PeriodInit, cfg.PeriodFloor, cfg.PeriodCap),
 	}
 	s.lmode = sched.NewTPL(sp, s.locks, det, cfg.Deadlock)
-	// The core records L-mode outcomes itself (it alone knows the O2L/L
-	// class split and the end-to-end latency), so the TPL sub-scheduler
-	// must not double-count into its own metrics.
-	s.lmode.DisableObs()
+	s.lmode.SetTax(cfg.Tax)
 	s.period.m = s.Metrics()
 	return s
 }
@@ -118,9 +115,12 @@ func (s *System) Worker(tid int) sched.Worker {
 	w := &worker{s: s, tid: tid}
 	w.h = newHCtx(w)
 	w.o = newOCtx(w)
-	w.l = s.lmode.NewWorker(tid)
 	w.bo = sched.NewBackoff(uint64(tid)*0x9E3779B97F4A7C15 + 0xA5)
 	w.probe = s.Metrics().NewProbe(tid)
+	// The core records L-mode outcomes itself (it alone knows the O2L/L
+	// class split and the end-to-end latency), so the L-mode worker is
+	// hosted: it records only its backoff waits, on this worker's probe.
+	w.l = s.lmode.NewHostedWorker(tid, &w.probe)
 	return w
 }
 
@@ -132,6 +132,10 @@ type worker struct {
 	o   *oCtx
 	l   *sched.TPLWorker
 	bo  sched.Backoff
+
+	// route is what this worker has learnt about where each size class's
+	// ladder steps fail (router.go).
+	route [numSizeClasses]classStats
 
 	// probe records this worker's lifecycle telemetry; span and attempts
 	// carry the in-flight transaction's sampled start time and aborted
@@ -145,34 +149,54 @@ type worker struct {
 	ctx context.Context
 }
 
-// Run implements sched.Worker: the Fig. 10 routing state machine.
-// Transactions with an unknown hint (0) start optimistic in H mode.
+// Run implements sched.Worker: the Fig. 10 routing state machine, with
+// the rungs a size class has learnt to fail on skipped (router.go).
+// HMaxHint and OMaxHint stay hard ceilings. Transactions with an unknown
+// hint (0) start optimistic in H mode.
 func (w *worker) Run(sizeHint int, fn sched.TxFunc) error {
 	cfg := &w.s.cfg
 	w.span = w.probe.TxBegin(sizeHint)
 	w.attempts = 0
+	// Every transaction starts at the minimum backoff, however the
+	// previous one ended (commit in any mode, user stop, cancel, panic).
+	w.bo.Reset()
 	if sizeHint > cfg.OMaxHint {
 		return w.runL(fn, ClassL)
 	}
-	if sizeHint <= cfg.HMaxHint {
-		if done, err := w.runH(fn); done {
+	rc := &w.route[sizeClass(sizeHint)]
+	skipH, skipO := rc.plan()
+	triedH := sizeHint <= cfg.HMaxHint && !skipH
+	if triedH {
+		done, err := w.runH(fn)
+		rc.noteH(!done && w.h.tx.LastAbort() == htm.AbortCapacity)
+		if done {
 			return err
 		}
-		w.s.Metrics().Transition(obs.TransHO)
+	}
+	// A transaction that never entered O commits as class L, whether or
+	// not it tried H first.
+	class, omode := ClassL, obs.ModeL
+	if !skipO {
+		if triedH {
+			w.s.Metrics().Transition(obs.TransHO)
+		}
+		if err := w.ctxErr(); err != nil {
+			w.probe.TxStop(obs.ModeO, sched.StopReason(err), w.attempts)
+			return err
+		}
+		done, err := w.runO(fn)
+		rc.noteO(!done)
+		if done {
+			return err
+		}
+		w.s.Metrics().Transition(obs.TransOL)
+		class, omode = ClassO2L, obs.ModeO2L
 	}
 	if err := w.ctxErr(); err != nil {
-		w.probe.TxStop(obs.ModeO, sched.StopReason(err), w.attempts)
+		w.probe.TxStop(omode, sched.StopReason(err), w.attempts)
 		return err
 	}
-	if done, err := w.runO(fn); done {
-		return err
-	}
-	w.s.Metrics().Transition(obs.TransOL)
-	if err := w.ctxErr(); err != nil {
-		w.probe.TxStop(obs.ModeO2L, sched.StopReason(err), w.attempts)
-		return err
-	}
-	return w.runL(fn, ClassO2L)
+	return w.runL(fn, class)
 }
 
 // RunCtx implements sched.CtxWorker: Run, but returning ctx.Err()
@@ -199,14 +223,13 @@ func (w *worker) ctxErr() error {
 
 // AbandonInFlight implements sched.Abandoner: after a panic escaped an
 // attempt (e.g. from inside a commit window), release every lock the
-// worker may still hold across all three mode contexts, roll back L-mode
-// in-place writes, and reset the backoff. The worker is then safe to
-// pool again.
+// worker may still hold across all three mode contexts and roll back
+// L-mode in-place writes (Run resets the backoff on entry). The worker is
+// then safe to pool again.
 func (w *worker) AbandonInFlight() bool {
 	w.h.releaseHeld()
 	w.o.abandon()
 	w.l.AbandonInFlight()
-	w.bo.Reset()
 	return true
 }
 
@@ -223,9 +246,9 @@ func (w *worker) runL(fn sched.TxFunc, class ModeClass) error {
 
 	err := w.l.RunCtx(w.ctx, 0, fn)
 
-	// TPL records nothing itself (DisableObs): attribute its internal
-	// retries post-hoc so abort-reason breakdowns include L mode, under
-	// the class-accurate mode label.
+	// A hosted TPL worker records no outcomes itself: attribute its
+	// internal retries post-hoc so abort-reason breakdowns include L
+	// mode, under the class-accurate mode label.
 	omode := obs.ModeL
 	if class == ClassO2L {
 		omode = obs.ModeO2L

@@ -4,11 +4,17 @@
 // can never be part of a hold-and-wait cycle. Because the power-law degree
 // distribution puts few vertices in L mode, detection runs rarely.
 //
-// The detector keeps per-thread hold lists guarded by per-thread mutexes,
-// so recording a hold never contends globally; a cycle check (run only
-// when a thread is about to block) scans all threads' published state.
-// Every new wait edge triggers a check, so any cycle is detected by the
-// thread whose wait completes it — that thread becomes the victim.
+// A cycle in the waits-for graph consists of blocked threads only, so a
+// thread's hold list matters to anyone else only while that thread
+// blocks. The detector exploits that: a thread records its holds in a
+// list nobody else reads while it runs — no lock, no atomic, O(1) per
+// hold — and BeginWait, under the thread's mutex, is what publishes the
+// list together with the wait edge; EndWait, under the same mutex, takes
+// it back. A cycle check (run only when a thread is about to block)
+// reads, under their mutexes, the wait edges and hold lists of the
+// threads that are blocked right now. Every new wait edge triggers a
+// check, so any cycle is detected by the thread whose wait completes it
+// — that thread becomes the victim.
 //
 // The package also supports the paper's alternative: deadlock *prevention*
 // by ordered acquisition, in which case detection is disabled entirely.
@@ -18,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrDeadlock is returned to a would-be waiter whose wait would close a
@@ -60,18 +67,29 @@ type hold struct {
 	exclusive bool
 }
 
+// threadState is one thread's slot. holds belongs to the thread itself
+// while waiting is false and is frozen, readable under mu, while it is
+// true; the other fields are guarded by mu.
 type threadState struct {
 	mu       sync.Mutex
 	holds    []hold
 	waiting  bool
 	waitV    uint32
 	waitExcl bool
+
+	// visited is the cycle check's scratch set (one bit per thread id),
+	// allocated on the thread's first blocking wait and touched only by
+	// its own BeginWait.
+	visited []uint64
 }
 
 // Detector tracks, per thread, which vertex locks it holds and which one
 // it is blocked on.
 type Detector struct {
 	threads []*threadState
+	// top is one past the highest thread id that ever began a wait; a
+	// cycle check scans [0, top) instead of every slot.
+	top atomic.Int32
 }
 
 // NewDetector creates a detector for thread ids in [0, maxThreads).
@@ -86,40 +104,49 @@ func NewDetector(maxThreads int) *Detector {
 	return d
 }
 
-// AddHold records that tid now holds v.
+// AddHold records that tid now holds v. Holds keep their order of
+// arrival until RemoveAll: the i-th AddHold since then is hold i.
+//
+// AddHold, UpgradeHold and RemoveAll touch tid's own list without
+// synchronization: only thread tid may call them, and never between its
+// BeginWait and EndWait.
 func (d *Detector) AddHold(tid int, v uint32, exclusive bool) {
 	t := d.threads[tid]
-	t.mu.Lock()
 	t.holds = append(t.holds, hold{vertex: v, exclusive: exclusive})
-	t.mu.Unlock()
 }
 
-// UpgradeHold marks tid's hold of v exclusive (shared-to-exclusive
-// upgrade).
-func (d *Detector) UpgradeHold(tid int, v uint32) {
+// UpgradeHold marks tid's hold i, which must be of v, exclusive
+// (shared-to-exclusive upgrade). The caller tracks the index (see
+// AddHold), so a transaction that reads then writes each of its k
+// vertices pays O(k) for the upgrades, not O(k²) in list scans.
+func (d *Detector) UpgradeHold(tid, i int, v uint32) {
 	t := d.threads[tid]
-	t.mu.Lock()
-	for i := range t.holds {
-		if t.holds[i].vertex == v {
-			t.holds[i].exclusive = true
-			break
-		}
+	if i >= len(t.holds) || t.holds[i].vertex != v {
+		panic(fmt.Sprintf("deadlock: thread %d upgrades hold %d of vertex %d, which it does not have", tid, i, v))
 	}
-	t.mu.Unlock()
+	t.holds[i].exclusive = true
 }
 
 // RemoveAll clears every hold of tid (transaction end).
 func (d *Detector) RemoveAll(tid int) {
 	t := d.threads[tid]
-	t.mu.Lock()
 	t.holds = t.holds[:0]
-	t.mu.Unlock()
 }
 
-// BeginWait registers that tid is about to block on v and checks for a
-// cycle. If the wait would deadlock, the registration is rolled back and
-// ErrDeadlock returned: the caller must abort its transaction.
+// BeginWait registers that tid is about to block on v, publishes its
+// holds, and checks for a cycle. If the wait would deadlock, the
+// registration is rolled back and ErrDeadlock returned: the caller must
+// abort its transaction.
 func (d *Detector) BeginWait(tid int, v uint32, exclusive bool) error {
+	// Raise top before publishing the wait: of the threads whose waits
+	// form a cycle, the one that publishes last then finds every other
+	// member both inside [0, top) and waiting.
+	for {
+		top := d.top.Load()
+		if int32(tid) < top || d.top.CompareAndSwap(top, int32(tid)+1) {
+			break
+		}
+	}
 	t := d.threads[tid]
 	t.mu.Lock()
 	t.waiting, t.waitV, t.waitExcl = true, v, exclusive
@@ -139,24 +166,22 @@ func (d *Detector) EndWait(tid int) {
 	t.mu.Unlock()
 }
 
-// holdersOf returns the threads holding v incompatibly with a request of
-// the given exclusivity, excluding self.
-func (d *Detector) holdersOf(v uint32, exclusive bool, self int) []int {
-	var out []int
-	for tid, t := range d.threads {
-		if tid == self {
-			continue
-		}
-		t.mu.Lock()
-		for _, h := range t.holds {
-			if h.vertex == v && (h.exclusive || exclusive) {
-				out = append(out, tid)
-				break
-			}
-		}
-		t.mu.Unlock()
+// blocks reports whether tid is blocked while holding v incompatibly
+// with a request of the given exclusivity. A running thread's holds are
+// its own business: no cycle passes through it.
+func (d *Detector) blocks(tid int, v uint32, exclusive bool) bool {
+	t := d.threads[tid]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.waiting {
+		return false
 	}
-	return out
+	for _, h := range t.holds {
+		if h.vertex == v && (h.exclusive || exclusive) {
+			return true
+		}
+	}
+	return false
 }
 
 // waitOf returns tid's current wait edge, if any.
@@ -174,28 +199,36 @@ func (d *Detector) waitOf(tid int) (v uint32, exclusive, waiting bool) {
 // cycles, because a real cycle's edges are all stable while its threads
 // block.
 func (d *Detector) cycleFrom(start int) bool {
-	visited := make(map[int]bool, len(d.threads))
-	var dfs func(tid int) bool
-	dfs = func(tid int) bool {
-		v, excl, waiting := d.waitOf(tid)
-		if !waiting {
-			return false
-		}
-		for _, h := range d.holdersOf(v, excl, tid) {
-			if h == start {
-				return true
-			}
-			if visited[h] {
-				continue
-			}
-			visited[h] = true
-			if dfs(h) {
-				return true
-			}
-		}
+	t := d.threads[start]
+	if t.visited == nil {
+		t.visited = make([]uint64, (len(d.threads)+63)/64)
+	}
+	clear(t.visited)
+	return d.reaches(start, start, t.visited)
+}
+
+// reaches reports whether start is reachable from tid's wait edge.
+func (d *Detector) reaches(tid, start int, visited []uint64) bool {
+	v, excl, waiting := d.waitOf(tid)
+	if !waiting {
 		return false
 	}
-	return dfs(start)
+	for h := range int(d.top.Load()) {
+		if h == tid || !d.blocks(h, v, excl) {
+			continue
+		}
+		if h == start {
+			return true
+		}
+		if visited[h/64]&(1<<(h%64)) != 0 {
+			continue
+		}
+		visited[h/64] |= 1 << (h % 64)
+		if d.reaches(h, start, visited) {
+			return true
+		}
+	}
+	return false
 }
 
 // Waiting returns the number of currently blocked threads.

@@ -88,8 +88,12 @@ func (s HistSnapshot) Mean() float64 {
 	return float64(s.Sum) / float64(n)
 }
 
-// Quantile returns an upper bound on the q-quantile (q in [0,1]): the
-// upper edge of the bucket the quantile falls in.
+// Quantile returns an estimate of the q-quantile (q in [0,1]) within
+// the bucket the quantile falls in: the bucket's values are taken as
+// spread evenly over its range, so the k-th of c values in [lo, hi]
+// reads lo + (hi-lo)·(k+½)/c. The estimate never exceeds the bucket's
+// upper edge (so Quantile(1) is at most the top occupied bucket's edge)
+// and is 0 for an empty histogram.
 func (s HistSnapshot) Quantile(q float64) uint64 {
 	n := s.Count()
 	if n == 0 {
@@ -107,10 +111,14 @@ func (s HistSnapshot) Quantile(q float64) uint64 {
 	}
 	var cum uint64
 	for i, c := range s.Counts {
-		cum += c
-		if cum > rank {
-			return BucketUpper(i)
+		if cum+c > rank {
+			if i == 0 {
+				return 0
+			}
+			lo, hi := uint64(1)<<uint(i-1), BucketUpper(i)
+			return lo + uint64(float64(hi-lo)*(float64(rank-cum)+0.5)/float64(c))
 		}
+		cum += c
 	}
 	return BucketUpper(len(s.Counts) - 1)
 }

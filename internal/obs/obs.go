@@ -8,7 +8,8 @@
 //   - mode-transition counters that make the H→O→L fallback ladder and
 //     the adaptive-period trajectory directly observable,
 //   - per-worker, allocation-free event rings (sequence-stamped
-//     transaction lifecycle events), and
+//     transaction lifecycle events) and backoff counters (waits, the
+//     waits that slept, wall time inside them), and
 //   - export paths: plain-value Snapshot for programs, JSON over
 //     expvar / HTTP for operators.
 //
@@ -173,7 +174,18 @@ type Metrics struct {
 	eventsOn atomic.Bool
 	seq      atomic.Uint64
 	mu       sync.Mutex
-	rings    []*Ring
+	workers  []*workerState
+}
+
+// workerState is what one Probe owns: its event ring and its backoff
+// counters. Only the probe's worker writes it, so the atomics are
+// uncontended; snapshots and Reset reach it through Metrics.workers.
+type workerState struct {
+	ring Ring
+
+	backoffWaits  atomic.Uint64
+	backoffSleeps atomic.Uint64
+	backoffNs     atomic.Uint64
 }
 
 // Commit records a committed transaction: mode population, retry
@@ -237,36 +249,37 @@ func (m *Metrics) Reset() {
 	for t := range int(NumTransitions) {
 		m.trans[t].Store(0)
 	}
-	m.mu.Lock()
-	rings := make([]*Ring, len(m.rings))
-	copy(rings, m.rings)
-	m.mu.Unlock()
-	for _, r := range rings {
-		r.reset()
+	for _, ws := range m.workerStates() {
+		ws.ring.reset()
+		ws.backoffWaits.Store(0)
+		ws.backoffSleeps.Store(0)
+		ws.backoffNs.Store(0)
 	}
 }
 
-// NewProbe returns the per-worker recording handle for worker tid,
-// registering its event ring. Probes are not safe for concurrent use
-// (one per goroutine, like workers).
-func (m *Metrics) NewProbe(tid int) Probe {
-	r := &Ring{}
+func (m *Metrics) workerStates() []*workerState {
 	m.mu.Lock()
-	m.rings = append(m.rings, r)
+	defer m.mu.Unlock()
+	return append([]*workerState(nil), m.workers...)
+}
+
+// NewProbe returns the per-worker recording handle for worker tid,
+// registering its event ring and backoff counters. Probes are not safe
+// for concurrent use (one per goroutine, like workers).
+func (m *Metrics) NewProbe(tid int) Probe {
+	ws := &workerState{}
+	m.mu.Lock()
+	m.workers = append(m.workers, ws)
 	m.mu.Unlock()
-	return Probe{m: m, ring: r, tid: int32(tid)}
+	return Probe{m: m, ws: ws, tid: int32(tid)}
 }
 
 // Events returns all retained lifecycle events across every worker
 // ring, ordered by sequence stamp.
 func (m *Metrics) Events() []Event {
-	m.mu.Lock()
-	rings := make([]*Ring, len(m.rings))
-	copy(rings, m.rings)
-	m.mu.Unlock()
 	var evs []Event
-	for _, r := range rings {
-		evs = r.appendTo(evs)
+	for _, ws := range m.workerStates() {
+		evs = ws.ring.appendTo(evs)
 	}
 	sortEvents(evs)
 	return evs
@@ -275,13 +288,9 @@ func (m *Metrics) Events() []Event {
 // EventsDropped returns the number of events evicted from rings since
 // the last Reset.
 func (m *Metrics) EventsDropped() uint64 {
-	m.mu.Lock()
-	rings := make([]*Ring, len(m.rings))
-	copy(rings, m.rings)
-	m.mu.Unlock()
 	var n uint64
-	for _, r := range rings {
-		n += r.Dropped()
+	for _, ws := range m.workerStates() {
+		n += ws.ring.Dropped()
 	}
 	return n
 }
@@ -293,13 +302,13 @@ type Span struct {
 }
 
 // Probe is the per-worker recording handle: it owns the worker's event
-// ring and the local sampling counter, so the hot path touches no
-// shared state beyond the Metrics counters themselves.
+// ring, backoff counters and the local sampling counter, so the hot
+// path touches no shared state beyond the Metrics counters themselves.
 type Probe struct {
-	m    *Metrics
-	ring *Ring
-	tid  int32
-	n    uint64 // worker-local transaction count (sampling clock)
+	m   *Metrics
+	ws  *workerState
+	tid int32
+	n   uint64 // worker-local transaction count (sampling clock)
 }
 
 // TxBegin opens a transaction: decides latency sampling and, when
@@ -342,8 +351,18 @@ func (p *Probe) TxStop(mode Mode, reason Reason, retries uint32) {
 	}
 }
 
+// BackoffWait records one backoff wait between attempts: whether it
+// went as far as sleeping, and the wall time it took.
+func (p *Probe) BackoffWait(slept bool, d time.Duration) {
+	p.ws.backoffWaits.Add(1)
+	if slept {
+		p.ws.backoffSleeps.Add(1)
+	}
+	p.ws.backoffNs.Add(uint64(max(d, 0)))
+}
+
 func (p *Probe) event(e Event) {
 	e.Seq = p.m.seq.Add(1)
 	e.Worker = p.tid
-	p.ring.record(e)
+	p.ws.ring.record(e)
 }

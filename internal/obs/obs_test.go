@@ -37,15 +37,36 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 	h.Record(1000) // bucket 10: [512,1023]
 	s := h.Snapshot()
-	if q := s.Quantile(0.5); q != BucketUpper(4) {
-		t.Errorf("p50 = %d, want %d", q, BucketUpper(4))
+	// Rank 50 of the 100 values spread over [8,15]: 8 + 7·50.5/100.
+	if q := s.Quantile(0.5); q != 11 {
+		t.Errorf("p50 = %d, want 11", q)
 	}
-	if q := s.Quantile(1.0); q != BucketUpper(10) {
-		t.Errorf("p100 = %d, want %d", q, BucketUpper(10))
+	// Quantiles rise with q inside one bucket instead of all reading its
+	// upper edge, and stay inside it.
+	lo, hi := s.Quantile(0.01), s.Quantile(0.98)
+	if lo < 8 || lo >= hi || hi > BucketUpper(4) {
+		t.Errorf("p1 = %d, p98 = %d: want 8 <= p1 < p98 <= %d", lo, hi, BucketUpper(4))
+	}
+	// The one value of the top bucket reads as its middle, never beyond
+	// its edge.
+	if q := s.Quantile(1.0); q != 767 {
+		t.Errorf("p100 = %d, want 767 (middle of [512,1023])", q)
 	}
 	var empty HistSnapshot
 	if q := empty.Quantile(0.5); q != 0 {
 		t.Errorf("empty quantile = %d, want 0", q)
+	}
+	var zeros Histogram
+	zeros.Record(0)
+	if q := zeros.Snapshot().Quantile(0.5); q != 0 {
+		t.Errorf("quantile of exact zeros = %d, want 0", q)
+	}
+	// A lone 6 s value (a standing-repair lag) no longer reads as its
+	// bucket's edge, 2^33-1 ns.
+	var lag Histogram
+	lag.Record(6_000_000_000) // bucket 33: [2^32, 2^33)
+	if q := lag.Snapshot().Quantile(0.5); q <= 1<<32 || q >= BucketUpper(33) {
+		t.Errorf("lone-sample p50 = %d, want strictly inside (2^32, 2^33-1)", q)
 	}
 }
 
@@ -140,10 +161,14 @@ func TestMetricsReset(t *testing.T) {
 	p.TxAbort(ModeO, ReasonCapacity)
 	p.TxCommit(ModeO, 1, sp)
 	p.TxStop(ModeL, ReasonUser, 0)
+	p.BackoffWait(true, time.Millisecond)
 	m.Transition(TransHO)
+	if b := m.Snapshot().Backoff; b != (BackoffSnapshot{Waits: 1, Sleeps: 1, Ns: 1e6}) {
+		t.Fatalf("backoff before Reset = %+v", b)
+	}
 	m.Reset()
 	s := m.Snapshot()
-	if len(s.Modes) != 0 || len(s.Transitions) != 0 || s.EventsDropped != 0 {
+	if len(s.Modes) != 0 || len(s.Transitions) != 0 || s.EventsDropped != 0 || s.Backoff != (BackoffSnapshot{}) {
 		t.Fatalf("snapshot not empty after Reset: %+v", s)
 	}
 	if len(m.Events()) != 0 {
@@ -162,6 +187,11 @@ func TestSnapshotMergeAndJSON(t *testing.T) {
 	p2.TxCommit(ModeH, 2, Span{})
 	p2.TxCommit(ModeL, 0, Span{})
 	m2.Transition(TransOL)
+	// Backoff counters are per probe and sum over probes and snapshots.
+	p1.BackoffWait(false, 100)
+	p1b := m1.NewProbe(1)
+	p1b.BackoffWait(true, 2000)
+	p2.BackoffWait(true, 30000)
 
 	merged := m1.Snapshot().Merge(m2.Snapshot())
 	if got := merged.Commits(); got != 3 {
@@ -176,6 +206,9 @@ func TestSnapshotMergeAndJSON(t *testing.T) {
 	if got := merged.Transitions["o_to_l"]; got != 1 {
 		t.Fatalf("merged o_to_l = %d, want 1", got)
 	}
+	if want := (BackoffSnapshot{Waits: 3, Sleeps: 2, Ns: 32100}); merged.Backoff != want {
+		t.Fatalf("merged backoff = %+v, want %+v", merged.Backoff, want)
+	}
 
 	buf, err := json.Marshal(merged)
 	if err != nil {
@@ -185,8 +218,8 @@ func TestSnapshotMergeAndJSON(t *testing.T) {
 	if err := json.Unmarshal(buf, &back); err != nil {
 		t.Fatalf("snapshot does not round-trip: %v", err)
 	}
-	if back.Commits() != merged.Commits() {
-		t.Fatal("commit count lost in JSON round-trip")
+	if back.Commits() != merged.Commits() || back.Backoff != merged.Backoff {
+		t.Fatal("counts lost in JSON round-trip")
 	}
 }
 

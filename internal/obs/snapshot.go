@@ -11,6 +11,10 @@ type Snapshot struct {
 	// Transitions counts routing and controller transitions (h_to_o,
 	// o_to_l, period_up, period_down).
 	Transitions map[string]uint64 `json:"transitions,omitempty"`
+	// Backoff sums the workers' waits between attempts; read it beside
+	// the per-mode abort reasons (a conflict abort is worth a wait, a
+	// capacity abort is not).
+	Backoff BackoffSnapshot `json:"backoff"`
 	// Gauges carries point-in-time values (e.g. adaptive_period) the
 	// caller folds in; counters above are cumulative.
 	Gauges map[string]int64 `json:"gauges,omitempty"`
@@ -157,6 +161,17 @@ func (s ServerSnapshot) merge(other ServerSnapshot) ServerSnapshot {
 	return out
 }
 
+// BackoffSnapshot counts the backoff waits between a transaction's
+// attempts, summed over workers.
+type BackoffSnapshot struct {
+	// Waits counts waits of any length; Sleeps counts those that
+	// escalated to a timer sleep.
+	Waits  uint64 `json:"backoff_waits"`
+	Sleeps uint64 `json:"backoff_sleeps"`
+	// Ns is the wall time spent inside waits, in nanoseconds.
+	Ns uint64 `json:"backoff_ns"`
+}
+
 // ModeSnapshot is the per-mode slice of a Snapshot.
 type ModeSnapshot struct {
 	// Commits counts committed transactions in this mode.
@@ -186,6 +201,11 @@ func (m *Metrics) Snapshot() Snapshot {
 	s := Snapshot{
 		Modes:         make(map[string]ModeSnapshot),
 		EventsDropped: m.EventsDropped(),
+	}
+	for _, ws := range m.workerStates() {
+		s.Backoff.Waits += ws.backoffWaits.Load()
+		s.Backoff.Sleeps += ws.backoffSleeps.Load()
+		s.Backoff.Ns += ws.backoffNs.Load()
 	}
 	for mo := Mode(0); mo < NumModes; mo++ {
 		ms := ModeSnapshot{
@@ -262,6 +282,11 @@ func (s Snapshot) Merge(other Snapshot) Snapshot {
 	out := Snapshot{
 		Modes:         make(map[string]ModeSnapshot),
 		EventsDropped: s.EventsDropped + other.EventsDropped,
+		Backoff: BackoffSnapshot{
+			Waits:  s.Backoff.Waits + other.Backoff.Waits,
+			Sleeps: s.Backoff.Sleeps + other.Backoff.Sleeps,
+			Ns:     s.Backoff.Ns + other.Backoff.Ns,
+		},
 	}
 	switch {
 	case s.Server != nil && other.Server != nil:

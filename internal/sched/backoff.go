@@ -3,6 +3,8 @@ package sched
 import (
 	"runtime"
 	"time"
+
+	"tufast/internal/obs"
 )
 
 // backoff implements randomized exponential backoff for retry loops. It is
@@ -26,9 +28,10 @@ func (b *Backoff) Next() uint64 {
 	return b.rng
 }
 
-// wait spins for a randomized, exponentially growing number of iterations,
-// yielding the processor at higher levels.
-func (b *Backoff) Wait() {
+// Wait spins for a randomized, exponentially growing number of
+// iterations, yielding the processor at higher levels, and reports
+// whether it went as far as sleeping.
+func (b *Backoff) Wait() (slept bool) {
 	if b.level < 12 {
 		b.level++
 	}
@@ -40,17 +43,38 @@ func (b *Backoff) Wait() {
 	case b.level > 8:
 		// Persistent contention: sleep so the conflicting transaction
 		// can actually finish (critical on few-core machines, where a
-		// spinner starves the very holder it waits for).
+		// spinner starves the very holder it waits for). The nominal
+		// 20-80 µs is a floor, not the cost: on the 2-core reference box
+		// a 20 µs time.Sleep measures 1.1 ms at the median and 1.3 ms at
+		// p90 (timer granularity plus a trip through the scheduler). It
+		// stays all the same: an exact 20-80 µs yield loop in its place
+		// made lib_skew slower, because the waiters then hammer the long
+		// L transaction they are waiting for. What was wrong was reaching
+		// this level for reasons waiting cannot fix: core resets the
+		// level per transaction and does not wait after capacity aborts
+		// (EXPERIMENTS.md "Mode ladder" has both measurements).
 		time.Sleep(time.Duration(b.level-8) * 20 * time.Microsecond)
+		return true
 	case b.level > 3:
 		runtime.Gosched()
 	}
+	return false
 }
 
-// Reset returns the backoff to its minimum level. It runs after a commit
-// and whenever an attempt ends terminally (user error, panic, cancel, or
-// AbandonInFlight), so a pooled worker's next transaction never inherits
-// the previous transaction's contention history.
+// WaitObserved is Wait with the wait, whether it slept and the wall time
+// it took recorded on p.
+func (b *Backoff) WaitObserved(p *obs.Probe) {
+	start := time.Now()
+	slept := b.Wait()
+	p.BackoffWait(slept, time.Since(start))
+}
+
+// Reset returns the backoff to its minimum level, so a pooled worker's
+// next transaction never inherits the previous transaction's contention
+// history. The baselines call it when a transaction ends (commit, user
+// error, panic, cancel, AbandonInFlight); TuFast's core calls it once,
+// when the next transaction begins, which covers every way the previous
+// one can have ended in any of its three modes.
 func (b *Backoff) Reset() { b.level = 0 }
 
 // Level exposes the current escalation level (tests assert the panic and

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"tufast/internal/deadlock"
@@ -11,6 +12,13 @@ import (
 
 // Per-scheduler micro-benchmarks: one uncontended 8-read-1-write
 // transaction, the building block whose cost differences drive Fig. 13.
+
+// taxed injects the reproduction's cost model as internal/bench does, so
+// the ratios between these benchmarks are the ones Fig. 13 is built from.
+func taxed[S interface{ SetTax(func()) }](s S) S {
+	s.SetTax(simcost.Tax)
+	return s
+}
 
 func benchScheduler(b *testing.B, mk func(sp *mem.Space) Scheduler) {
 	sp := mem.NewSpace(1 << 16)
@@ -32,47 +40,71 @@ func benchScheduler(b *testing.B, mk func(sp *mem.Space) Scheduler) {
 
 func Benchmark2PLTxn(b *testing.B) {
 	benchScheduler(b, func(sp *mem.Space) Scheduler {
-		return NewTPL(sp, vlock.NewTable(1<<16), deadlock.NewDetector(8), deadlock.Detect)
+		return taxed(NewTPL(sp, vlock.NewTable(1<<16), deadlock.NewDetector(8), deadlock.Detect))
 	})
 }
 
 func BenchmarkOCCTxn(b *testing.B) {
 	benchScheduler(b, func(sp *mem.Space) Scheduler {
-		return NewOCC(sp, vlock.NewTable(1<<16))
+		return taxed(NewOCC(sp, vlock.NewTable(1<<16)))
 	})
 }
 
 func BenchmarkTOTxn(b *testing.B) {
 	benchScheduler(b, func(sp *mem.Space) Scheduler {
-		return NewTO(sp, vlock.NewTable(1<<16), 1<<16)
+		return taxed(NewTO(sp, vlock.NewTable(1<<16), 1<<16))
 	})
 }
 
 func BenchmarkSTMTxn(b *testing.B) {
 	benchScheduler(b, func(sp *mem.Space) Scheduler {
-		return NewSTM(sp)
+		return taxed(NewSTM(sp))
 	})
 }
 
 func BenchmarkHSyncTxn(b *testing.B) {
 	benchScheduler(b, func(sp *mem.Space) Scheduler {
-		return NewHSync(sp, 8)
+		return taxed(NewHSync(sp, 8))
 	})
 }
 
 func BenchmarkHTOTxn(b *testing.B) {
 	benchScheduler(b, func(sp *mem.Space) Scheduler {
-		return NewHTO(sp, vlock.NewTable(1<<16), 1<<16, 1000)
+		return taxed(NewHTO(sp, vlock.NewTable(1<<16), 1<<16, 1000))
 	})
 }
 
 // BenchmarkSTMTxnUntaxed isolates the cost-model contribution (see
-// internal/simcost): the same STM transaction without the calibrated
-// software-barrier penalty.
+// internal/simcost): the same STM transaction on an STM built without
+// the hook, as the library builds its schedulers.
 func BenchmarkSTMTxnUntaxed(b *testing.B) {
-	simcost.SetEnabled(false)
-	defer simcost.SetEnabled(true)
 	benchScheduler(b, func(sp *mem.Space) Scheduler {
 		return NewSTM(sp)
 	})
+}
+
+// BenchmarkTPLReadThenWrite is L mode's hub shape: one transaction that
+// reads each of k vertices and then writes it, so every vertex takes the
+// shared-to-exclusive upgrade path. The reported ns/op is per vertex and
+// must stay flat from 256 to 2048: lock bookkeeping is O(1) per hold
+// (when the detector's UpgradeHold searched the hold list from the front
+// the transaction was O(k²) and this grew 8x).
+func BenchmarkTPLReadThenWrite(b *testing.B) {
+	for _, k := range []int{256, 2048} {
+		b.Run(fmt.Sprint(k), func(b *testing.B) {
+			sp := mem.NewSpace(1 << 16)
+			s := NewTPL(sp, vlock.NewTable(k), deadlock.NewDetector(8), deadlock.Detect)
+			w := s.Worker(0)
+			fn := func(tx Tx) error {
+				for v := uint32(0); int(v) < k; v++ {
+					tx.Write(v, mem.Addr(v), tx.Read(v, mem.Addr(v))+1)
+				}
+				return nil
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i += k {
+				_ = w.Run(0, fn)
+			}
+		})
+	}
 }

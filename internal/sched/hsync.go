@@ -8,7 +8,6 @@ import (
 	"tufast/internal/htm"
 	"tufast/internal/mem"
 	"tufast/internal/obs"
-	"tufast/internal/simcost"
 )
 
 // HSync is a state-of-the-art published HyTM baseline (§VI-B): try the
@@ -22,6 +21,7 @@ import (
 // aborts and then joins the single-file software commit queue.
 type HSync struct {
 	Instrumented
+	Taxed
 	sp      *mem.Space
 	retries int
 
@@ -185,7 +185,7 @@ func (w *hsyncWorker) softCommit() bool {
 func (w *hsyncWorker) Read(_ uint32, addr mem.Addr) uint64 {
 	w.nreads++
 	if w.softMode {
-		simcost.Tax() // software read barrier
+		w.s.chargeTax() // software read barrier
 		if len(w.writes) != 0 {
 			if i, ok := w.writeIdx.Get(uint64(addr)); ok {
 				return w.writes[i].val
@@ -209,7 +209,7 @@ func (w *hsyncWorker) Read(_ uint32, addr mem.Addr) uint64 {
 func (w *hsyncWorker) Write(_ uint32, addr mem.Addr, val uint64) {
 	w.nwrites++
 	if w.softMode {
-		simcost.Tax() // software write barrier
+		w.s.chargeTax() // software write barrier
 		if i, ok := w.writeIdx.Get(uint64(addr)); ok {
 			w.writes[i].val = val
 			return

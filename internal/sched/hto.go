@@ -8,7 +8,6 @@ import (
 	"tufast/internal/htm"
 	"tufast/internal/mem"
 	"tufast/internal/obs"
-	"tufast/internal/simcost"
 	"tufast/internal/vlock"
 )
 
@@ -21,6 +20,7 @@ import (
 // comparison).
 type HTO struct {
 	Instrumented
+	Taxed
 	sp       *mem.Space
 	locks    *vlock.Table
 	rts      []atomic.Uint64
@@ -183,7 +183,7 @@ func (w *htoWorker) finish(commit bool) {
 
 // Read implements Tx with the TO read rule plus segment monitoring.
 func (w *htoWorker) Read(v uint32, addr mem.Addr) uint64 {
-	simcost.Tax() // the TO bookkeeping is a software barrier even with HTM assist
+	w.s.chargeTax() // the TO bookkeeping is a software barrier even with HTM assist
 	w.segOp()
 	if _, own := w.held.Get(uint64(v)); own {
 		w.nreads++
@@ -218,7 +218,7 @@ func (w *htoWorker) Read(v uint32, addr mem.Addr) uint64 {
 
 // Write implements Tx with the TO write rule.
 func (w *htoWorker) Write(v uint32, addr mem.Addr, val uint64) {
-	simcost.Tax()
+	w.s.chargeTax()
 	w.segOp()
 	if _, own := w.held.Get(uint64(v)); !own {
 		if w.s.rts[v].Load() > w.ts || w.s.wts[v].Load() > w.ts {

@@ -6,7 +6,6 @@ import (
 	"tufast/internal/gentab"
 	"tufast/internal/mem"
 	"tufast/internal/obs"
-	"tufast/internal/simcost"
 	"tufast/internal/vlock"
 )
 
@@ -18,6 +17,7 @@ import (
 // locks, so the stamp check alone proves the read set is unchanged.
 type OCC struct {
 	Instrumented
+	Taxed
 	sp    *mem.Space
 	locks *vlock.Table
 	stats Stats
@@ -106,7 +106,7 @@ func (w *occWorker) reset() {
 
 // Read implements Tx.
 func (w *occWorker) Read(v uint32, addr mem.Addr) uint64 {
-	simcost.Tax()
+	w.s.chargeTax()
 	if len(w.writes) != 0 {
 		if i, ok := w.writeIdx.Get(uint64(addr)); ok {
 			return w.writes[i].val
@@ -137,7 +137,7 @@ func (w *occWorker) Read(v uint32, addr mem.Addr) uint64 {
 
 // Write implements Tx.
 func (w *occWorker) Write(v uint32, addr mem.Addr, val uint64) {
-	simcost.Tax()
+	w.s.chargeTax()
 	if i, ok := w.writeIdx.Get(uint64(addr)); ok {
 		w.writes[i].val = val
 		return

@@ -291,3 +291,57 @@ func TestStatsSnapshotAndReset(t *testing.T) {
 		t.Fatal("reset incomplete")
 	}
 }
+
+// TestTaxHookChargedPerSoftwareBarrier: the reproduction's cost hook is
+// charged once per software-barrier operation when installed and is
+// absent otherwise. HSync's hardware path is free, as on real TSX, so a
+// transaction that fits the HTM charges nothing there.
+func TestTaxHookChargedPerSoftwareBarrier(t *testing.T) {
+	for name, mk := range makeAll(64) {
+		t.Run(name, func(t *testing.T) {
+			s, _ := mk()
+			charged := 0
+			s.(interface{ SetTax(func()) }).SetTax(func() { charged++ })
+			err := s.Worker(0).Run(4, func(tx Tx) error {
+				charged = 0 // count the committing attempt alone
+				tx.Write(1, 1, tx.Read(1, 1)+tx.Read(2, 2)+tx.Read(3, 3))
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 4
+			if name == "hsync" {
+				want = 0
+			}
+			if charged != want {
+				t.Fatalf("%d charges for 3 reads and a write, want %d", charged, want)
+			}
+		})
+	}
+}
+
+// TestHostedTPLWorkerRecordsOnlyBackoff: a worker embedded in another
+// scheduler leaves outcome recording to its host and records its backoff
+// waits on the host's probe.
+func TestHostedTPLWorkerRecordsOnlyBackoff(t *testing.T) {
+	sp := mem.NewSpace(1024)
+	s := NewTPL(sp, vlock.NewTable(8), deadlock.NewDetector(4), deadlock.Detect)
+	var host Instrumented
+	probe := host.Metrics().NewProbe(0)
+	w := s.NewHostedWorker(0, &probe)
+	s.SetFaultInjector(NewFaultInjector(FaultSpec{Mode: "L", Op: "commit"}))
+	if err := w.Run(0, func(tx Tx) error { tx.Write(1, 1, 7); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if retries, _ := w.LastAbortBreakdown(); retries != 1 {
+		t.Fatalf("injected commit abort: %d retries, want 1", retries)
+	}
+	own, hosted := s.Metrics().Snapshot(), host.Metrics().Snapshot()
+	if len(own.Modes) != 0 || len(hosted.Modes) != 0 {
+		t.Fatalf("hosted worker recorded outcomes: own %v, host %v", own.Modes, hosted.Modes)
+	}
+	if hosted.Backoff.Waits != 1 || own.Backoff.Waits != 0 {
+		t.Fatalf("backoff waits: host %d (want 1), own %d (want 0)", hosted.Backoff.Waits, own.Backoff.Waits)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"tufast/internal/gentab"
 	"tufast/internal/mem"
 	"tufast/internal/obs"
-	"tufast/internal/simcost"
 )
 
 // STM is a TinySTM/TL2-style word-based software transactional memory
@@ -20,6 +19,7 @@ import (
 // lets the HSync hybrid fall back from HTM to STM.
 type STM struct {
 	Instrumented
+	Taxed
 	sp    *mem.Space
 	stats Stats
 }
@@ -83,7 +83,7 @@ func (w *stmWorker) Run(_ int, fn TxFunc) error {
 
 // Read implements Tx (vertex granularity is unused: TinySTM is word-based).
 func (w *stmWorker) Read(_ uint32, addr mem.Addr) uint64 {
-	simcost.Tax()
+	w.s.chargeTax()
 	val, ok := w.tx.read(addr)
 	if !ok {
 		ThrowAbort("stm read conflict")
@@ -93,7 +93,7 @@ func (w *stmWorker) Read(_ uint32, addr mem.Addr) uint64 {
 
 // Write implements Tx.
 func (w *stmWorker) Write(_ uint32, addr mem.Addr, val uint64) {
-	simcost.Tax()
+	w.s.chargeTax()
 	if !w.tx.write(addr, val) {
 		ThrowAbort("stm write conflict")
 	}

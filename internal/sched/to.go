@@ -7,7 +7,6 @@ import (
 	"tufast/internal/gentab"
 	"tufast/internal/mem"
 	"tufast/internal/obs"
-	"tufast/internal/simcost"
 	"tufast/internal/vlock"
 )
 
@@ -19,6 +18,7 @@ import (
 // arrives "too late" aborts and retries with a fresh timestamp.
 type TO struct {
 	Instrumented
+	Taxed
 	sp    *mem.Space
 	locks *vlock.Table
 	rts   []atomic.Uint64
@@ -154,7 +154,7 @@ func casMax(a *atomic.Uint64, v uint64) {
 // held or took v's lock while we read (an older one that locks later
 // sees our rts and aborts), then verify no newer writer slipped in.
 func (w *toWorker) Read(v uint32, addr mem.Addr) uint64 {
-	simcost.Tax()
+	w.s.chargeTax()
 	if _, own := w.held.Get(uint64(v)); own {
 		w.nreads++
 		return w.s.sp.Load(addr)
@@ -180,7 +180,7 @@ func (w *toWorker) Read(v uint32, addr mem.Addr) uint64 {
 
 // Write implements Tx.
 func (w *toWorker) Write(v uint32, addr mem.Addr, val uint64) {
-	simcost.Tax()
+	w.s.chargeTax()
 	if _, own := w.held.Get(uint64(v)); !own {
 		if w.s.rts[v].Load() > w.ts || w.s.wts[v].Load() > w.ts {
 			ThrowAbort("write too late")

@@ -10,7 +10,6 @@ import (
 	"tufast/internal/gentab"
 	"tufast/internal/mem"
 	"tufast/internal/obs"
-	"tufast/internal/simcost"
 	"tufast/internal/vlock"
 )
 
@@ -22,17 +21,13 @@ import (
 // modes observe the version bumps and the lock stamps.
 type TPL struct {
 	Instrumented
+	Taxed
 	sp    *mem.Space
 	locks *vlock.Table
 	det   *deadlock.Detector
 	mode  deadlock.Mode
 	stats Stats
 	name  string
-
-	// obsOff suppresses scheduler-level obs recording; TuFast's core
-	// sets it and records L-mode outcomes itself (with end-to-end
-	// latency and the O2L/L class split the core alone knows).
-	obsOff bool
 
 	// drain is the starvation escape hatch: under extreme contention the
 	// shared->exclusive upgrade path can deadlock-victim the same
@@ -59,11 +54,6 @@ func (s *TPL) SetExclusiveOnly(on bool) { s.exclusiveOnly = on }
 // SetFaultInjector installs (or, with nil, removes) a fault injector.
 func (s *TPL) SetFaultInjector(fi *FaultInjector) { s.faults.Store(fi) }
 
-// DisableObs turns off scheduler-level obs recording (the embedding
-// scheduler records instead; per-run breakdowns stay available through
-// LastRetries / LastAbortBreakdown).
-func (s *TPL) DisableObs() { s.obsOff = true }
-
 // NewTPL creates a 2PL scheduler. det may be nil unless mode is Detect.
 func NewTPL(sp *mem.Space, locks *vlock.Table, det *deadlock.Detector, mode deadlock.Mode) *TPL {
 	if mode == deadlock.Detect && det == nil {
@@ -81,21 +71,42 @@ func (s *TPL) Stats() *Stats { return &s.stats }
 // Worker implements Scheduler.
 func (s *TPL) Worker(tid int) Worker { return s.NewWorker(tid) }
 
-// NewWorker returns the concrete worker (TuFast's core uses it directly
-// as the L-mode executor).
+// NewWorker returns the concrete worker.
 func (s *TPL) NewWorker(tid int) *TPLWorker {
+	p := s.Metrics().NewProbe(tid)
+	return s.newWorker(tid, &p, false)
+}
+
+// NewHostedWorker returns a worker embedded in another scheduler's
+// worker (TuFast's core uses it as the L-mode executor). The host records
+// transaction outcomes itself — it alone knows the end-to-end latency and
+// the O2L/L class split; per-run breakdowns stay available through
+// LastOpCounts / LastAbortBreakdown — so a hosted worker records only
+// what it alone sees, its backoff waits, and records them on the host's
+// probe.
+func (s *TPL) NewHostedWorker(tid int, host *obs.Probe) *TPLWorker {
+	return s.newWorker(tid, host, true)
+}
+
+func (s *TPL) newWorker(tid int, probe *obs.Probe, hosted bool) *TPLWorker {
 	return &TPLWorker{
-		s:     s,
-		tid:   tid,
-		held:  gentab.New(6),
-		bo:    NewBackoff(uint64(tid)*0x9E3779B97F4A7C15 + 1),
-		probe: s.Metrics().NewProbe(tid),
+		s:      s,
+		tid:    tid,
+		held:   gentab.New(6),
+		bo:     NewBackoff(uint64(tid)*0x9E3779B97F4A7C15 + 1),
+		probe:  probe,
+		hosted: hosted,
 	}
 }
 
+// A held-table value packs the hold's mode with its position in order
+// (and, in Detect mode, in the detector's hold list, which grows in
+// lockstep): an upgrade names its hold instead of searching for it.
 const (
-	holdShared uint8 = 1
-	holdExcl   uint8 = 2
+	holdShared int32 = 1
+	holdExcl   int32 = 2
+	holdMode   int32 = 3
+	holdShift        = 2
 )
 
 type undoRec struct {
@@ -107,7 +118,7 @@ type undoRec struct {
 type TPLWorker struct {
 	s     *TPL
 	tid   int
-	held  *gentab.Table // vertex -> holdShared/holdExcl
+	held  *gentab.Table // vertex -> position in order << holdShift | holdShared/holdExcl
 	order []uint32
 	undo  []undoRec
 	bo    Backoff
@@ -116,7 +127,10 @@ type TPLWorker struct {
 	// when the transaction is not cancellable); lock-wait loops poll it.
 	ctx context.Context
 
-	probe obs.Probe
+	probe *obs.Probe
+	// hosted suppresses outcome recording on probe, which then belongs
+	// to the embedding scheduler's worker (see NewHostedWorker).
+	hosted bool
 	// dlAbort marks the in-flight attempt as a deadlock victim so the
 	// retry loop can attribute the abort.
 	dlAbort bool
@@ -148,7 +162,7 @@ const upgradeSpinLimit = 1 << 14
 // Run implements Worker. The size hint is ignored: 2PL handles any size.
 func (w *TPLWorker) Run(_ int, fn TxFunc) error {
 	var sp obs.Span
-	if !w.s.obsOff {
+	if !w.hosted {
 		sp = w.probe.TxBegin(0)
 	}
 	consecutive := 0
@@ -162,7 +176,7 @@ func (w *TPLWorker) Run(_ int, fn TxFunc) error {
 			w.s.stats.Writes.Add(w.nwrites)
 			w.resetCounters()
 			w.noteDone(uint64(consecutive), deadlocks)
-			if !w.s.obsOff {
+			if !w.hosted {
 				w.probe.TxCommit(obs.ModeL, uint32(consecutive), sp)
 			}
 			w.bo.Reset()
@@ -172,7 +186,7 @@ func (w *TPLWorker) Run(_ int, fn TxFunc) error {
 			w.s.stats.NoteUserStop(err)
 			w.resetCounters()
 			w.noteDone(uint64(consecutive), deadlocks)
-			if !w.s.obsOff {
+			if !w.hosted {
 				w.probe.TxStop(obs.ModeL, StopReason(err), uint32(consecutive))
 			}
 			w.bo.Reset()
@@ -184,20 +198,20 @@ func (w *TPLWorker) Run(_ int, fn TxFunc) error {
 			reason = obs.ReasonDeadlock
 			deadlocks++
 		}
-		if !w.s.obsOff {
+		if !w.hosted {
 			w.probe.TxAbort(obs.ModeL, reason)
 		}
 		w.resetCounters()
 		consecutive++
 		if err := w.ctxErr(); err != nil {
 			w.noteDone(uint64(consecutive), deadlocks)
-			if !w.s.obsOff {
+			if !w.hosted {
 				w.probe.TxStop(obs.ModeL, obs.ReasonCancel, uint32(consecutive))
 			}
 			w.bo.Reset()
 			return err
 		}
-		w.bo.Wait()
+		w.bo.WaitObserved(w.probe)
 	}
 }
 
@@ -278,7 +292,7 @@ func (w *TPLWorker) finish(commit bool) {
 	}
 	for _, v := range w.order {
 		m, _ := w.held.Get(uint64(v))
-		switch uint8(m) {
+		switch m & holdMode {
 		case holdShared:
 			w.s.locks.ReleaseShared(v)
 		case holdExcl:
@@ -295,7 +309,7 @@ func (w *TPLWorker) finish(commit bool) {
 
 // Read implements Tx.
 func (w *TPLWorker) Read(v uint32, addr mem.Addr) uint64 {
-	simcost.Tax()
+	w.s.chargeTax()
 	w.s.faults.Load().At("L", "read")
 	if _, ok := w.held.Get(uint64(v)); !ok {
 		if w.s.exclusiveOnly {
@@ -310,9 +324,9 @@ func (w *TPLWorker) Read(v uint32, addr mem.Addr) uint64 {
 
 // Write implements Tx.
 func (w *TPLWorker) Write(v uint32, addr mem.Addr, val uint64) {
-	simcost.Tax()
+	w.s.chargeTax()
 	w.s.faults.Load().At("L", "write")
-	if m, ok := w.held.Get(uint64(v)); !ok || uint8(m) != holdExcl {
+	if m, ok := w.held.Get(uint64(v)); !ok || m&holdMode != holdExcl {
 		w.lockExclusive(v)
 	}
 	w.undo = append(w.undo, undoRec{addr: addr, old: w.s.sp.Load(addr)})
@@ -322,28 +336,30 @@ func (w *TPLWorker) Write(v uint32, addr mem.Addr, val uint64) {
 
 func (w *TPLWorker) lockShared(v uint32) {
 	w.block(v, false, func() bool { return w.s.locks.TryShared(v) })
-	w.held.Put(uint64(v), int32(holdShared))
-	w.order = append(w.order, v)
-	if w.s.mode == deadlock.Detect {
-		w.s.det.AddHold(w.tid, v, false)
-	}
+	w.noteHold(v, holdShared)
 }
 
 func (w *TPLWorker) lockExclusive(v uint32) {
-	if m, ok := w.held.Get(uint64(v)); ok && uint8(m) == holdShared {
+	if m, ok := w.held.Get(uint64(v)); ok && m&holdMode == holdShared {
 		// Shared-to-exclusive upgrade: wait until we are the sole holder.
 		w.block(v, true, func() bool { return w.s.locks.UpgradeToExclusive(v, w.tid) })
-		w.held.Put(uint64(v), int32(holdExcl))
+		w.held.Put(uint64(v), m&^holdMode|holdExcl)
 		if w.s.mode == deadlock.Detect {
-			w.s.det.UpgradeHold(w.tid, v)
+			w.s.det.UpgradeHold(w.tid, int(m>>holdShift), v)
 		}
 		return
 	}
 	w.block(v, true, func() bool { return w.s.locks.TryExclusive(v, w.tid) })
-	w.held.Put(uint64(v), int32(holdExcl))
+	w.noteHold(v, holdExcl)
+}
+
+// noteHold records a freshly acquired lock at the tail of order and of
+// the detector's hold list.
+func (w *TPLWorker) noteHold(v uint32, mode int32) {
+	w.held.Put(uint64(v), int32(len(w.order))<<holdShift|mode)
 	w.order = append(w.order, v)
 	if w.s.mode == deadlock.Detect {
-		w.s.det.AddHold(w.tid, v, true)
+		w.s.det.AddHold(w.tid, v, mode == holdExcl)
 	}
 }
 

@@ -18,13 +18,17 @@
 // tax, a software barrier costs about twice an emulated-HTM operation;
 // on real hardware the ratio is 10-50x, so this is a conservative
 // compression that preserves ordering without manufacturing the paper's
-// absolute speedups. Disable it (SetEnabled(false)) to measure raw
-// emulation costs; EXPERIMENTS.md reports the shape both ways.
+// absolute speedups.
+//
+// The tax belongs to the reproduction, not to the library: nothing under
+// internal/sched or internal/core imports this package. internal/bench
+// and cmd/tufast's -system comparison inject Tax into every baseline
+// (sched.Taxed.SetTax) and into TuFast's L mode (core.Config.Tax), and
+// the comparison engines under internal/engines call it directly; a
+// scheduler built without the hook — tufast.NewSystem, tufastd,
+// benchmark/ — runs at raw emulation cost and never links the spin
+// (scripts/check.sh asserts it for the serving binaries).
 package simcost
-
-import "sync/atomic"
-
-var disabled atomic.Bool
 
 // taxIterations is sized to ~100ns of dependent ALU work on current
 // hardware — about the cost of one emulated-HTM read (two map probes and
@@ -43,15 +47,4 @@ func spin(n int) uint64 {
 }
 
 // Tax charges one software-barrier penalty.
-func Tax() {
-	if disabled.Load() {
-		return
-	}
-	spin(taxIterations)
-}
-
-// SetEnabled toggles the cost model (on by default).
-func SetEnabled(on bool) { disabled.Store(!on) }
-
-// Enabled reports whether the cost model is active.
-func Enabled() bool { return !disabled.Load() }
+func Tax() { spin(taxIterations) }

@@ -49,10 +49,10 @@ go run ./cmd/tufastcheck -strict-ignores ./...
 end
 
 # The serving binaries' dependency set can only shrink: neither the
-# daemon nor the load generator links the paper-reproduction harness or
-# the comparison engines.
+# daemon nor the load generator links the paper-reproduction harness,
+# the comparison engines or the reproduction's cost model.
 begin "serving binaries link no reproduction code"
-if go list -deps ./cmd/tufastd ./cmd/tufast-loadgen | grep -E '^tufast/internal/(bench|engines)'; then
+if go list -deps ./cmd/tufastd ./cmd/tufast-loadgen | grep -E '^tufast/internal/(bench|engines|simcost)'; then
     echo "cmd/tufastd or cmd/tufast-loadgen links the packages above" >&2
     exit 1
 fi
@@ -72,7 +72,9 @@ end
 # Serializability under oversubscription: the isolated run above passes
 # on schedulers that lose updates once threads outnumber cores, so the
 # same oracles run again as eight concurrent processes at -cpu 8, over
-# every baseline scheduler and over core's cross-mode histories.
+# every baseline scheduler (with the deadlock-resolution test, which
+# lives on the detector's cycle scan) and over core's cross-mode
+# histories, mode ladder and router.
 begin "oversubscribed serializability (8 processes, -cpu 8)"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -94,8 +96,8 @@ oversubscribed() { # test binary, -test.run pattern, -test.count
         exit 1
     fi
 }
-oversubscribed "$tmp/sched.test" 'TestSerializabilityHistories|TestBankTransfer|TestCounterIsolation|TestWriteSkewPrevented' 50
-oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestIsolationAcrossModes' 30
+oversubscribed "$tmp/sched.test" 'TestSerializabilityHistories|TestBankTransfer|TestCounterIsolation|TestWriteSkewPrevented|TestDeadlockResolution' 50
+oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestIsolationAcrossModes|TestRouter|TestBackoffStartsAtZeroAfterLadder|TestOCapacityAbortDoesNotBackOff' 30
 end
 
 echo "All checks passed."

@@ -7,12 +7,14 @@ import (
 	"testing"
 
 	"tufast"
+	"tufast/internal/sched"
 )
 
 // runCounterWorkload drives a System through all three modes so every
 // snapshot counter family has a chance to move: neighborhood
 // transactions (H for the power-law majority, O/L for the heavy tails),
-// plus one user-stopped and one panicking transaction.
+// plus one user-stopped and one panicking transaction, and one injected
+// transient abort so the backoff counters move on any machine.
 func runCounterWorkload(t *testing.T, sys *tufast.System, g *tufast.Graph) {
 	t.Helper()
 	arr := sys.NewVertexArray(0)
@@ -35,6 +37,11 @@ func runCounterWorkload(t *testing.T, sys *tufast.System, g *tufast.Graph) {
 	var pe *tufast.TxPanicError
 	if err := sys.Atomic(0, func(tx tufast.Tx) error { panic("boom") }); !errors.As(err, &pe) {
 		t.Fatalf("panic stop: %v", err)
+	}
+	sys.Core().SetFaultInjector(sched.NewFaultInjector(sched.FaultSpec{Mode: "H", Op: "commit"}))
+	defer sys.Core().SetFaultInjector(nil)
+	if err := sys.Atomic(2, func(tx tufast.Tx) error { tx.Write(0, arr.Addr(0), 1); return nil }); err != nil {
+		t.Fatalf("retried transaction: %v", err)
 	}
 }
 
@@ -59,6 +66,10 @@ func TestResetStatsZeroesEveryCounter(t *testing.T) {
 		t.Fatalf("workload recorded no terminal stops: %+v", pre)
 	}
 
+	if b := sys.MetricsSnapshot().Backoff; b.Waits == 0 {
+		t.Fatalf("workload recorded no backoff wait: %+v", b)
+	}
+
 	sys.ResetStats()
 	post := sys.StatsSnapshot()
 
@@ -77,8 +88,16 @@ func TestResetStatsZeroesEveryCounter(t *testing.T) {
 		assertZero(t, f.Name, rv.Field(i))
 	}
 
-	// The observability layer resets with the same call.
+	// The observability layer resets with the same call: every numeric
+	// field of the metrics snapshot but the gauges (backoff counters
+	// included) is a cumulative counter too.
 	ms := sys.MetricsSnapshot()
+	mv := reflect.ValueOf(ms)
+	for i := 0; i < mv.NumField(); i++ {
+		if name := mv.Type().Field(i).Name; name != "Gauges" {
+			assertZero(t, "Metrics."+name, mv.Field(i))
+		}
+	}
 	if got := ms.Commits(); got != 0 {
 		t.Errorf("MetricsSnapshot.Commits() = %d after ResetStats", got)
 	}

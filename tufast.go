@@ -101,12 +101,15 @@ type Options struct {
 	StaticPeriod bool
 	// Deadlock selects the L-mode policy.
 	Deadlock DeadlockPolicy
-	// HMaxHint and OMaxHint override the §IV-B routing thresholds: a
-	// transaction with size hint ≤ HMaxHint tries H mode first, one
+	// HMaxHint and OMaxHint override the §IV-B routing ceilings: a
+	// transaction with size hint ≤ HMaxHint may try H mode first, one
 	// above OMaxHint goes straight to L mode, and anything between
 	// starts optimistic (defaults: the HTM word capacity and 8× it).
-	// Lowering them makes small graphs exercise the full H/O/L spread,
-	// which streaming workloads use to route mutations by live degree.
+	// Under the ceilings the router also learns, per size class, which
+	// modes' attempts mostly fail and skips them (DESIGN.md §1).
+	// Lowering the ceilings makes small graphs exercise the full H/O/L
+	// spread, which streaming workloads use to route mutations by live
+	// degree.
 	HMaxHint int
 	OMaxHint int
 }
