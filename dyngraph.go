@@ -2,13 +2,11 @@ package tufast
 
 import (
 	"context"
-	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tufast/internal/dyngraph"
 	"tufast/internal/worklist"
@@ -667,7 +665,7 @@ func (d *DynGraph) applyWindow(ctx context.Context, win []StreamOp, opt StreamOp
 	return nil
 }
 
-// Sink is a Source that also accepts pushes; *Queue and *PQ satisfy it.
+// Sink is a Source that also accepts pushes; *Queue satisfies it.
 type Sink interface {
 	Source
 	Push(v uint32)
@@ -688,82 +686,25 @@ func (s *System) ForEachQueuedEmit(q Sink, hint func(v uint32) int,
 // ForEachQueuedEmitCtx is ForEachQueuedEmit with cancellation.
 func (s *System) ForEachQueuedEmitCtx(ctx context.Context, q Sink, hint func(v uint32) int,
 	fn func(tx Tx, v uint32, emit func(u uint32)) error) error {
-	cancellable := ctx.Done() != nil
-	var firstErr atomic.Value
-	var idle atomic.Int64
-	var wg sync.WaitGroup
-	for t := 0; t < s.threads; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels(
-				"tufast", "foreach_queued_emit", "worker", strconv.Itoa(t))))
-			w := s.Worker()
-			defer s.Release(w)
-			var pending []uint32
-			emit := func(u uint32) { pending = append(pending, u) }
-			// Quiesce invariant as in ForEachQueuedCtx: every exit path
-			// leaves this worker's idle contribution counted, so the
-			// rest can always reach the all-idle threshold.
-			idleSpins := 0
-			for {
-				if firstErr.Load() != nil {
-					idle.Add(1)
-					return
-				}
-				if cancellable {
-					if err := ctx.Err(); err != nil {
-						firstErr.CompareAndSwap(nil, err)
-						idle.Add(1)
-						return
-					}
-				}
-				v, ok := q.Pop()
-				if ok {
-					idleSpins = 0
-				}
-				if !ok {
-					n := idle.Add(1)
-					if int(n) >= s.threads && q.Len() == 0 {
-						return
-					}
-					idleSpins++
-					if idleSpins > 64 {
-						time.Sleep(50 * time.Microsecond)
-					} else {
-						runtime.Gosched()
-					}
-					idle.Add(-1)
-					continue
-				}
-				h := s.g.Degree(v)*2 + 2
-				if hint != nil {
-					h = hint(v)
-				}
-				err := w.AtomicCtx(ctx, h, func(tx Tx) error {
-					pending = pending[:0]
-					return fn(tx, v, emit)
-				})
-				if err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					idle.Add(1)
-					return
-				}
-				// Flush post-commit: these pushes are backed by committed
-				// writes, so the stale-wakeup caveat of ForEachQueued's
-				// in-transaction pushes does not apply.
-				for _, u := range pending {
-					q.Push(u)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if e := firstErr.Load(); e != nil {
-		return e.(error)
-	}
-	return nil
+	return s.drain(ctx, "foreach_queued_emit", q, sinkOf(q), hint, fn)
 }
+
+// sinkOf returns where the driver publishes emits for q: the library's
+// own queue takes a worker's emits a batch at a time, anything else gets
+// them through its Push.
+func sinkOf(q Sink) worklist.Sink {
+	if fq, ok := q.(*Queue); ok {
+		return fifoSink{(*worklist.Queue)(fq)}
+	}
+	return pushSink{q}
+}
+
+// fifoSink publishes into a worklist.Queue (prio ignored).
+type fifoSink struct{ *worklist.Queue }
+
+func (s fifoSink) Push(v uint32, _ uint64) { s.Queue.Push(v) }
+
+// pushSink publishes into a caller's Sink, one Push per emit.
+type pushSink struct{ q Sink }
+
+func (s pushSink) Push(v uint32, _ uint64) { s.q.Push(v) }

@@ -320,6 +320,94 @@ func TestForEachQueuedErrorWhileOthersIdle(t *testing.T) {
 	assertNoVertexLocks(t, s)
 }
 
+// popOnlyQueue is a caller's own Source and Sink: it has none of the
+// chunk methods the library's queues have, so the driver polls it one id
+// at a time and publishes emits one Push at a time.
+type popOnlyQueue struct{ q *tufast.Queue }
+
+func (p popOnlyQueue) Pop() (uint32, bool) { return p.q.Pop() }
+func (p popOnlyQueue) Len() int            { return p.q.Len() }
+func (p popOnlyQueue) Push(v uint32)       { p.q.Push(v) }
+
+// TestQueuedDriversQuiesce runs the two cases above — a failing
+// transaction while every other worker idles, a cancelled drain that
+// never empties — through every queued entry point and both kinds of
+// queue, now that one loop (worklist.Drain) serves them all.
+func TestQueuedDriversQuiesce(t *testing.T) {
+	g := tufast.GenerateUniform(256, 4, 1)
+	type drain func(ctx context.Context, s *tufast.System, q tufast.Sink, fn func(tx tufast.Tx, v uint32, emit func(uint32)) error) error
+	queued := func(ctx context.Context, s *tufast.System, q tufast.Sink, fn func(tufast.Tx, uint32, func(uint32)) error) error {
+		return s.ForEachQueuedCtx(ctx, q, func(tx tufast.Tx, v uint32) error { return fn(tx, v, q.Push) })
+	}
+	emitting := func(ctx context.Context, s *tufast.System, q tufast.Sink, fn func(tufast.Tx, uint32, func(uint32)) error) error {
+		return s.ForEachQueuedEmitCtx(ctx, q, nil, fn)
+	}
+	for _, tc := range []struct {
+		name    string
+		run     drain
+		popOnly bool
+	}{
+		{"ForEachQueuedCtx/pop-only source", queued, true},
+		{"ForEachQueuedEmitCtx/queue", emitting, false},
+		{"ForEachQueuedEmitCtx/pop-only sink", emitting, true},
+	} {
+		newQueue := func(s *tufast.System) tufast.Sink {
+			if tc.popOnly {
+				return popOnlyQueue{s.NewQueue()}
+			}
+			return s.NewQueue()
+		}
+		t.Run(tc.name+"/error while others idle", func(t *testing.T) {
+			s := tufast.NewSystem(g, tufast.Options{Threads: 8})
+			q := newQueue(s)
+			q.Push(0)
+			boom := errors.New("fn failed")
+			done := make(chan error, 1)
+			go func() {
+				done <- tc.run(context.Background(), s, q, func(tufast.Tx, uint32, func(uint32)) error {
+					time.Sleep(50 * time.Millisecond)
+					return boom
+				})
+			}()
+			select {
+			case err := <-done:
+				if err != boom {
+					t.Fatalf("err = %v, want %v", err, boom)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("drain hung: error exit did not keep its idle contribution")
+			}
+			assertNoVertexLocks(t, s)
+		})
+		t.Run(tc.name+"/cancel", func(t *testing.T) {
+			s := tufast.NewSystem(g, tufast.Options{Threads: 4})
+			arr := s.NewVertexArray(0)
+			q := newQueue(s)
+			for v := uint32(0); v < 64; v++ {
+				q.Push(v)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				time.Sleep(10 * time.Millisecond)
+				cancel()
+			}()
+			start := time.Now()
+			err := tc.run(ctx, s, q, func(tx tufast.Tx, v uint32, emit func(uint32)) error {
+				tx.Write(v, arr.Addr(v), tx.Read(v, arr.Addr(v))+1)
+				emit(v) // never lets the queue drain
+				return nil
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if elapsed := time.Since(start); elapsed > 110*time.Millisecond {
+				t.Fatalf("cancelled drain returned after %v, want < 100ms after cancel", elapsed)
+			}
+			assertNoVertexLocks(t, s)
+		})
+	}
+}
+
 // TestMixedModeFaultHammer hammers all three modes concurrently with a
 // mix of commits, user errors, and panics under the race detector, then
 // checks exactly the committed increments landed.

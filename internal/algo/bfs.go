@@ -24,7 +24,7 @@ func BFS(r *Runtime, source uint32) (*BFSResult, error) {
 	q := worklist.NewQueue(r.Threads)
 	q.Push(source)
 
-	err := r.ForEachQueued(FIFOSource{q}, func(tx sched.Tx, v uint32, emit func(uint32, uint64)) error {
+	_, err := r.ForEachQueued(FIFOSource{q}, func(tx sched.Tx, v uint32, emit func(uint32, uint64)) error {
 		lv := tx.Read(v, level+mem.Addr(v))
 		if lv == None {
 			return nil // stale wakeup

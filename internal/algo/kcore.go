@@ -36,7 +36,7 @@ func KCore(r *Runtime) (*KCoreResult, error) {
 		q.Push(v)
 	}
 
-	err := r.ForEachQueued(DedupFIFO{Q: q, Queued: queued}, func(tx sched.Tx, v uint32, emit func(uint32, uint64)) error {
+	_, err := r.ForEachQueued(DedupFIFO{Q: q, Queued: queued}, func(tx sched.Tx, v uint32, emit func(uint32, uint64)) error {
 		queued.Clear(v)
 		cur := tx.Read(v, bound+mem.Addr(v))
 		if cur == 0 {

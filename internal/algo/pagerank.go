@@ -9,7 +9,7 @@ import (
 // PageRankResult carries the ranks and convergence metrics.
 type PageRankResult struct {
 	Rank       []float64
-	Iterations uint64 // vertex-transactions processed
+	Iterations uint64 // vertex transactions committed
 }
 
 // PageRank computes PageRank with damping d to residual tolerance eps
@@ -54,10 +54,7 @@ func PageRank(r *Runtime, d, eps float64) (*PageRankResult, error) {
 		}
 	}
 
-	res := &PageRankResult{}
-	var processed atomicCounter
-	err := r.ForEachQueued(DedupFIFO{Q: q, Queued: queued}, func(tx sched.Tx, v uint32, emit func(uint32, uint64)) error {
-		processed.inc()
+	committed, err := r.ForEachQueued(DedupFIFO{Q: q, Queued: queued}, func(tx sched.Tx, v uint32, emit func(uint32, uint64)) error {
 		queued.Clear(v)
 		rv := mem.Float(tx.Read(v, resid+mem.Addr(v)))
 		if rv <= eps {
@@ -90,7 +87,5 @@ func PageRank(r *Runtime, d, eps float64) (*PageRankResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Rank = r.ReadFloatArray(rank)
-	res.Iterations = processed.get()
-	return res, nil
+	return &PageRankResult{Rank: r.ReadFloatArray(rank), Iterations: committed}, nil
 }

@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tufast/internal/graph"
 	"tufast/internal/mem"
@@ -142,7 +141,8 @@ func (r *Runtime) ForEachVertex(fn func(tx sched.Tx, v uint32) error) error {
 
 // Source is a work queue the queued driver drains and refills
 // (worklist.Queue or worklist.PQ adapters satisfy it). Push receives the
-// emits of a committed transaction; FIFO adapters ignore prio.
+// emits of a committed transaction; FIFO adapters ignore prio. The
+// adapters below also carry the chunk methods worklist.Drain looks for.
 type Source interface {
 	Pop() (uint32, bool)
 	Push(v uint32, prio uint64)
@@ -185,6 +185,9 @@ type DedupFIFO struct {
 // Pop implements Source.
 func (s DedupFIFO) Pop() (uint32, bool) { return s.Q.Pop() }
 
+// PopChunk lets the driver poll a chunk at a time.
+func (s DedupFIFO) PopChunk(buf []uint32) int { return s.Q.PopChunk(buf) }
+
 // Push implements Source (prio ignored).
 func (s DedupFIFO) Push(v uint32, _ uint64) {
 	if s.Queued.TestAndSet(v) {
@@ -192,104 +195,51 @@ func (s DedupFIFO) Push(v uint32, _ uint64) {
 	}
 }
 
+// PushChunk is Push for a worker's whole batch of emits: the ones not
+// queued yet are kept (in place — the driver is done with items) and
+// pushed together.
+func (s DedupFIFO) PushChunk(items []worklist.Item) {
+	fresh := items[:0]
+	for _, it := range items {
+		if s.Queued.TestAndSet(it.V) {
+			fresh = append(fresh, it)
+		}
+	}
+	s.Q.PushChunk(fresh)
+}
+
 // Len implements Source.
 func (s DedupFIFO) Len() int { return s.Q.Len() }
 
-// pushReq is one buffered emit awaiting its transaction's commit.
-type pushReq struct {
-	v    uint32
-	prio uint64
-}
-
 // ForEachQueued drains q with r.Threads workers, one transaction per
-// polled vertex. fn re-activates vertices through emit, NOT by pushing
-// into q directly: emits are buffered and flushed to q.Push only after
-// the transaction commits (aborted and retried attempts discard theirs).
-// This closes the lost-wakeup window of eager pushes under commit-time
-// visibility — a vertex pushed before its activating write was visible
-// could be popped, observed unimproved, and dropped, with nobody left to
-// re-deliver the improvement once it landed.
+// polled vertex, and returns how many transactions committed. fn
+// re-activates vertices through emit, NOT by pushing into q directly:
+// emits are buffered and flushed to q only after the transaction commits
+// (aborted and retried attempts discard theirs). This closes the
+// lost-wakeup window of eager pushes under commit-time visibility — a
+// vertex pushed before its activating write was visible could be popped,
+// observed unimproved, and dropped, with nobody left to re-deliver the
+// improvement once it landed.
 //
-// Workers quiesce when the queue stays empty. Every exit path leaves the
-// worker's idle contribution permanently counted (see
-// tufast.System.ForEachQueuedCtx), so peers terminate no matter why a
-// worker left. When the runtime carries a context, cancellation stops
-// the drain promptly and the context's error is returned.
-func (r *Runtime) ForEachQueued(q Source, fn func(tx sched.Tx, v uint32, emit func(u uint32, prio uint64)) error) error {
-	ctx := r.Ctx
-	var firstErr atomic.Value
-	var idle atomic.Int64
-	var wg sync.WaitGroup
-	threads := r.Threads
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := r.worker()
-			defer r.release(w)
-			var pending []pushReq
-			emit := func(u uint32, prio uint64) {
-				pending = append(pending, pushReq{v: u, prio: prio})
-			}
-			idleSpins := 0
-			for {
-				if firstErr.Load() != nil {
-					idle.Add(1)
-					return
-				}
-				if ctx != nil {
-					if err := ctx.Err(); err != nil {
-						firstErr.CompareAndSwap(nil, err)
-						idle.Add(1)
-						return
-					}
-				}
-				v, ok := q.Pop()
-				if ok {
-					idleSpins = 0
-				}
-				if !ok {
-					n := idle.Add(1)
-					if int(n) >= threads && q.Len() == 0 {
-						return
-					}
-					idleSpins++
-					if idleSpins > 64 {
-						time.Sleep(50 * time.Microsecond)
-					} else {
-						runtime.Gosched()
-					}
-					idle.Add(-1)
-					continue
-				}
-				hint := r.G.Degree(v)*2 + 2
-				err := r.run(w, hint, func(tx sched.Tx) error {
-					pending = pending[:0] // a retried attempt re-emits from scratch
-					return fn(tx, v, emit)
-				})
-				if err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					idle.Add(1)
-					return
-				}
-				// Committed: the writes are visible, deliver the wakeups.
-				for _, p := range pending {
-					q.Push(p.v, p.prio)
-				}
-				pending = pending[:0]
-			}
-		}()
-	}
-	wg.Wait()
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
+// The loop itself — chunked polling, post-commit publishing, the quiesce
+// rule that lets workers leave, cancellation through the runtime's
+// context — is worklist.Drain, shared with tufast.System's drivers.
+func (r *Runtime) ForEachQueued(q Source, fn func(tx sched.Tx, v uint32, emit func(u uint32, prio uint64)) error) (uint64, error) {
+	return worklist.Drain(r.ctx(), q, q, r.Threads, func(_ int, out *worklist.Emits) (func(uint32) error, func()) {
+		w := r.worker()
+		// One body per worker, not per vertex: cur is the vertex in hand.
+		var cur uint32
+		emit := out.Emit
+		body := func(tx sched.Tx) error {
+			out.Retry() // a retried attempt re-emits from scratch
+			return fn(tx, cur, emit)
 		}
-	}
-	if e := firstErr.Load(); e != nil {
-		return e.(error)
-	}
-	return nil
+		step := func(v uint32) error {
+			cur = v
+			return r.run(w, r.G.Degree(v)*2+2, body)
+		}
+		return step, func() { r.release(w) }
+	})
 }
 
 // ReadArray copies a vertex array out of the space (after all workers

@@ -11,8 +11,8 @@ import (
 // generate the edge weight randomly", §VI-A).
 const MaxEdgeWeight = 100
 
-// SSSPResult carries the distances (None = unreachable) and the relax
-// transaction count.
+// SSSPResult carries the distances (None = unreachable) and the number
+// of relax transactions that committed.
 type SSSPResult struct {
 	Dist    []uint64
 	Relaxed uint64
@@ -43,9 +43,7 @@ func sssp(r *Runtime, source uint32, src Source) (*SSSPResult, error) {
 	dist := r.NewVertexArray(None)
 	r.Sp.Store(dist+mem.Addr(source), 0)
 
-	var relaxed atomicCounter
-	err := r.ForEachQueued(src, func(tx sched.Tx, v uint32, emit func(uint32, uint64)) error {
-		relaxed.inc()
+	relaxed, err := r.ForEachQueued(src, func(tx sched.Tx, v uint32, emit func(uint32, uint64)) error {
 		dv := tx.Read(v, dist+mem.Addr(v))
 		if dv == None {
 			return nil
@@ -63,5 +61,5 @@ func sssp(r *Runtime, source uint32, src Source) (*SSSPResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SSSPResult{Dist: r.ReadArray(dist), Relaxed: relaxed.get()}, nil
+	return &SSSPResult{Dist: r.ReadArray(dist), Relaxed: relaxed}, nil
 }

@@ -91,7 +91,7 @@ func TestCapacityAbortSkipsHRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs := s.HTMStats()
-	if hs.AbortCapacity.Load() < 1 {
+	if hs.AbortCapacity < 1 {
 		t.Fatal("no capacity abort recorded")
 	}
 	// H must not have been retried after the capacity abort: total H
@@ -202,13 +202,25 @@ func TestModeClassStrings(t *testing.T) {
 }
 
 func TestModeStatsReset(t *testing.T) {
-	var m ModeStats
-	m.record(ClassH, 10)
-	m.record(ClassL, 5)
-	if m.Count(ClassH) != 1 || m.Ops(ClassL) != 5 {
-		t.Fatal("record broken")
+	s, _ := newSys(64, Config{})
+	w := s.Worker(0)
+	fiveOps := func(tx sched.Tx) error {
+		for v := uint32(1); v <= 5; v++ {
+			tx.Write(v, mem.Addr(v), 1)
+		}
+		return nil
 	}
-	m.Reset()
+	if err := w.Run(4, fiveOps); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(1<<21, fiveOps); err != nil {
+		t.Fatal(err)
+	}
+	if m := s.ModeStats(); m.Count(ClassH) != 1 || m.Ops(ClassH) != 5 || m.Count(ClassL) != 1 || m.Ops(ClassL) != 5 {
+		t.Fatalf("record broken: %v", modeDump(s))
+	}
+	s.ResetStats()
+	m := s.ModeStats()
 	for _, c := range Classes() {
 		if m.Count(c) != 0 || m.Ops(c) != 0 {
 			t.Fatal("reset incomplete")

@@ -30,10 +30,13 @@ type hCtx struct {
 	tx *htm.Tx
 
 	subs []hSub
-	// vstate maps a vertex to its subscription index; writeIntent marks
-	// an exclusive-lock intent.
-	vstate *gentab.Table
-	wvs    []uint32 // vertices with write intent, in first-touch order
+	// vstate maps a vertex to its subscription index; lastV/lastSub cache
+	// the most recent lookup (a write right after a read of the same
+	// vertex is the common case).
+	vstate  *gentab.Table
+	lastV   uint32
+	lastSub int32
+	wvs     []uint32 // vertices with write intent, in first-touch order
 
 	held []uint32 // exclusive locks currently held (commit window only)
 
@@ -41,18 +44,23 @@ type hCtx struct {
 	// would allocate on the hottest path there is.
 	check htm.Check
 
+	// faults is the System's injector as of begin: loaded once per
+	// attempt, not per operation.
+	faults *sched.FaultInjector
+
 	nreads, nwrites uint64
 }
 
 type hSub struct {
-	v     uint32
-	stamp uint64
+	v      uint32
+	intent bool // the transaction writes v: exclusive-lock intent
+	stamp  uint64
 }
 
 func newHCtx(w *worker) *hCtx {
 	h := &hCtx{
 		w:      w,
-		tx:     htm.NewTx(w.s.sp, &w.s.htmStats),
+		tx:     htm.NewTx(w.s.sp, &w.c.htm),
 		vstate: gentab.New(6),
 	}
 	h.check = h.validateSubs
@@ -70,19 +78,15 @@ func (w *worker) runH(fn sched.TxFunc) (done bool, err error) {
 		h.begin()
 		uerr, ok := sched.RunAttempt(h, fn)
 		if ok && uerr != nil {
-			w.s.stats.NoteUserStop(uerr)
+			w.c.noteUserStop(uerr)
 			w.probe.TxStop(obs.ModeH, sched.StopReason(uerr), w.attempts)
 			return true, uerr
 		}
 		if ok && h.commit() {
-			w.s.stats.Commits.Add(1)
-			w.s.stats.Reads.Add(h.nreads)
-			w.s.stats.Writes.Add(h.nwrites)
-			w.s.mode.record(ClassH, h.nreads+h.nwrites)
-			w.probe.TxCommit(obs.ModeH, w.attempts, w.span)
+			w.committed(ClassH, h.nreads, h.nwrites)
 			return true, nil
 		}
-		w.s.stats.Aborts.Add(1)
+		w.c.aborts.Add(1)
 		w.probe.TxAbort(obs.ModeH, sched.HTMReason(h.tx.LastAbort()))
 		w.attempts++
 		if h.tx.LastAbort() == htm.AbortCapacity {
@@ -104,6 +108,8 @@ func (h *hCtx) begin() {
 	h.subs = h.subs[:0]
 	h.wvs = h.wvs[:0]
 	h.vstate.Reset()
+	h.lastSub = -1
+	h.faults = h.w.s.faults.Load()
 	h.nreads, h.nwrites = 0, 0
 	// One hook validates every subscription (registered once to avoid a
 	// closure per vertex).
@@ -120,15 +126,16 @@ func (h *hCtx) validateSubs() bool {
 	return true
 }
 
-// writeIntent marks a subscription index as carrying exclusive intent.
-const writeIntent = int32(1) << 30
-
-// subscribe registers v's lock stamp on first touch, returning the
-// vstate value. A vertex exclusively locked elsewhere aborts immediately
+// subscribe registers v's lock stamp on first touch, returning v's index
+// in subs. A vertex exclusively locked elsewhere aborts immediately
 // (Algorithm 1 "if fails then ABORT").
 func (h *hCtx) subscribe(v uint32) int32 {
-	if st, known := h.vstate.Get(uint64(v)); known {
-		return st
+	if v == h.lastV && h.lastSub >= 0 {
+		return h.lastSub
+	}
+	if idx, known := h.vstate.Get(uint64(v)); known {
+		h.lastV, h.lastSub = v, idx
+		return idx
 	}
 	st := h.w.s.locks.Stamp(v)
 	if !vlock.StampFree(st) {
@@ -146,21 +153,31 @@ func (h *hCtx) subscribe(v uint32) int32 {
 	idx := int32(len(h.subs))
 	h.vstate.Put(uint64(v), idx)
 	h.subs = append(h.subs, hSub{v: v, stamp: st})
+	h.lastV, h.lastSub = v, idx
 	return idx
 }
 
-// commit attempts XEND. When an L-mode transaction is in flight, the
-// write-intent vertex locks are acquired for real (bounded spin, sorted
-// order) so L's plain reads stay excluded; otherwise the emulated HTM's
-// line locks already make validate+publish atomic and the vertex locks
-// are skipped — the software analogue of TSX buffering the lock-word
-// stores (they would never become globally visible on the fast path).
+// commit attempts XEND inside the worker's commit-gate window: the flag
+// is up from before lActive is read until the publish is over, which is
+// what lets an L transaction wait out every commit that took the fast
+// path (System.lActive). A panic in the window leaves the flag up, like
+// the vertex locks the slow path may hold; AbandonInFlight lowers it.
 func (h *hCtx) commit() bool {
-	if h.w.s.faults.Load().AtCommit("H") {
-		return false
-	}
-	h.w.s.lGate.RLock()
-	defer h.w.s.lGate.RUnlock()
+	gate := &h.w.c.committing
+	gate.Store(1)
+	ok := !h.faults.AtCommit("H") && h.publish()
+	gate.Store(0)
+	return ok
+}
+
+// publish commits the hardware transaction. When an L-mode transaction
+// is in flight, the write-intent vertex locks are acquired for real
+// (bounded spin, sorted order) so L's plain reads stay excluded;
+// otherwise the emulated HTM's line locks already make validate+publish
+// atomic and the vertex locks are skipped — the software analogue of TSX
+// buffering the lock-word stores (they would never become globally
+// visible on the fast path).
+func (h *hCtx) publish() bool {
 	if h.w.s.lActive.Load() == 0 || len(h.wvs) == 0 {
 		return h.tx.Commit() == htm.AbortNone
 	}
@@ -170,7 +187,7 @@ func (h *hCtx) commit() bool {
 	h.held = h.held[:0]
 	for _, v := range h.wvs {
 		idx, _ := h.vstate.Get(uint64(v))
-		sub := &h.subs[idx&^writeIntent]
+		sub := &h.subs[idx]
 		acquired := false
 		for attempt := 0; attempt < 16; attempt++ {
 			pre := locks.Stamp(v)
@@ -196,12 +213,9 @@ func (h *hCtx) commit() bool {
 			return false
 		}
 	}
-	if h.tx.Commit() != htm.AbortNone {
-		h.releaseHeld()
-		return false
-	}
+	ok := h.tx.Commit() == htm.AbortNone
 	h.releaseHeld()
-	return true
+	return ok
 }
 
 func (h *hCtx) releaseHeld() {
@@ -213,7 +227,7 @@ func (h *hCtx) releaseHeld() {
 
 // Read implements sched.Tx (Algorithm 1 lines 5-9).
 func (h *hCtx) Read(v uint32, addr mem.Addr) uint64 {
-	h.w.s.faults.Load().At("H", "read")
+	h.faults.At("H", "read")
 	h.subscribe(v)
 	val, code := h.tx.Read(addr)
 	if code != htm.AbortNone {
@@ -226,10 +240,9 @@ func (h *hCtx) Read(v uint32, addr mem.Addr) uint64 {
 // Write implements sched.Tx (Algorithm 1 lines 10-14): subscribe, record
 // the exclusive intent, buffer the store.
 func (h *hCtx) Write(v uint32, addr mem.Addr, val uint64) {
-	h.w.s.faults.Load().At("H", "write")
-	idx := h.subscribe(v)
-	if idx&writeIntent == 0 {
-		h.vstate.Put(uint64(v), idx|writeIntent)
+	h.faults.At("H", "write")
+	if sub := &h.subs[h.subscribe(v)]; !sub.intent {
+		sub.intent = true
 		h.wvs = append(h.wvs, v)
 	}
 	if h.tx.Write(addr, val) != htm.AbortNone {

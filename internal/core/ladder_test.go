@@ -265,23 +265,24 @@ func TestRouterKeepsCeilings(t *testing.T) {
 	}
 }
 
-// TestCommitsDoNotAllocate pins the commit paths that take real vertex
-// locks at zero allocations: an H commit while an L transaction is in
+// TestCommitsDoNotAllocate pins the commit paths at zero allocations: an
+// H commit on the fast path with a footprint of 16 written lines, an H
+// commit that takes real vertex locks because an L transaction is in
 // flight (the common case on skewed graphs once hubs route straight to
 // L), and an O commit.
 func TestCommitsDoNotAllocate(t *testing.T) {
-	// allocsPerCommit runs a transaction writing two vertices on worker
-	// 0 of s, once to size the worker's tables and then 201 times under
-	// AllocsPerRun, and checks that each run committed in class.
-	allocsPerCommit := func(t *testing.T, s *System, class ModeClass) float64 {
+	twoVertices := func(tx sched.Tx) error {
+		tx.Write(5, 5, tx.Read(5, 5)+1)
+		tx.Write(3, 3, tx.Read(3, 3)+1)
+		return nil
+	}
+	// allocsPerCommit runs body on worker 0 of s, once to size the
+	// worker's tables and then 201 times under AllocsPerRun, and checks
+	// that each run committed in class.
+	allocsPerCommit := func(t *testing.T, s *System, class ModeClass, body sched.TxFunc) float64 {
 		w := s.Worker(0)
 		run := func() {
-			err := w.Run(4, func(tx sched.Tx) error {
-				tx.Write(5, 5, tx.Read(5, 5)+1)
-				tx.Write(3, 3, tx.Read(3, 3)+1)
-				return nil
-			})
-			if err != nil {
+			if err := w.Run(4, body); err != nil {
 				t.Error(err)
 			}
 		}
@@ -292,6 +293,20 @@ func TestCommitsDoNotAllocate(t *testing.T) {
 		}
 		return allocs
 	}
+
+	t.Run("H writing 16 lines", func(t *testing.T) {
+		sixteenLines := func(tx sched.Tx) error {
+			for v := uint32(0); v < 16; v++ {
+				a := mem.Addr(v) * mem.WordsPerLine
+				tx.Write(v, a, tx.Read(v, a)+1)
+			}
+			return nil
+		}
+		s := New(mem.NewSpace(4096), 16, Config{})
+		if allocs := allocsPerCommit(t, s, ClassH, sixteenLines); allocs != 0 {
+			t.Fatalf("H commit of 16 write lines allocates %.1f times", allocs)
+		}
+	})
 
 	t.Run("H under an open L transaction", func(t *testing.T) {
 		s := newLadderSys(Config{})
@@ -305,7 +320,7 @@ func TestCommitsDoNotAllocate(t *testing.T) {
 			})
 		}()
 		<-inL
-		allocs := allocsPerCommit(t, s, ClassH)
+		allocs := allocsPerCommit(t, s, ClassH, twoVertices)
 		close(release)
 		if err := <-done; err != nil {
 			t.Fatal(err)
@@ -316,7 +331,7 @@ func TestCommitsDoNotAllocate(t *testing.T) {
 	})
 
 	t.Run("O", func(t *testing.T) {
-		if allocs := allocsPerCommit(t, newLadderSys(Config{HMaxHint: 1}), ClassO); allocs != 0 {
+		if allocs := allocsPerCommit(t, newLadderSys(Config{HMaxHint: 1}), ClassO, twoVertices); allocs != 0 {
 			t.Fatalf("O commit allocates %.1f times", allocs)
 		}
 	})

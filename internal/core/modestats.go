@@ -1,7 +1,5 @@
 package core
 
-import "sync/atomic"
-
 // ModeClass is the paper's Figure 15 classification of a committed
 // transaction by the path it took through the Fig. 10 routing.
 type ModeClass int
@@ -44,28 +42,16 @@ func Classes() []ModeClass {
 	return []ModeClass{ClassH, ClassO, ClassOPlus, ClassO2L, ClassL}
 }
 
-// ModeStats counts committed transactions and their operation workload per
-// class — the data behind Figure 15 (a/c: counts, b/d: workloads).
+// ModeStats is the committed-transaction count and operation workload per
+// class — the data behind Figure 15 (a/c: counts, b/d: workloads) — as
+// System.ModeStats summed it over the workers.
 type ModeStats struct {
-	count [numClasses]atomic.Uint64
-	ops   [numClasses]atomic.Uint64
-}
-
-func (m *ModeStats) record(c ModeClass, ops uint64) {
-	m.count[c].Add(1)
-	m.ops[c].Add(ops)
+	count [numClasses]uint64
+	ops   [numClasses]uint64
 }
 
 // Count returns the committed-transaction count of class c.
-func (m *ModeStats) Count(c ModeClass) uint64 { return m.count[c].Load() }
+func (m ModeStats) Count(c ModeClass) uint64 { return m.count[c] }
 
 // Ops returns the total committed operations of class c.
-func (m *ModeStats) Ops(c ModeClass) uint64 { return m.ops[c].Load() }
-
-// Reset zeroes all counters.
-func (m *ModeStats) Reset() {
-	for i := range numClasses {
-		m.count[i].Store(0)
-		m.ops[i].Store(0)
-	}
-}
+func (m ModeStats) Ops(c ModeClass) uint64 { return m.ops[c] }

@@ -104,25 +104,19 @@ func (w *worker) runO(fn sched.TxFunc) (done bool, err error) {
 		uerr, ok := sched.RunAttempt(o, fn)
 		o.settleTelemetry()
 		if ok && uerr != nil {
-			w.s.stats.NoteUserStop(uerr)
+			w.c.noteUserStop(uerr)
 			w.probe.TxStop(obs.ModeO, sched.StopReason(uerr), w.attempts)
 			return true, uerr
 		}
 		if ok && o.commit() {
-			w.s.stats.Commits.Add(1)
-			w.s.stats.Reads.Add(o.nreads)
-			w.s.stats.Writes.Add(o.nwrites)
 			class := ClassO
-			omode := obs.ModeO
 			if !first {
 				class = ClassOPlus
-				omode = obs.ModeOPlus
 			}
-			w.s.mode.record(class, o.nreads+o.nwrites)
-			w.probe.TxCommit(omode, w.attempts, w.span)
+			w.committed(class, o.nreads, o.nwrites)
 			return true, nil
 		}
-		w.s.stats.Aborts.Add(1)
+		w.c.aborts.Add(1)
 		if o.capacityAbort {
 			w.probe.TxAbort(obs.ModeO, obs.ReasonCapacity)
 		} else {
@@ -180,7 +174,7 @@ func (o *oCtx) segBegin() {
 	clear(o.sets[:])
 	o.segOps = 0
 	o.snapshot = o.w.s.sp.Commits()
-	o.w.s.htmStats.Starts.Add(1)
+	o.w.c.htm.Starts.Add(1)
 }
 
 // segAbort records an aborted segment and unwinds the attempt.
@@ -189,9 +183,9 @@ func (o *oCtx) segAbort(code htm.AbortCode, reason string) {
 	switch code {
 	case htm.AbortCapacity:
 		o.capacityAbort = true
-		o.w.s.htmStats.AbortCapacity.Add(1)
+		o.w.c.htm.AbortCapacity.Add(1)
 	default:
-		o.w.s.htmStats.AbortConflicts.Add(1)
+		o.w.c.htm.AbortConflicts.Add(1)
 	}
 	sched.ThrowAbort(reason)
 }
@@ -214,7 +208,7 @@ func (o *oCtx) segTick() {
 	o.segOps++
 	o.opsInSegments++
 	if o.segOps >= o.period {
-		o.w.s.htmStats.Commits.Add(1) // segment XEND
+		o.w.c.htm.Commits.Add(1) // segment XEND
 		o.segBegin()
 	}
 }
@@ -285,7 +279,7 @@ func (o *oCtx) commit() bool {
 	if o.w.s.faults.Load().AtCommit("O") {
 		return false
 	}
-	o.w.s.htmStats.Commits.Add(1) // final segment XEND
+	o.w.c.htm.Commits.Add(1) // final segment XEND
 
 	locks := o.w.s.locks
 	tid := o.w.tid

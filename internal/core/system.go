@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -26,25 +27,31 @@ type System struct {
 	lmode  *sched.TPL
 	period *periodController
 
-	stats    sched.Stats
-	mode     ModeStats
-	htmStats htm.Stats
-
-	// lGate/lActive let H-mode commits skip vertex-lock acquisition when
-	// no L-mode transaction is in flight: the emulated HTM's line locks
-	// already make validate+publish atomic, and only L-mode readers
-	// (plain loads under shared locks) need writers excluded at vertex
-	// granularity. An L transaction announces itself through the write
-	// side of the gate, so an H commit that observed lActive == 0 under
-	// the read side is guaranteed to finish publishing before any L read
-	// begins. On real TSX this fast path is implicit: the lock words are
-	// written transactionally and cost nothing.
-	lGate   sync.RWMutex
-	lActive atomic.Int32
-
 	// faults deterministically injects aborts or panics at chosen H/O/L
 	// operations (tests only); nil when inactive.
 	faults atomic.Pointer[sched.FaultInjector]
+
+	// registry lists every worker's counters block (counters.go).
+	regMu    sync.Mutex
+	registry atomic.Pointer[[]*counters]
+
+	// lActive, with the workers' committing flags, lets H-mode commits
+	// skip vertex-lock acquisition when no L-mode transaction is in
+	// flight: the emulated HTM's line locks already make validate+publish
+	// atomic, and only L-mode readers (plain loads under shared locks)
+	// need writers excluded at vertex granularity. An H commit raises its
+	// worker's flag and then reads lActive; an L transaction increments
+	// lActive and then waits for every registered flag to read 0
+	// (awaitHCommits). Go's atomics are sequentially consistent, so for
+	// each H commit either it saw lActive > 0 and takes the real vertex
+	// locks, or the L transaction saw its flag and waited for the publish
+	// to finish before its first read. On real TSX this fast path is
+	// implicit: the lock words are written transactionally and cost
+	// nothing. Every H commit reads lActive and only L entry and exit
+	// write it, so it gets a cache line of its own.
+	_       [64]byte
+	lActive atomic.Int32
+	_       [64]byte
 }
 
 // maxThreads bounds worker ids for the deadlock detector's per-thread
@@ -81,16 +88,6 @@ func (s *System) SetFaultInjector(fi *sched.FaultInjector) {
 // Name implements sched.Scheduler.
 func (s *System) Name() string { return "TuFast" }
 
-// Stats implements sched.Scheduler.
-func (s *System) Stats() *sched.Stats { return &s.stats }
-
-// ModeStats exposes the Figure 15 per-mode breakdown.
-func (s *System) ModeStats() *ModeStats { return &s.mode }
-
-// HTMStats exposes the emulated-HTM counters (H-mode transactions and
-// O-mode segments).
-func (s *System) HTMStats() *htm.Stats { return &s.htmStats }
-
 // LModeStats exposes the L-mode (2PL) sub-scheduler counters.
 func (s *System) LModeStats() *sched.Stats { return s.lmode.Stats() }
 
@@ -112,7 +109,11 @@ func (s *System) Worker(tid int) sched.Worker {
 	if tid < 0 || tid >= maxThreads {
 		panic("core: worker tid out of range")
 	}
-	w := &worker{s: s, tid: tid}
+	w := &worker{s: s, tid: tid, c: new(counters)}
+	// Registered before the worker can commit: an L transaction whose
+	// scan missed the block incremented lActive before the registration,
+	// so this worker's first H commit will see it.
+	s.register(w.c)
 	w.h = newHCtx(w)
 	w.o = newOCtx(w)
 	w.bo = sched.NewBackoff(uint64(tid)*0x9E3779B97F4A7C15 + 0xA5)
@@ -128,6 +129,7 @@ func (s *System) Worker(tid int) sched.Worker {
 type worker struct {
 	s   *System
 	tid int
+	c   *counters
 	h   *hCtx
 	o   *oCtx
 	l   *sched.TPLWorker
@@ -175,7 +177,7 @@ func (w *worker) Run(sizeHint int, fn sched.TxFunc) error {
 	}
 	// A transaction that never entered O commits as class L, whether or
 	// not it tried H first.
-	class, omode := ClassL, obs.ModeL
+	class := ClassL
 	if !skipO {
 		if triedH {
 			w.s.Metrics().Transition(obs.TransHO)
@@ -190,10 +192,10 @@ func (w *worker) Run(sizeHint int, fn sched.TxFunc) error {
 			return err
 		}
 		w.s.Metrics().Transition(obs.TransOL)
-		class, omode = ClassO2L, obs.ModeO2L
+		class = ClassO2L
 	}
 	if err := w.ctxErr(); err != nil {
-		w.probe.TxStop(omode, sched.StopReason(err), w.attempts)
+		w.probe.TxStop(class.obsMode(), sched.StopReason(err), w.attempts)
 		return err
 	}
 	return w.runL(fn, class)
@@ -206,8 +208,12 @@ func (w *worker) RunCtx(ctx context.Context, sizeHint int, fn sched.TxFunc) erro
 	if ctx == nil || ctx.Done() == nil {
 		return w.Run(sizeHint, fn)
 	}
-	if err := ctx.Err(); err != nil {
-		return err
+	// Polling Done is two loads; ctx.Err() takes the context's mutex,
+	// which every worker of a drain would then write once per transaction.
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
 	}
 	w.ctx = ctx
 	defer func() { w.ctx = nil }()
@@ -222,37 +228,58 @@ func (w *worker) ctxErr() error {
 }
 
 // AbandonInFlight implements sched.Abandoner: after a panic escaped an
-// attempt (e.g. from inside a commit window), release every lock the
-// worker may still hold across all three mode contexts and roll back
-// L-mode in-place writes (Run resets the backoff on entry). The worker is
-// then safe to pool again.
+// attempt (e.g. from inside a commit window), lower the commit-gate flag,
+// release every lock the worker may still hold across all three mode
+// contexts and roll back L-mode in-place writes (Run resets the backoff
+// on entry). The worker is then safe to pool again.
 func (w *worker) AbandonInFlight() bool {
+	// A panic inside the H commit window left the gate flag up; every
+	// later L transaction would wait on it forever.
+	w.c.committing.Store(0)
 	w.h.releaseHeld()
 	w.o.abandon()
 	w.l.AbandonInFlight()
 	return true
 }
 
+// committed records a transaction that committed in class with the given
+// operation counts: once in the probe (which is where every view's commit
+// count comes from) and in this worker's per-class workload.
+func (w *worker) committed(class ModeClass, reads, writes uint64) {
+	w.c.reads[class].Add(reads)
+	w.c.writes[class].Add(writes)
+	w.probe.TxCommit(class.obsMode(), w.attempts, w.span)
+}
+
+// awaitHCommits returns once no H commit that may have read lActive == 0
+// is still publishing. The caller has incremented lActive, so a commit
+// that raises its flag after the flag was read here takes real locks.
+func (s *System) awaitHCommits() {
+	for _, c := range s.registered() {
+		for spins := 1; c.committing.Load() != 0; spins++ {
+			if spins%16 == 0 {
+				runtime.Gosched() // the committer may need this core
+			}
+		}
+	}
+}
+
 // runL executes fn under blocking 2PL, which always commits (deadlock
 // victims restart inside the TPL worker).
 func (w *worker) runL(fn sched.TxFunc, class ModeClass) error {
-	// Announce the L transaction: after the gate write-section, every
-	// H commit either sees lActive > 0 (and takes real vertex locks) or
-	// finished publishing before we got here.
-	w.s.lGate.Lock()
+	// Announce the L transaction: from here on every H commit either
+	// sees lActive > 0 (and takes real vertex locks) or finishes
+	// publishing before awaitHCommits returns.
 	w.s.lActive.Add(1)
-	w.s.lGate.Unlock()
 	defer w.s.lActive.Add(-1)
+	w.s.awaitHCommits()
 
 	err := w.l.RunCtx(w.ctx, 0, fn)
 
 	// A hosted TPL worker records no outcomes itself: attribute its
 	// internal retries post-hoc so abort-reason breakdowns include L
 	// mode, under the class-accurate mode label.
-	omode := obs.ModeL
-	if class == ClassO2L {
-		omode = obs.ModeO2L
-	}
+	omode := class.obsMode()
 	lRetries, lDeadlocks := w.l.LastAbortBreakdown()
 	met := w.s.Metrics()
 	met.AbortBulk(omode, obs.ReasonDeadlock, lDeadlocks)
@@ -260,15 +287,11 @@ func (w *worker) runL(fn sched.TxFunc, class ModeClass) error {
 	w.attempts += uint32(lRetries)
 
 	if err != nil {
-		w.s.stats.NoteUserStop(err)
+		w.c.noteUserStop(err)
 		w.probe.TxStop(omode, sched.StopReason(err), w.attempts)
 		return err
 	}
 	r, wr := w.l.LastOpCounts()
-	w.s.stats.Commits.Add(1)
-	w.s.stats.Reads.Add(r)
-	w.s.stats.Writes.Add(wr)
-	w.s.mode.record(class, r+wr)
-	w.probe.TxCommit(omode, w.attempts, w.span)
+	w.committed(class, r, wr)
 	return nil
 }

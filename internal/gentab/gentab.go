@@ -4,6 +4,12 @@
 // — so after one hub-sized transaction every later small transaction pays
 // a giant clear. Resetting this table is a single generation bump.
 //
+// A reset is free; a probe is a hash and at least one cache line. The
+// emulated hardware transaction therefore keeps one table per attempt,
+// keyed by cache line, whose entry answers every question asked about the
+// line (htm.Tx), where it once kept a table each for reads, writes and
+// commit-time locks and probed them per word.
+//
 // Slots from older generations read as empty. A current-generation entry
 // can never be probe-shadowed by a stale slot: inserts claim stale slots
 // immediately, so within one generation all probe chains are contiguous.

@@ -16,6 +16,8 @@
 package htm
 
 import (
+	"math/bits"
+
 	"tufast/internal/gentab"
 	"tufast/internal/mem"
 )
@@ -78,23 +80,22 @@ func (c AbortCode) Retryable() bool {
 	return c == AbortConflict || c == AbortLocked
 }
 
-type readEntry struct {
+// lineEntry is one cache line of an attempt's footprint: the version its
+// first read saw, the stores buffered for its words, and — inside Commit —
+// the meta value its seqlock was taken from. One entry per line replaces
+// the separate read set, write set and lock list: every question Read,
+// Write and Commit ask about a line is answered by the entry the line's
+// single table probe found.
+type lineEntry struct {
 	line mem.Line
-	ver  uint64
-}
-
-// writeOnlyLine marks a line present in the capacity model without a
-// read-set entry (buffered writes and external touches).
-const writeOnlyLine = int32(-1)
-
-type writeEntry struct {
-	addr mem.Addr
-	val  uint64
-}
-
-type lockedLine struct {
-	line mem.Line
-	from uint64 // meta value observed when locking (even)
+	ver  uint64                   // version at the first read; valid when hasRead
+	from uint64                   // meta the line was locked from (even); valid when locked
+	vals [mem.WordsPerLine]uint64 // buffered stores; valid where mask has the word's bit
+	mask uint8                    // words of the line with a buffered store
+	// hasRead is false for lines that are only written or are external
+	// touches: they occupy the capacity model but are not validated.
+	hasRead bool
+	locked  bool // seqlock held by this transaction's Commit
 }
 
 // Check is an external validation hook registered by a scheduler, used by
@@ -105,34 +106,31 @@ type lockedLine struct {
 type Check func() bool
 
 // Tx is one emulated hardware transaction. A Tx is single-threaded and
-// reusable: Begin resets it. Zero value is ready after Bind.
+// reusable: Begin resets it.
 type Tx struct {
 	sp       *mem.Space
 	snapshot uint64 // NOrec global-commit snapshot
 
-	reads   []readEntry
-	lineIdx *gentab.Table // line -> reads index, or writeOnlyLine
-
-	writes   []writeEntry
-	writeIdx *gentab.Table // addr -> index in writes
-
-	// Commit-phase lock bookkeeping, reused across attempts.
-	lockedLines []lockedLine
-	lockedIdx   *gentab.Table // line -> lockedLines index
+	// lines is the attempt's footprint in first-touch order, lineIdx maps
+	// a line to its index, and wlines lists the entries with buffered
+	// stores in first-store order (the order Commit locks them in).
+	lines   []lineEntry
+	lineIdx *gentab.Table
+	wlines  []int32
 
 	checks []Check
 
 	sets      [CacheSets]uint8 // distinct lines per emulated cache set
 	active    bool
-	overflow  bool
 	lastAbort AbortCode
 
 	// ops is batched into stats at commit/abort to keep the hot path
-	// free of cross-thread atomics.
+	// free of atomics.
 	ops uint64
 
-	// lastLine/lastIdx cache the most recent read line: sorted-adjacency
-	// scans hit the same 8-word line repeatedly.
+	// lastLine/lastIdx cache the most recently touched line: sorted-
+	// adjacency scans hit the same 8-word line repeatedly, and a
+	// read-modify-write touches its line twice in a row.
 	lastLine mem.Line
 	lastIdx  int32
 
@@ -148,32 +146,24 @@ func (t *Tx) LastAbort() AbortCode { return t.lastAbort }
 func (t *Tx) LastAbortRetryable() bool { return t.lastAbort.Retryable() }
 
 // NewTx returns a transaction bound to sp, reporting into stats (which may
-// be nil).
+// be nil). TuFast's core hands every worker's transactions that worker's
+// own Stats, so the counters are written by one thread only.
 func NewTx(sp *mem.Space, stats *Stats) *Tx {
-	return &Tx{
-		sp:        sp,
-		lineIdx:   gentab.New(7),
-		writeIdx:  gentab.New(5),
-		lockedIdx: gentab.New(5),
-		stats:     stats,
-	}
+	return &Tx{sp: sp, lineIdx: gentab.New(7), stats: stats}
 }
 
 // Begin starts (XBEGIN) the transaction, clearing all per-attempt state.
 func (t *Tx) Begin() {
 	t.snapshot = t.sp.Commits()
-	t.reads = t.reads[:0]
-	t.writes = t.writes[:0]
+	t.lines = t.lines[:0]
+	t.wlines = t.wlines[:0]
 	t.checks = t.checks[:0]
 	t.lineIdx.Reset()
-	t.writeIdx.Reset()
 	clear(t.sets[:])
 	t.active = true
-	t.overflow = false
 	t.lastAbort = AbortNone
 	t.ops = 0
 	t.lastLine = ^mem.Line(0)
-	t.lastIdx = writeOnlyLine
 	if t.stats != nil {
 		t.stats.Starts.Add(1)
 	}
@@ -183,23 +173,36 @@ func (t *Tx) Begin() {
 func (t *Tx) Active() bool { return t.active }
 
 // Footprint returns the number of distinct cache lines touched so far.
-func (t *Tx) Footprint() int { return t.lineIdx.Len() }
+func (t *Tx) Footprint() int { return len(t.lines) }
 
-// admit records line l in the capacity model, returning its read-set
-// index (or writeOnlyLine if it has none yet), whether it was already
-// present, and an abort code on set overflow.
-func (t *Tx) admit(l mem.Line) (idx int32, seen bool, code AbortCode) {
-	if idx, ok := t.lineIdx.Get(uint64(l)); ok {
-		return idx, true, AbortNone
+// lookup finds line l's footprint entry.
+func (t *Tx) lookup(l mem.Line) (idx int32, seen bool) {
+	if l == t.lastLine {
+		return t.lastIdx, true
 	}
+	return t.lineIdx.Get(uint64(l))
+}
+
+// admit adds line l, which lookup did not find, to the footprint and the
+// capacity model, returning its index or an abort code on set overflow.
+func (t *Tx) admit(l mem.Line) (int32, AbortCode) {
 	set := uint64(l) % CacheSets
 	if t.sets[set] >= CacheWays {
-		t.overflow = true
-		return 0, false, t.fail(AbortCapacity)
+		return 0, t.fail(AbortCapacity)
 	}
 	t.sets[set]++
-	t.lineIdx.Put(uint64(l), writeOnlyLine)
-	return writeOnlyLine, false, AbortNone
+	idx := len(t.lines)
+	if idx == cap(t.lines) {
+		t.lines = append(t.lines, lineEntry{})
+	}
+	// Reuse the slot in place: building a zero lineEntry and copying its
+	// 96 bytes in costs more than the probe, and vals need no clearing
+	// (mask says which of them are live).
+	t.lines = t.lines[:idx+1]
+	e := &t.lines[idx]
+	e.line, e.mask, e.hasRead, e.locked = l, 0, false, false
+	t.lineIdx.Put(uint64(l), int32(idx))
+	return int32(idx), AbortNone
 }
 
 // TouchExternal feeds an out-of-space word (e.g. a vertex lock word) into
@@ -207,7 +210,11 @@ func (t *Tx) admit(l mem.Line) (idx int32, seen bool, code AbortCode) {
 func (t *Tx) TouchExternal(key uint64) AbortCode {
 	// High bit marks the external namespace so it cannot collide with
 	// data lines of the Space.
-	_, _, code := t.admit(mem.Line(key | 1<<63))
+	l := mem.Line(key | 1<<63)
+	if _, seen := t.lineIdx.Get(uint64(l)); seen {
+		return AbortNone
+	}
+	_, code := t.admit(l)
 	return code
 }
 
@@ -227,29 +234,29 @@ func (t *Tx) maybeRevalidate() AbortCode {
 	if c == t.snapshot {
 		return AbortNone
 	}
-	if !t.validate(false) {
+	if !t.validate() {
 		return t.fail(AbortConflict)
 	}
 	t.snapshot = c
 	return AbortNone
 }
 
-// validate checks every read line version and every hook. When inCommit
-// is true, lines this transaction holds locked (lockedLines) are checked
-// against their pre-lock version instead.
-func (t *Tx) validate(inCommit bool) bool {
-	for i := range t.reads {
-		r := &t.reads[i]
-		m := t.sp.Meta(r.line)
-		if m == r.ver {
+// validate checks every read line version and every hook. A line this
+// transaction's Commit holds locked reads as changed (its meta is odd), so
+// it is checked against the version it was locked from instead.
+func (t *Tx) validate() bool {
+	for i := range t.lines {
+		e := &t.lines[i]
+		if !e.hasRead {
 			continue
 		}
-		if inCommit {
-			if j, ok := t.lockedIdx.Get(uint64(r.line)); ok && t.lockedLines[j].from == r.ver {
-				continue // we locked it ourselves, version pinned
-			}
+		cur := e.from
+		if !e.locked {
+			cur = t.sp.Meta(e.line)
 		}
-		return false
+		if cur != e.ver {
+			return false
+		}
 	}
 	for _, c := range t.checks {
 		if !c() {
@@ -262,25 +269,19 @@ func (t *Tx) validate(inCommit bool) bool {
 // Read transactionally loads the word at a. On a non-AbortNone code the
 // transaction is dead and must be re-Begun.
 func (t *Tx) Read(a mem.Addr) (uint64, AbortCode) {
-	if len(t.writes) != 0 {
-		if i, ok := t.writeIdx.Get(uint64(a)); ok {
-			return t.writes[i].val, AbortNone // read own write
+	l := mem.LineOf(a)
+	idx, seen := t.lookup(l)
+	if seen {
+		if e := &t.lines[idx]; e.mask&(1<<(a%mem.WordsPerLine)) != 0 {
+			return e.vals[a%mem.WordsPerLine], AbortNone // read own write
 		}
 	}
 	if code := t.maybeRevalidate(); code != AbortNone {
 		return 0, code
 	}
-	l := mem.LineOf(a)
-	var (
-		idx  int32
-		seen bool
-	)
-	if l == t.lastLine {
-		idx, seen = t.lastIdx, true
-	} else {
+	if !seen {
 		var code AbortCode
-		idx, seen, code = t.admit(l)
-		if code != AbortNone {
+		if idx, code = t.admit(l); code != AbortNone {
 			return 0, code
 		}
 	}
@@ -288,17 +289,14 @@ func (t *Tx) Read(a mem.Addr) (uint64, AbortCode) {
 	if !ok {
 		return 0, t.fail(AbortLocked)
 	}
+	e := &t.lines[idx]
 	switch {
-	case seen && idx != writeOnlyLine:
+	case !e.hasRead:
+		e.ver, e.hasRead = ver, true
+	case e.ver != ver:
 		// Line already in the read set: the recorded version must still
 		// hold or we are reading an inconsistent snapshot.
-		if t.reads[idx].ver != ver {
-			return 0, t.fail(AbortConflict)
-		}
-	default:
-		idx = int32(len(t.reads))
-		t.lineIdx.Put(uint64(l), idx)
-		t.reads = append(t.reads, readEntry{line: l, ver: ver})
+		return 0, t.fail(AbortConflict)
 	}
 	t.lastLine, t.lastIdx = l, idx
 	t.ops++
@@ -308,18 +306,31 @@ func (t *Tx) Read(a mem.Addr) (uint64, AbortCode) {
 // Write transactionally buffers a store of val to a; it becomes visible
 // only if Commit succeeds.
 func (t *Tx) Write(a mem.Addr, val uint64) AbortCode {
-	if i, ok := t.writeIdx.Get(uint64(a)); ok {
-		t.writes[i].val = val
-		return AbortNone
+	l := mem.LineOf(a)
+	w := a % mem.WordsPerLine
+	idx, seen := t.lookup(l)
+	if seen {
+		if e := &t.lines[idx]; e.mask&(1<<w) != 0 {
+			e.vals[w] = val
+			return AbortNone
+		}
 	}
 	if code := t.maybeRevalidate(); code != AbortNone {
 		return code
 	}
-	if _, _, code := t.admit(mem.LineOf(a)); code != AbortNone {
-		return code
+	if !seen {
+		var code AbortCode
+		if idx, code = t.admit(l); code != AbortNone {
+			return code
+		}
 	}
-	t.writeIdx.Put(uint64(a), int32(len(t.writes)))
-	t.writes = append(t.writes, writeEntry{addr: a, val: val})
+	e := &t.lines[idx]
+	if e.mask == 0 {
+		t.wlines = append(t.wlines, idx)
+	}
+	e.mask |= 1 << w
+	e.vals[w] = val
+	t.lastLine, t.lastIdx = l, idx
 	t.ops++
 	return AbortNone
 }
@@ -346,43 +357,35 @@ func (t *Tx) Commit() AbortCode {
 	if !t.active {
 		return AbortConflict
 	}
-	if len(t.writes) == 0 {
-		// Read-only commit: validate and finish; no global bump needed.
-		if !t.validate(false) {
+	for n, i := range t.wlines {
+		e := &t.lines[i]
+		m := t.sp.Meta(e.line)
+		if m&1 != 0 || !t.sp.TryLockLine(e.line, m) {
+			t.revert(n)
 			return t.fail(AbortConflict)
 		}
-		t.active = false
-		if t.stats != nil {
-			t.stats.Commits.Add(1)
-			t.stats.Ops.Add(t.ops)
-		}
-		return AbortNone
+		e.from, e.locked = m, true
 	}
-
-	t.lockedLines = t.lockedLines[:0]
-	t.lockedIdx.Reset()
-	for i := range t.writes {
-		l := mem.LineOf(t.writes[i].addr)
-		if _, ok := t.lockedIdx.Get(uint64(l)); ok {
-			continue
-		}
-		m := t.sp.Meta(l)
-		if m&1 != 0 || !t.sp.TryLockLine(l, m) {
-			t.unlockAll(false)
-			return t.fail(AbortConflict)
-		}
-		t.lockedIdx.Put(uint64(l), int32(len(t.lockedLines)))
-		t.lockedLines = append(t.lockedLines, lockedLine{line: l, from: m})
-	}
-	if !t.validate(true) {
-		t.unlockAll(false)
+	if !t.validate() {
+		t.revert(len(t.wlines))
 		return t.fail(AbortConflict)
 	}
-	for i := range t.writes {
-		t.sp.Store(t.writes[i].addr, t.writes[i].val)
+	for _, i := range t.wlines {
+		e := &t.lines[i]
+		base := mem.Addr(e.line) * mem.WordsPerLine
+		for m := e.mask; m != 0; m &= m - 1 {
+			w := bits.TrailingZeros8(m)
+			t.sp.Store(base+mem.Addr(w), e.vals[w])
+		}
 	}
-	t.unlockAll(true)
-	t.sp.BumpCommits()
+	for _, i := range t.wlines {
+		e := &t.lines[i]
+		t.sp.UnlockLine(e.line, e.from|1)
+	}
+	// A read-only commit published nothing: no global bump needed.
+	if len(t.wlines) != 0 {
+		t.sp.BumpCommits()
+	}
 	t.active = false
 	if t.stats != nil {
 		t.stats.Commits.Add(1)
@@ -391,13 +394,11 @@ func (t *Tx) Commit() AbortCode {
 	return AbortNone
 }
 
-func (t *Tx) unlockAll(publish bool) {
-	for _, ll := range t.lockedLines {
-		if publish {
-			t.sp.UnlockLine(ll.line, ll.from|1)
-		} else {
-			t.sp.RevertLine(ll.line, ll.from|1)
-		}
+// revert releases the first n write lines Commit locked without bumping
+// their versions: the commit failed before writing them.
+func (t *Tx) revert(n int) {
+	for _, i := range t.wlines[:n] {
+		e := &t.lines[i]
+		t.sp.RevertLine(e.line, e.from|1)
 	}
-	t.lockedLines = t.lockedLines[:0]
 }

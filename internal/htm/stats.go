@@ -3,7 +3,8 @@ package htm
 import "sync/atomic"
 
 // Stats aggregates emulated-HTM activity across all transactions that
-// share it. All fields are safe for concurrent update.
+// share it. All fields are safe for concurrent update; TuFast's core
+// gives every worker its own, so the adds stay uncontended.
 type Stats struct {
 	Starts         atomic.Uint64
 	Commits        atomic.Uint64
@@ -74,6 +75,20 @@ func (s *Stats) Snapshot() StatsSnapshot {
 type StatsSnapshot struct {
 	Starts, Commits, Ops, WastedOps                           uint64
 	AbortConflicts, AbortCapacity, AbortExplicit, AbortLocked uint64
+}
+
+// Add returns the counter-wise sum of s and o (core sums its workers'
+// Stats this way).
+func (s StatsSnapshot) Add(o StatsSnapshot) StatsSnapshot {
+	s.Starts += o.Starts
+	s.Commits += o.Commits
+	s.Ops += o.Ops
+	s.WastedOps += o.WastedOps
+	s.AbortConflicts += o.AbortConflicts
+	s.AbortCapacity += o.AbortCapacity
+	s.AbortExplicit += o.AbortExplicit
+	s.AbortLocked += o.AbortLocked
+	return s
 }
 
 // Aborts returns the total aborts in the snapshot.

@@ -41,7 +41,14 @@ type Space struct {
 	words []uint64
 	meta  []atomic.Uint64 // one seqlock word per cache line
 
+	// The two words below are written while transactions run — next by
+	// arena allocation inside transactions, commits by every write-back —
+	// and every operation of every thread reads the slice headers above,
+	// so each gets a cache line of its own: sharing one with the headers
+	// turned every commit into a miss on every other thread's next access.
+	_    [64]byte
 	next atomic.Uint64 // allocation cursor (in words)
+	_    [56]byte
 
 	// commits is the NOrec-style global commit counter. Every successful
 	// transactional write-back increments it once; readers snapshot it to
@@ -49,6 +56,7 @@ type Space struct {
 	// and trigger early revalidation — the software stand-in for HTM's
 	// eager coherence-based aborts.
 	commits atomic.Uint64
+	_       [56]byte
 }
 
 // NewSpace creates a Space with capacity for n words.

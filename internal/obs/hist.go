@@ -12,8 +12,8 @@ import (
 const HistBuckets = 48
 
 // Histogram is a power-of-two-bucket histogram with atomic counters.
-// The zero value is ready to use. Record is two atomic adds; Snapshot
-// is wait-free and mergeable with other snapshots.
+// The zero value is ready to use. Record is two atomic adds (one for a
+// zero value); Snapshot is wait-free and mergeable with other snapshots.
 type Histogram struct {
 	counts [HistBuckets]atomic.Uint64
 	sum    atomic.Uint64
@@ -31,7 +31,26 @@ func bucketOf(v uint64) int {
 // Record folds v into the histogram.
 func (h *Histogram) Record(v uint64) {
 	h.counts[bucketOf(v)].Add(1)
-	h.sum.Add(v)
+	if v != 0 {
+		h.sum.Add(v)
+	}
+}
+
+// count returns the number of recorded values.
+func (h *Histogram) count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
+
+// addTo folds the histogram into s, which must have HistBuckets counts.
+func (h *Histogram) addTo(s *HistSnapshot) {
+	for i := range h.counts {
+		s.Counts[i] += h.counts[i].Load()
+	}
+	s.Sum += h.sum.Load()
 }
 
 // Reset zeroes the histogram.
@@ -44,12 +63,8 @@ func (h *Histogram) Reset() {
 
 // Snapshot returns a plain-value copy.
 func (h *Histogram) Snapshot() HistSnapshot {
-	var s HistSnapshot
-	s.Counts = make([]uint64, HistBuckets)
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	s.Sum = h.sum.Load()
+	s := HistSnapshot{Counts: make([]uint64, HistBuckets)}
+	h.addTo(&s)
 	return s
 }
 

@@ -14,10 +14,16 @@
 //     expvar / HTTP for operators.
 //
 // Hot-path budget: with events disabled (the default), recording a
-// committed transaction costs a handful of atomic adds; commit latency
-// is sampled (1 in 64 transactions) so the timestamp reads stay off the
-// common path. Event recording is heavier (a mutex-protected ring
-// store per event) and is therefore gated behind EnableEvents.
+// committed transaction is one atomic add into the recording worker's
+// own retry histogram — a cache line no other worker writes — plus the
+// histogram's sum when the transaction retried; there is no separate
+// commit counter, a mode's commits are its retry histogram's count, so
+// the two cannot disagree. Snapshot and Reset sum and clear the
+// per-worker blocks. Commit latency is sampled (1 in 64 transactions)
+// so the timestamp reads stay off the common path. Aborts, stops and
+// transitions are rarer and stay shared counters. Event recording is
+// heavier (a mutex-protected ring store per event) and is therefore
+// gated behind EnableEvents.
 package obs
 
 import (
@@ -160,14 +166,12 @@ const latencySampleMask = 63
 
 // Metrics is the shared observability state of one scheduler. The zero
 // value is ready to use, so schedulers embed it by value; all counter
-// updates are single atomic adds.
+// updates are single atomic adds. What a commit records lives in the
+// committing worker's workerState, not here.
 type Metrics struct {
-	commits [NumModes]atomic.Uint64
-	aborts  [NumModes][NumReasons]atomic.Uint64
-	stops   [NumModes][NumReasons]atomic.Uint64
-	latency [NumModes]Histogram // sampled commit latency, nanoseconds
-	retries [NumModes]Histogram // aborted attempts per committed txn
-	trans   [NumTransitions]atomic.Uint64
+	aborts [NumModes][NumReasons]atomic.Uint64
+	stops  [NumModes][NumReasons]atomic.Uint64
+	trans  [NumTransitions]atomic.Uint64
 
 	// Event machinery: one ring per worker, a global sequence stamp, a
 	// single enable flag checked (one atomic load) per lifecycle point.
@@ -177,29 +181,26 @@ type Metrics struct {
 	workers  []*workerState
 }
 
-// workerState is what one Probe owns: its event ring and its backoff
-// counters. Only the probe's worker writes it, so the atomics are
-// uncontended; snapshots and Reset reach it through Metrics.workers.
+// workerState is what one Probe owns: what its commits record, its event
+// ring and its backoff counters. Only the probe's worker writes it, so
+// the atomics are uncontended — the pads keep a neighbouring allocation's
+// writes off its first and last cache line; snapshots and Reset reach it
+// through Metrics.workers.
 type workerState struct {
+	_ [64]byte
+
+	// retries holds the aborted attempts of every committed transaction,
+	// one Record each: a mode's commit count is its histogram's count.
+	retries [NumModes]Histogram
+	latency [NumModes]Histogram // sampled commit latency, nanoseconds
+
 	ring Ring
 
 	backoffWaits  atomic.Uint64
 	backoffSleeps atomic.Uint64
 	backoffNs     atomic.Uint64
-}
 
-// Commit records a committed transaction: mode population, retry
-// histogram, and (when the span was sampled) commit latency.
-func (m *Metrics) Commit(mode Mode, retries uint32, sp Span) {
-	m.commits[mode].Add(1)
-	m.retries[mode].Record(uint64(retries))
-	if sp.start != 0 {
-		ns := time.Now().UnixNano() - sp.start
-		if ns < 0 {
-			ns = 0
-		}
-		m.latency[mode].Record(uint64(ns))
-	}
+	_ [64]byte
 }
 
 // Abort records one aborted (retried) attempt.
@@ -238,9 +239,6 @@ func (m *Metrics) EventsEnabled() bool { return m.eventsOn.Load() }
 // The events-enabled flag is left as configured.
 func (m *Metrics) Reset() {
 	for mo := range int(NumModes) {
-		m.commits[mo].Store(0)
-		m.latency[mo].Reset()
-		m.retries[mo].Reset()
 		for r := range int(NumReasons) {
 			m.aborts[mo][r].Store(0)
 			m.stops[mo][r].Store(0)
@@ -250,6 +248,10 @@ func (m *Metrics) Reset() {
 		m.trans[t].Store(0)
 	}
 	for _, ws := range m.workerStates() {
+		for mo := range int(NumModes) {
+			ws.retries[mo].Reset()
+			ws.latency[mo].Reset()
+		}
 		ws.ring.reset()
 		ws.backoffWaits.Store(0)
 		ws.backoffSleeps.Store(0)
@@ -272,6 +274,18 @@ func (m *Metrics) NewProbe(tid int) Probe {
 	m.workers = append(m.workers, ws)
 	m.mu.Unlock()
 	return Probe{m: m, ws: ws, tid: int32(tid)}
+}
+
+// Commits returns the number of transactions committed in each mode,
+// summed over the workers.
+func (m *Metrics) Commits() [NumModes]uint64 {
+	var n [NumModes]uint64
+	for _, ws := range m.workerStates() {
+		for mo := range n {
+			n[mo] += ws.retries[mo].count()
+		}
+	}
+	return n
 }
 
 // Events returns all retained lifecycle events across every worker
@@ -301,9 +315,9 @@ type Span struct {
 	start int64 // UnixNano, 0 = latency not sampled for this txn
 }
 
-// Probe is the per-worker recording handle: it owns the worker's event
-// ring, backoff counters and the local sampling counter, so the hot
-// path touches no shared state beyond the Metrics counters themselves.
+// Probe is the per-worker recording handle: it owns the worker's commit
+// histograms, event ring, backoff counters and the local sampling
+// counter, so a commit writes no state another worker writes.
 type Probe struct {
 	m   *Metrics
 	ws  *workerState
@@ -328,7 +342,14 @@ func (p *Probe) TxBegin(hint int) Span {
 // TxCommit closes a transaction as committed in mode after retries
 // aborted attempts.
 func (p *Probe) TxCommit(mode Mode, retries uint32, sp Span) {
-	p.m.Commit(mode, retries, sp)
+	p.ws.retries[mode].Record(uint64(retries))
+	if sp.start != 0 {
+		ns := time.Now().UnixNano() - sp.start
+		if ns < 0 {
+			ns = 0
+		}
+		p.ws.latency[mode].Record(uint64(ns))
+	}
 	if p.m.eventsOn.Load() {
 		p.event(Event{Kind: KindCommit, Mode: mode, Retries: retries})
 	}

@@ -202,17 +202,22 @@ func (m *Metrics) Snapshot() Snapshot {
 		Modes:         make(map[string]ModeSnapshot),
 		EventsDropped: m.EventsDropped(),
 	}
-	for _, ws := range m.workerStates() {
+	workers := m.workerStates()
+	for _, ws := range workers {
 		s.Backoff.Waits += ws.backoffWaits.Load()
 		s.Backoff.Sleeps += ws.backoffSleeps.Load()
 		s.Backoff.Ns += ws.backoffNs.Load()
 	}
 	for mo := Mode(0); mo < NumModes; mo++ {
 		ms := ModeSnapshot{
-			Commits: m.commits[mo].Load(),
-			Latency: m.latency[mo].Snapshot(),
-			Retries: m.retries[mo].Snapshot(),
+			Latency: HistSnapshot{Counts: make([]uint64, HistBuckets)},
+			Retries: HistSnapshot{Counts: make([]uint64, HistBuckets)},
 		}
+		for _, ws := range workers {
+			ws.latency[mo].addTo(&ms.Latency)
+			ws.retries[mo].addTo(&ms.Retries)
+		}
+		ms.Commits = ms.Retries.Count()
 		active := ms.Commits != 0
 		for r := Reason(0); r < NumReasons; r++ {
 			if c := m.aborts[mo][r].Load(); c != 0 {

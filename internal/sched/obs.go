@@ -10,7 +10,8 @@ import (
 
 // Instrumented carries the shared observability metrics every scheduler
 // embeds. The zero value is ready, so constructors need no change; the
-// hot-path cost is the few atomic adds obs documents.
+// hot-path cost is the few atomic adds obs documents, a commit's into a
+// block only the recording worker writes.
 type Instrumented struct {
 	obsm obs.Metrics
 }

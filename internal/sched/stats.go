@@ -2,7 +2,10 @@ package sched
 
 import "sync/atomic"
 
-// Stats are the shared counters every scheduler maintains.
+// Stats are the counters every scheduler reports. The baselines in this
+// package update one shared Stats; TuFast's core counts per worker and
+// returns a Stats summed on request (core.System.Stats), so resetting
+// what it returns resets nothing — core.System.ResetStats does.
 type Stats struct {
 	Commits   atomic.Uint64 // transactions committed
 	Aborts    atomic.Uint64 // attempts aborted and retried

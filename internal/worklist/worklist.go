@@ -1,8 +1,8 @@
 // Package worklist provides the parallel iteration drivers shared by all
 // engines: a dynamic range splitter (the paper's parallel_for), a
 // concurrent FIFO and a sharded priority queue (the Bellman-Ford / SPFA
-// pair of Figure 3 differs only in which of the two it polls), and an
-// atomic frontier bitset.
+// pair of Figure 3 differs only in which of the two it polls), the queued
+// driver that drains either (Drain), and an atomic frontier bitset.
 package worklist
 
 import (
@@ -112,6 +112,20 @@ func (q *Queue) Push(v uint32) {
 // Pop removes one id, scanning shards round-robin; ok=false when the
 // queue is observed empty.
 func (q *Queue) Pop() (uint32, bool) {
+	var one [1]uint32
+	if q.PopChunk(one[:]) == 0 {
+		return 0, false
+	}
+	return one[0], true
+}
+
+// PopChunk removes up to len(buf) ids from the first non-empty shard in
+// the rotation into buf and returns how many: never more than half of
+// what the shard holds (so a short queue is shared out between the
+// workers polling it) and at least one; 0 when the queue is observed
+// empty. Drain polls with it: one rotation step, one lock and one size
+// update per chunk instead of per id.
+func (q *Queue) PopChunk(buf []uint32) int {
 	n := len(q.shards)
 	// Reduce the rotation counter in uint64 space BEFORE converting: a
 	// plain int(q.next.Add(1)) goes negative once the counter passes
@@ -120,20 +134,61 @@ func (q *Queue) Pop() (uint32, bool) {
 	for i := 0; i < n; i++ {
 		s := &q.shards[(start+i)%n]
 		s.mu.Lock()
-		if s.head < len(s.items) {
-			v := s.items[s.head]
-			s.head++
+		if avail := len(s.items) - s.head; avail > 0 {
+			k := min(len(buf), max(avail/2, 1))
+			copy(buf, s.items[s.head:s.head+k])
+			s.head += k
 			if s.head == len(s.items) {
 				s.items = s.items[:0]
 				s.head = 0
 			}
 			s.mu.Unlock()
-			q.size.Add(-1)
-			return v, true
+			q.size.Add(int64(-k))
+			return k
 		}
 		s.mu.Unlock()
 	}
-	return 0, false
+	return 0
+}
+
+// PushChunk appends every item's id to the shard Push would choose, in
+// the order given, locking each shard once per block of items.
+func (q *Queue) PushChunk(items []Item) {
+	pushSharded(items, len(q.shards),
+		func(shard int) *sync.Mutex { return &q.shards[shard].mu },
+		func(shard int, it Item) { q.shards[shard].items = append(q.shards[shard].items, it.V) })
+	q.size.Add(int64(len(items)))
+}
+
+// pushSharded hands every item to add under the lock of the shard its id
+// selects (V modulo shards, as Push does), in item order within a shard.
+// It works through items a block at a time: one modulo per item, then
+// one lock acquisition per shard the block has items for.
+func pushSharded(items []Item, shards int, lock func(shard int) *sync.Mutex, add func(shard int, it Item)) {
+	var shardOf [256]uint16 // shard counts are thread counts, far below 1<<16
+	for len(items) > 0 {
+		block := items[:min(len(items), len(shardOf))]
+		items = items[len(block):]
+		for i, it := range block {
+			shardOf[i] = uint16(uint64(it.V) % uint64(shards))
+		}
+		for s := 0; s < shards; s++ {
+			var mu *sync.Mutex
+			for i, it := range block {
+				if int(shardOf[i]) != s {
+					continue
+				}
+				if mu == nil {
+					mu = lock(s)
+					mu.Lock()
+				}
+				add(s, it)
+			}
+			if mu != nil {
+				mu.Unlock()
+			}
+		}
+	}
 }
 
 // Len returns the approximate current size.
@@ -185,11 +240,21 @@ func (q *PQ) Push(v uint32, prio uint64) {
 	q.size.Add(1)
 }
 
+// PushChunk inserts every item, locking each shard once per block of
+// items. There is no PopChunk: a priority source is polled one item at a
+// time, since handing out its minimum is its point.
+func (q *PQ) PushChunk(items []Item) {
+	pushSharded(items, len(q.shards),
+		func(shard int) *sync.Mutex { return &q.shards[shard].mu },
+		func(shard int, it Item) { heap.Push(&q.shards[shard].h, pqItem{v: it.V, prio: it.Prio}) })
+	q.size.Add(int64(len(items)))
+}
+
 // Pop removes a minimal-priority item from some shard.
 func (q *PQ) Pop() (uint32, uint64, bool) {
 	n := len(q.shards)
-	// See Queue.Pop: reduce modulo n in uint64 space to survive counter
-	// wrap past MaxInt64.
+	// See Queue.PopChunk: reduce modulo n in uint64 space to survive
+	// counter wrap past MaxInt64.
 	start := int(q.next.Add(1) % uint64(n))
 	for i := 0; i < n; i++ {
 		s := &q.shards[(start+i)%n]

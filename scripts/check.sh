@@ -73,13 +73,17 @@ end
 # on schedulers that lose updates once threads outnumber cores, so the
 # same oracles run again as eight concurrent processes at -cpu 8, over
 # every baseline scheduler (with the deadlock-resolution test, which
-# lives on the detector's cycle scan) and over core's cross-mode
-# histories, mode ladder and router.
+# lives on the detector's cycle scan), over core's cross-mode histories,
+# mode ladder, router, commit gate and per-worker counters, and over the
+# queued driver: its own quiesce and chunk tests and the algorithms'
+# entry point into it.
 begin "oversubscribed serializability (8 processes, -cpu 8)"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go test -c -o "$tmp/sched.test" ./internal/sched
 go test -c -o "$tmp/core.test" ./internal/core
+go test -c -o "$tmp/worklist.test" ./internal/worklist
+go test -c -o "$tmp/algo.test" ./internal/algo
 oversubscribed() { # test binary, -test.run pattern, -test.count
     pids=""
     for i in 1 2 3 4 5 6 7 8; do
@@ -97,7 +101,9 @@ oversubscribed() { # test binary, -test.run pattern, -test.count
     fi
 }
 oversubscribed "$tmp/sched.test" 'TestSerializabilityHistories|TestBankTransfer|TestCounterIsolation|TestWriteSkewPrevented|TestDeadlockResolution' 50
-oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestIsolationAcrossModes|TestRouter|TestBackoffStartsAtZeroAfterLadder|TestOCapacityAbortDoesNotBackOff' 30
+oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestIsolationAcrossModes|TestRouter|TestBackoffStartsAtZeroAfterLadder|TestOCapacityAbortDoesNotBackOff|TestLEntryWaitsForHCommitWindow|TestPanicInCommitWindowClearsGate|TestLateWorkerSeesLActive|TestOneCountFourViews' 30
+oversubscribed "$tmp/worklist.test" 'TestDrain' 30
+oversubscribed "$tmp/algo.test" 'TestForEachQueued|TestResultsCountCommitsNotAttempts' 10
 end
 
 echo "All checks passed."

@@ -38,7 +38,7 @@ type ModeBucket struct {
 // StatsSnapshot captures the system counters.
 func (s *System) StatsSnapshot() Stats {
 	cs := s.core.Stats().Snapshot()
-	hs := s.core.HTMStats().Snapshot()
+	hs := s.core.HTMStats()
 	ms := s.core.ModeStats()
 	mode := make(map[string]ModeBucket, 5)
 	for _, c := range core.Classes() {
@@ -76,13 +76,7 @@ func (s *System) StatsSnapshot() Stats {
 // estimate of the workload's conflict rate remains valid across a
 // warmup boundary (resetting it would re-learn from scratch and skew
 // the measured run), so CurrentPeriod is a gauge that persists.
-func (s *System) ResetStats() {
-	s.core.Stats().Reset()
-	s.core.ModeStats().Reset()
-	s.core.LModeStats().Reset()
-	s.core.HTMStats().Reset()
-	s.core.Metrics().Reset()
-}
+func (s *System) ResetStats() { s.core.ResetStats() }
 
 // MetricsSnapshot is the observability snapshot: per-mode commit and
 // abort-reason counts, sampled commit-latency and retry histograms,
@@ -108,7 +102,8 @@ func (s *System) MetricsSnapshot() MetricsSnapshot {
 // EnableTxEvents toggles per-worker transaction lifecycle event
 // recording (begin/commit/abort/stop into fixed-size rings, oldest
 // dropped first). Off by default: event recording costs more than the
-// few atomic adds the counter path is budgeted at.
+// few uncontended, worker-private atomic adds the counter path is
+// budgeted at.
 func (s *System) EnableTxEvents(on bool) { s.core.Metrics().EnableEvents(on) }
 
 // TxEvents returns the retained lifecycle events across all workers,

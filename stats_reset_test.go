@@ -13,8 +13,9 @@ import (
 // runCounterWorkload drives a System through all three modes so every
 // snapshot counter family has a chance to move: neighborhood
 // transactions (H for the power-law majority, O/L for the heavy tails),
-// plus one user-stopped and one panicking transaction, and one injected
-// transient abort so the backoff counters move on any machine.
+// plus one user-stopped and one panicking transaction, one transaction
+// hinted into L, and one injected transient abort so the backoff
+// counters move on any machine.
 func runCounterWorkload(t *testing.T, sys *tufast.System, g *tufast.Graph) {
 	t.Helper()
 	arr := sys.NewVertexArray(0)
@@ -37,6 +38,11 @@ func runCounterWorkload(t *testing.T, sys *tufast.System, g *tufast.Graph) {
 	var pe *tufast.TxPanicError
 	if err := sys.Atomic(0, func(tx tufast.Tx) error { panic("boom") }); !errors.As(err, &pe) {
 		t.Fatalf("panic stop: %v", err)
+	}
+	// One transaction hinted straight into L mode, so the L-mode
+	// sub-scheduler's own counters move whatever the router decided above.
+	if err := sys.Atomic(lHint, func(tx tufast.Tx) error { tx.Write(0, arr.Addr(0), 1); return nil }); err != nil {
+		t.Fatalf("L-mode transaction: %v", err)
 	}
 	sys.Core().SetFaultInjector(sched.NewFaultInjector(sched.FaultSpec{Mode: "H", Op: "commit"}))
 	defer sys.Core().SetFaultInjector(nil)
@@ -70,8 +76,31 @@ func TestResetStatsZeroesEveryCounter(t *testing.T) {
 		t.Fatalf("workload recorded no backoff wait: %+v", b)
 	}
 
+	// The core's own views show counters the public Stats leaves out
+	// (HTM operation counts, the L-mode sub-scheduler's): they are sums
+	// over per-worker blocks, so only ResetStats can clear them, and it
+	// must clear all of them.
+	coreViews := func() map[string]any {
+		c := sys.Core()
+		return map[string]any{
+			"core.Stats":      c.Stats().Snapshot(),
+			"core.ModeStats":  c.ModeStats(),
+			"core.HTMStats":   c.HTMStats(),
+			"core.LModeStats": c.LModeStats().Snapshot(),
+		}
+	}
+	if hs := sys.Core().HTMStats(); hs.Ops == 0 {
+		t.Fatalf("workload moved no HTM operation counters: %+v", hs)
+	}
+	if ls := sys.Core().LModeStats().Snapshot(); ls.Commits == 0 {
+		t.Fatalf("workload committed nothing in L mode: %+v", ls)
+	}
+
 	sys.ResetStats()
 	post := sys.StatsSnapshot()
+	for name, view := range coreViews() {
+		assertZero(t, name, reflect.ValueOf(view))
+	}
 
 	// Every numeric field of Stats is a cumulative counter and must be
 	// zero after ResetStats — except CurrentPeriod, a gauge: the

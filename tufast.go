@@ -41,7 +41,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tufast/internal/core"
 	"tufast/internal/deadlock"
@@ -319,75 +318,50 @@ func (s *System) ForEachQueued(q Source, fn func(tx Tx, v uint32) error) error {
 // ctx between transactions and while idle, so a cancelled drain returns
 // ctx.Err() promptly even when the queue never empties.
 func (s *System) ForEachQueuedCtx(ctx context.Context, q Source, fn func(tx Tx, v uint32) error) error {
-	cancellable := ctx.Done() != nil
-	var firstErr atomic.Value
-	var idle atomic.Int64
-	var wg sync.WaitGroup
-	for t := 0; t < s.threads; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels(
-				"tufast", "foreach_queued", "worker", strconv.Itoa(t))))
-			w := s.Worker()
-			defer s.Release(w)
-			// Quiesce invariant: EVERY exit path leaves this worker's
-			// idle contribution permanently counted (the success exit
-			// keeps the increment it just made; error, panic, and
-			// cancellation exits add one on the way out). The remaining
-			// workers can therefore always reach the all-idle threshold
-			// and terminate, no matter in which order and for which
-			// reason their peers left.
-			idleSpins := 0
-			for {
-				if firstErr.Load() != nil {
-					idle.Add(1)
-					return
-				}
-				if cancellable {
-					if err := ctx.Err(); err != nil {
-						firstErr.CompareAndSwap(nil, err)
-						idle.Add(1)
-						return
-					}
-				}
-				v, ok := q.Pop()
-				if ok {
-					idleSpins = 0
-				}
-				if !ok {
-					// Leave only when every worker is idle and the queue
-					// is empty — then nobody can still push.
-					n := idle.Add(1)
-					if int(n) >= s.threads && q.Len() == 0 {
-						return
-					}
-					idleSpins++
-					if idleSpins > 64 {
-						time.Sleep(50 * time.Microsecond)
-					} else {
-						runtime.Gosched()
-					}
-					idle.Add(-1)
-					continue
-				}
-				hint := s.g.Degree(v)*2 + 2
-				if err := w.AtomicCtx(ctx, hint, func(tx Tx) error { return fn(tx, v) }); err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					idle.Add(1)
-					return
-				}
+	return s.drain(ctx, "foreach_queued", q, nil, nil,
+		func(tx Tx, v uint32, _ func(uint32)) error { return fn(tx, v) })
+}
+
+// drain is the one queued driver behind ForEachQueuedCtx and
+// ForEachQueuedEmitCtx: worklist.Drain (polling, post-commit publishing
+// of emits into sink, quiescing, cancellation) with each of its
+// goroutines labelled for profiles and running its transactions on one
+// pooled worker. hint nil means the base graph's degree.
+func (s *System) drain(ctx context.Context, label string, src Source, sink worklist.Sink,
+	hint func(v uint32) int, fn func(tx Tx, v uint32, emit func(u uint32)) error) error {
+	_, err := worklist.Drain(ctx, chunked(src), sink, s.threads, func(tid int, out *worklist.Emits) (func(uint32) error, func()) {
+		pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels(
+			"tufast", label, "worker", strconv.Itoa(tid))))
+		w := s.Worker()
+		// One body per worker, not per vertex: cur is the vertex in hand.
+		var cur uint32
+		emit := func(u uint32) { out.Emit(u, 0) }
+		body := func(t sched.Tx) error {
+			out.Retry() // a retried attempt re-emits from scratch
+			return fn(Tx{t: t}, cur, emit)
+		}
+		step := func(v uint32) error {
+			cur = v
+			h := s.g.Degree(v)*2 + 2
+			if hint != nil {
+				h = hint(v)
 			}
-		}()
+			return w.run(ctx, h, body)
+		}
+		return step, func() { s.Release(w) }
+	})
+	return err
+}
+
+// chunked returns the source the driver polls for q: the library's own
+// FIFO is unwrapped so the driver sees its chunk methods, anything else
+// (a *PQ, whose minimum is its point, or a caller's type) is polled
+// through its Pop, one id at a time.
+func chunked(q Source) worklist.Source {
+	if fq, ok := q.(*Queue); ok {
+		return (*worklist.Queue)(fq)
 	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if e := firstErr.Load(); e != nil {
-		return e.(error)
-	}
-	return nil
+	return q
 }
 
 // Source is the queue interface ForEachQueued drains; *Queue (FIFO) and
@@ -414,11 +388,16 @@ func (w *Worker) Atomic(sizeHint int, fn func(tx Tx) error) error {
 // AtomicCtx runs fn as one serializable transaction that stops retrying
 // (and stops waiting for locks) with ctx.Err() once ctx is cancelled.
 func (w *Worker) AtomicCtx(ctx context.Context, sizeHint int, fn func(tx Tx) error) error {
+	return w.run(ctx, sizeHint, func(t sched.Tx) error { return fn(Tx{t: t}) })
+}
+
+// run is AtomicCtx for a body already in the scheduler's form; the
+// drivers build theirs once per worker instead of once per transaction.
+func (w *Worker) run(ctx context.Context, sizeHint int, body sched.TxFunc) error {
 	w.busy = true
-	wrapped := func(t sched.Tx) error { return fn(Tx{t: t}) }
 	var err error
 	if cw, ok := w.inner.(sched.CtxWorker); ok {
-		err = cw.RunCtx(ctx, sizeHint, wrapped)
+		err = cw.RunCtx(ctx, sizeHint, body)
 	} else {
 		if ctx != nil {
 			if cerr := ctx.Err(); cerr != nil {
@@ -426,7 +405,7 @@ func (w *Worker) AtomicCtx(ctx context.Context, sizeHint int, fn func(tx Tx) err
 				return cerr
 			}
 		}
-		err = w.inner.Run(sizeHint, wrapped)
+		err = w.inner.Run(sizeHint, body)
 	}
 	w.busy = false
 	return err
