@@ -4,6 +4,7 @@ import (
 	"io"
 	"testing"
 
+	"tufast"
 	"tufast/internal/bench"
 )
 
@@ -84,3 +85,65 @@ func BenchmarkAblation(b *testing.B) { runExperiment(b, "ablation") }
 // BenchmarkLowSkew runs the beyond-the-paper extension: TuFast on a
 // skew-free road-like grid.
 func BenchmarkLowSkew(b *testing.B) { runExperiment(b, "lowskew") }
+
+// applyBench applies batches of 256 stream ops to a fresh directed
+// overlay over n isolated vertices, b.N ops in all, rebuilding the
+// overlay (off the clock) every time the rounds' ops are used up so the
+// chains keep the shape prep gave them. op(round, i) is the i-th op of a
+// round.
+func applyBench(b *testing.B, n, rounds int, prep func(d *tufast.DynGraph), op func(round, i int) tufast.StreamOp) {
+	b.Helper()
+	const batch = 256
+	g, err := tufast.BuildGraph(n, nil, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var d *tufast.DynGraph
+	ops := make([]tufast.StreamOp, batch)
+	b.ReportAllocs()
+	for done, round := 0, rounds; done < b.N; done, round = done+batch, round+1 {
+		if round == rounds {
+			b.StopTimer()
+			d = tufast.NewDynGraph(tufast.NewSystem(g, tufast.Options{SpaceWords: tufast.DynSpaceWords(g, 8192+rounds*batch)}))
+			prep(d)
+			round = 0
+			b.StartTimer()
+		}
+		for i := range ops {
+			ops[i] = op(round, i)
+		}
+		if _, err := d.ApplyStream(ops, tufast.StreamOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkApplyStreamLeaf is the per-op cost of ApplyStream where
+// chains are short: every op inserts at a source whose chain holds at
+// most seven entries.
+func BenchmarkApplyStreamLeaf(b *testing.B) {
+	const n = 1 << 14
+	applyBench(b, n, 8*n/256, func(*tufast.DynGraph) {}, func(round, i int) tufast.StreamOp {
+		k := round*256 + i
+		u := uint32(k % n)
+		return tufast.StreamOp{U: u, V: (u + 1 + uint32(k/n)) % n}
+	})
+}
+
+// BenchmarkApplyStreamHub is the per-op cost where they are not: every
+// op inserts at one source whose chain already holds 4096 entries.
+func BenchmarkApplyStreamHub(b *testing.B) {
+	const hub = 4096
+	prep := func(d *tufast.DynGraph) {
+		ops := make([]tufast.StreamOp, hub)
+		for i := range ops {
+			ops[i] = tufast.StreamOp{U: 0, V: uint32(1 + i)}
+		}
+		if _, err := d.ApplyStream(ops, tufast.StreamOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	applyBench(b, 2*hub, 2, prep, func(round, i int) tufast.StreamOp {
+		return tufast.StreamOp{U: 0, V: uint32(1 + hub + round*256 + i)}
+	})
+}

@@ -1,14 +1,16 @@
 package tufast
 
 import (
+	"cmp"
 	"context"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"tufast/internal/dyngraph"
+	"tufast/internal/sched"
 	"tufast/internal/worklist"
 )
 
@@ -17,8 +19,12 @@ import (
 // are mutated through Tx.AddEdge / Tx.RemoveEdge inside ordinary
 // transactions, so a mutation is routed H/O/L by its size hint — which
 // MutationHint derives from live degree, giving topology updates the
-// same skew-aware treatment the paper gives property updates: leaf
-// inserts commit in H mode, hub mutations take the L-mode lock path.
+// same skew-aware treatment the paper gives property updates. The
+// mutation itself is small at any degree (a hub's target is found
+// through its index, not by walking its chain), so it commits in H or
+// O mode whatever its source; what grows with degree, and what the hint
+// covers, is the incremental fix-up an OnEdge hook runs over the
+// endpoints' adjacencies in the same transaction.
 //
 // The overlay allocates from the System's space; size it with
 // DynSpaceWords. Quiescent methods (NeighborsNow, Compact, ...) are
@@ -115,9 +121,12 @@ func (d *DynGraph) HasEdgeNow(u, v uint32) bool { return d.st.HasArcNow(u, v) }
 // undirected graphs).
 func (d *DynGraph) LiveArcs() int { return d.st.LiveArcs() }
 
-// MutationHint returns the transaction size hint for mutating edge
-// (u, v): proportional to both endpoints' live degrees, so the §IV-B
-// router sends leaf mutations to H mode and hub mutations to L mode.
+// MutationHint returns the transaction size hint for a mutation of edge
+// (u, v) together with a fix-up over both endpoints' adjacencies (what
+// an incremental algorithm's OnEdge hook does): proportional to the
+// endpoints' live degrees. The lookup and the append do not grow with
+// degree, so for a bare mutation of a hub edge the hint only decides
+// where the ladder starts — in O rather than H — not where it commits.
 func (d *DynGraph) MutationHint(u, v uint32) int { return d.st.Hint(u, v) }
 
 // Compact freezes base+overlay into a fresh immutable Graph (rows
@@ -507,19 +516,23 @@ func (d *DynGraph) ApplyStreamCtx(ctx context.Context, ops []StreamOp, opt Strea
 	// reaches cur+1 — i.e. when this batch commits its bump below.
 	// Readers pinned at ≤ cur filter them out even mid-flight.
 	d.st.SetWriteStamp(cur + 1)
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Time < ops[j].Time })
+	// A serving batch arrives in time order (all zero, or the client's
+	// clock); only an unordered stream pays for the sort.
+	if !slices.IsSortedFunc(ops, byTime) {
+		slices.SortStableFunc(ops, byTime)
+	}
 	window := opt.Window
 	if window <= 0 {
 		window = 4096
 	}
-	var ins, rem, noop atomic.Uint64
+	var stats StreamStats
 	var applyErr error
 	for lo := 0; lo < len(ops); lo += window {
 		hi := lo + window
 		if hi > len(ops) {
 			hi = len(ops)
 		}
-		if err := d.applyWindow(ctx, ops[lo:hi], opt, &ins, &rem, &noop); err != nil {
+		if err := d.applyWindow(ctx, ops[lo:hi], opt, &stats); err != nil {
 			applyErr = err
 			break
 		}
@@ -529,16 +542,12 @@ func (d *DynGraph) ApplyStreamCtx(ctx context.Context, ops []StreamOp, opt Strea
 	// or some of its own transactions — committed has still changed the
 	// topology, and any committed change must invalidate epoch-keyed
 	// consumers (result caches, lazy snapshots).
-	var stats StreamStats
-	stats.Inserted = int(ins.Load())
-	stats.Removed = int(rem.Load())
-	stats.NoOps = int(noop.Load())
 	stats.Applied = stats.Inserted + stats.Removed + stats.NoOps
-	d.inserted.Add(ins.Load())
-	d.removed.Add(rem.Load())
-	d.noops.Add(noop.Load())
-	d.gcAppended.Add(ins.Load() + rem.Load())
-	if ins.Load()+rem.Load() > 0 {
+	d.inserted.Add(uint64(stats.Inserted))
+	d.removed.Add(uint64(stats.Removed))
+	d.noops.Add(uint64(stats.NoOps))
+	d.gcAppended.Add(uint64(stats.Inserted + stats.Removed))
+	if stats.Inserted+stats.Removed > 0 {
 		// Advance the write stamp past the new epoch BEFORE publishing
 		// it, so a direct Tx mutation racing with the bump can never
 		// stamp an entry at an epoch that is already pinnable.
@@ -606,56 +615,95 @@ func ComposeEmit(hooks ...func(u uint32)) func(u uint32) {
 	}
 }
 
-// applyWindow runs one window of ops concurrently and barriers.
-func (d *DynGraph) applyWindow(ctx context.Context, win []StreamOp, opt StreamOptions,
-	ins, rem, noop *atomic.Uint64) error {
+// byTime orders stream ops by timestamp.
+func byTime(a, b StreamOp) int { return cmp.Compare(a.Time, b.Time) }
+
+// applier is what one goroutine of a window runs its ops with: the op
+// in hand, its outcome and its emits live here, so the transaction body
+// and the emit callback are built once per goroutine and a window
+// allocates per goroutine, not per op. It also tallies the goroutine's
+// outcomes for the barrier to add up.
+type applier struct {
+	d       *DynGraph
+	onEdge  func(tx Tx, op StreamOp, changed bool, emit func(u uint32)) error
+	body    sched.TxFunc
+	emit    func(u uint32)
+	op      StreamOp
+	changed bool
+	pending []uint32
+
+	inserted, removed, noops int
+
+	// A window's appliers sit side by side and each is written once per
+	// op by its own goroutine: keep them off one another's cache lines.
+	_ [64]byte
+}
+
+func (a *applier) init(d *DynGraph, opt StreamOptions) {
+	a.d, a.onEdge = d, opt.OnEdge
+	a.emit = func(u uint32) { a.pending = append(a.pending, u) }
+	a.body = a.run
+}
+
+// run is the mutation transaction of a.op; a retried attempt starts its
+// outcome and its emits from scratch.
+func (a *applier) run(t sched.Tx) error {
+	tx := Tx{t: t}
+	a.pending = a.pending[:0]
+	if a.op.Del {
+		a.changed = a.d.removeEdge(tx, a.op.U, a.op.V)
+	} else {
+		a.changed = a.d.addEdge(tx, a.op.U, a.op.V)
+	}
+	if a.onEdge != nil {
+		return a.onEdge(tx, a.op, a.changed, a.emit)
+	}
+	return nil
+}
+
+// applyWindow runs one window of ops concurrently, barriers, and adds
+// the window's outcomes to stats.
+func (d *DynGraph) applyWindow(ctx context.Context, win []StreamOp, opt StreamOptions, stats *StreamStats) error {
 	var firstErr atomic.Value
+	appliers := make([]applier, d.sys.threads)
 	err := worklist.RangeCtx(ctx, len(win), d.sys.threads, 32, func(tid, lo, hi int) {
-		pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels(
-			"tufast", "apply_stream", "worker", strconv.Itoa(tid))))
+		a := &appliers[tid] // tid is one goroutine's for the whole window
+		if a.d == nil {
+			a.init(d, opt)
+			pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels(
+				"tufast", "apply_stream", "worker", strconv.Itoa(tid))))
+		}
 		w := d.sys.Worker()
 		defer d.sys.Release(w)
-		var pending []uint32
-		emit := func(u uint32) { pending = append(pending, u) }
 		for i := lo; i < hi; i++ {
 			if firstErr.Load() != nil {
 				return
 			}
-			op := win[i]
-			var changed bool
-			note := func(c bool) { changed = c }
-			hint := d.MutationHint(op.U, op.V)
-			err := w.AtomicCtx(ctx, hint, func(tx Tx) error {
-				pending = pending[:0]
-				if op.Del {
-					note(d.removeEdge(tx, op.U, op.V))
-				} else {
-					note(d.addEdge(tx, op.U, op.V))
-				}
-				if opt.OnEdge != nil {
-					return opt.OnEdge(tx, op, changed, emit)
-				}
-				return nil
-			})
-			if err != nil {
+			a.op = win[i]
+			if err := w.run(ctx, d.MutationHint(a.op.U, a.op.V), a.body); err != nil {
 				firstErr.CompareAndSwap(nil, err)
 				return
 			}
 			switch {
-			case !changed:
-				noop.Add(1)
-			case op.Del:
-				rem.Add(1)
+			case !a.changed:
+				a.noops++
+			case a.op.Del:
+				a.removed++
 			default:
-				ins.Add(1)
+				a.inserted++
 			}
 			if opt.Emit != nil {
-				for _, u := range pending {
+				for _, u := range a.pending {
 					opt.Emit(u)
 				}
 			}
 		}
 	})
+	for i := range appliers {
+		stats.Inserted += appliers[i].inserted
+		stats.Removed += appliers[i].removed
+		stats.NoOps += appliers[i].noops
+	}
 	if err != nil {
 		return err
 	}

@@ -6,17 +6,20 @@
 // mem.Space. Overlay words are read and written through the same
 // sched.Tx interface — and therefore the same per-vertex locks, HTM
 // subscriptions and O-mode validation — as vertex property words, so a
-// mutation transaction routed by live degree behaves exactly like the
-// paper's property transactions: a leaf-vertex edge insert is a tiny
-// H-mode transaction, a hub mutation is the large contended transaction
-// L mode exists for. Nothing in the TM core knows this package exists.
+// mutation transaction behaves exactly like the paper's property
+// transactions, and it costs what it changes, not what its source has
+// accumulated: a leaf-vertex edge insert walks a chain of at most three
+// blocks, a hub mutation finds its target through the hub's index in
+// about four cache lines, and both are small transactions. Nothing in
+// the TM core knows this package exists.
 //
-// Layout. Store allocates two line-aligned vertex arrays: head[v] (word
-// address of v's first overlay block, 0 = none) and deg[v] (live
-// out-degree, seeded from the base). Each block is one emulated cache
-// line of mem.WordsPerLine words: [next, used, slot0..slot5]. A slot
-// holds stamp<<34|target<<2|flags, with bit 0 marking a valid entry and
-// bit 1 a tombstone:
+// Layout. Store allocates three line-aligned vertex arrays: head[v]
+// (word address of v's first overlay block, 0 = none), deg[v] (live
+// out-degree, seeded from the base) and idx[v] (word address of v's
+// target index, 0 = none). Each block is one emulated cache line of
+// mem.WordsPerLine words: [next, used, slot0..slot5]. A slot holds
+// stamp<<34|target<<2|flags, with bit 0 marking a valid entry and bit 1
+// a tombstone:
 //
 //	entry, no tombstone   arc u→target is live (added, or re-added)
 //	entry, tombstone      arc u→target is dead (deleted)
@@ -37,19 +40,47 @@
 // chain order because batches are serialized and the write stamp is
 // monotone.
 //
-// Every word of vertex u's chain (and its head and deg words) is owned
-// by u, which makes u the lock and conflict granule for topology
-// exactly as for properties.
+// Target index. A mutation must find the newest entry for its target,
+// and walking the chain for it makes the mutation cost the vertex's
+// whole history inside the transaction. So a vertex whose chain reaches
+// indexMinBlocks blocks gets an index (GTX's per-vertex delta-chains
+// index): a header line [bits, count, tail] followed by 1<<bits slot
+// words target<<32|slotAddr, open addressing with linear probing over a
+// multiplicative hash, load ≤ ½, moved to a table of twice the size
+// when count passes that. The invariant, kept by every transaction that
+// appends to or rebuilds the chain: each target with an entry in the
+// chain has exactly one index slot, it holds the address of that
+// target's LAST chain entry, and tail is the chain's last block. The
+// index is a writer-side accelerator only: the chain layout is
+// unchanged and no pinned reader ever looks at the index, so
+// NeighborsAt's four-point argument needs nothing new — index words
+// change only together with an append or a rebuild of the chain into
+// fresh blocks, never with a committed entry, and committed entries
+// stay immutable. That is also why CompactChain may refill the table in
+// place where it rebuilds the chain into fresh blocks: nothing outside
+// a transaction owning the vertex reads a table. Index words are read
+// and written through the transaction like every other word of the
+// vertex. A vertex keeps its index once it has one; chains that never
+// reached indexMinBlocks are walked as before, and a Space above 2^32
+// words (slot addresses take the low half of a slot word) never
+// indexes.
 //
-// Blocks are allocated from the Space and never freed. A block
-// allocated by an attempt that later aborts is leaked — it was never
-// linked, so it stays unreachable and zeroed; SpaceWords budgets for
-// that. The link word is written last and transactionally, so a block
-// becomes reachable only when the allocating transaction commits.
+// Every word of vertex u's chain and index (and its head, deg and idx
+// words) is owned by u, which makes u the lock and conflict granule for
+// topology exactly as for properties.
+//
+// Blocks and index tables are allocated from the Space and never freed:
+// a table that was doubled stays behind like a compacted-away block.
+// One allocated by an attempt that later aborts is leaked — it
+// was never linked, so it stays unreachable and zeroed; SpaceWords
+// budgets for that. The link word is written last and transactionally,
+// so a block becomes reachable only when the allocating transaction
+// commits.
 package dyngraph
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -85,6 +116,22 @@ const (
 	// StampLatest filters nothing: the *At readers resolve to the
 	// newest committed state, like the unversioned paths.
 	StampLatest = ^uint64(0)
+
+	// indexMinBlocks is the chain length, in blocks, at which a vertex
+	// gets a target index. Measured on serve_write's traffic (6.49M
+	// lookups; EXPERIMENTS "Write path" has the histogram): the 81% of
+	// lookups that visit fewer than 4 blocks make 23% of the block
+	// visits, so walking them costs little and indexing them would spend
+	// a header line and a table on four fifths of the touched vertices;
+	// the 11% that visit 8 or more make at least 66%.
+	indexMinBlocks = 4
+	// Index header words; the slot words start on the next line.
+	idxBits  = 0 // log2 of the slot count
+	idxCount = 1 // distinct targets in the table
+	idxTail  = 2 // the chain's last block
+	idxSlots = blockWords
+	// minIndexBits is the smallest table: one line of slots.
+	minIndexBits = 3
 )
 
 func entryStamp(e uint64) uint64  { return e >> stampShift }
@@ -116,22 +163,28 @@ type Store struct {
 	n     int
 	head  mem.Addr      // n words: head[v] = address of v's first block, 0 = none
 	deg   mem.Addr      // n words: deg[v] = live out-degree of v
+	idx   mem.Addr      // n words: idx[v] = address of v's target index, 0 = none
 	stamp atomic.Uint64 // current write stamp; see SetWriteStamp
+	// indexable is false when sp is too large for a slot address to fit
+	// the low half of an index slot word; such a store walks every chain.
+	indexable bool
 	// scratch pools the scan kernel's key buffers (*scanScratch), so a
-	// warmed reader resolves a chain without allocating.
+	// warmed reader resolves a chain — and a warmed mutator builds an
+	// index table — without allocating.
 	scratch sync.Pool
 }
 
-// New creates an overlay store over base, allocating its head and
-// degree arrays (and later its blocks) from sp. Size sp with
-// SpaceWords headroom beyond the caller's own allocations.
+// New creates an overlay store over base, allocating its head, degree
+// and index arrays (and later its blocks and index tables) from sp.
+// Size sp with SpaceWords headroom beyond the caller's own allocations.
 func New(sp *mem.Space, base *graph.CSR) *Store {
 	n := base.NumVertices()
-	s := &Store{sp: sp, base: base, n: n}
-	// The head array is allocated before any block, so a real block
-	// address can never be 0 and 0 can mean "no chain".
+	s := &Store{sp: sp, base: base, n: n, indexable: uint64(sp.Cap()) <= 1<<32}
+	// The head array is allocated before any block or table, so a real
+	// block, slot or header address can never be 0 and 0 can mean "none".
 	s.head = sp.AllocLineAligned(n)
 	s.deg = sp.AllocLineAligned(n)
+	s.idx = sp.AllocLineAligned(n)
 	for v := uint32(0); int(v) < n; v++ {
 		sp.Store(s.deg+mem.Addr(v), uint64(base.Degree(v)))
 	}
@@ -161,14 +214,21 @@ func (s *Store) SetWriteStamp(stamp uint64) {
 func (s *Store) WriteStamp() uint64 { return s.stamp.Load() }
 
 // SpaceWords returns the extra space (in words) a Store over n vertices
-// needs for arcMutations AddArc/RemoveArc calls: the head and degree
-// arrays plus a generous block budget that also covers blocks leaked by
-// aborted attempts and the multi-version entries MVCC appends (a
-// mutation that would have flipped a tombstone in place under a single
-// version appends a fresh stamped entry when the epoch has moved). An
-// undirected edge mutation is two arc mutations.
+// needs for arcMutations AddArc/RemoveArc calls: the head, degree and
+// index arrays plus a generous budget of 24 words per mutation that
+// covers the blocks, the blocks leaked by aborted attempts, the
+// multi-version entries MVCC appends (a mutation that would have
+// flipped a tombstone in place under a single version appends a fresh
+// stamped entry when the epoch has moved) and the index tables of the
+// long chains, each with the smaller ones its doublings left behind —
+// about as much again as the final table. Measured per effective edge
+// op (two arc mutations, so against a budget of 48): serve_write's
+// chains take 1.74 words and its tables 1.5 more; on serve_mixed's
+// smaller graph, where one vertex in eight ends up indexed and chain GC
+// re-allocates the blocks it compacts, 4.75 and 6 (EXPERIMENTS "Write
+// path", Arena). An undirected edge mutation is two arc mutations.
 func SpaceWords(n, arcMutations int) int {
-	return 2*(n+2*blockWords) + 24*arcMutations + 64
+	return 3*(n+2*blockWords) + 24*arcMutations + 64
 }
 
 // Base returns the frozen CSR underneath the overlay.
@@ -191,6 +251,7 @@ func (s *Store) check(v uint32) {
 
 func (s *Store) headOf(v uint32) mem.Addr { return s.head + mem.Addr(v) }
 func (s *Store) degOf(v uint32) mem.Addr  { return s.deg + mem.Addr(v) }
+func (s *Store) idxOf(v uint32) mem.Addr  { return s.idx + mem.Addr(v) }
 
 // baseHas reports whether the frozen base holds arc u→v (binary search
 // of the sorted base adjacency; no shared state touched).
@@ -199,31 +260,95 @@ func (s *Store) baseHas(u, v uint32) bool {
 	return ok
 }
 
-// findLatest scans u's whole chain for the LAST entry targeting w — the
+// cursor is what findLatest learnt about target w in u's chain: where
+// w's newest version is, and where an appended one goes.
+type cursor struct {
+	slot mem.Addr // address of the last chain entry targeting w; 0 = none
+	last mem.Addr // the chain's final block; 0 = empty chain
+	used uint64   // entries in last
+	// A walked chain (hdr == 0) reports its length, so the append that
+	// makes it indexMinBlocks long builds the index. An indexed one
+	// (hdr != 0) reports w's index slot — or, with slot == 0, the empty
+	// one w would take — and the table's size.
+	blocks int
+	hdr    mem.Addr
+	at     mem.Addr
+	bits   uint
+}
+
+// findLatest locates the LAST entry of u's chain targeting w — the
 // newest version, since per-target stamps are non-decreasing in chain
-// order. It returns the slot's address (0 when no entry targets w) plus
-// the chain's final block and its used count (0 when the chain is
-// empty) so an appender need not rescan.
-func (s *Store) findLatest(r reader, u, w uint32) (slot, last mem.Addr, lastUsed uint64) {
+// order — together with the chain's final block, so an appender need
+// not rescan. An indexed vertex answers from its table in about four
+// lines (idx, header, slot, tail block); any other chain is walked
+// whole, which indexMinBlocks keeps short.
+//
+// An O-mode attempt that is already doomed may run this over a torn
+// snapshot: every word is one that some transaction wrote, but not all
+// at the same commit. Nothing read here is trusted to be consistent,
+// only to be bounded: used and bits are clamped, the probe loop stops
+// after one pass over the table, and an address is dereferenced only
+// inside the Space.
+func (s *Store) findLatest(r reader, u, w uint32) cursor {
+	if hdr := mem.Addr(r.Read(u, s.idxOf(u))); hdr != 0 {
+		return s.lookup(r, u, w, hdr)
+	}
+	var c cursor
 	b := mem.Addr(r.Read(u, s.headOf(u)))
 	for b != 0 {
-		used := r.Read(u, b+1)
-		if used > slotsPerBlock {
-			used = slotsPerBlock
-		}
+		c.blocks++
+		used := min(r.Read(u, b+1), slotsPerBlock)
 		for i := mem.Addr(0); i < mem.Addr(used); i++ {
 			e := r.Read(u, b+slotBase+i)
 			if e&entryValid != 0 && entryTarget(e) == w {
-				slot = b + slotBase + i
+				c.slot = b + slotBase + i
 			}
 		}
-		next := mem.Addr(r.Read(u, b))
-		if next == 0 {
-			return slot, b, used
-		}
-		b = next
+		c.last, c.used = b, used
+		b = mem.Addr(r.Read(u, b))
 	}
-	return slot, 0, 0
+	return c
+}
+
+// slotHash is the index's multiplicative (Fibonacci) hash of target w
+// into a table of 1<<bits slots.
+func slotHash(w uint32, bits uint) mem.Addr {
+	return mem.Addr(uint64(w) * 0x9E3779B97F4A7C15 >> (64 - bits))
+}
+
+// indexBits returns the table size recorded in the header at hdr,
+// clamped so that the table lies inside the Space whatever was read.
+func (s *Store) indexBits(r reader, u uint32, hdr mem.Addr) uint {
+	room := uint64(s.sp.Cap()) - uint64(hdr+idxSlots)
+	return uint(min(r.Read(u, hdr+idxBits), uint64(bits.Len64(room)-1)))
+}
+
+// lookup is findLatest through u's index at hdr.
+func (s *Store) lookup(r reader, u, w uint32, hdr mem.Addr) cursor {
+	c := cursor{hdr: hdr, bits: s.indexBits(r, u, hdr)}
+	slots, mask := hdr+idxSlots, mem.Addr(1)<<c.bits-1
+	// Load ≤ ½ ends every probe at an empty slot long before the bound;
+	// only a torn table (half refilled by a CompactChain the attempt
+	// raced with, say) reads full, and then any slot of it will do.
+	i := slotHash(w, c.bits)
+	for n := mem.Addr(0); n <= mask; n++ {
+		c.at = slots + i
+		e := r.Read(u, c.at)
+		if e == 0 {
+			break
+		}
+		if uint32(e>>32) == w {
+			if a := mem.Addr(uint32(e)); uint64(a) < uint64(s.sp.Cap()) {
+				c.slot = a
+			}
+			break
+		}
+		i = (i + 1) & mask
+	}
+	if tail := mem.Addr(r.Read(u, hdr+idxTail)); tail != 0 && uint64(tail) <= uint64(s.sp.Cap()-blockWords) {
+		c.last, c.used = tail, min(r.Read(u, tail+1), slotsPerBlock)
+	}
+	return c
 }
 
 // bumpDeg adjusts u's live degree by delta.
@@ -232,27 +357,156 @@ func (s *Store) bumpDeg(tx sched.Tx, u uint32, delta int64) {
 	tx.Write(u, s.degOf(u), uint64(int64(d)+delta))
 }
 
-// appendEntry adds a new entry to u's chain: into the last block's free
-// slot when there is one, else into a freshly allocated block linked at
-// the tail (or at head for an empty chain). All writes go through tx,
-// so an abort rolls the chain back; a fresh block allocated by an
-// aborted attempt is simply leaked, still zeroed and unreachable.
-func (s *Store) appendEntry(tx sched.Tx, u uint32, entry uint64, last mem.Addr, used uint64) {
-	if last != 0 && used < slotsPerBlock {
-		free := last + slotBase + mem.Addr(used)
-		tx.Write(u, free, entry)
-		tx.Write(u, last+1, used+1)
+// appendEntry adds a new entry to u's chain at the place c found: into
+// the last block's free slot when there is one, else into a freshly
+// allocated block linked at the tail (or at head for an empty chain),
+// and keeps the index invariant — repointing the target's slot on an
+// indexed vertex, building the index when this append makes the chain
+// indexMinBlocks long. All writes go through tx, so an abort rolls
+// chain and index back; a fresh block or table allocated by an aborted
+// attempt is simply leaked, still zeroed and unreachable.
+func (s *Store) appendEntry(tx sched.Tx, u uint32, entry uint64, c cursor) {
+	tail := c.last
+	var at mem.Addr
+	if tail != 0 && c.used < slotsPerBlock {
+		at = tail + slotBase + mem.Addr(c.used)
+		tx.Write(u, at, entry)
+		tx.Write(u, tail+1, c.used+1)
+	} else {
+		tail = s.sp.AllocLineAligned(blockWords)
+		at = tail + slotBase
+		tx.Write(u, at, entry)
+		tx.Write(u, tail+1, 1)
+		// Link last: the block (and its entry) becomes visible atomically
+		// with the transaction's commit.
+		if c.last == 0 {
+			tx.Write(u, s.headOf(u), uint64(tail))
+		} else {
+			tx.Write(u, c.last, uint64(tail))
+		}
+	}
+	switch {
+	case c.hdr != 0:
+		s.indexAppend(tx, u, c, uint64(entryTarget(entry))<<32|uint64(at), tail)
+	case tail != c.last && c.blocks+1 >= indexMinBlocks && s.indexable:
+		s.buildIndex(tx, u)
+	}
+}
+
+// indexAppend records in u's index that word's target now has its last
+// entry at word's slot address and that the chain ends in tail.
+func (s *Store) indexAppend(tx sched.Tx, u uint32, c cursor, word uint64, tail mem.Addr) {
+	if c.slot != 0 {
+		tx.Write(u, c.at, word) // a newer version of an indexed target
+	} else if count := tx.Read(u, c.hdr+idxCount) + 1; 2*count <= 1<<c.bits {
+		tx.Write(u, c.at, word)
+		tx.Write(u, c.hdr+idxCount, count)
+	} else {
+		// The new target would push the load past ½: move to a table of
+		// twice the size. The old one stays behind.
+		sc := s.scratch.Get().(*scanScratch)
+		pairs := append(sc.keys[:0], word)
+		for i := mem.Addr(0); i < 1<<c.bits; i++ {
+			if e := tx.Read(u, c.hdr+idxSlots+i); e != 0 {
+				pairs = append(pairs, e)
+			}
+		}
+		sc.keys = pairs
+		s.installIndex(tx, u, sc, tail, c.hdr, c.bits)
+		s.scratch.Put(sc)
 		return
 	}
-	b := s.sp.AllocLineAligned(blockWords)
-	tx.Write(u, b+slotBase, entry)
-	tx.Write(u, b+1, 1)
-	// Link last: the block (and its entry) becomes visible atomically
-	// with the transaction's commit.
-	if last == 0 {
-		tx.Write(u, s.headOf(u), uint64(b))
-	} else {
-		tx.Write(u, last, uint64(b))
+	if tail != c.last {
+		tx.Write(u, c.hdr+idxTail, uint64(tail))
+	}
+}
+
+// buildIndex gives u its first index, from a walk of the chain as tx
+// sees it.
+func (s *Store) buildIndex(tx sched.Tx, u uint32) {
+	sc := s.scratch.Get().(*scanScratch)
+	pairs := sc.keys[:0]
+	var tail mem.Addr
+	for b := mem.Addr(tx.Read(u, s.headOf(u))); b != 0; b = mem.Addr(tx.Read(u, b)) {
+		used := min(tx.Read(u, b+1), slotsPerBlock)
+		for i := mem.Addr(0); i < mem.Addr(used); i++ {
+			if e := tx.Read(u, b+slotBase+i); e&entryValid != 0 {
+				pairs = append(pairs, uint64(entryTarget(e))<<32|uint64(b+slotBase+i))
+			}
+		}
+		tail = b
+	}
+	sc.keys = pairs
+	s.installIndex(tx, u, sc, tail, 0, 0)
+	s.scratch.Put(sc)
+}
+
+// tableBits returns the smallest table that holds n targets at load ≤ ½.
+func tableBits(n int) uint {
+	return max(minIndexBits, uint(bits.Len(uint(max(2*n, 1)-1))))
+}
+
+// fillTable hashes pairs (target<<32|slotAddr words, a later one
+// replacing an earlier one of the same target) into tab, whose length
+// is 1<<bits ≥ 2·len(pairs), and returns the number of distinct targets.
+func fillTable(tab []uint64, bits uint, pairs []uint64) int {
+	clear(tab)
+	n, mask := 0, mem.Addr(len(tab)-1)
+	for _, p := range pairs {
+		i := slotHash(uint32(p>>32), bits)
+		for tab[i] != 0 && tab[i]>>32 != p>>32 {
+			i = (i + 1) & mask
+		}
+		if tab[i] == 0 {
+			n++
+		}
+		tab[i] = p
+	}
+	return n
+}
+
+// installIndex makes u's index hold exactly sc.keys — one
+// target<<32|slotAddr word per chain entry, in chain order, so that the
+// last entry of a target wins — with tail as the chain's last block.
+// The table u already has (header old, 1<<oldBits slots; old 0 = none)
+// is refilled in place when it holds the distinct targets at load ≤ ½:
+// the arena never takes memory back, so a rebuilt chain keeps its table
+// however much smaller it got, and chain GC spends nothing on indexes.
+// Otherwise the smallest table that does hold them is allocated and
+// idx[u] pointed at it. Either way the table is laid out in sc.tab
+// first and the transaction writes the header and the slots that
+// change.
+func (s *Store) installIndex(tx sched.Tx, u uint32, sc *scanScratch, tail mem.Addr, old mem.Addr, oldBits uint) {
+	pairs := sc.keys
+	// Lay the table out large enough for every entry to be a target of
+	// its own, count the targets there are, then settle the size: the
+	// table in place if it holds them, else the smallest that does.
+	b := tableBits(len(pairs))
+	sc.tab = slices.Grow(sc.tab[:0], 1<<max(b, oldBits))
+	tab := sc.tab[:1<<b]
+	count := fillTable(tab, b, pairs)
+	want := tableBits(count)
+	if old != 0 && oldBits >= want {
+		want = oldBits
+	}
+	if want != b {
+		b, tab = want, sc.tab[:1<<want]
+		fillTable(tab, b, pairs)
+	}
+	hdr, fresh := old, old == 0 || oldBits != b
+	if fresh {
+		hdr = s.sp.AllocLineAligned(idxSlots + len(tab))
+		tx.Write(u, hdr+idxBits, uint64(b))
+		tx.Write(u, s.idxOf(u), uint64(hdr))
+	}
+	tx.Write(u, hdr+idxCount, uint64(count))
+	tx.Write(u, hdr+idxTail, uint64(tail))
+	for i := mem.Addr(0); i < mem.Addr(len(tab)); i++ {
+		// A fresh table is all zeros; a refilled one is read first, so
+		// that the slots that stay empty or keep their word cost no write.
+		if e := tab[i]; fresh && e != 0 || !fresh && e != tx.Read(u, hdr+idxSlots+i) {
+			tx.Write(u, hdr+idxSlots+i, e)
+		}
 	}
 }
 
@@ -274,16 +528,16 @@ func (s *Store) AddArc(tx sched.Tx, u, v uint32) bool {
 	if u == v {
 		return false
 	}
-	slot, last, used := s.findLatest(tx, u, v)
-	if slot != 0 {
-		e := tx.Read(u, slot)
+	c := s.findLatest(tx, u, v)
+	if c.slot != 0 {
+		e := tx.Read(u, c.slot)
 		if e&entryTomb == 0 {
 			return false // already live in the overlay
 		}
 		if entryStamp(e) == s.stamp.Load() {
-			tx.Write(u, slot, e&^uint64(entryTomb))
+			tx.Write(u, c.slot, e&^uint64(entryTomb))
 		} else {
-			s.appendEntry(tx, u, s.mkEntry(v, 0), last, used)
+			s.appendEntry(tx, u, s.mkEntry(v, 0), c)
 		}
 		s.bumpDeg(tx, u, 1)
 		return true
@@ -291,7 +545,7 @@ func (s *Store) AddArc(tx sched.Tx, u, v uint32) bool {
 	if s.baseHas(u, v) {
 		return false // live in the base with no override
 	}
-	s.appendEntry(tx, u, s.mkEntry(v, 0), last, used)
+	s.appendEntry(tx, u, s.mkEntry(v, 0), c)
 	s.bumpDeg(tx, u, 1)
 	return true
 }
@@ -304,22 +558,22 @@ func (s *Store) RemoveArc(tx sched.Tx, u, v uint32) bool {
 	if u == v {
 		return false
 	}
-	slot, last, used := s.findLatest(tx, u, v)
-	if slot != 0 {
-		e := tx.Read(u, slot)
+	c := s.findLatest(tx, u, v)
+	if c.slot != 0 {
+		e := tx.Read(u, c.slot)
 		if e&entryTomb != 0 {
 			return false // already dead
 		}
 		if entryStamp(e) == s.stamp.Load() {
-			tx.Write(u, slot, e|entryTomb)
+			tx.Write(u, c.slot, e|entryTomb)
 		} else {
-			s.appendEntry(tx, u, s.mkEntry(v, entryTomb), last, used)
+			s.appendEntry(tx, u, s.mkEntry(v, entryTomb), c)
 		}
 		s.bumpDeg(tx, u, -1)
 		return true
 	}
 	if s.baseHas(u, v) {
-		s.appendEntry(tx, u, s.mkEntry(v, entryTomb), last, used)
+		s.appendEntry(tx, u, s.mkEntry(v, entryTomb), c)
 		s.bumpDeg(tx, u, -1)
 		return true
 	}
@@ -331,9 +585,8 @@ func (s *Store) RemoveArc(tx sched.Tx, u, v uint32) bool {
 func (s *Store) HasArc(r reader, u, v uint32) bool {
 	s.check(u)
 	s.check(v)
-	slot, _, _ := s.findLatest(r, u, v)
-	if slot != 0 {
-		return r.Read(u, slot)&entryTomb == 0
+	if c := s.findLatest(r, u, v); c.slot != 0 {
+		return r.Read(u, c.slot)&entryTomb == 0
 	}
 	return s.baseHas(u, v)
 }
@@ -378,8 +631,9 @@ func (s *Store) Neighbors(r reader, u uint32, buf []uint32) []uint32 {
 	return s.neighborsAt(r, u, StampLatest, buf)
 }
 
-// scanScratch is the scan kernel's reusable key buffer.
-type scanScratch struct{ keys []uint64 }
+// scanScratch is the scan kernel's reusable key buffer; the index
+// builders borrow it for their pairs, with tab for the table layout.
+type scanScratch struct{ keys, tab []uint64 }
 
 const (
 	// scanFill appends the resolved row to out; without it scan only
@@ -557,10 +811,10 @@ func (s *Store) ArcsAt(maxStamp uint64, threads int) int {
 }
 
 // Hint returns the routing size hint for a mutation of edge (u, v): the
-// paper's BEGIN(size) estimate covering the chain scans plus an
-// incremental fix-up over both endpoints' adjacencies, proportional to
-// live degree — which is what routes leaf mutations to H mode and hub
-// mutations to L mode.
+// paper's BEGIN(size) estimate for the mutation plus an incremental
+// fix-up over both endpoints' adjacencies, proportional to live degree.
+// The mutation's own footprint is a handful of lines at any degree, so
+// the degree term is there for the fix-up a stream hook adds.
 func (s *Store) Hint(u, v uint32) int {
 	return 2*(s.LiveDegree(u)+s.LiveDegree(v)) + 16
 }
@@ -587,8 +841,9 @@ func (s *Store) ChainWords(u uint32) int {
 // rebuilt chain lives in freshly allocated blocks and is installed with
 // a single head write — the old blocks stay frozen, so readers that
 // already entered them finish their scan on immutable committed data.
-// Returns whether the chain was rewritten. The caller must guarantee
-// keep ≤ every live pinned epoch (the owner's GC watermark).
+// An indexed vertex's table is refilled in place to point into the new
+// blocks. Returns whether the chain was rewritten. The caller must
+// guarantee keep ≤ every live pinned epoch (the owner's GC watermark).
 func (s *Store) CompactChain(tx sched.Tx, u uint32, keep uint64) bool {
 	s.check(u)
 	var ents []uint64
@@ -632,7 +887,11 @@ func (s *Store) CompactChain(tx sched.Tx, u uint32, keep uint64) bool {
 	if len(kept) == len(ents) {
 		return false // nothing to reclaim
 	}
+	hdr := mem.Addr(tx.Read(u, s.idxOf(u)))
 	if len(kept) == 0 {
+		if hdr != 0 {
+			s.reindex(tx, u, hdr, nil, nil)
+		}
 		tx.Write(u, s.headOf(u), 0)
 		return true
 	}
@@ -656,8 +915,27 @@ func (s *Store) CompactChain(tx sched.Tx, u uint32, keep uint64) bool {
 	for k := len(blocks) - 1; k > 0; k-- {
 		tx.Write(u, blocks[k-1], uint64(blocks[k]))
 	}
+	if hdr != 0 {
+		s.reindex(tx, u, hdr, kept, blocks)
+	}
 	tx.Write(u, s.headOf(u), uint64(blocks[0]))
 	return true
+}
+
+// reindex points u's index at hdr to the chain CompactChain rebuilt:
+// kept[j] now lives in slot j%slotsPerBlock of blocks[j/slotsPerBlock].
+// (A chain short enough to have no index is no longer after compaction,
+// so there is never one to build here.)
+func (s *Store) reindex(tx sched.Tx, u uint32, hdr mem.Addr, kept []uint64, blocks []mem.Addr) {
+	sc := s.scratch.Get().(*scanScratch)
+	sc.keys = sc.keys[:0]
+	var tail mem.Addr
+	for j, e := range kept {
+		tail = blocks[j/slotsPerBlock]
+		sc.keys = append(sc.keys, uint64(entryTarget(e))<<32|uint64(tail+slotBase+mem.Addr(j%slotsPerBlock)))
+	}
+	s.installIndex(tx, u, sc, tail, hdr, s.indexBits(tx, u, hdr))
+	s.scratch.Put(sc)
 }
 
 // Compact freezes the overlay into a fresh CSR (the paper-shaped

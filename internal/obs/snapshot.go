@@ -104,12 +104,48 @@ type ServerSnapshot struct {
 	GCChains uint64 `json:"gc_chains,omitempty"`
 	GCErrors uint64 `json:"gc_errors,omitempty"`
 	// JobLatency is the end-to-end job latency histogram (nanoseconds,
-	// admission to terminal state); BatchLatency times mutation batches.
-	JobLatency   HistSnapshot `json:"job_latency_ns"`
-	BatchLatency HistSnapshot `json:"batch_latency_ns"`
+	// admission to terminal state). BatchLatency times answered mutation
+	// batches from handler entry — before the body is read — to the
+	// response written; BatchStages splits the same interval.
+	JobLatency   HistSnapshot        `json:"job_latency_ns"`
+	BatchLatency HistSnapshot        `json:"batch_latency_ns"`
+	BatchStages  BatchStagesSnapshot `json:"batch_stages_ns"`
 	// RepairLag times standing-query repair: effective-batch commit to
 	// the repaired result being published.
 	RepairLag HistSnapshot `json:"repair_lag_ns,omitempty"`
+}
+
+// BatchStagesSnapshot splits BatchLatency into the stages a mutation
+// batch passes, in order (nanoseconds). One clock reading ends a stage
+// and starts the next, so per batch the seven add up to its latency;
+// only answered batches are recorded, each once in every histogram.
+type BatchStagesSnapshot struct {
+	// Decode reads the request body and decodes it; Admit is the rate
+	// quota and the vertex-range validation.
+	Decode HistSnapshot `json:"decode"`
+	Admit  HistSnapshot `json:"admit"`
+	// LockWait is the wait for the graph's single-writer bracket.
+	LockWait HistSnapshot `json:"lock_wait"`
+	// Apply is DynGraph.ApplyStreamCtx; WAL the log append (zero on an
+	// ephemeral graph or a no-op batch); Standing the standing-query
+	// bookkeeping and leaving the bracket.
+	Apply    HistSnapshot `json:"apply"`
+	WAL      HistSnapshot `json:"wal"`
+	Standing HistSnapshot `json:"standing"`
+	// Respond encodes and writes the answer.
+	Respond HistSnapshot `json:"respond"`
+}
+
+func (b BatchStagesSnapshot) merge(other BatchStagesSnapshot) BatchStagesSnapshot {
+	return BatchStagesSnapshot{
+		Decode:   b.Decode.Merge(other.Decode),
+		Admit:    b.Admit.Merge(other.Admit),
+		LockWait: b.LockWait.Merge(other.LockWait),
+		Apply:    b.Apply.Merge(other.Apply),
+		WAL:      b.WAL.Merge(other.WAL),
+		Standing: b.Standing.Merge(other.Standing),
+		Respond:  b.Respond.Merge(other.Respond),
+	}
 }
 
 // Merge folds other into a copy of s: counters add, histograms merge,
@@ -157,6 +193,7 @@ func (s ServerSnapshot) merge(other ServerSnapshot) ServerSnapshot {
 	out.StandingRepairing = other.StandingRepairing
 	out.JobLatency = s.JobLatency.Merge(other.JobLatency)
 	out.BatchLatency = s.BatchLatency.Merge(other.BatchLatency)
+	out.BatchStages = s.BatchStages.merge(other.BatchStages)
 	out.RepairLag = s.RepairLag.Merge(other.RepairLag)
 	return out
 }

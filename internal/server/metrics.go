@@ -50,8 +50,11 @@ type metrics struct {
 	gcChains atomic.Uint64
 	gcErrors atomic.Uint64
 
-	jobLatency   obs.Histogram
+	jobLatency obs.Histogram
+	// batchLatency times an answered mutation batch from handler entry
+	// to the response written; batchStages splits it (see stageDecode).
 	batchLatency obs.Histogram
+	batchStages  [numBatchStages]obs.Histogram
 	// repairLag times batch-commit → standing-result-published.
 	repairLag obs.Histogram
 }
@@ -85,6 +88,15 @@ func (m *metrics) snapshot(queueDepth, queueCap int, epoch uint64, standing, sta
 		GCErrors:              m.gcErrors.Load(),
 		JobLatency:            m.jobLatency.Snapshot(),
 		BatchLatency:          m.batchLatency.Snapshot(),
-		RepairLag:             m.repairLag.Snapshot(),
+		BatchStages: obs.BatchStagesSnapshot{
+			Decode:   m.batchStages[stageDecode].Snapshot(),
+			Admit:    m.batchStages[stageAdmit].Snapshot(),
+			LockWait: m.batchStages[stageLockWait].Snapshot(),
+			Apply:    m.batchStages[stageApply].Snapshot(),
+			WAL:      m.batchStages[stageWAL].Snapshot(),
+			Standing: m.batchStages[stageStanding].Snapshot(),
+			Respond:  m.batchStages[stageRespond].Snapshot(),
+		},
+		RepairLag: m.repairLag.Snapshot(),
 	}
 }

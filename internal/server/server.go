@@ -432,19 +432,6 @@ func (s *Server) mux() *http.ServeMux {
 	return mux
 }
 
-// edgeOp is one mutation of a POST …/edges batch.
-type edgeOp struct {
-	U    uint32 `json:"u"`
-	V    uint32 `json:"v"`
-	Del  bool   `json:"del,omitempty"`
-	Time uint64 `json:"time,omitempty"`
-}
-
-// edgeBatch is the POST …/edges body.
-type edgeBatch struct {
-	Ops []edgeOp `json:"ops"`
-}
-
 // walErr returns the cause once the graph's log has fail-stopped (nil
 // on a healthy or ephemeral graph). A batch applied after that would
 // commit in memory, bump the epoch and feed standing queries with
@@ -462,7 +449,38 @@ func refuseFrozen(w http.ResponseWriter, cause error) {
 	writeError(w, http.StatusServiceUnavailable, "graph is read-only until restart: wal failed: "+cause.Error())
 }
 
+// The stages handleEdges times, in the order a batch passes them. Their
+// histograms partition batch_latency_ns: one clock reading closes a
+// stage and opens the next, so for every answered batch the stage times
+// sum to the handler's.
+const (
+	stageDecode   = iota // read the body, decode it, size checks
+	stageAdmit           // rate quota and vertex-range validation
+	stageLockWait        // waiting for mutMu
+	stageApply           // ApplyStreamCtx
+	stageWAL             // the log append (and its fsync under SyncAlways)
+	stageStanding        // standing-query bookkeeping, leaving the bracket
+	stageRespond         // encoding and writing the answer
+	numBatchStages
+)
+
+// stageClock times one handleEdges call, stage by stage: lap closes the
+// stage in hand at one time.Now(), which is also the next one's start.
+type stageClock struct {
+	start, last time.Time
+	ns          [numBatchStages]uint64
+}
+
+func (c *stageClock) lap(stage int) {
+	now := time.Now()
+	c.ns[stage] = uint64(now.Sub(c.last))
+	c.last = now
+}
+
 func (s *graphInstance) handleEdges(w http.ResponseWriter, r *http.Request) {
+	var clock stageClock
+	clock.start = time.Now()
+	clock.last = clock.start
 	if s.srv.draining.Load() || s.deleted.Load() {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
@@ -471,24 +489,18 @@ func (s *graphInstance) handleEdges(w http.ResponseWriter, r *http.Request) {
 		refuseFrozen(w, werr)
 		return
 	}
-	var batch edgeBatch
-	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
-		writeError(w, http.StatusBadRequest, "bad batch: "+err.Error())
+	sc := getEdgeScratch()
+	defer putEdgeScratch(sc)
+	ops, status, msg := s.readBatch(w, r, sc)
+	if status != 0 {
+		writeError(w, status, msg)
 		return
 	}
-	if len(batch.Ops) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(batch.Ops) > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d ops exceeds max %d", len(batch.Ops), s.cfg.MaxBatch))
-		return
-	}
+	clock.lap(stageDecode)
 	if b := s.mutBucket; b != nil {
 		// Rate quota, taken before any lock: a shed batch costs this
 		// tenant a map lookup, not a slot in the serialized bracket.
-		if ok, retry := b.take(time.Now()); !ok {
+		if ok, retry := b.take(clock.last); !ok {
 			s.met.quotaRejected.Add(1)
 			w.Header().Set("Retry-After", strconv.Itoa(retry))
 			writeError(w, http.StatusTooManyRequests, "mutation batch rate quota exceeded")
@@ -496,18 +508,15 @@ func (s *graphInstance) handleEdges(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	n := uint32(s.dyn.NumVertices())
-	ops := make([]tufast.StreamOp, len(batch.Ops))
-	for i, op := range batch.Ops {
+	for i, op := range ops {
 		if op.U >= n || op.V >= n {
 			writeError(w, http.StatusBadRequest,
 				fmt.Sprintf("op %d: vertex out of range [0,%d)", i, n))
 			return
 		}
-		// A zero Time keeps request order: ApplyStream sorts stably.
-		ops[i] = tufast.StreamOp{Time: op.Time, U: op.U, V: op.V, Del: op.Del}
 	}
+	clock.lap(stageAdmit)
 
-	start := time.Now()
 	s.mutMu.Lock() // single-writer seqlock bracket; see the field docs
 	if werr := s.walErr(); werr != nil {
 		// Poisoned while this batch decoded or queued for the bracket:
@@ -516,6 +525,7 @@ func (s *graphInstance) handleEdges(w http.ResponseWriter, r *http.Request) {
 		refuseFrozen(w, werr)
 		return
 	}
+	clock.lap(stageLockWait)
 	s.mutSeq.Add(1) // odd: batch in flight
 	if s.cfg.mutGate != nil {
 		s.cfg.mutGate()
@@ -533,8 +543,10 @@ func (s *graphInstance) handleEdges(w http.ResponseWriter, r *http.Request) {
 		OnEdge: s.streamOnEdge,
 		Emit:   s.streamEmit,
 	})
+	clock.lap(stageApply)
+	effective := stats.Inserted+stats.Removed > 0
 	var walErr error
-	if stats.Inserted+stats.Removed > 0 {
+	if effective {
 		switch {
 		case s.wlog == nil:
 		case err != nil:
@@ -562,6 +574,9 @@ func (s *graphInstance) handleEdges(w http.ResponseWriter, r *http.Request) {
 				s.met.walErrors.Add(1)
 			}
 		}
+	}
+	clock.lap(stageWAL)
+	if effective {
 		// Even a batch that failed partway committed changes; standing
 		// queries must repair over them like any other effective batch.
 		// The ops ride along so cc queries can log the batch's deletes
@@ -570,6 +585,7 @@ func (s *graphInstance) handleEdges(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mutSeq.Add(1) // even: batch and its bookkeeping fully delivered
 	s.mutMu.Unlock()
+	clock.lap(stageStanding)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "apply: "+err.Error())
 		return
@@ -584,7 +600,6 @@ func (s *graphInstance) handleEdges(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.mutBatches.Add(1)
 	s.met.mutOps.Add(uint64(stats.Applied))
-	s.met.batchLatency.Record(uint64(time.Since(start).Nanoseconds()))
 	// stats.Epoch is captured at this batch's own bump, not re-read
 	// after the lock drops — a concurrent batch committing right after
 	// ours cannot leak its later epoch into this response.
@@ -595,6 +610,11 @@ func (s *graphInstance) handleEdges(w http.ResponseWriter, r *http.Request) {
 		NoOps    int    `json:"noops"`
 		Epoch    uint64 `json:"epoch"`
 	}{stats.Applied, stats.Inserted, stats.Removed, stats.NoOps, stats.Epoch})
+	clock.lap(stageRespond)
+	for i := range clock.ns {
+		s.met.batchStages[i].Record(clock.ns[i])
+	}
+	s.met.batchLatency.Record(uint64(clock.last.Sub(clock.start)))
 }
 
 func (s *graphInstance) handleSubmit(w http.ResponseWriter, r *http.Request) {

@@ -63,10 +63,18 @@ end
 # failing test grouped by package under the output it produced, so the
 # crash matrix (TestCrashRecovery*), the tenancy suite (TestTenancy*)
 # and the MVCC view oracle (TestMVCCViewOracle) fail with their own
-# diagnostics without being run a second time by name. The pipe's
-# status is the summariser's, which is 1 on any failure.
+# diagnostics without being run a second time by name; FuzzDecodeBatch's
+# seed corpus runs here as ordinary tests. The pipe's status is the
+# summariser's, which is 1 on any failure.
 begin "go test -race (short)"
 go test -race -short -json ./... | go run ./cmd/testsummary
+end
+
+# The write path's benchmarks, one iteration each: they are what
+# EXPERIMENTS quotes, so they must at least keep compiling and running.
+begin "write-path benchmarks run (1x)"
+go test -run '^$' -bench 'BenchmarkApplyStream(Leaf|Hub)$' -benchtime 1x . >/dev/null
+go test -run '^$' -bench 'BenchmarkDecodeBatch256$' -benchtime 1x ./internal/server >/dev/null
 end
 
 # Serializability under oversubscription: the isolated run above passes
@@ -74,9 +82,12 @@ end
 # same oracles run again as eight concurrent processes at -cpu 8, over
 # every baseline scheduler (with the deadlock-resolution test, which
 # lives on the detector's cycle scan), over core's cross-mode histories,
-# mode ladder, router, commit gate and per-worker counters, and over the
-# queued driver: its own quiesce and chunk tests and the algorithms'
-# entry point into it.
+# mode ladder, router, commit gate and per-worker counters, over the
+# queued driver (its own quiesce and chunk tests and the algorithms'
+# entry point into it), and over the overlay's target index: attempts
+# killed after a build, a doubling and a repoint in each mode, and
+# concurrent batches on four hub sources beside chain GC and pinned
+# views.
 begin "oversubscribed serializability (8 processes, -cpu 8)"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -84,6 +95,8 @@ go test -c -o "$tmp/sched.test" ./internal/sched
 go test -c -o "$tmp/core.test" ./internal/core
 go test -c -o "$tmp/worklist.test" ./internal/worklist
 go test -c -o "$tmp/algo.test" ./internal/algo
+go test -c -o "$tmp/dyngraph.test" ./internal/dyngraph
+go test -c -o "$tmp/tufast.test" .
 oversubscribed() { # test binary, -test.run pattern, -test.count
     pids=""
     for i in 1 2 3 4 5 6 7 8; do
@@ -104,6 +117,8 @@ oversubscribed "$tmp/sched.test" 'TestSerializabilityHistories|TestBankTransfer|
 oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestIsolationAcrossModes|TestRouter|TestBackoffStartsAtZeroAfterLadder|TestOCapacityAbortDoesNotBackOff|TestLEntryWaitsForHCommitWindow|TestPanicInCommitWindowClearsGate|TestLateWorkerSeesLActive|TestOneCountFourViews' 30
 oversubscribed "$tmp/worklist.test" 'TestDrain' 30
 oversubscribed "$tmp/algo.test" 'TestForEachQueued|TestResultsCountCommitsNotAttempts' 10
+oversubscribed "$tmp/dyngraph.test" 'TestIndexAbortSafety' 20
+oversubscribed "$tmp/tufast.test" 'TestHubMutationOracle' 4
 end
 
 echo "All checks passed."
