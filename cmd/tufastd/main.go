@@ -77,8 +77,6 @@ func main() {
 		maxJobs    = flag.Int("max-jobs", 1024, "retained terminal jobs (older results evicted, ids answer 404)")
 		maxStand   = flag.Int("max-standing", 8, "resident standing queries (further registrations = 429)")
 		drainGrace = flag.Duration("drain-grace", 10*time.Second, "how long a drain lets jobs finish before cancelling")
-		hMax       = flag.Int("h-max-hint", 0, "route txns with size hint ≤ this to H mode (0 = paper default)")
-		oMax       = flag.Int("o-max-hint", 0, "route txns with size hint > this straight to L mode (0 = paper default)")
 		dataDir    = flag.String("data-dir", "", "durability directory (WAL + checkpoints + crash recovery); empty = ephemeral")
 		walSync    = flag.String("wal-sync", "always", "WAL fsync policy: always (durable acks), interval (bounded loss), none (crash-consistent only)")
 		walSyncInt = flag.Duration("wal-sync-interval", 50*time.Millisecond, "fsync period for -wal-sync=interval")
@@ -101,8 +99,6 @@ func main() {
 		sys := tufast.NewSystem(g, tufast.Options{
 			Threads:    *threads,
 			SpaceWords: tufast.DynSpaceWords(g, *mutations) + standingWords,
-			HMaxHint:   *hMax,
-			OMaxHint:   *oMax,
 		})
 		return tufast.NewDynGraph(sys)
 	}

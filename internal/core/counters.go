@@ -23,7 +23,7 @@ type counters struct {
 	_ [64]byte
 
 	// committing is 1 while an H commit of this worker is between
-	// reading lActive and finishing its publish (hmode.go, commit).
+	// reading lState and finishing its publish (hmode.go, commit).
 	committing atomic.Uint32
 
 	// htm counts this worker's emulated hardware transactions: H-mode
@@ -37,6 +37,9 @@ type counters struct {
 	aborts    atomic.Uint64 // attempts aborted and retried, any mode but L's internal retries
 	userStops atomic.Uint64 // transactions stopped by user error, panic or cancellation
 	panics    atomic.Uint64 // the user stops that were panics
+
+	quietBegun  atomic.Uint64 // H attempts begun quiet (hmode.go)
+	quietKilled atomic.Uint64 // of those, the ones a locker's arrival killed
 
 	_ [64]byte
 }
@@ -116,8 +119,22 @@ func (s *System) HTMStats() htm.StatsSnapshot {
 	return sum
 }
 
-// ResetStats zeroes every counter Stats, ModeStats, HTMStats, LModeStats
-// and the metrics snapshot report. It is the only reset there is: the
+// QuietStats is how much of H mode ran without per-vertex subscriptions,
+// summed over the workers now: Attempts counts the H attempts that began
+// with no locker in flight, Killed those of them that died because one
+// arrived. The rest of H's attempts (its commits, aborts and stops in the
+// metrics snapshot, less Attempts) ran subscribed.
+func (s *System) QuietStats() obs.QuietSnapshot {
+	var q obs.QuietSnapshot
+	for _, c := range s.registered() {
+		q.Attempts += c.quietBegun.Load()
+		q.Killed += c.quietKilled.Load()
+	}
+	return q
+}
+
+// ResetStats zeroes every counter Stats, ModeStats, HTMStats, QuietStats,
+// LModeStats and the metrics snapshot report. It is the only reset there is: the
 // views above are sums, so resetting one of them would reset nothing.
 func (s *System) ResetStats() {
 	for _, c := range s.registered() {
@@ -129,6 +146,8 @@ func (s *System) ResetStats() {
 		c.aborts.Store(0)
 		c.userStops.Store(0)
 		c.panics.Store(0)
+		c.quietBegun.Store(0)
+		c.quietKilled.Store(0)
 	}
 	s.lmode.Stats().Reset()
 	s.Metrics().Reset()

@@ -10,6 +10,7 @@ import (
 
 	"tufast/internal/htm"
 	"tufast/internal/mem"
+	"tufast/internal/obs"
 	"tufast/internal/sched"
 	"tufast/internal/vlock"
 )
@@ -20,13 +21,13 @@ const lHint = 1 << 21
 // inCommitWindow registers, from inside an H-mode body, a subscription
 // check. Registered after the body's last operation it runs only inside
 // Commit's validation — that is inside the worker's commit-gate window,
-// after lActive was read and with the written lines locked.
+// after lState was read and with the written lines locked.
 func inCommitWindow(tx sched.Tx, check htm.Check) {
 	tx.(*hCtx).tx.AddCheck(check)
 }
 
-// TestLEntryWaitsForHCommitWindow holds an H commit that took the fast
-// path (no L transaction was active when it looked) inside its window and
+// TestLEntryWaitsForHCommitWindow holds a quiet H commit that has passed
+// its last look at lState (no locker had arrived) inside its window and
 // starts an L transaction on the vertex it writes: L's first read must
 // wait for the window to close and see what the commit published.
 func TestLEntryWaitsForHCommitWindow(t *testing.T) {
@@ -60,12 +61,12 @@ func TestLEntryWaitsForHCommitWindow(t *testing.T) {
 			return nil
 		})
 	}()
-	for s.lActive.Load() == 0 {
+	for lockers(s.lState.Load()) == 0 {
 		runtime.Gosched() // until the L transaction has announced itself
 	}
 	select {
 	case <-lDone:
-		t.Fatal("the L transaction finished while an H commit that saw lActive == 0 was still publishing")
+		t.Fatal("the L transaction finished while an H commit that saw no locker was still publishing")
 	case <-time.After(20 * time.Millisecond):
 	}
 	released.Store(true)
@@ -140,8 +141,9 @@ func TestPanicInCommitWindowClearsGate(t *testing.T) {
 }
 
 // TestLateWorkerSeesLActive: a worker created while an L transaction is
-// open is in no registry scan that transaction made, so its H commits
-// must find lActive > 0 and take the write vertices' locks for real.
+// open is in no registry scan that transaction made, so its H attempts
+// must find it in lState, run subscribed and take the write vertices'
+// locks for real.
 func TestLateWorkerSeesLActive(t *testing.T) {
 	s, _ := newSys(64, Config{})
 	// lockHeldInWindow runs one H transaction writing vertex 5 on a fresh
@@ -187,24 +189,350 @@ func TestLateWorkerSeesLActive(t *testing.T) {
 	}
 }
 
+// stayInH keeps a transaction retrying in H mode for as long as a test
+// holds the locker it fails against, so every abort the test counts is an
+// H-mode one.
+const stayInH = 1 << 20
+
+// pausedH runs, on a new worker of s, one H-shaped transaction whose first
+// attempt stops between first and rest until the returned resume is called;
+// later attempts run both halves straight through. retried is closed when
+// the second attempt begins, done receives Run's result.
+func pausedH(s *System, tid int, first, rest func(tx sched.Tx)) (paused, retried chan struct{}, resume func(), done chan error) {
+	paused, retried = make(chan struct{}), make(chan struct{})
+	gate := make(chan struct{})
+	done = make(chan error, 1)
+	go func() {
+		attempt := 0
+		done <- s.Worker(tid).Run(4, func(tx sched.Tx) error {
+			if attempt++; attempt == 2 {
+				close(retried)
+			}
+			first(tx)
+			if attempt == 1 {
+				close(paused)
+				<-gate
+			}
+			rest(tx)
+			return nil
+		})
+	}()
+	return paused, retried, func() { close(gate) }, done
+}
+
+// wantOneKill checks that exactly one quiet attempt was killed and that it
+// was recorded as an explicit abort in every view, never as a data
+// conflict.
+func wantOneKill(t *testing.T, s *System) {
+	t.Helper()
+	hs, snap := s.HTMStats(), s.Metrics().Snapshot()
+	if qs := s.QuietStats(); qs.Killed != 1 {
+		t.Errorf("quiet attempts killed = %d, want the paused one (%+v)", qs.Killed, qs)
+	}
+	if hs.AbortExplicit == 0 || hs.AbortConflicts != 0 {
+		t.Errorf("HTMStats %+v: want the kill as an explicit abort and no data conflict", hs)
+	}
+	if m := snap.Modes["H"]; m.Aborts["explicit"] == 0 || m.Aborts["conflict"] != 0 {
+		t.Errorf("metrics H aborts %v: want the kill as an explicit abort and no data conflict", m.Aborts)
+	}
+}
+
+// TestQuietHSeesOCommitAnnounced: a quiet H attempt reads A, an O commit
+// writing B and A gets as far as storing B, and the H attempt reads B. The
+// write-back is stopped where no hook reaches — by holding the seqlock of
+// a third line it stores between the two — so A's version is still the one
+// H read and B's is one H has never seen: H's read set validates, and
+// only the O commit's announcement in lState tells the attempt that it is
+// looking at half a write-back. Every vertex sits on its own line.
+func TestQuietHSeesOCommitAnnounced(t *testing.T) {
+	const A, B, C = 0, 1, 2
+	addr := func(v uint32) mem.Addr { return mem.Addr(v) * mem.WordsPerLine }
+	sp := mem.NewSpace(4096)
+	s := New(sp, 8, Config{HMaxHint: 8, OMaxHint: 64, HRetries: stayInH})
+
+	var a, b uint64
+	paused, retried, resume, hDone := pausedH(s, 0,
+		func(tx sched.Tx) { a = tx.Read(A, addr(A)) },
+		func(tx sched.Tx) { b = tx.Read(B, addr(B)) })
+	<-paused
+
+	lineC := mem.LineOf(addr(C))
+	metaC := sp.Meta(lineC)
+	if !sp.TryLockLine(lineC, metaC) {
+		t.Fatal("line C is not free")
+	}
+	oDone := make(chan error, 1)
+	go func() {
+		oDone <- s.Worker(1).Run(32, func(tx sched.Tx) error {
+			tx.Write(B, addr(B), 1)
+			tx.Write(C, addr(C), 1)
+			tx.Write(A, addr(A), 1)
+			return nil
+		})
+	}()
+	for sp.Load(addr(B)) == 0 {
+		runtime.Gosched() // until the write-back has stored B and spins on C
+	}
+	if got := lockers(s.lState.Load()); got != 1 {
+		t.Errorf("%d lockers announced in the middle of an O commit's write-back, want 1", got)
+	}
+	resume()
+	select {
+	case <-retried:
+	case err := <-hDone:
+		t.Fatalf("the H attempt that read A before and B after half an O write-back committed (A=%d B=%d, err %v)", a, b, err)
+	}
+	sp.RevertLine(lineC, metaC|1)
+	if err := <-oDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-hDone; err != nil {
+		t.Fatal(err)
+	}
+	if a != 1 || b != 1 {
+		t.Fatalf("H committed having read A=%d B=%d, want both of the O commit's writes", a, b)
+	}
+	wantOneKill(t, s)
+	if got := lockers(s.lState.Load()); got != 0 {
+		t.Fatalf("%d lockers announced with nothing in flight", got)
+	}
+}
+
+// TestQuietHDiesWhenLStoresInPlace: a quiet H attempt reads v, an L
+// transaction enters and stores v in place, and the attempt goes on: it
+// must die at its next operation, of the locker's arrival — the line
+// version moved as well, but what killed it is the subscription.
+func TestQuietHDiesWhenLStoresInPlace(t *testing.T) {
+	s, _ := newSys(64, Config{HRetries: stayInH})
+	var first, second uint64
+	paused, retried, resume, hDone := pausedH(s, 0,
+		func(tx sched.Tx) { first = tx.Read(1, 1) },
+		func(tx sched.Tx) { second = tx.Read(1, 1) + tx.Read(20, 20) })
+	<-paused
+
+	stored, release, lDone := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		lDone <- s.Worker(1).Run(lHint, func(tx sched.Tx) error {
+			tx.Write(1, 1, 7)
+			close(stored)
+			<-release
+			return nil
+		})
+	}()
+	<-stored
+	resume()
+	select {
+	case <-retried:
+	case err := <-hDone:
+		t.Fatalf("an H attempt committed across an L transaction's in-place store (read %d then %d, err %v)", first, second, err)
+	}
+	close(release)
+	if err := <-lDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-hDone; err != nil {
+		t.Fatal(err)
+	}
+	if first != 7 || second != 7 {
+		t.Fatalf("H committed having read %d then %d, want the L transaction's 7 twice", first, second)
+	}
+	wantOneKill(t, s)
+}
+
+// TestQuietHWriterNeverPublishesUnderLReader: an L transaction's reads are
+// plain loads under shared vertex locks, so an H writer of a vertex it
+// holds must not publish before it ends. A quiet writer holds no intent
+// and takes no lock: it must die at commit, of the L transaction's
+// arrival, and its subscribed retries must fail on the real lock.
+func TestQuietHWriterNeverPublishesUnderLReader(t *testing.T) {
+	s, sp := newSys(64, Config{HRetries: stayInH})
+	paused, retried, resume, hDone := pausedH(s, 0,
+		func(tx sched.Tx) { tx.Write(1, 1, 99) },
+		func(sched.Tx) {})
+	<-paused
+
+	var before, after uint64
+	read, again, lDone := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		lDone <- s.Worker(1).Run(lHint, func(tx sched.Tx) error {
+			before = tx.Read(1, 1)
+			close(read)
+			<-again
+			after = sp.Load(1) // what a second plain read under the shared lock sees
+			return nil
+		})
+	}()
+	<-read
+	resume()
+	select {
+	case <-retried:
+	case err := <-hDone:
+		t.Fatalf("a quiet H writer committed under an L reader's shared lock (word = %d, err %v)", sp.Load(1), err)
+	}
+	for s.Stats().Aborts.Load() < 3 {
+		runtime.Gosched() // the kill, and two subscribed retries turned away by the shared lock
+	}
+	close(again)
+	if err := <-lDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-hDone; err != nil {
+		t.Fatal(err)
+	}
+	if before != 0 || after != 0 {
+		t.Fatalf("the L transaction read %d then %d from a vertex it held shared, want 0 twice", before, after)
+	}
+	if got := sp.Load(1); got != 99 {
+		t.Fatalf("word = %d after both finished, want the H write", got)
+	}
+	wantOneKill(t, s)
+}
+
+// TestOCommitLowersCountOnEveryExit: an O commit with writes counts itself
+// in lState for the length of its window. A count left up breaks nothing
+// and silently turns every later H attempt into a subscribed one for the
+// life of the System, so every way out of the window — success, a lock
+// that could not be had, a read that no longer validates, an injected
+// commit fault, a panic followed by AbandonInFlight — must lower it.
+func TestOCommitLowersCountOnEveryExit(t *testing.T) {
+	cfg := Config{HMaxHint: 1}
+	write5 := func(tx sched.Tx) error {
+		tx.Write(5, 5, tx.Read(5, 5)+1)
+		return nil
+	}
+	// settled checks the count is back at 0 and the fast path with it.
+	settled := func(t *testing.T, s *System, w sched.Worker, wantAborts uint64) {
+		t.Helper()
+		if got := s.Stats().Aborts.Load(); got != wantAborts {
+			t.Errorf("%d aborted attempts, want %d: the exit under test was not taken", got, wantAborts)
+		}
+		if got := lockers(s.lState.Load()); got != 0 {
+			t.Fatalf("%d lockers announced after the O commit left its window", got)
+		}
+		begun := s.QuietStats().Attempts
+		if err := w.Run(1, smallFootprint); err != nil {
+			t.Fatal(err)
+		}
+		if s.QuietStats().Attempts != begun+1 || s.ModeStats().Count(ClassH) != 1 {
+			t.Fatalf("the H transaction after it did not run quiet (%+v, %v)", s.QuietStats(), modeDump(s))
+		}
+	}
+
+	t.Run("commit", func(t *testing.T) {
+		s, _ := newSys(64, cfg)
+		w := s.Worker(0)
+		if err := w.Run(4, write5); err != nil {
+			t.Fatal(err)
+		}
+		settled(t, s, w, 0)
+	})
+	t.Run("read-only commit announces nothing", func(t *testing.T) {
+		s, _ := newSys(64, cfg)
+		w := s.Worker(0)
+		gen := s.lState.Load()
+		if err := w.Run(4, func(tx sched.Tx) error { _ = tx.Read(5, 5); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if s.lState.Load() != gen {
+			t.Fatal("an O commit that takes no lock moved lState")
+		}
+		settled(t, s, w, 0)
+	})
+	t.Run("lock not acquired", func(t *testing.T) {
+		s, _ := newSys(64, cfg)
+		w := s.Worker(0)
+		if !s.locks.TryExclusive(5, 7) {
+			t.Fatal("vertex 5 is not free")
+		}
+		attempt := 0
+		err := w.Run(4, func(tx sched.Tx) error {
+			if attempt++; attempt == 2 {
+				s.locks.ReleaseExclusive(5, 7)
+			}
+			tx.Write(5, 5, 1) // blind: only the commit meets the lock
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		settled(t, s, w, 1)
+	})
+	t.Run("validation failed", func(t *testing.T) {
+		s, sp := newSys(64, cfg)
+		w := s.Worker(0)
+		attempt := 0
+		err := w.Run(4, func(tx sched.Tx) error {
+			err := write5(tx)
+			if attempt++; attempt == 1 {
+				sp.StoreVersioned(5, 10) // someone else's commit, after the read
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sp.Load(5); got != 11 {
+			t.Fatalf("word = %d, want the retry's 11", got)
+		}
+		settled(t, s, w, 1)
+	})
+	t.Run("injected commit fault", func(t *testing.T) {
+		s, _ := newSys(64, cfg)
+		w := s.Worker(0)
+		s.SetFaultInjector(sched.NewFaultInjector(sched.FaultSpec{Mode: "O", Op: "commit"}))
+		if err := w.Run(4, write5); err != nil {
+			t.Fatal(err)
+		}
+		s.SetFaultInjector(nil)
+		settled(t, s, w, 1)
+	})
+	t.Run("panic in the window", func(t *testing.T) {
+		s, sp := newSys(64, cfg)
+		w := s.Worker(0).(*worker)
+		s.SetFaultInjector(sched.NewFaultInjector(sched.FaultSpec{Mode: "O", Op: "commit", Kind: sched.FaultPanic}))
+		var recovered any
+		func() {
+			defer func() { recovered = recover() }()
+			_ = w.Run(4, write5)
+		}()
+		s.SetFaultInjector(nil)
+		if _, ok := recovered.(sched.InjectedPanic); !ok {
+			t.Fatalf("recovered %#v, want the injected commit panic", recovered)
+		}
+		if got := lockers(s.lState.Load()); got != 1 {
+			t.Fatalf("%d lockers announced after the panic: it did not fire inside the window, the test exercises nothing", got)
+		}
+		if !w.AbandonInFlight() {
+			t.Fatal("worker not reusable")
+		}
+		if got := sp.Load(5); got != 0 {
+			t.Fatalf("word = %d: the crashed commit published", got)
+		}
+		settled(t, s, w, 0)
+	})
+}
+
 // TestOneCountFourViews: a commit is recorded once, by the committing
 // worker, and Stats, ModeStats, HTMStats and the metrics snapshot are
 // views of that one record. Workers commit known numbers of H, O and L
 // transactions concurrently on private lines (so every transaction
 // commits in the class its hint names), with one injected abort and one
 // user stop; the views must agree exactly, and again after ResetStats and
-// a second round on the same workers.
+// a second round on the same workers. The O commits and L transactions
+// kill whichever quiet H attempts they arrive beside, so how many
+// attempts aborted is exact only in a round of H transactions alone;
+// that every abort is counted once in every view is exact in both.
 func TestOneCountFourViews(t *testing.T) {
 	const (
 		workers   = 4
 		perWorker = 64 // vertices (one cache line each) a worker owns
-		// Of a worker's 360 transactions every 18th is hinted into L and
-		// every 9th, offset 4, into O under the ceilings below.
-		commitsPerWorker    = 360
-		wantH, wantO, wantL = workers * 300, workers * 40, workers * 20
-		total               = workers * commitsPerWorker
+		// Of a worker's 360 transactions in a mixed round every 18th is
+		// hinted into L and every 9th, offset 4, into O under the ceilings
+		// below.
+		commitsPerWorker = 360
+		total            = workers * commitsPerWorker
 	)
-	hintOf := func(i int) int {
+	mixedHint := func(i int) int {
 		switch {
 		case i%18 == 0:
 			return 128
@@ -213,6 +541,7 @@ func TestOneCountFourViews(t *testing.T) {
 		}
 		return 4
 	}
+	hOnlyHint := func(int) int { return 4 }
 	sp := mem.NewSpace(workers*perWorker*mem.WordsPerLine + 4096)
 	s := New(sp, workers*perWorker, Config{HMaxHint: 8, OMaxHint: 64})
 	ws := make([]sched.Worker, workers)
@@ -221,7 +550,7 @@ func TestOneCountFourViews(t *testing.T) {
 	}
 	boom := errors.New("boom")
 
-	round := func() {
+	round := func(hintOf func(int) int) {
 		s.SetFaultInjector(sched.NewFaultInjector(sched.FaultSpec{Mode: "H", Op: "write", N: 5}))
 		defer s.SetFaultInjector(nil)
 		var wg sync.WaitGroup
@@ -255,11 +584,12 @@ func TestOneCountFourViews(t *testing.T) {
 		wg.Wait()
 	}
 
-	check := func(when string) {
+	check := func(when string, wantH, wantO, wantL uint64) {
 		t.Helper()
 		st := s.Stats().Snapshot()
 		ms := s.ModeStats()
 		hs := s.HTMStats()
+		qs := s.QuietStats()
 		snap := s.Metrics().Snapshot()
 		if st.Commits != total {
 			t.Errorf("%s: Stats().Commits = %d, want %d", when, st.Commits, total)
@@ -288,30 +618,54 @@ func TestOneCountFourViews(t *testing.T) {
 		if ops != 4*total || st.Reads != 2*total || st.Writes != 2*total {
 			t.Errorf("%s: ops %d reads %d writes %d, want %d/%d/%d", when, ops, st.Reads, st.Writes, 4*total, 2*total, 2*total)
 		}
-		// An O transaction this small is one segment; the injected abort
-		// and the user stop are H starts that did not commit.
+		// An O transaction this small is one segment, and on private
+		// lines it never aborts.
 		if hs.Commits != wantH+wantO {
 			t.Errorf("%s: HTMStats().Commits = %d, want H commits + O segments = %d", when, hs.Commits, wantH+wantO)
 		}
-		if hs.Starts != wantH+wantO+2 {
-			t.Errorf("%s: HTMStats().Starts = %d, want %d", when, hs.Starts, wantH+wantO+2)
+		// The aborted attempts are the injected one and the quiet
+		// attempts a locker killed, each counted once in every view; of
+		// them the emulated HTM itself saw only the kills, as explicit
+		// aborts. Every abort and the user stop is an H start that did
+		// not commit.
+		aborts := 1 + qs.Killed
+		t.Logf("%s: %d of %d H attempts began quiet, %d killed", when, qs.Attempts, wantH+aborts+1, qs.Killed)
+		if st.Aborts != aborts || snap.Aborts() != aborts || histSum != aborts {
+			t.Errorf("%s: aborts: Stats %d, metrics %d, retries sum %d, want the injected one + %d kills in each", when, st.Aborts, snap.Aborts(), histSum, qs.Killed)
 		}
-		if st.Aborts != 1 || snap.Aborts() != 1 || histSum != 1 {
-			t.Errorf("%s: aborts: Stats %d, metrics %d, retries sum %d, want the one injected abort in each", when, st.Aborts, snap.Aborts(), histSum)
+		if got := snap.Modes["H"].Aborts["explicit"]; got != qs.Killed || hs.AbortExplicit != qs.Killed || hs.Aborts() != qs.Killed {
+			t.Errorf("%s: %d kills, but metrics count %d explicit H aborts and HTMStats %+v", when, qs.Killed, got, hs)
+		}
+		if hs.Starts != wantH+wantO+aborts+1 {
+			t.Errorf("%s: HTMStats().Starts = %d, want %d", when, hs.Starts, wantH+wantO+aborts+1)
 		}
 		if st.UserStops != 1 || snap.Modes["H"].Stops["user"] != 1 {
 			t.Errorf("%s: user stops: Stats %d, metrics %v, want 1", when, st.UserStops, snap.Modes["H"].Stops)
 		}
+		if wantO+wantL == 0 {
+			// No locker all round: every H attempt ran quiet, none died of
+			// it, and the one abort is the injected one.
+			if qs.Killed != 0 || qs.Attempts != hs.Starts {
+				t.Errorf("%s: %+v of %d H attempts with no locker in flight", when, qs, hs.Starts)
+			}
+		}
+	}
+	reset := func() {
+		t.Helper()
+		s.ResetStats()
+		if st, snap := s.Stats().Snapshot(), s.Metrics().Snapshot(); st != (sched.Snapshot{}) || snap.Commits() != 0 || s.HTMStats() != (htm.StatsSnapshot{}) || s.ModeStats() != (ModeStats{}) || s.QuietStats() != (obs.QuietSnapshot{}) {
+			t.Fatalf("after ResetStats: Stats %+v, metrics commits %d, HTM %+v, modes %v, quiet %+v", st, snap.Commits(), s.HTMStats(), modeDump(s), s.QuietStats())
+		}
 	}
 
-	round()
-	check("first round")
-	s.ResetStats()
-	if st, snap := s.Stats().Snapshot(), s.Metrics().Snapshot(); st != (sched.Snapshot{}) || snap.Commits() != 0 || s.HTMStats() != (htm.StatsSnapshot{}) || s.ModeStats() != (ModeStats{}) {
-		t.Fatalf("after ResetStats: Stats %+v, metrics commits %d, HTM %+v, modes %v", st, snap.Commits(), s.HTMStats(), modeDump(s))
-	}
-	round()
-	check("second round, after ResetStats, on the same workers")
+	round(mixedHint)
+	check("mixed round", workers*300, workers*40, workers*20)
+	reset()
+	round(mixedHint)
+	check("second mixed round, after ResetStats, on the same workers", workers*300, workers*40, workers*20)
+	reset()
+	round(hOnlyHint)
+	check("H-only round", total, 0, 0)
 }
 
 // BenchmarkHCommitDisjoint is the "shares nothing" number: every

@@ -25,9 +25,24 @@ import (
 //     during execution; we emulate that by acquiring the exclusive locks
 //     only inside commit (validate + publish under the line seqlocks),
 //     releasing them immediately after (Algorithm 1 line 17).
+//
+// That is a subscribed attempt, and it is what runs while a locker is in
+// flight (System.lState). An attempt that begins with no locker in flight
+// runs quiet: no vertex lock is held exclusively now, and none can be
+// taken without lState moving first, so the attempt subscribes to that one
+// word instead — no per-vertex state at all — and dies if it ever moves.
 type hCtx struct {
 	w  *worker
 	tx *htm.Tx
+
+	// quiet says which kind this attempt is; lState is the word as begin
+	// read it (count 0 when quiet), killed that the watch saw it move, and
+	// vchanges counts a quiet attempt's changes of vertex between
+	// consecutive operations (touch).
+	quiet    bool
+	killed   bool
+	lState   uint64
+	vchanges uint32
 
 	subs []hSub
 	// vstate maps a vertex to its subscription index; lastV/lastSub cache
@@ -40,9 +55,9 @@ type hCtx struct {
 
 	held []uint32 // exclusive locks currently held (commit window only)
 
-	// check is validateSubs bound once: a method value made per attempt
-	// would allocate on the hottest path there is.
-	check htm.Check
+	// check and watch are validateSubs and lockerFree bound once: a method
+	// value made per attempt would allocate on the hottest path there is.
+	check, watch htm.Check
 
 	// faults is the System's injector as of begin: loaded once per
 	// attempt, not per operation.
@@ -63,7 +78,7 @@ func newHCtx(w *worker) *hCtx {
 		tx:     htm.NewTx(w.s.sp, &w.c.htm),
 		vstate: gentab.New(6),
 	}
-	h.check = h.validateSubs
+	h.check, h.watch = h.validateSubs, h.lockerFree
 	return h
 }
 
@@ -87,9 +102,10 @@ func (w *worker) runH(fn sched.TxFunc) (done bool, err error) {
 			return true, nil
 		}
 		w.c.aborts.Add(1)
-		w.probe.TxAbort(obs.ModeH, sched.HTMReason(h.tx.LastAbort()))
+		code := h.settleAbort()
+		w.probe.TxAbort(obs.ModeH, sched.HTMReason(code))
 		w.attempts++
-		if h.tx.LastAbort() == htm.AbortCapacity {
+		if code == htm.AbortCapacity {
 			return false, nil // straight to O mode
 		}
 		if attempt >= w.s.cfg.HRetries {
@@ -99,21 +115,97 @@ func (w *worker) runH(fn sched.TxFunc) (done bool, err error) {
 			w.probe.TxStop(obs.ModeH, sched.StopReason(err), w.attempts)
 			return true, err
 		}
-		w.bo.WaitObserved(&w.probe)
+		// A quiet attempt a locker's arrival killed retries at once: the
+		// retry runs subscribed beside the locker, so there is nobody to
+		// wait out (the rule for O's capacity aborts).
+		if !h.killed {
+			w.bo.WaitObserved(&w.probe)
+		}
 	}
 }
 
 func (h *hCtx) begin() {
 	h.tx.Begin()
+	h.faults = h.w.s.faults.Load()
+	h.nreads, h.nwrites = 0, 0
+	h.killed = false
+	h.lState = h.w.s.lState.Load()
+	h.quiet = lockers(h.lState) == 0
+	if h.quiet {
+		h.w.c.quietBegun.Add(1)
+		h.vchanges = 0
+		h.tx.AddCheck(h.watch)
+		return
+	}
 	h.subs = h.subs[:0]
 	h.wvs = h.wvs[:0]
 	h.vstate.Reset()
 	h.lastSub = -1
-	h.faults = h.w.s.faults.Load()
-	h.nreads, h.nwrites = 0, 0
 	// One hook validates every subscription (registered once to avoid a
 	// closure per vertex).
 	h.tx.AddCheck(h.check)
+}
+
+// lockerFree is a quiet attempt's whole subscription: lState as begin read
+// it. touch asks before every operation, and htm.Tx runs it as a Check
+// wherever it validates — which includes Commit, after the write lines are
+// locked and inside the commit-gate window. That place is the one that
+// makes a quiet commit sound. A locker raises lState before it takes its
+// first lock, so a commit whose write lines were locked while the word
+// still read the same is ahead of everything that locker validates or
+// stores: an O commit finds those lines locked or their versions moved, an
+// L transaction finds the gate flag up and waits (awaitHCommits). Checked
+// before the line locks instead, an O commit could validate its read of a
+// line this commit then writes while this commit validated its read of a
+// line that one then writes — write skew.
+func (h *hCtx) lockerFree() bool {
+	if h.w.s.lState.Load() == h.lState {
+		return true
+	}
+	h.killed = true
+	return false
+}
+
+// settleAbort returns why the attempt aborted, once per aborted attempt.
+// A quiet attempt a locker killed died of Algorithm 1's explicit abort —
+// the subscribed word moved — wherever it was caught. Caught by the Check
+// inside htm.Tx, it was counted as a data conflict there (all a Check can
+// say is "false"); the worker's htm.Stats is corrected.
+func (h *hCtx) settleAbort() htm.AbortCode {
+	code := h.tx.LastAbort()
+	if !h.killed {
+		return code
+	}
+	c := h.w.c
+	c.quietKilled.Add(1)
+	if code == htm.AbortConflict {
+		c.htm.AbortConflicts.Add(^uint64(0))
+		c.htm.AbortExplicit.Add(1)
+	}
+	return htm.AbortExplicit
+}
+
+// touch stands in for subscribe on a quiet attempt: the one subscription
+// is checked, and nothing is recorded per vertex. The lock words a real
+// transaction would read still occupy cache, so the capacity model is
+// charged one line per eight changes of vertex between consecutive
+// operations — what subscribe charges when no vertex comes back later in
+// the body.
+func (h *hCtx) touch(v uint32) {
+	if !h.lockerFree() {
+		h.tx.Explicit()
+		sched.ThrowAbort("locker arrived")
+	}
+	if v == h.lastV && h.vchanges != 0 {
+		return
+	}
+	h.lastV = v
+	if h.vchanges&7 == 0 {
+		if h.tx.TouchExternal(lockKey(v)) != htm.AbortNone {
+			sched.ThrowAbort("htm capacity")
+		}
+	}
+	h.vchanges++
 }
 
 func (h *hCtx) validateSubs() bool {
@@ -158,9 +250,9 @@ func (h *hCtx) subscribe(v uint32) int32 {
 }
 
 // commit attempts XEND inside the worker's commit-gate window: the flag
-// is up from before lActive is read until the publish is over, which is
+// is up from before lState is read until the publish is over, which is
 // what lets an L transaction wait out every commit that took the fast
-// path (System.lActive). A panic in the window leaves the flag up, like
+// path (System.lState). A panic in the window leaves the flag up, like
 // the vertex locks the slow path may hold; AbandonInFlight lowers it.
 func (h *hCtx) commit() bool {
 	gate := &h.w.c.committing
@@ -170,15 +262,16 @@ func (h *hCtx) commit() bool {
 	return ok
 }
 
-// publish commits the hardware transaction. When an L-mode transaction
-// is in flight, the write-intent vertex locks are acquired for real
-// (bounded spin, sorted order) so L's plain reads stay excluded;
+// publish commits the hardware transaction. A quiet attempt's Commit
+// re-checks lState itself (lockerFree). A subscribed one reads it here:
+// while a locker is in flight, the write-intent vertex locks are acquired
+// for real (bounded spin, sorted order) so L's plain reads stay excluded;
 // otherwise the emulated HTM's line locks already make validate+publish
 // atomic and the vertex locks are skipped — the software analogue of TSX
 // buffering the lock-word stores (they would never become globally
 // visible on the fast path).
 func (h *hCtx) publish() bool {
-	if h.w.s.lActive.Load() == 0 || len(h.wvs) == 0 {
+	if h.quiet || len(h.wvs) == 0 || lockers(h.w.s.lState.Load()) == 0 {
 		return h.tx.Commit() == htm.AbortNone
 	}
 	locks := h.w.s.locks
@@ -228,7 +321,11 @@ func (h *hCtx) releaseHeld() {
 // Read implements sched.Tx (Algorithm 1 lines 5-9).
 func (h *hCtx) Read(v uint32, addr mem.Addr) uint64 {
 	h.faults.At("H", "read")
-	h.subscribe(v)
+	if h.quiet {
+		h.touch(v)
+	} else {
+		h.subscribe(v)
+	}
 	val, code := h.tx.Read(addr)
 	if code != htm.AbortNone {
 		sched.ThrowAbort("htm abort")
@@ -241,7 +338,9 @@ func (h *hCtx) Read(v uint32, addr mem.Addr) uint64 {
 // the exclusive intent, buffer the store.
 func (h *hCtx) Write(v uint32, addr mem.Addr, val uint64) {
 	h.faults.At("H", "write")
-	if sub := &h.subs[h.subscribe(v)]; !sub.intent {
+	if h.quiet {
+		h.touch(v)
+	} else if sub := &h.subs[h.subscribe(v)]; !sub.intent {
 		sub.intent = true
 		h.wvs = append(h.wvs, v)
 	}

@@ -41,9 +41,11 @@ type oCtx struct {
 	wvs   []uint32
 	wvIdx *gentab.Table
 	// held tracks the exclusive locks actually acquired by the in-flight
-	// commit, so a panic escaping the commit window can be unwound by
-	// abandon() without leaking locks.
-	held []uint32
+	// commit and announced that the commit is counted in System.lState, so
+	// a panic escaping the commit window can be unwound by abandon()
+	// without leaking either.
+	held      []uint32
+	announced bool
 
 	// Telemetry for the adaptive controller and Fig. 15/17.
 	opsInSegments uint64
@@ -274,16 +276,10 @@ func (o *oCtx) Write(v uint32, addr mem.Addr, val uint64) {
 }
 
 // commit implements Algorithm 2 lines 38-49: XEND the live segment, lock
-// the write vertices, verify every read, install the writes.
+// the write vertices, verify every read, install the writes. A commit with
+// writes is a locker (System.lState): it is announced from before its
+// first TryExclusive until its last lock is released, on every way out.
 func (o *oCtx) commit() bool {
-	if o.w.s.faults.Load().AtCommit("O") {
-		return false
-	}
-	o.w.c.htm.Commits.Add(1) // final segment XEND
-
-	locks := o.w.s.locks
-	tid := o.w.tid
-
 	// Collect and sort distinct write vertices (order avoids needless
 	// mutual aborts between O committers; try-lock keeps us wait-free).
 	o.wvs = o.wvs[:0]
@@ -300,6 +296,23 @@ func (o *oCtx) commit() bool {
 	for i, v := range o.wvs {
 		o.wvIdx.Put(uint64(v), int32(i))
 	}
+	if len(o.wvs) != 0 {
+		o.announced = true
+		o.w.s.lockerEnter()
+	}
+	// The fault hook sits inside the window, where a crash is most
+	// dangerous: a count left up turns every later H attempt subscribed.
+	ok := !o.w.s.faults.Load().AtCommit("O") && o.publish()
+	o.leave()
+	return ok
+}
+
+// publish is the commit proper; leave undoes whatever it acquired.
+func (o *oCtx) publish() bool {
+	o.w.c.htm.Commits.Add(1) // final segment XEND
+
+	locks := o.w.s.locks
+	tid := o.w.tid
 	o.held = o.held[:0]
 	for _, v := range o.wvs {
 		// Bounded spin before giving up (Silo commits do the same): an
@@ -317,7 +330,6 @@ func (o *oCtx) commit() bool {
 			}
 		}
 		if !acquired {
-			o.releaseHeld()
 			return false
 		}
 	}
@@ -331,35 +343,36 @@ func (o *oCtx) commit() bool {
 	for i := range o.reads {
 		r := &o.reads[i]
 		if sp.Meta(r.line) != r.ver {
-			o.releaseHeld()
 			return false
 		}
 		if _, own := o.wvIdx.Get(uint64(r.v)); !own {
 			if !vlock.StampFree(locks.Stamp(r.v)) {
-				o.releaseHeld()
 				return false
 			}
 		}
 		if sp.Load(r.addr) != r.val {
-			o.releaseHeld()
 			return false
 		}
 	}
 
 	for i := range o.writes {
-		o.w.s.sp.StoreVersioned(o.writes[i].addr, o.writes[i].val)
+		sp.StoreVersioned(o.writes[i].addr, o.writes[i].val)
 	}
-	o.releaseHeld()
 	return true
 }
 
-func (o *oCtx) releaseHeld() {
+// leave ends the commit window: drop the locks, then the announcement.
+func (o *oCtx) leave() {
 	for _, v := range o.held {
 		o.w.s.locks.ReleaseExclusive(v, o.w.tid)
 	}
 	o.held = o.held[:0]
+	if o.announced {
+		o.announced = false
+		o.w.s.lockerExit()
+	}
 }
 
 // abandon releases anything an interrupted commit still holds; O-mode
-// writes are buffered, so dropping the locks is the whole rollback.
-func (o *oCtx) abandon() { o.releaseHeld() }
+// writes are buffered, so leaving the window is the whole rollback.
+func (o *oCtx) abandon() { o.leave() }

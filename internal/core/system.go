@@ -35,24 +35,40 @@ type System struct {
 	regMu    sync.Mutex
 	registry atomic.Pointer[[]*counters]
 
-	// lActive, with the workers' committing flags, lets H-mode commits
-	// skip vertex-lock acquisition when no L-mode transaction is in
-	// flight: the emulated HTM's line locks already make validate+publish
-	// atomic, and only L-mode readers (plain loads under shared locks)
-	// need writers excluded at vertex granularity. An H commit raises its
-	// worker's flag and then reads lActive; an L transaction increments
-	// lActive and then waits for every registered flag to read 0
-	// (awaitHCommits). Go's atomics are sequentially consistent, so for
-	// each H commit either it saw lActive > 0 and takes the real vertex
-	// locks, or the L transaction saw its flag and waited for the publish
-	// to finish before its first read. On real TSX this fast path is
-	// implicit: the lock words are written transactionally and cost
-	// nothing. Every H commit reads lActive and only L entry and exit
-	// write it, so it gets a cache line of its own.
-	_       [64]byte
-	lActive atomic.Int32
-	_       [64]byte
+	// lState is generation<<32 | lockers in flight. A locker is a
+	// transaction that may hold a vertex lock exclusively while its writes
+	// are not yet all in place: an L transaction (runL) and an O commit
+	// with writes (omode.go, commit). Each raises both halves before its
+	// first exclusive acquisition and lowers the count after its last
+	// release, so — outside an H commit's own window, whose publish the
+	// line locks make atomic — an exclusive vertex lock is held only while
+	// the count is > 0. Two things rest on it:
+	//
+	//   - an H attempt that begins with the count at 0 runs quiet: it
+	//     subscribes to this word instead of one lock word per vertex
+	//     (hmode.go), and commits only if the word never moved;
+	//   - an H commit skips the vertex locks when the count reads 0 inside
+	//     its commit-gate window. An H commit raises its worker's flag and
+	//     then reads lState; an L transaction raises lState and then waits
+	//     for every registered flag to read 0 (awaitHCommits). Go's atomics
+	//     are sequentially consistent, so for each H commit either it saw
+	//     the L transaction (a quiet attempt dies, a subscribed one takes
+	//     the real vertex locks) or the L transaction saw its flag and
+	//     waited for the publish to finish before its first read.
+	//
+	// On real TSX both are implicit: the lock words sit in the read set and
+	// are written transactionally. Every H attempt reads the word and only
+	// lockers write it, so it gets a cache line of its own.
+	_      [64]byte
+	lState atomic.Uint64
+	_      [64]byte
 }
+
+// lockerEnter raises lState's generation and count, lockerExit lowers the
+// count; lockers reads the count out of a loaded word.
+func (s *System) lockerEnter()  { s.lState.Add(1<<32 | 1) }
+func (s *System) lockerExit()   { s.lState.Add(^uint64(0)) }
+func lockers(lState uint64) int { return int(uint32(lState)) }
 
 // maxThreads bounds worker ids for the deadlock detector's per-thread
 // state. Thread ids must be below this.
@@ -111,8 +127,8 @@ func (s *System) Worker(tid int) sched.Worker {
 	}
 	w := &worker{s: s, tid: tid, c: new(counters)}
 	// Registered before the worker can commit: an L transaction whose
-	// scan missed the block incremented lActive before the registration,
-	// so this worker's first H commit will see it.
+	// scan missed the block raised lState before the registration, so this
+	// worker's first H commit will see it.
 	s.register(w.c)
 	w.h = newHCtx(w)
 	w.o = newOCtx(w)
@@ -230,8 +246,10 @@ func (w *worker) ctxErr() error {
 // AbandonInFlight implements sched.Abandoner: after a panic escaped an
 // attempt (e.g. from inside a commit window), lower the commit-gate flag,
 // release every lock the worker may still hold across all three mode
-// contexts and roll back L-mode in-place writes (Run resets the backoff
-// on entry). The worker is then safe to pool again.
+// contexts, take an interrupted O commit out of lState's count (left up,
+// it would make every later H attempt a subscribed one for the life of
+// the System) and roll back L-mode in-place writes (Run resets the
+// backoff on entry). The worker is then safe to pool again.
 func (w *worker) AbandonInFlight() bool {
 	// A panic inside the H commit window left the gate flag up; every
 	// later L transaction would wait on it forever.
@@ -251,9 +269,10 @@ func (w *worker) committed(class ModeClass, reads, writes uint64) {
 	w.probe.TxCommit(class.obsMode(), w.attempts, w.span)
 }
 
-// awaitHCommits returns once no H commit that may have read lActive == 0
-// is still publishing. The caller has incremented lActive, so a commit
-// that raises its flag after the flag was read here takes real locks.
+// awaitHCommits returns once no H commit that may have read lState before
+// the caller raised it is still publishing. A commit that raises its flag
+// after the flag was read here sees the caller: it dies if its attempt is
+// quiet and takes real locks otherwise.
 func (s *System) awaitHCommits() {
 	for _, c := range s.registered() {
 		for spins := 1; c.committing.Load() != 0; spins++ {
@@ -268,10 +287,10 @@ func (s *System) awaitHCommits() {
 // victims restart inside the TPL worker).
 func (w *worker) runL(fn sched.TxFunc, class ModeClass) error {
 	// Announce the L transaction: from here on every H commit either
-	// sees lActive > 0 (and takes real vertex locks) or finishes
-	// publishing before awaitHCommits returns.
-	w.s.lActive.Add(1)
-	defer w.s.lActive.Add(-1)
+	// sees it in lState or finishes publishing before awaitHCommits
+	// returns.
+	w.s.lockerEnter()
+	defer w.s.lockerExit()
 	w.s.awaitHCommits()
 
 	err := w.l.RunCtx(w.ctx, 0, fn)

@@ -193,7 +193,14 @@ func TestSnapshotMergeAndJSON(t *testing.T) {
 	p1b.BackoffWait(true, 2000)
 	p2.BackoffWait(true, 30000)
 
-	merged := m1.Snapshot().Merge(m2.Snapshot())
+	// The quiet-attempt counters are folded in by the caller and sum too.
+	s1, s2 := m1.Snapshot(), m2.Snapshot()
+	s1.HQuiet, s2.HQuiet = QuietSnapshot{Attempts: 5, Killed: 1}, QuietSnapshot{Attempts: 7}
+
+	merged := s1.Merge(s2)
+	if want := (QuietSnapshot{Attempts: 12, Killed: 1}); merged.HQuiet != want {
+		t.Fatalf("merged quiet attempts = %+v, want %+v", merged.HQuiet, want)
+	}
 	if got := merged.Commits(); got != 3 {
 		t.Fatalf("merged commits = %d, want 3", got)
 	}
@@ -218,7 +225,7 @@ func TestSnapshotMergeAndJSON(t *testing.T) {
 	if err := json.Unmarshal(buf, &back); err != nil {
 		t.Fatalf("snapshot does not round-trip: %v", err)
 	}
-	if back.Commits() != merged.Commits() || back.Backoff != merged.Backoff {
+	if back.Commits() != merged.Commits() || back.Backoff != merged.Backoff || back.HQuiet != merged.HQuiet {
 		t.Fatal("counts lost in JSON round-trip")
 	}
 }

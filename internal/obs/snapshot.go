@@ -15,6 +15,9 @@ type Snapshot struct {
 	// the per-mode abort reasons (a conflict abort is worth a wait, a
 	// capacity abort is not).
 	Backoff BackoffSnapshot `json:"backoff"`
+	// HQuiet is how much of H mode ran without per-vertex lock
+	// subscriptions; the caller folds it in (TuFast's core counts it).
+	HQuiet QuietSnapshot `json:"h_quiet"`
 	// Gauges carries point-in-time values (e.g. adaptive_period) the
 	// caller folds in; counters above are cumulative.
 	Gauges map[string]int64 `json:"gauges,omitempty"`
@@ -209,6 +212,16 @@ type BackoffSnapshot struct {
 	Ns uint64 `json:"backoff_ns"`
 }
 
+// QuietSnapshot counts the H-mode attempts that began with no transaction
+// able to hold a vertex lock in flight (they watch one word instead of a
+// lock word per vertex) and those of them such a transaction's arrival
+// killed. Beside Modes["H"], whose commits, aborts and stops add up to all
+// H attempts, it gives the share of H mode that ran on the fast path.
+type QuietSnapshot struct {
+	Attempts uint64 `json:"attempts"`
+	Killed   uint64 `json:"killed"`
+}
+
 // ModeSnapshot is the per-mode slice of a Snapshot.
 type ModeSnapshot struct {
 	// Commits counts committed transactions in this mode.
@@ -328,6 +341,10 @@ func (s Snapshot) Merge(other Snapshot) Snapshot {
 			Waits:  s.Backoff.Waits + other.Backoff.Waits,
 			Sleeps: s.Backoff.Sleeps + other.Backoff.Sleeps,
 			Ns:     s.Backoff.Ns + other.Backoff.Ns,
+		},
+		HQuiet: QuietSnapshot{
+			Attempts: s.HQuiet.Attempts + other.HQuiet.Attempts,
+			Killed:   s.HQuiet.Killed + other.HQuiet.Killed,
 		},
 	}
 	switch {

@@ -70,19 +70,24 @@ begin "go test -race (short)"
 go test -race -short -json ./... | go run ./cmd/testsummary
 end
 
-# The write path's benchmarks, one iteration each: they are what
-# EXPERIMENTS quotes, so they must at least keep compiling and running.
-begin "write-path benchmarks run (1x)"
+# The benchmarks EXPERIMENTS quotes, one iteration each, so they at least
+# keep compiling and running: the write path's, the H-mode fast path's
+# "shares nothing" number, and the Fig. 13/14 RM and RW cells.
+begin "benchmarks run (1x)"
 go test -run '^$' -bench 'BenchmarkApplyStream(Leaf|Hub)$' -benchtime 1x . >/dev/null
 go test -run '^$' -bench 'BenchmarkDecodeBatch256$' -benchtime 1x ./internal/server >/dev/null
+go test -run '^$' -bench 'BenchmarkHCommitDisjoint$' -benchtime 1x ./internal/core >/dev/null
+go test -run '^$' -bench 'Benchmark(RM|RW)$' -benchtime 1x ./internal/bench >/dev/null
 end
 
 # Serializability under oversubscription: the isolated run above passes
 # on schedulers that lose updates once threads outnumber cores, so the
 # same oracles run again as eight concurrent processes at -cpu 8, over
 # every baseline scheduler (with the deadlock-resolution test, which
-# lives on the detector's cycle scan), over core's cross-mode histories,
-# mode ladder, router, commit gate and per-worker counters, over the
+# lives on the detector's cycle scan), over core's cross-mode histories
+# (with the lockers always there, and coming and going), mode ladder,
+# router, commit gate, quiet-attempt interleavings, O-commit announcement
+# and per-worker counters, over the
 # queued driver (its own quiesce and chunk tests and the algorithms'
 # entry point into it), and over the overlay's target index: attempts
 # killed after a build, a doubling and a repoint in each mode, and
@@ -114,7 +119,7 @@ oversubscribed() { # test binary, -test.run pattern, -test.count
     fi
 }
 oversubscribed "$tmp/sched.test" 'TestSerializabilityHistories|TestBankTransfer|TestCounterIsolation|TestWriteSkewPrevented|TestDeadlockResolution' 50
-oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestIsolationAcrossModes|TestRouter|TestBackoffStartsAtZeroAfterLadder|TestOCapacityAbortDoesNotBackOff|TestLEntryWaitsForHCommitWindow|TestPanicInCommitWindowClearsGate|TestLateWorkerSeesLActive|TestOneCountFourViews' 30
+oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestCrossModeHistoriesLockersComeAndGo|TestIsolationAcrossModes|TestRouter|TestBackoffStartsAtZeroAfterLadder|TestOCapacityAbortDoesNotBackOff|TestLEntryWaitsForHCommitWindow|TestPanicInCommitWindowClearsGate|TestLateWorkerSeesLActive|TestQuietH|TestOCommitLowersCountOnEveryExit|TestOneCountFourViews' 30
 oversubscribed "$tmp/worklist.test" 'TestDrain' 30
 oversubscribed "$tmp/algo.test" 'TestForEachQueued|TestResultsCountCommitsNotAttempts' 10
 oversubscribed "$tmp/dyngraph.test" 'TestIndexAbortSafety' 20

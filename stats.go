@@ -23,6 +23,12 @@ type Stats struct {
 	HTMStarts, HTMCommits     uint64
 	HTMConflicts, HTMCapacity uint64
 	HTMExplicit, HTMLocked    uint64
+	// HQuiet counts the H-mode attempts that began with no transaction
+	// able to hold a vertex lock in flight and so subscribed to one word
+	// instead of one lock word per vertex; HQuietKilled counts those of
+	// them that aborted because such a transaction (an O-mode commit, an
+	// L-mode transaction) arrived. They are HTMExplicit aborts too.
+	HQuiet, HQuietKilled uint64
 	// Deadlocks counts L-mode deadlock victims.
 	Deadlocks uint64
 	// CurrentPeriod is the adaptive O-mode segment length now in force.
@@ -40,6 +46,7 @@ func (s *System) StatsSnapshot() Stats {
 	cs := s.core.Stats().Snapshot()
 	hs := s.core.HTMStats()
 	ms := s.core.ModeStats()
+	qs := s.core.QuietStats()
 	mode := make(map[string]ModeBucket, 5)
 	for _, c := range core.Classes() {
 		mode[c.String()] = ModeBucket{
@@ -61,6 +68,8 @@ func (s *System) StatsSnapshot() Stats {
 		HTMCapacity:   hs.AbortCapacity,
 		HTMExplicit:   hs.AbortExplicit,
 		HTMLocked:     hs.AbortLocked,
+		HQuiet:        qs.Attempts,
+		HQuietKilled:  qs.Killed,
 		Deadlocks:     s.core.LModeStats().Deadlocks.Load(),
 		CurrentPeriod: s.core.CurrentPeriod(),
 	}
@@ -69,7 +78,8 @@ func (s *System) StatsSnapshot() Stats {
 // ResetStats zeroes every counter StatsSnapshot and MetricsSnapshot
 // report: the scheduler counters (Commits, Aborts, UserStops, Panics,
 // Reads, Writes), the per-class Mode buckets, the emulated-HTM counters
-// (HTMStarts through HTMLocked), the L-mode counters (including
+// (HTMStarts through HTMLocked), HQuiet and HQuietKilled, the L-mode
+// counters (including
 // Deadlocks), and the observability metrics (per-mode commit/abort
 // counts, latency and retry histograms, transition counters, event
 // rings). It does NOT reset the adaptive period controller: its
@@ -89,9 +99,11 @@ type MetricsSnapshot = obs.Snapshot
 type TxEvent = obs.Event
 
 // MetricsSnapshot captures the observability metrics. The adaptive
-// period in force is exported as the "adaptive_period" gauge.
+// period in force is exported as the "adaptive_period" gauge, the quiet
+// H-mode attempts and their kills as HQuiet.
 func (s *System) MetricsSnapshot() MetricsSnapshot {
 	snap := s.core.Metrics().Snapshot()
+	snap.HQuiet = s.core.QuietStats()
 	if snap.Gauges == nil {
 		snap.Gauges = make(map[string]int64, 1)
 	}

@@ -75,6 +75,11 @@ func TestResetStatsZeroesEveryCounter(t *testing.T) {
 	if b := sys.MetricsSnapshot().Backoff; b.Waits == 0 {
 		t.Fatalf("workload recorded no backoff wait: %+v", b)
 	}
+	// Quiet attempts are counted in both snapshots; the walker below must
+	// find them zeroed in both (and in core.QuietStats).
+	if q := sys.MetricsSnapshot().HQuiet; pre.HQuiet == 0 || q.Attempts == 0 {
+		t.Fatalf("workload began no quiet H attempt: %+v, %+v", pre, q)
+	}
 
 	// The core's own views show counters the public Stats leaves out
 	// (HTM operation counts, the L-mode sub-scheduler's): they are sums
@@ -86,6 +91,7 @@ func TestResetStatsZeroesEveryCounter(t *testing.T) {
 			"core.Stats":      c.Stats().Snapshot(),
 			"core.ModeStats":  c.ModeStats(),
 			"core.HTMStats":   c.HTMStats(),
+			"core.QuietStats": c.QuietStats(),
 			"core.LModeStats": c.LModeStats().Snapshot(),
 		}
 	}
