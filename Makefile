@@ -3,7 +3,7 @@
 # benchmark/run.sh --workload <id>); `make bench` is the paper's
 # figures.
 
-.PHONY: build test lint check bench loadgen-smoke
+.PHONY: build test lint check loc bench loadgen-smoke
 
 build:
 	go build ./...
@@ -19,6 +19,11 @@ lint:
 
 check:
 	./scripts/check.sh
+
+# loc prints non-test Go lines added/removed per package against REV
+# (default HEAD~1): the table a deletion PR reports.
+loc:
+	./scripts/loc.sh $(REV)
 
 bench:
 	go test -bench=. -benchtime=1x ./internal/bench/

@@ -5,11 +5,13 @@
 // decomposition, greedy coloring, label-propagation communities and
 // clustering coefficients.
 //
-// Every function is a thin veneer over the same transactional
-// implementations the benchmarks run; all of them are sequential-looking
-// per-vertex code executed serializably in parallel — the library's
-// whole pitch. Use them directly, or read their sources as templates for
-// your own ad-hoc analytics.
+// Every function runs the transactional implementation the benchmarks
+// run (internal/algo) on the System's own driver — its worker pool, sweep
+// and queued drain, bound to the call's context — so an algorithm shares
+// thread ids, and what each worker has learnt, with everything else on
+// that System. All of them are sequential-looking per-vertex code executed
+// serializably in parallel — the library's whole pitch. Use them directly,
+// or read their sources as templates for your own ad-hoc analytics.
 //
 //	g := tufast.GeneratePowerLaw(100_000, 2_000_000, 2.1, 1)
 //	sys := tufast.NewSystem(g, tufast.Options{})
@@ -37,21 +39,6 @@ import (
 // graph when given a directed one.
 var ErrNeedUndirected = errors.New("algorithms: this algorithm requires an undirected (symmetrized) graph")
 
-// runtime bridges a public System to the internal algorithm runtime.
-func runtime(s *tufast.System) *algo.Runtime {
-	return algo.NewRuntime(s.Graph().CSR(), s.Space(), s.Core(), s.Threads())
-}
-
-// runtimeCtx is runtime with the sweeps bound to ctx; a context that can
-// never be cancelled keeps the uninstrumented fast path.
-func runtimeCtx(ctx context.Context, s *tufast.System) *algo.Runtime {
-	r := runtime(s)
-	if ctx != nil && ctx.Done() != nil {
-		r.Ctx = ctx
-	}
-	return r
-}
-
 func needUndirected(s *tufast.System) error {
 	if !s.Graph().Undirected() {
 		return ErrNeedUndirected
@@ -68,7 +55,7 @@ func PageRank(s *tufast.System, d, eps float64) ([]float64, error) {
 
 // PageRankCtx is PageRank with cancellation.
 func PageRankCtx(ctx context.Context, s *tufast.System, d, eps float64) ([]float64, error) {
-	res, err := algo.PageRank(runtimeCtx(ctx, s), d, eps)
+	res, err := algo.PageRank(s.Runtime().WithContext(ctx), d, eps)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +69,7 @@ func BFS(s *tufast.System, source uint32) ([]uint64, error) {
 
 // BFSCtx is BFS with cancellation.
 func BFSCtx(ctx context.Context, s *tufast.System, source uint32) ([]uint64, error) {
-	res, err := algo.BFS(runtimeCtx(ctx, s), source)
+	res, err := algo.BFS(s.Runtime().WithContext(ctx), source)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +87,7 @@ func ConnectedComponentsCtx(ctx context.Context, s *tufast.System) ([]uint64, er
 	if err := needUndirected(s); err != nil {
 		return nil, err
 	}
-	res, err := algo.WCC(runtimeCtx(ctx, s))
+	res, err := algo.WCC(s.Runtime().WithContext(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +104,7 @@ func TrianglesCtx(ctx context.Context, s *tufast.System) (uint64, error) {
 	if err := needUndirected(s); err != nil {
 		return 0, err
 	}
-	res, err := algo.Triangles(runtimeCtx(ctx, s))
+	res, err := algo.Triangles(s.Runtime().WithContext(ctx))
 	if err != nil {
 		return 0, err
 	}
@@ -134,7 +121,7 @@ func ShortestPathsBellmanFord(s *tufast.System, source uint32) ([]uint64, error)
 // ShortestPathsBellmanFordCtx is ShortestPathsBellmanFord with
 // cancellation.
 func ShortestPathsBellmanFordCtx(ctx context.Context, s *tufast.System, source uint32) ([]uint64, error) {
-	res, err := algo.BellmanFord(runtimeCtx(ctx, s), source)
+	res, err := algo.BellmanFord(s.Runtime().WithContext(ctx), source)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +137,7 @@ func ShortestPathsSPFA(s *tufast.System, source uint32) ([]uint64, error) {
 
 // ShortestPathsSPFACtx is ShortestPathsSPFA with cancellation.
 func ShortestPathsSPFACtx(ctx context.Context, s *tufast.System, source uint32) ([]uint64, error) {
-	res, err := algo.SPFA(runtimeCtx(ctx, s), source)
+	res, err := algo.SPFA(s.Runtime().WithContext(ctx), source)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +155,7 @@ func MaximalIndependentSetCtx(ctx context.Context, s *tufast.System) ([]bool, er
 	if err := needUndirected(s); err != nil {
 		return nil, err
 	}
-	res, err := algo.MIS(runtimeCtx(ctx, s))
+	res, err := algo.MIS(s.Runtime().WithContext(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +174,7 @@ func MaximalMatchingCtx(ctx context.Context, s *tufast.System) ([]uint64, error)
 	if err := needUndirected(s); err != nil {
 		return nil, err
 	}
-	res, err := algo.MaximalMatching(runtimeCtx(ctx, s))
+	res, err := algo.MaximalMatching(s.Runtime().WithContext(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +191,7 @@ func KCoreCtx(ctx context.Context, s *tufast.System) ([]uint64, error) {
 	if err := needUndirected(s); err != nil {
 		return nil, err
 	}
-	res, err := algo.KCore(runtimeCtx(ctx, s))
+	res, err := algo.KCore(s.Runtime().WithContext(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +209,7 @@ func GreedyColoringCtx(ctx context.Context, s *tufast.System) ([]uint64, error) 
 	if err := needUndirected(s); err != nil {
 		return nil, err
 	}
-	res, err := algo.GreedyColoring(runtimeCtx(ctx, s))
+	res, err := algo.GreedyColoring(s.Runtime().WithContext(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -240,7 +227,7 @@ func LabelPropagationCtx(ctx context.Context, s *tufast.System, maxRounds int) (
 	if err := needUndirected(s); err != nil {
 		return nil, err
 	}
-	res, err := algo.LabelPropagation(runtimeCtx(ctx, s), maxRounds)
+	res, err := algo.LabelPropagation(s.Runtime().WithContext(ctx), maxRounds)
 	if err != nil {
 		return nil, err
 	}
@@ -258,5 +245,5 @@ func ClusteringCoefficientsCtx(ctx context.Context, s *tufast.System) ([]float64
 	if err := needUndirected(s); err != nil {
 		return nil, err
 	}
-	return algo.ClusteringCoefficients(runtimeCtx(ctx, s))
+	return algo.ClusteringCoefficients(s.Runtime().WithContext(ctx))
 }

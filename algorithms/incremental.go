@@ -16,25 +16,17 @@ import (
 	"time"
 
 	"tufast"
+	"tufast/internal/algo"
+	"tufast/internal/sched"
 	"tufast/internal/worklist"
 )
 
-// dedupSink is the Sink the incremental drains use: pushes are
-// deduplicated with a bitset at enqueue time (a vertex already pending
-// is not pushed twice), and the drain body clears the bit first so the
-// vertex can be re-activated by later changes.
-type dedupSink struct {
-	q      *tufast.Queue
-	queued *worklist.Bitset
+// newRepairQueue returns the queue an incremental computation's repairs
+// wait in: a vertex already pending is not pushed twice, and the drain
+// body clears its bit first so later changes can re-activate it.
+func newRepairQueue(d *tufast.DynGraph) algo.DedupFIFO {
+	return algo.DedupFIFO{Q: worklist.NewQueue(d.System().Threads()), Queued: worklist.NewBitset(d.NumVertices())}
 }
-
-func (s dedupSink) Push(v uint32) {
-	if s.queued.TestAndSet(v) {
-		s.q.Push(v)
-	}
-}
-func (s dedupSink) Pop() (uint32, bool) { return s.q.Pop() }
-func (s dedupSink) Len() int            { return s.q.Len() }
 
 // IncrementalCC maintains connected-component labels (min vertex id
 // per component) on a mutable undirected graph. Edge inserts are fixed
@@ -49,7 +41,7 @@ type IncrementalCC struct {
 	dyn  *tufast.DynGraph
 	sys  *tufast.System
 	comp tufast.VertexArray
-	sink dedupSink
+	sink algo.DedupFIFO
 
 	delMu  sync.Mutex
 	delLog []loggedDelete
@@ -74,7 +66,7 @@ func NewIncrementalCC(d *tufast.DynGraph) (*IncrementalCC, error) {
 		dyn:  d,
 		sys:  s,
 		comp: s.NewVertexArray(0),
-		sink: dedupSink{q: s.NewQueue(), queued: worklist.NewBitset(d.NumVertices())},
+		sink: newRepairQueue(d),
 	}
 	return cc, nil
 }
@@ -93,7 +85,7 @@ func (cc *IncrementalCC) RecomputeCtx(ctx context.Context) error {
 		cc.comp.Set(uint32(v), uint64(v))
 	}
 	for v := 0; v < n; v++ {
-		cc.sink.Push(uint32(v))
+		cc.sink.Push(uint32(v), 0)
 	}
 	return cc.StabilizeCtx(ctx)
 }
@@ -116,7 +108,7 @@ func (cc *IncrementalCC) OnEdge(tx tufast.Tx, op tufast.StreamOp, changed bool, 
 
 // Emit is the StreamOptions.Emit hook: committed emits enter the
 // dedup queue for the next Stabilize.
-func (cc *IncrementalCC) Emit(u uint32) { cc.sink.Push(u) }
+func (cc *IncrementalCC) Emit(u uint32) { cc.sink.Push(u, 0) }
 
 // Stabilize drains the pending queue, propagating min labels over live
 // adjacency until no vertex improves. Safe to run concurrently with an
@@ -129,29 +121,33 @@ func (cc *IncrementalCC) Stabilize() error {
 // StabilizeCtx is Stabilize with cancellation.
 func (cc *IncrementalCC) StabilizeCtx(ctx context.Context) error {
 	hint := func(v uint32) int { return 2*cc.dyn.LiveDegree(v) + 4 }
-	return cc.sys.ForEachQueuedEmitCtx(ctx, cc.sink, hint,
-		func(tx tufast.Tx, v uint32, emit func(u uint32)) error {
-			cc.sink.queued.Clear(v)
-			cv := tx.Read(v, cc.comp.Addr(v))
-			best := cv
-			nbs := tx.NeighborsMut(cc.dyn, v, nil)
-			for _, u := range nbs {
-				if cu := tx.Read(u, cc.comp.Addr(u)); cu < best {
-					best = cu
+	_, err := cc.sys.Runtime().WithContext(ctx).Drain("incremental_cc", cc.sink, cc.sink, hint,
+		func(out *worklist.Emits) func(sched.Tx, uint32) error {
+			return func(t sched.Tx, v uint32) error {
+				tx := tufast.WrapTx(t)
+				cc.sink.Queued.Clear(v)
+				cv := tx.Read(v, cc.comp.Addr(v))
+				best := cv
+				nbs := tx.NeighborsMut(cc.dyn, v, nil)
+				for _, u := range nbs {
+					if cu := tx.Read(u, cc.comp.Addr(u)); cu < best {
+						best = cu
+					}
 				}
-			}
-			if best < cv {
-				tx.Write(v, cc.comp.Addr(v), best)
-				emit(v)
-			}
-			for _, u := range nbs {
-				if tx.Read(u, cc.comp.Addr(u)) > best {
-					tx.Write(u, cc.comp.Addr(u), best)
-					emit(u)
+				if best < cv {
+					tx.Write(v, cc.comp.Addr(v), best)
+					out.Emit(v, 0)
 				}
+				for _, u := range nbs {
+					if tx.Read(u, cc.comp.Addr(u)) > best {
+						tx.Write(u, cc.comp.Addr(u), best)
+						out.Emit(u, 0)
+					}
+				}
+				return nil
 			}
-			return nil
 		})
+	return err
 }
 
 // Components returns the current labels (quiescent read).
@@ -317,7 +313,7 @@ func (cc *IncrementalCC) repairDeletes(ctx context.Context, view *tufast.GraphVi
 		if err != nil {
 			return err
 		}
-		cc.sink.Push(v)
+		cc.sink.Push(v, 0)
 	}
 	return nil
 }
@@ -363,7 +359,7 @@ type DeltaPageRank struct {
 	rank tufast.VertexArray // x
 	res  tufast.VertexArray // r
 	paid tufast.VertexArray // p
-	sink dedupSink
+	sink algo.DedupFIFO
 }
 
 // NewDeltaPageRank attaches a delta-PageRank computation (damping d,
@@ -376,7 +372,7 @@ func NewDeltaPageRank(dg *tufast.DynGraph, d, eps float64) *DeltaPageRank {
 		rank: s.NewVertexArray(0),
 		res:  s.NewVertexArray(0),
 		paid: s.NewVertexArray(0),
-		sink: dedupSink{q: s.NewQueue(), queued: worklist.NewBitset(dg.NumVertices())},
+		sink: newRepairQueue(dg),
 	}
 	n := dg.NumVertices()
 	resid := make([]float64, n)
@@ -396,7 +392,7 @@ func NewDeltaPageRank(dg *tufast.DynGraph, d, eps float64) *DeltaPageRank {
 	for v := 0; v < n; v++ {
 		pr.res.SetFloat(uint32(v), resid[v])
 		if math.Abs(resid[v]) > eps {
-			pr.sink.Push(uint32(v))
+			pr.sink.Push(uint32(v), 0)
 		}
 	}
 	return pr
@@ -453,7 +449,7 @@ func (pr *DeltaPageRank) OnEdge(tx tufast.Tx, op tufast.StreamOp, changed bool, 
 }
 
 // Emit is the StreamOptions.Emit hook.
-func (pr *DeltaPageRank) Emit(u uint32) { pr.sink.Push(u) }
+func (pr *DeltaPageRank) Emit(u uint32) { pr.sink.Push(u, 0) }
 
 // Stabilize drains residuals below eps by asynchronous push. Safe to
 // run concurrently with ApplyStream (every hook emits post-commit).
@@ -464,26 +460,31 @@ func (pr *DeltaPageRank) Stabilize() error {
 // StabilizeCtx is Stabilize with cancellation.
 func (pr *DeltaPageRank) StabilizeCtx(ctx context.Context) error {
 	hint := func(v uint32) int { return 2*pr.dyn.LiveDegree(v) + 8 }
-	return pr.sys.ForEachQueuedEmitCtx(ctx, pr.sink, hint,
-		func(tx tufast.Tx, v uint32, emit func(u uint32)) error {
-			pr.sink.queued.Clear(v)
-			rv := tx.ReadFloat(v, pr.res.Addr(v))
-			if math.Abs(rv) <= pr.eps {
+	_, err := pr.sys.Runtime().WithContext(ctx).Drain("delta_pagerank", pr.sink, pr.sink, hint,
+		func(out *worklist.Emits) func(sched.Tx, uint32) error {
+			emit := func(u uint32) { out.Emit(u, 0) }
+			return func(t sched.Tx, v uint32) error {
+				tx := tufast.WrapTx(t)
+				pr.sink.Queued.Clear(v)
+				rv := tx.ReadFloat(v, pr.res.Addr(v))
+				if math.Abs(rv) <= pr.eps {
+					return nil
+				}
+				tx.WriteFloat(v, pr.res.Addr(v), 0)
+				tx.WriteFloat(v, pr.rank.Addr(v), tx.ReadFloat(v, pr.rank.Addr(v))+rv)
+				k := tx.DegreeMut(pr.dyn, v)
+				if k == 0 {
+					return nil // dangling: mass dropped, like the static PageRank
+				}
+				share := rv / float64(k)
+				tx.WriteFloat(v, pr.paid.Addr(v), tx.ReadFloat(v, pr.paid.Addr(v))+share)
+				for _, u := range tx.NeighborsMut(pr.dyn, v, nil) {
+					pr.addResid(tx, u, pr.d*share, emit)
+				}
 				return nil
 			}
-			tx.WriteFloat(v, pr.res.Addr(v), 0)
-			tx.WriteFloat(v, pr.rank.Addr(v), tx.ReadFloat(v, pr.rank.Addr(v))+rv)
-			k := tx.DegreeMut(pr.dyn, v)
-			if k == 0 {
-				return nil // dangling: mass dropped, like the static PageRank
-			}
-			share := rv / float64(k)
-			tx.WriteFloat(v, pr.paid.Addr(v), tx.ReadFloat(v, pr.paid.Addr(v))+share)
-			for _, u := range tx.NeighborsMut(pr.dyn, v, nil) {
-				pr.addResid(tx, u, pr.d*share, emit)
-			}
-			return nil
 		})
+	return err
 }
 
 // Ranks returns the current estimates (quiescent read).

@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"tufast/internal/bench"
-	"tufast/internal/trace"
 )
 
 func main() {
@@ -24,7 +23,6 @@ func main() {
 		threads = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 		short   = flag.Bool("short", false, "shrink experiments (quick smoke run)")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		verbose = flag.Bool("v", false, "print experiment telemetry")
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Usage = func() {
@@ -36,7 +34,6 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	trace.SetVerbose(*verbose)
 
 	if *list {
 		fmt.Println(strings.Join(bench.IDs(), " "))

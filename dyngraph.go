@@ -3,12 +3,11 @@ package tufast
 import (
 	"cmp"
 	"context"
-	"runtime/pprof"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
+	"tufast/internal/algo"
 	"tufast/internal/dyngraph"
 	"tufast/internal/sched"
 	"tufast/internal/worklist"
@@ -664,25 +663,14 @@ func (a *applier) run(t sched.Tx) error {
 // applyWindow runs one window of ops concurrently, barriers, and adds
 // the window's outcomes to stats.
 func (d *DynGraph) applyWindow(ctx context.Context, win []StreamOp, opt StreamOptions, stats *StreamStats) error {
-	var firstErr atomic.Value
 	appliers := make([]applier, d.sys.threads)
-	err := worklist.RangeCtx(ctx, len(win), d.sys.threads, 32, func(tid, lo, hi int) {
+	err := d.sys.rt.WithContext(ctx).Sweep("apply_stream", len(win), 32, func(tid int, w *algo.Worker) func(int) error {
 		a := &appliers[tid] // tid is one goroutine's for the whole window
-		if a.d == nil {
-			a.init(d, opt)
-			pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels(
-				"tufast", "apply_stream", "worker", strconv.Itoa(tid))))
-		}
-		w := d.sys.Worker()
-		defer d.sys.Release(w)
-		for i := lo; i < hi; i++ {
-			if firstErr.Load() != nil {
-				return
-			}
+		a.init(d, opt)
+		return func(i int) error {
 			a.op = win[i]
-			if err := w.run(ctx, d.MutationHint(a.op.U, a.op.V), a.body); err != nil {
-				firstErr.CompareAndSwap(nil, err)
-				return
+			if err := w.Run(ctx, d.MutationHint(a.op.U, a.op.V), a.body); err != nil {
+				return err
 			}
 			switch {
 			case !a.changed:
@@ -697,6 +685,7 @@ func (d *DynGraph) applyWindow(ctx context.Context, win []StreamOp, opt StreamOp
 					opt.Emit(u)
 				}
 			}
+			return nil
 		}
 	})
 	for i := range appliers {
@@ -704,13 +693,7 @@ func (d *DynGraph) applyWindow(ctx context.Context, win []StreamOp, opt StreamOp
 		stats.Removed += appliers[i].removed
 		stats.NoOps += appliers[i].noops
 	}
-	if err != nil {
-		return err
-	}
-	if e := firstErr.Load(); e != nil {
-		return e.(error)
-	}
-	return nil
+	return err
 }
 
 // Sink is a Source that also accepts pushes; *Queue satisfies it.
@@ -742,15 +725,10 @@ func (s *System) ForEachQueuedEmitCtx(ctx context.Context, q Sink, hint func(v u
 // them through its Push.
 func sinkOf(q Sink) worklist.Sink {
 	if fq, ok := q.(*Queue); ok {
-		return fifoSink{(*worklist.Queue)(fq)}
+		return algo.FIFOSource{Queue: (*worklist.Queue)(fq)}
 	}
 	return pushSink{q}
 }
-
-// fifoSink publishes into a worklist.Queue (prio ignored).
-type fifoSink struct{ *worklist.Queue }
-
-func (s fifoSink) Push(v uint32, _ uint64) { s.Queue.Push(v) }
 
 // pushSink publishes into a caller's Sink, one Push per emit.
 type pushSink struct{ q Sink }

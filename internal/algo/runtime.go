@@ -3,12 +3,20 @@
 // shortest paths, maximal independent set, and greedy maximal matching —
 // once, against the sched.Scheduler interface, so identical user code runs
 // on TuFast and on every baseline scheduler the paper compares.
+//
+// It is also the home of the module's one driver (the paper's Table I
+// parallel_for and Fig. 3 queue loop over one set of per-thread TM
+// contexts): Runtime owns the worker pool, the vertex sweep and the queued
+// drain that tufast.System, the stream applier, package algorithms, the
+// figures and cmd/tufast all run on.
 package algo
 
 import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/pprof"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -32,9 +40,52 @@ type Runtime struct {
 	// threading a context through each one.
 	Ctx context.Context
 
-	wmu     sync.Mutex
-	free    []sched.Worker
+	// workers is shared by every view of the runtime (WithContext).
+	workers *pool
+}
+
+// pool is the scheduler's worker contexts. A thread id is bound to its
+// worker for life — vertex-lock ownership, the deadlock detector's hold
+// lists and H mode's "the stamp's owner is me" are all per id and assume
+// one goroutine per id — so there is one pool per scheduler, ids are
+// minted once, and idle workers wait on an explicit free list rather than
+// in a sync.Pool, which could drop and re-mint them past the id budget.
+type pool struct {
+	//tufast:lockorder 10
+	mu      sync.Mutex
+	free    []*Worker
 	created int
+}
+
+// Worker is a leased scheduler context: one thread id's worker, for one
+// goroutine at a time.
+type Worker struct {
+	inner sched.Worker
+	cw    sched.CtxWorker // inner, when its Run can be cancelled
+	// busy is set for the duration of a Run call; it stays set only when
+	// a panic unwound the call, marking in-flight state for Release.
+	busy bool
+}
+
+// Run executes fn as one serializable transaction. With a cancellable ctx
+// the transaction stops retrying (and, on a worker that can, stops
+// waiting for locks) and returns ctx.Err(); a nil ctx never cancels.
+func (w *Worker) Run(ctx context.Context, sizeHint int, fn sched.TxFunc) error {
+	w.busy = true
+	var err error
+	if w.cw != nil {
+		err = w.cw.RunCtx(ctx, sizeHint, fn)
+	} else {
+		// A baseline that cannot stop mid-transaction stops between them.
+		if ctx != nil {
+			err = ctx.Err()
+		}
+		if err == nil {
+			err = w.inner.Run(sizeHint, fn)
+		}
+	}
+	w.busy = false
+	return err
 }
 
 // ctx returns the runtime's context, defaulting to Background.
@@ -45,20 +96,6 @@ func (r *Runtime) ctx() context.Context {
 	return context.Background()
 }
 
-// run executes one transaction on w, routing through RunCtx when both a
-// context and a cancellable worker are available.
-func (r *Runtime) run(w sched.Worker, hint int, fn sched.TxFunc) error {
-	if r.Ctx != nil {
-		if cw, ok := w.(sched.CtxWorker); ok {
-			return cw.RunCtx(r.Ctx, hint, fn)
-		}
-		if err := r.Ctx.Err(); err != nil {
-			return err
-		}
-	}
-	return w.Run(hint, fn)
-}
-
 // NewRuntime creates a Runtime; threads <= 0 means GOMAXPROCS. The space
 // must be large enough for the algorithm's property arrays (SpaceWordsFor
 // sizes it).
@@ -66,7 +103,16 @@ func NewRuntime(g *graph.CSR, sp *mem.Space, s sched.Scheduler, threads int) *Ru
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
-	return &Runtime{G: g, Sp: sp, S: s, Threads: threads}
+	return &Runtime{G: g, Sp: sp, S: s, Threads: threads, workers: new(pool)}
+}
+
+// WithContext returns a view of r bound to ctx: the same graph, space,
+// scheduler and worker pool, with every sweep and transaction it drives
+// cancelled by ctx.
+func (r *Runtime) WithContext(ctx context.Context) *Runtime {
+	v := *r
+	v.Ctx = ctx
+	return &v
 }
 
 // SpaceWordsFor returns a space size (in words) ample for any algorithm
@@ -86,25 +132,116 @@ func (r *Runtime) NewVertexArray(init uint64) mem.Addr {
 	return base
 }
 
-// worker leases a per-goroutine scheduler context (ids are stable per
-// worker — see tufast.System.Worker for why a sync.Pool would be wrong).
-func (r *Runtime) worker() sched.Worker {
-	r.wmu.Lock()
-	defer r.wmu.Unlock()
-	if n := len(r.free); n > 0 {
-		w := r.free[n-1]
-		r.free = r.free[:n-1]
+// Lease returns a worker for the calling goroutine's exclusive use until
+// Release: an idle one, or the next thread id's.
+func (r *Runtime) Lease() *Worker {
+	p := r.workers
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.free); n > 0 {
+		w := p.free[n-1]
+		p.free = p.free[:n-1]
 		return w
 	}
-	id := r.created
-	r.created++
-	return r.S.Worker(id)
+	inner := r.S.Worker(p.created)
+	p.created++
+	cw, _ := inner.(sched.CtxWorker)
+	return &Worker{inner: inner, cw: cw}
 }
 
-func (r *Runtime) release(w sched.Worker) {
-	r.wmu.Lock()
-	r.free = append(r.free, w)
-	r.wmu.Unlock()
+// Release returns a worker obtained from Lease to the pool.
+//
+// A worker whose last transaction was unwound by a panic (its Run call
+// never returned) may still carry in-flight state: held vertex locks,
+// an open undo log, escalated backoff. Pooling such a worker as-is would
+// poison a later transaction, so Release first asks the scheduler to
+// verifiably reset it (releasing leftover locks and rolling back in-place
+// writes); if the scheduler cannot, the worker is discarded — its thread
+// id is retired rather than recycled into a corrupted context.
+func (r *Runtime) Release(w *Worker) {
+	if w.busy {
+		a, ok := w.inner.(sched.Abandoner)
+		if !ok || !a.AbandonInFlight() {
+			return // discard: never pool a worker with in-flight state
+		}
+		w.busy = false
+	}
+	p := r.workers
+	p.mu.Lock()
+	p.free = append(p.free, w)
+	p.mu.Unlock()
+}
+
+// trimIdle has every idle worker that can (sched.Trimmer) shed the scratch
+// a giant transaction grew. A pooled worker lives as long as the scheduler
+// and the next whole-graph call may never come, so ForEachVertex and Drain
+// end with it; leases that come and go between them (Atomic, a stream's
+// windows) keep what they grew, because the next one is about to need it
+// again: regrowing a hub-sized footprint costs about what running it does.
+func (r *Runtime) trimIdle() {
+	p := r.workers
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, w := range p.free {
+		if t, ok := w.inner.(sched.Trimmer); ok {
+			t.TrimScratch()
+		}
+	}
+}
+
+// label tags the calling goroutine for CPU profiles with the driver and
+// the worker slot it runs (pprof -tagfocus / -taghide).
+func label(ctx context.Context, driver string, tid int) {
+	pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels(
+		"tufast", driver, "worker", strconv.Itoa(tid))))
+}
+
+// Sweep is the module's parallel_for: it runs step(i) for every i in
+// [0, n) on up to r.Threads goroutines that claim grain indices at a time
+// (dynamically, so skewed costs still balance). start runs once on each
+// goroutine, with the worker leased to it for the whole sweep, and returns
+// that goroutine's step — which runs the transaction for one index on that
+// worker and whatever must follow its commit. The first error stops the
+// sweep (best effort) and is returned; the runtime's context stops it at
+// the next chunk boundary, or transaction, with the context's error.
+func (r *Runtime) Sweep(driver string, n, grain int, start func(tid int, w *Worker) (step func(i int) error)) error {
+	ctx := r.ctx()
+	var firstErr atomic.Value
+	type slot struct {
+		w    *Worker
+		step func(i int) error
+	}
+	slots := make([]slot, r.Threads) // tid is one goroutine's for the whole sweep
+	defer func() {
+		for _, s := range slots {
+			if s.w != nil {
+				r.Release(s.w)
+			}
+		}
+		// A sweep too small to fan out ran on the caller's goroutine.
+		pprof.SetGoroutineLabels(ctx)
+	}()
+	err := worklist.RangeCtx(ctx, n, r.Threads, grain, func(tid, lo, hi int) {
+		s := &slots[tid]
+		if s.w == nil {
+			label(ctx, driver, tid)
+			s.w = r.Lease()
+			s.step = start(tid, s.w)
+		}
+		for i := lo; i < hi && firstErr.Load() == nil; i++ {
+			if err := s.step(i); err != nil {
+				firstErr.CompareAndSwap(nil, err)
+				return
+			}
+		}
+	})
+	if err != nil {
+		return err
+	}
+	if e := firstErr.Load(); e != nil {
+		return e.(error)
+	}
+	return nil
 }
 
 // ForEachVertex runs fn for every vertex as its own transaction with the
@@ -112,31 +249,16 @@ func (r *Runtime) release(w sched.Worker) {
 // runtime carries a context, cancellation stops the sweep at the next
 // chunk or vertex boundary and the context's error is returned.
 func (r *Runtime) ForEachVertex(fn func(tx sched.Tx, v uint32) error) error {
-	n := r.G.NumVertices()
-	ctx := r.ctx()
-	var firstErr atomic.Value
-	worklist.RangeCtx(ctx, n, r.Threads, 256, func(_, lo, hi int) {
-		w := r.worker()
-		defer r.release(w)
-		for v := lo; v < hi; v++ {
-			if firstErr.Load() != nil {
-				return
-			}
-			vid := uint32(v)
-			hint := r.G.Degree(vid)*2 + 2
-			if err := r.run(w, hint, func(tx sched.Tx) error { return fn(tx, vid) }); err != nil {
-				firstErr.CompareAndSwap(nil, err)
-				return
-			}
+	defer r.trimIdle()
+	return r.Sweep("foreach_vertex", r.G.NumVertices(), 256, func(_ int, w *Worker) func(int) error {
+		// One body per goroutine, not per vertex: cur is the vertex in hand.
+		var cur uint32
+		body := func(tx sched.Tx) error { return fn(tx, cur) }
+		return func(v int) error {
+			cur = uint32(v)
+			return w.Run(r.Ctx, r.G.Degree(cur)*2+2, body)
 		}
 	})
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if e := firstErr.Load(); e != nil {
-		return e.(error)
-	}
-	return nil
 }
 
 // Source is a work queue the queued driver drains and refills
@@ -220,25 +342,45 @@ func (s DedupFIFO) Len() int { return s.Q.Len() }
 // vertex pushed before its activating write was visible could be popped,
 // observed unimproved, and dropped, with nobody left to re-deliver the
 // improvement once it landed.
-//
-// The loop itself — chunked polling, post-commit publishing, the quiesce
-// rule that lets workers leave, cancellation through the runtime's
-// context — is worklist.Drain, shared with tufast.System's drivers.
 func (r *Runtime) ForEachQueued(q Source, fn func(tx sched.Tx, v uint32, emit func(u uint32, prio uint64)) error) (uint64, error) {
-	return worklist.Drain(r.ctx(), q, q, r.Threads, func(_ int, out *worklist.Emits) (func(uint32) error, func()) {
-		w := r.worker()
-		// One body per worker, not per vertex: cur is the vertex in hand.
-		var cur uint32
+	return r.Drain("foreach_queued", q, q, nil, func(out *worklist.Emits) func(sched.Tx, uint32) error {
 		emit := out.Emit
-		body := func(tx sched.Tx) error {
+		return func(tx sched.Tx, v uint32) error { return fn(tx, v, emit) }
+	})
+}
+
+// Drain is the module's queued driver (paper Fig. 3): worklist.Drain —
+// chunked polling of src, post-commit publishing of emits into sink, the
+// quiesce rule that lets workers leave, cancellation through the
+// runtime's context — with each of its goroutines labelled for profiles
+// and running its transactions on one leased worker. start runs once on
+// each goroutine and returns the body run for every polled vertex; what
+// the body emits through out reaches sink only if its attempt commits. A
+// nil sink is for bodies that push into src themselves; a nil hint means
+// the graph's degree.
+func (r *Runtime) Drain(driver string, src worklist.Source, sink worklist.Sink, hint func(v uint32) int,
+	start func(out *worklist.Emits) (body func(tx sched.Tx, v uint32) error)) (uint64, error) {
+	ctx := r.ctx()
+	defer r.trimIdle()
+	return worklist.Drain(ctx, src, sink, r.Threads, func(tid int, out *worklist.Emits) (func(uint32) error, func()) {
+		label(ctx, driver, tid)
+		w := r.Lease()
+		// One transaction per worker, not per vertex: cur is the vertex in hand.
+		var cur uint32
+		body := start(out)
+		txn := func(tx sched.Tx) error {
 			out.Retry() // a retried attempt re-emits from scratch
-			return fn(tx, cur, emit)
+			return body(tx, cur)
 		}
 		step := func(v uint32) error {
 			cur = v
-			return r.run(w, r.G.Degree(v)*2+2, body)
+			h := r.G.Degree(v)*2 + 2
+			if hint != nil {
+				h = hint(v)
+			}
+			return w.Run(r.Ctx, h, txn)
 		}
-		return step, func() { r.release(w) }
+		return step, func() { r.Release(w) }
 	})
 }
 

@@ -22,9 +22,9 @@
 //   - mutex acquisitions respect the //tufast:lockorder ranks declared
 //     on struct fields and form no order cycles (lockorder)
 //   - epoch values are captured inside the critical section that bumped
-//     them, never re-read after ApplyStream or after the topology lock
-//     was dropped (epochcapture)
-//   - stream hooks stay non-blocking: no topology locks, no bare
+//     them, never re-read after ApplyStream or after a mutation-bracket
+//     lock (mutMu, batchMu) was dropped (epochcapture)
+//   - stream hooks stay non-blocking: no mutation-bracket locks, no bare
 //     channel operations, no reentrant ApplyStream (hookpurity)
 //   - every Lock is released on all return and panic paths (unlockpath)
 //   - a field accessed through sync/atomic is never also accessed by

@@ -22,8 +22,8 @@ import (
 //     with the next writer (the PR 6 handleEdges bug).
 //  2. An Epoch() call (or a read of an unexported epoch counter field)
 //     reached with no mutex held after the function released a
-//     topology lock — a field named mutMu or wmu — earlier on. The
-//     value read belongs to nobody's critical section.
+//     mutation-bracket lock — a field named mutMu or batchMu — earlier
+//     on. The value read belongs to nobody's critical section.
 //  3. A non-view Epoch() call positioned after a View()/ViewAt() call
 //     that pinned a GraphView in the same function body. Everything the
 //     function reads through the view is fixed at the view's epoch;
@@ -40,10 +40,11 @@ var EpochCapture = &analysis.Analyzer{
 	Run:  runEpochCapture,
 }
 
-// topoLockNames are the struct fields recognized as topology locks: the
-// serving plane's mutation-bracket lock mutMu and the embedded
-// runtime's wmu.
-var topoLockNames = map[string]bool{"mutMu": true, "wmu": true}
+// bracketLockNames are the struct fields recognized as the locks held
+// around a mutation batch, OnEdge/Emit hooks included: the serving
+// plane's mutMu (apply, log, standing bookkeeping) and DynGraph's batchMu
+// (one ApplyStream batch, one epoch stamp).
+var bracketLockNames = map[string]bool{"mutMu": true, "batchMu": true}
 
 func runEpochCapture(pass *analysis.Pass) {
 	for _, file := range pass.Files {
@@ -109,7 +110,7 @@ func checkEpochCapture(pass *analysis.Pass, body *ast.BlockStmt) {
 	topoReleased := false
 	walkLocks(pass, body, lockEvents{
 		release: func(op *analysis.LockOp) {
-			if op.Field != nil && topoLockNames[op.Field.Name()] {
+			if op.Field != nil && bracketLockNames[op.Field.Name()] {
 				topoReleased = true
 			}
 		},
@@ -147,7 +148,7 @@ func checkEpochCapture(pass *analysis.Pass, body *ast.BlockStmt) {
 			}
 			if topoReleased && len(held) == 0 {
 				pass.Reportf(call.Pos(),
-					"%s.Epoch() read outside the critical section: the topology lock was released earlier in this function",
+					"%s.Epoch() read outside the critical section: the mutation-bracket lock was released earlier in this function",
 					exprString(recv))
 			}
 		},
@@ -162,7 +163,7 @@ func checkEpochCapture(pass *analysis.Pass, body *ast.BlockStmt) {
 }
 
 // checkEpochFieldReads flags accesses to a field named epoch that occur
-// after a topology-lock release with no topology lock covering them.
+// after a bracket-lock release with no bracket lock covering them.
 // The held-at-position computation is positional (acquires and releases
 // of topo-family locks in source order), which matches the straight-line
 // shape this bug class takes in practice.
@@ -174,12 +175,12 @@ func checkEpochFieldReads(pass *analysis.Pass, body *ast.BlockStmt) {
 	var events []event
 	walkLocks(pass, body, lockEvents{
 		acquire: func(_ []*heldLock, op *analysis.LockOp) {
-			if op.Field != nil && topoLockNames[op.Field.Name()] {
+			if op.Field != nil && bracketLockNames[op.Field.Name()] {
 				events = append(events, event{op.Call.Pos(), +1})
 			}
 		},
 		release: func(op *analysis.LockOp) {
-			if op.Field != nil && topoLockNames[op.Field.Name()] {
+			if op.Field != nil && bracketLockNames[op.Field.Name()] {
 				events = append(events, event{op.Call.Pos(), -1})
 			}
 		},
@@ -220,7 +221,7 @@ func checkEpochFieldReads(pass *analysis.Pass, body *ast.BlockStmt) {
 		}
 		if releasedBefore && held <= 0 {
 			pass.Reportf(sel.Pos(),
-				"epoch field read outside the critical section: the topology lock was released earlier in this function")
+				"epoch field read outside the critical section: the mutation-bracket lock was released earlier in this function")
 		}
 		return true
 	})

@@ -10,14 +10,14 @@ import (
 )
 
 // HookPurity checks that stream hooks stay non-blocking. OnEdge and
-// Emit hooks run inside ApplyStream's critical section, on the
-// goroutine that holds the graph write lock; a hook that blocks stalls
-// every concurrent reader, and one that re-enters the stream path
-// deadlocks outright. Flagged in a hook body, or one same-package call
+// Emit hooks run inside ApplyStream's critical section, on worker
+// goroutines the batch's owner waits for with the mutation-bracket
+// locks held; a hook that blocks stalls every later batch, and one that
+// re-enters the stream path deadlocks outright. Flagged in a hook body, or one same-package call
 // away from it:
 //
-//   - acquiring a topology lock (a field named mutMu or wmu) — already
-//     held by the apply path
+//   - acquiring a mutation-bracket lock (a field named mutMu or
+//     batchMu) — already held by the apply path
 //   - a channel send or receive with no escape hatch: not a select arm
 //     in a select that has a default or a ctx.Done() case
 //   - any call to an ApplyStream-family method — reentrant stream
@@ -29,7 +29,7 @@ import (
 // ComposeOnEdge/ComposeEmit.
 var HookPurity = &analysis.Analyzer{
 	Name: "hookpurity",
-	Doc:  "stream hooks must not block: no topology locks, bare channel ops, or reentrant ApplyStream",
+	Doc:  "stream hooks must not block: no mutation-bracket locks, bare channel ops, or reentrant ApplyStream",
 	Run:  runHookPurity,
 }
 
@@ -160,9 +160,9 @@ func hookBodyViolations(pass *analysis.Pass, body *ast.BlockStmt) []hookViolatio
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if op := analysis.RecognizeLockOp(pass.Info, n); op != nil {
-				if op.Acquire() && op.Field != nil && topoLockNames[op.Field.Name()] {
+				if op.Acquire() && op.Field != nil && bracketLockNames[op.Field.Name()] {
 					out = append(out, hookViolation{n.Pos(),
-						"acquires " + op.Name() + ": the topology lock is already held by the apply path"})
+						"acquires " + op.Name() + ": the mutation-bracket lock is already held by the apply path"})
 				}
 				return true
 			}

@@ -1,6 +1,6 @@
 // Golden corpus for the epochcapture analyzer: epoch values must be
 // captured inside the critical section that bumped them. Re-reading
-// Epoch() after ApplyStream, or after the topology lock was dropped,
+// Epoch() after ApplyStream, or after the mutation-bracket lock was dropped,
 // observes concurrent batches.
 package epochcapture
 
@@ -29,7 +29,7 @@ func (s *serv) captured(ops []tufast.StreamOp) uint64 {
 	return stats.Epoch // nowant: the batch's own bump
 }
 
-// drifted reads the epoch after releasing the topology lock: the value
+// drifted reads the epoch after releasing the mutation-bracket lock: the value
 // belongs to nobody's critical section.
 func (s *serv) drifted() uint64 {
 	s.mutMu.RLock()
@@ -52,7 +52,7 @@ func (s *serv) reacquired() uint64 {
 	s.mutMu.Unlock()
 	s.mutMu.RLock()
 	defer s.mutMu.RUnlock()
-	return s.dyn.Epoch() // nowant: a topology lock covers the read
+	return s.dyn.Epoch() // nowant: a mutation-bracket lock covers the read
 }
 
 // probe is the reviewed optimistic-cache pattern: read lock-free, then

@@ -1,7 +1,7 @@
 // Golden corpus for the hookpurity analyzer: OnEdge/Emit stream hooks
 // run inside ApplyStream's critical section and must not block —
-// no topology locks, no bare channel operations, no reentrant stream
-// application — in the hook body or one same-package call away.
+// no mutation-bracket locks, no bare channel operations, no reentrant
+// stream application — in the hook body or one same-package call away.
 package hookpurity
 
 import (
@@ -19,7 +19,7 @@ type eng struct {
 
 // OnEdge is recognized by name and signature; both operations block.
 func (e *eng) OnEdge(tx tufast.Tx, op tufast.StreamOp, changed bool, emit func(u uint32)) error {
-	e.mutMu.RLock() // want "topology lock"
+	e.mutMu.RLock() // want "mutation-bracket lock"
 	e.mutMu.RUnlock()
 	e.out <- 1 // want "block on a channel send"
 	return nil
@@ -59,10 +59,24 @@ func (e *eng) opts(ctx context.Context) tufast.StreamOptions {
 // compose covers literal arguments to the hook combinators.
 func compose(e *eng) {
 	_ = tufast.ComposeOnEdge(func(tx tufast.Tx, op tufast.StreamOp, changed bool, emit func(u uint32)) error {
-		e.mutMu.Lock() // want "topology lock"
+		e.mutMu.Lock() // want "mutation-bracket lock"
 		e.mutMu.Unlock()
 		return nil
 	})
+}
+
+// overlay stands in for a type that, like DynGraph, serializes its
+// batches on a batchMu: ApplyStream holds it while hooks run, so a hook
+// that takes it waits for its own batch to end.
+type overlay struct {
+	batchMu sync.Mutex
+	pending []uint32
+}
+
+func (o *overlay) Emit(u uint32) {
+	o.batchMu.Lock() // want "acquires o.batchMu: the mutation-bracket lock"
+	o.pending = append(o.pending, u)
+	o.batchMu.Unlock()
 }
 
 // quiet documents a reviewed exception: the channel is buffered and

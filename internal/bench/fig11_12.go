@@ -16,7 +16,6 @@ import (
 	"tufast/internal/graph/gen"
 	"tufast/internal/mem"
 	"tufast/internal/sched"
-	"tufast/internal/trace"
 )
 
 // appNames is the Fig. 11/12 application order.
@@ -193,8 +192,8 @@ func Fig12(o Options) []Table {
 			out["Triangle"] = timeIt(func() { eu.Triangles() })
 			out["BellmanFord"] = timeIt(func() { e.SSSP(0) })
 			out["MIS"] = timeIt(func() { eu.MIS(1) })
-			trace.Logf("fig12 %s cut=%d: moved %.1f MB over %d supersteps",
-				d.Name, cut, float64(e.BytesMoved+eu.BytesMoved)/1e6, e.Supersteps+eu.Supersteps)
+			t.Notes = append(t.Notes, fmt.Sprintf("cut=%d: moved %.1f MB over %d supersteps",
+				cut, float64(e.BytesMoved+eu.BytesMoved)/1e6, e.Supersteps+eu.Supersteps))
 			return out
 		}
 		powerGraph := distApps(dist.EdgeCut)
@@ -217,10 +216,12 @@ func Fig12(o Options) []Table {
 					e.Close()
 					eu.Close()
 				} else {
-					trace.Logf("fig12 graphchi setup failed: %v %v", err1, err2)
+					t.Notes = append(t.Notes, fmt.Sprintf("graphchi setup failed, its row is empty: %v %v", err1, err2))
 				}
 				os.RemoveAll(dir)
 				os.RemoveAll(dirU)
+			} else {
+				t.Notes = append(t.Notes, fmt.Sprintf("graphchi setup failed, its row is empty: %v %v", err, errU))
 			}
 		}
 

@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"time"
 
+	"tufast/internal/algo"
 	"tufast/internal/core"
 	"tufast/internal/dyngraph"
 	"tufast/internal/graph"
 	"tufast/internal/graph/gen"
 	"tufast/internal/mem"
 	"tufast/internal/sched"
-	"tufast/internal/worklist"
 )
 
 // Streaming workloads: Fig-15-style mode attribution and throughput
@@ -42,31 +42,28 @@ func streamWorkloads() []streamWorkload {
 	}
 }
 
-// runStream replays ops through the overlay on tf, windowed like the
-// public ApplyStream driver, and returns throughput in ops/second.
-func runStream(st *dyngraph.Store, ops []dyngraph.Op, tf *core.System, threads, window int) float64 {
+// runStream replays ops through the overlay on r's scheduler, windowed
+// like the public ApplyStream driver, and returns throughput in
+// ops/second.
+func runStream(st *dyngraph.Store, ops []dyngraph.Op, r *algo.Runtime, window int) float64 {
 	start := time.Now()
 	for lo := 0; lo < len(ops); lo += window {
-		hi := lo + window
-		if hi > len(ops) {
-			hi = len(ops)
-		}
-		win := ops[lo:hi]
-		worklist.Range(len(win), threads, 32, func(tid, wlo, whi int) {
-			w := tf.Worker(tid)
-			for i := wlo; i < whi; i++ {
-				op := win[i]
-				hint := st.Hint(op.U, op.V)
-				_ = w.Run(hint, func(tx sched.Tx) error {
-					if op.Del {
-						st.RemoveArc(tx, op.U, op.V)
-						st.RemoveArc(tx, op.V, op.U)
-					} else {
-						st.AddArc(tx, op.U, op.V)
-						st.AddArc(tx, op.V, op.U)
-					}
-					return nil
-				})
+		win := ops[lo:min(lo+window, len(ops))]
+		_ = r.Sweep("stream", len(win), 32, func(_ int, w *algo.Worker) func(int) error {
+			var op dyngraph.Op
+			body := func(tx sched.Tx) error {
+				if op.Del {
+					st.RemoveArc(tx, op.U, op.V)
+					st.RemoveArc(tx, op.V, op.U)
+				} else {
+					st.AddArc(tx, op.U, op.V)
+					st.AddArc(tx, op.V, op.U)
+				}
+				return nil
+			}
+			return func(i int) error {
+				op = win[i]
+				return w.Run(r.Ctx, st.Hint(op.U, op.V), body)
 			}
 		})
 	}
@@ -103,7 +100,7 @@ func FigStream(o Options) []Table {
 	for _, wl := range streamWorkloads() {
 		sp, st, ops := streamSetup(o, wl)
 		tf := newTuFast(sp, st.NumVertices(), streamConfig())
-		tps := runStream(st, ops, tf, o.Threads, 4096)
+		tps := runStream(st, ops, algo.NewRuntime(st.Base(), sp, tf, o.Threads), 4096)
 		snap := tf.Metrics().Snapshot()
 		t.AddRow(wl.name, len(ops), tps,
 			snap.Modes["H"].Commits, snap.Modes["O"].Commits, snap.Modes["O+"].Commits,

@@ -68,6 +68,10 @@ func (s *System) registered() []*counters {
 	return nil
 }
 
+// Workers returns how many worker contexts have registered: with one pool
+// over the System, the thread ids in use out of maxThreads.
+func (s *System) Workers() int { return len(s.registered()) }
+
 // obsMode is the obs label of a class: the two enums list the Fig. 15
 // classes in the same order.
 func (c ModeClass) obsMode() obs.Mode { return obs.Mode(c) }

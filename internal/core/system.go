@@ -260,6 +260,20 @@ func (w *worker) AbandonInFlight() bool {
 	return true
 }
 
+// TrimScratch implements sched.Trimmer: a mode context is empty between
+// transactions and as large as the biggest one it ran, so one that a giant
+// transaction grew is rebuilt. The worker's identity — id, counters block,
+// probe, router, backoff — is what the pool keeps it for and stays.
+func (w *worker) TrimScratch() {
+	if cap(w.h.subs)+w.h.vstate.Cap() > sched.ScratchKeep {
+		w.h = newHCtx(w)
+	}
+	if cap(w.o.reads)+w.o.readIdx.Cap()+cap(w.o.writes)+w.o.writeIdx.Cap() > sched.ScratchKeep {
+		w.o = newOCtx(w)
+	}
+	w.l.TrimScratch()
+}
+
 // committed records a transaction that committed in class with the given
 // operation counts: once in the probe (which is where every view's commit
 // count comes from) and in this worker's per-class workload.

@@ -54,6 +54,10 @@ func (t *Table) Reset() {
 // Len returns the number of live entries.
 func (t *Table) Len() int { return t.n }
 
+// Cap returns the number of slots allocated: the largest generation so
+// far sized them, and no Reset gives them back.
+func (t *Table) Cap() int { return len(t.keys) }
+
 func hash(k uint64) uint64 {
 	k ^= k >> 33
 	k *= 0xFF51AFD7ED558CCD

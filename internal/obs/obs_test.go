@@ -252,37 +252,3 @@ func TestLatencySampling(t *testing.T) {
 		t.Fatalf("retry histogram must record every commit, got %d", s.Retries.Count())
 	}
 }
-
-func TestSyncWriterWholeCalls(t *testing.T) {
-	var mu sync.Mutex
-	var chunks [][]byte
-	w := NewSyncWriter(writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		chunks = append(chunks, append([]byte(nil), p...))
-		mu.Unlock()
-		return len(p), nil
-	}))
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				_, _ = w.Write([]byte("one complete line\n"))
-			}
-		}()
-	}
-	wg.Wait()
-	if len(chunks) != 800 {
-		t.Fatalf("got %d writes, want 800", len(chunks))
-	}
-	for _, c := range chunks {
-		if string(c) != "one complete line\n" {
-			t.Fatalf("interleaved write: %q", c)
-		}
-	}
-}
-
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }

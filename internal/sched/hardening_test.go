@@ -353,3 +353,46 @@ func TestTPLDetectModeCancelClearsWaitGraph(t *testing.T) {
 	}
 	assertNoLocksHeld(t, locks)
 }
+
+// TestTPLWorkerDropsGiantScratch is TPL's share of the driver pool's trim:
+// the hold table, lock order and undo log a hub-sized transaction grew go
+// when an idle worker is trimmed, a small transaction's stay, and the
+// worker commits afterwards.
+func TestTPLWorkerDropsGiantScratch(t *testing.T) {
+	const hub = 6000
+	s, sp, locks := newTPLFixture(t, hub)
+	w := s.NewWorker(0)
+	touch := func(n uint32) TxFunc {
+		return func(tx Tx) error {
+			for v := uint32(0); v < n; v++ {
+				tx.Write(v, mem.Addr(v), tx.Read(v, mem.Addr(v))+1)
+			}
+			return nil
+		}
+	}
+	size := func() int { return w.held.Cap() + cap(w.order) + cap(w.undo) }
+
+	if err := w.Run(0, touch(8)); err != nil {
+		t.Fatal(err)
+	}
+	held := w.held
+	if w.TrimScratch(); w.held != held {
+		t.Fatal("a small transaction's tables were dropped")
+	}
+	if err := w.Run(0, touch(hub)); err != nil {
+		t.Fatal(err)
+	}
+	if size() < 2*hub {
+		t.Fatalf("scratch is %d entries after a %d-vertex transaction: the test grows nothing", size(), hub)
+	}
+	if w.TrimScratch(); size() > ScratchKeep {
+		t.Fatalf("scratch is %d entries after the trim, want at most %d", size(), ScratchKeep)
+	}
+	if err := w.Run(0, touch(8)); err != nil {
+		t.Fatal(err)
+	}
+	assertNoLocksHeld(t, locks)
+	if got := sp.Load(mem.Addr(0)); got != 3 {
+		t.Fatalf("word 0 = %d, want 3", got)
+	}
+}

@@ -94,6 +94,19 @@ type Abandoner interface {
 	AbandonInFlight() bool
 }
 
+// Trimmer is implemented by workers that can shed the scratch memory a
+// giant transaction grew; a pool calls TrimScratch on idle workers.
+type Trimmer interface{ TrimScratch() }
+
+// ScratchKeep is how many table slots and log entries, added up, a mode
+// context may take back into a pool. The power law's body stays under it
+// (a transaction over 64 vertices needs about 250), so the common case
+// never reallocates; what a rarer, larger one grew would otherwise stay for
+// the life of the scheduler — ~0.4 MB a worker after a 2.4k-degree hub,
+// where the benchmark's lib_skew reads live heap with ten workers alive
+// (EXPERIMENTS.md "One driver": 512 retains +0.16 MB there, 2048 +0.57).
+const ScratchKeep = 1 << 9
+
 // Scheduler is a transaction scheduling discipline over one mem.Space.
 type Scheduler interface {
 	// Name identifies the scheduler in reports ("2PL", "OCC", ...).

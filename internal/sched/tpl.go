@@ -277,6 +277,14 @@ func (w *TPLWorker) AbandonInFlight() bool {
 	return true
 }
 
+// TrimScratch implements Trimmer: the hold table, lock order and undo log
+// are empty between transactions and as large as the biggest one so far.
+func (w *TPLWorker) TrimScratch() {
+	if w.held.Cap()+cap(w.order)+cap(w.undo) > ScratchKeep {
+		w.held, w.order, w.undo = gentab.New(6), nil, nil
+	}
+}
+
 func (w *TPLWorker) resetCounters() {
 	w.lastReads, w.lastWrites = w.nreads, w.nwrites
 	w.nreads, w.nwrites = 0, 0

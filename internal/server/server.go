@@ -28,11 +28,10 @@
 // overlay's edge chains are multi-version (every entry carries the
 // mutation epoch it committed at), so a job pins a DynGraph.View at its
 // admission epoch and compacts or reads through it while batches keep
-// committing — the RWMutex era's exclusive topology lock is gone from
-// the analytics plane. A background GC pass reclaims superseded chain
-// versions below the oldest live pin. The topology lock survives only
-// to order standing-query seeding (which must observe a quiescent
-// point) against mutation batches.
+// committing — no lock stands between the two planes. A background GC
+// pass reclaims superseded chain versions below the oldest live pin.
+// Standing-query seeding, which must observe a quiescent point, takes
+// the mutation bracket's own lock (mutMu) to exclude batches.
 //
 // Standing queries ("standing": true on POST …/jobs) skip the
 // per-epoch recompute entirely: a resident delta-maintained

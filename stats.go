@@ -1,6 +1,7 @@
 package tufast
 
 import (
+	"tufast/internal/algo"
 	"tufast/internal/core"
 	"tufast/internal/mem"
 	"tufast/internal/obs"
@@ -99,15 +100,17 @@ type MetricsSnapshot = obs.Snapshot
 type TxEvent = obs.Event
 
 // MetricsSnapshot captures the observability metrics. The adaptive
-// period in force is exported as the "adaptive_period" gauge, the quiet
-// H-mode attempts and their kills as HQuiet.
+// period in force is exported as the "adaptive_period" gauge, the worker
+// thread ids in use (of the 512 a System can hand out before it panics)
+// as "workers", the quiet H-mode attempts and their kills as HQuiet.
 func (s *System) MetricsSnapshot() MetricsSnapshot {
 	snap := s.core.Metrics().Snapshot()
 	snap.HQuiet = s.core.QuietStats()
 	if snap.Gauges == nil {
-		snap.Gauges = make(map[string]int64, 1)
+		snap.Gauges = make(map[string]int64, 2)
 	}
 	snap.Gauges["adaptive_period"] = int64(s.core.CurrentPeriod())
+	snap.Gauges["workers"] = int64(s.core.Workers())
 	return snap
 }
 
@@ -123,10 +126,14 @@ func (s *System) EnableTxEvents(on bool) { s.core.Metrics().EnableEvents(on) }
 func (s *System) TxEvents() []TxEvent { return s.core.Metrics().Events() }
 
 // Core exposes the internal scheduler to sibling packages in this module
-// (the benchmark harness runs baselines and TuFast through one
-// interface).
+// (tests install fault injectors and inspect the lock table through it).
 func (s *System) Core() *core.System { return s.core }
 
 // Space exposes the shared memory space to sibling packages in this
-// module (the algorithms package allocates its property arrays there).
+// module (the benchmark reads the arena's fill level from it).
 func (s *System) Space() *mem.Space { return s.sp }
+
+// Runtime exposes the System's driver — its worker pool, sweep and queued
+// drain — to sibling packages in this module: package algorithms runs
+// every call on it.
+func (s *System) Runtime() *algo.Runtime { return s.rt }

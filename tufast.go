@@ -37,11 +37,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/pprof"
-	"strconv"
-	"sync"
-	"sync/atomic"
 
+	"tufast/internal/algo"
 	"tufast/internal/core"
 	"tufast/internal/deadlock"
 	"tufast/internal/graph"
@@ -123,14 +120,10 @@ type System struct {
 
 	threads int
 
-	// Worker recycling: thread ids are bound to workers for their
-	// lifetime (vertex lock ownership is per-id), so workers are kept on
-	// an explicit free list rather than a sync.Pool, which could drop
-	// and re-mint them past the id budget.
-	//tufast:lockorder 10
-	wmu     sync.Mutex
-	free    []*Worker
-	created int
+	// rt is the driver everything on this System runs through — Atomic,
+	// the sweeps and drains below, the stream applier, package
+	// algorithms: one worker pool, so one goroutine per thread id.
+	rt *algo.Runtime
 }
 
 // NewSystem creates a runtime for g.
@@ -158,13 +151,14 @@ func NewSystem(g *Graph, opt Options) *System {
 		cfg.Deadlock = deadlock.NoWait
 	}
 	sp := mem.NewSpace(opt.SpaceWords)
-	s := &System{
+	c := core.New(sp, n, cfg)
+	return &System{
 		g:       g,
 		sp:      sp,
-		core:    core.New(sp, n, cfg),
+		core:    c,
 		threads: opt.Threads,
+		rt:      algo.NewRuntime(g.csr, sp, c, opt.Threads),
 	}
-	return s
 }
 
 // Graph returns the graph the system was built for.
@@ -176,13 +170,7 @@ func (s *System) Threads() int { return s.threads }
 // NewVertexArray allocates one word of shared property state per vertex,
 // all initialized to init.
 func (s *System) NewVertexArray(init uint64) VertexArray {
-	a := s.NewArray(s.g.NumVertices())
-	if init != 0 {
-		for i := 0; i < a.n; i++ {
-			s.sp.Store(a.base+mem.Addr(i), init)
-		}
-	}
-	return VertexArray{Array: a}
+	return VertexArray{Array{base: s.rt.NewVertexArray(init), n: s.g.NumVertices(), sp: s.sp}}
 }
 
 // NewArray allocates n shared words (zeroed), line-aligned.
@@ -193,40 +181,13 @@ func (s *System) NewArray(n int) Array {
 
 // Worker returns a per-goroutine execution context. Workers are pooled;
 // Release returns one to the pool.
-func (s *System) Worker() *Worker {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if n := len(s.free); n > 0 {
-		w := s.free[n-1]
-		s.free = s.free[:n-1]
-		return w
-	}
-	id := s.created
-	s.created++
-	return &Worker{sys: s, inner: s.core.Worker(id)}
-}
+func (s *System) Worker() *Worker { return (*Worker)(s.rt.Lease()) }
 
-// Release returns a worker obtained from Worker to the pool.
-//
-// A worker whose last transaction was unwound by a panic (its Atomic call
-// never returned) may still carry in-flight state: held vertex locks,
-// an open undo log, escalated backoff. Pooling such a worker as-is would
-// poison a later transaction, so Release first asks the scheduler to
-// verifiably reset it (releasing leftover locks and rolling back in-place
-// writes); if the scheduler cannot, the worker is discarded — its thread
-// id is retired rather than recycled into a corrupted context.
-func (s *System) Release(w *Worker) {
-	if w.busy {
-		a, ok := w.inner.(sched.Abandoner)
-		if !ok || !a.AbandonInFlight() {
-			return // discard: never pool a worker with in-flight state
-		}
-		w.busy = false
-	}
-	s.wmu.Lock()
-	s.free = append(s.free, w)
-	s.wmu.Unlock()
-}
+// Release returns a worker obtained from Worker to the pool. A worker
+// whose last transaction was unwound by a panic that escaped Atomic is
+// verifiably reset first (leftover locks released, in-place writes rolled
+// back), or discarded with its thread id.
+func (s *System) Release(w *Worker) { s.rt.Release((*algo.Worker)(w)) }
 
 // Atomic runs fn as one serializable transaction on a pooled worker.
 // sizeHint is the paper's BEGIN(size) hint — approximately how many
@@ -262,39 +223,7 @@ func (s *System) ForEachVertex(fn func(tx Tx, v uint32) error) error {
 // cancelled sweep returns ctx.Err() promptly instead of draining the
 // remaining vertices.
 func (s *System) ForEachVertexCtx(ctx context.Context, fn func(tx Tx, v uint32) error) error {
-	n := s.g.NumVertices()
-	cancellable := ctx.Done() != nil
-	var firstErr atomic.Value
-	worklist.RangeCtx(ctx, n, s.threads, 256, func(tid, lo, hi int) {
-		// Label the goroutine so CPU profiles attribute samples to the
-		// sweep and the worker slot (pprof -tagfocus / -taghide).
-		defer pprof.SetGoroutineLabels(ctx)
-		pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels(
-			"tufast", "foreach_vertex", "worker", strconv.Itoa(tid))))
-		w := s.Worker()
-		defer s.Release(w)
-		for v := lo; v < hi; v++ {
-			if firstErr.Load() != nil {
-				return
-			}
-			if cancellable && ctx.Err() != nil {
-				return
-			}
-			vid := uint32(v)
-			hint := s.g.Degree(vid)*2 + 2
-			if err := w.AtomicCtx(ctx, hint, func(tx Tx) error { return fn(tx, vid) }); err != nil {
-				firstErr.CompareAndSwap(nil, err)
-				return
-			}
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if e := firstErr.Load(); e != nil {
-		return e.(error)
-	}
-	return nil
+	return s.rt.WithContext(ctx).ForEachVertex(func(t sched.Tx, v uint32) error { return fn(Tx{t: t}, v) })
 }
 
 // ForEachQueued drains queue q with the configured parallelism, running
@@ -322,33 +251,13 @@ func (s *System) ForEachQueuedCtx(ctx context.Context, q Source, fn func(tx Tx, 
 		func(tx Tx, v uint32, _ func(uint32)) error { return fn(tx, v) })
 }
 
-// drain is the one queued driver behind ForEachQueuedCtx and
-// ForEachQueuedEmitCtx: worklist.Drain (polling, post-commit publishing
-// of emits into sink, quiescing, cancellation) with each of its
-// goroutines labelled for profiles and running its transactions on one
-// pooled worker. hint nil means the base graph's degree.
-func (s *System) drain(ctx context.Context, label string, src Source, sink worklist.Sink,
+// drain runs the module's queued driver (algo.Runtime.Drain) in the
+// public API's types.
+func (s *System) drain(ctx context.Context, driver string, src Source, sink worklist.Sink,
 	hint func(v uint32) int, fn func(tx Tx, v uint32, emit func(u uint32)) error) error {
-	_, err := worklist.Drain(ctx, chunked(src), sink, s.threads, func(tid int, out *worklist.Emits) (func(uint32) error, func()) {
-		pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels(
-			"tufast", label, "worker", strconv.Itoa(tid))))
-		w := s.Worker()
-		// One body per worker, not per vertex: cur is the vertex in hand.
-		var cur uint32
+	_, err := s.rt.WithContext(ctx).Drain(driver, chunked(src), sink, hint, func(out *worklist.Emits) func(sched.Tx, uint32) error {
 		emit := func(u uint32) { out.Emit(u, 0) }
-		body := func(t sched.Tx) error {
-			out.Retry() // a retried attempt re-emits from scratch
-			return fn(Tx{t: t}, cur, emit)
-		}
-		step := func(v uint32) error {
-			cur = v
-			h := s.g.Degree(v)*2 + 2
-			if hint != nil {
-				h = hint(v)
-			}
-			return w.run(ctx, h, body)
-		}
-		return step, func() { s.Release(w) }
+		return func(t sched.Tx, v uint32) error { return fn(Tx{t: t}, v, emit) }
 	})
 	return err
 }
@@ -372,13 +281,7 @@ type Source interface {
 }
 
 // Worker is a per-goroutine transaction executor.
-type Worker struct {
-	sys   *System
-	inner sched.Worker
-	// busy is set for the duration of an Atomic call; it stays set only
-	// when a panic unwound the call, marking in-flight state for Release.
-	busy bool
-}
+type Worker algo.Worker
 
 // Atomic runs fn as one serializable transaction.
 func (w *Worker) Atomic(sizeHint int, fn func(tx Tx) error) error {
@@ -388,27 +291,7 @@ func (w *Worker) Atomic(sizeHint int, fn func(tx Tx) error) error {
 // AtomicCtx runs fn as one serializable transaction that stops retrying
 // (and stops waiting for locks) with ctx.Err() once ctx is cancelled.
 func (w *Worker) AtomicCtx(ctx context.Context, sizeHint int, fn func(tx Tx) error) error {
-	return w.run(ctx, sizeHint, func(t sched.Tx) error { return fn(Tx{t: t}) })
-}
-
-// run is AtomicCtx for a body already in the scheduler's form; the
-// drivers build theirs once per worker instead of once per transaction.
-func (w *Worker) run(ctx context.Context, sizeHint int, body sched.TxFunc) error {
-	w.busy = true
-	var err error
-	if cw, ok := w.inner.(sched.CtxWorker); ok {
-		err = cw.RunCtx(ctx, sizeHint, body)
-	} else {
-		if ctx != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				w.busy = false
-				return cerr
-			}
-		}
-		err = w.inner.Run(sizeHint, body)
-	}
-	w.busy = false
-	return err
+	return (*algo.Worker)(w).Run(ctx, sizeHint, func(t sched.Tx) error { return fn(Tx{t: t}) })
 }
 
 // Tx is the transactional handle: every shared read/write names the
@@ -555,3 +438,8 @@ func (g *Graph) CSR() *graph.CSR { return g.csr }
 // WrapCSR wraps an internal CSR as a public Graph (used by cmd/ and
 // bench code inside this module).
 func WrapCSR(c *graph.CSR) *Graph { return &Graph{csr: c} }
+
+// WrapTx wraps a scheduler transaction as a public Tx, for sibling
+// packages in this module that run transaction bodies on Runtime directly
+// and need DynGraph's transactional accessors inside them.
+func WrapTx(t sched.Tx) Tx { return Tx{t: t} }
