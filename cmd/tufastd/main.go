@@ -134,8 +134,10 @@ func main() {
 			os.Exit(1)
 		}
 		rec := srv.Recovery()
-		fmt.Printf("tufastd: recovered from %s: checkpoint epoch %d, replayed %d batches (%d ops)",
-			*dataDir, rec.CheckpointEpoch, rec.ReplayedBatches, rec.ReplayedOps)
+		fmt.Printf("tufastd: recovered from %s: checkpoint epoch %d, replayed %d batches (%d ops) in %d windows"+
+			" (checkpoint load %.1f ms, runtime and arena %.1f ms, wal scan %.1f ms, replay %.1f ms)",
+			*dataDir, rec.CheckpointEpoch, rec.ReplayedBatches, rec.ReplayedOps, rec.ReplayWindows,
+			rec.CheckpointLoadMS, rec.SpaceNewMS, rec.WALScanMS, rec.ReplayMS)
 		if rec.TornTail {
 			fmt.Printf(", torn WAL tail truncated")
 		}

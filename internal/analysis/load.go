@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -243,9 +244,10 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	return pkg, nil
 }
 
-// parseDir parses every non-test Go file of the package in dir, keeping
-// only the files of the dominant package clause (a dir with stray files
-// of another package would not build anyway).
+// parseDir parses every non-test Go file of the package in dir that this
+// platform builds (go:build lines and GOOS/GOARCH file suffixes, as the go
+// tool reads them), keeping only the files of the dominant package clause
+// (a dir with stray files of another package would not build anyway).
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -255,6 +257,11 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)

@@ -9,8 +9,10 @@ import (
 // TestLoadMultiFileGenericPackage exercises the loader on a package
 // split across files that declare and instantiate generics, alongside a
 // _test.go file (skipped — it references an undefined symbol, so
-// inclusion would surface as a type error) and a stray file of another
-// package (dropped by the dominant-clause rule).
+// inclusion would surface as a type error), a file whose build
+// constraint no platform meets (skipped — it declares Sum a second time)
+// and a stray file of another package (dropped by the dominant-clause
+// rule).
 func TestLoadMultiFileGenericPackage(t *testing.T) {
 	l, err := NewLoader(".")
 	if err != nil {
@@ -27,11 +29,11 @@ func TestLoadMultiFileGenericPackage(t *testing.T) {
 	pkg := pkgs[0]
 
 	if len(pkg.Files) != 2 {
-		t.Fatalf("got %d files, want 2 (a.go and b.go; _test.go and stray dropped)", len(pkg.Files))
+		t.Fatalf("got %d files, want 2 (a.go and b.go; _test.go, constrained and stray dropped)", len(pkg.Files))
 	}
 	for _, f := range pkg.Files {
 		name := filepath.Base(pkg.Fset.Position(f.Pos()).Filename)
-		if strings.HasSuffix(name, "_test.go") || name == "z_stray.go" {
+		if strings.HasSuffix(name, "_test.go") || name == "c_constrained.go" || name == "z_stray.go" {
 			t.Fatalf("loader kept excluded file %s", name)
 		}
 		if f.Name.Name != "genpkg" {

@@ -14,7 +14,9 @@ package mem
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync/atomic"
+	"unsafe"
 )
 
 // WordsPerLine is the number of 8-byte words in one emulated cache line.
@@ -34,12 +36,32 @@ type Line uint64
 // LineOf returns the emulated cache line holding addr.
 func LineOf(a Addr) Line { return Line(a >> lineShift) }
 
+// lineBytes is what one line costs an arena: its data words plus its
+// version word.
+const lineBytes = (WordsPerLine + 1) * 8
+
+// mapMin is the arena size from which NewSpace takes its memory from the
+// OS instead of the Go allocator. A mapping is zero on demand, so creating
+// it costs the same whatever its size and only what is touched becomes
+// resident; an allocation of this size in a process that has freed one is
+// cleared in full first. Below the cutoff the allocator wins (no system
+// call, no page fault per first touch): see EXPERIMENTS.md "Restart" for
+// the table that puts it here.
+const mapMin = 32 << 20
+
 // Space is a shared memory region. All concurrent access goes through the
 // atomic accessors; the raw slices are exported only to package-internal
 // fast paths via method receivers.
 type Space struct {
 	words []uint64
 	meta  []atomic.Uint64 // one seqlock word per cache line
+
+	// mapped is the anonymous mapping words and meta point into, nil when
+	// they are ordinary Go slices. The collector does not see through
+	// those two slices to the Space, so every accessor ends in
+	// runtime.KeepAlive(s): the finalizer that unmaps cannot run while an
+	// access is still in flight.
+	mapped []byte
 
 	// The two words below are written while transactions run — next by
 	// arena allocation inside transactions, commits by every write-back —
@@ -65,10 +87,52 @@ func NewSpace(n int) *Space {
 		panic(fmt.Sprintf("mem: non-positive space size %d", n))
 	}
 	lines := (n + WordsPerLine - 1) / WordsPerLine
+	if lines*lineBytes >= mapMin {
+		if s := newMappedSpace(lines); s != nil {
+			return s
+		}
+	}
+	return newHeapSpace(lines)
+}
+
+func newHeapSpace(lines int) *Space {
 	return &Space{
 		words: make([]uint64, lines*WordsPerLine),
 		meta:  make([]atomic.Uint64, lines),
 	}
+}
+
+// mapArena is the platform's anonymous mapping; a variable so a test can
+// make it fail.
+var mapArena = sysMap
+
+// liveMappings counts arenas mapped and not yet unmapped.
+var liveMappings atomic.Int64
+
+// newMappedSpace builds a Space of the given number of lines on one
+// anonymous private mapping — data words first, version words behind
+// them — which the Space owns and its finalizer returns. It reports nil
+// when the platform has no such mapping or the OS refuses one.
+func newMappedSpace(lines int) *Space {
+	b, err := mapArena(lines * lineBytes)
+	if err != nil {
+		return nil
+	}
+	nw := lines * WordsPerLine
+	s := &Space{
+		words:  unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), nw),
+		meta:   unsafe.Slice((*atomic.Uint64)(unsafe.Pointer(&b[nw*8])), lines),
+		mapped: b,
+	}
+	liveMappings.Add(1)
+	runtime.SetFinalizer(s, (*Space).unmap)
+	return s
+}
+
+func (s *Space) unmap() {
+	// A refused munmap leaks the mapping; a finalizer has nobody to tell.
+	_ = sysUnmap(s.mapped)
+	liveMappings.Add(-1)
 }
 
 // Cap returns the total capacity of the space in words.
@@ -77,12 +141,17 @@ func (s *Space) Cap() int { return len(s.words) }
 // Used returns the number of words allocated so far (the allocation
 // cursor). Space is arena-style and never reclaims, so Cap()-Used() is
 // the remaining headroom — which background consumers like overlay GC
-// check before allocating replacement blocks.
+// check before allocating replacement blocks, and what the serving layer
+// exports as arena_used_words / arena_cap_words. It counts words handed
+// out, not memory resident: a mapped arena's untouched pages cost nothing
+// until they are written.
 func (s *Space) Used() int { return int(s.next.Load()) }
 
 // Alloc reserves n consecutive words and returns their base address. The
-// region is zeroed (Go zero-allocates) and never reclaimed; Spaces are
-// arena-style, sized for the job and discarded wholesale.
+// region is zero — no word is handed out twice, and both arena sources
+// start zeroed (the Go allocator clears, the OS maps zero pages on
+// demand) — and never reclaimed; Spaces are arena-style, sized for the
+// job and discarded wholesale.
 func (s *Space) Alloc(n int) Addr {
 	if n <= 0 {
 		panic(fmt.Sprintf("mem: non-positive allocation %d", n))
@@ -113,7 +182,9 @@ func (s *Space) AllocLineAligned(n int) Addr {
 // beyond single-word atomicity; transactional readers must pair it with
 // version validation.
 func (s *Space) Load(a Addr) uint64 {
-	return atomic.LoadUint64(&s.words[a])
+	v := atomic.LoadUint64(&s.words[a])
+	runtime.KeepAlive(s)
+	return v
 }
 
 // Store atomically writes the word at a WITHOUT touching the line version.
@@ -121,11 +192,14 @@ func (s *Space) Load(a Addr) uint64 {
 // transactionally. Schedulers use StoreVersioned.
 func (s *Space) Store(a Addr, v uint64) {
 	atomic.StoreUint64(&s.words[a], v)
+	runtime.KeepAlive(s)
 }
 
 // Meta returns the current version word of line l (even = stable).
 func (s *Space) Meta(l Line) uint64 {
-	return s.meta[l].Load()
+	m := s.meta[l].Load()
+	runtime.KeepAlive(s)
+	return m
 }
 
 // TryLockLine attempts to take line l's seqlock by CASing the expected
@@ -135,19 +209,23 @@ func (s *Space) TryLockLine(l Line, expect uint64) bool {
 	if expect&1 != 0 {
 		return false
 	}
-	return s.meta[l].CompareAndSwap(expect, expect|1)
+	ok := s.meta[l].CompareAndSwap(expect, expect|1)
+	runtime.KeepAlive(s)
+	return ok
 }
 
 // UnlockLine releases a line taken by TryLockLine, publishing a new even
 // version strictly greater than the locked one.
 func (s *Space) UnlockLine(l Line, locked uint64) {
 	s.meta[l].Store(locked + 1) // odd+1 = next even
+	runtime.KeepAlive(s)
 }
 
 // RevertLine releases a line WITHOUT bumping the version, used when a
 // commit aborts after locking some lines but before writing them.
 func (s *Space) RevertLine(l Line, locked uint64) {
 	s.meta[l].Store(locked &^ 1)
+	runtime.KeepAlive(s)
 }
 
 // StoreVersioned performs a single in-place versioned store: it spins the
@@ -164,6 +242,7 @@ func (s *Space) StoreVersioned(a Addr, v uint64) {
 			atomic.StoreUint64(&s.words[a], v)
 			s.meta[l].Store(m + 2)
 			s.commits.Add(1)
+			runtime.KeepAlive(s)
 			return
 		}
 	}
@@ -183,9 +262,11 @@ func (s *Space) ReadConsistent(a Addr) (val, ver uint64, ok bool) {
 		val = atomic.LoadUint64(&s.words[a])
 		v2 := s.meta[l].Load()
 		if v1 == v2 {
+			runtime.KeepAlive(s)
 			return val, v1, true
 		}
 	}
+	runtime.KeepAlive(s)
 	return 0, 0, false
 }
 

@@ -66,6 +66,12 @@ type ServerSnapshot struct {
 	// QueueDepth / QueueCap describe the admission queue now.
 	QueueDepth int `json:"queue_depth"`
 	QueueCap   int `json:"queue_cap"`
+	// ArenaUsedWords / ArenaCapWords gauge the graph's shared space:
+	// words handed out so far and its capacity (mem.Space.Used / Cap).
+	// The arena never reclaims, so the gap is all the headroom the graph
+	// has; the fleet total adds the graphs' up.
+	ArenaUsedWords int `json:"arena_used_words"`
+	ArenaCapWords  int `json:"arena_cap_words"`
 	// StandingQueries / StandingRepairing gauge the standing-query
 	// registry: resident delta-maintained computations, and how many
 	// of them are currently stale (initializing or mid-repair).
@@ -192,6 +198,8 @@ func (s ServerSnapshot) merge(other ServerSnapshot) ServerSnapshot {
 	out.Epoch = other.Epoch
 	out.QueueDepth = other.QueueDepth
 	out.QueueCap = other.QueueCap
+	out.ArenaUsedWords += other.ArenaUsedWords
+	out.ArenaCapWords += other.ArenaCapWords
 	out.StandingQueries = other.StandingQueries
 	out.StandingRepairing = other.StandingRepairing
 	out.JobLatency = s.JobLatency.Merge(other.JobLatency)

@@ -14,9 +14,10 @@
 // checkpoint that passes its CRC (falling back to older ones), restore
 // the epoch counter to the checkpoint's epoch, then replay every WAL
 // record above it through the ordinary stream-apply path — decode
-// pipelined against apply (wal.ReplayPipelined) so a fleet of graphs
-// boots without serializing each graph's replay on segment decode. The
-// WAL's own open already repaired any torn tail, so a kill at any
+// pipelined against apply (wal.ReplayPipelined), and consecutive records
+// that commute gathered into one full apply window (replayGroup), so a
+// tail of serving-sized batches replays on every thread instead of one.
+// The WAL's own open already repaired any torn tail, so a kill at any
 // instant costs at most the batch that was mid-append — which was
 // never acknowledged.
 //
@@ -103,11 +104,28 @@ type RecoveryInfo struct {
 	// CheckpointFallbacks counts corrupt checkpoints skipped on the
 	// way to a loadable one.
 	CheckpointFallbacks int `json:"checkpoint_fallbacks,omitempty"`
-	// EpochAdjusts counts replayed records whose re-application
-	// published a different epoch than originally logged (possible
-	// when same-edge ops shared an apply window) and were realigned.
+	// EpochAdjusts counts replay windows whose re-application published
+	// a different epoch than their last record logged (possible when
+	// same-edge ops of one record shared an apply window, so a record
+	// effective then replays as a no-op) and were realigned.
 	EpochAdjusts uint64 `json:"epoch_adjusts,omitempty"`
+	// ReplayWindows counts the ApplyStream calls the replayed records
+	// were gathered into (see replayGroup): ReplayedOps / ReplayWindows
+	// is how full the windows ran.
+	ReplayWindows uint64 `json:"replay_windows"`
+	// Where the recovery's time went, in milliseconds: loading the
+	// checkpoint (or the base graph on a fresh dir), building the runtime
+	// and overlay around it (the arena is most of that when it is
+	// cleared rather than mapped), opening the WAL (every segment read
+	// and validated once), and replaying the tail.
+	CheckpointLoadMS float64 `json:"checkpoint_load_ms"`
+	SpaceNewMS       float64 `json:"space_new_ms"`
+	WALScanMS        float64 `json:"wal_scan_ms"`
+	ReplayMS         float64 `json:"replay_ms"`
 }
+
+// sinceMS is the time since t0 in milliseconds.
+func sinceMS(t0 time.Time) float64 { return float64(time.Since(t0)) / float64(time.Millisecond) }
 
 // errNotDurable answers durability endpoints on an ephemeral graph.
 var errNotDurable = errors.New("durability disabled (start with a data dir)")
@@ -193,8 +211,103 @@ type recoveredState struct {
 }
 
 // replayDepth bounds the decode-ahead of pipelined WAL replay: decoded
-// batches buffered between the segment reader and the apply loop.
-const replayDepth = 8
+// records buffered between the segment decoder and the apply loop. A
+// window is gathered from this many serving-sized batches and more, so
+// the decoder stays a window ahead.
+const replayDepth = 32
+
+// replayGroup gathers consecutive WAL records into one apply window. The
+// live server applied each record as a batch of its own, on one thread
+// when it was a few hundred ops; recovery has the whole tail in hand, so
+// it applies up to Window ops at a time, which is what the sweep's
+// workers need to pay for themselves.
+//
+// Ops inside a window commit in any order, so a record joins the group
+// only if that cannot matter: a group is cut where a record touches an
+// edge an EARLIER record of the group touched (either orientation on an
+// undirected graph), because insert-then-delete and delete-then-insert
+// of one edge end differently. Ops on different edges commute — each
+// changes its own arc's presence, and degrees add up the same — and
+// repeats inside one record shared a window when they first ran.
+//
+// The whole group is stamped with its last record's epoch. A reader
+// pinned between two of the group's epochs would see all of it or none,
+// where the live server showed it a prefix; no such reader exists: pins
+// do not survive a restart and nothing is served until replay is done.
+type replayGroup struct {
+	dyn        *tufast.DynGraph
+	window     int
+	undirected bool
+	rec        *RecoveryInfo
+
+	records int                 // gathered and not yet applied
+	ops     []wal.Op            // their ops, in log order
+	keys    map[uint64]struct{} // the edges they touch
+	last    uint64              // epoch of the newest of them
+}
+
+func (g *replayGroup) key(op wal.Op) uint64 {
+	u, v := op.U, op.V
+	if g.undirected && u > v {
+		u, v = v, u
+	}
+	return uint64(u)<<32 | uint64(v)
+}
+
+// add gathers one record, applying what was gathered first when the
+// record does not fit the window or does not commute with it.
+func (g *replayGroup) add(epoch uint64, ops []wal.Op) error {
+	if g.records > 0 && (len(g.ops)+len(ops) > g.window || g.touches(ops)) {
+		if err := g.flush(); err != nil {
+			return err
+		}
+	}
+	g.records++
+	g.ops = append(g.ops, ops...)
+	for _, op := range ops {
+		g.keys[g.key(op)] = struct{}{}
+	}
+	g.last = epoch
+	g.rec.ReplayedBatches++
+	g.rec.ReplayedOps += uint64(len(ops))
+	return nil
+}
+
+// touches reports whether any of ops is on an edge already in the group.
+func (g *replayGroup) touches(ops []wal.Op) bool {
+	for _, op := range ops {
+		if _, ok := g.keys[g.key(op)]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// flush applies the gathered records as one batch that publishes the
+// last record's epoch.
+func (g *replayGroup) flush() error {
+	if g.records == 0 {
+		return nil
+	}
+	g.dyn.RestoreEpoch(g.last - 1)
+	stats, err := g.dyn.ApplyStreamCtx(context.Background(), g.ops,
+		tufast.StreamOptions{Window: g.window})
+	if err != nil {
+		return fmt.Errorf("server: wal replay at epoch %d: %w", g.last, err)
+	}
+	if stats.Epoch != g.last {
+		// Re-application can publish a different epoch than the original
+		// run (ops on one edge sharing a window race, so a record
+		// effective then can replay as a no-op). Realign: the log's
+		// epoch is the authoritative one.
+		g.dyn.RestoreEpoch(g.last)
+		g.rec.EpochAdjusts++
+	}
+	g.rec.ReplayWindows++
+	g.records, g.ops = 0, g.ops[:0]
+	clear(g.keys)
+	return nil
+}
 
 // recoverDataDir runs one graph's boot recovery against dcfg.DataDir:
 // newest valid checkpoint (or loadBase on a fresh dir), epoch
@@ -228,6 +341,7 @@ func recoverDataDir(dcfg DurabilityConfig, window int,
 	var g *tufast.Graph
 	ckptEpoch := uint64(0)
 	found := false
+	t0 := time.Now()
 	for i := len(man.Checkpoints) - 1; i >= 0; i-- {
 		ent := man.Checkpoints[i]
 		gg, err := tufast.LoadGraphBinary(filepath.Join(ckptDir(dcfg.DataDir), ent.File))
@@ -256,13 +370,17 @@ func recoverDataDir(dcfg DurabilityConfig, window int,
 			return rv, err
 		}
 	}
+	rv.rec.CheckpointLoadMS = sinceMS(t0)
 
+	t0 = time.Now()
 	dyn := mkDyn(g)
+	rv.rec.SpaceNewMS = sinceMS(t0)
 	// Replayed batches must re-commit at the epochs they originally
 	// published, so epoch-keyed state (caches, checkpoint names, client
 	// ack epochs) stays consistent across the restart.
 	dyn.RestoreEpoch(ckptEpoch)
 
+	t0 = time.Now()
 	wlog, scan, err := wal.Open(walDir(dcfg.DataDir), wal.Options{
 		Sync:         dcfg.Sync,
 		SyncInterval: dcfg.SyncInterval,
@@ -273,29 +391,21 @@ func recoverDataDir(dcfg DurabilityConfig, window int,
 		return rv, err
 	}
 	rv.rec.TornTail = scan.TornTail
+	rv.rec.WALScanMS = sinceMS(t0)
 
-	err = wlog.ReplayPipelined(ckptEpoch, replayDepth, func(epoch uint64, ops []wal.Op) error {
-		stats, err := dyn.ApplyStreamCtx(context.Background(), ops,
-			tufast.StreamOptions{Window: window})
-		if err != nil {
-			return fmt.Errorf("server: wal replay at epoch %d: %w", epoch, err)
-		}
-		if stats.Epoch != epoch {
-			// Re-application can publish a different epoch than the
-			// original run (ops on one edge sharing a window race, so a
-			// batch effective then can replay as a no-op). Realign: the
-			// log's epoch is the authoritative one.
-			dyn.RestoreEpoch(epoch)
-			rv.rec.EpochAdjusts++
-		}
-		rv.rec.ReplayedBatches++
-		rv.rec.ReplayedOps += uint64(len(ops))
-		return nil
-	})
+	t0 = time.Now()
+	grp := replayGroup{
+		dyn: dyn, window: window, undirected: dyn.Undirected(), rec: &rv.rec,
+		keys: make(map[uint64]struct{}, window),
+	}
+	if err = wlog.ReplayPipelined(ckptEpoch, replayDepth, grp.add); err == nil {
+		err = grp.flush()
+	}
 	if err != nil {
 		wlog.Close()
 		return rv, err
 	}
+	rv.rec.ReplayMS = sinceMS(t0)
 	rv.rec.Recovered = true
 	rv.rec.CheckpointEpoch = ckptEpoch
 	rv.dyn, rv.wlog, rv.man, rv.fromCheckpoint = dyn, wlog, man, found
@@ -544,14 +654,17 @@ func (s *graphInstance) handleCheckpoint(w http.ResponseWriter, _ *http.Request)
 
 // healthDurability is the durability slice of GET …/health.
 type healthDurability struct {
-	Enabled            bool   `json:"enabled"`
-	Recovered          bool   `json:"recovered,omitempty"`
-	CheckpointEpoch    uint64 `json:"checkpoint_epoch,omitempty"`
-	ReplayedBatches    uint64 `json:"replayed_batches,omitempty"`
-	ReplayedOps        uint64 `json:"replayed_ops,omitempty"`
-	TornTail           bool   `json:"torn_tail,omitempty"`
-	WALAppendedBatches uint64 `json:"wal_appended_batches,omitempty"`
-	WALFsyncs          uint64 `json:"wal_fsyncs,omitempty"`
+	Enabled         bool   `json:"enabled"`
+	Recovered       bool   `json:"recovered,omitempty"`
+	CheckpointEpoch uint64 `json:"checkpoint_epoch,omitempty"`
+	ReplayedBatches uint64 `json:"replayed_batches,omitempty"`
+	ReplayedOps     uint64 `json:"replayed_ops,omitempty"`
+	TornTail        bool   `json:"torn_tail,omitempty"`
+	// Recovery is the whole of what this boot's recovery did, stage
+	// timers included.
+	Recovery           *RecoveryInfo `json:"recovery,omitempty"`
+	WALAppendedBatches uint64        `json:"wal_appended_batches,omitempty"`
+	WALFsyncs          uint64        `json:"wal_fsyncs,omitempty"`
 	// WALFailed carries the fail-stop cause once the log poisoned
 	// itself (write/fsync error, partial-apply divergence): mutations
 	// are refused un-acknowledged until the daemon restarts and
@@ -575,6 +688,7 @@ func (s *graphInstance) handleHealthV1(w http.ResponseWriter, _ *http.Request) {
 		dur.ReplayedBatches = s.recovery.ReplayedBatches
 		dur.ReplayedOps = s.recovery.ReplayedOps
 		dur.TornTail = s.recovery.TornTail
+		dur.Recovery = &s.recovery
 		dur.WALAppendedBatches = st.Appends
 		dur.WALFsyncs = st.Fsyncs
 		if werr := s.wlog.Err(); werr != nil {

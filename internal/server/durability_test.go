@@ -41,11 +41,18 @@ func durBase() *tufast.Graph {
 // drives checkpoints explicitly.
 func startDurableServer(t *testing.T, dir string, dcfg DurabilityConfig) *Server {
 	t.Helper()
+	return startDurableServerWindow(t, dir, dcfg, 256)
+}
+
+// startDurableServerWindow is startDurableServer with the apply window
+// (live batches' and replay's) chosen by the caller.
+func startDurableServerWindow(t *testing.T, dir string, dcfg DurabilityConfig, window int) *Server {
+	t.Helper()
 	dcfg.DataDir = dir
 	if dcfg.CheckpointInterval == 0 {
 		dcfg.CheckpointInterval = -1
 	}
-	s, err := OpenDurable(Config{Addr: "127.0.0.1:0", Window: 256}, dcfg,
+	s, err := OpenDurable(Config{Addr: "127.0.0.1:0", Window: window}, dcfg,
 		func() (*tufast.Graph, error) { return durBase(), nil },
 		func(g *tufast.Graph) *tufast.DynGraph {
 			sys := tufast.NewSystem(g, tufast.Options{
@@ -701,4 +708,158 @@ func TestCrashRecoveryCleanRestart(t *testing.T) {
 	if code != http.StatusOK || epoch != last+1 {
 		t.Fatalf("post-restart batch: status %d epoch %d, want 200 epoch %d", code, epoch, last+1)
 	}
+}
+
+// TestReplayWindowsCutOnRepeatedEdge seeds a log in which the same edges
+// are inserted, deleted through the other orientation and inserted again
+// by adjacent and by nearby records, with records of fresh edges between
+// them, and recovers it twice: gathered into windows, and one record at a
+// time with an apply window of one op (plain sequential replay). Both
+// must end where the live server stood — epoch, live arcs, every degree
+// and neighbour — and where the sequential oracle over the acknowledged
+// batches puts them. The records' times fall along the log, so a window
+// that gathered two records of one edge would sort the later one first:
+// without the cut-on-repeat rule (or with the two orientations keyed
+// apart) the window count is wrong on every run, and on most of them a
+// delete overtakes the insert it follows and the topology differs too.
+func TestReplayWindowsCutOnRepeatedEdge(t *testing.T) {
+	dir := t.TempDir()
+	s := startDurableServer(t, dir, DurabilityConfig{Sync: wal.SyncNone})
+	client := &http.Client{}
+	base := durBase()
+	n := uint32(base.NumVertices())
+
+	// Every edge absent from the base graph, in a fixed order: the first
+	// few flip, the rest are used once each as filler.
+	inBase := make(map[[2]uint32]bool)
+	for u := uint32(0); u < n; u++ {
+		for _, v := range base.Neighbors(u) {
+			inBase[[2]uint32{u, v}] = true
+		}
+	}
+	var fresh [][2]uint32
+	for u := uint32(0); u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if !inBase[[2]uint32{u, v}] {
+				fresh = append(fresh, [2]uint32{u, v})
+			}
+		}
+	}
+	const flips, fillers = 8, 16
+	flip, fresh := fresh[:flips], fresh[flips:]
+
+	var acked []ackedBatch
+	post := func(ops []edgeOp) {
+		t.Helper()
+		for i := range ops {
+			ops[i].Time = uint64(1_000_000 - len(acked))
+		}
+		code, epoch := postBatch(t, client, "http://"+s.Addr(), ops)
+		if code != http.StatusOK || epoch != uint64(len(acked)+1) {
+			t.Fatalf("batch %d: status %d epoch %d", len(acked), code, epoch)
+		}
+		acked = append(acked, ackedBatch{epoch: epoch, ops: ops})
+	}
+	flipRecords, present := 0, false
+	flipBatch := func() {
+		ops := make([]edgeOp, flips)
+		for i, e := range flip {
+			if present {
+				ops[i] = edgeOp{U: e[1], V: e[0], Del: true}
+			} else {
+				ops[i] = edgeOp{U: e[0], V: e[1]}
+			}
+		}
+		present = !present
+		flipRecords++
+		post(ops)
+	}
+	fillerBatch := func() {
+		ops := make([]edgeOp, fillers)
+		for i := range ops {
+			e := fresh[0]
+			fresh = fresh[1:]
+			ops[i] = edgeOp{U: e[i%2], V: e[1-i%2]}
+		}
+		post(ops)
+	}
+	for round := 0; round < 6; round++ {
+		flipBatch() // insert, delete, insert: three adjacent records
+		flipBatch()
+		flipBatch()
+		fillerBatch()
+		fillerBatch()
+		flipBatch() // and a delete two records further on
+		fillerBatch()
+	}
+	liveEpoch, liveArcs, liveTopo := frozenState(t, s.def)
+	crashServer(s)
+
+	for _, window := range []int{256, 1} {
+		s2 := startDurableServerWindow(t, dir, DurabilityConfig{Sync: wal.SyncNone}, window)
+		rec := s2.Recovery()
+		if rec.ReplayedBatches != uint64(len(acked)) {
+			t.Fatalf("window %d: replayed %d records, want %d", window, rec.ReplayedBatches, len(acked))
+		}
+		// A window is cut at every flip record but the log's first, and
+		// nowhere else: the fillers between two of them fit and commute.
+		if want := uint64(flipRecords); window > 1 && rec.ReplayWindows != want {
+			t.Fatalf("window %d: %d replay windows, want %d", window, rec.ReplayWindows, want)
+		}
+		if window == 1 && rec.ReplayWindows != rec.ReplayedBatches {
+			t.Fatalf("window 1: %d replay windows for %d records", rec.ReplayWindows, rec.ReplayedBatches)
+		}
+		epoch, arcs, topo := frozenState(t, s2.def)
+		if epoch != liveEpoch || arcs != liveArcs || topo != liveTopo {
+			t.Fatalf("window %d: recovered epoch %d arcs %d topology %08x, live server had %d, %d, %08x",
+				window, epoch, arcs, topo, liveEpoch, liveArcs, liveTopo)
+		}
+		assertRecoveredTopology(t, s2, acked)
+		crashServer(s2) // the log stays as it is for the next replay
+	}
+}
+
+// TestReplayReadsEachSegmentOnce recovers a log of several segments and
+// counts file reads: Open's scan reads each once, and replay decodes
+// those bytes.
+func TestReplayReadsEachSegmentOnce(t *testing.T) {
+	dir := t.TempDir()
+	dcfg := DurabilityConfig{Sync: wal.SyncNone, SegmentBytes: 2048}
+	s := startDurableServer(t, dir, dcfg)
+	client := &http.Client{}
+	rng := rand.New(rand.NewSource(11))
+	var acked []ackedBatch
+	for i := 0; i < 12; i++ {
+		ops := distinctBatch(rng, 200, 24)
+		code, epoch := postBatch(t, client, "http://"+s.Addr(), ops)
+		if code != http.StatusOK {
+			t.Fatalf("batch %d: status %d", i, code)
+		}
+		acked = append(acked, ackedBatch{epoch: epoch, ops: ops})
+	}
+	crashServer(s)
+
+	var mu sync.Mutex
+	reads := make(map[string]int)
+	dcfg.walHooks = &wal.Hooks{ReadSegment: func(path string) {
+		mu.Lock()
+		reads[path]++
+		mu.Unlock()
+	}}
+	s2 := startDurableServer(t, dir, dcfg)
+	t.Cleanup(func() { shutdownServer(t, s2) })
+	if rec := s2.Recovery(); rec.ReplayedBatches == 0 {
+		t.Fatal("nothing replayed")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(reads) < 3 {
+		t.Fatalf("log has %d segments, want several", len(reads))
+	}
+	for path, c := range reads {
+		if c != 1 {
+			t.Errorf("%s read %d times", filepath.Base(path), c)
+		}
+	}
+	assertRecoveredTopology(t, s2, acked)
 }

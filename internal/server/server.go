@@ -394,6 +394,8 @@ func (g *graphInstance) metricsSection(queueDepth, queueCap int) *obs.ServerSnap
 	epoch := g.dyn.Epoch()
 	sv := g.met.snapshot(queueDepth, queueCap, epoch,
 		g.standing.count(), g.standing.repairingCount())
+	sp := g.sys.Space()
+	sv.ArenaUsedWords, sv.ArenaCapWords = sp.Used(), sp.Cap()
 	g.fillDurability(sv, epoch)
 	return sv
 }

@@ -123,6 +123,10 @@ type Hooks struct {
 	// is reported as the fsync's error and poisons the log like a real
 	// one would.
 	SyncErr func() error
+	// ReadSegment, when non-nil, is told of every segment file read in
+	// full: one per segment by Open's scan, and one more by any Replay
+	// that no longer holds the scan's bytes.
+	ReadSegment func(path string)
 }
 
 // ErrInjectedCrash is returned by Append when Hooks.TrimAppend
@@ -221,8 +225,16 @@ type Log struct {
 	f      *os.File // active segment, open for append
 	active segment
 	sealed []segment // older segments, oldest first
-	dirty  bool      // bytes appended since the last fsync
-	buf    []byte    // frame scratch, reused across Appends (under mu)
+	// scanned holds, by segment sequence number, the valid bytes Open's
+	// scan read and checked, so recovery's Replay decodes them instead of
+	// reading and walking every file a second time. The first Replay takes
+	// them and the first Append drops them (they no longer are the whole
+	// file). What they cost in between is bounded by what the replay is
+	// about to write: a logged op is 20 bytes here and more than that in
+	// the arena it is re-applied to.
+	scanned map[uint64][]byte
+	dirty   bool   // bytes appended since the last fsync
+	buf     []byte // frame scratch, reused across Appends (under mu)
 
 	// failErr is non-nil once the log fail-stopped (see Poison): set
 	// once, under mu, and read without it, so the serving layer can ask
@@ -248,7 +260,7 @@ func Open(dir string, opt Options) (*Log, ScanResult, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, ScanResult{}, err
 	}
-	l := &Log{dir: dir, opt: opt}
+	l := &Log{dir: dir, opt: opt, scanned: make(map[uint64][]byte)}
 	res, err := l.scanAndRepair()
 	if err != nil {
 		return nil, res, err
@@ -294,7 +306,11 @@ func (l *Log) scanAndRepair() (ScanResult, error) {
 			res.DroppedSegments++
 			continue
 		}
-		segTorn, err := scanSegment(s, func(epoch uint64, nops int) {
+		raw, err := l.readSegment(s.path)
+		if err != nil {
+			return res, err
+		}
+		segTorn := scanSegment(s, raw, func(epoch uint64, nops int) {
 			if res.Batches == 0 {
 				res.FirstEpoch = epoch
 			}
@@ -302,8 +318,8 @@ func (l *Log) scanAndRepair() (ScanResult, error) {
 			res.Batches++
 			res.Ops += nops
 		})
-		if err != nil {
-			return res, err
+		if s.records > 0 {
+			l.scanned[s.seq] = raw[:s.size]
 		}
 		if segTorn {
 			torn = true
@@ -338,45 +354,50 @@ func truncateDurable(path string, size int64) error {
 	return f.Sync()
 }
 
-// scanSegment validates s's frames, filling size/records/lastEpoch
-// with the valid prefix. Returns whether a bad frame (or header) was
-// found. onRecord fires per valid record in order.
-func scanSegment(s *segment, onRecord func(epoch uint64, nops int)) (bool, error) {
-	raw, err := os.ReadFile(s.path)
-	if err != nil {
-		return false, err
+// readSegment reads one segment file in full.
+func (l *Log) readSegment(path string) ([]byte, error) {
+	if h := l.opt.Hooks; h != nil && h.ReadSegment != nil {
+		h.ReadSegment(path)
 	}
+	return os.ReadFile(path)
+}
+
+// scanSegment validates the frames of s in raw, the file's bytes,
+// filling size/records/lastEpoch with the valid prefix. Returns whether
+// a bad frame (or header) was found. onRecord fires per valid record in
+// order.
+func scanSegment(s *segment, raw []byte, onRecord func(epoch uint64, nops int)) bool {
 	if len(raw) < headerSize || binary.LittleEndian.Uint64(raw[0:8]) != segMagic {
 		// Torn before the header finished (or foreign bytes): keep the
 		// file but treat it as empty; openActive rewrites the header.
 		s.size = 0
-		return true, nil
+		return true
 	}
 	off := int64(headerSize)
 	for {
 		rest := raw[off:]
 		if len(rest) == 0 {
-			return false, nil // clean end
+			return false // clean end
 		}
 		if len(rest) < frameHead {
-			return true, nil // torn frame head
+			return true // torn frame head
 		}
 		plen := binary.LittleEndian.Uint32(rest[0:4])
 		sum := binary.LittleEndian.Uint32(rest[4:8])
 		if plen < recHead || plen > maxPayload || int(plen)%opBytes != recHead%opBytes {
-			return true, nil // insane length word
+			return true // insane length word
 		}
 		if len(rest) < frameHead+int(plen) {
-			return true, nil // torn payload
+			return true // torn payload
 		}
 		payload := rest[frameHead : frameHead+int(plen)]
 		if crc32.Checksum(payload, crcTable) != sum {
-			return true, nil // corrupt payload
+			return true // corrupt payload
 		}
 		epoch := binary.LittleEndian.Uint64(payload[0:8])
 		nops := int(binary.LittleEndian.Uint32(payload[8:12]))
 		if recHead+nops*opBytes != int(plen) {
-			return true, nil // op count disagrees with length
+			return true // op count disagrees with length
 		}
 		off += int64(frameHead + int(plen))
 		s.size = off
@@ -480,6 +501,7 @@ func (l *Log) Append(epoch uint64, ops []Op) error {
 	if l.f == nil {
 		return errors.New("wal: log closed")
 	}
+	l.scanned = nil
 	l.buf = encodeRecord(l.buf, epoch, ops)
 	frame := l.buf
 	if l.active.size+int64(len(frame)) > l.opt.SegmentBytes && l.active.records > 0 {
@@ -655,31 +677,87 @@ func (l *Log) TruncateBelow(epoch uint64) error {
 
 // Replay streams every surviving record with epoch > after, in log
 // order, to fn. It must run before the first Append (recovery does:
-// open, replay, then serve); fn errors abort the replay.
+// open, replay, then serve); fn errors abort the replay. fn must not
+// retain ops past its return: one buffer is decoded into again and again.
 func (l *Log) Replay(after uint64, fn func(epoch uint64, ops []Op) error) error {
+	return l.replay(after, false, fn)
+}
+
+// slabOps is how many ops the pipelined decoder allocates room for at a
+// time; records are carved from a slab one after another, so a run of
+// serving-sized batches costs one allocation per few thousand ops.
+const slabOps = 8192
+
+// replay is Replay; with own set, every record's ops are a slice of
+// their own that is never written again (see ReplayPipelined).
+func (l *Log) replay(after uint64, own bool, fn func(epoch uint64, ops []Op) error) error {
 	l.mu.Lock()
 	segs := append(append([]segment(nil), l.sealed...), l.active)
+	scanned := l.scanned
+	l.scanned = nil
 	l.mu.Unlock()
+	var buf []Op // own: the slab being carved; otherwise what fn saw last
 	for _, s := range segs {
-		if s.records == 0 {
+		raw := scanned[s.seq]
+		delete(scanned, s.seq) // let each segment's bytes go as soon as it is replayed
+		// Epochs never decrease along the log, so a segment that ends at
+		// or below after holds nothing to replay.
+		if s.records == 0 || s.lastEpoch <= after {
 			continue
 		}
-		if err := replaySegment(s, after, fn); err != nil {
-			return err
+		if raw == nil {
+			var err error
+			if raw, err = l.readSegment(s.path); err != nil {
+				return err
+			}
+			if int64(len(raw)) < s.size {
+				return fmt.Errorf("wal: %s shrank under us", s.path)
+			}
+			raw = raw[:s.size]
+		}
+		// The frames were validated when raw was scanned.
+		for off := headerSize; off < len(raw); {
+			plen := int(binary.LittleEndian.Uint32(raw[off : off+4]))
+			payload := raw[off+frameHead : off+frameHead+plen]
+			off += frameHead + plen
+			epoch := binary.LittleEndian.Uint64(payload[0:8])
+			if epoch <= after {
+				continue
+			}
+			nops := int(binary.LittleEndian.Uint32(payload[8:12]))
+			if !own {
+				buf = buf[:0]
+			} else if cap(buf)-len(buf) < nops {
+				buf = make([]Op, 0, max(nops, slabOps))
+			}
+			start := len(buf)
+			for p := recHead; p < recHead+nops*opBytes; p += opBytes {
+				buf = append(buf, Op{
+					Time: binary.LittleEndian.Uint64(payload[p:]),
+					U:    binary.LittleEndian.Uint32(payload[p+8:]),
+					V:    binary.LittleEndian.Uint32(payload[p+12:]),
+					Del:  binary.LittleEndian.Uint32(payload[p+16:])&flagDel != 0,
+				})
+			}
+			// Capped, so an append by fn cannot reach the next record's ops.
+			if err := fn(epoch, buf[start:len(buf):len(buf)]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
 // ReplayPipelined is Replay with frame decode overlapped against fn:
-// a decoder goroutine reads and decodes segments, handing batches over
-// a channel holding at most depth decoded batches, while the caller's
-// goroutine runs fn. Record order is unchanged — one decoder, one
-// consumer, one FIFO — so it is a drop-in for Replay wherever fn does
-// real work per batch (recovery's stream-apply), buying the decode
-// time back for free. Unlike Replay's fn, which must not retain ops
-// past its return, each pipelined batch owns its slice (the copy is
-// what the overlap requires anyway). Same contract otherwise: run
+// a decoder goroutine decodes segments, handing batches over a channel
+// holding at most depth decoded batches, while the caller's goroutine
+// runs fn. Record order is unchanged — one decoder, one consumer, one
+// FIFO — so it is a drop-in for Replay wherever fn does real work per
+// batch (recovery's stream-apply), buying the decode time back for
+// free. Unlike Replay's fn, which must not retain ops past its return,
+// each pipelined batch owns its slice: the decoder writes every record
+// into a part of a slab it never touches again, which is what the
+// hand-off requires and costs no copy. Same contract otherwise: run
 // before the first Append; fn errors abort the replay.
 func (l *Log) ReplayPipelined(after uint64, depth int, fn func(epoch uint64, ops []Op) error) error {
 	if depth < 1 {
@@ -694,10 +772,9 @@ func (l *Log) ReplayPipelined(after uint64, depth int, fn func(epoch uint64, ops
 	errc := make(chan error, 1)
 	go func() {
 		defer close(out)
-		errc <- l.Replay(after, func(epoch uint64, ops []Op) error {
-			b := batch{epoch: epoch, ops: append([]Op(nil), ops...)}
+		errc <- l.replay(after, true, func(epoch uint64, ops []Op) error {
 			select {
-			case out <- b:
+			case out <- batch{epoch, ops}:
 				return nil
 			case <-stop:
 				return errReplayStopped
@@ -722,44 +799,6 @@ func (l *Log) ReplayPipelined(after uint64, depth int, fn func(epoch uint64, ops
 // errReplayStopped is the decoder's internal abort signal when the
 // consumer side of ReplayPipelined failed first.
 var errReplayStopped = errors.New("wal: replay stopped by consumer")
-
-// replaySegment decodes s's (already validated) frames.
-func replaySegment(s segment, after uint64, fn func(epoch uint64, ops []Op) error) error {
-	raw, err := os.ReadFile(s.path)
-	if err != nil {
-		return err
-	}
-	if int64(len(raw)) < s.size {
-		return fmt.Errorf("wal: %s shrank under us", s.path)
-	}
-	raw = raw[:s.size]
-	off := headerSize
-	var ops []Op
-	for off < len(raw) {
-		plen := int(binary.LittleEndian.Uint32(raw[off : off+4]))
-		payload := raw[off+frameHead : off+frameHead+plen]
-		epoch := binary.LittleEndian.Uint64(payload[0:8])
-		nops := int(binary.LittleEndian.Uint32(payload[8:12]))
-		if epoch > after {
-			ops = ops[:0]
-			p := recHead
-			for i := 0; i < nops; i++ {
-				ops = append(ops, Op{
-					Time: binary.LittleEndian.Uint64(payload[p:]),
-					U:    binary.LittleEndian.Uint32(payload[p+8:]),
-					V:    binary.LittleEndian.Uint32(payload[p+12:]),
-					Del:  binary.LittleEndian.Uint32(payload[p+16:])&flagDel != 0,
-				})
-				p += opBytes
-			}
-			if err := fn(epoch, ops); err != nil {
-				return err
-			}
-		}
-		off += frameHead + plen
-	}
-	return nil
-}
 
 // Stats returns the cumulative counters.
 func (l *Log) Stats() Stats {

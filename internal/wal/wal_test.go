@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -455,5 +456,78 @@ func TestParseSyncPolicy(t *testing.T) {
 	}
 	if SyncInterval.String() != "interval" {
 		t.Fatal("String round trip")
+	}
+}
+
+// TestReplayDecodesScannedBytes follows the bytes Open's scan validated:
+// the first Replay decodes them without reading a file, a later one
+// reads only the segments it needs, and an Append lets them go (a replay
+// after it must see the appended record, which they do not hold).
+func TestReplayDecodesScannedBytes(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{Sync: SyncNone, SegmentBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := uint64(1); e <= 40; e++ {
+		if err := l.Append(e, mkOps(e*100, int(e%7)+1)); err != nil {
+			t.Fatalf("append %d: %v", e, err)
+		}
+	}
+	wantEpochs, wantOps := collect(t, l, 0)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reads := make(map[string]int)
+	hooks := &Hooks{ReadSegment: func(path string) { reads[path]++ }}
+	total := func() (n int) {
+		for _, c := range reads {
+			n += c
+		}
+		return n
+	}
+	l, _, err = Open(dir, Options{Sync: SyncNone, SegmentBytes: 512, Hooks: hooks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	segments := len(reads)
+	if segments < 3 || total() != segments {
+		t.Fatalf("open read %d files %d times, want at least 3 segments once each", segments, total())
+	}
+	epochs, ops := collect(t, l, 0)
+	if !reflect.DeepEqual(epochs, wantEpochs) || !reflect.DeepEqual(ops, wantOps) {
+		t.Fatal("replay of the scanned bytes diverges from the log")
+	}
+	if total() != segments {
+		t.Fatalf("first replay read files: %v", reads)
+	}
+
+	// The scan's bytes are gone: a second replay reads the files, but
+	// only those holding a record above after.
+	epochs, _ = collect(t, l, 39)
+	if len(epochs) != 1 || epochs[0] != 40 {
+		t.Fatalf("replay after 39: %v", epochs)
+	}
+	if total() != segments+1 {
+		t.Fatalf("replay after 39 read %d files, want the last segment alone", total()-segments)
+	}
+
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reopen, append before any replay: the replay must not decode the
+	// stale scan.
+	l, _, err = Open(dir, Options{Sync: SyncNone, SegmentBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Append(41, mkOps(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if epochs, _ = collect(t, l, 0); len(epochs) != 41 || epochs[40] != 41 {
+		t.Fatalf("replay after an append: %d records, want 41 ending at epoch 41", len(epochs))
 	}
 }

@@ -2,8 +2,9 @@
 # check.sh — the repo's pre-merge gate: formatting, vet, the
 # transaction- and concurrency-contract analyzer suite (tufastcheck,
 # with -strict-ignores), the test suite under the race detector (short
-# profile, one run, failures summarised by cmd/testsummary), and the
-# serializability oracles again under oversubscription.
+# profile, one run, failures summarised by cmd/testsummary), the arena's
+# platform split and its finalizer, and the serializability oracles again
+# under oversubscription.
 # Run from the repo root or anywhere inside it; `make check` is an
 # alias and `make lint` runs the analyzer stage alone.
 set -eu
@@ -68,6 +69,19 @@ end
 # summariser's, which is 1 on any failure.
 begin "go test -race (short)"
 go test -race -short -json ./... | go run ./cmd/testsummary
+end
+
+# mem.Space maps its arena where the platform can and allocates it where
+# it cannot: build the side this box never runs (everything but
+# benchmark/, which reads rusage and is linux-only) and vet the other
+# unix. Then the tests that drop mapped arenas, ten times with a
+# collection after nearly every allocation: a finalizer that unmaps an
+# arena something still reads is a fault here, not a rumour.
+begin "arena fallback cross-compiles; finalizers under GOGC=1 -race"
+GOOS=windows go build $(go list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./... | grep -v '^tufast/benchmark$')
+GOOS=darwin go vet ./internal/mem
+GOGC=1 go test -race -count=10 ./internal/mem
+GOGC=1 go test -race -count=10 -run 'TestCrashRecovery|TestTenancyCrashRecovery|TestReplay' ./internal/server
 end
 
 # The benchmarks EXPERIMENTS quotes, one iteration each, so they at least
