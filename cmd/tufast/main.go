@@ -53,8 +53,6 @@ func main() {
 		streamIn   = flag.String("stream", "", "edge-stream file (graphgen -stream); replays it through the dynamic-graph API instead of -algo/-system")
 		streamAlgo = flag.String("stream-algo", "mutate", "with -stream: mutate|cc|pagerank")
 		window     = flag.Int("window", 4096, "with -stream: ops applied concurrently between barriers")
-		hMax       = flag.Int("h-max-hint", 0, "with -stream: route txns with size hint ≤ this to H mode (0 = paper default)")
-		oMax       = flag.Int("o-max-hint", 0, "with -stream: route txns with size hint > this straight to L mode (0 = paper default)")
 	)
 	flag.Parse()
 
@@ -65,7 +63,7 @@ func main() {
 			ctx, cancel = context.WithTimeout(ctx, *timeout)
 			defer cancel()
 		}
-		runStream(ctx, *streamIn, *streamAlgo, *threads, *window, *hMax, *oMax, *stats, *metrics, *timeout)
+		runStream(ctx, *streamIn, *streamAlgo, *threads, *window, *stats, *metrics, *timeout)
 		return
 	}
 

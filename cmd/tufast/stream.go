@@ -21,7 +21,7 @@ import (
 
 // runStream is the -stream entry point; it prints its report and exits
 // the process on failure, mirroring the static-graph path in main.
-func runStream(ctx context.Context, path, algoName string, threads, window, hMax, oMax int,
+func runStream(ctx context.Context, path, algoName string, threads, window int,
 	stats, metrics bool, timeout time.Duration) {
 	st, err := dyngraph.ReadStreamFile(path)
 	if err != nil {
@@ -43,8 +43,6 @@ func runStream(ctx context.Context, path, algoName string, threads, window, hMax
 		// arrays (3 words/vertex for delta-PageRank) on top of the
 		// default property budget.
 		SpaceWords: tufast.DynSpaceWords(g, len(st.Ops)) + 8*g.NumVertices(),
-		HMaxHint:   hMax,
-		OMaxHint:   oMax,
 	})
 	d := tufast.NewDynGraph(sys)
 

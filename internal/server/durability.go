@@ -458,7 +458,7 @@ func OpenDurable(cfg Config, dcfg DurabilityConfig,
 		return nil, err
 	}
 	if err := s.recoverNamedGraphs(); err != nil {
-		s.closeWALs()
+		s.stop(context.Background(), false)
 		return nil, err
 	}
 	return s, nil
@@ -521,16 +521,6 @@ func (s *Server) openNamedInstance(name, dir string, spec createSpec) (*graphIns
 		return nil, err
 	}
 	return g, nil
-}
-
-// closeWALs closes every registered graph's log; boot-failure cleanup
-// only.
-func (s *Server) closeWALs() {
-	for _, g := range s.graphs {
-		if g.wlog != nil {
-			_ = g.wlog.Close()
-		}
-	}
 }
 
 // Recovery returns what boot recovery did for the default graph (zero

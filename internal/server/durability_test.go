@@ -87,28 +87,8 @@ func shutdownServer(t *testing.T, s *Server) {
 // process lives on) and the WAL file handle is closed, but whatever
 // the on-disk state is at this instant is what recovery gets.
 func crashServer(s *Server) {
-	s.admitMu.Lock()
-	if !s.draining.Swap(true) {
-		close(s.queue)
-	}
-	s.admitMu.Unlock()
 	s.cancelJobs()
-	s.workerWG.Wait()
-	s.regMu.RLock()
-	insts := make([]*graphInstance, 0, len(s.graphs))
-	for _, g := range s.graphs {
-		insts = append(insts, g)
-	}
-	s.regMu.RUnlock()
-	for _, g := range insts {
-		g.standing.stop()
-		g.gcWG.Wait()
-		g.mutMu.Lock()
-		if g.wlog != nil {
-			_ = g.wlog.Close()
-		}
-		g.mutMu.Unlock()
-	}
+	s.stop(context.Background(), false)
 	_ = s.hsrv.Close()
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tufast"
@@ -113,11 +114,14 @@ type Job struct {
 	Req JobRequest
 	g   *graphInstance
 
-	// mu is the innermost serving-plane lock: per-job state only, no
-	// other lock is ever taken under it.
-	//
-	//tufast:lockorder 80
-	mu       sync.Mutex
+	// state is replaced whole, never edited in place. It has one writer
+	// at a time: admission publishes the queued state, then the worker
+	// running the job the running and terminal ones.
+	state atomic.Pointer[jobState]
+}
+
+// jobState is one published moment of a job's lifecycle.
+type jobState struct {
 	status   string
 	err      string
 	result   any
@@ -129,27 +133,25 @@ type Job struct {
 
 // view renders the job for JSON responses.
 func (j *Job) view() jobView {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	st := j.state.Load()
 	v := jobView{
 		JobID:    j.ID,
 		Algo:     j.Req.Algo,
-		Status:   j.status,
+		Status:   st.status,
 		Standing: j.Req.Standing,
-		Error:    j.err,
-		Result:   j.result,
+		Error:    st.err,
+		Result:   st.result,
 	}
-	// j.epoch is only assigned at completion, so expose it for terminal
+	// epoch is only assigned at completion, so expose it for terminal
 	// statuses only — a running job has no meaningful epoch yet.
-	if terminal(j.status) {
-		e := j.epoch // copy: the view outlives the lock
-		v.Epoch = &e
+	if terminal(st.status) {
+		v.Epoch = &st.epoch
 	}
-	if !j.started.IsZero() {
-		v.QueuedMS = j.started.Sub(j.admitted).Milliseconds()
+	if !st.started.IsZero() {
+		v.QueuedMS = st.started.Sub(st.admitted).Milliseconds()
 	}
-	if !j.finished.IsZero() {
-		v.RunMS = j.finished.Sub(j.started).Milliseconds()
+	if !st.finished.IsZero() {
+		v.RunMS = st.finished.Sub(st.started).Milliseconds()
 	}
 	return v
 }
@@ -204,12 +206,8 @@ func (t *jobTable) add(req JobRequest) *Job {
 		t.jobs = make(map[string]*Job)
 	}
 	t.next++
-	j := &Job{
-		ID:       "j-" + strconv.FormatUint(t.next, 10),
-		Req:      req,
-		status:   StatusQueued,
-		admitted: time.Now(),
-	}
+	j := &Job{ID: "j-" + strconv.FormatUint(t.next, 10), Req: req}
+	j.state.Store(&jobState{status: StatusQueued, admitted: time.Now()})
 	t.jobs[j.ID] = j
 	return j
 }
@@ -250,46 +248,6 @@ func (t *jobTable) retire(id string, keep int) {
 	}
 }
 
-// cacheEntry is one epoch-tagged result.
-type cacheEntry struct {
-	epoch  uint64
-	result any
-}
-
-// resultCache maps cacheKey → the most recent result. Lookups hit only
-// when the stored epoch matches the graph's current mutation epoch, so
-// a mutation batch invalidates the whole cache implicitly; stale
-// entries are swept on store to bound growth.
-type resultCache struct {
-	//tufast:lockorder 70
-	mu sync.Mutex
-	m  map[string]cacheEntry
-}
-
-func (c *resultCache) lookup(key string, epoch uint64) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[key]
-	if !ok || e.epoch != epoch {
-		return nil, false
-	}
-	return e.result, true
-}
-
-func (c *resultCache) store(key string, epoch uint64, result any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		c.m = make(map[string]cacheEntry)
-	}
-	for k, e := range c.m {
-		if e.epoch != epoch {
-			delete(c.m, k)
-		}
-	}
-	c.m[key] = cacheEntry{epoch: epoch, result: result}
-}
-
 // worker is one slot of the bounded analytics pool shared by every
 // graph: it drains the admission queue until the queue closes (drain)
 // and dispatches each job to its graph, which runs it under its own
@@ -307,10 +265,9 @@ func (s *graphInstance) runJob(j *Job) {
 	ctx, cancel := context.WithTimeout(s.baseCtx, time.Duration(j.Req.TimeoutMS)*time.Millisecond)
 	defer cancel()
 
-	j.mu.Lock()
-	j.status = StatusRunning
-	j.started = time.Now()
-	j.mu.Unlock()
+	st := *j.state.Load()
+	st.status, st.started = StatusRunning, time.Now()
+	j.state.Store(&st)
 
 	if s.cfg.jobGate != nil {
 		s.cfg.jobGate(ctx, j)
@@ -329,34 +286,28 @@ func (s *graphInstance) runJob(j *Job) {
 		result, epoch, err = s.execute(ctx, j.Req)
 	}
 
-	j.mu.Lock()
-	j.finished = time.Now()
-	j.epoch = epoch
+	fin := st
+	fin.finished, fin.epoch = time.Now(), epoch
 	switch {
 	case err == nil:
-		j.status = StatusDone
-		j.result = result
+		fin.status, fin.result = StatusDone, result
 		s.met.completed.Add(1)
 	case errors.Is(err, context.DeadlineExceeded):
-		j.status = StatusDeadline
-		j.err = err.Error()
+		fin.status, fin.err = StatusDeadline, err.Error()
 		s.met.deadline.Add(1)
 	case errors.Is(err, context.Canceled):
-		j.status = StatusCanceled
-		j.err = err.Error()
+		fin.status, fin.err = StatusCanceled, err.Error()
 		s.met.canceled.Add(1)
 	default:
-		j.status = StatusFailed
-		j.err = err.Error()
+		fin.status, fin.err = StatusFailed, err.Error()
 		s.met.failed.Add(1)
 	}
-	latency := j.finished.Sub(j.admitted)
-	j.mu.Unlock()
+	j.state.Store(&fin)
 
-	s.met.jobLatency.Record(uint64(latency.Nanoseconds()))
+	s.met.jobLatency.Record(uint64(fin.finished.Sub(fin.admitted).Nanoseconds()))
 	if err == nil && !j.Req.Standing {
 		// Standing results live in the manager, not the epoch cache.
-		s.cache.store(j.Req.cacheKey(), epoch, result)
+		s.withCache(epoch, func(c *epochCache) { c.results[j.Req.cacheKey()] = result })
 	}
 	s.jobs.retire(j.ID, s.cfg.MaxJobs)
 }

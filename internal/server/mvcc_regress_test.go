@@ -115,20 +115,17 @@ func TestGraphReadsUnderMutations(t *testing.T) {
 	}
 
 	// With a snapshot cached for the epoch the count comes from it: the
-	// emptied arcs cache stays empty, and the answer is the same.
+	// emptied arc count stays empty, and the answer is the same.
 	if _, _, err := s.def.snapshot(); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	s.def.arcsMu.Lock()
-	s.def.arcsOK = false
-	s.def.arcsMu.Unlock()
+	s.def.withCache(v.Epoch(), func(c *epochCache) { c.arcs = -1 })
 	_, body = getJSON(t, client, base+"/v1/graph")
 	if got := int(body["live_arcs"].(float64)); got != v.Arcs() {
 		t.Errorf("live_arcs from the cached snapshot = %d, view says %d", got, v.Arcs())
 	}
-	s.def.arcsMu.Lock()
-	scanned := s.def.arcsOK
-	s.def.arcsMu.Unlock()
+	scanned := true
+	s.def.withCache(v.Epoch(), func(c *epochCache) { scanned = c.arcs >= 0 })
 	if scanned {
 		t.Error("live_arcs scanned the chains although a snapshot of the epoch was cached")
 	}

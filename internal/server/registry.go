@@ -2,11 +2,11 @@
 //
 // A graphInstance bundles everything that used to be singleton state on
 // Server — the DynGraph and its runtime, the mutation seqlock bracket,
-// the snapshot and result caches, the job table, the standing-query
-// manager, and the durability plane (WAL + checkpoints) rooted in a
-// per-graph data-dir subdirectory. The Server keeps only fleet-wide
-// state: the registry map, the shared bounded analytics worker pool and
-// its admission queue, the listener, and drain control.
+// the epoch cache, the job table, the standing-query manager, and the
+// durability plane (WAL + checkpoints) rooted in a per-graph data-dir
+// subdirectory. The Server keeps only fleet-wide state: the registry
+// map, the shared bounded analytics worker pool and its admission
+// queue, the listener, and drain control.
 //
 // Lifecycle: PUT /v1/graphs/{name} creates a named graph (empty, from
 // an uploaded edge list, or generated), DELETE drains its jobs, closes
@@ -145,25 +145,14 @@ type graphInstance struct {
 	//tufast:lockorder 15
 	mutMu sync.Mutex
 
-	// snapMu guards the epoch-tagged compacted snapshot cache and the
-	// per-epoch builder claim — never held across compaction itself.
+	// snapMu guards the epoch cache (see withCache) — never held across a
+	// compaction or a chain scan.
 	//
 	//tufast:lockorder 10
-	snapMu         sync.Mutex
-	snapEpoch      uint64
-	snapGraph      *tufast.Graph
-	snapBuild      chan struct{} // non-nil while a compaction is in flight
-	snapBuildEpoch uint64
+	snapMu sync.Mutex
+	cache  *epochCache
 
-	jobs  jobTable
-	cache resultCache
-
-	// arcsMu guards the one-entry per-epoch live-arcs cache behind
-	// GET …/graph.
-	arcsMu    sync.Mutex
-	arcsEpoch uint64
-	arcsVal   int
-	arcsOK    bool
+	jobs jobTable
 
 	standing     *standingManager
 	streamOnEdge func(tufast.Tx, tufast.StreamOp, bool, func(uint32)) error
@@ -173,9 +162,10 @@ type graphInstance struct {
 	// handleEdges bracket under mutMu.
 	mutSeq atomic.Uint64
 
-	// Admission quotas. inflight counts queued-plus-running jobs (always
-	// maintained, enforced only when the quota is set); mutBucket is nil
-	// without a rate quota.
+	// Admission quotas. inflight counts queued-plus-running jobs, and
+	// admissions still deciding (see admitJob); it is always maintained,
+	// enforced only when the quota is set, and what drain waits on.
+	// mutBucket is nil without a rate quota.
 	quotas    Quotas
 	inflight  atomic.Int64
 	mutBucket *tokenBucket
@@ -245,6 +235,39 @@ func (g *graphInstance) startLoops() {
 		g.gcWG.Add(1)
 		go g.checkpointLoop()
 	}
+}
+
+// drain waits until none of g's jobs is queued or running. Callers set
+// the server's draining flag or g's deleted flag first; admitJob counts
+// a job before it checks them, so none can slip in behind the wait.
+func (g *graphInstance) drain() {
+	for g.inflight.Load() > 0 {
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// teardown ends g once draining or deleted is set; Shutdown, DELETE and
+// boot-failure cleanup all end a graph here. Its context is cancelled,
+// so running jobs stop at their next transaction boundary, queued ones
+// as soon as they are dequeued, and repair workers and background loops
+// exit; its jobs drain; a final checkpoint is written when asked for;
+// and the log closes under mutMu: once that is held no append is in
+// flight, and a mutation bracket that resolved g before the flags were
+// set meets the closed log.
+func (g *graphInstance) teardown(checkpoint bool) {
+	g.cancel()
+	g.drain()
+	g.standing.stop()
+	g.gcWG.Wait()
+	if g.wlog == nil {
+		return
+	}
+	if checkpoint {
+		_, _ = g.checkpointNow()
+	}
+	g.mutMu.Lock()
+	_ = g.wlog.Close()
+	g.mutMu.Unlock()
 }
 
 // buildDyn wraps the configured runtime factory, defaulting to a
@@ -410,13 +433,19 @@ func (s *Server) onDefault(h func(*graphInstance, http.ResponseWriter, *http.Req
 	}
 }
 
-func (s *Server) handleGraphList(w http.ResponseWriter, _ *http.Request) {
+// instances returns the registered graphs.
+func (s *Server) instances() []*graphInstance {
 	s.regMu.RLock()
+	defer s.regMu.RUnlock()
 	insts := make([]*graphInstance, 0, len(s.graphs))
 	for _, g := range s.graphs {
 		insts = append(insts, g)
 	}
-	s.regMu.RUnlock()
+	return insts
+}
+
+func (s *Server) handleGraphList(w http.ResponseWriter, _ *http.Request) {
+	insts := s.instances()
 	sort.Slice(insts, func(i, j int) bool { return insts[i].name < insts[j].name })
 	infos := make([]graphInfo, len(insts))
 	for i, g := range insts {
@@ -431,10 +460,6 @@ func (s *Server) handleGraphList(w http.ResponseWriter, _ *http.Request) {
 // from the posted spec. 409 when the name exists (or a create/delete
 // for it is still in flight); creation failure leaves no trace.
 func (s *Server) handleGraphPut(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
 	name := r.PathValue("name")
 	if err := validateGraphName(name); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -453,8 +478,15 @@ func (s *Server) handleGraphPut(w http.ResponseWriter, r *http.Request) {
 
 	// Reserve the name so concurrent PUTs (and a racing DELETE's
 	// directory teardown) serialize without holding regMu across the
-	// build.
+	// build. Draining is checked here, under regMu, so a reservation
+	// either precedes Shutdown's wait for the registry to settle or is
+	// refused.
 	s.regMu.Lock()
+	if s.draining.Load() {
+		s.regMu.Unlock()
+		writeError(w, http.StatusServiceUnavailable, "draining")
+		return
+	}
 	if _, ok := s.graphs[name]; ok || s.busy[name] {
 		s.regMu.Unlock()
 		writeError(w, http.StatusConflict, fmt.Sprintf("graph %q already exists", name))
@@ -513,9 +545,9 @@ func (s *Server) handleGraphPut(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleGraphDelete serves DELETE /v1/graphs/{name}: unregister (new
-// requests 404 immediately), cancel and drain the tenant's jobs and
-// background loops, close the WAL under mutMu (excluding any mutation
-// bracket still in flight), and remove the data directory durably.
+// requests 404 immediately), cancel the tenant's jobs, tear it down
+// without a checkpoint, and remove the data directory durably. Refused
+// while draining, like PUT: Shutdown tears down every graph itself.
 func (s *Server) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if name == DefaultGraph {
@@ -524,7 +556,12 @@ func (s *Server) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	s.regMu.Lock()
 	g := s.graphs[name]
-	if g == nil || s.busy[name] {
+	switch {
+	case s.draining.Load():
+		s.regMu.Unlock()
+		writeError(w, http.StatusServiceUnavailable, "draining")
+		return
+	case g == nil || s.busy[name]:
 		s.regMu.Unlock()
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown graph %q", name))
 		return
@@ -534,24 +571,9 @@ func (s *Server) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
 	s.regMu.Unlock()
 
 	g.deleted.Store(true)
-	g.cancel()
-	// Drain this tenant's jobs: cancelled contexts make running ones
-	// exit at the next transaction boundary, and queued ones terminate
-	// as soon as a worker dequeues them. The admit path re-checks
-	// deleted after bumping inflight, so this poll cannot miss a racing
-	// admission.
-	for g.inflight.Load() > 0 {
-		time.Sleep(2 * time.Millisecond)
-	}
-	g.standing.stop()
-	g.gcWG.Wait()
+	g.teardown(false)
 	var rmErr error
 	if g.wlog != nil {
-		// mutMu excludes a mutation bracket that resolved the instance
-		// before it was unregistered; once held, no append is in flight.
-		g.mutMu.Lock()
-		_ = g.wlog.Close()
-		g.mutMu.Unlock()
 		rmErr = fsx.RemoveTreeDurable(g.dur.DataDir)
 	}
 

@@ -43,8 +43,11 @@
 //
 // Shutdown drains gracefully: admission stops (503), queued and
 // running jobs get a grace period to finish, stragglers are cancelled
-// through the same context plumbing, and the HTTP listener closes
-// last so status polls keep working while jobs wind down.
+// through the same context plumbing, every graph is torn down as
+// DELETE tears one down, and the HTTP listener closes last so status
+// polls keep working while jobs wind down. Each graph's inflight
+// count, not a lock, orders admission against the drain (see
+// admitJob).
 package server
 
 import (
@@ -195,14 +198,9 @@ type Server struct {
 
 	// queue is the shared admission queue: one bounded pool serves
 	// every tenant, with per-tenant quotas enforced at admission.
-	queue chan *Job
-
-	// admitMu makes "check draining, then send" atomic against
-	// Shutdown's "set draining, then close(queue)" — without it a
-	// racing submission could send on a closed channel.
-	//
-	//tufast:lockorder 30
-	admitMu  sync.RWMutex
+	// Shutdown closes it once draining is set and every graph's
+	// inflight count has drained (see admitJob).
+	queue    chan *Job
 	draining atomic.Bool
 
 	baseCtx    context.Context
@@ -297,21 +295,29 @@ func (s *Server) Addr() string {
 }
 
 // Shutdown drains the server: admission stops immediately (new
-// submissions and mutation batches get 503), queued and in-flight jobs
-// get DrainGrace to finish, stragglers are cancelled through the job
-// contexts, every graph's durability plane is closed behind a final
+// submissions, mutation batches and registry changes get 503), queued
+// and in-flight jobs get DrainGrace to finish, stragglers are cancelled
+// through the job contexts, every graph is torn down behind a final
 // checkpoint, and finally the HTTP server shuts down under ctx. Safe
 // to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.admitMu.Lock()
-	first := !s.draining.Swap(true)
-	if first {
-		close(s.queue)
-	}
-	s.admitMu.Unlock()
+	s.stop(ctx, true)
+	return s.hsrv.Shutdown(ctx)
+}
 
+// stop is Shutdown short of the listener; checkpoint picks whether each
+// durable graph writes a final checkpoint before its log closes.
+func (s *Server) stop(ctx context.Context, checkpoint bool) {
+	first := !s.draining.Swap(true)
+	var insts []*graphInstance
 	done := make(chan struct{})
-	go func() { s.workerWG.Wait(); close(done) }()
+	go func() {
+		insts = s.settled()
+		for _, g := range insts {
+			g.drain()
+		}
+		close(done)
+	}()
 	grace := time.NewTimer(s.cfg.DrainGrace)
 	defer grace.Stop()
 	select {
@@ -323,32 +329,29 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.cancelJobs()
 		<-done
 	}
+	if first {
+		close(s.queue)
+	}
+	s.workerWG.Wait()
 	s.cancelJobs()
-	s.regMu.RLock()
-	insts := make([]*graphInstance, 0, len(s.graphs))
-	for _, g := range s.graphs {
-		insts = append(insts, g)
-	}
-	s.regMu.RUnlock()
 	for _, g := range insts {
-		// Repair workers exit on the instance context's cancellation (a
-		// mid-drain stabilize aborts at the next transaction boundary),
-		// as do the overlay GC and checkpoint loops.
-		g.standing.stop()
-		g.gcWG.Wait()
-		if g.wlog != nil {
-			// Best-effort final checkpoint (no-op when nothing committed
-			// since the last one), then close the log. mutMu excludes any
-			// mutation request that slipped past the draining check: once
-			// we hold it, no append is in flight and none can start
-			// without hitting the closed-log error.
-			_, _ = g.checkpointNow()
-			g.mutMu.Lock()
-			_ = g.wlog.Close()
-			g.mutMu.Unlock()
-		}
+		g.teardown(checkpoint)
 	}
-	return s.hsrv.Shutdown(ctx)
+}
+
+// settled waits out the PUTs and DELETEs in flight and returns the
+// registered graphs. Callers have set draining, which both check under
+// regMu before they reserve a name, so the list is final.
+func (s *Server) settled() []*graphInstance {
+	for {
+		s.regMu.RLock()
+		busy := len(s.busy)
+		s.regMu.RUnlock()
+		if busy == 0 {
+			return s.instances()
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
 
 // MetricsSnapshot returns the fleet's observability snapshot — runtime
@@ -356,12 +359,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // sections keyed by graph name, and their fold into the fleet-wide
 // Server section — the same document /metrics serves.
 func (s *Server) MetricsSnapshot() tufast.MetricsSnapshot {
-	s.regMu.RLock()
-	insts := make([]*graphInstance, 0, len(s.graphs))
-	for _, g := range s.graphs {
-		insts = append(insts, g)
-	}
-	s.regMu.RUnlock()
+	insts := s.instances()
 	qd, qc := len(s.queue), cap(s.queue)
 	var snap tufast.MetricsSnapshot
 	graphs := make(map[string]*obs.ServerSnapshot, len(insts))
@@ -641,7 +639,10 @@ func (s *graphInstance) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// capacity. Any effective mutation batch since the entry was
 	// stored moved the epoch, so staleness is impossible by key match.
 	epoch := s.dyn.Epoch()
-	if result, ok := s.cache.lookup(req.cacheKey(), epoch); ok {
+	var result any
+	var ok bool
+	s.withCache(epoch, func(c *epochCache) { result, ok = c.results[req.cacheKey()] })
+	if ok {
 		s.met.cacheHits.Add(1)
 		writeJSON(w, http.StatusOK, jobView{
 			Algo: req.Algo, Status: StatusDone, Cached: true,
@@ -657,40 +658,37 @@ func (s *graphInstance) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // standing-registration submissions: enforce the tenant's in-flight
 // quota, add to the table, try the shared queue, shed 429 when full.
 func (s *graphInstance) admitJob(w http.ResponseWriter, req JobRequest) {
-	srv := s.srv
-	srv.admitMu.RLock()
-	if srv.draining.Load() {
-		srv.admitMu.RUnlock()
+	// Count the job before checking whether it may come in. Shutdown and
+	// DELETE set their flag first and drain the count after, so a check
+	// that missed the flag ran before the flag was set, and the drain
+	// sees this count and waits the job out: nothing reaches the queue
+	// after it closes. Counting first also makes the quota exact.
+	n := s.inflight.Add(1)
+	q := s.quotas.MaxInflightJobs
+	switch {
+	case s.srv.draining.Load():
+		s.inflight.Add(-1)
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
-	}
-	if q := s.quotas.MaxInflightJobs; q > 0 && int(s.inflight.Load()) >= q {
-		srv.admitMu.RUnlock()
+	case s.deleted.Load():
+		s.inflight.Add(-1)
+		writeError(w, http.StatusNotFound, "graph deleted")
+		return
+	case q > 0 && n > int64(q):
+		s.inflight.Add(-1)
 		s.met.quotaRejected.Add(1)
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("tenant in-flight job quota (%d) reached", q))
 		return
 	}
-	s.inflight.Add(1)
-	if s.deleted.Load() {
-		// Pairs with DELETE's "set deleted, then poll inflight": a load
-		// that missed the flag happened before the store, so the poll
-		// sees our increment and waits the job out.
-		s.inflight.Add(-1)
-		srv.admitMu.RUnlock()
-		writeError(w, http.StatusNotFound, "graph deleted")
-		return
-	}
 	j := s.jobs.add(req)
 	j.g = s
 	select {
-	case srv.queue <- j:
+	case s.srv.queue <- j:
 		s.met.admitted.Add(1)
-		srv.admitMu.RUnlock()
 		writeJSON(w, http.StatusAccepted, j.view())
 	default:
-		srv.admitMu.RUnlock()
 		s.inflight.Add(-1)
 		s.jobs.remove(j.ID)
 		s.met.rejected.Add(1)
@@ -777,34 +775,20 @@ func (s *graphInstance) handleGraph(w http.ResponseWriter, _ *http.Request) {
 // liveArcs returns view's exact live arc count. A snapshot cached for
 // the view's epoch already holds it (its rows are the live arcs), so
 // that answers first; otherwise repeat polls of an unchanged epoch are
-// served from a one-entry cache, because the count is a full O(V+E)
+// served from the epoch cache, because the count is a full O(V+E)
 // multi-version chain scan, far too heavy to rerun for every stats
-// request between mutations. The scan runs outside arcsMu (it can
-// overlap a concurrent miss at another epoch); epochs are monotone, so
-// last-writer-wins publication keyed by ≥ keeps the cache at the
-// newest computed epoch.
+// request between mutations. The scan runs outside snapMu.
 func (s *graphInstance) liveArcs(view *tufast.GraphView) int {
-	e := view.Epoch()
-	s.snapMu.Lock()
-	if s.snapGraph != nil && s.snapEpoch == e {
-		n := s.snapGraph.NumEdges()
-		s.snapMu.Unlock()
-		return n
+	e, n := view.Epoch(), -1
+	s.withCache(e, func(c *epochCache) {
+		if n = c.arcs; c.graph != nil {
+			n = c.graph.NumEdges()
+		}
+	})
+	if n < 0 {
+		n = view.Arcs()
+		s.withCache(e, func(c *epochCache) { c.arcs = n })
 	}
-	s.snapMu.Unlock()
-	s.arcsMu.Lock()
-	if s.arcsOK && s.arcsEpoch == e {
-		n := s.arcsVal
-		s.arcsMu.Unlock()
-		return n
-	}
-	s.arcsMu.Unlock()
-	n := view.Arcs()
-	s.arcsMu.Lock()
-	if !s.arcsOK || e >= s.arcsEpoch {
-		s.arcsEpoch, s.arcsVal, s.arcsOK = e, n, true
-	}
-	s.arcsMu.Unlock()
 	return n
 }
 
@@ -817,6 +801,44 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	_, _ = w.Write([]byte("ok\n"))
 }
 
+// epochCache is what a graph derives from one mutation epoch's
+// topology: the compacted snapshot jobs run on and the claim of the job
+// building it, the live-arc count GET …/graph reports, and finished job
+// results by cache key. Each is exact at epoch and at no other, so the
+// cache holds one epoch: a value computed at an older epoch is dropped,
+// and the first touch at a newer one starts the cache afresh. Epochs
+// only grow, so nothing is ever evicted by something older than itself.
+type epochCache struct {
+	epoch   uint64
+	graph   *tufast.Graph
+	build   chan struct{} // non-nil while a job compacts graph
+	arcs    int           // -1 until counted
+	results map[string]any
+}
+
+// cacheAt returns the epoch cache at epoch, starting it afresh when
+// epoch is newer than the one it holds, or nil when the cache has moved
+// past epoch. Callers hold snapMu.
+func (s *graphInstance) cacheAt(epoch uint64) *epochCache {
+	switch c := s.cache; {
+	case c == nil || epoch > c.epoch:
+		s.cache = &epochCache{epoch: epoch, arcs: -1, results: make(map[string]any)}
+	case epoch < c.epoch:
+		return nil
+	}
+	return s.cache
+}
+
+// withCache runs f on the epoch cache at epoch under snapMu, unless the
+// cache has moved past epoch.
+func (s *graphInstance) withCache(epoch uint64, f func(*epochCache)) {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	if c := s.cacheAt(epoch); c != nil {
+		f(c)
+	}
+}
+
 // snapshot returns the frozen graph at the current mutation epoch,
 // compacting lazily through an epoch-pinned view: repeated jobs
 // between mutations share one snapshot, and compaction runs entirely
@@ -824,29 +846,35 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // cached epoch never waits behind a compacting writer and mutation
 // batches never wait at all — the view reads multi-version chains
 // while writers keep appending. Concurrent misses on the same epoch
-// coalesce on the builder's claim channel.
+// coalesce on the builder's claim channel; a view older than the cache
+// compacts on its own and publishes nothing.
 func (s *graphInstance) snapshot() (*tufast.Graph, uint64, error) {
 	view := s.dyn.View()
 	defer view.Close()
 	cur := view.Epoch()
 	for {
 		s.snapMu.Lock()
-		if s.snapGraph != nil && s.snapEpoch == cur {
-			g := s.snapGraph
+		c := s.cacheAt(cur)
+		switch {
+		case c == nil:
+			s.snapMu.Unlock()
+			g, err := view.Compact()
+			return g, cur, err
+		case c.graph != nil:
+			g := c.graph
 			s.snapMu.Unlock()
 			return g, cur, nil
-		}
-		if s.snapBuild != nil && s.snapBuildEpoch == cur {
+		case c.build != nil:
 			// Same-epoch compaction already in flight: wait for it and
 			// re-check (it publishes on success; on failure we retry as
 			// the builder).
-			ch := s.snapBuild
+			ch := c.build
 			s.snapMu.Unlock()
 			<-ch
 			continue
 		}
 		ch := make(chan struct{})
-		s.snapBuild, s.snapBuildEpoch = ch, cur
+		c.build = ch
 		s.snapMu.Unlock()
 
 		if s.cfg.compactGate != nil {
@@ -854,20 +882,16 @@ func (s *graphInstance) snapshot() (*tufast.Graph, uint64, error) {
 		}
 		g, err := view.Compact()
 
+		// If a newer epoch has started the cache afresh meanwhile, c is
+		// no longer it, and what is published here reaches nobody.
 		s.snapMu.Lock()
-		if s.snapBuild == ch {
-			s.snapBuild = nil
-		}
-		if err == nil && (s.snapGraph == nil || s.snapEpoch <= cur) {
-			// Publish unless a newer epoch's snapshot already landed.
-			s.snapGraph, s.snapEpoch = g, cur
+		c.build = nil
+		if err == nil {
+			c.graph = g
 		}
 		s.snapMu.Unlock()
 		close(ch)
-		if err != nil {
-			return nil, cur, err
-		}
-		return g, cur, nil
+		return g, cur, err
 	}
 }
 

@@ -572,17 +572,212 @@ func TestNormalizeCanonicalizesCacheKey(t *testing.T) {
 // only once the job is terminal: j.epoch is assigned at completion, so
 // reporting it earlier would surface a misleading 0 (a valid epoch).
 func TestViewEpochOnlyWhenTerminal(t *testing.T) {
-	j := &Job{ID: "j-1", Req: JobRequest{Algo: "degree"}, status: StatusQueued}
+	j := &Job{ID: "j-1", Req: JobRequest{Algo: "degree"}}
 	for _, st := range []string{StatusQueued, StatusRunning} {
-		j.status = st
+		j.state.Store(&jobState{status: st})
 		if v := j.view(); v.Epoch != nil {
 			t.Errorf("status %s: view exposes epoch %d", st, *v.Epoch)
 		}
 	}
 	for _, st := range []string{StatusDone, StatusFailed, StatusDeadline, StatusCanceled} {
-		j.status = st
+		j.state.Store(&jobState{status: st})
 		if v := j.view(); v.Epoch == nil {
 			t.Errorf("status %s: view hides epoch", st)
 		}
 	}
+}
+
+// TestOlderEpochResultKeepsNewerCached pins the epoch cache's rule that
+// only newer state is published: job A compacts at epoch e and is held
+// there while a mutation moves the graph to e+1 and job B completes at
+// e+1. A's result, finished last but computed at e, must be dropped
+// rather than evict B's, so resubmitting B is still a cache hit.
+func TestOlderEpochResultKeepsNewerCached(t *testing.T) {
+	d := newTestDyn(t, 300, 4)
+	e0 := d.Epoch()
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	cfg := Config{JobWorkers: 2, QueueDepth: 4, GCInterval: -1}
+	cfg.compactGate = func(epoch uint64) {
+		if epoch == e0 {
+			entered <- struct{}{}
+			<-release
+		}
+	}
+	s := startServer(t, d, cfg)
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unblock) // runs before startServer's shutdown
+	base := "http://" + s.Addr()
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	submit := func(algo string) (int, map[string]any) {
+		code, view, _ := postJSON(t, client, base+"/v1/jobs", map[string]any{"algo": algo, "timeout_ms": 30_000})
+		return code, view
+	}
+
+	code, a := submit("degree")
+	if code != http.StatusAccepted {
+		t.Fatalf("job A: %d %v", code, a)
+	}
+	<-entered // A holds its view at e0
+	u, v := findNonEdge(t, d)
+	if code, body, _ := postJSON(t, client, base+"/v1/edges",
+		map[string]any{"ops": []map[string]any{{"u": u, "v": v}}}); code != http.StatusOK || body["inserted"] != 1.0 {
+		t.Fatalf("mutation: %d %v", code, body)
+	}
+	code, b := submit("cc")
+	if code != http.StatusAccepted {
+		t.Fatalf("job B: %d %v", code, b)
+	}
+	if final := pollJob(t, client, base, b["job_id"].(string)); final["status"] != StatusDone || final["epoch"] != float64(e0+1) {
+		t.Fatalf("job B: %v, want done at epoch %d", final, e0+1)
+	}
+	unblock()
+	if final := pollJob(t, client, base, a["job_id"].(string)); final["status"] != StatusDone || final["epoch"] != float64(e0) {
+		t.Fatalf("job A: %v, want done at epoch %d", final, e0)
+	}
+
+	code, view := submit("cc")
+	if cached, _ := view["cached"].(bool); code != http.StatusOK || !cached {
+		t.Fatalf("resubmitted B: %d %v, want 200 cached (the older result evicted the newer)", code, view)
+	}
+}
+
+// TestInflightQuotaExactUnderConcurrentAdmission pins that the in-flight
+// quota is a bound, not a hint: with the pool held, 32 simultaneous
+// submissions to a graph allowed two jobs admit exactly two.
+func TestInflightQuotaExactUnderConcurrentAdmission(t *testing.T) {
+	gate := make(chan struct{})
+	s := startServer(t, newTestDyn(t, 200, 4), Config{
+		JobWorkers: 2, QueueDepth: 64,
+		jobGate: func(ctx context.Context, _ *Job) {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+			}
+		},
+	})
+	t.Cleanup(func() { close(gate) }) // runs before startServer's shutdown
+	base := "http://" + s.Addr()
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 32}}
+	defer client.CloseIdleConnections()
+	putGraph(t, client, base, "capped", map[string]any{
+		"vertices": 50, "undirected": true,
+		"quotas": map[string]any{"max_inflight_jobs": 2},
+	})
+
+	const submitters = 32
+	codes := make(chan int, submitters)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < submitters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			resp, err := client.Post(base+"/v1/graphs/capped/jobs", "application/json",
+				strings.NewReader(`{"algo":"degree","timeout_ms":30000}`))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(codes)
+	accepted := 0
+	for code := range codes {
+		switch code {
+		case http.StatusAccepted:
+			accepted++
+		case http.StatusTooManyRequests:
+		default:
+			t.Errorf("submission answered %d, want 202 or 429", code)
+		}
+	}
+	if accepted != 2 {
+		t.Errorf("%d of %d submissions admitted under max_inflight_jobs 2", accepted, submitters)
+	}
+}
+
+// TestShutdownRacingSubmitters runs Shutdown while 16 clients keep
+// submitting: no submission may reach the queue after it closes (a send
+// on a closed channel panics the process), every job answered 202 ends
+// in a terminal status, and no goroutine outlives the server.
+func TestShutdownRacingSubmitters(t *testing.T) {
+	runtime.GC()
+	baseline := runtime.NumGoroutine()
+	s := New(newTestDyn(t, 300, 4), Config{
+		Addr: "127.0.0.1:0", JobWorkers: 2, JobThreads: 2, QueueDepth: 8,
+		DrainGrace: 100 * time.Millisecond, MaxJobs: 1 << 16,
+	})
+	if err := s.Start(); err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	base := "http://" + s.Addr()
+	// One connection per request: a kept-alive transport dials spares
+	// that may never carry a request, and the listener's graceful
+	// shutdown waits five seconds for each such connection.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+
+	const submitters = 16
+	var (
+		mu       sync.Mutex
+		accepted []string
+		wg       sync.WaitGroup
+	)
+	for i := 0; i < submitters; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			for k := 0; ; k++ {
+				body := fmt.Sprintf(`{"algo":"degree","top_k":%d}`, 1+(id*7+k)%100)
+				resp, err := client.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
+				if err != nil {
+					return // the listener is gone
+				}
+				var v jobView
+				_ = json.NewDecoder(resp.Body).Decode(&v)
+				resp.Body.Close()
+				switch resp.StatusCode {
+				case http.StatusAccepted:
+					mu.Lock()
+					accepted = append(accepted, v.JobID)
+					mu.Unlock()
+				case http.StatusOK, http.StatusTooManyRequests:
+				default:
+					return // draining
+				}
+			}
+		}(i)
+	}
+	admitted := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(accepted)
+	}
+	for deadline := time.Now().Add(10 * time.Second); admitted() < 8 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	wg.Wait()
+
+	for _, id := range accepted {
+		j := s.def.jobs.get(id)
+		if j == nil {
+			t.Fatalf("accepted job %s vanished", id)
+		}
+		if st := j.view().Status; !terminal(st) {
+			t.Errorf("accepted job %s is %q after shutdown", id, st)
+		}
+	}
+	client.CloseIdleConnections()
+	waitGoroutines(t, baseline)
 }

@@ -106,9 +106,11 @@ end
 # entry point into it), over the overlay's target index: attempts
 # killed after a build, a doubling and a repoint in each mode, and
 # concurrent batches on four hub sources beside chain GC and pinned
-# views; and over the one worker pool: an algorithms call beside the
+# views; over the one worker pool: an algorithms call beside the
 # System's own sweeps, mostly in L mode, where a thread id shared by two
-# goroutines loses updates.
+# goroutines loses updates; and, under the race detector, over the
+# server's lock-free admission: 32 racing submissions against a
+# two-job quota, and submitters racing Shutdown's drain.
 begin "oversubscribed serializability (8 processes, -cpu 8)"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -118,6 +120,7 @@ go test -c -o "$tmp/worklist.test" ./internal/worklist
 go test -c -o "$tmp/algo.test" ./internal/algo
 go test -c -o "$tmp/dyngraph.test" ./internal/dyngraph
 go test -c -o "$tmp/tufast.test" .
+go test -race -c -o "$tmp/server.test" ./internal/server
 oversubscribed() { # test binary, -test.run pattern, -test.count
     pids=""
     for i in 1 2 3 4 5 6 7 8; do
@@ -140,6 +143,7 @@ oversubscribed "$tmp/worklist.test" 'TestDrain' 30
 oversubscribed "$tmp/algo.test" 'TestForEachQueued|TestResultsCountCommitsNotAttempts' 10
 oversubscribed "$tmp/dyngraph.test" 'TestIndexAbortSafety' 20
 oversubscribed "$tmp/tufast.test" 'TestHubMutationOracle|TestAlgorithmsShareSystemWorkers' 4
+oversubscribed "$tmp/server.test" 'TestInflightQuotaExactUnderConcurrentAdmission|TestShutdownRacingSubmitters' 20
 end
 
 echo "All checks passed."
