@@ -2,7 +2,7 @@
 // from scratch after every batch of edge mutations, they attach to
 // DynGraph.ApplyStream's hooks — each mutation transaction does a tiny
 // transactional fix-up and emits the vertices whose state may now be
-// stale, and a concurrent Stabilize drain propagates the change. The
+// stale, and a concurrent Repair drain propagates the change. The
 // result is the streaming workload of the dynamic-graph literature
 // (GTX-style updates coexisting with analytics) expressed entirely in
 // TuFast transactions, so fix-up work is routed H/O/L by live degree
@@ -13,13 +13,34 @@ import (
 	"context"
 	"math"
 	"sync"
-	"time"
 
 	"tufast"
 	"tufast/internal/algo"
 	"tufast/internal/sched"
 	"tufast/internal/worklist"
 )
+
+// Incremental is the one contract the computations here keep and
+// their drivers (StreamingCC, StreamingPageRank, the server's standing
+// queries) use. OnEdge and Emit are every mutation batch's
+// StreamOptions hooks; Committed hears of each batch, with its ops and
+// stats, after it committed; Repair brings the result up to date as of
+// view's pinned epoch, possibly while later batches commit; Pending
+// counts queued repair work. Repair calls must not overlap.
+type Incremental interface {
+	OnEdge(tx tufast.Tx, op tufast.StreamOp, changed bool, emit func(u uint32)) error
+	Emit(u uint32)
+	Committed(ops []tufast.StreamOp, stats tufast.StreamStats)
+	Repair(ctx context.Context, view *tufast.GraphView) (Repaired, error)
+	Pending() int
+}
+
+// Repaired reports what one Repair did beyond draining its queue: a
+// from-scratch recompute, and how many logged deletes it repaired.
+type Repaired struct {
+	Recomputed bool
+	Deletes    int
+}
 
 // newRepairQueue returns the queue an incremental computation's repairs
 // wait in: a vertex already pending is not pushed twice, and the drain
@@ -29,19 +50,24 @@ func newRepairQueue(d *tufast.DynGraph) algo.DedupFIFO {
 }
 
 // IncrementalCC maintains connected-component labels (min vertex id
-// per component) on a mutable undirected graph. Edge inserts are fixed
-// up incrementally: the mutation transaction emits both endpoints so
-// the Stabilize drain merges the components by min-label propagation
-// over live adjacency. Deletes can split components, which label
-// propagation cannot undo locally — log them (LogDeletes) and run
-// RepairDeletes against an epoch-pinned view: it re-derives labels for
-// just the components the deletes touched, skipping deletes that
-// provably did not split anything, instead of a full Recompute.
+// per component) on a mutable undirected graph. Its first Repair
+// computes labels from scratch. Edge inserts are fixed up
+// incrementally: the mutation transaction emits both endpoints so the
+// Repair drain merges the components by min-label propagation over live
+// adjacency. Deletes can split components, which label propagation
+// cannot undo locally — Committed logs them, and Repair re-derives
+// labels for just the components they touched in its epoch-pinned view,
+// skipping deletes that provably did not split anything, instead of
+// recomputing.
 type IncrementalCC struct {
 	dyn  *tufast.DynGraph
 	sys  *tufast.System
 	comp tufast.VertexArray
 	sink algo.DedupFIFO
+
+	// seeded is set by the first Repair that completes its full
+	// recompute; only Repair touches it.
+	seeded bool
 
 	delMu  sync.Mutex
 	delLog []loggedDelete
@@ -55,8 +81,8 @@ type loggedDelete struct {
 }
 
 // NewIncrementalCC attaches an incremental connected-components
-// computation to d (which must be undirected) and initializes labels
-// for the current topology via Recompute.
+// computation to d (which must be undirected). Labels are computed by
+// the first Repair.
 func NewIncrementalCC(d *tufast.DynGraph) (*IncrementalCC, error) {
 	if !d.Undirected() {
 		return nil, ErrNeedUndirected
@@ -71,32 +97,13 @@ func NewIncrementalCC(d *tufast.DynGraph) (*IncrementalCC, error) {
 	return cc, nil
 }
 
-// Recompute computes labels for the current topology from scratch.
-// Quiescent start: no mutators may be in flight when it resets labels
-// (the subsequent drain tolerates concurrent inserts).
-func (cc *IncrementalCC) Recompute() error {
-	return cc.RecomputeCtx(context.Background())
-}
-
-// RecomputeCtx is Recompute with cancellation.
-func (cc *IncrementalCC) RecomputeCtx(ctx context.Context) error {
-	n := cc.dyn.NumVertices()
-	for v := 0; v < n; v++ {
-		cc.comp.Set(uint32(v), uint64(v))
-	}
-	for v := 0; v < n; v++ {
-		cc.sink.Push(uint32(v), 0)
-	}
-	return cc.StabilizeCtx(ctx)
-}
-
 // OnEdge is the StreamOptions.OnEdge hook: inside the mutation
 // transaction, an effective insert emits both endpoints so the drain
 // merges their components. The emit is unconditional — comparing
 // labels here would race with a concurrent repair's label reset (the
 // insert could observe pre-reset equal labels, skip the emit, and the
 // merge would never be rediscovered); the dedup sink bounds the cost.
-// Deletes are left to LogDeletes/RepairDeletes.
+// Deletes are left to Committed and Repair.
 func (cc *IncrementalCC) OnEdge(tx tufast.Tx, op tufast.StreamOp, changed bool, emit func(u uint32)) error {
 	if !changed || op.Del {
 		return nil
@@ -107,19 +114,82 @@ func (cc *IncrementalCC) OnEdge(tx tufast.Tx, op tufast.StreamOp, changed bool, 
 }
 
 // Emit is the StreamOptions.Emit hook: committed emits enter the
-// dedup queue for the next Stabilize.
+// dedup queue for the next Repair.
 func (cc *IncrementalCC) Emit(u uint32) { cc.sink.Push(u, 0) }
 
-// Stabilize drains the pending queue, propagating min labels over live
-// adjacency until no vertex improves. Safe to run concurrently with an
-// insert-only ApplyStream (labels only decrease, and every mutation
-// emits post-commit); returns with the queue empty.
-func (cc *IncrementalCC) Stabilize() error {
-	return cc.StabilizeCtx(context.Background())
+// Committed logs a committed batch's deletes (non-Del ops are skipped)
+// for a later Repair, tagged with the batch's mutation epoch. It must
+// run after the batch committed — logging from inside OnEdge would let
+// a repair consume a delete whose batch is still in flight and whose
+// edge is therefore still visible in the pinned view.
+func (cc *IncrementalCC) Committed(ops []tufast.StreamOp, stats tufast.StreamStats) {
+	if stats.Removed == 0 {
+		return
+	}
+	cc.delMu.Lock()
+	for _, op := range ops {
+		if op.Del {
+			cc.delLog = append(cc.delLog, loggedDelete{op.U, op.V, stats.Epoch})
+		}
+	}
+	cc.delMu.Unlock()
 }
 
-// StabilizeCtx is Stabilize with cancellation.
-func (cc *IncrementalCC) StabilizeCtx(ctx context.Context) error {
+// Repair brings the labels up to date as of view's epoch. The first
+// successful call recomputes every label from the live topology (≥ the
+// view's), which covers the logged deletes at or below the view's
+// epoch, so those are dropped. Later calls consume the logged deletes
+// at or below the view's epoch, repair the components they may have
+// split (see repairDeletes), and drain the queue, propagating min
+// labels over live adjacency until no vertex improves. The drain is
+// safe beside an insert-only stream (labels only decrease, and every
+// mutation emits post-commit). On error the consumed deletes are
+// restored for the next call.
+func (cc *IncrementalCC) Repair(ctx context.Context, view *tufast.GraphView) (Repaired, error) {
+	e := view.Epoch()
+	if !cc.seeded {
+		n := cc.dyn.NumVertices()
+		for v := 0; v < n; v++ {
+			cc.comp.Set(uint32(v), uint64(v))
+			cc.sink.Push(uint32(v), 0)
+		}
+		if err := cc.stabilize(ctx); err != nil {
+			return Repaired{}, err
+		}
+		cc.seeded = true
+		cc.delMu.Lock()
+		cc.delLog, _ = splitDeletes(cc.delLog, e)
+		cc.delMu.Unlock()
+		return Repaired{Recomputed: true}, nil
+	}
+	cc.delMu.Lock()
+	var take []loggedDelete
+	cc.delLog, take = splitDeletes(cc.delLog, e)
+	cc.delMu.Unlock()
+	if err := cc.repairDeletes(ctx, view, take); err != nil {
+		cc.delMu.Lock()
+		cc.delLog = append(take, cc.delLog...)
+		cc.delMu.Unlock()
+		return Repaired{}, err
+	}
+	return Repaired{Deletes: len(take)}, cc.stabilize(ctx)
+}
+
+// splitDeletes partitions log in place into the deletes after epoch e
+// (kept) and a fresh slice of those at or below it (taken).
+func splitDeletes(log []loggedDelete, e uint64) (kept, taken []loggedDelete) {
+	kept = log[:0]
+	for _, d := range log {
+		if d.epoch <= e {
+			taken = append(taken, d)
+		} else {
+			kept = append(kept, d)
+		}
+	}
+	return kept, taken
+}
+
+func (cc *IncrementalCC) stabilize(ctx context.Context) error {
 	hint := func(v uint32) int { return 2*cc.dyn.LiveDegree(v) + 4 }
 	_, err := cc.sys.Runtime().WithContext(ctx).Drain("incremental_cc", cc.sink, cc.sink, hint,
 		func(out *worklist.Emits) func(sched.Tx, uint32) error {
@@ -156,7 +226,7 @@ func (cc *IncrementalCC) Components() []uint64 {
 }
 
 // ComponentsInto appends the current labels into buf[:0]. Each label
-// is one atomic word read, so calling it while a Stabilize drain or
+// is one atomic word read, so calling it while a Repair drain or
 // mutation stream runs is memory-safe (no torn words, race-detector
 // clean) — but the values are then advisory: different vertices may be
 // read at different repair states. For an exact snapshot, call at
@@ -175,90 +245,21 @@ func (cc *IncrementalCC) ComponentsInto(buf []uint64) []uint64 {
 // delivered. Safe to call concurrently with drains and streams.
 func (cc *IncrementalCC) Pending() int { return cc.sink.Len() }
 
-// LogDeletes records the effective deletes of a committed batch (non-Del
-// ops are skipped) for a later RepairDeletes, tagged with the batch's
-// mutation epoch. Call after the batch committed — logging from inside
-// OnEdge would let a repair consume a delete whose batch is still in
-// flight and whose edge is therefore still visible in the pinned view.
-func (cc *IncrementalCC) LogDeletes(ops []tufast.StreamOp, epoch uint64) {
-	cc.delMu.Lock()
-	for _, op := range ops {
-		if op.Del {
-			cc.delLog = append(cc.delLog, loggedDelete{op.U, op.V, epoch})
-		}
-	}
-	cc.delMu.Unlock()
-}
-
-// PendingDeletes returns how many logged deletes await repair.
-func (cc *IncrementalCC) PendingDeletes() int {
-	cc.delMu.Lock()
-	defer cc.delMu.Unlock()
-	return len(cc.delLog)
-}
-
-// DropDeletesThrough discards logged deletes with epoch ≤ e — used
-// after a full Recompute, which re-derives every label and so covers
-// every delete visible at its topology.
-func (cc *IncrementalCC) DropDeletesThrough(e uint64) {
-	cc.delMu.Lock()
-	kept := cc.delLog[:0]
-	for _, d := range cc.delLog {
-		if d.epoch > e {
-			kept = append(kept, d)
-		}
-	}
-	cc.delLog = kept
-	cc.delMu.Unlock()
-}
-
-// RepairDeletes repairs component labels after edge deletes without a
-// full recompute: see RepairDeletesCtx.
-func (cc *IncrementalCC) RepairDeletes(view *tufast.GraphView) (int, error) {
-	return cc.RepairDeletesCtx(context.Background(), view)
-}
-
-// RepairDeletesCtx consumes the logged deletes with epoch ≤ the view's
-// pinned epoch and repairs the labels of every component they may have
-// split, reading topology only through the view. For each consumed
+// repairDeletes repairs the labels of every component the given deletes
+// may have split, reading topology only through the view. For each
 // delete (u, v): if the edge is live again at the view's epoch, or the
 // endpoints still share a neighbor there (the triangle fast path —
 // still connected, so no split), nothing needs repair. Otherwise the
 // components of u and v at the view's epoch are walked breadth-first,
 // every visited label is reset to self, and the vertices are queued;
-// the caller's following StabilizeCtx re-propagates each component's
-// true minimum. The walk runs at the pinned epoch, so inserts that
-// re-merged vertices after a delete are either already visible in the
-// view or will re-emit their endpoints themselves (OnEdge emits
-// unconditionally). On error the consumed deletes are restored for the
-// next attempt. Returns how many logged deletes were consumed.
-func (cc *IncrementalCC) RepairDeletesCtx(ctx context.Context, view *tufast.GraphView) (int, error) {
-	e := view.Epoch()
-	cc.delMu.Lock()
-	var take []loggedDelete
-	kept := cc.delLog[:0]
-	for _, d := range cc.delLog {
-		if d.epoch <= e {
-			take = append(take, d)
-		} else {
-			kept = append(kept, d)
-		}
-	}
-	cc.delLog = kept
-	cc.delMu.Unlock()
-	if len(take) == 0 {
-		return 0, nil
-	}
-	if err := cc.repairDeletes(ctx, view, take); err != nil {
-		cc.delMu.Lock()
-		cc.delLog = append(take, cc.delLog...)
-		cc.delMu.Unlock()
-		return 0, err
-	}
-	return len(take), nil
-}
-
+// the following drain re-propagates each component's true minimum. The
+// walk runs at the pinned epoch, so inserts that re-merged vertices
+// after a delete are either already visible in the view or will re-emit
+// their endpoints themselves (OnEdge emits unconditionally).
 func (cc *IncrementalCC) repairDeletes(ctx context.Context, view *tufast.GraphView, dels []loggedDelete) error {
+	if len(dels) == 0 {
+		return nil
+	}
 	n := cc.dyn.NumVertices()
 	visited := worklist.NewBitset(n)
 	var stack, affected, nu, nv []uint32
@@ -364,7 +365,8 @@ type DeltaPageRank struct {
 
 // NewDeltaPageRank attaches a delta-PageRank computation (damping d,
 // residual tolerance eps) to dg and seeds it for the current topology.
-// Quiescent start; call Stabilize (or run a stream) to converge.
+// Quiescent start; call Stabilize (or Repair, or run a stream) to
+// converge.
 func NewDeltaPageRank(dg *tufast.DynGraph, d, eps float64) *DeltaPageRank {
 	s := dg.System()
 	pr := &DeltaPageRank{
@@ -451,14 +453,23 @@ func (pr *DeltaPageRank) OnEdge(tx tufast.Tx, op tufast.StreamOp, changed bool, 
 // Emit is the StreamOptions.Emit hook.
 func (pr *DeltaPageRank) Emit(u uint32) { pr.sink.Push(u, 0) }
 
+// Committed does nothing: OnEdge already fixed up deletes exactly, so
+// a committed batch leaves only its emits to drain.
+func (pr *DeltaPageRank) Committed([]tufast.StreamOp, tufast.StreamStats) {}
+
+// Repair drains residuals below eps; see Stabilize. The push runs over
+// live adjacency, so the view is not read.
+func (pr *DeltaPageRank) Repair(ctx context.Context, _ *tufast.GraphView) (Repaired, error) {
+	return Repaired{}, pr.stabilize(ctx)
+}
+
 // Stabilize drains residuals below eps by asynchronous push. Safe to
 // run concurrently with ApplyStream (every hook emits post-commit).
 func (pr *DeltaPageRank) Stabilize() error {
-	return pr.StabilizeCtx(context.Background())
+	return pr.stabilize(context.Background())
 }
 
-// StabilizeCtx is Stabilize with cancellation.
-func (pr *DeltaPageRank) StabilizeCtx(ctx context.Context) error {
+func (pr *DeltaPageRank) stabilize(ctx context.Context) error {
 	hint := func(v uint32) int { return 2*pr.dyn.LiveDegree(v) + 8 }
 	_, err := pr.sys.Runtime().WithContext(ctx).Drain("delta_pagerank", pr.sink, pr.sink, hint,
 		func(out *worklist.Emits) func(sched.Tx, uint32) error {
@@ -493,10 +504,10 @@ func (pr *DeltaPageRank) Ranks() []float64 {
 }
 
 // RanksInto appends the current estimates into buf[:0]. Each rank is
-// one atomic word read, so calling it while a Stabilize drain or
-// mutation stream runs is memory-safe — but the values are then
-// advisory (mid-push mass can be in a residual rather than a rank).
-// For an exact snapshot, call at quiescence.
+// one atomic word read, so calling it while a Repair drain or mutation
+// stream runs is memory-safe — but the values are then advisory
+// (mid-push mass can be in a residual rather than a rank). For an exact
+// snapshot, call at quiescence.
 func (pr *DeltaPageRank) RanksInto(buf []float64) []float64 {
 	n := pr.dyn.NumVertices()
 	buf = buf[:0]
@@ -518,44 +529,47 @@ type streamResult struct {
 	err   error
 }
 
-// runStreaming applies ops with the given hooks while repeatedly
-// draining stabilize concurrently, then returns the stream stats.
-// The drain only runs while pending reports queued repair work — an
-// empty sink sleeps with exponential backoff instead of spinning a
-// core through stabilize's quiesce protocol for the whole stream.
-func runStreaming(ctx context.Context, d *tufast.DynGraph, ops []tufast.StreamOp,
-	window int, onEdge func(tufast.Tx, tufast.StreamOp, bool, func(uint32)) error,
-	emit func(uint32), pending func() int, stabilize func(context.Context) error) (tufast.StreamStats, error) {
-
+// runStreaming repairs c once at the current epoch, applies ops with
+// c's hooks while repairing concurrently, then hands c the stream's
+// ops and stats and repairs once more. The concurrent repairs follow
+// the server's standing-query worker: the Emit hook fills a buffered(1)
+// wake channel without blocking, so the loop sleeps while nothing is
+// emitted and emits landing during a repair coalesce into one more.
+func runStreaming(ctx context.Context, d *tufast.DynGraph, ops []tufast.StreamOp, window int, c Incremental) (tufast.StreamStats, error) {
+	repair := func() error {
+		view := d.View()
+		defer view.Close()
+		_, err := c.Repair(ctx, view)
+		return err
+	}
+	if err := repair(); err != nil {
+		return tufast.StreamStats{}, err
+	}
+	wake := make(chan struct{}, 1)
 	done := make(chan streamResult, 1)
 	go func() {
 		st, err := d.ApplyStreamCtx(ctx, ops, tufast.StreamOptions{
-			Window: window, OnEdge: onEdge, Emit: emit,
+			Window: window, OnEdge: c.OnEdge,
+			Emit: func(u uint32) {
+				c.Emit(u)
+				select {
+				case wake <- struct{}{}:
+				default:
+				}
+			},
 		})
 		done <- streamResult{st, err}
 	}()
-	const minSleep, maxSleep = 50 * time.Microsecond, 2 * time.Millisecond
-	sleep := minSleep
 	for {
 		select {
 		case r := <-done:
 			if r.err != nil {
 				return r.stats, r.err
 			}
-			return r.stats, nil
-		default:
-			if pending() == 0 {
-				// An emit landing between the check and the sleep just
-				// waits one backoff step; the caller's final drain after
-				// the stream returns catches any tail.
-				time.Sleep(sleep)
-				if sleep *= 2; sleep > maxSleep {
-					sleep = maxSleep
-				}
-				continue
-			}
-			sleep = minSleep
-			if err := stabilize(ctx); err != nil {
+			c.Committed(ops, r.stats)
+			return r.stats, repair()
+		case <-wake:
+			if err := repair(); err != nil {
 				r := <-done // let the stream driver finish before reporting
 				if r.err != nil {
 					return r.stats, r.err
@@ -570,31 +584,15 @@ func runStreaming(ctx context.Context, d *tufast.DynGraph, ops []tufast.StreamOp
 // connected components incrementally: mutation transactions and label
 // propagation run concurrently on the same transactional runtime. If
 // the stream contained effective deletes, the components they touched
-// are repaired against an epoch-pinned view (RepairDeletes) — not
-// rebuilt from scratch; otherwise a final Stabilize suffices. Returns
-// the final labels and the stream stats.
+// are repaired against an epoch-pinned view — not rebuilt from
+// scratch. Returns the final labels and the stream stats.
 func StreamingCC(ctx context.Context, d *tufast.DynGraph, ops []tufast.StreamOp, window int) ([]uint64, tufast.StreamStats, error) {
 	cc, err := NewIncrementalCC(d)
 	if err != nil {
 		return nil, tufast.StreamStats{}, err
 	}
-	if err := cc.RecomputeCtx(ctx); err != nil {
-		return nil, tufast.StreamStats{}, err
-	}
-	stats, err := runStreaming(ctx, d, ops, window, cc.OnEdge, cc.Emit, cc.Pending, cc.StabilizeCtx)
+	stats, err := runStreaming(ctx, d, ops, window, cc)
 	if err != nil {
-		return nil, stats, err
-	}
-	if stats.Removed > 0 {
-		view := d.View()
-		cc.LogDeletes(ops, view.Epoch())
-		_, err = cc.RepairDeletesCtx(ctx, view)
-		view.Close()
-		if err != nil {
-			return nil, stats, err
-		}
-	}
-	if err := cc.StabilizeCtx(ctx); err != nil {
 		return nil, stats, err
 	}
 	return cc.Components(), stats, nil
@@ -606,14 +604,8 @@ func StreamingCC(ctx context.Context, d *tufast.DynGraph, ops []tufast.StreamOp,
 // final ranks and the stream stats.
 func StreamingPageRank(ctx context.Context, d *tufast.DynGraph, ops []tufast.StreamOp, damping, eps float64, window int) ([]float64, tufast.StreamStats, error) {
 	pr := NewDeltaPageRank(d, damping, eps)
-	if err := pr.StabilizeCtx(ctx); err != nil {
-		return nil, tufast.StreamStats{}, err
-	}
-	stats, err := runStreaming(ctx, d, ops, window, pr.OnEdge, pr.Emit, pr.Pending, pr.StabilizeCtx)
+	stats, err := runStreaming(ctx, d, ops, window, pr)
 	if err != nil {
-		return nil, stats, err
-	}
-	if err := pr.StabilizeCtx(ctx); err != nil {
 		return nil, stats, err
 	}
 	return pr.Ranks(), stats, nil

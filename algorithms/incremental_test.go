@@ -102,6 +102,87 @@ func TestIncrementalCCRequiresUndirected(t *testing.T) {
 	}
 }
 
+// TestIncrementalCCRepair drives the Committed/Repair contract by hand,
+// one batch and one repair at a time, on two 4-cycles joined by the
+// bridge 3-4 beside the triangle 8-9-10. After every repair the labels
+// must match ConnectedComponents on the compacted graph.
+func TestIncrementalCCRepair(t *testing.T) {
+	edges := []tufast.EdgePair{
+		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0},
+		{U: 4, V: 5}, {U: 5, V: 6}, {U: 6, V: 7}, {U: 7, V: 4},
+		{U: 3, V: 4},
+		{U: 8, V: 9}, {U: 9, V: 10}, {U: 10, V: 8},
+	}
+	g, err := tufast.BuildGraph(11, edges, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, d := dynSystem(t, g, 64)
+	cc, err := algorithms.NewIncrementalCC(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply := func(ops ...tufast.StreamOp) {
+		t.Helper()
+		stats, err := d.ApplyStream(ops, tufast.StreamOptions{OnEdge: cc.OnEdge, Emit: cc.Emit})
+		if err != nil {
+			t.Fatalf("ApplyStream: %v", err)
+		}
+		cc.Committed(ops, stats)
+	}
+	repair := func(ctx context.Context) (algorithms.Repaired, error) {
+		view := d.View()
+		defer view.Close()
+		return cc.Repair(ctx, view)
+	}
+	check := func(step string, want algorithms.Repaired) {
+		t.Helper()
+		got, err := repair(context.Background())
+		if err != nil {
+			t.Fatalf("%s: Repair: %v", step, err)
+		}
+		if got != want {
+			t.Errorf("%s: Repair did %+v, want %+v", step, got, want)
+		}
+		final, err := d.Compact()
+		if err != nil {
+			t.Fatalf("%s: Compact: %v", step, err)
+		}
+		labels, oracle := cc.Components(), staticLabels(t, final)
+		for v := range oracle {
+			if labels[v] != oracle[v] {
+				t.Fatalf("%s: label[%d] = %d, static says %d", step, v, labels[v], oracle[v])
+			}
+		}
+	}
+	bridge := tufast.StreamOp{U: 3, V: 4}
+	cut := tufast.StreamOp{U: 3, V: 4, Del: true}
+
+	check("seed", algorithms.Repaired{Recomputed: true})
+
+	apply(cut)
+	check("a delete that splits a component", algorithms.Repaired{Deletes: 1})
+
+	apply(bridge)
+	check("the bridge re-inserted", algorithms.Repaired{})
+	apply(cut)
+	apply(bridge)
+	check("a delete re-added before the repair", algorithms.Repaired{Deletes: 1})
+
+	apply(tufast.StreamOp{U: 8, V: 9, Del: true})
+	check("a delete inside a triangle", algorithms.Repaired{Deletes: 1})
+
+	// A repair that fails must put the deletes it took back: the next
+	// one still has to split the component.
+	apply(cut)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := repair(ctx); err == nil {
+		t.Fatal("Repair under a cancelled context succeeded")
+	}
+	check("the repair after a cancelled one", algorithms.Repaired{Deletes: 1})
+}
+
 // staticRanks computes PageRank of g from scratch on a fresh system.
 func staticRanks(t *testing.T, g *tufast.Graph, damping, eps float64) []float64 {
 	t.Helper()

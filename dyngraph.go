@@ -71,7 +71,7 @@ type DynGraph struct {
 // construct the System with Options.SpaceWords ≥ DynSpaceWords for the
 // mutation volume you expect.
 func NewDynGraph(s *System) *DynGraph {
-	return &DynGraph{sys: s, st: dyngraph.New(s.sp, s.g.csr), pins: make(map[uint64]int)}
+	return &DynGraph{sys: s, st: dyngraph.New(s.rt.Sp, s.g.csr), pins: make(map[uint64]int)}
 }
 
 // DynSpaceWords returns an Options.SpaceWords value sized for a System
@@ -133,7 +133,7 @@ func (d *DynGraph) MutationHint(u, v uint32) int { return d.st.Hint(u, v) }
 // phases, materialising rows on the System's threads. Quiescent: all
 // mutators must have drained.
 func (d *DynGraph) Compact() (*Graph, error) {
-	csr, err := d.st.Compact(d.sys.threads)
+	csr, err := d.st.Compact(d.sys.rt.Threads)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +253,7 @@ func (v *GraphView) Degree(u uint32) int {
 // count on undirected graphs). O(V+E), spread over the System's
 // threads.
 func (v *GraphView) Arcs() int {
-	return v.d.st.ArcsAt(v.epoch, v.d.sys.threads)
+	return v.d.st.ArcsAt(v.epoch, v.d.sys.rt.Threads)
 }
 
 // NumVertices returns |V|.
@@ -263,7 +263,7 @@ func (v *GraphView) NumVertices() int { return v.d.st.NumVertices() }
 // Graph, materialising rows on the System's threads. Unlike
 // DynGraph.Compact it is safe while mutators run.
 func (v *GraphView) Compact() (*Graph, error) {
-	csr, err := v.d.st.CompactAt(v.epoch, v.d.sys.threads)
+	csr, err := v.d.st.CompactAt(v.epoch, v.d.sys.rt.Threads)
 	if err != nil {
 		return nil, err
 	}
@@ -312,7 +312,7 @@ func (d *DynGraph) GCCtx(ctx context.Context, reserveWords int) (int, error) {
 		if words < minWords {
 			continue
 		}
-		if d.sys.sp.Cap()-d.sys.sp.Used() < words+reserveWords {
+		if d.sys.rt.Sp.Cap()-d.sys.rt.Sp.Used() < words+reserveWords {
 			return rewritten, nil
 		}
 		did := false
@@ -663,7 +663,7 @@ func (a *applier) run(t sched.Tx) error {
 // applyWindow runs one window of ops concurrently, barriers, and adds
 // the window's outcomes to stats.
 func (d *DynGraph) applyWindow(ctx context.Context, win []StreamOp, opt StreamOptions, stats *StreamStats) error {
-	appliers := make([]applier, d.sys.threads)
+	appliers := make([]applier, d.sys.rt.Threads)
 	err := d.sys.rt.WithContext(ctx).Sweep("apply_stream", len(win), 32, func(tid int, w *algo.Worker) func(int) error {
 		a := &appliers[tid] // tid is one goroutine's for the whole window
 		a.init(d, opt)

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -61,7 +62,7 @@ func (g *CSR) WriteBinary(w io.Writer) error {
 // adjacency and are accepted; any other trailing bytes, or a checksum
 // mismatch, are corruption.
 func ReadBinary(r io.Reader) (*CSR, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := bufio.NewReaderSize(r, readChunk)
 	crc := crc32.New(crcTable)
 	cr := io.TeeReader(br, crc)
 	var hdr [4]uint64
@@ -77,12 +78,12 @@ func ReadBinary(r io.Reader) (*CSR, error) {
 	if n < 0 || m < 0 || n > 1<<31 || m > 1<<33 {
 		return nil, fmt.Errorf("graph: implausible sizes n=%d m=%d", n, m)
 	}
-	offsets := make([]uint64, n+1)
-	if err := binary.Read(cr, binary.LittleEndian, offsets); err != nil {
+	offsets, err := readWords[uint64](cr, n+1)
+	if err != nil {
 		return nil, fmt.Errorf("graph: read offsets: %w", err)
 	}
-	adj := make([]uint32, m)
-	if err := binary.Read(cr, binary.LittleEndian, adj); err != nil {
+	adj, err := readWords[uint32](cr, m)
+	if err != nil {
 		return nil, fmt.Errorf("graph: read adjacency: %w", err)
 	}
 	sum := uint64(crc.Sum32()) // body checksum, before the footer bytes are consumed
@@ -105,6 +106,42 @@ func ReadBinary(r io.Reader) (*CSR, error) {
 		return nil, fmt.Errorf("graph: checksum mismatch: file %#x, computed %#x", footer[1], sum)
 	}
 	return FromCSRParts(n, offsets, adj, hdr[3] != 0)
+}
+
+// readChunk bounds what ReadBinary allocates ahead of the bytes it has
+// read: a header claiming a huge graph fails at the first short read
+// having allocated O(readChunk), not what the header claims.
+const readChunk = 64 << 10
+
+// readWords reads count little-endian words, growing the result one
+// chunk at a time as the bytes arrive (doubling, so a genuine count
+// costs at most twice its size in allocation).
+func readWords[T uint32 | uint64](r io.Reader, count int) ([]T, error) {
+	size := binary.Size(T(0))
+	buf := make([]byte, min(count*size, readChunk))
+	var out []T
+	for len(out) < count {
+		b := buf[:min((count-len(out))*size, len(buf))]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, err
+		}
+		k := len(b) / size
+		if len(out)+k > cap(out) {
+			out = slices.Grow(out, min(max(2*cap(out), len(out)+k), count)-len(out))
+		}
+		switch dst := any(out[len(out) : len(out)+k]).(type) {
+		case []uint32:
+			for i := range dst {
+				dst[i] = binary.LittleEndian.Uint32(b[4*i:])
+			}
+		case []uint64:
+			for i := range dst {
+				dst[i] = binary.LittleEndian.Uint64(b[8*i:])
+			}
+		}
+		out = out[:len(out)+k]
+	}
+	return out, nil
 }
 
 // SaveBinary writes the CSR to a file crash-atomically: a kill mid-save

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -111,5 +113,49 @@ func TestSaveBinaryAtomicReplace(t *testing.T) {
 	}
 	if len(ents) != 1 {
 		t.Fatalf("expected only g.bin in dir, found %d entries", len(ents))
+	}
+}
+
+// TestReadBinaryHugeHeader feeds a bare 32-byte header claiming 2³¹
+// vertices: ReadBinary must fail on the missing body having allocated
+// what it read, not the 16 GiB the header asks for. A graph whose
+// offsets and adjacency span many read chunks still round-trips.
+func TestReadBinaryHugeHeader(t *testing.T) {
+	var hdr bytes.Buffer
+	for _, h := range []uint64{binaryMagic, 1 << 31, 1 << 33, 1} {
+		if err := binary.Write(&hdr, binary.LittleEndian, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(bytes.NewReader(hdr.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header without a body was accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("rejecting a 32-byte file allocated %d bytes, want < 1 MiB", got)
+	}
+
+	const n = 50_000
+	edges := make([]Edge, 0, 3*n)
+	for v := uint32(0); v < n; v++ {
+		edges = append(edges, Edge{U: v, V: (v + 1) % n}, Edge{U: v, V: (v * 7) % n}, Edge{U: v, V: (v * 13) % n})
+	}
+	g, err := Build(n, edges, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := g.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	g2, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatalf("multi-chunk round trip: %v", err)
+	}
+	if !slices.Equal(g2.offsets, g.offsets) || !slices.Equal(g2.adj, g.adj) {
+		t.Fatal("multi-chunk round trip changed the graph")
 	}
 }

@@ -323,7 +323,7 @@ func pathDyn(t *testing.T, n int) *tufast.DynGraph {
 // including a delete whose edge is re-inserted before its repair runs —
 // must converge to oracle labels with exactly the one seed-time
 // recompute on the books, the deletes all flowing through the
-// RepairDeletes path instead.
+// localized delete-repair path instead.
 func TestStandingDeleteRepairNoRecompute(t *testing.T) {
 	const n = 200
 	d := pathDyn(t, n)
@@ -377,7 +377,7 @@ func TestStandingDeleteRepairNoRecompute(t *testing.T) {
 	if q == nil {
 		t.Fatal("standing cc vanished from the registry")
 	}
-	got := q.cc.Components()
+	got := q.comp.(*algorithms.IncrementalCC).Components()
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("label[%d] = %d, oracle says %d", v, got[v], want[v])

@@ -53,6 +53,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
 	"net"
@@ -616,13 +617,21 @@ func (s *graphInstance) handleEdges(w http.ResponseWriter, r *http.Request) {
 	s.met.batchLatency.Record(uint64(clock.last.Sub(clock.start)))
 }
 
+// maxJobBody bounds a job request's body: a request is a handful of
+// scalar fields, so anything near this is not one.
+const maxJobBody = 64 << 10
+
 func (s *graphInstance) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.srv.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody)).Decode(&req); err != nil {
+		if cut := (*http.MaxBytesError)(nil); errors.As(err, &cut) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("job request exceeds %d bytes", cut.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad request: "+err.Error())
 		return
 	}

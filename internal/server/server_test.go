@@ -432,6 +432,28 @@ func TestJobDeadlineExceeded(t *testing.T) {
 	}
 }
 
+// TestJobBodyLimit pins the bound on a job request's body: 1 MiB is
+// refused with 413 instead of being decoded, and a normal request
+// after it is still admitted.
+func TestJobBodyLimit(t *testing.T) {
+	d := newTestDyn(t, 200, 3)
+	s := startServer(t, d, Config{JobWorkers: 1, QueueDepth: 4})
+	base := "http://" + s.Addr()
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+
+	code, body, _ := postJSON(t, client, base+"/v1/jobs",
+		map[string]any{"algo": "degree", "pad": strings.Repeat("x", 1<<20)})
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("1 MiB job request: %d %v, want 413", code, body)
+	}
+	code, view, _ := postJSON(t, client, base+"/v1/jobs",
+		map[string]any{"algo": "degree", "timeout_ms": 60_000})
+	if code != http.StatusAccepted {
+		t.Fatalf("normal job request: %d %v, want 202", code, view)
+	}
+}
+
 // TestDrainClean pins graceful shutdown: admission flips to 503,
 // in-flight jobs are finished or cancelled within the grace period,
 // and no goroutine survives the drain.

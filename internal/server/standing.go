@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,40 +15,40 @@ import (
 
 // The standing-query plane keeps analytics results *resident* instead
 // of recomputing them per epoch: a job submitted with "standing": true
-// registers a delta-maintained computation (algorithms.DeltaPageRank
-// or algorithms.IncrementalCC) whose OnEdge/Emit hooks ride every
+// registers a delta-maintained computation (an algorithms.Incremental:
+// DeltaPageRank or IncrementalCC) whose OnEdge/Emit hooks ride every
 // mutation batch the server applies. After each effective batch a
-// per-query repair worker stabilizes the pending delta against an
+// per-query repair worker runs the computation's Repair against an
 // epoch-pinned view — mutation batches keep committing while it runs —
-// and publishes a fresh (result, epoch) pair, so standing reads
+// and publishes a fresh (result, epoch) state, so standing reads
 // between mutations are O(1) map hits and reads immediately after a
 // mutation see either the last stable result (tagged with its epoch
 // and repairing=true) or the already-repaired one — never a torn mix.
-// The generation counter carries the exactness argument: a publish
-// that observed gen unchanged across the whole repair knows no batch
-// committed since its view was pinned, so the pinned epoch IS the
-// current topology.
+// The generation counter carries the exactness argument: a state whose
+// repair began at the current generation covers every batch that has
+// committed, so its pinned epoch IS the current topology.
 //
-// DeltaPageRank repairs are an O(delta) StabilizeCtx for inserts and
-// deletes alike. IncrementalCC's min-label propagation cannot split
-// components, so each effective batch's deletes are logged and
-// repaired locally (algorithms.RepairDeletesCtx): the repair walks
-// just the components the deletes touched in its pinned view and
-// re-derives their labels — a full RecomputeCtx happens only at seed
-// time (and on its error retry).
+// The server drives both computations through the one contract and
+// never asks which it holds: Committed after each batch (IncrementalCC
+// logs the batch's deletes there, since min-label propagation cannot
+// split components), Repair in the worker (DeltaPageRank's is an
+// O(delta) drain for inserts and deletes alike; IncrementalCC's first
+// one is the full recompute, later ones re-derive just the components
+// the logged deletes touched), and Pending for GET /v1/standing.
 type standingManager struct {
 	s *graphInstance
 
-	// mu guards registry mutations (register/remove); the hook fan-out
-	// reads the copy-on-write active list instead, so the per-op cost
-	// with no standing queries is one atomic load. seed() republishes
-	// the active list while holding the instance's mutMu, so mu ranks
-	// below it.
+	// mu guards registry mutations (register/remove) and the writes of
+	// the active list; the hook fan-out reads the copy-on-write active
+	// list instead, so the per-op cost with no standing queries is one
+	// atomic load. seed() appends to the active list while holding the
+	// instance's mutMu, so mu ranks below it.
 	//
 	//tufast:lockorder 40
 	mu    sync.Mutex
 	byKey map[string]*standingQuery
 
+	// active lists the seeded queries, the only ones whose comp is read.
 	active atomic.Pointer[[]*standingQuery]
 
 	wg sync.WaitGroup
@@ -63,133 +64,98 @@ type standingQuery struct {
 	req      JobRequest
 	regJobID string
 
-	// Exactly one of pr/cc is set once seeded; both nil while the
-	// registration job is still constructing the computation (the
-	// hooks skip unseeded queries).
-	pr *algorithms.DeltaPageRank
-	cc *algorithms.IncrementalCC
+	// comp and summary are set by seed before the query joins the
+	// active list and never change; nothing reads them before then.
+	comp    algorithms.Incremental
+	summary func() any
 
-	// gen counts effective batches delivered to this query; a publish
-	// that observed gen == current marks the result stable.
+	// gen counts effective batches delivered to this query; a state
+	// whose repair began at the current gen covers every one of them.
 	gen atomic.Uint64
-	// needRecompute requests a full label rebuild for cc queries. Only
-	// the seed (initial labels) and a failed recompute's retry set it;
-	// delete batches go through the localized RepairDeletes path.
-	needRecompute atomic.Bool
 	// dirtySince is the unix-nano commit time of the oldest batch not
 	// yet covered by a publish (0 = none); it feeds the repair-lag
 	// histogram.
 	dirtySince atomic.Int64
 	notify     chan struct{} // buffered(1): coalesced repair wakeups
 
-	//tufast:lockorder 50
-	mu        sync.Mutex
-	ready     bool
-	repairing bool
-	result    any
-	epoch     uint64
-	failErr   error
-
-	readyCh chan struct{} // closed on first publish or failure
+	// state is the last publish, nil until the first repair or failure.
+	state   atomic.Pointer[standingState]
+	readyCh chan struct{} // closed by the publish that replaces nil
 }
 
-// onEdge runs inside the mutation transaction; it must be retry-safe,
-// which holds because the underlying hooks are.
-func (q *standingQuery) onEdge(tx tufast.Tx, op tufast.StreamOp, changed bool, emit func(u uint32)) error {
-	switch {
-	case q.pr != nil:
-		return q.pr.OnEdge(tx, op, changed, emit)
-	case q.cc != nil:
-		return q.cc.OnEdge(tx, op, changed, emit)
-	}
-	return nil
+// standingState is one immutable publish: a reader loads it whole, so
+// result and epoch always belong together.
+type standingState struct {
+	result   any
+	epoch    uint64
+	gen      uint64 // q.gen when the repair that built result began
+	seqClean bool   // no batch was mid-commit while result was built
+	err      error  // the failure that retired the query
 }
 
-// emit receives post-commit emissions. Every registered query sees
-// every emitted vertex (the stream has one emit channel); a vertex
-// another query emitted is a spurious wakeup here, which both drains
-// treat as a no-op.
-func (q *standingQuery) emit(u uint32) {
-	switch {
-	case q.pr != nil:
-		q.pr.Emit(u)
-	case q.cc != nil:
-		q.cc.Emit(u)
+// publish installs st and releases the first-result waiters.
+func (q *standingQuery) publish(st *standingState) {
+	if q.state.Swap(st) == nil {
+		close(q.readyCh)
 	}
 }
 
-// pending is called from views() on queries that may still be seeding;
-// the pointer snapshot under q.mu pairs with seed's locked publish.
-func (q *standingQuery) pending() int {
-	q.mu.Lock()
-	pr, cc := q.pr, q.cc
-	q.mu.Unlock()
-	switch {
-	case pr != nil:
-		return pr.Pending()
-	case cc != nil:
-		return cc.Pending()
-	}
-	return 0
+// repairing reports whether st may be stale: not yet published, built
+// beside a batch in flight, or older than a batch delivered since.
+func (q *standingQuery) repairing(st *standingState) bool {
+	return st == nil || !st.seqClean || q.gen.Load() != st.gen
 }
 
 // serve returns the published view when the query is ready.
 func (q *standingQuery) serve() (jobView, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if !q.ready || q.failErr != nil {
+	st := q.state.Load()
+	if st == nil || st.err != nil {
 		return jobView{}, false
 	}
-	e := q.epoch
+	e := st.epoch
 	return jobView{
 		Algo: q.req.Algo, Status: StatusDone,
-		Standing: true, Repairing: q.repairing,
-		Epoch: &e, Result: q.result,
+		Standing: true, Repairing: q.repairing(st),
+		Epoch: &e, Result: st.result,
 	}, true
 }
 
-// current returns the published result for the registration job.
-func (q *standingQuery) current() (any, uint64, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.failErr != nil {
-		return nil, 0, q.failErr
-	}
-	return q.result, q.epoch, nil
-}
-
 // onEdge is the StreamOptions.OnEdge fan-out the server installs on
-// every mutation batch.
+// every mutation batch. It runs inside the mutation transaction and
+// must be retry-safe, which holds because the computations' hooks are.
 func (m *standingManager) onEdge(tx tufast.Tx, op tufast.StreamOp, changed bool, emit func(u uint32)) error {
 	qs := m.active.Load()
 	if qs == nil {
 		return nil
 	}
 	for _, q := range *qs {
-		if err := q.onEdge(tx, op, changed, emit); err != nil {
+		if err := q.comp.OnEdge(tx, op, changed, emit); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// emit is the StreamOptions.Emit fan-out.
+// emit is the StreamOptions.Emit fan-out. Every registered query sees
+// every emitted vertex (the stream has one emit channel); a vertex
+// another query emitted is a spurious wakeup here, which both drains
+// treat as a no-op.
 func (m *standingManager) emit(u uint32) {
 	qs := m.active.Load()
 	if qs == nil {
 		return
 	}
 	for _, q := range *qs {
-		q.emit(u)
+		q.comp.Emit(u)
 	}
 }
 
 // batchCommitted is called by the mutation plane after every effective
-// batch, still inside the mutMu bracket: it marks each query stale and
-// wakes its repair worker. A batch's deletes are logged on cc queries
-// BEFORE the gen bump: a repair that loads gen and sees this batch
-// counted is then guaranteed (by the atomic's ordering) to also see its
-// log entries, so a stable publish can never have skipped a delete.
+// batch, still inside the mutMu bracket: it hands each query the batch
+// and wakes its repair worker. Committed runs BEFORE the gen bump: a
+// repair that loads gen and sees this batch counted is then guaranteed
+// (by the atomic's ordering) to also see what Committed recorded, so a
+// stable publish can never have skipped a delete.
 func (m *standingManager) batchCommitted(stats tufast.StreamStats, ops []tufast.StreamOp) {
 	qs := m.active.Load()
 	if qs == nil {
@@ -197,14 +163,9 @@ func (m *standingManager) batchCommitted(stats tufast.StreamStats, ops []tufast.
 	}
 	now := time.Now().UnixNano()
 	for _, q := range *qs {
-		if stats.Removed > 0 && q.cc != nil {
-			q.cc.LogDeletes(ops, stats.Epoch)
-		}
+		q.comp.Committed(ops, stats)
 		q.gen.Add(1)
 		q.dirtySince.CompareAndSwap(0, now)
-		q.mu.Lock()
-		q.repairing = true
-		q.mu.Unlock()
 		select {
 		case q.notify <- struct{}{}:
 		default:
@@ -225,8 +186,8 @@ func (m *standingManager) count() int {
 	return len(m.byKey)
 }
 
-// repairingCount reports how many registered queries are currently
-// stale (initializing or mid-repair), a /metrics gauge.
+// repairingCount reports how many seeded queries are currently stale
+// (initializing or mid-repair), a /metrics gauge.
 func (m *standingManager) repairingCount() int {
 	qs := m.active.Load()
 	if qs == nil {
@@ -234,11 +195,9 @@ func (m *standingManager) repairingCount() int {
 	}
 	n := 0
 	for _, q := range *qs {
-		q.mu.Lock()
-		if !q.ready || q.repairing {
+		if q.repairing(q.state.Load()) {
 			n++
 		}
-		q.mu.Unlock()
 	}
 	return n
 }
@@ -266,7 +225,7 @@ func (m *standingManager) ensure(req JobRequest, jobID string) (*standingQuery, 
 	m.mu.Unlock()
 
 	if err := m.seed(q); err != nil {
-		m.remove(q)
+		m.fail(q, err) // a registration that joined q waits on readyCh
 		return nil, err
 	}
 	m.wg.Add(1)
@@ -280,7 +239,9 @@ func (m *standingManager) ensure(req JobRequest, jobID string) (*standingQuery, 
 // makes it visible to the mutation hooks. Holding mutMu, the mutation
 // bracket's own lock, is what guarantees no batch commits between
 // "initial state read" and "hooks active" — a batch in that gap would
-// be invisible to both.
+// be invisible to both. The hooks need no lock of their own: they find
+// q through the active-list pointer stored last, which happens-after
+// the comp assignment.
 func (m *standingManager) seed(q *standingQuery) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -292,71 +253,45 @@ func (m *standingManager) seed(q *standingQuery) (err error) {
 	}()
 	m.s.mutMu.Lock()
 	defer m.s.mutMu.Unlock()
-	// q is already registered in byKey, so views() can reach it while
-	// the computation is still being built: publish the pr/cc pointers
-	// under q.mu. The hooks need no lock — they find q through the
-	// active-list pointer published below, which happens-after these
-	// assignments.
 	switch q.req.Algo {
 	case "pagerank":
 		pr := algorithms.NewDeltaPageRank(m.s.dyn, q.req.Damping, q.req.Eps)
-		q.mu.Lock()
-		q.pr = pr
-		q.mu.Unlock()
+		q.comp, q.summary = pr, func() any { return pagerankSummary(pr.RanksInto(nil), q.req.TopK) }
 	case "cc":
 		cc, cerr := algorithms.NewIncrementalCC(m.s.dyn)
 		if cerr != nil {
 			return cerr
 		}
-		q.mu.Lock()
-		q.cc = cc
-		q.mu.Unlock()
-		q.needRecompute.Store(true) // initial labels come from a full recompute
+		q.comp, q.summary = cc, func() any { return ccSummary(cc.ComponentsInto(nil)) }
 	default:
 		return fmt.Errorf("standing mode supports pagerank|cc, not %q", q.req.Algo)
 	}
-	m.publishActive()
+	m.mu.Lock()
+	var qs []*standingQuery
+	if cur := m.active.Load(); cur != nil {
+		qs = slices.Clip(*cur)
+	}
+	qs = append(qs, q)
+	m.active.Store(&qs)
+	m.mu.Unlock()
 	return nil
 }
 
-// publishActive rebuilds the copy-on-write hook list. Registry entries
-// may still be seeding on another goroutine (ensure registers before
-// seed runs), so the seeded test takes q.mu, pairing with seed's
-// locked publish of pr/cc.
-func (m *standingManager) publishActive() {
-	m.mu.Lock()
-	qs := make([]*standingQuery, 0, len(m.byKey))
-	for _, q := range m.byKey {
-		q.mu.Lock()
-		seeded := q.pr != nil || q.cc != nil
-		q.mu.Unlock()
-		if seeded {
-			qs = append(qs, q)
-		}
-	}
-	m.mu.Unlock()
-	m.active.Store(&qs)
-}
-
-// remove unregisters a query that failed to seed or repair, so a later
+// remove unregisters q and drops it from the active list, so a later
 // submission can retry registration.
 func (m *standingManager) remove(q *standingQuery) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	delete(m.byKey, q.key)
-	m.mu.Unlock()
-	m.publishActive()
+	if cur := m.active.Load(); cur != nil {
+		qs := slices.DeleteFunc(slices.Clone(*cur), func(o *standingQuery) bool { return o == q })
+		m.active.Store(&qs)
+	}
 }
 
-// fail marks q broken, releases waiters, and unregisters it.
+// fail publishes q's error, releasing waiters, and unregisters it.
 func (m *standingManager) fail(q *standingQuery, err error) {
-	q.mu.Lock()
-	q.failErr = err
-	wasReady := q.ready
-	q.ready = true
-	q.mu.Unlock()
-	if !wasReady {
-		close(q.readyCh)
-	}
+	q.publish(&standingState{err: err})
 	m.remove(q)
 }
 
@@ -382,18 +317,18 @@ func (m *standingManager) worker(q *standingQuery) {
 
 // repairOnce brings q up to date and publishes — WITHOUT excluding
 // mutators: the drain runs against the live overlay while batches keep
-// committing, and the published pair comes from a view pinned at the
+// committing, and the published state comes from a view pinned at the
 // repair's admission epoch. The ordering carries correctness:
 //
 //  1. load gen — any batch counted here committed before the load, so
-//     its emits are in the sink and its deletes are in the log;
+//     its emits are in the sink and Committed has seen it;
 //  2. pin the view — at an epoch ≥ every batch counted by (1);
-//  3. repair: consume logged deletes ≤ the pinned epoch, stabilize;
-//  4. publish (result, pinned epoch), re-reading gen: unchanged means
-//     no batch committed since (1), so the pinned epoch is the current
-//     topology and the result is exact; changed means a batch slipped
-//     in — its own notification re-runs this cycle, and the published
-//     result stays flagged repairing until then.
+//  3. Repair: consume what Committed logged ≤ the pinned epoch, drain;
+//  4. publish (result, pinned epoch, gen from (1)): while gen still
+//     equals it, no batch committed since (1), so the pinned epoch is
+//     the current topology and the result is exact; once a batch
+//     slips in, its own notification re-runs this cycle, and readers
+//     see the state as repairing until then.
 //
 // Pinning before the gen load would be wrong: a batch could bump gen
 // between the two, count as "covered" at publish, yet have committed
@@ -404,9 +339,9 @@ func (m *standingManager) worker(q *standingQuery) {
 // reads while mutators run, so a batch mid-commit during the build can
 // leak partial hook writes into it. Observing mutSeq unchanged and even
 // across the whole cycle proves no batch overlapped the build; anything
-// else flags the publish repairing. A mid-flight batch may turn out
-// ineffective and never notify, so that path schedules its own re-check
-// rather than waiting on a wakeup that might not come.
+// else marks the state repairing for good. A mid-flight batch may turn
+// out ineffective and never notify, so that path schedules its own
+// re-check rather than waiting on a wakeup that might not come.
 func (m *standingManager) repairOnce(q *standingQuery) error {
 	s := m.s
 	dirty := q.dirtySince.Swap(0)
@@ -416,60 +351,16 @@ func (m *standingManager) repairOnce(q *standingQuery) error {
 	gen := q.gen.Load()
 	view := s.dyn.View()
 	defer view.Close()
-	recompute := q.cc != nil && q.needRecompute.Swap(false)
-	deleteRepairs := 0
-	var err error
-	switch {
-	case recompute:
-		// Seed-time label rebuild (or its retry). It reads the live
-		// topology, which is ≥ the pinned view; logged deletes at or
-		// below the pin are covered by the rebuilt labels.
-		if err = q.cc.RecomputeCtx(s.baseCtx); err == nil {
-			q.cc.DropDeletesThrough(view.Epoch())
-		}
-	case q.pr != nil:
-		err = q.pr.StabilizeCtx(s.baseCtx)
-	default:
-		// Localized split repair at the pinned epoch, then the usual
-		// min-label drain. On error RepairDeletesCtx restores the
-		// consumed log entries itself.
-		deleteRepairs, err = q.cc.RepairDeletesCtx(s.baseCtx, view)
-		if err == nil {
-			err = q.cc.StabilizeCtx(s.baseCtx)
-		}
-	}
+	did, err := q.comp.Repair(s.baseCtx, view)
 	if err != nil {
-		if recompute {
-			q.needRecompute.Store(true) // retry the recompute next cycle
-		}
 		return err
 	}
-	epoch := view.Epoch()
-	var result any
-	if q.pr != nil {
-		result = pagerankSummary(q.pr.RanksInto(nil), q.req.TopK)
-	} else {
-		result = ccSummary(q.cc.ComponentsInto(nil))
-	}
-
+	result := q.summary()
 	// seq must be re-read after the summary build: an even, unchanged
 	// value brackets the build in a mutation-free window.
 	seqClean := seq&1 == 0 && s.mutSeq.Load() == seq
-	q.mu.Lock()
-	q.result, q.epoch = result, epoch
-	// A batch that slipped in after the gen read has its own pending
-	// notification; flag the published result stale until that cycle
-	// lands. A batch seen mid-flight via seq flags it too, but may be
-	// ineffective (never notifies) — handled below.
-	genClean := q.gen.Load() == gen
-	q.repairing = !genClean || !seqClean
-	wasReady := q.ready
-	q.ready = true
-	q.mu.Unlock()
-	if !wasReady {
-		close(q.readyCh)
-	}
-	if genClean && !seqClean {
+	q.publish(&standingState{result: result, epoch: view.Epoch(), gen: gen, seqClean: seqClean})
+	if !seqClean && q.gen.Load() == gen {
 		// Staleness came only from a batch that was mid-commit during the
 		// build. If it proves effective its notification re-runs us; if
 		// not, nothing would — so nudge ourselves after a short pause
@@ -484,11 +375,11 @@ func (m *standingManager) repairOnce(q *standingQuery) error {
 	}
 
 	s.met.standingRepairs.Add(1)
-	if recompute {
+	if did.Recomputed {
 		s.met.standingRecomputes.Add(1)
 	}
-	if deleteRepairs > 0 {
-		s.met.standingDeleteRepairs.Add(uint64(deleteRepairs))
+	if did.Deletes > 0 {
+		s.met.standingDeleteRepairs.Add(uint64(did.Deletes))
 	}
 	if dirty > 0 {
 		s.met.repairLag.Record(uint64(time.Since(time.Unix(0, dirty)).Nanoseconds()))
@@ -521,19 +412,21 @@ func (m *standingManager) views() []standingView {
 	}
 	m.mu.Unlock()
 	sort.Slice(qs, func(i, j int) bool { return qs[i].key < qs[j].key })
+	active := m.active.Load()
 	out := make([]standingView, 0, len(qs))
 	for _, q := range qs {
-		q.mu.Lock()
+		st := q.state.Load()
 		v := standingView{
 			Key: q.key, Algo: q.req.Algo,
-			Status: "initializing", Repairing: !q.ready || q.repairing,
+			Status: "initializing", Repairing: q.repairing(st),
 		}
-		if q.ready && q.failErr == nil {
-			e := q.epoch
+		if st != nil && st.err == nil {
+			e := st.epoch
 			v.Status, v.Epoch = "ready", &e
 		}
-		q.mu.Unlock()
-		v.PendingLen = q.pending()
+		if active != nil && slices.Contains(*active, q) {
+			v.PendingLen = q.comp.Pending()
+		}
 		out = append(out, v)
 	}
 	return out
@@ -551,7 +444,8 @@ func (s *graphInstance) executeStanding(ctx context.Context, j *Job) (any, uint6
 	}
 	select {
 	case <-q.readyCh:
-		return q.current()
+		st := q.state.Load()
+		return st.result, st.epoch, st.err
 	case <-ctx.Done():
 		return nil, s.dyn.Epoch(), ctx.Err()
 	}

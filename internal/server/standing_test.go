@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -165,7 +166,7 @@ func TestStandingEndToEndOracle(t *testing.T) {
 		t.Fatal("standing queries vanished from the registry")
 	}
 
-	gotRanks := prQ.pr.Ranks()
+	gotRanks := prQ.comp.(*algorithms.DeltaPageRank).Ranks()
 	worst, at := 0.0, -1
 	for v := range wantRanks {
 		if diff := math.Abs(gotRanks[v] - wantRanks[v]); diff > worst {
@@ -176,7 +177,7 @@ func TestStandingEndToEndOracle(t *testing.T) {
 		t.Errorf("standing rank[%d] = %g, from-scratch says %g (|Δ| = %g)",
 			at, gotRanks[at], wantRanks[at], worst)
 	}
-	gotComp := ccQ.cc.Components()
+	gotComp := ccQ.comp.(*algorithms.IncrementalCC).Components()
 	for v := range wantComp {
 		if gotComp[v] != wantComp[v] {
 			t.Fatalf("standing label[%d] = %d, from-scratch says %d", v, gotComp[v], wantComp[v])
@@ -293,7 +294,7 @@ func TestStandingReadAfterBatch(t *testing.T) {
 	if err := req.normalize(s.cfg, n); err != nil {
 		t.Fatal(err)
 	}
-	got := s.def.standing.lookup(req.cacheKey()).cc.Components()
+	got := s.def.standing.lookup(req.cacheKey()).comp.(*algorithms.IncrementalCC).Components()
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("label[%d] = %d, oracle %d", i, got[i], want[i])
@@ -614,10 +615,7 @@ func TestStandingSeedExcludesBatches(t *testing.T) {
 	}
 	time.Sleep(150 * time.Millisecond)
 	for algo, q := range queries {
-		q.mu.Lock()
-		seeded := q.pr != nil || q.cc != nil
-		q.mu.Unlock()
-		if seeded {
+		if qs := s.def.standing.active.Load(); qs != nil && slices.Contains(*qs, q) {
 			t.Fatalf("standing %s seeded while a batch was inside the mutation bracket", algo)
 		}
 	}
@@ -648,13 +646,13 @@ func TestStandingSeedExcludesBatches(t *testing.T) {
 	if err != nil {
 		t.Fatalf("oracle cc: %v", err)
 	}
-	gotRanks := queries["pagerank"].pr.Ranks()
+	gotRanks := queries["pagerank"].comp.(*algorithms.DeltaPageRank).Ranks()
 	for v := range wantRanks {
 		if diff := math.Abs(gotRanks[v] - wantRanks[v]); diff > 1e-3*wantRanks[v] {
 			t.Fatalf("standing rank[%d] = %g, from-scratch says %g", v, gotRanks[v], wantRanks[v])
 		}
 	}
-	gotComp := queries["cc"].cc.Components()
+	gotComp := queries["cc"].comp.(*algorithms.IncrementalCC).Components()
 	for v := range wantComp {
 		if gotComp[v] != wantComp[v] {
 			t.Fatalf("standing label[%d] = %d, from-scratch says %d", v, gotComp[v], wantComp[v])

@@ -110,7 +110,9 @@ end
 # System's own sweeps, mostly in L mode, where a thread id shared by two
 # goroutines loses updates; and, under the race detector, over the
 # server's lock-free admission: 32 racing submissions against a
-# two-job quota, and submitters racing Shutdown's drain.
+# two-job quota, and submitters racing Shutdown's drain; and over the
+# standing plane's lock-free publish: reads right after batches, seeding
+# against a parked batch, delete repairs, and the seqlock they rely on.
 begin "oversubscribed serializability (8 processes, -cpu 8)"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -144,6 +146,7 @@ oversubscribed "$tmp/algo.test" 'TestForEachQueued|TestResultsCountCommitsNotAtt
 oversubscribed "$tmp/dyngraph.test" 'TestIndexAbortSafety' 20
 oversubscribed "$tmp/tufast.test" 'TestHubMutationOracle|TestAlgorithmsShareSystemWorkers' 4
 oversubscribed "$tmp/server.test" 'TestInflightQuotaExactUnderConcurrentAdmission|TestShutdownRacingSubmitters' 20
+oversubscribed "$tmp/server.test" 'TestStandingReadAfterBatch|TestStandingSeedExcludesBatches|TestStandingDeleteRepairNoRecompute|TestMutationSeqlockSingleWriter' 10
 end
 
 echo "All checks passed."

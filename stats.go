@@ -131,7 +131,7 @@ func (s *System) Core() *core.System { return s.core }
 
 // Space exposes the shared memory space to sibling packages in this
 // module (the benchmark reads the arena's fill level from it).
-func (s *System) Space() *mem.Space { return s.sp }
+func (s *System) Space() *mem.Space { return s.rt.Sp }
 
 // Runtime exposes the System's driver — its worker pool, sweep and queued
 // drain — to sibling packages in this module: package algorithms runs

@@ -115,10 +115,7 @@ type Options struct {
 // transactional access to it.
 type System struct {
 	g    *Graph
-	sp   *mem.Space
 	core *core.System
-
-	threads int
 
 	// rt is the driver everything on this System runs through — Atomic,
 	// the sweeps and drains below, the stream applier, package
@@ -152,31 +149,25 @@ func NewSystem(g *Graph, opt Options) *System {
 	}
 	sp := mem.NewSpace(opt.SpaceWords)
 	c := core.New(sp, n, cfg)
-	return &System{
-		g:       g,
-		sp:      sp,
-		core:    c,
-		threads: opt.Threads,
-		rt:      algo.NewRuntime(g.csr, sp, c, opt.Threads),
-	}
+	return &System{g: g, core: c, rt: algo.NewRuntime(g.csr, sp, c, opt.Threads)}
 }
 
 // Graph returns the graph the system was built for.
 func (s *System) Graph() *Graph { return s.g }
 
 // Threads returns the configured parallelism.
-func (s *System) Threads() int { return s.threads }
+func (s *System) Threads() int { return s.rt.Threads }
 
 // NewVertexArray allocates one word of shared property state per vertex,
 // all initialized to init.
 func (s *System) NewVertexArray(init uint64) VertexArray {
-	return VertexArray{Array{base: s.rt.NewVertexArray(init), n: s.g.NumVertices(), sp: s.sp}}
+	return VertexArray{Array{base: s.rt.NewVertexArray(init), n: s.g.NumVertices(), sp: s.rt.Sp}}
 }
 
 // NewArray allocates n shared words (zeroed), line-aligned.
 func (s *System) NewArray(n int) Array {
-	base := s.sp.AllocLineAligned(n)
-	return Array{base: base, n: n, sp: s.sp}
+	base := s.rt.Sp.AllocLineAligned(n)
+	return Array{base: base, n: n, sp: s.rt.Sp}
 }
 
 // Worker returns a per-goroutine execution context. Workers are pooled;
@@ -365,10 +356,10 @@ func (a VertexArray) GetFloat(v uint32) float64 { return a.Array.GetFloat(int(v)
 func (a VertexArray) SetFloat(v uint32, val float64) { a.Array.SetFloat(int(v), val) }
 
 // NewQueue creates a FIFO vertex queue sized for the system's threads.
-func (s *System) NewQueue() *Queue { return (*Queue)(worklist.NewQueue(s.threads)) }
+func (s *System) NewQueue() *Queue { return (*Queue)(worklist.NewQueue(s.rt.Threads)) }
 
 // NewPQ creates a priority vertex queue sized for the system's threads.
-func (s *System) NewPQ() *PQ { return (*PQ)(worklist.NewPQ(s.threads)) }
+func (s *System) NewPQ() *PQ { return (*PQ)(worklist.NewPQ(s.rt.Threads)) }
 
 // Queue is a concurrent FIFO of vertex ids.
 type Queue worklist.Queue
