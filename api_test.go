@@ -221,8 +221,6 @@ func TestOptionsVariants(t *testing.T) {
 		{Threads: 2, Deadlock: tufast.DeadlockDetect},
 		{Threads: 2, Deadlock: tufast.DeadlockPreventOrdered},
 		{Threads: 2, Deadlock: tufast.DeadlockNoWait},
-		{Threads: 2, StaticPeriod: true, PeriodInit: 200},
-		{Threads: 2, HRetries: 2},
 	} {
 		sys := tufast.NewSystem(g, opt)
 		ctr := sys.NewArray(1)

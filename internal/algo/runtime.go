@@ -76,7 +76,7 @@ func (w *Worker) Run(ctx context.Context, sizeHint int, fn sched.TxFunc) error {
 	if w.cw != nil {
 		err = w.cw.RunCtx(ctx, sizeHint, fn)
 	} else {
-		// A baseline that cannot stop mid-transaction stops between them.
+		// A worker that cannot stop mid-transaction stops between them.
 		if ctx != nil {
 			err = ctx.Err()
 		}

@@ -23,11 +23,10 @@ func TestProbeRWBreakdown(t *testing.T) {
 	t.Logf("TuFast RW: %.0f txn/s in %v", tput, time.Since(start).Round(time.Millisecond))
 	st := tf.Stats().Snapshot()
 	hs := tf.HTMStats()
-	ls := tf.LModeStats().Snapshot()
 	t.Logf("commits=%d aborts=%d; htm starts=%d commits=%d confl=%d cap=%d expl=%d lock=%d",
 		st.Commits, st.Aborts, hs.Starts, hs.Commits, hs.AbortConflicts, hs.AbortCapacity,
 		hs.AbortExplicit, hs.AbortLocked)
-	t.Logf("lmode commits=%d aborts=%d deadlocks=%d", ls.Commits, ls.Aborts, ls.Deadlocks)
+	t.Logf("L-mode deadlocks=%d", tf.Deadlocks())
 	for _, c := range core.Classes() {
 		t.Logf("  %-3s %6d txns %8d ops", c, tf.ModeStats().Count(c), tf.ModeStats().Ops(c))
 	}

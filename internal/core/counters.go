@@ -34,7 +34,7 @@ type counters struct {
 	// the class they committed in.
 	reads, writes [numClasses]atomic.Uint64
 
-	aborts    atomic.Uint64 // attempts aborted and retried, any mode but L's internal retries
+	aborts    atomic.Uint64 // attempts aborted and retried, in any mode
 	userStops atomic.Uint64 // transactions stopped by user error, panic or cancellation
 	panics    atomic.Uint64 // the user stops that were panics
 
@@ -44,7 +44,17 @@ type counters struct {
 	_ [64]byte
 }
 
-func (c *counters) noteUserStop(err error) {
+// NoteCommit, NoteAbort and NoteUserStop make the block a sched.Tally:
+// H and O mode count through them, and so does the retry loop L mode
+// runs under.
+func (c *counters) NoteCommit(mode obs.Mode, reads, writes uint64) {
+	c.reads[mode].Add(reads) // obs modes and classes share their order
+	c.writes[mode].Add(writes)
+}
+
+func (c *counters) NoteAbort() { c.aborts.Add(1) }
+
+func (c *counters) NoteUserStop(err error) {
 	c.userStops.Add(1)
 	if _, isPanic := sched.AsPanicError(err); isPanic {
 		c.panics.Add(1)
@@ -138,8 +148,9 @@ func (s *System) QuietStats() obs.QuietSnapshot {
 }
 
 // ResetStats zeroes every counter Stats, ModeStats, HTMStats, QuietStats,
-// LModeStats and the metrics snapshot report. It is the only reset there is: the
-// views above are sums, so resetting one of them would reset nothing.
+// Deadlocks and the metrics snapshot report. It is the only reset there
+// is: the views above are sums, so resetting one of them would reset
+// nothing.
 func (s *System) ResetStats() {
 	for _, c := range s.registered() {
 		c.htm.Reset()

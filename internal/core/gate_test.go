@@ -521,7 +521,10 @@ func TestOCommitLowersCountOnEveryExit(t *testing.T) {
 // a second round on the same workers. The O commits and L transactions
 // kill whichever quiet H attempts they arrive beside, so how many
 // attempts aborted is exact only in a round of H transactions alone;
-// that every abort is counted once in every view is exact in both.
+// that every abort is counted once in every view is exact in both. A
+// last round runs L transactions alone with the injected abort at an L
+// commit: the retry loop L mode runs under records it once, under L, in
+// the core worker's block and probe, and waits once on that probe.
 func TestOneCountFourViews(t *testing.T) {
 	const (
 		workers   = 4
@@ -542,6 +545,9 @@ func TestOneCountFourViews(t *testing.T) {
 		return 4
 	}
 	hOnlyHint := func(int) int { return 4 }
+	lOnlyHint := func(int) int { return 128 }
+	hFault := sched.FaultSpec{Mode: "H", Op: "write", N: 5}
+	lFault := sched.FaultSpec{Mode: "L", Op: "commit"}
 	sp := mem.NewSpace(workers*perWorker*mem.WordsPerLine + 4096)
 	s := New(sp, workers*perWorker, Config{HMaxHint: 8, OMaxHint: 64})
 	ws := make([]sched.Worker, workers)
@@ -550,8 +556,8 @@ func TestOneCountFourViews(t *testing.T) {
 	}
 	boom := errors.New("boom")
 
-	round := func(hintOf func(int) int) {
-		s.SetFaultInjector(sched.NewFaultInjector(sched.FaultSpec{Mode: "H", Op: "write", N: 5}))
+	round := func(hintOf func(int) int, fault sched.FaultSpec) {
+		s.SetFaultInjector(sched.NewFaultInjector(fault))
 		defer s.SetFaultInjector(nil)
 		var wg sync.WaitGroup
 		for tid, w := range ws {
@@ -584,7 +590,8 @@ func TestOneCountFourViews(t *testing.T) {
 		wg.Wait()
 	}
 
-	check := func(when string, wantH, wantO, wantL uint64) {
+	// check's mode is where the round's injected abort and user stop land.
+	check := func(when, mode string, wantH, wantO, wantL uint64) {
 		t.Helper()
 		st := s.Stats().Snapshot()
 		ms := s.ModeStats()
@@ -626,21 +633,31 @@ func TestOneCountFourViews(t *testing.T) {
 		// The aborted attempts are the injected one and the quiet
 		// attempts a locker killed, each counted once in every view; of
 		// them the emulated HTM itself saw only the kills, as explicit
-		// aborts. Every abort and the user stop is an H start that did
-		// not commit.
+		// aborts, and only the injected one waited. In H, every abort and
+		// the user stop is an H start that did not commit.
 		aborts := 1 + qs.Killed
-		t.Logf("%s: %d of %d H attempts began quiet, %d killed", when, qs.Attempts, wantH+aborts+1, qs.Killed)
+		t.Logf("%s: %d of %d H attempts began quiet, %d killed", when, qs.Attempts, hs.Starts, qs.Killed)
 		if st.Aborts != aborts || snap.Aborts() != aborts || histSum != aborts {
 			t.Errorf("%s: aborts: Stats %d, metrics %d, retries sum %d, want the injected one + %d kills in each", when, st.Aborts, snap.Aborts(), histSum, qs.Killed)
 		}
 		if got := snap.Modes["H"].Aborts["explicit"]; got != qs.Killed || hs.AbortExplicit != qs.Killed || hs.Aborts() != qs.Killed {
 			t.Errorf("%s: %d kills, but metrics count %d explicit H aborts and HTMStats %+v", when, qs.Killed, got, hs)
 		}
-		if hs.Starts != wantH+wantO+aborts+1 {
-			t.Errorf("%s: HTMStats().Starts = %d, want %d", when, hs.Starts, wantH+wantO+aborts+1)
+		if snap.Backoff.Waits != 1 {
+			t.Errorf("%s: %d backoff waits, want the injected abort's one", when, snap.Backoff.Waits)
 		}
-		if st.UserStops != 1 || snap.Modes["H"].Stops["user"] != 1 {
-			t.Errorf("%s: user stops: Stats %d, metrics %v, want 1", when, st.UserStops, snap.Modes["H"].Stops)
+		starts := wantH + wantO
+		if mode == "H" {
+			starts += aborts + 1
+		}
+		if hs.Starts != starts {
+			t.Errorf("%s: HTMStats().Starts = %d, want %d", when, hs.Starts, starts)
+		}
+		if st.UserStops != 1 || snap.Modes[mode].Stops["user"] != 1 {
+			t.Errorf("%s: user stops: Stats %d, metrics %v, want 1 in %s", when, st.UserStops, snap.Modes[mode].Stops, mode)
+		}
+		if mode == "L" && (len(snap.Modes["L"].Aborts) != 1 || snap.Modes["L"].Aborts["conflict"] != 1) {
+			t.Errorf("%s: L aborts %v, want the injected one as a conflict", when, snap.Modes["L"].Aborts)
 		}
 		if wantO+wantL == 0 {
 			// No locker all round: every H attempt ran quiet, none died of
@@ -658,14 +675,17 @@ func TestOneCountFourViews(t *testing.T) {
 		}
 	}
 
-	round(mixedHint)
-	check("mixed round", workers*300, workers*40, workers*20)
+	round(mixedHint, hFault)
+	check("mixed round", "H", workers*300, workers*40, workers*20)
 	reset()
-	round(mixedHint)
-	check("second mixed round, after ResetStats, on the same workers", workers*300, workers*40, workers*20)
+	round(mixedHint, hFault)
+	check("second mixed round, after ResetStats, on the same workers", "H", workers*300, workers*40, workers*20)
 	reset()
-	round(hOnlyHint)
-	check("H-only round", total, 0, 0)
+	round(hOnlyHint, hFault)
+	check("H-only round", "H", total, 0, 0)
+	reset()
+	round(lOnlyHint, lFault)
+	check("L-only round", "L", 0, 0, total)
 }
 
 // BenchmarkHCommitDisjoint is the "shares nothing" number: every

@@ -93,15 +93,15 @@ func (w *worker) runH(fn sched.TxFunc) (done bool, err error) {
 		h.begin()
 		uerr, ok := sched.RunAttempt(h, fn)
 		if ok && uerr != nil {
-			w.c.noteUserStop(uerr)
-			w.probe.TxStop(obs.ModeH, sched.StopReason(uerr), w.attempts)
+			w.c.NoteUserStop(uerr)
+			w.probe.TxStop(obs.ModeH, sched.StopReason(uerr))
 			return true, uerr
 		}
 		if ok && h.commit() {
 			w.committed(ClassH, h.nreads, h.nwrites)
 			return true, nil
 		}
-		w.c.aborts.Add(1)
+		w.c.NoteAbort()
 		code := h.settleAbort()
 		w.probe.TxAbort(obs.ModeH, sched.HTMReason(code))
 		w.attempts++
@@ -112,7 +112,7 @@ func (w *worker) runH(fn sched.TxFunc) (done bool, err error) {
 			return false, nil
 		}
 		if err := w.ctxErr(); err != nil {
-			w.probe.TxStop(obs.ModeH, sched.StopReason(err), w.attempts)
+			w.probe.TxStop(obs.ModeH, sched.StopReason(err))
 			return true, err
 		}
 		// A quiet attempt a locker's arrival killed retries at once: the

@@ -269,20 +269,20 @@ func TestRouterKeepsCeilings(t *testing.T) {
 // H commit on the fast path with a footprint of 16 written lines, an H
 // commit that takes real vertex locks because an L transaction is in
 // flight (the common case on skewed graphs once hubs route straight to
-// L), and an O commit.
+// L), an O commit and an L commit.
 func TestCommitsDoNotAllocate(t *testing.T) {
 	twoVertices := func(tx sched.Tx) error {
 		tx.Write(5, 5, tx.Read(5, 5)+1)
 		tx.Write(3, 3, tx.Read(3, 3)+1)
 		return nil
 	}
-	// allocsPerCommit runs body on worker 0 of s, once to size the
-	// worker's tables and then 201 times under AllocsPerRun, and checks
-	// that each run committed in class.
-	allocsPerCommit := func(t *testing.T, s *System, class ModeClass, body sched.TxFunc) float64 {
+	// allocsPerCommit runs body with hint on worker 0 of s, once to size
+	// the worker's tables and then 201 times under AllocsPerRun, and
+	// checks that each run committed in class.
+	allocsPerCommit := func(t *testing.T, s *System, class ModeClass, hint int, body sched.TxFunc) float64 {
 		w := s.Worker(0)
 		run := func() {
-			if err := w.Run(4, body); err != nil {
+			if err := w.Run(hint, body); err != nil {
 				t.Error(err)
 			}
 		}
@@ -303,7 +303,7 @@ func TestCommitsDoNotAllocate(t *testing.T) {
 			return nil
 		}
 		s := New(mem.NewSpace(4096), 16, Config{})
-		if allocs := allocsPerCommit(t, s, ClassH, sixteenLines); allocs != 0 {
+		if allocs := allocsPerCommit(t, s, ClassH, 4, sixteenLines); allocs != 0 {
 			t.Fatalf("H commit of 16 write lines allocates %.1f times", allocs)
 		}
 	})
@@ -320,7 +320,7 @@ func TestCommitsDoNotAllocate(t *testing.T) {
 			})
 		}()
 		<-inL
-		allocs := allocsPerCommit(t, s, ClassH, twoVertices)
+		allocs := allocsPerCommit(t, s, ClassH, 4, twoVertices)
 		close(release)
 		if err := <-done; err != nil {
 			t.Fatal(err)
@@ -331,8 +331,15 @@ func TestCommitsDoNotAllocate(t *testing.T) {
 	})
 
 	t.Run("O", func(t *testing.T) {
-		if allocs := allocsPerCommit(t, newLadderSys(Config{HMaxHint: 1}), ClassO, twoVertices); allocs != 0 {
+		if allocs := allocsPerCommit(t, newLadderSys(Config{HMaxHint: 1}), ClassO, 4, twoVertices); allocs != 0 {
 			t.Fatalf("O commit allocates %.1f times", allocs)
+		}
+	})
+
+	t.Run("L", func(t *testing.T) {
+		s := newLadderSys(Config{})
+		if allocs := allocsPerCommit(t, s, ClassL, s.cfg.OMaxHint+1, twoVertices); allocs != 0 {
+			t.Fatalf("L commit allocates %.1f times", allocs)
 		}
 	})
 }

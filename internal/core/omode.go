@@ -106,8 +106,8 @@ func (w *worker) runO(fn sched.TxFunc) (done bool, err error) {
 		uerr, ok := sched.RunAttempt(o, fn)
 		o.settleTelemetry()
 		if ok && uerr != nil {
-			w.c.noteUserStop(uerr)
-			w.probe.TxStop(obs.ModeO, sched.StopReason(uerr), w.attempts)
+			w.c.NoteUserStop(uerr)
+			w.probe.TxStop(obs.ModeO, sched.StopReason(uerr))
 			return true, uerr
 		}
 		if ok && o.commit() {
@@ -118,7 +118,7 @@ func (w *worker) runO(fn sched.TxFunc) (done bool, err error) {
 			w.committed(class, o.nreads, o.nwrites)
 			return true, nil
 		}
-		w.c.aborts.Add(1)
+		w.c.NoteAbort()
 		if o.capacityAbort {
 			w.probe.TxAbort(obs.ModeO, obs.ReasonCapacity)
 		} else {
@@ -135,7 +135,7 @@ func (w *worker) runO(fn sched.TxFunc) (done bool, err error) {
 			}
 		}
 		if err := w.ctxErr(); err != nil {
-			w.probe.TxStop(obs.ModeO, sched.StopReason(err), w.attempts)
+			w.probe.TxStop(obs.ModeO, sched.StopReason(err))
 			return true, err
 		}
 		// A capacity abort is deterministic: the halved segment fits or

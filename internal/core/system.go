@@ -104,8 +104,9 @@ func (s *System) SetFaultInjector(fi *sched.FaultInjector) {
 // Name implements sched.Scheduler.
 func (s *System) Name() string { return "TuFast" }
 
-// LModeStats exposes the L-mode (2PL) sub-scheduler counters.
-func (s *System) LModeStats() *sched.Stats { return s.lmode.Stats() }
+// Deadlocks returns how many L-mode attempts were chosen as deadlock
+// victims.
+func (s *System) Deadlocks() uint64 { return s.lmode.Stats().Deadlocks.Load() }
 
 // CurrentPeriod returns the adaptive O-mode segment length now in force
 // (the Fig. 17 trace reads this).
@@ -133,11 +134,10 @@ func (s *System) Worker(tid int) sched.Worker {
 	w.h = newHCtx(w)
 	w.o = newOCtx(w)
 	w.bo = sched.NewBackoff(uint64(tid)*0x9E3779B97F4A7C15 + 0xA5)
-	w.probe = s.Metrics().NewProbe(tid)
-	// The core records L-mode outcomes itself (it alone knows the O2L/L
-	// class split and the end-to-end latency), so the L-mode worker is
-	// hosted: it records only its backoff waits, on this worker's probe.
-	w.l = s.lmode.NewHostedWorker(tid, &w.probe)
+	w.probe = s.Metrics().NewProbe()
+	// L mode runs the TPL protocol under the loop every baseline runs
+	// under, counting into this worker's block and probe (runL).
+	w.l = s.lmode.NewWorkerFor(tid, w.c, &w.probe)
 	return w
 }
 
@@ -173,7 +173,7 @@ type worker struct {
 // hint (0) start optimistic in H mode.
 func (w *worker) Run(sizeHint int, fn sched.TxFunc) error {
 	cfg := &w.s.cfg
-	w.span = w.probe.TxBegin(sizeHint)
+	w.span = w.probe.TxBegin()
 	w.attempts = 0
 	// Every transaction starts at the minimum backoff, however the
 	// previous one ended (commit in any mode, user stop, cancel, panic).
@@ -199,7 +199,7 @@ func (w *worker) Run(sizeHint int, fn sched.TxFunc) error {
 			w.s.Metrics().Transition(obs.TransHO)
 		}
 		if err := w.ctxErr(); err != nil {
-			w.probe.TxStop(obs.ModeO, sched.StopReason(err), w.attempts)
+			w.probe.TxStop(obs.ModeO, sched.StopReason(err))
 			return err
 		}
 		done, err := w.runO(fn)
@@ -211,7 +211,7 @@ func (w *worker) Run(sizeHint int, fn sched.TxFunc) error {
 		class = ClassO2L
 	}
 	if err := w.ctxErr(); err != nil {
-		w.probe.TxStop(class.obsMode(), sched.StopReason(err), w.attempts)
+		w.probe.TxStop(class.obsMode(), sched.StopReason(err))
 		return err
 	}
 	return w.runL(fn, class)
@@ -248,8 +248,8 @@ func (w *worker) ctxErr() error {
 // release every lock the worker may still hold across all three mode
 // contexts, take an interrupted O commit out of lState's count (left up,
 // it would make every later H attempt a subscribed one for the life of
-// the System) and roll back L-mode in-place writes (Run resets the
-// backoff on entry). The worker is then safe to pool again.
+// the System) and roll back L-mode in-place writes (every transaction
+// starts its backoff afresh). The worker is then safe to pool again.
 func (w *worker) AbandonInFlight() bool {
 	// A panic inside the H commit window left the gate flag up; every
 	// later L transaction would wait on it forever.
@@ -278,8 +278,7 @@ func (w *worker) TrimScratch() {
 // operation counts: once in the probe (which is where every view's commit
 // count comes from) and in this worker's per-class workload.
 func (w *worker) committed(class ModeClass, reads, writes uint64) {
-	w.c.reads[class].Add(reads)
-	w.c.writes[class].Add(writes)
+	w.c.NoteCommit(class.obsMode(), reads, writes)
 	w.probe.TxCommit(class.obsMode(), w.attempts, w.span)
 }
 
@@ -297,8 +296,10 @@ func (s *System) awaitHCommits() {
 	}
 }
 
-// runL executes fn under blocking 2PL, which always commits (deadlock
-// victims restart inside the TPL worker).
+// runL executes fn under blocking 2PL, which always commits but for a
+// user error, a panic or a cancellation: the TPL worker's loop retries
+// deadlock victims and records every attempt under class, as the rest of
+// the transaction this worker began.
 func (w *worker) runL(fn sched.TxFunc, class ModeClass) error {
 	// Announce the L transaction: from here on every H commit either
 	// sees it in lState or finishes publishing before awaitHCommits
@@ -306,25 +307,5 @@ func (w *worker) runL(fn sched.TxFunc, class ModeClass) error {
 	w.s.lockerEnter()
 	defer w.s.lockerExit()
 	w.s.awaitHCommits()
-
-	err := w.l.RunCtx(w.ctx, 0, fn)
-
-	// A hosted TPL worker records no outcomes itself: attribute its
-	// internal retries post-hoc so abort-reason breakdowns include L
-	// mode, under the class-accurate mode label.
-	omode := class.obsMode()
-	lRetries, lDeadlocks := w.l.LastAbortBreakdown()
-	met := w.s.Metrics()
-	met.AbortBulk(omode, obs.ReasonDeadlock, lDeadlocks)
-	met.AbortBulk(omode, obs.ReasonConflict, lRetries-lDeadlocks)
-	w.attempts += uint32(lRetries)
-
-	if err != nil {
-		w.c.noteUserStop(err)
-		w.probe.TxStop(omode, sched.StopReason(err), w.attempts)
-		return err
-	}
-	r, wr := w.l.LastOpCounts()
-	w.committed(class, r, wr)
-	return nil
+	return w.l.Continue(w.ctx, class.obsMode(), w.span, w.attempts, fn)
 }

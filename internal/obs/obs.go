@@ -7,23 +7,19 @@
 //     buckets, plain atomic adds, mergeable snapshots),
 //   - mode-transition counters that make the H→O→L fallback ladder and
 //     the adaptive-period trajectory directly observable,
-//   - per-worker, allocation-free event rings (sequence-stamped
-//     transaction lifecycle events) and backoff counters (waits, the
-//     waits that slept, wall time inside them), and
+//   - per-worker backoff counters (waits, the waits that slept, wall
+//     time inside them), and
 //   - export paths: plain-value Snapshot for programs, JSON over
 //     expvar / HTTP for operators.
 //
-// Hot-path budget: with events disabled (the default), recording a
-// committed transaction is one atomic add into the recording worker's
-// own retry histogram — a cache line no other worker writes — plus the
-// histogram's sum when the transaction retried; there is no separate
-// commit counter, a mode's commits are its retry histogram's count, so
-// the two cannot disagree. Snapshot and Reset sum and clear the
-// per-worker blocks. Commit latency is sampled (1 in 64 transactions)
-// so the timestamp reads stay off the common path. Aborts, stops and
-// transitions are rarer and stay shared counters. Event recording is
-// heavier (a mutex-protected ring store per event) and is therefore
-// gated behind EnableEvents.
+// Hot-path budget: recording a committed transaction is one atomic add
+// into the recording worker's own retry histogram — a cache line no
+// other worker writes — plus the histogram's sum when the transaction
+// retried; there is no separate commit counter, a mode's commits are its
+// retry histogram's count, so the two cannot disagree. Snapshot and
+// Reset sum and clear the per-worker blocks. Commit latency is sampled
+// (1 in 64 transactions) so the timestamp reads stay off the common
+// path. Aborts, stops and transitions are rarer and stay shared counters.
 package obs
 
 import (
@@ -173,19 +169,15 @@ type Metrics struct {
 	stops  [NumModes][NumReasons]atomic.Uint64
 	trans  [NumTransitions]atomic.Uint64
 
-	// Event machinery: one ring per worker, a global sequence stamp, a
-	// single enable flag checked (one atomic load) per lifecycle point.
-	eventsOn atomic.Bool
-	seq      atomic.Uint64
-	mu       sync.Mutex
-	workers  []*workerState
+	mu      sync.Mutex
+	workers []*workerState
 }
 
-// workerState is what one Probe owns: what its commits record, its event
-// ring and its backoff counters. Only the probe's worker writes it, so
-// the atomics are uncontended — the pads keep a neighbouring allocation's
-// writes off its first and last cache line; snapshots and Reset reach it
-// through Metrics.workers.
+// workerState is what one Probe owns: what its commits record and its
+// backoff counters. Only the probe's worker writes it, so the atomics
+// are uncontended — the pads keep a neighbouring allocation's writes off
+// its first and last cache line; snapshots and Reset reach it through
+// Metrics.workers.
 type workerState struct {
 	_ [64]byte
 
@@ -193,8 +185,6 @@ type workerState struct {
 	// one Record each: a mode's commit count is its histogram's count.
 	retries [NumModes]Histogram
 	latency [NumModes]Histogram // sampled commit latency, nanoseconds
-
-	ring Ring
 
 	backoffWaits  atomic.Uint64
 	backoffSleeps atomic.Uint64
@@ -208,14 +198,6 @@ func (m *Metrics) Abort(mode Mode, reason Reason) {
 	m.aborts[mode][reason].Add(1)
 }
 
-// AbortBulk records n aborted attempts at once (post-hoc attribution,
-// e.g. L-mode internal retries surfaced after commit).
-func (m *Metrics) AbortBulk(mode Mode, reason Reason, n uint64) {
-	if n != 0 {
-		m.aborts[mode][reason].Add(n)
-	}
-}
-
 // Stop records a terminal non-commit outcome (user error, panic, or
 // cancellation).
 func (m *Metrics) Stop(mode Mode, reason Reason) {
@@ -227,16 +209,7 @@ func (m *Metrics) Transition(t Transition) {
 	m.trans[t].Add(1)
 }
 
-// EnableEvents toggles lifecycle event recording into per-worker rings.
-// Off by default: events cost a mutex-protected ring store each, which
-// is beyond the hot-path atomic-add budget.
-func (m *Metrics) EnableEvents(on bool) { m.eventsOn.Store(on) }
-
-// EventsEnabled reports whether event recording is on.
-func (m *Metrics) EventsEnabled() bool { return m.eventsOn.Load() }
-
-// Reset zeroes every counter and histogram and clears the event rings.
-// The events-enabled flag is left as configured.
+// Reset zeroes every counter and histogram.
 func (m *Metrics) Reset() {
 	for mo := range int(NumModes) {
 		for r := range int(NumReasons) {
@@ -252,7 +225,6 @@ func (m *Metrics) Reset() {
 			ws.retries[mo].Reset()
 			ws.latency[mo].Reset()
 		}
-		ws.ring.reset()
 		ws.backoffWaits.Store(0)
 		ws.backoffSleeps.Store(0)
 		ws.backoffNs.Store(0)
@@ -265,15 +237,15 @@ func (m *Metrics) workerStates() []*workerState {
 	return append([]*workerState(nil), m.workers...)
 }
 
-// NewProbe returns the per-worker recording handle for worker tid,
-// registering its event ring and backoff counters. Probes are not safe
-// for concurrent use (one per goroutine, like workers).
-func (m *Metrics) NewProbe(tid int) Probe {
+// NewProbe returns a per-worker recording handle, registering its
+// block. Probes are not safe for concurrent use (one per goroutine, like
+// workers).
+func (m *Metrics) NewProbe() Probe {
 	ws := &workerState{}
 	m.mu.Lock()
 	m.workers = append(m.workers, ws)
 	m.mu.Unlock()
-	return Probe{m: m, ws: ws, tid: int32(tid)}
+	return Probe{m: m, ws: ws}
 }
 
 // Commits returns the number of transactions committed in each mode,
@@ -288,27 +260,6 @@ func (m *Metrics) Commits() [NumModes]uint64 {
 	return n
 }
 
-// Events returns all retained lifecycle events across every worker
-// ring, ordered by sequence stamp.
-func (m *Metrics) Events() []Event {
-	var evs []Event
-	for _, ws := range m.workerStates() {
-		evs = ws.ring.appendTo(evs)
-	}
-	sortEvents(evs)
-	return evs
-}
-
-// EventsDropped returns the number of events evicted from rings since
-// the last Reset.
-func (m *Metrics) EventsDropped() uint64 {
-	var n uint64
-	for _, ws := range m.workerStates() {
-		n += ws.ring.Dropped()
-	}
-	return n
-}
-
 // Span carries the sampled start timestamp of one transaction from
 // TxBegin to Commit; the zero Span means "unsampled".
 type Span struct {
@@ -316,25 +267,20 @@ type Span struct {
 }
 
 // Probe is the per-worker recording handle: it owns the worker's commit
-// histograms, event ring, backoff counters and the local sampling
-// counter, so a commit writes no state another worker writes.
+// histograms, backoff counters and the local sampling counter, so a
+// commit writes no state another worker writes.
 type Probe struct {
-	m   *Metrics
-	ws  *workerState
-	tid int32
-	n   uint64 // worker-local transaction count (sampling clock)
+	m  *Metrics
+	ws *workerState
+	n  uint64 // worker-local transaction count (sampling clock)
 }
 
-// TxBegin opens a transaction: decides latency sampling and, when
-// events are enabled, records a begin event. hint is the size hint.
-func (p *Probe) TxBegin(hint int) Span {
+// TxBegin opens a transaction and decides whether its latency is sampled.
+func (p *Probe) TxBegin() Span {
 	p.n++
 	var sp Span
 	if p.n&latencySampleMask == 0 {
 		sp.start = time.Now().UnixNano()
-	}
-	if p.m.eventsOn.Load() {
-		p.event(Event{Kind: KindBegin, Hint: int32(hint)})
 	}
 	return sp
 }
@@ -350,26 +296,17 @@ func (p *Probe) TxCommit(mode Mode, retries uint32, sp Span) {
 		}
 		p.ws.latency[mode].Record(uint64(ns))
 	}
-	if p.m.eventsOn.Load() {
-		p.event(Event{Kind: KindCommit, Mode: mode, Retries: retries})
-	}
 }
 
 // TxAbort records one aborted attempt in mode.
 func (p *Probe) TxAbort(mode Mode, reason Reason) {
 	p.m.Abort(mode, reason)
-	if p.m.eventsOn.Load() {
-		p.event(Event{Kind: KindAbort, Mode: mode, Reason: reason})
-	}
 }
 
 // TxStop closes a transaction as terminally stopped (user error,
-// panic, cancellation) in mode after retries aborted attempts.
-func (p *Probe) TxStop(mode Mode, reason Reason, retries uint32) {
+// panic, cancellation) in mode.
+func (p *Probe) TxStop(mode Mode, reason Reason) {
 	p.m.Stop(mode, reason)
-	if p.m.eventsOn.Load() {
-		p.event(Event{Kind: KindStop, Mode: mode, Reason: reason, Retries: retries})
-	}
 }
 
 // BackoffWait records one backoff wait between attempts: whether it
@@ -380,10 +317,4 @@ func (p *Probe) BackoffWait(slept bool, d time.Duration) {
 		p.ws.backoffSleeps.Add(1)
 	}
 	p.ws.backoffNs.Add(uint64(max(d, 0)))
-}
-
-func (p *Probe) event(e Event) {
-	e.Seq = p.m.seq.Add(1)
-	e.Worker = p.tid
-	p.ws.ring.record(e)
 }

@@ -112,55 +112,13 @@ func TestHistogramMergeConcurrent(t *testing.T) {
 	}
 }
 
-func TestRingOverflowDropsOldest(t *testing.T) {
-	var m Metrics
-	m.EnableEvents(true)
-	p := m.NewProbe(3)
-	total := ringSize + 100
-	for i := 0; i < total; i++ {
-		p.TxAbort(ModeTx, ReasonConflict)
-	}
-	evs := m.Events()
-	if len(evs) != ringSize {
-		t.Fatalf("retained %d events, want %d", len(evs), ringSize)
-	}
-	if got, want := m.EventsDropped(), uint64(total-ringSize); got != want {
-		t.Fatalf("dropped = %d, want %d", got, want)
-	}
-	// Oldest were dropped: the retained window is the newest ringSize
-	// events, in sequence order.
-	for i, e := range evs {
-		want := uint64(total - ringSize + i + 1)
-		if e.Seq != want {
-			t.Fatalf("event %d: seq %d, want %d (oldest must be dropped first)", i, e.Seq, want)
-		}
-		if e.Worker != 3 || e.Kind != KindAbort || e.Reason != ReasonConflict {
-			t.Fatalf("event %d: unexpected payload %+v", i, e)
-		}
-	}
-}
-
-func TestEventsDisabledByDefault(t *testing.T) {
-	var m Metrics
-	p := m.NewProbe(0)
-	sp := p.TxBegin(5)
-	p.TxCommit(ModeH, 0, sp)
-	if evs := m.Events(); len(evs) != 0 {
-		t.Fatalf("events recorded while disabled: %d", len(evs))
-	}
-	if m.Snapshot().Modes["H"].Commits != 1 {
-		t.Fatal("counters must record even with events disabled")
-	}
-}
-
 func TestMetricsReset(t *testing.T) {
 	var m Metrics
-	m.EnableEvents(true)
-	p := m.NewProbe(0)
-	sp := p.TxBegin(1)
+	p := m.NewProbe()
+	sp := p.TxBegin()
 	p.TxAbort(ModeO, ReasonCapacity)
 	p.TxCommit(ModeO, 1, sp)
-	p.TxStop(ModeL, ReasonUser, 0)
+	p.TxStop(ModeL, ReasonUser)
 	p.BackoffWait(true, time.Millisecond)
 	m.Transition(TransHO)
 	if b := m.Snapshot().Backoff; b != (BackoffSnapshot{Waits: 1, Sleeps: 1, Ns: 1e6}) {
@@ -168,20 +126,14 @@ func TestMetricsReset(t *testing.T) {
 	}
 	m.Reset()
 	s := m.Snapshot()
-	if len(s.Modes) != 0 || len(s.Transitions) != 0 || s.EventsDropped != 0 || s.Backoff != (BackoffSnapshot{}) {
+	if len(s.Modes) != 0 || len(s.Transitions) != 0 || s.Backoff != (BackoffSnapshot{}) {
 		t.Fatalf("snapshot not empty after Reset: %+v", s)
-	}
-	if len(m.Events()) != 0 {
-		t.Fatal("events survive Reset")
-	}
-	if !m.EventsEnabled() {
-		t.Fatal("Reset must not flip the events-enabled flag")
 	}
 }
 
 func TestSnapshotMergeAndJSON(t *testing.T) {
 	var m1, m2 Metrics
-	p1, p2 := m1.NewProbe(0), m2.NewProbe(0)
+	p1, p2 := m1.NewProbe(), m2.NewProbe()
 	p1.TxCommit(ModeH, 0, Span{})
 	p1.TxAbort(ModeH, ReasonConflict)
 	p2.TxCommit(ModeH, 2, Span{})
@@ -189,7 +141,7 @@ func TestSnapshotMergeAndJSON(t *testing.T) {
 	m2.Transition(TransOL)
 	// Backoff counters are per probe and sum over probes and snapshots.
 	p1.BackoffWait(false, 100)
-	p1b := m1.NewProbe(1)
+	p1b := m1.NewProbe()
 	p1b.BackoffWait(true, 2000)
 	p2.BackoffWait(true, 30000)
 
@@ -232,10 +184,10 @@ func TestSnapshotMergeAndJSON(t *testing.T) {
 
 func TestLatencySampling(t *testing.T) {
 	var m Metrics
-	p := m.NewProbe(0)
+	p := m.NewProbe()
 	// Drive enough transactions that the 1-in-64 sampler must fire.
 	for i := 0; i < 256; i++ {
-		sp := p.TxBegin(0)
+		sp := p.TxBegin()
 		if sp.start != 0 {
 			time.Sleep(time.Microsecond)
 		}

@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// TestOverheadSmoke pins the documented hot-path budget: with events
-// disabled, recording one committed transaction (TxBegin + TxCommit,
-// counters and retry histogram, 1-in-64 latency sampling) must stay in
-// the atomic-add cost class. The ceiling is deliberately loose — 2µs
+// TestOverheadSmoke pins the documented hot-path budget: recording one
+// committed transaction (TxBegin + TxCommit, counters and retry
+// histogram, 1-in-64 latency sampling) must stay in the atomic-add cost
+// class. The ceiling is deliberately loose — 2µs
 // average per commit, ~two orders of magnitude above the expected cost
 // — so it only fails when the path regresses to something structurally
 // heavier (a lock, an allocation, an unconditional clock read), not on
@@ -18,11 +18,11 @@ func TestOverheadSmoke(t *testing.T) {
 		t.Skip("timing smoke test")
 	}
 	var m Metrics
-	p := m.NewProbe(0)
+	p := m.NewProbe()
 	const n = 200_000
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		sp := p.TxBegin(0)
+		sp := p.TxBegin()
 		p.TxCommit(ModeTx, 0, sp)
 	}
 	avg := time.Since(start) / n
@@ -35,28 +35,13 @@ func TestOverheadSmoke(t *testing.T) {
 	}
 }
 
-// BenchmarkCommitRecord measures the per-commit recording cost with
-// events off (the default hot path).
+// BenchmarkCommitRecord measures the per-commit recording cost.
 func BenchmarkCommitRecord(b *testing.B) {
 	var m Metrics
-	p := m.NewProbe(0)
+	p := m.NewProbe()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := p.TxBegin(0)
-		p.TxCommit(ModeTx, 0, sp)
-	}
-}
-
-// BenchmarkCommitRecordEventsOn measures the same path with lifecycle
-// events enabled (ring stores behind a mutex) — the documented reason
-// events are opt-in.
-func BenchmarkCommitRecordEventsOn(b *testing.B) {
-	var m Metrics
-	m.EnableEvents(true)
-	p := m.NewProbe(0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sp := p.TxBegin(0)
+		sp := p.TxBegin()
 		p.TxCommit(ModeTx, 0, sp)
 	}
 }

@@ -21,8 +21,6 @@ type Snapshot struct {
 	// Gauges carries point-in-time values (e.g. adaptive_period) the
 	// caller folds in; counters above are cumulative.
 	Gauges map[string]int64 `json:"gauges,omitempty"`
-	// EventsDropped counts ring-buffer evictions since the last reset.
-	EventsDropped uint64 `json:"events_dropped,omitempty"`
 	// Server carries serving-layer counters when the snapshot comes
 	// from a tufastd daemon (nil for bare library runs): admission,
 	// cache, and lifecycle counts for the analytics job plane plus
@@ -256,10 +254,7 @@ func (m ModeSnapshot) AbortTotal() uint64 {
 
 // Snapshot captures the current counters as plain values.
 func (m *Metrics) Snapshot() Snapshot {
-	s := Snapshot{
-		Modes:         make(map[string]ModeSnapshot),
-		EventsDropped: m.EventsDropped(),
-	}
+	s := Snapshot{Modes: make(map[string]ModeSnapshot)}
 	workers := m.workerStates()
 	for _, ws := range workers {
 		s.Backoff.Waits += ws.backoffWaits.Load()
@@ -343,8 +338,7 @@ func (s Snapshot) AbortReasons() map[string]uint64 {
 // elsewhere) merge exactly.
 func (s Snapshot) Merge(other Snapshot) Snapshot {
 	out := Snapshot{
-		Modes:         make(map[string]ModeSnapshot),
-		EventsDropped: s.EventsDropped + other.EventsDropped,
+		Modes: make(map[string]ModeSnapshot),
 		Backoff: BackoffSnapshot{
 			Waits:  s.Backoff.Waits + other.Backoff.Waits,
 			Sleeps: s.Backoff.Sleeps + other.Backoff.Sleeps,

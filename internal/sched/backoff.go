@@ -71,14 +71,14 @@ func (b *Backoff) WaitObserved(p *obs.Probe) {
 
 // Reset returns the backoff to its minimum level, so a pooled worker's
 // next transaction never inherits the previous transaction's contention
-// history. The baselines call it when a transaction ends (commit, user
-// error, panic, cancel, AbandonInFlight); TuFast's core calls it once,
-// when the next transaction begins, which covers every way the previous
-// one can have ended in any of its three modes.
+// history. The retry loop every baseline and TuFast's L mode run under
+// calls it when a transaction begins, and so does TuFast's core for its
+// H and O attempts: that covers every way the previous transaction can
+// have ended (commit, user error, panic, cancellation, abandonment).
 func (b *Backoff) Reset() { b.level = 0 }
 
-// Level exposes the current escalation level (tests assert the panic and
-// abandonment paths restore it to zero).
+// Level exposes the current escalation level (tests assert that every
+// transaction starts at zero).
 func (b *Backoff) Level() uint { return b.level }
 
 //go:noinline

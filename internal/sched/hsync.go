@@ -51,27 +51,22 @@ func (s *HSync) Stats() *Stats { return &s.stats }
 
 // Worker implements Scheduler.
 func (s *HSync) Worker(tid int) Worker {
-	return &hsyncWorker{
-		s:        s,
-		tx:       htm.NewTx(s.sp, &s.HTMStats),
-		writeIdx: gentab.New(5),
-		bo:       NewBackoff(uint64(tid)*0xFF51AFD7ED558CCD + 13),
-		probe:    s.Metrics().NewProbe(tid),
-	}
+	w := &hsyncWorker{s: s, tx: htm.NewTx(s.sp, &s.HTMStats), writeIdx: gentab.New(5)}
+	p := s.Metrics().NewProbe()
+	w.loop = newLoop(w, &s.stats, &p, obs.ModeTx, nil, uint64(tid)*0xFF51AFD7ED558CCD+13)
+	return w
 }
 
 type hsyncWorker struct {
-	s     *HSync
-	tx    *htm.Tx
-	bo    Backoff
-	probe obs.Probe
+	loop
+	s  *HSync
+	tx *htm.Tx
 
-	// retries counts aborted attempts of the current transaction across
-	// both the hardware and NOrec phases, for the retry histogram.
-	retries uint32
+	// softMode runs the attempt on the NOrec path; locked says a hardware
+	// attempt found a software commit in progress and never ran.
+	softMode, locked bool
 
 	// Software (NOrec) path state.
-	softMode bool
 	reads    []valRead
 	writes   []occWrite
 	writeIdx *gentab.Table
@@ -84,78 +79,48 @@ type valRead struct {
 	val  uint64
 }
 
-// Run implements Worker.
-func (w *hsyncWorker) Run(_ int, fn TxFunc) error {
-	sp := w.probe.TxBegin(0)
-	w.retries = 0
-	for attempt := 0; attempt <= w.s.retries; attempt++ {
-		w.softMode = false
-		w.nreads, w.nwrites = 0, 0
-		w.tx.Begin()
-		seq := w.s.seq.Load()
-		if seq&1 != 0 {
-			w.s.stats.Aborts.Add(1)
-			w.probe.TxAbort(obs.ModeTx, obs.ReasonLocked)
-			w.retries++
-			w.bo.Wait()
-			continue
-		}
-		w.tx.AddCheck(func() bool { return w.s.seq.Load() == seq })
-		err, ok := RunAttempt(w, fn)
-		if ok && err != nil {
-			w.s.stats.NoteUserStop(err)
-			w.probe.TxStop(obs.ModeTx, StopReason(err), w.retries)
-			return err
-		}
-		if ok && w.tx.Commit() == htm.AbortNone {
-			w.s.stats.Commits.Add(1)
-			w.s.stats.Reads.Add(w.nreads)
-			w.s.stats.Writes.Add(w.nwrites)
-			w.probe.TxCommit(obs.ModeTx, w.retries, sp)
-			w.bo.Reset()
-			return nil
-		}
-		w.s.stats.Aborts.Add(1)
-		w.probe.TxAbort(obs.ModeTx, HTMReason(w.tx.LastAbort()))
-		w.retries++
-		// HSync is size-oblivious by design: it burns its whole retry
-		// budget in hardware even on capacity aborts before falling back
-		// (recognizing capacity aborts and routing by size is exactly
-		// TuFast's contribution; giving it to the baseline would erase
-		// the comparison the paper makes).
-		w.bo.Wait()
-	}
-	return w.runSoft(fn, sp)
-}
-
-// runSoft executes the NOrec fallback: speculative value-logged reads,
-// buffered writes, global-sequence-lock commit.
-func (w *hsyncWorker) runSoft(fn TxFunc, sp obs.Span) error {
-	for {
-		w.softMode = true
+// begin runs the first retries+1 attempts in hardware and the rest on
+// NOrec. HSync is size-oblivious by design: it burns its whole hardware
+// budget even on capacity aborts before falling back (recognizing
+// capacity aborts and routing by size is exactly TuFast's contribution;
+// giving it to the baseline would erase the comparison the paper makes).
+func (w *hsyncWorker) begin(n int) bool {
+	w.nreads, w.nwrites = 0, 0
+	if w.softMode = n > w.s.retries; w.softMode {
 		w.reads = w.reads[:0]
 		w.writes = w.writes[:0]
 		w.writeIdx.Reset()
-		w.nreads, w.nwrites = 0, 0
-		err, ok := RunAttempt(w, fn)
-		if ok && err != nil {
-			w.s.stats.NoteUserStop(err)
-			w.probe.TxStop(obs.ModeTx, StopReason(err), w.retries)
-			return err
-		}
-		if ok && w.softCommit() {
-			w.s.stats.Commits.Add(1)
-			w.s.stats.Reads.Add(w.nreads)
-			w.s.stats.Writes.Add(w.nwrites)
-			w.probe.TxCommit(obs.ModeTx, w.retries, sp)
-			w.bo.Reset()
-			return nil
-		}
-		w.s.stats.Aborts.Add(1)
-		w.probe.TxAbort(obs.ModeTx, obs.ReasonConflict)
-		w.retries++
-		w.bo.Wait()
+		return true
 	}
+	w.tx.Begin()
+	seq := w.s.seq.Load()
+	if w.locked = seq&1 != 0; w.locked {
+		return false
+	}
+	w.tx.AddCheck(func() bool { return w.s.seq.Load() == seq })
+	return true
+}
+
+func (w *hsyncWorker) commit() bool {
+	if w.softMode {
+		return w.softCommit()
+	}
+	return w.tx.Commit() == htm.AbortNone
+}
+
+// rollback has nothing to do: neither path writes before its commit.
+func (w *hsyncWorker) rollback() {}
+
+func (w *hsyncWorker) ops() (reads, writes uint64) { return w.nreads, w.nwrites }
+
+func (w *hsyncWorker) reason() obs.Reason {
+	switch {
+	case w.softMode:
+		return obs.ReasonConflict
+	case w.locked:
+		return obs.ReasonLocked
+	}
+	return HTMReason(w.tx.LastAbort())
 }
 
 // softCommit serializes on the global sequence lock, re-validates every

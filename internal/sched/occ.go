@@ -36,14 +36,10 @@ func (s *OCC) Stats() *Stats { return &s.stats }
 
 // Worker implements Scheduler.
 func (s *OCC) Worker(tid int) Worker {
-	return &occWorker{
-		s:        s,
-		tid:      tid,
-		readIdx:  gentab.New(6),
-		writeIdx: gentab.New(5),
-		bo:       NewBackoff(uint64(tid)*0x2545F4914F6CDD1D + 7),
-		probe:    s.Metrics().NewProbe(tid),
-	}
+	w := &occWorker{s: s, tid: tid, readIdx: gentab.New(6), writeIdx: gentab.New(5)}
+	p := s.Metrics().NewProbe()
+	w.loop = newLoop(w, &s.stats, &p, obs.ModeTx, nil, uint64(tid)*0x2545F4914F6CDD1D+7)
+	return w
 }
 
 type occRead struct {
@@ -59,6 +55,7 @@ type occWrite struct {
 }
 
 type occWorker struct {
+	loop
 	s   *OCC
 	tid int
 
@@ -66,43 +63,25 @@ type occWorker struct {
 	readIdx  *gentab.Table
 	writes   []occWrite
 	writeIdx *gentab.Table
-	bo       Backoff
-	probe    obs.Probe
 }
 
-// Run implements Worker.
-func (w *occWorker) Run(_ int, fn TxFunc) error {
-	sp := w.probe.TxBegin(0)
-	var retries uint32
-	for {
-		w.reset()
-		err, ok := RunAttempt(w, fn)
-		if ok && err != nil {
-			w.s.stats.NoteUserStop(err)
-			w.probe.TxStop(obs.ModeTx, StopReason(err), retries)
-			return err
-		}
-		if ok && w.commit() {
-			w.s.stats.Commits.Add(1)
-			w.s.stats.Reads.Add(uint64(len(w.reads)))
-			w.s.stats.Writes.Add(uint64(len(w.writes)))
-			w.probe.TxCommit(obs.ModeTx, retries, sp)
-			w.bo.Reset()
-			return nil
-		}
-		w.s.stats.Aborts.Add(1)
-		w.probe.TxAbort(obs.ModeTx, obs.ReasonConflict)
-		retries++
-		w.bo.Wait()
-	}
-}
-
-func (w *occWorker) reset() {
+func (w *occWorker) begin(int) bool {
 	w.reads = w.reads[:0]
 	w.writes = w.writes[:0]
 	w.readIdx.Reset()
 	w.writeIdx.Reset()
+	return true
 }
+
+// rollback has nothing to do: writes are buffered, and commit releases
+// whatever it locked.
+func (w *occWorker) rollback() {}
+
+func (w *occWorker) ops() (reads, writes uint64) {
+	return uint64(len(w.reads)), uint64(len(w.writes))
+}
+
+func (w *occWorker) reason() obs.Reason { return obs.ReasonConflict }
 
 // Read implements Tx.
 func (w *occWorker) Read(v uint32, addr mem.Addr) uint64 {

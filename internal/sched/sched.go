@@ -4,10 +4,12 @@
 //
 //	tpl      two-phase locking with deadlock handling (also TuFast's L mode)
 //	occ      Silo-style optimistic concurrency control
-//	to       timestamp ordering
+//	to       timestamp ordering, and with HTM segments H-TO (H-TO-like)
 //	stm      TL2/TinySTM-style software transactional memory
 //	hsync    HTM-first hybrid with STM fallback (HSync-like)
-//	hto      HTM-accelerated timestamp ordering (H-TO-like)
+//
+// Each is an attempt protocol under one retry loop (loop.go), which
+// alone retries, drains, cancels, backs off and records outcomes.
 //
 // Transactions address shared state through a mem.Space; every operation
 // names the vertex the address belongs to, which is the lock and conflict

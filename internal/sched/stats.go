@@ -1,11 +1,16 @@
 package sched
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"tufast/internal/obs"
+)
 
 // Stats are the counters every scheduler reports. The baselines in this
-// package update one shared Stats; TuFast's core counts per worker and
-// returns a Stats summed on request (core.System.Stats), so resetting
-// what it returns resets nothing — core.System.ResetStats does.
+// package update one shared Stats, their loops' Tally; TuFast's core
+// counts per worker and returns a Stats summed on request
+// (core.System.Stats), so resetting what it returns resets nothing —
+// core.System.ResetStats does.
 type Stats struct {
 	Commits   atomic.Uint64 // transactions committed
 	Aborts    atomic.Uint64 // attempts aborted and retried
@@ -15,6 +20,16 @@ type Stats struct {
 	Writes    atomic.Uint64 // committed write operations
 	Deadlocks atomic.Uint64 // deadlock victims (lock-based schedulers)
 }
+
+// NoteCommit counts a committed transaction and its operations.
+func (s *Stats) NoteCommit(_ obs.Mode, reads, writes uint64) {
+	s.Commits.Add(1)
+	s.Reads.Add(reads)
+	s.Writes.Add(writes)
+}
+
+// NoteAbort counts an aborted, retried attempt.
+func (s *Stats) NoteAbort() { s.Aborts.Add(1) }
 
 // NoteUserStop counts a terminal non-commit outcome, classifying panics
 // separately from plain user errors and cancellations.

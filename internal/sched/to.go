@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"tufast/internal/gentab"
+	"tufast/internal/htm"
 	"tufast/internal/mem"
 	"tufast/internal/obs"
 	"tufast/internal/vlock"
@@ -15,7 +16,8 @@ import (
 // read timestamp; writes require the transaction to be newer than every
 // earlier reader and writer, happen in place under an exclusive vertex
 // lock (with undo), and advance the write timestamp. A transaction that
-// arrives "too late" aborts and retries with a fresh timestamp.
+// arrives "too late" aborts and retries with a fresh timestamp. With a
+// segment period it is H-TO (NewHTO).
 type TO struct {
 	Instrumented
 	Taxed
@@ -25,12 +27,17 @@ type TO struct {
 	wts   []atomic.Uint64
 	clock atomic.Uint64
 	stats Stats
+	name  string
 
-	// drain is the starvation escape hatch: timestamp ordering livelocks
-	// a large writer whose footprint is continuously touched by newer
-	// transactions (every retry draws a newer timestamp, but so does
-	// everyone else). After starveLimit consecutive aborts a transaction
-	// takes drain exclusively and runs alone.
+	// period is H-TO's HTM segment length in operations; 0 is plain TO.
+	period int
+	// HTMStats counts H-TO's emulated HTM segments.
+	HTMStats htm.Stats
+
+	// drain is the starvation drain of every worker's loop: timestamp
+	// ordering aborts a large writer whose footprint newer transactions
+	// keep touching (every retry draws a newer timestamp, but so does
+	// everyone else).
 	drain sync.RWMutex
 }
 
@@ -41,89 +48,78 @@ func NewTO(sp *mem.Space, locks *vlock.Table, nVertices int) *TO {
 		locks: locks,
 		rts:   make([]atomic.Uint64, nVertices),
 		wts:   make([]atomic.Uint64, nVertices),
+		name:  "TO",
 	}
 }
 
+// NewHTO creates an H-TO-like scheduler (§VI-B, citing the
+// HTM-accelerated timestamp ordering of [10]): timestamp ordering whose
+// reads are additionally monitored in HTM segments of period operations,
+// so a conflicting commit aborts the transaction at its next operation
+// instead of poisoning the rest of the execution. The period is fixed —
+// it has no TuFast-style adaptation, which is the point of the comparison
+// — and defaults to 1000.
+func NewHTO(sp *mem.Space, locks *vlock.Table, nVertices, period int) *TO {
+	if period < 1 {
+		period = 1000
+	}
+	s := NewTO(sp, locks, nVertices)
+	s.period, s.name = period, "H-TO"
+	return s
+}
+
 // Name implements Scheduler.
-func (s *TO) Name() string { return "TO" }
+func (s *TO) Name() string { return s.name }
 
 // Stats implements Scheduler.
 func (s *TO) Stats() *Stats { return &s.stats }
 
 // Worker implements Scheduler.
 func (s *TO) Worker(tid int) Worker {
-	return &toWorker{
-		s:     s,
-		tid:   tid,
-		held:  gentab.New(5),
-		bo:    NewBackoff(uint64(tid)*0xD1342543DE82EF95 + 3),
-		probe: s.Metrics().NewProbe(tid),
+	w := &toWorker{s: s, tid: tid, held: gentab.New(5)}
+	seed := uint64(tid)*0xD1342543DE82EF95 + 3
+	if s.period > 0 {
+		w.seg = &segment{s: s, seen: gentab.New(6)}
+		seed = uint64(tid)*0xC2B2AE3D27D4EB4F + 17
 	}
+	p := s.Metrics().NewProbe()
+	w.loop = newLoop(w, &s.stats, &p, obs.ModeTx, &s.drain, seed)
+	return w
 }
 
 type toWorker struct {
+	loop
 	s         *TO
 	tid       int
 	ts        uint64
 	held      *gentab.Table // vertices we hold exclusively
 	heldOrder []uint32
 	undo      []undoRec
-	bo        Backoff
-	probe     obs.Probe
+	// seg is H-TO's segment monitor; nil under plain TO.
+	seg *segment
 
 	nreads, nwrites uint64
 }
 
-// starveLimit is the consecutive-abort count after which a TO/H-TO
-// transaction serializes itself via the drain lock.
-const starveLimit = 64
-
-// Run implements Worker.
-func (w *toWorker) Run(_ int, fn TxFunc) error {
-	sp := w.probe.TxBegin(0)
-	consecutive := 0
-	for {
-		exclusive := consecutive >= starveLimit
-		if exclusive {
-			w.s.drain.Lock()
-		} else {
-			w.s.drain.RLock()
-		}
-		w.ts = w.s.clock.Add(1)
-		err, ok := RunAttempt(w, fn)
-		unlock := func() {
-			if exclusive {
-				w.s.drain.Unlock()
-			} else {
-				w.s.drain.RUnlock()
-			}
-		}
-		if ok && err == nil {
-			w.finish(true)
-			unlock()
-			w.s.stats.Commits.Add(1)
-			w.s.stats.Reads.Add(w.nreads)
-			w.s.stats.Writes.Add(w.nwrites)
-			w.probe.TxCommit(obs.ModeTx, uint32(consecutive), sp)
-			w.nreads, w.nwrites = 0, 0
-			w.bo.Reset()
-			return nil
-		}
-		w.finish(false)
-		unlock()
-		if ok {
-			w.s.stats.NoteUserStop(err)
-			w.probe.TxStop(obs.ModeTx, StopReason(err), uint32(consecutive))
-			w.nreads, w.nwrites = 0, 0
-			return err
-		}
-		w.s.stats.Aborts.Add(1)
-		w.probe.TxAbort(obs.ModeTx, obs.ReasonConflict)
-		w.nreads, w.nwrites = 0, 0
-		consecutive++
-		w.bo.Wait()
+func (w *toWorker) begin(int) bool {
+	w.ts = w.s.clock.Add(1)
+	w.nreads, w.nwrites = 0, 0
+	if w.seg != nil {
+		w.seg.begin()
 	}
+	return true
 }
+
+func (w *toWorker) commit() bool {
+	w.finish(true)
+	return true
+}
+
+func (w *toWorker) rollback() { w.finish(false) }
+
+func (w *toWorker) ops() (reads, writes uint64) { return w.nreads, w.nwrites }
+
+func (w *toWorker) reason() obs.Reason { return obs.ReasonConflict }
 
 func (w *toWorker) finish(commit bool) {
 	if !commit {
@@ -153,8 +149,12 @@ func casMax(a *atomic.Uint64, v uint64) {
 // BEFORE loading, bracket the load with the vertex stamp so no writer
 // held or took v's lock while we read (an older one that locks later
 // sees our rts and aborts), then verify no newer writer slipped in.
+// H-TO reads the line consistently and records it in the segment.
 func (w *toWorker) Read(v uint32, addr mem.Addr) uint64 {
-	w.s.chargeTax()
+	w.s.chargeTax() // the TO bookkeeping is a software barrier even with HTM assist
+	if w.seg != nil {
+		w.seg.op()
+	}
 	if _, own := w.held.Get(uint64(v)); own {
 		w.nreads++
 		return w.s.sp.Load(addr)
@@ -167,12 +167,21 @@ func (w *toWorker) Read(v uint32, addr mem.Addr) uint64 {
 	if !vlock.StampFree(s1) {
 		ThrowAbort("dirty read")
 	}
-	val := w.s.sp.Load(addr)
+	var val, ver uint64
+	var ok bool
+	if w.seg == nil {
+		val = w.s.sp.Load(addr)
+	} else if val, ver, ok = w.s.sp.ReadConsistent(addr); !ok {
+		ThrowAbort("line locked")
+	}
 	if w.s.locks.Stamp(v) != s1 {
 		ThrowAbort("writer during read")
 	}
 	if w.s.wts[v].Load() > w.ts {
 		ThrowAbort("newer writer during read")
+	}
+	if w.seg != nil {
+		w.seg.read(mem.LineOf(addr), ver)
 	}
 	w.nreads++
 	return val
@@ -181,6 +190,9 @@ func (w *toWorker) Read(v uint32, addr mem.Addr) uint64 {
 // Write implements Tx.
 func (w *toWorker) Write(v uint32, addr mem.Addr, val uint64) {
 	w.s.chargeTax()
+	if w.seg != nil {
+		w.seg.op()
+	}
 	if _, own := w.held.Get(uint64(v)); !own {
 		if w.s.rts[v].Load() > w.ts || w.s.wts[v].Load() > w.ts {
 			ThrowAbort("write too late")
@@ -199,5 +211,63 @@ func (w *toWorker) Write(v uint32, addr mem.Addr, val uint64) {
 	}
 	w.undo = append(w.undo, undoRec{addr: addr, old: w.s.sp.Load(addr)})
 	w.s.sp.StoreVersioned(addr, val)
+	if w.seg != nil {
+		w.seg.wrote(mem.LineOf(addr))
+	}
 	w.nwrites++
+}
+
+// segment is H-TO's HTM segment monitor: reads of the open segment are
+// revalidated whenever the global commit clock moves, and the segment
+// closes (XEND; XBEGIN) every period operations.
+type segment struct {
+	s        *TO
+	reads    []readRec
+	seen     *gentab.Table
+	ops      int
+	snapshot uint64
+}
+
+func (g *segment) begin() {
+	g.reads = g.reads[:0]
+	g.seen.Reset()
+	g.ops = 0
+	g.snapshot = g.s.sp.Commits()
+	g.s.HTMStats.Starts.Add(1)
+}
+
+// op ticks the segment forward before every operation.
+func (g *segment) op() {
+	if c := g.s.sp.Commits(); c != g.snapshot {
+		for i := range g.reads {
+			if g.s.sp.Meta(g.reads[i].line) != g.reads[i].ver {
+				g.s.HTMStats.AbortConflicts.Add(1)
+				ThrowAbort("hto segment conflict")
+			}
+		}
+		g.snapshot = c
+	}
+	g.ops++
+	if g.ops >= g.s.period {
+		g.s.HTMStats.Commits.Add(1)
+		g.begin()
+	}
+}
+
+// read records line l, read at version ver, on its first read in the
+// segment.
+func (g *segment) read(l mem.Line, ver uint64) {
+	if _, seen := g.seen.Get(uint64(l)); !seen {
+		g.seen.Put(uint64(l), int32(len(g.reads)))
+		g.reads = append(g.reads, readRec{line: l, ver: ver})
+	}
+}
+
+// wrote refreshes the record of a line the transaction's own in-place
+// store just bumped, or the next op would take that write for a foreign
+// conflict and self-abort forever.
+func (g *segment) wrote(l mem.Line) {
+	if i, seen := g.seen.Get(uint64(l)); seen {
+		g.reads[i].ver = g.s.sp.Meta(l)
+	}
 }

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -29,10 +28,10 @@ type TPL struct {
 	stats Stats
 	name  string
 
-	// drain is the starvation escape hatch: under extreme contention the
-	// shared->exclusive upgrade path can deadlock-victim the same
-	// transaction indefinitely (every retry meets fresh shared holders).
-	// After starveLimit consecutive aborts a transaction runs alone.
+	// drain is the starvation drain of every worker's loop: the
+	// shared->exclusive upgrade path can make the same transaction a
+	// deadlock victim indefinitely (every retry meets fresh shared
+	// holders).
 	drain sync.RWMutex
 
 	// exclusiveOnly acquires every lock in exclusive mode (the classic
@@ -71,32 +70,20 @@ func (s *TPL) Stats() *Stats { return &s.stats }
 // Worker implements Scheduler.
 func (s *TPL) Worker(tid int) Worker { return s.NewWorker(tid) }
 
-// NewWorker returns the concrete worker.
+// NewWorker returns the concrete worker, recording into the scheduler's
+// own Stats and metrics.
 func (s *TPL) NewWorker(tid int) *TPLWorker {
-	p := s.Metrics().NewProbe(tid)
-	return s.newWorker(tid, &p, false)
+	p := s.Metrics().NewProbe()
+	return s.NewWorkerFor(tid, &s.stats, &p)
 }
 
-// NewHostedWorker returns a worker embedded in another scheduler's
-// worker (TuFast's core uses it as the L-mode executor). The host records
-// transaction outcomes itself — it alone knows the end-to-end latency and
-// the O2L/L class split; per-run breakdowns stay available through
-// LastOpCounts / LastAbortBreakdown — so a hosted worker records only
-// what it alone sees, its backoff waits, and records them on the host's
-// probe.
-func (s *TPL) NewHostedWorker(tid int, host *obs.Probe) *TPLWorker {
-	return s.newWorker(tid, host, true)
-}
-
-func (s *TPL) newWorker(tid int, probe *obs.Probe, hosted bool) *TPLWorker {
-	return &TPLWorker{
-		s:      s,
-		tid:    tid,
-		held:   gentab.New(6),
-		bo:     NewBackoff(uint64(tid)*0x9E3779B97F4A7C15 + 1),
-		probe:  probe,
-		hosted: hosted,
-	}
+// NewWorkerFor returns a worker that records its transactions into tally
+// and probe instead. TuFast's core runs L mode on one, counted in its own
+// worker's block and probe under the transaction's class (Continue).
+func (s *TPL) NewWorkerFor(tid int, tally Tally, probe *obs.Probe) *TPLWorker {
+	w := &TPLWorker{s: s, tid: tid, held: gentab.New(6)}
+	w.loop = newLoop(w, tally, probe, obs.ModeL, &s.drain, uint64(tid)*0x9E3779B97F4A7C15+1)
+	return w
 }
 
 // A held-table value packs the hold's mode with its position in order
@@ -116,164 +103,56 @@ type undoRec struct {
 
 // TPLWorker executes transactions under strict 2PL for one goroutine.
 type TPLWorker struct {
+	loop
 	s     *TPL
 	tid   int
 	held  *gentab.Table // vertex -> position in order << holdShift | holdShared/holdExcl
 	order []uint32
 	undo  []undoRec
-	bo    Backoff
 
-	// ctx is the cancellation context of the in-flight RunCtx call (nil
-	// when the transaction is not cancellable); lock-wait loops poll it.
-	ctx context.Context
-
-	probe *obs.Probe
-	// hosted suppresses outcome recording on probe, which then belongs
-	// to the embedding scheduler's worker (see NewHostedWorker).
-	hosted bool
-	// dlAbort marks the in-flight attempt as a deadlock victim so the
-	// retry loop can attribute the abort.
+	// dlAbort marks the in-flight attempt as a deadlock victim.
 	dlAbort bool
 
-	nreads, nwrites           uint64
-	lastReads, lastWrites     uint64
-	lastRetries, lastDeadlock uint64
-}
-
-// LastOpCounts reports the committed read and write operation counts of
-// the most recently finished transaction (TuFast's core attributes them
-// to the L mode class).
-func (w *TPLWorker) LastOpCounts() (reads, writes uint64) {
-	return w.lastReads, w.lastWrites
-}
-
-// LastAbortBreakdown reports the most recently finished transaction's
-// internal retries: how many attempts aborted, and how many of those
-// were deadlock victims (the rest were lock conflicts). The embedding
-// scheduler uses it for post-hoc abort attribution.
-func (w *TPLWorker) LastAbortBreakdown() (retries, deadlocks uint64) {
-	return w.lastRetries, w.lastDeadlock
+	nreads, nwrites uint64
 }
 
 // upgradeSpinLimit bounds shared-to-exclusive upgrade spinning in modes
 // without detection; two upgraders of the same vertex deadlock otherwise.
 const upgradeSpinLimit = 1 << 14
 
-// Run implements Worker. The size hint is ignored: 2PL handles any size.
-func (w *TPLWorker) Run(_ int, fn TxFunc) error {
-	var sp obs.Span
-	if !w.hosted {
-		sp = w.probe.TxBegin(0)
-	}
-	consecutive := 0
-	var deadlocks uint64
-	for {
-		w.dlAbort = false
-		err, ok, committed := w.attempt(fn, consecutive >= starveLimit)
-		if committed {
-			w.s.stats.Commits.Add(1)
-			w.s.stats.Reads.Add(w.nreads)
-			w.s.stats.Writes.Add(w.nwrites)
-			w.resetCounters()
-			w.noteDone(uint64(consecutive), deadlocks)
-			if !w.hosted {
-				w.probe.TxCommit(obs.ModeL, uint32(consecutive), sp)
-			}
-			w.bo.Reset()
-			return nil
-		}
-		if ok { // user abort, panic, or cancellation: do not retry
-			w.s.stats.NoteUserStop(err)
-			w.resetCounters()
-			w.noteDone(uint64(consecutive), deadlocks)
-			if !w.hosted {
-				w.probe.TxStop(obs.ModeL, StopReason(err), uint32(consecutive))
-			}
-			w.bo.Reset()
-			return err
-		}
-		w.s.stats.Aborts.Add(1)
-		reason := obs.ReasonConflict
-		if w.dlAbort {
-			reason = obs.ReasonDeadlock
-			deadlocks++
-		}
-		if !w.hosted {
-			w.probe.TxAbort(obs.ModeL, reason)
-		}
-		w.resetCounters()
-		consecutive++
-		if err := w.ctxErr(); err != nil {
-			w.noteDone(uint64(consecutive), deadlocks)
-			if !w.hosted {
-				w.probe.TxStop(obs.ModeL, obs.ReasonCancel, uint32(consecutive))
-			}
-			w.bo.Reset()
-			return err
-		}
-		w.bo.WaitObserved(w.probe)
-	}
+func (w *TPLWorker) begin(int) bool {
+	w.dlAbort = false
+	w.nreads, w.nwrites = 0, 0
+	return true
 }
 
-func (w *TPLWorker) noteDone(retries, deadlocks uint64) {
-	w.lastRetries, w.lastDeadlock = retries, deadlocks
+// commit releases the locks; the fault hook sits where a crash leaves
+// them held.
+func (w *TPLWorker) commit() bool {
+	if w.s.faults.Load().AtCommit("L") {
+		return false
+	}
+	w.finish(true)
+	return true
 }
 
-// RunCtx implements CtxWorker: Run, but returning ctx.Err() promptly
-// (with all locks released and writes rolled back) once ctx is cancelled,
-// even from inside a lock-wait loop.
-func (w *TPLWorker) RunCtx(ctx context.Context, sizeHint int, fn TxFunc) error {
-	if ctx == nil || ctx.Done() == nil {
-		return w.Run(sizeHint, fn)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	w.ctx = ctx
-	defer func() { w.ctx = nil }()
-	return w.Run(sizeHint, fn)
-}
+func (w *TPLWorker) rollback() { w.finish(false) }
 
-func (w *TPLWorker) ctxErr() error {
-	if w.ctx == nil {
-		return nil
-	}
-	return w.ctx.Err()
-}
+func (w *TPLWorker) ops() (reads, writes uint64) { return w.nreads, w.nwrites }
 
-// attempt runs one attempt under the starvation drain. The drain is
-// released by defer so that a panic escaping the commit window (fault
-// injection, internal bugs) cannot wedge every other worker; the vertex
-// locks such a panic leaves behind are reclaimed by AbandonInFlight.
-func (w *TPLWorker) attempt(fn TxFunc, exclusive bool) (err error, ok, committed bool) {
-	if exclusive {
-		w.s.drain.Lock()
-		defer w.s.drain.Unlock()
-	} else {
-		w.s.drain.RLock()
-		defer w.s.drain.RUnlock()
+func (w *TPLWorker) reason() obs.Reason {
+	if w.dlAbort {
+		return obs.ReasonDeadlock
 	}
-	err, ok = RunAttempt(w, fn)
-	if ok && err == nil {
-		if w.s.faults.Load().AtCommit("L") {
-			w.finish(false)
-			return nil, false, false
-		}
-		w.finish(true)
-		return nil, true, true
-	}
-	w.finish(false)
-	return err, ok, false
+	return obs.ReasonConflict
 }
 
 // AbandonInFlight implements Abandoner: it rolls back and releases
 // whatever a panic-interrupted attempt still holds (undo log first, then
-// locks), clears the deadlock-detector state, and resets the backoff so a
-// pooled reuse starts fresh. Idempotent; a clean worker is a no-op.
+// locks) and clears the deadlock-detector state; the next transaction
+// starts its backoff afresh anyway. Idempotent; a clean worker is a no-op.
 func (w *TPLWorker) AbandonInFlight() bool {
 	w.finish(false)
-	w.resetCounters()
-	w.bo.Reset()
 	return true
 }
 
@@ -283,11 +162,6 @@ func (w *TPLWorker) TrimScratch() {
 	if w.held.Cap()+cap(w.order)+cap(w.undo) > ScratchKeep {
 		w.held, w.order, w.undo = gentab.New(6), nil, nil
 	}
-}
-
-func (w *TPLWorker) resetCounters() {
-	w.lastReads, w.lastWrites = w.nreads, w.nwrites
-	w.nreads, w.nwrites = 0, 0
 }
 
 // finish ends the attempt: on abort it rolls back the undo log first

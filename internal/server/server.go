@@ -416,7 +416,9 @@ func (s *Server) mux() *http.ServeMux {
 	mux.HandleFunc("GET /v1/graphs/{name}/graph", s.withGraph((*graphInstance).handleGraph))
 	mux.HandleFunc("POST /v1/graphs/{name}/checkpoint", s.withGraph((*graphInstance).handleCheckpoint))
 	mux.HandleFunc("GET /v1/graphs/{name}/health", s.withGraph((*graphInstance).handleHealthV1))
-	// Legacy unnamed routes alias the default graph (PR 5–9 clients).
+	// Unnamed routes alias the default graph. They stay: the benchmark
+	// driver (benchmark/loadgen.go, serve_write.go, serve_mixed.go,
+	// probes.go) and tufast-loadgen call them.
 	mux.HandleFunc("POST /v1/edges", s.onDefault((*graphInstance).handleEdges))
 	mux.HandleFunc("POST /v1/jobs", s.onDefault((*graphInstance).handleSubmit))
 	mux.HandleFunc("GET /v1/jobs/{id}", s.onDefault((*graphInstance).handleJobGet))

@@ -86,12 +86,14 @@ end
 
 # The benchmarks EXPERIMENTS quotes, one iteration each, so they at least
 # keep compiling and running: the write path's, the H-mode fast path's
-# "shares nothing" number, and the Fig. 13/14 RM and RW cells.
+# "shares nothing" number, the Fig. 13/14 RM and RW cells, and the
+# per-scheduler transactions those cells are built from.
 begin "benchmarks run (1x)"
 go test -run '^$' -bench 'BenchmarkApplyStream(Leaf|Hub)$' -benchtime 1x . >/dev/null
 go test -run '^$' -bench 'BenchmarkDecodeBatch256$' -benchtime 1x ./internal/server >/dev/null
 go test -run '^$' -bench 'BenchmarkHCommitDisjoint$' -benchtime 1x ./internal/core >/dev/null
 go test -run '^$' -bench 'Benchmark(RM|RW)$' -benchtime 1x ./internal/bench >/dev/null
+go test -run '^$' -bench 'Benchmark(2PL|OCC|TO|STM|HSync|HTO)Txn$|BenchmarkTPLReadThenWrite' -benchtime 1x ./internal/sched >/dev/null
 end
 
 # Serializability under oversubscription: the isolated run above passes

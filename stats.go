@@ -71,7 +71,7 @@ func (s *System) StatsSnapshot() Stats {
 		HTMLocked:     hs.AbortLocked,
 		HQuiet:        qs.Attempts,
 		HQuietKilled:  qs.Killed,
-		Deadlocks:     s.core.LModeStats().Deadlocks.Load(),
+		Deadlocks:     s.core.Deadlocks(),
 		CurrentPeriod: s.core.CurrentPeriod(),
 	}
 }
@@ -79,25 +79,20 @@ func (s *System) StatsSnapshot() Stats {
 // ResetStats zeroes every counter StatsSnapshot and MetricsSnapshot
 // report: the scheduler counters (Commits, Aborts, UserStops, Panics,
 // Reads, Writes), the per-class Mode buckets, the emulated-HTM counters
-// (HTMStarts through HTMLocked), HQuiet and HQuietKilled, the L-mode
-// counters (including
-// Deadlocks), and the observability metrics (per-mode commit/abort
-// counts, latency and retry histograms, transition counters, event
-// rings). It does NOT reset the adaptive period controller: its
-// estimate of the workload's conflict rate remains valid across a
-// warmup boundary (resetting it would re-learn from scratch and skew
-// the measured run), so CurrentPeriod is a gauge that persists.
+// (HTMStarts through HTMLocked), HQuiet and HQuietKilled, Deadlocks,
+// and the observability metrics (per-mode commit/abort counts, latency
+// and retry histograms, transition and backoff counters). It does NOT
+// reset the adaptive period controller: its estimate of the workload's
+// conflict rate remains valid across a warmup boundary (resetting it
+// would re-learn from scratch and skew the measured run), so
+// CurrentPeriod is a gauge that persists.
 func (s *System) ResetStats() { s.core.ResetStats() }
 
 // MetricsSnapshot is the observability snapshot: per-mode commit and
 // abort-reason counts, sampled commit-latency and retry histograms,
-// mode-transition counters, and any retained lifecycle events' drop
-// count. See the internal/obs package documentation for field details.
+// mode-transition and backoff counters. See the internal/obs package
+// documentation for field details.
 type MetricsSnapshot = obs.Snapshot
-
-// TxEvent is one retained transaction lifecycle event (begin, commit,
-// abort, or stop), recorded when EnableTxEvents(true) is set.
-type TxEvent = obs.Event
 
 // MetricsSnapshot captures the observability metrics. The adaptive
 // period in force is exported as the "adaptive_period" gauge, the worker
@@ -113,17 +108,6 @@ func (s *System) MetricsSnapshot() MetricsSnapshot {
 	snap.Gauges["workers"] = int64(s.core.Workers())
 	return snap
 }
-
-// EnableTxEvents toggles per-worker transaction lifecycle event
-// recording (begin/commit/abort/stop into fixed-size rings, oldest
-// dropped first). Off by default: event recording costs more than the
-// few uncontended, worker-private atomic adds the counter path is
-// budgeted at.
-func (s *System) EnableTxEvents(on bool) { s.core.Metrics().EnableEvents(on) }
-
-// TxEvents returns the retained lifecycle events across all workers,
-// ordered by sequence stamp.
-func (s *System) TxEvents() []TxEvent { return s.core.Metrics().Events() }
 
 // Core exposes the internal scheduler to sibling packages in this module
 // (tests install fault injectors and inspect the lock table through it).

@@ -39,8 +39,8 @@ func runCounterWorkload(t *testing.T, sys *tufast.System, g *tufast.Graph) {
 	if err := sys.Atomic(0, func(tx tufast.Tx) error { panic("boom") }); !errors.As(err, &pe) {
 		t.Fatalf("panic stop: %v", err)
 	}
-	// One transaction hinted straight into L mode, so the L-mode
-	// sub-scheduler's own counters move whatever the router decided above.
+	// One transaction hinted straight into L mode, so the L class moves
+	// whatever the router decided above.
 	if err := sys.Atomic(lHint, func(tx tufast.Tx) error { tx.Write(0, arr.Addr(0), 1); return nil }); err != nil {
 		t.Fatalf("L-mode transaction: %v", err)
 	}
@@ -82,9 +82,8 @@ func TestResetStatsZeroesEveryCounter(t *testing.T) {
 	}
 
 	// The core's own views show counters the public Stats leaves out
-	// (HTM operation counts, the L-mode sub-scheduler's): they are sums
-	// over per-worker blocks, so only ResetStats can clear them, and it
-	// must clear all of them.
+	// (HTM operation counts): they are sums over per-worker blocks, so
+	// only ResetStats can clear them, and it must clear all of them.
 	coreViews := func() map[string]any {
 		c := sys.Core()
 		return map[string]any{
@@ -92,14 +91,14 @@ func TestResetStatsZeroesEveryCounter(t *testing.T) {
 			"core.ModeStats":  c.ModeStats(),
 			"core.HTMStats":   c.HTMStats(),
 			"core.QuietStats": c.QuietStats(),
-			"core.LModeStats": c.LModeStats().Snapshot(),
+			"core.Deadlocks":  c.Deadlocks(),
 		}
 	}
 	if hs := sys.Core().HTMStats(); hs.Ops == 0 {
 		t.Fatalf("workload moved no HTM operation counters: %+v", hs)
 	}
-	if ls := sys.Core().LModeStats().Snapshot(); ls.Commits == 0 {
-		t.Fatalf("workload committed nothing in L mode: %+v", ls)
+	if pre.Mode["L"].Transactions == 0 {
+		t.Fatalf("workload committed nothing in L mode: %+v", pre.Mode)
 	}
 
 	sys.ResetStats()
@@ -206,28 +205,5 @@ func TestMetricsSnapshotBreakdown(t *testing.T) {
 	}
 	if retries == 0 {
 		t.Error("no retry histogram entries recorded")
-	}
-}
-
-// TestTxEvents checks the opt-in lifecycle event rings through the
-// public API.
-func TestTxEvents(t *testing.T) {
-	g := tufast.GeneratePowerLaw(500, 4_000, 2.1, 3)
-	sys := tufast.NewSystem(g, tufast.Options{Threads: 2})
-	if evs := sys.TxEvents(); len(evs) != 0 {
-		t.Fatalf("events on by default: %d", len(evs))
-	}
-	sys.EnableTxEvents(true)
-	if err := sys.Atomic(4, func(tx tufast.Tx) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	evs := sys.TxEvents()
-	if len(evs) < 2 {
-		t.Fatalf("want at least begin+commit, got %d", len(evs))
-	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Seq <= evs[i-1].Seq {
-			t.Fatal("events not ordered by sequence stamp")
-		}
 	}
 }

@@ -87,14 +87,6 @@ type Options struct {
 	// SpaceWords overrides the shared-space size in 8-byte words
 	// (default: 24 words per vertex plus slack).
 	SpaceWords int
-	// HRetries bounds H-mode retries (default 8).
-	HRetries int
-	// PeriodInit is the O-mode segment length before adaptation
-	// (default 1000).
-	PeriodInit int
-	// AdaptivePeriod toggles the §IV-D controller (default on;
-	// StaticPeriod disables it).
-	StaticPeriod bool
 	// Deadlock selects the L-mode policy.
 	Deadlock DeadlockPolicy
 	// HMaxHint and OMaxHint override the §IV-B routing ceilings: a
@@ -133,9 +125,7 @@ func NewSystem(g *Graph, opt Options) *System {
 		opt.SpaceWords = 24*(n+8) + 4096
 	}
 	cfg := core.Config{
-		HRetries:       opt.HRetries,
-		PeriodInit:     opt.PeriodInit,
-		AdaptivePeriod: !opt.StaticPeriod,
+		AdaptivePeriod: true,
 		HMaxHint:       opt.HMaxHint,
 		OMaxHint:       opt.OMaxHint,
 	}
