@@ -91,11 +91,7 @@ func main() {
 		if *metHTTP == "" {
 			return
 		}
-		m := sched.MetricsOf(s)
-		if m == nil {
-			return
-		}
-		bound, _, err := obs.Serve(*metHTTP, "tufast", m.Snapshot)
+		bound, _, err := obs.Serve(*metHTTP, "tufast", s.Metrics().Snapshot)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tufast: metrics endpoint:", err)
 			os.Exit(1)
@@ -117,19 +113,17 @@ func main() {
 	fmt.Printf("%s on %s: %s\n", *algoName, *system, summary)
 	fmt.Printf("elapsed: %v\n", elapsed)
 	if *stats && scheduler != nil {
-		s := scheduler.Stats().Snapshot()
+		s := scheduler.Metrics().Snapshot().Totals()
 		fmt.Printf("commits=%d aborts=%d reads=%d writes=%d deadlocks=%d\n",
 			s.Commits, s.Aborts, s.Reads, s.Writes, s.Deadlocks)
 	}
 	if *metrics && scheduler != nil {
-		if m := sched.MetricsOf(scheduler); m != nil {
-			buf, merr := json.MarshalIndent(m.Snapshot(), "", "  ")
-			if merr != nil {
-				fmt.Fprintln(os.Stderr, "tufast:", merr)
-				os.Exit(1)
-			}
-			fmt.Printf("metrics: %s\n", buf)
+		buf, merr := json.MarshalIndent(scheduler.Metrics().Snapshot(), "", "  ")
+		if merr != nil {
+			fmt.Fprintln(os.Stderr, "tufast:", merr)
+			os.Exit(1)
 		}
+		fmt.Printf("metrics: %s\n", buf)
 	}
 	if *metHTTP != "" && scheduler != nil {
 		fmt.Println("metrics: endpoint still serving; Ctrl-C to exit")

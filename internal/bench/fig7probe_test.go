@@ -16,8 +16,9 @@ func TestProbeFig7Cells(t *testing.T) {
 			s := fig7Scheduler(name, sp, n)
 			start := time.Now()
 			tput := contendedThroughput(g, sp, base, s, 2000, 8, c)
+			st := s.Metrics().Snapshot().Totals()
 			t.Logf("%s c=%.1f: %.0f txn/s (%v) aborts=%d deadlocks=%d", name, c, tput,
-				time.Since(start).Round(time.Millisecond), s.Stats().Aborts.Load(), s.Stats().Deadlocks.Load())
+				time.Since(start).Round(time.Millisecond), st.Aborts, st.Deadlocks)
 		}
 	}
 }

@@ -21,7 +21,7 @@ func TestProbeHTORW(t *testing.T) {
 	start := time.Now()
 	tput := runWorkload(g, sp, s, RW, base, 2000, 4)
 	el := time.Since(start)
-	st := s.Stats().Snapshot()
+	st := s.Metrics().Snapshot().Totals()
 	t.Logf("2000 RW txns in %v (%.0f txn/s), commits=%d aborts=%d",
 		el, tput, st.Commits, st.Aborts)
 	if el > 60*time.Second {

@@ -21,7 +21,7 @@ func TestProbeTuFastRM(t *testing.T) {
 	start := time.Now()
 	tput := runWorkload(g, sp, tf, RM, base, 20000, 4)
 	t.Logf("500 txns in %v (%.0f txn/s)", time.Since(start), tput)
-	st := tf.Stats().Snapshot()
+	st := tf.Stats()
 	hs := tf.HTMStats()
 	t.Logf("commits=%d aborts=%d htm{starts=%d commits=%d confl=%d cap=%d expl=%d lock=%d}",
 		st.Commits, st.Aborts, hs.Starts, hs.Commits, hs.AbortConflicts, hs.AbortCapacity,

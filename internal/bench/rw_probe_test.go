@@ -21,7 +21,7 @@ func TestProbeRWBreakdown(t *testing.T) {
 	start := time.Now()
 	tput := runWorkload(g, sp, tf, RW, base, 6000, 8)
 	t.Logf("TuFast RW: %.0f txn/s in %v", tput, time.Since(start).Round(time.Millisecond))
-	st := tf.Stats().Snapshot()
+	st := tf.Stats()
 	hs := tf.HTMStats()
 	t.Logf("commits=%d aborts=%d; htm starts=%d commits=%d confl=%d cap=%d expl=%d lock=%d",
 		st.Commits, st.Aborts, hs.Starts, hs.Commits, hs.AbortConflicts, hs.AbortCapacity,

@@ -133,7 +133,7 @@ func TestUserErrorPropagatesFromEveryMode(t *testing.T) {
 			if sp.Load(5) != 0 {
 				t.Fatal("aborted write visible")
 			}
-			if got := s.Stats().UserStops.Load(); got != 1 {
+			if got := s.Stats().UserStops; got != 1 {
 				t.Fatalf("user stops=%d", got)
 			}
 		})

@@ -6,19 +6,19 @@ import (
 
 	"tufast/internal/htm"
 	"tufast/internal/obs"
-	"tufast/internal/sched"
 )
 
-// counters is everything one worker counts, and the flag it raises while
-// one of its H commits may be publishing. Only the owning worker writes
-// it, so on the all-H fast path no counter update leaves the worker's
-// own cache lines; the pads keep a neighbouring allocation off its first
-// and last line. System.Stats, ModeStats, HTMStats and ResetStats sum
-// and clear the registered blocks.
+// counters is what one worker counts that is not a transaction's outcome,
+// and the flag it raises while one of its H commits may be publishing.
+// Only the owning worker writes it, so on the all-H fast path no counter
+// update leaves the worker's own cache lines; the pads keep a
+// neighbouring allocation off its first and last line. HTMStats,
+// QuietStats and ResetStats sum and clear the registered blocks.
 //
-// A commit itself is not counted here: the worker's obs.Probe records it
-// once, in its per-mode retry histogram, and every view of "commits"
-// (Stats().Commits, ModeStats.Count, the metrics snapshot) reads that.
+// Outcomes are not counted here: the worker's obs.Probe records each
+// commit (with its reads and writes), abort and stop once, and every view
+// of them — Stats, ModeStats, Deadlocks, the metrics snapshot — reads
+// that.
 type counters struct {
 	_ [64]byte
 
@@ -30,35 +30,10 @@ type counters struct {
 	// attempts (written by its htm.Tx) and O-mode segments.
 	htm htm.Stats
 
-	// reads and writes are the operations of committed transactions, by
-	// the class they committed in.
-	reads, writes [numClasses]atomic.Uint64
-
-	aborts    atomic.Uint64 // attempts aborted and retried, in any mode
-	userStops atomic.Uint64 // transactions stopped by user error, panic or cancellation
-	panics    atomic.Uint64 // the user stops that were panics
-
 	quietBegun  atomic.Uint64 // H attempts begun quiet (hmode.go)
 	quietKilled atomic.Uint64 // of those, the ones a locker's arrival killed
 
 	_ [64]byte
-}
-
-// NoteCommit, NoteAbort and NoteUserStop make the block a sched.Tally:
-// H and O mode count through them, and so does the retry loop L mode
-// runs under.
-func (c *counters) NoteCommit(mode obs.Mode, reads, writes uint64) {
-	c.reads[mode].Add(reads) // obs modes and classes share their order
-	c.writes[mode].Add(writes)
-}
-
-func (c *counters) NoteAbort() { c.aborts.Add(1) }
-
-func (c *counters) NoteUserStop(err error) {
-	c.userStops.Add(1)
-	if _, isPanic := sched.AsPanicError(err); isPanic {
-		c.panics.Add(1)
-	}
 }
 
 // register adds a new worker's block to the registry. The registry is an
@@ -86,42 +61,24 @@ func (s *System) Workers() int { return len(s.registered()) }
 // classes in the same order.
 func (c ModeClass) obsMode() obs.Mode { return obs.Mode(c) }
 
-// Stats implements sched.Scheduler. The result is a sum over the workers
-// taken now, not the live counters: resetting it does nothing to the
-// System (use ResetStats).
-func (s *System) Stats() *sched.Stats {
-	out := new(sched.Stats)
-	for _, c := range s.registered() {
-		out.Aborts.Add(c.aborts.Load())
-		out.UserStops.Add(c.userStops.Load())
-		out.Panics.Add(c.panics.Load())
-		for class := range numClasses {
-			out.Reads.Add(c.reads[class].Load())
-			out.Writes.Add(c.writes[class].Load())
-		}
-	}
-	commits := s.Metrics().Commits()
-	for _, class := range Classes() {
-		out.Commits.Add(commits[class.obsMode()])
-	}
-	return out
-}
+// Stats sums the metrics snapshot taken now over its modes.
+func (s *System) Stats() obs.Totals { return s.Metrics().Snapshot().Totals() }
 
-// ModeStats returns the Figure 15 per-mode breakdown, summed over the
-// workers now.
+// ModeStats returns the Figure 15 per-mode breakdown, read from the
+// metrics snapshot taken now.
 func (s *System) ModeStats() ModeStats {
+	snap := s.Metrics().Snapshot()
 	var m ModeStats
-	commits := s.Metrics().Commits()
 	for _, class := range Classes() {
-		m.count[class] = commits[class.obsMode()]
-	}
-	for _, c := range s.registered() {
-		for class := range numClasses {
-			m.ops[class] += c.reads[class].Load() + c.writes[class].Load()
-		}
+		ms := snap.Modes[class.String()]
+		m.count[class], m.ops[class] = ms.Commits, ms.Reads+ms.Writes
 	}
 	return m
 }
+
+// Deadlocks returns how many L-mode attempts were chosen as deadlock
+// victims: the aborts the metrics record with obs.ReasonDeadlock.
+func (s *System) Deadlocks() uint64 { return s.Stats().Deadlocks }
 
 // HTMStats returns the emulated-HTM counters (H-mode transactions and
 // O-mode segments), summed over the workers now.
@@ -148,22 +105,14 @@ func (s *System) QuietStats() obs.QuietSnapshot {
 }
 
 // ResetStats zeroes every counter Stats, ModeStats, HTMStats, QuietStats,
-// Deadlocks and the metrics snapshot report. It is the only reset there
-// is: the views above are sums, so resetting one of them would reset
-// nothing.
+// Deadlocks and the metrics snapshot report: the metrics, and the htm and
+// quiet counts of every worker's block. It is the only reset there is:
+// the views above are sums, so resetting one of them would reset nothing.
 func (s *System) ResetStats() {
+	s.Metrics().Reset()
 	for _, c := range s.registered() {
 		c.htm.Reset()
-		for class := range numClasses {
-			c.reads[class].Store(0)
-			c.writes[class].Store(0)
-		}
-		c.aborts.Store(0)
-		c.userStops.Store(0)
-		c.panics.Store(0)
 		c.quietBegun.Store(0)
 		c.quietKilled.Store(0)
 	}
-	s.lmode.Stats().Reset()
-	s.Metrics().Reset()
 }

@@ -369,7 +369,7 @@ func TestQuietHWriterNeverPublishesUnderLReader(t *testing.T) {
 	case err := <-hDone:
 		t.Fatalf("a quiet H writer committed under an L reader's shared lock (word = %d, err %v)", sp.Load(1), err)
 	}
-	for s.Stats().Aborts.Load() < 3 {
+	for s.Stats().Aborts < 3 {
 		runtime.Gosched() // the kill, and two subscribed retries turned away by the shared lock
 	}
 	close(again)
@@ -403,7 +403,7 @@ func TestOCommitLowersCountOnEveryExit(t *testing.T) {
 	// settled checks the count is back at 0 and the fast path with it.
 	settled := func(t *testing.T, s *System, w sched.Worker, wantAborts uint64) {
 		t.Helper()
-		if got := s.Stats().Aborts.Load(); got != wantAborts {
+		if got := s.Stats().Aborts; got != wantAborts {
 			t.Errorf("%d aborted attempts, want %d: the exit under test was not taken", got, wantAborts)
 		}
 		if got := lockers(s.lState.Load()); got != 0 {
@@ -593,7 +593,7 @@ func TestOneCountFourViews(t *testing.T) {
 	// check's mode is where the round's injected abort and user stop land.
 	check := func(when, mode string, wantH, wantO, wantL uint64) {
 		t.Helper()
-		st := s.Stats().Snapshot()
+		st := s.Stats()
 		ms := s.ModeStats()
 		hs := s.HTMStats()
 		qs := s.QuietStats()
@@ -601,7 +601,7 @@ func TestOneCountFourViews(t *testing.T) {
 		if st.Commits != total {
 			t.Errorf("%s: Stats().Commits = %d, want %d", when, st.Commits, total)
 		}
-		if got := snap.Commits(); got != total {
+		if got := snap.Totals().Commits; got != total {
 			t.Errorf("%s: metrics snapshot commits = %d, want %d", when, got, total)
 		}
 		var classes, ops, histCount, histSum uint64
@@ -637,8 +637,8 @@ func TestOneCountFourViews(t *testing.T) {
 		// the user stop is an H start that did not commit.
 		aborts := 1 + qs.Killed
 		t.Logf("%s: %d of %d H attempts began quiet, %d killed", when, qs.Attempts, hs.Starts, qs.Killed)
-		if st.Aborts != aborts || snap.Aborts() != aborts || histSum != aborts {
-			t.Errorf("%s: aborts: Stats %d, metrics %d, retries sum %d, want the injected one + %d kills in each", when, st.Aborts, snap.Aborts(), histSum, qs.Killed)
+		if st.Aborts != aborts || snap.Totals().Aborts != aborts || histSum != aborts {
+			t.Errorf("%s: aborts: Stats %d, metrics %d, retries sum %d, want the injected one + %d kills in each", when, st.Aborts, snap.Totals().Aborts, histSum, qs.Killed)
 		}
 		if got := snap.Modes["H"].Aborts["explicit"]; got != qs.Killed || hs.AbortExplicit != qs.Killed || hs.Aborts() != qs.Killed {
 			t.Errorf("%s: %d kills, but metrics count %d explicit H aborts and HTMStats %+v", when, qs.Killed, got, hs)
@@ -670,8 +670,8 @@ func TestOneCountFourViews(t *testing.T) {
 	reset := func() {
 		t.Helper()
 		s.ResetStats()
-		if st, snap := s.Stats().Snapshot(), s.Metrics().Snapshot(); st != (sched.Snapshot{}) || snap.Commits() != 0 || s.HTMStats() != (htm.StatsSnapshot{}) || s.ModeStats() != (ModeStats{}) || s.QuietStats() != (obs.QuietSnapshot{}) {
-			t.Fatalf("after ResetStats: Stats %+v, metrics commits %d, HTM %+v, modes %v, quiet %+v", st, snap.Commits(), s.HTMStats(), modeDump(s), s.QuietStats())
+		if st, snap := s.Stats(), s.Metrics().Snapshot(); st != (obs.Totals{}) || snap.Totals().Commits != 0 || s.HTMStats() != (htm.StatsSnapshot{}) || s.ModeStats() != (ModeStats{}) || s.QuietStats() != (obs.QuietSnapshot{}) {
+			t.Fatalf("after ResetStats: Stats %+v, metrics commits %d, HTM %+v, modes %v, quiet %+v", st, snap.Totals().Commits, s.HTMStats(), modeDump(s), s.QuietStats())
 		}
 	}
 

@@ -93,15 +93,13 @@ func (w *worker) runH(fn sched.TxFunc) (done bool, err error) {
 		h.begin()
 		uerr, ok := sched.RunAttempt(h, fn)
 		if ok && uerr != nil {
-			w.c.NoteUserStop(uerr)
 			w.probe.TxStop(obs.ModeH, sched.StopReason(uerr))
 			return true, uerr
 		}
 		if ok && h.commit() {
-			w.committed(ClassH, h.nreads, h.nwrites)
+			w.probe.TxCommit(obs.ModeH, w.attempts, w.span, h.nreads, h.nwrites)
 			return true, nil
 		}
-		w.c.NoteAbort()
 		code := h.settleAbort()
 		w.probe.TxAbort(obs.ModeH, sched.HTMReason(code))
 		w.attempts++

@@ -106,7 +106,6 @@ func (w *worker) runO(fn sched.TxFunc) (done bool, err error) {
 		uerr, ok := sched.RunAttempt(o, fn)
 		o.settleTelemetry()
 		if ok && uerr != nil {
-			w.c.NoteUserStop(uerr)
 			w.probe.TxStop(obs.ModeO, sched.StopReason(uerr))
 			return true, uerr
 		}
@@ -115,15 +114,14 @@ func (w *worker) runO(fn sched.TxFunc) (done bool, err error) {
 			if !first {
 				class = ClassOPlus
 			}
-			w.committed(class, o.nreads, o.nwrites)
+			w.probe.TxCommit(class.obsMode(), w.attempts, w.span, o.nreads, o.nwrites)
 			return true, nil
 		}
-		w.c.NoteAbort()
+		reason := obs.ReasonConflict
 		if o.capacityAbort {
-			w.probe.TxAbort(obs.ModeO, obs.ReasonCapacity)
-		} else {
-			w.probe.TxAbort(obs.ModeO, obs.ReasonConflict)
+			reason = obs.ReasonCapacity
 		}
+		w.probe.TxAbort(obs.ModeO, reason)
 		w.attempts++
 		first = false
 		if o.capacityAbort {

@@ -104,10 +104,6 @@ func (s *System) SetFaultInjector(fi *sched.FaultInjector) {
 // Name implements sched.Scheduler.
 func (s *System) Name() string { return "TuFast" }
 
-// Deadlocks returns how many L-mode attempts were chosen as deadlock
-// victims.
-func (s *System) Deadlocks() uint64 { return s.lmode.Stats().Deadlocks.Load() }
-
 // CurrentPeriod returns the adaptive O-mode segment length now in force
 // (the Fig. 17 trace reads this).
 func (s *System) CurrentPeriod() int { return s.period.Current() }
@@ -136,8 +132,8 @@ func (s *System) Worker(tid int) sched.Worker {
 	w.bo = sched.NewBackoff(uint64(tid)*0x9E3779B97F4A7C15 + 0xA5)
 	w.probe = s.Metrics().NewProbe()
 	// L mode runs the TPL protocol under the loop every baseline runs
-	// under, counting into this worker's block and probe (runL).
-	w.l = s.lmode.NewWorkerFor(tid, w.c, &w.probe)
+	// under, recording into this worker's probe (runL).
+	w.l = s.lmode.NewWorkerFor(tid, &w.probe)
 	return w
 }
 
@@ -272,14 +268,6 @@ func (w *worker) TrimScratch() {
 		w.o = newOCtx(w)
 	}
 	w.l.TrimScratch()
-}
-
-// committed records a transaction that committed in class with the given
-// operation counts: once in the probe (which is where every view's commit
-// count comes from) and in this worker's per-class workload.
-func (w *worker) committed(class ModeClass, reads, writes uint64) {
-	w.c.NoteCommit(class.obsMode(), reads, writes)
-	w.probe.TxCommit(class.obsMode(), w.attempts, w.span)
 }
 
 // awaitHCommits returns once no H commit that may have read lState before

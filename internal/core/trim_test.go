@@ -85,7 +85,7 @@ func TestPooledWorkerDropsGiantScratch(t *testing.T) {
 	if err := w.Run(context.Background(), s.cfg.HMaxHint+1, touchAll); err != nil {
 		t.Fatal(err)
 	}
-	if sp.Load(mem.Addr(hub-1)) != 3 || s.Stats().Commits.Load() != 4 {
-		t.Fatalf("after the trim: word = %d, commits = %d, want 3 and 4", sp.Load(mem.Addr(hub-1)), s.Stats().Commits.Load())
+	if sp.Load(mem.Addr(hub-1)) != 3 || s.Stats().Commits != 4 {
+		t.Fatalf("after the trim: word = %d, commits = %d, want 3 and 4", sp.Load(mem.Addr(hub-1)), s.Stats().Commits)
 	}
 }

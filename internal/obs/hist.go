@@ -36,15 +36,6 @@ func (h *Histogram) Record(v uint64) {
 	}
 }
 
-// count returns the number of recorded values.
-func (h *Histogram) count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // addTo folds the histogram into s, which must have HistBuckets counts.
 func (h *Histogram) addTo(s *HistSnapshot) {
 	for i := range h.counts {

@@ -2,24 +2,31 @@
 // telemetry the paper's adaptive routing (§IV-D, Fig. 10/15) is driven
 // by, made inspectable. It provides
 //
-//   - per-mode commit / abort-reason / user-stop counters,
+//   - per-mode commit / abort-reason / user-stop counters and the
+//     committed reads and writes,
 //   - per-mode latency and retry-count histograms (power-of-two
 //     buckets, plain atomic adds, mergeable snapshots),
 //   - mode-transition counters that make the H→O→L fallback ladder and
 //     the adaptive-period trajectory directly observable,
 //   - per-worker backoff counters (waits, the waits that slept, wall
 //     time inside them), and
-//   - export paths: plain-value Snapshot for programs, JSON over
-//     expvar / HTTP for operators.
+//   - export paths: plain-value Snapshot (and its Totals) for programs,
+//     JSON over expvar / HTTP for operators.
 //
-// Hot-path budget: recording a committed transaction is one atomic add
-// into the recording worker's own retry histogram — a cache line no
-// other worker writes — plus the histogram's sum when the transaction
-// retried; there is no separate commit counter, a mode's commits are its
-// retry histogram's count, so the two cannot disagree. Snapshot and
-// Reset sum and clear the per-worker blocks. Commit latency is sampled
-// (1 in 64 transactions) so the timestamp reads stay off the common
-// path. Aborts, stops and transitions are rarer and stay shared counters.
+// A Probe is the only place a scheduler records a transaction's outcome:
+// every count a scheduler reports — commits, aborts, stops, operations,
+// deadlock victims — is read from a Snapshot, so no two views can
+// disagree.
+//
+// Hot-path budget: recording a committed transaction is three atomic
+// adds into the recording worker's own block — lines no other worker
+// writes — for its retry histogram and its reads and writes, plus
+// the histogram's sum when the transaction retried; there is no separate
+// commit counter, a mode's commits are its retry histogram's count.
+// Snapshot and Reset sum and clear the per-worker blocks. Commit latency
+// is sampled (1 in 64 transactions) so the timestamp reads stay off the
+// common path. Aborts, stops and transitions are rarer and stay shared
+// counters.
 package obs
 
 import (
@@ -181,9 +188,7 @@ type Metrics struct {
 type workerState struct {
 	_ [64]byte
 
-	// retries holds the aborted attempts of every committed transaction,
-	// one Record each: a mode's commit count is its histogram's count.
-	retries [NumModes]Histogram
+	commits [NumModes]commitState
 	latency [NumModes]Histogram // sampled commit latency, nanoseconds
 
 	backoffWaits  atomic.Uint64
@@ -191,6 +196,15 @@ type workerState struct {
 	backoffNs     atomic.Uint64
 
 	_ [64]byte
+}
+
+// commitState is what a mode's commits record: the operations of the
+// committed transactions and, one Record each, their aborted attempts — a
+// mode's commit count is that histogram's count. The counts sit beside the
+// histogram's first buckets, which a commit that never retried records in.
+type commitState struct {
+	reads, writes atomic.Uint64
+	retries       Histogram
 }
 
 // Abort records one aborted (retried) attempt.
@@ -222,7 +236,10 @@ func (m *Metrics) Reset() {
 	}
 	for _, ws := range m.workerStates() {
 		for mo := range int(NumModes) {
-			ws.retries[mo].Reset()
+			c := &ws.commits[mo]
+			c.reads.Store(0)
+			c.writes.Store(0)
+			c.retries.Reset()
 			ws.latency[mo].Reset()
 		}
 		ws.backoffWaits.Store(0)
@@ -248,18 +265,6 @@ func (m *Metrics) NewProbe() Probe {
 	return Probe{m: m, ws: ws}
 }
 
-// Commits returns the number of transactions committed in each mode,
-// summed over the workers.
-func (m *Metrics) Commits() [NumModes]uint64 {
-	var n [NumModes]uint64
-	for _, ws := range m.workerStates() {
-		for mo := range n {
-			n[mo] += ws.retries[mo].count()
-		}
-	}
-	return n
-}
-
 // Span carries the sampled start timestamp of one transaction from
 // TxBegin to Commit; the zero Span means "unsampled".
 type Span struct {
@@ -267,8 +272,8 @@ type Span struct {
 }
 
 // Probe is the per-worker recording handle: it owns the worker's commit
-// histograms, backoff counters and the local sampling counter, so a
-// commit writes no state another worker writes.
+// histograms and operation counts, backoff counters and the local
+// sampling counter, so a commit writes no state another worker writes.
 type Probe struct {
 	m  *Metrics
 	ws *workerState
@@ -286,9 +291,12 @@ func (p *Probe) TxBegin() Span {
 }
 
 // TxCommit closes a transaction as committed in mode after retries
-// aborted attempts.
-func (p *Probe) TxCommit(mode Mode, retries uint32, sp Span) {
-	p.ws.retries[mode].Record(uint64(retries))
+// aborted attempts, its committing attempt having done reads and writes.
+func (p *Probe) TxCommit(mode Mode, retries uint32, sp Span, reads, writes uint64) {
+	c := &p.ws.commits[mode]
+	c.reads.Add(reads)
+	c.writes.Add(writes)
+	c.retries.Record(uint64(retries))
 	if sp.start != 0 {
 		ns := time.Now().UnixNano() - sp.start
 		if ns < 0 {

@@ -117,7 +117,7 @@ func TestMetricsReset(t *testing.T) {
 	p := m.NewProbe()
 	sp := p.TxBegin()
 	p.TxAbort(ModeO, ReasonCapacity)
-	p.TxCommit(ModeO, 1, sp)
+	p.TxCommit(ModeO, 1, sp, 3, 2)
 	p.TxStop(ModeL, ReasonUser)
 	p.BackoffWait(true, time.Millisecond)
 	m.Transition(TransHO)
@@ -129,15 +129,22 @@ func TestMetricsReset(t *testing.T) {
 	if len(s.Modes) != 0 || len(s.Transitions) != 0 || s.Backoff != (BackoffSnapshot{}) {
 		t.Fatalf("snapshot not empty after Reset: %+v", s)
 	}
+	p.TxCommit(ModeO, 0, Span{}, 0, 0)
+	if o := m.Snapshot().Modes["O"]; o.Reads != 0 || o.Writes != 0 {
+		t.Fatalf("operations survived Reset: %d reads, %d writes", o.Reads, o.Writes)
+	}
 }
 
 func TestSnapshotMergeAndJSON(t *testing.T) {
 	var m1, m2 Metrics
 	p1, p2 := m1.NewProbe(), m2.NewProbe()
-	p1.TxCommit(ModeH, 0, Span{})
+	p1.TxCommit(ModeH, 0, Span{}, 2, 1)
 	p1.TxAbort(ModeH, ReasonConflict)
-	p2.TxCommit(ModeH, 2, Span{})
-	p2.TxCommit(ModeL, 0, Span{})
+	p1.TxStop(ModeH, ReasonPanic)
+	p2.TxCommit(ModeH, 2, Span{}, 3, 0)
+	p2.TxCommit(ModeL, 0, Span{}, 1, 1)
+	p2.TxAbort(ModeL, ReasonDeadlock)
+	p2.TxStop(ModeL, ReasonCancel)
 	m2.Transition(TransOL)
 	// Backoff counters are per probe and sum over probes and snapshots.
 	p1.BackoffWait(false, 100)
@@ -153,11 +160,12 @@ func TestSnapshotMergeAndJSON(t *testing.T) {
 	if want := (QuietSnapshot{Attempts: 12, Killed: 1}); merged.HQuiet != want {
 		t.Fatalf("merged quiet attempts = %+v, want %+v", merged.HQuiet, want)
 	}
-	if got := merged.Commits(); got != 3 {
-		t.Fatalf("merged commits = %d, want 3", got)
+	if h := merged.Modes["H"]; h.Commits != 2 || h.Reads != 5 || h.Writes != 1 {
+		t.Fatalf("merged H: %d commits, %d reads, %d writes, want 2, 5, 1", h.Commits, h.Reads, h.Writes)
 	}
-	if got := merged.Modes["H"].Commits; got != 2 {
-		t.Fatalf("merged H commits = %d, want 2", got)
+	want := Totals{Commits: 3, Aborts: 2, UserStops: 2, Panics: 1, Deadlocks: 1, Reads: 6, Writes: 2}
+	if got := merged.Totals(); got != want {
+		t.Fatalf("merged totals = %+v, want %+v", got, want)
 	}
 	if got := merged.AbortReasons()["conflict"]; got != 1 {
 		t.Fatalf("merged conflict aborts = %d, want 1", got)
@@ -177,7 +185,7 @@ func TestSnapshotMergeAndJSON(t *testing.T) {
 	if err := json.Unmarshal(buf, &back); err != nil {
 		t.Fatalf("snapshot does not round-trip: %v", err)
 	}
-	if back.Commits() != merged.Commits() || back.Backoff != merged.Backoff || back.HQuiet != merged.HQuiet {
+	if back.Totals() != merged.Totals() || back.Backoff != merged.Backoff || back.HQuiet != merged.HQuiet {
 		t.Fatal("counts lost in JSON round-trip")
 	}
 }
@@ -191,7 +199,7 @@ func TestLatencySampling(t *testing.T) {
 		if sp.start != 0 {
 			time.Sleep(time.Microsecond)
 		}
-		p.TxCommit(ModeTx, 0, sp)
+		p.TxCommit(ModeTx, 0, sp, 0, 0)
 	}
 	s := m.Snapshot().Modes["tx"]
 	if s.Commits != 256 {

@@ -6,8 +6,8 @@ import (
 )
 
 // TestOverheadSmoke pins the documented hot-path budget: recording one
-// committed transaction (TxBegin + TxCommit, counters and retry
-// histogram, 1-in-64 latency sampling) must stay in the atomic-add cost
+// committed transaction (TxBegin + TxCommit: retry histogram, reads and
+// writes, 1-in-64 latency sampling) must stay in the atomic-add cost
 // class. The ceiling is deliberately loose — 2µs
 // average per commit, ~two orders of magnitude above the expected cost
 // — so it only fails when the path regresses to something structurally
@@ -23,7 +23,7 @@ func TestOverheadSmoke(t *testing.T) {
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		sp := p.TxBegin()
-		p.TxCommit(ModeTx, 0, sp)
+		p.TxCommit(ModeTx, 0, sp, 1, 1)
 	}
 	avg := time.Since(start) / n
 	t.Logf("instrumented commit record: %v avg over %d", avg, n)
@@ -42,6 +42,6 @@ func BenchmarkCommitRecord(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sp := p.TxBegin()
-		p.TxCommit(ModeTx, 0, sp)
+		p.TxCommit(ModeTx, 0, sp, 1, 1)
 	}
 }

@@ -230,8 +230,11 @@ type QuietSnapshot struct {
 
 // ModeSnapshot is the per-mode slice of a Snapshot.
 type ModeSnapshot struct {
-	// Commits counts committed transactions in this mode.
+	// Commits counts committed transactions in this mode; Reads and
+	// Writes count their operations.
 	Commits uint64 `json:"commits"`
+	Reads   uint64 `json:"reads"`
+	Writes  uint64 `json:"writes"`
 	// Aborts breaks retried attempts down by reason.
 	Aborts map[string]uint64 `json:"aborts,omitempty"`
 	// Stops breaks terminal non-commit outcomes down by reason.
@@ -267,8 +270,11 @@ func (m *Metrics) Snapshot() Snapshot {
 			Retries: HistSnapshot{Counts: make([]uint64, HistBuckets)},
 		}
 		for _, ws := range workers {
+			c := &ws.commits[mo]
+			ms.Reads += c.reads.Load()
+			ms.Writes += c.writes.Load()
+			c.retries.addTo(&ms.Retries)
 			ws.latency[mo].addTo(&ms.Latency)
-			ws.retries[mo].addTo(&ms.Retries)
 		}
 		ms.Commits = ms.Retries.Count()
 		active := ms.Commits != 0
@@ -303,22 +309,33 @@ func (m *Metrics) Snapshot() Snapshot {
 	return s
 }
 
-// Commits sums committed transactions across all modes.
-func (s Snapshot) Commits() uint64 {
-	var n uint64
-	for _, m := range s.Modes {
-		n += m.Commits
-	}
-	return n
+// Totals is a Snapshot summed over its modes: the scheduler-wide counts
+// (core.System.Stats, tufast.Stats) read from the one record.
+type Totals struct {
+	Commits   uint64 // transactions committed
+	Aborts    uint64 // attempts aborted and retried
+	UserStops uint64 // transactions stopped by user error, panic or cancellation
+	Panics    uint64 // the user stops that were panics
+	Deadlocks uint64 // the aborts of deadlock victims
+	Reads     uint64 // operations of committed transactions
+	Writes    uint64
 }
 
-// Aborts sums aborted attempts across all modes and reasons.
-func (s Snapshot) Aborts() uint64 {
-	var n uint64
+// Totals sums the snapshot over its modes.
+func (s Snapshot) Totals() Totals {
+	var t Totals
 	for _, m := range s.Modes {
-		n += m.AbortTotal()
+		t.Commits += m.Commits
+		t.Aborts += m.AbortTotal()
+		t.Deadlocks += m.Aborts[ReasonDeadlock.String()]
+		t.Panics += m.Stops[ReasonPanic.String()]
+		for _, c := range m.Stops {
+			t.UserStops += c
+		}
+		t.Reads += m.Reads
+		t.Writes += m.Writes
 	}
-	return n
+	return t
 }
 
 // AbortReasons flattens the per-mode breakdowns into reason totals.
@@ -386,6 +403,8 @@ func (s Snapshot) Merge(other Snapshot) Snapshot {
 			continue
 		}
 		m.Commits += om.Commits
+		m.Reads += om.Reads
+		m.Writes += om.Writes
 		m.Aborts = mergeCounts(m.Aborts, om.Aborts)
 		m.Stops = mergeCounts(m.Stops, om.Stops)
 		m.Latency = m.Latency.Merge(om.Latency)

@@ -164,7 +164,7 @@ func TestTPLPanicReleasesLocksAndRollsBack(t *testing.T) {
 	if got := sp.Load(mem.Addr(5)); got != 50 {
 		t.Fatalf("vertex 5 word = %d, want rollback to 50", got)
 	}
-	if p := s.Stats().Panics.Load(); p != 1 {
+	if p := totals(s).Panics; p != 1 {
 		t.Fatalf("Panics stat = %d, want 1", p)
 	}
 
@@ -259,7 +259,7 @@ func TestTPLInjectedCommitAbortRetries(t *testing.T) {
 	if got := sp.Load(mem.Addr(2)); got != 2 {
 		t.Fatalf("word = %d, want the retry's value 2", got)
 	}
-	if a := s.Stats().Aborts.Load(); a != 1 {
+	if a := totals(s).Aborts; a != 1 {
 		t.Fatalf("Aborts = %d, want 1", a)
 	}
 	assertNoLocksHeld(t, locks)

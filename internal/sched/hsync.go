@@ -31,7 +31,6 @@ type HSync struct {
 	seq atomic.Uint64
 	mu  sync.Mutex // serializes software commits (seq's writer side)
 
-	stats    Stats
 	HTMStats htm.Stats
 }
 
@@ -46,14 +45,11 @@ func NewHSync(sp *mem.Space, retries int) *HSync {
 // Name implements Scheduler.
 func (s *HSync) Name() string { return "HSync" }
 
-// Stats implements Scheduler.
-func (s *HSync) Stats() *Stats { return &s.stats }
-
 // Worker implements Scheduler.
 func (s *HSync) Worker(tid int) Worker {
 	w := &hsyncWorker{s: s, tx: htm.NewTx(s.sp, &s.HTMStats), writeIdx: gentab.New(5)}
 	p := s.Metrics().NewProbe()
-	w.loop = newLoop(w, &s.stats, &p, obs.ModeTx, nil, uint64(tid)*0xFF51AFD7ED558CCD+13)
+	w.loop = newLoop(w, &p, obs.ModeTx, nil, uint64(tid)*0xFF51AFD7ED558CCD+13)
 	return w
 }
 

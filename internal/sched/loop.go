@@ -28,26 +28,16 @@ type protocol interface {
 	reason() obs.Reason
 }
 
-// Tally is where a loop counts outcomes beside its probe. A scheduler's
-// Stats is one; TuFast's core counts the L-mode transactions it runs
-// into the worker's own block, by the class they commit in.
-type Tally interface {
-	NoteCommit(mode obs.Mode, reads, writes uint64)
-	NoteAbort()
-	NoteUserStop(err error)
-}
-
 // starveLimit is the consecutive-abort count after which an attempt of a
 // scheduler with a starvation drain runs alone.
 const starveLimit = 64
 
 // loop is the one retry loop every scheduler in this package runs its
 // protocol under: it alone retries, drains, cancels, backs off and
-// records each outcome, once, to its tally and its probe. Workers embed
-// it, which gives them Run and RunCtx.
+// records each outcome, once, to its probe. Workers embed it, which gives
+// them Run and RunCtx.
 type loop struct {
 	p     protocol
-	tally Tally
 	probe *obs.Probe
 	mode  obs.Mode
 
@@ -66,8 +56,8 @@ type loop struct {
 	ctx context.Context
 }
 
-func newLoop(p protocol, tally Tally, probe *obs.Probe, mode obs.Mode, drain *sync.RWMutex, seed uint64) loop {
-	return loop{p: p, tally: tally, probe: probe, mode: mode, drain: drain, bo: NewBackoff(seed)}
+func newLoop(p protocol, probe *obs.Probe, mode obs.Mode, drain *sync.RWMutex, seed uint64) loop {
+	return loop{p: p, probe: probe, mode: mode, drain: drain, bo: NewBackoff(seed)}
 }
 
 // Run implements Worker. The size hint is ignored: every protocol here
@@ -110,12 +100,10 @@ func (l *loop) run(mode obs.Mode, sp obs.Span, retries uint32, fn TxFunc) error 
 		err, done := l.attempt(fn, n)
 		if done && err == nil {
 			reads, writes := l.p.ops()
-			l.tally.NoteCommit(mode, reads, writes)
-			l.probe.TxCommit(mode, retries, sp)
+			l.probe.TxCommit(mode, retries, sp, reads, writes)
 			return nil
 		}
 		if !done {
-			l.tally.NoteAbort()
 			l.probe.TxAbort(mode, l.p.reason())
 			retries++
 			if err = l.ctxErr(); err == nil {
@@ -124,7 +112,6 @@ func (l *loop) run(mode obs.Mode, sp obs.Span, retries uint32, fn TxFunc) error 
 			}
 		}
 		// A user error, a panic or a cancellation: never retried.
-		l.tally.NoteUserStop(err)
 		l.probe.TxStop(mode, StopReason(err))
 		return err
 	}

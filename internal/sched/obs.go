@@ -16,17 +16,8 @@ type Instrumented struct {
 	obsm obs.Metrics
 }
 
-// Metrics exposes the scheduler's observability metrics.
+// Metrics implements Scheduler.
 func (i *Instrumented) Metrics() *obs.Metrics { return &i.obsm }
-
-// MetricsOf returns s's observability metrics when s exposes them
-// (every scheduler in this module does), or nil.
-func MetricsOf(s Scheduler) *obs.Metrics {
-	if m, ok := s.(interface{ Metrics() *obs.Metrics }); ok {
-		return m.Metrics()
-	}
-	return nil
-}
 
 // StopReason classifies a terminal non-commit error for attribution:
 // panics, cancellations, and plain user errors.

@@ -20,7 +20,6 @@ type OCC struct {
 	Taxed
 	sp    *mem.Space
 	locks *vlock.Table
-	stats Stats
 }
 
 // NewOCC creates an OCC scheduler over sp with vertex locks in locks.
@@ -31,14 +30,11 @@ func NewOCC(sp *mem.Space, locks *vlock.Table) *OCC {
 // Name implements Scheduler.
 func (s *OCC) Name() string { return "OCC" }
 
-// Stats implements Scheduler.
-func (s *OCC) Stats() *Stats { return &s.stats }
-
 // Worker implements Scheduler.
 func (s *OCC) Worker(tid int) Worker {
 	w := &occWorker{s: s, tid: tid, readIdx: gentab.New(6), writeIdx: gentab.New(5)}
 	p := s.Metrics().NewProbe()
-	w.loop = newLoop(w, &s.stats, &p, obs.ModeTx, nil, uint64(tid)*0x2545F4914F6CDD1D+7)
+	w.loop = newLoop(w, &p, obs.ModeTx, nil, uint64(tid)*0x2545F4914F6CDD1D+7)
 	return w
 }
 

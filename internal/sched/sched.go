@@ -9,7 +9,9 @@
 //	hsync    HTM-first hybrid with STM fallback (HSync-like)
 //
 // Each is an attempt protocol under one retry loop (loop.go), which
-// alone retries, drains, cancels, backs off and records outcomes.
+// alone retries, drains, cancels, backs off and records outcomes. It
+// records each outcome once, to the worker's obs.Probe; every count a
+// scheduler reports is read from its Metrics().Snapshot().
 //
 // Transactions address shared state through a mem.Space; every operation
 // names the vertex the address belongs to, which is the lock and conflict
@@ -23,6 +25,7 @@ import (
 	"runtime/debug"
 
 	"tufast/internal/mem"
+	"tufast/internal/obs"
 )
 
 // Tx is the transactional handle passed to user code. Implementations are
@@ -116,8 +119,9 @@ type Scheduler interface {
 	// Worker returns the per-thread execution context for thread tid.
 	// tid must be unique among concurrently running workers.
 	Worker(tid int) Worker
-	// Stats returns the scheduler's shared counters.
-	Stats() *Stats
+	// Metrics returns the scheduler's observability metrics, the one
+	// record of its transactions' outcomes.
+	Metrics() *obs.Metrics
 }
 
 // ReadFloat reads a float64 stored as bits at addr.

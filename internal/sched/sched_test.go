@@ -9,8 +9,13 @@ import (
 
 	"tufast/internal/deadlock"
 	"tufast/internal/mem"
+	"tufast/internal/obs"
 	"tufast/internal/vlock"
 )
+
+// totals reads a scheduler's outcome counts from its metrics, the one
+// place they are recorded.
+func totals(s Scheduler) obs.Totals { return s.Metrics().Snapshot().Totals() }
 
 // makeAll builds every baseline scheduler over a fresh space with n
 // vertices.
@@ -79,8 +84,8 @@ func TestCounterIsolation(t *testing.T) {
 			if got := sp.Load(0); got != goroutines*each {
 				t.Fatalf("lost updates: %d want %d", got, goroutines*each)
 			}
-			if s.Stats().Commits.Load() != goroutines*each {
-				t.Fatalf("commit count %d", s.Stats().Commits.Load())
+			if got := totals(s).Commits; got != goroutines*each {
+				t.Fatalf("commit count %d", got)
 			}
 		})
 	}
@@ -157,7 +162,7 @@ func TestUserErrorRollsBack(t *testing.T) {
 			if sp.Load(1) != 0 || sp.Load(2) != 0 {
 				t.Fatalf("writes visible after user abort: %d %d", sp.Load(1), sp.Load(2))
 			}
-			if s.Stats().UserStops.Load() != 1 {
+			if totals(s).UserStops != 1 {
 				t.Fatalf("user stop not counted")
 			}
 		})
@@ -275,24 +280,6 @@ func TestHSyncFallsBackToSTM(t *testing.T) {
 	}
 }
 
-// TestStatsSnapshotAndReset round-trips the counters.
-func TestStatsSnapshotAndReset(t *testing.T) {
-	var s Stats
-	s.Commits.Add(3)
-	s.Aborts.Add(2)
-	snap := s.Snapshot()
-	if snap.Commits != 3 || snap.Aborts != 2 {
-		t.Fatalf("snapshot %+v", snap)
-	}
-	if r := s.AbortRate(); r < 0.39 || r > 0.41 {
-		t.Fatalf("abort rate %f", r)
-	}
-	s.Reset()
-	if s.Commits.Load() != 0 || s.AbortRate() != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
 // TestTaxHookChargedPerSoftwareBarrier: the reproduction's cost hook is
 // charged once per software-barrier operation when installed and is
 // absent otherwise. HSync's hardware path is free, as on real TSX, so a
@@ -323,29 +310,25 @@ func TestTaxHookChargedPerSoftwareBarrier(t *testing.T) {
 }
 
 // TestHostedTPLWorkerRecordsOnlyBackoff: a worker embedded in another
-// scheduler (NewWorkerFor) records on its host only — its outcomes and
-// its backoff waits go to the host's tally and probe, once each, and the
-// TPL's own Stats and metrics stay empty.
+// scheduler (NewWorkerFor) records on its host's probe only — its
+// outcomes, their operations and its backoff waits go there, once each —
+// and the TPL's own metrics stay empty.
 func TestHostedTPLWorkerRecordsOnlyBackoff(t *testing.T) {
 	sp := mem.NewSpace(1024)
 	s := NewTPL(sp, vlock.NewTable(8), deadlock.NewDetector(4), deadlock.Detect)
 	var host Instrumented
-	var tally Stats
 	probe := host.Metrics().NewProbe()
-	w := s.NewWorkerFor(0, &tally, &probe)
+	w := s.NewWorkerFor(0, &probe)
 	s.SetFaultInjector(NewFaultInjector(FaultSpec{Mode: "L", Op: "commit"}))
 	if err := w.Run(0, func(tx Tx) error { tx.Write(1, 1, 7); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if got := tally.Snapshot(); got.Commits != 1 || got.Aborts != 1 || got.Writes != 1 {
-		t.Fatalf("host tally %+v, want 1 commit, 1 abort, 1 write", got)
-	}
 	own, hosted := s.Metrics().Snapshot(), host.Metrics().Snapshot()
-	if hosted.Commits() != 1 || hosted.Aborts() != 1 {
-		t.Fatalf("host metrics: %d commits, %d aborts, want 1 and 1", hosted.Commits(), hosted.Aborts())
+	if got, want := hosted.Totals(), (obs.Totals{Commits: 1, Aborts: 1, Writes: 1}); got != want {
+		t.Fatalf("host metrics %+v, want %+v", got, want)
 	}
-	if got := s.Stats().Snapshot(); got != (Snapshot{}) || len(own.Modes) != 0 {
-		t.Fatalf("hosted worker recorded on its own scheduler: Stats %+v, metrics %v", got, own.Modes)
+	if len(own.Modes) != 0 {
+		t.Fatalf("hosted worker recorded on its own scheduler: %v", own.Modes)
 	}
 	if hosted.Backoff.Waits != 1 || own.Backoff.Waits != 0 {
 		t.Fatalf("backoff waits: host %d (want 1), own %d (want 0)", hosted.Backoff.Waits, own.Backoff.Waits)
@@ -409,18 +392,20 @@ func TestBackoffStartsAtZero(t *testing.T) {
 	}
 }
 
-// TestOutcomesRecordedOnce: the loop records every outcome once, in
-// Stats and in the metrics snapshot alike. Four workers run a seeded mix
-// of commits, injected aborts, conflict aborts on two shared words and
-// user stops; the two views must agree on commits, aborts and stops, and
-// every abort (none was cancelled) must have waited once.
+// TestOutcomesRecordedOnce: the loop records every outcome once, in the
+// metrics every count is read from. Four workers run a seeded mix of
+// commits, injected aborts, conflict aborts on two shared words (deadlock
+// victims under 2PL with detection), user stops and panics; the metrics
+// must agree with what the workers saw on commits, stops and panics, and
+// with what their bodies saw unwind them on deadlock victims, and every
+// abort (none was cancelled) must have waited once.
 func TestOutcomesRecordedOnce(t *testing.T) {
 	boom := errors.New("boom")
 	for name, mk := range makeAll(8) {
 		t.Run(name, func(t *testing.T) {
 			s, _ := mk()
 			const workers, each = 4, 100
-			var commits, stops atomic.Uint64
+			var commits, stops, panics, injected, victims atomic.Uint64
 			var wg sync.WaitGroup
 			for tid := 0; tid < workers; tid++ {
 				wg.Add(1)
@@ -432,25 +417,41 @@ func TestOutcomesRecordedOnce(t *testing.T) {
 						rng ^= rng << 13
 						rng ^= rng >> 7
 						rng ^= rng << 17
-						injected, stop := int(rng%3), (rng>>8)%4 == 0
+						inject, stop := int(rng%3), (rng>>8)%8
 						err := w.Run(4, func(tx Tx) error {
+							defer func() {
+								if r := recover(); r != nil {
+									if sig, ok := r.(abortSig); ok && sig.reason == "deadlock victim" {
+										victims.Add(1)
+									}
+									panic(r)
+								}
+							}()
 							a := tx.Read(1, 1)
 							tx.Write(2, 2, tx.Read(2, 2)+a)
 							tx.Write(1, 1, a+1)
-							if injected > 0 {
-								injected--
+							if inject > 0 {
+								inject--
+								injected.Add(1)
 								ThrowAbort("injected")
 							}
-							if stop {
+							switch stop {
+							case 0, 1:
 								return boom
+							case 2:
+								panic("bug")
 							}
 							return nil
 						})
+						_, isPanic := AsPanicError(err)
 						switch {
 						case err == nil:
 							commits.Add(1)
 						case errors.Is(err, boom):
 							stops.Add(1)
+						case isPanic:
+							stops.Add(1)
+							panics.Add(1)
 						default:
 							t.Errorf("run: %v", err)
 						}
@@ -458,25 +459,29 @@ func TestOutcomesRecordedOnce(t *testing.T) {
 				}(tid)
 			}
 			wg.Wait()
-			st, snap := s.Stats().Snapshot(), MetricsOf(s).Snapshot()
-			var snapStops uint64
+			snap := s.Metrics().Snapshot()
+			st := snap.Totals()
+			if st.Commits != commits.Load() {
+				t.Errorf("commits: metrics %d, returned nil %d", st.Commits, commits.Load())
+			}
+			var panicStops, deadlockAborts uint64
 			for _, m := range snap.Modes {
-				for _, c := range m.Stops {
-					snapStops += c
-				}
+				panicStops += m.Stops["panic"]
+				deadlockAborts += m.Aborts["deadlock"]
 			}
-			if st.Commits != commits.Load() || snap.Commits() != st.Commits {
-				t.Errorf("commits: Stats %d, metrics %d, returned nil %d", st.Commits, snap.Commits(), commits.Load())
+			if st.UserStops != stops.Load() || panicStops != panics.Load() || st.Panics != panicStops {
+				t.Errorf("stops: metrics %d, of which %d panics (totals %d), returned %d, of which %d panics", st.UserStops, panicStops, st.Panics, stops.Load(), panics.Load())
 			}
-			if st.UserStops != stops.Load() || snapStops != st.UserStops {
-				t.Errorf("stops: Stats %d, metrics %d, returned boom %d", st.UserStops, snapStops, stops.Load())
+			if deadlockAborts != victims.Load() || st.Deadlocks != deadlockAborts {
+				t.Errorf("deadlock aborts %d (totals %d), %d victims unwound", deadlockAborts, st.Deadlocks, victims.Load())
 			}
-			if st.Aborts == 0 || snap.Aborts() != st.Aborts {
-				t.Errorf("aborts: Stats %d, metrics %d", st.Aborts, snap.Aborts())
+			if st.Aborts < injected.Load()+victims.Load() {
+				t.Errorf("%d aborts for %d injected and %d deadlock victims", st.Aborts, injected.Load(), victims.Load())
 			}
 			if snap.Backoff.Waits != st.Aborts {
 				t.Errorf("%d backoff waits for %d aborts", snap.Backoff.Waits, st.Aborts)
 			}
+			t.Logf("%d commits, %d aborts (%d deadlock victims), %d stops", st.Commits, st.Aborts, st.Deadlocks, st.UserStops)
 		})
 	}
 }

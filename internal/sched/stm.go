@@ -20,8 +20,7 @@ import (
 type STM struct {
 	Instrumented
 	Taxed
-	sp    *mem.Space
-	stats Stats
+	sp *mem.Space
 }
 
 // NewSTM creates an STM scheduler over sp.
@@ -32,9 +31,6 @@ func NewSTM(sp *mem.Space) *STM {
 // Name implements Scheduler.
 func (s *STM) Name() string { return "STM" }
 
-// Stats implements Scheduler.
-func (s *STM) Stats() *Stats { return &s.stats }
-
 // Worker implements Scheduler.
 func (s *STM) Worker(tid int) Worker {
 	w := &stmWorker{
@@ -44,7 +40,7 @@ func (s *STM) Worker(tid int) Worker {
 		lockedIdx: gentab.New(5),
 	}
 	p := s.Metrics().NewProbe()
-	w.loop = newLoop(w, &s.stats, &p, obs.ModeTx, nil, uint64(tid)*0xBF58476D1CE4E5B9+11)
+	w.loop = newLoop(w, &p, obs.ModeTx, nil, uint64(tid)*0xBF58476D1CE4E5B9+11)
 	return w
 }
 

@@ -26,7 +26,6 @@ type TO struct {
 	rts   []atomic.Uint64
 	wts   []atomic.Uint64
 	clock atomic.Uint64
-	stats Stats
 	name  string
 
 	// period is H-TO's HTM segment length in operations; 0 is plain TO.
@@ -71,9 +70,6 @@ func NewHTO(sp *mem.Space, locks *vlock.Table, nVertices, period int) *TO {
 // Name implements Scheduler.
 func (s *TO) Name() string { return s.name }
 
-// Stats implements Scheduler.
-func (s *TO) Stats() *Stats { return &s.stats }
-
 // Worker implements Scheduler.
 func (s *TO) Worker(tid int) Worker {
 	w := &toWorker{s: s, tid: tid, held: gentab.New(5)}
@@ -83,7 +79,7 @@ func (s *TO) Worker(tid int) Worker {
 		seed = uint64(tid)*0xC2B2AE3D27D4EB4F + 17
 	}
 	p := s.Metrics().NewProbe()
-	w.loop = newLoop(w, &s.stats, &p, obs.ModeTx, &s.drain, seed)
+	w.loop = newLoop(w, &p, obs.ModeTx, &s.drain, seed)
 	return w
 }
 

@@ -25,7 +25,6 @@ type TPL struct {
 	locks *vlock.Table
 	det   *deadlock.Detector
 	mode  deadlock.Mode
-	stats Stats
 	name  string
 
 	// drain is the starvation drain of every worker's loop: the
@@ -64,25 +63,22 @@ func NewTPL(sp *mem.Space, locks *vlock.Table, det *deadlock.Detector, mode dead
 // Name implements Scheduler.
 func (s *TPL) Name() string { return s.name }
 
-// Stats implements Scheduler.
-func (s *TPL) Stats() *Stats { return &s.stats }
-
 // Worker implements Scheduler.
 func (s *TPL) Worker(tid int) Worker { return s.NewWorker(tid) }
 
 // NewWorker returns the concrete worker, recording into the scheduler's
-// own Stats and metrics.
+// own metrics.
 func (s *TPL) NewWorker(tid int) *TPLWorker {
 	p := s.Metrics().NewProbe()
-	return s.NewWorkerFor(tid, &s.stats, &p)
+	return s.NewWorkerFor(tid, &p)
 }
 
-// NewWorkerFor returns a worker that records its transactions into tally
-// and probe instead. TuFast's core runs L mode on one, counted in its own
-// worker's block and probe under the transaction's class (Continue).
-func (s *TPL) NewWorkerFor(tid int, tally Tally, probe *obs.Probe) *TPLWorker {
+// NewWorkerFor returns a worker that records its transactions into probe
+// instead. TuFast's core runs L mode on one, recorded in its own worker's
+// probe under the transaction's class (Continue).
+func (s *TPL) NewWorkerFor(tid int, probe *obs.Probe) *TPLWorker {
 	w := &TPLWorker{s: s, tid: tid, held: gentab.New(6)}
-	w.loop = newLoop(w, tally, probe, obs.ModeL, &s.drain, uint64(tid)*0x9E3779B97F4A7C15+1)
+	w.loop = newLoop(w, probe, obs.ModeL, &s.drain, uint64(tid)*0x9E3779B97F4A7C15+1)
 	return w
 }
 
@@ -275,7 +271,6 @@ func (w *TPLWorker) block(v uint32, exclusive bool, try func() bool) {
 		}
 	case deadlock.Detect:
 		if err := w.s.det.BeginWait(w.tid, v, exclusive); err != nil {
-			w.s.stats.Deadlocks.Add(1)
 			w.dlAbort = true
 			ThrowAbort("deadlock victim")
 		}

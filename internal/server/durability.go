@@ -436,9 +436,8 @@ func (g *graphInstance) attachDurability(rv recoveredState, dcfg DurabilityConfi
 // topology; mkDyn builds the runtime and overlay around whichever
 // graph recovery produced (checkpoints change the base topology, so
 // sizing must happen inside it). mkDyn applies to the DEFAULT graph
-// only — named graphs size themselves from their create spec (or
-// cfg.MkDyn, when the embedder sets it). Call Start on the result as
-// usual.
+// only — named graphs size themselves from their create spec. Call Start
+// on the result as usual.
 func OpenDurable(cfg Config, dcfg DurabilityConfig,
 	loadBase func() (*tufast.Graph, error),
 	mkDyn func(*tufast.Graph) *tufast.DynGraph) (*Server, error) {

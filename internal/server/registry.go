@@ -27,6 +27,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -49,8 +50,7 @@ import (
 const DefaultGraph = "default"
 
 // defaultMutationBudget sizes the overlay arena of a registry-created
-// graph when the create request names no budget and the server has no
-// MkDyn factory.
+// graph when the create request names no budget.
 const defaultMutationBudget = 200_000
 
 var graphNameRE = regexp.MustCompile(`^[a-zA-Z0-9_-]{1,64}$`)
@@ -270,12 +270,9 @@ func (g *graphInstance) teardown(checkpoint bool) {
 	g.mutMu.Unlock()
 }
 
-// buildDyn wraps the configured runtime factory, defaulting to a
-// modestly sized overlay for registry-created graphs.
+// buildDyn builds the runtime and overlay of a registry-created graph,
+// its arena sized for mutationBudget ops (defaultMutationBudget if 0).
 func (s *Server) buildDyn(base *tufast.Graph, mutationBudget int) *tufast.DynGraph {
-	if s.cfg.MkDyn != nil {
-		return s.cfg.MkDyn(base)
-	}
 	if mutationBudget <= 0 {
 		mutationBudget = defaultMutationBudget
 	}
@@ -308,6 +305,14 @@ type createSpec struct {
 // maxCreateVertices bounds registry-created graphs: tenancy serves many
 // modest graphs from one arena'd process, not one huge one.
 const maxCreateVertices = 1 << 24
+
+// maxGraphSpecBody bounds a PUT /v1/graphs/{name} body, which is mostly
+// its edge list. Under maxCreateVertices the widest compact edge, with
+// its comma, is `[16777215,16777215],` — 20 bytes — so 4 MiB carries an
+// explicit base of defaultMutationBudget (200k) edges whatever their ids:
+// a base as large as the overlay the graph is given. A larger graph is
+// generated (avg_degree) or grown through the mutation plane.
+const maxGraphSpecBody = 4 << 20
 
 func (spec createSpec) validate() error {
 	if spec.Vertices <= 0 {
@@ -466,7 +471,11 @@ func (s *Server) handleGraphPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec createSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxGraphSpecBody)).Decode(&spec); err != nil {
+		if cut := (*http.MaxBytesError)(nil); errors.As(err, &cut) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("graph spec exceeds %d bytes", cut.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad spec: "+err.Error())
 		return
 	}

@@ -108,11 +108,6 @@ type Config struct {
 	// garbage-collected down to the oldest live view pin (default 2s;
 	// < 0 disables the background pass).
 	GCInterval time.Duration
-	// MkDyn, when non-nil, builds the runtime and overlay for graphs
-	// created (or recovered) through the registry — checkpoints change
-	// the base topology, so sizing must happen per graph inside it.
-	// Nil uses a default factory sized for defaultMutationBudget ops.
-	MkDyn func(*tufast.Graph) *tufast.DynGraph
 
 	// jobGate, when non-nil, runs at job start before the algorithm —
 	// a test hook to hold workers deterministically (block the pool,

@@ -243,7 +243,7 @@ func TestServeConcurrentMixed(t *testing.T) {
 	// The mutation plane must have routed real transactions: the TM
 	// snapshot in the same document carries per-mode commits.
 	snap := s.MetricsSnapshot()
-	if snap.Commits() == 0 {
+	if snap.Totals().Commits == 0 {
 		t.Error("no transactional commits recorded during serving")
 	}
 }

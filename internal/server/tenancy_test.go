@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -457,5 +458,42 @@ func TestTenancyCrashRecoveryThreeGraphs(t *testing.T) {
 		if s3.lookupGraph(name) == nil {
 			t.Errorf("graph %q lost across delete+reboot", name)
 		}
+	}
+}
+
+// TestGraphPutBodyLimit: a create body one byte over maxGraphSpecBody is
+// refused with 413 before anything is reserved or written — no graph, no
+// directory — and the name stays free: a body of exactly the limit
+// creates it.
+func TestGraphPutBodyLimit(t *testing.T) {
+	dir := t.TempDir()
+	s := startDurableServer(t, dir, DurabilityConfig{})
+	defer shutdownServer(t, s)
+	base := "http://" + s.Addr()
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+
+	// A spec of size bytes: unknown fields are ignored, so a pad field
+	// sizes it.
+	spec := func(size int) map[string]any {
+		empty, _ := json.Marshal(map[string]any{"vertices": 4, "pad": ""})
+		return map[string]any{"vertices": 4, "pad": strings.Repeat("x", size-len(empty))}
+	}
+	url := base + "/v1/graphs/big"
+
+	if code, out, _ := doJSON(t, client, http.MethodPut, url, spec(maxGraphSpecBody+1)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("spec one byte over the limit: %d %v, want 413", code, out)
+	}
+	if s.lookupGraph("big") != nil {
+		t.Fatal("the refused create registered a graph")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "graphs", "big")); !os.IsNotExist(err) {
+		t.Fatalf("the refused create left a directory: %v", err)
+	}
+	if code, out, _ := doJSON(t, client, http.MethodPut, url, spec(maxGraphSpecBody)); code != http.StatusCreated {
+		t.Fatalf("spec of exactly the limit after the refusal: %d %v, want 201", code, out)
+	}
+	if g := s.lookupGraph("big"); g == nil || g.dyn.NumVertices() != 4 {
+		t.Fatal("the create after the refusal did not register the graph")
 	}
 }

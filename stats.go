@@ -11,8 +11,9 @@ import (
 type Stats struct {
 	// Commits counts committed transactions; Aborts counts retried
 	// attempts; UserStops counts transactions stopped terminally by a
-	// user error, panic, or cancellation; Panics is the subset of
-	// UserStops caused by a panicking TxFunc.
+	// user error, panic, or cancellation, wherever in the H→O→L ladder
+	// it struck; Panics is the subset of UserStops caused by a
+	// panicking TxFunc.
 	Commits, Aborts, UserStops, Panics uint64
 	// Reads and Writes count committed transactional operations.
 	Reads, Writes uint64
@@ -42,26 +43,30 @@ type ModeBucket struct {
 	Operations   uint64 // their total read+write operations
 }
 
-// StatsSnapshot captures the system counters.
+// StatsSnapshot captures the system counters. Every count of transaction
+// outcomes and their operations, Mode and Deadlocks included, is read from
+// one metrics snapshot, so they agree with each other and with
+// MetricsSnapshot taken at the same moment.
 func (s *System) StatsSnapshot() Stats {
-	cs := s.core.Stats().Snapshot()
+	snap := s.core.Metrics().Snapshot()
+	t := snap.Totals()
 	hs := s.core.HTMStats()
-	ms := s.core.ModeStats()
 	qs := s.core.QuietStats()
 	mode := make(map[string]ModeBucket, 5)
 	for _, c := range core.Classes() {
+		m := snap.Modes[c.String()]
 		mode[c.String()] = ModeBucket{
-			Transactions: ms.Count(c),
-			Operations:   ms.Ops(c),
+			Transactions: m.Commits,
+			Operations:   m.Reads + m.Writes,
 		}
 	}
 	return Stats{
-		Commits:       cs.Commits,
-		Aborts:        cs.Aborts,
-		UserStops:     cs.UserStops,
-		Panics:        cs.Panics,
-		Reads:         cs.Reads,
-		Writes:        cs.Writes,
+		Commits:       t.Commits,
+		Aborts:        t.Aborts,
+		UserStops:     t.UserStops,
+		Panics:        t.Panics,
+		Reads:         t.Reads,
+		Writes:        t.Writes,
 		Mode:          mode,
 		HTMStarts:     hs.Starts,
 		HTMCommits:    hs.Commits,
@@ -71,21 +76,21 @@ func (s *System) StatsSnapshot() Stats {
 		HTMLocked:     hs.AbortLocked,
 		HQuiet:        qs.Attempts,
 		HQuietKilled:  qs.Killed,
-		Deadlocks:     s.core.Deadlocks(),
+		Deadlocks:     t.Deadlocks,
 		CurrentPeriod: s.core.CurrentPeriod(),
 	}
 }
 
 // ResetStats zeroes every counter StatsSnapshot and MetricsSnapshot
-// report: the scheduler counters (Commits, Aborts, UserStops, Panics,
-// Reads, Writes), the per-class Mode buckets, the emulated-HTM counters
-// (HTMStarts through HTMLocked), HQuiet and HQuietKilled, Deadlocks,
-// and the observability metrics (per-mode commit/abort counts, latency
-// and retry histograms, transition and backoff counters). It does NOT
-// reset the adaptive period controller: its estimate of the workload's
-// conflict rate remains valid across a warmup boundary (resetting it
-// would re-learn from scratch and skew the measured run), so
-// CurrentPeriod is a gauge that persists.
+// report: the observability metrics, which every outcome count is read
+// from (Commits, Aborts, UserStops, Panics, Reads, Writes, the per-class
+// Mode buckets and Deadlocks, beside the per-mode latency and retry
+// histograms, transition and backoff counters), the emulated-HTM
+// counters (HTMStarts through HTMLocked), and HQuiet and HQuietKilled.
+// It does NOT reset the adaptive period controller: its estimate of the
+// workload's conflict rate remains valid across a warmup boundary
+// (resetting it would re-learn from scratch and skew the measured run),
+// so CurrentPeriod is a gauge that persists.
 func (s *System) ResetStats() { s.core.ResetStats() }
 
 // MetricsSnapshot is the observability snapshot: per-mode commit and

@@ -87,7 +87,7 @@ func TestResetStatsZeroesEveryCounter(t *testing.T) {
 	coreViews := func() map[string]any {
 		c := sys.Core()
 		return map[string]any{
-			"core.Stats":      c.Stats().Snapshot(),
+			"core.Stats":      c.Stats(),
 			"core.ModeStats":  c.ModeStats(),
 			"core.HTMStats":   c.HTMStats(),
 			"core.QuietStats": c.QuietStats(),
@@ -132,11 +132,8 @@ func TestResetStatsZeroesEveryCounter(t *testing.T) {
 			assertZero(t, "Metrics."+name, mv.Field(i))
 		}
 	}
-	if got := ms.Commits(); got != 0 {
-		t.Errorf("MetricsSnapshot.Commits() = %d after ResetStats", got)
-	}
-	if got := ms.Aborts(); got != 0 {
-		t.Errorf("MetricsSnapshot.Aborts() = %d after ResetStats", got)
+	if got := ms.Totals(); got.Commits != 0 || got.Aborts != 0 {
+		t.Errorf("MetricsSnapshot totals %+v after ResetStats", got)
 	}
 	for name, m := range ms.Modes {
 		if m.Commits != 0 || len(m.Aborts) != 0 || len(m.Stops) != 0 {
@@ -189,7 +186,7 @@ func TestMetricsSnapshotBreakdown(t *testing.T) {
 
 	st := sys.StatsSnapshot()
 	ms := sys.MetricsSnapshot()
-	if got := ms.Commits(); got != st.Commits {
+	if got := ms.Totals().Commits; got != st.Commits {
 		t.Errorf("metrics commits = %d, stats commits = %d", got, st.Commits)
 	}
 	if _, ok := ms.Gauges["adaptive_period"]; !ok {
