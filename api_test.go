@@ -218,9 +218,8 @@ func TestStatsSnapshotSurface(t *testing.T) {
 func TestOptionsVariants(t *testing.T) {
 	g := tufast.GenerateUniform(128, 4, 1)
 	for _, opt := range []tufast.Options{
-		{Threads: 2, Deadlock: tufast.DeadlockDetect},
-		{Threads: 2, Deadlock: tufast.DeadlockPreventOrdered},
-		{Threads: 2, Deadlock: tufast.DeadlockNoWait},
+		{Threads: 2},
+		{Threads: 2, HMaxHint: 1, OMaxHint: 1},
 	} {
 		sys := tufast.NewSystem(g, opt)
 		ctr := sys.NewArray(1)
@@ -267,7 +266,7 @@ func TestGraphEdgeListWrite(t *testing.T) {
 // built through the public API runs L mode at its real cost.
 func TestLibraryCarriesNoTax(t *testing.T) {
 	g := tufast.GeneratePowerLaw(200, 800, 2.1, 1)
-	for _, opt := range []tufast.Options{{}, {Threads: 2, HMaxHint: 8, OMaxHint: 16, Deadlock: tufast.DeadlockNoWait}} {
+	for _, opt := range []tufast.Options{{}, {Threads: 2, HMaxHint: 8, OMaxHint: 16}} {
 		if tufast.NewSystem(g, opt).Core().Config().Tax != nil {
 			t.Fatalf("NewSystem(%+v) carries a simulation tax", opt)
 		}

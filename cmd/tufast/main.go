@@ -172,7 +172,7 @@ func run(ctx context.Context, g *graph.CSR, algoName, system string, threads int
 		case "stm":
 			s = sched.NewSTM(sp)
 		case "2pl":
-			s = sched.NewTPL(sp, vlock.NewTable(n), deadlock.NewDetector(512), deadlock.Detect)
+			s = sched.NewTPL(sp, vlock.NewTable(n), deadlock.NewDetector(512))
 		case "occ":
 			s = sched.NewOCC(sp, vlock.NewTable(n))
 		case "to":

@@ -1,7 +1,8 @@
 // Command tufastcheck statically verifies user code against the TuFast
 // transaction contract and the serving plane's concurrency contract:
 // the rules the runtime cannot check at run time but serializability
-// and deadlock-freedom depend on.
+// and the serving plane's mutex ordering depend on. (L mode's vertex
+// locks need no static rule: its deadlock detector breaks any cycle.)
 //
 //	tufastcheck [-json] [-enable a,b] [-strict-ignores] [packages...]
 //
@@ -15,7 +16,6 @@
 //	nakedaccess    direct VertexArray/Space access inside a transaction
 //	txescape       the Tx handle outlives its attempt
 //	retryunsafe    non-idempotent operation in a retryable TxFunc
-//	orderediter    iteration order violating DeadlockPreventOrdered
 //	ownermismatch  owner vertex and Addr index disagree
 //	lockorder      mutex nesting violating //tufast:lockorder ranks, or cyclic
 //	epochcapture   epoch read outside the critical section that bumped it

@@ -25,10 +25,12 @@ func schedFactories(n int) map[string]func(sp *mem.Space) sched.Scheduler {
 		},
 		"2pl-detect": func(sp *mem.Space) sched.Scheduler {
 			det := deadlock.NewDetector(64)
-			return sched.NewTPL(sp, vlock.NewTable(n), det, deadlock.Detect)
+			return sched.NewTPL(sp, vlock.NewTable(n), det)
 		},
-		"2pl-nowait": func(sp *mem.Space) sched.Scheduler {
-			return sched.NewTPL(sp, vlock.NewTable(n), nil, deadlock.NoWait)
+		"2pl-exclusive": func(sp *mem.Space) sched.Scheduler {
+			s := sched.NewTPL(sp, vlock.NewTable(n), deadlock.NewDetector(64))
+			s.SetExclusiveOnly(true)
+			return s
 		},
 		"occ": func(sp *mem.Space) sched.Scheduler {
 			return sched.NewOCC(sp, vlock.NewTable(n))

@@ -6,8 +6,6 @@
 //   - the Tx handle never outlives its attempt (txescape)
 //   - TxFunc bodies are idempotent, because all three modes retry
 //     (retryunsafe)
-//   - DeadlockPreventOrdered assumes ascending-id neighbor iteration
-//     (orderediter)
 //   - the owner vertex of an access matches the word it touches
 //     (ownermismatch)
 //
@@ -49,7 +47,6 @@ func Analyzers() []*analysis.Analyzer {
 		NakedAccess,
 		TxEscape,
 		RetryUnsafe,
-		OrderedIter,
 		OwnerMismatch,
 		LockOrder,
 		EpochCapture,
@@ -192,24 +189,6 @@ func isTxOp(info *types.Info, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	return sel.Sel.Name, true
-}
-
-// containsTxOp reports whether the subtree holds a transactional access.
-func containsTxOp(info *types.Info, n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if _, ok := isTxOp(info, call); ok {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
 }
 
 // usesAny reports whether the subtree references any object in objs.

@@ -19,16 +19,6 @@ func TestRetryUnsafe(t *testing.T) {
 	analysistest.Run(t, "testdata/retryunsafe", checkers.RetryUnsafe)
 }
 
-func TestOrderedIter(t *testing.T) {
-	analysistest.Run(t, "testdata/orderediter", checkers.OrderedIter)
-}
-
-// TestOrderedIterOff verifies the analyzer stays silent in packages that
-// never select DeadlockPreventOrdered, whatever their loop shapes.
-func TestOrderedIterOff(t *testing.T) {
-	analysistest.Run(t, "testdata/orderediter_off", checkers.OrderedIter)
-}
-
 func TestOwnerMismatch(t *testing.T) {
 	analysistest.Run(t, "testdata/ownermismatch", checkers.OwnerMismatch)
 }

@@ -249,7 +249,7 @@ func Fig7(o Options) []Table {
 func fig7Scheduler(name string, sp *mem.Space, n int) sched.Scheduler {
 	switch name {
 	case "2PL":
-		tpl := taxed(sched.NewTPL(sp, vlock.NewTable(n), deadlock.NewDetector(512), deadlock.Detect))
+		tpl := taxed(sched.NewTPL(sp, vlock.NewTable(n), deadlock.NewDetector(512)))
 		// Read-then-update transactions under plain S/X locks live on
 		// the upgrade path, which deadlocks under contention; production
 		// 2PL uses update/exclusive-upfront locking for such workloads,

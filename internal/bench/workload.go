@@ -60,7 +60,7 @@ func schedulerSet(sp *mem.Space, n int) (map[string]sched.Scheduler, *core.Syste
 	det := deadlock.NewDetector(512)
 	return map[string]sched.Scheduler{
 		"TuFast": tf,
-		"2PL":    taxed(sched.NewTPL(sp, vlock.NewTable(n), det, deadlock.Detect)),
+		"2PL":    taxed(sched.NewTPL(sp, vlock.NewTable(n), det)),
 		"OCC":    taxed(sched.NewOCC(sp, vlock.NewTable(n))),
 		"STM":    taxed(sched.NewSTM(sp)),
 		"HSync":  taxed(sched.NewHSync(sp, 8)),

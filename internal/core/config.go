@@ -8,7 +8,7 @@
 //	O mode  HTM-assisted optimistic execution: private write buffer,
 //	        reads monitored in HTM segments of `period` operations,
 //	        commit-time validation (Algorithm 2, Fig. 9);
-//	L mode  strict two-phase locking with deadlock handling
+//	L mode  strict two-phase locking with deadlock detection
 //	        (Algorithm 3) — reused from the sched package.
 //
 // The O-mode segment length adapts at run time: modelling a per-operation
@@ -18,10 +18,7 @@
 // transaction escalates to L mode.
 package core
 
-import (
-	"tufast/internal/deadlock"
-	"tufast/internal/htm"
-)
+import "tufast/internal/htm"
 
 // Config tunes the TuFast runtime. The zero value is usable: every field
 // is defaulted by normalize.
@@ -62,9 +59,6 @@ type Config struct {
 	// AdaptivePeriod enables the §IV-D controller; when false the period
 	// stays at PeriodInit (Fig. 17's "static" configuration).
 	AdaptivePeriod bool
-
-	// Deadlock selects the L-mode deadlock policy.
-	Deadlock deadlock.Mode
 
 	// DisableEarlyAbort turns off the NOrec-style mid-transaction
 	// conflict detection inside O-mode segments (ablation: the value of

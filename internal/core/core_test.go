@@ -188,6 +188,64 @@ func TestIsolationAcrossModes(t *testing.T) {
 	}
 }
 
+// TestLDeadlockCycleResolved: two L transactions that take a leaf and a
+// hub in opposite orders close a waits-for cycle (one holds the leaf
+// exclusively and waits to read the hub, the other the reverse), and the
+// detector must break it: every transaction commits, both counters are
+// exact, no vertex lock is left held, and each victim is one deadlock
+// abort in the metrics. The first attempts meet while each holds its
+// first vertex, so at least one cycle forms on every run.
+func TestLDeadlockCycleResolved(t *testing.T) {
+	const leaf, hub, each = 1, 0, 200
+	s, sp := newSys(8, Config{HMaxHint: 1, OMaxHint: 1})
+	held := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	incr := func(tx sched.Tx, v uint32) { tx.Write(v, mem.Addr(v), tx.Read(v, mem.Addr(v))+1) }
+	var wg sync.WaitGroup
+	for tid, order := range [2][2]uint32{{leaf, hub}, {hub, leaf}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := s.Worker(tid)
+			first := true
+			for i := 0; i < each; i++ {
+				err := w.Run(4, func(tx sched.Tx) error {
+					incr(tx, order[0])
+					if first {
+						first = false
+						close(held[tid])
+						<-held[1-tid]
+					}
+					incr(tx, order[1])
+					return nil
+				})
+				if err != nil {
+					t.Errorf("worker %d: %v", tid, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if sp.Load(leaf) != 2*each || sp.Load(hub) != 2*each {
+		t.Fatalf("leaf=%d hub=%d, want %d each", sp.Load(leaf), sp.Load(hub), 2*each)
+	}
+	if got := s.ModeStats().Count(ClassL); got != 2*each {
+		t.Fatalf("%d L commits, want %d: %v", got, 2*each, modeDump(s))
+	}
+	for v := 0; v < s.Locks().Len(); v++ {
+		if owner, ok := s.Locks().ExclusiveOwner(uint32(v)); ok {
+			t.Fatalf("vertex %d still exclusively locked by tid %d", v, owner)
+		}
+		if n := s.Locks().SharedCount(uint32(v)); n != 0 {
+			t.Fatalf("vertex %d still has %d shared holders", v, n)
+		}
+	}
+	victims := s.Metrics().Snapshot().Modes[ClassL.String()].Aborts["deadlock"]
+	if s.Deadlocks() != victims || victims == 0 {
+		t.Fatalf("Deadlocks() = %d, metrics record %d deadlock aborts; want equal and > 0", s.Deadlocks(), victims)
+	}
+}
+
 func TestModeClassStrings(t *testing.T) {
 	want := map[ModeClass]string{ClassH: "H", ClassO: "O", ClassOPlus: "O+",
 		ClassO2L: "O2L", ClassL: "L", ModeClass(9): "?"}

@@ -21,7 +21,6 @@ type System struct {
 	sched.Instrumented
 	sp    *mem.Space
 	locks *vlock.Table
-	det   *deadlock.Detector
 	cfg   Config
 
 	lmode  *sched.TPL
@@ -78,15 +77,13 @@ const maxThreads = 512
 // nVertices vertices.
 func New(sp *mem.Space, nVertices int, cfg Config) *System {
 	cfg = cfg.normalize()
-	det := deadlock.NewDetector(maxThreads)
 	s := &System{
 		sp:     sp,
 		locks:  vlock.NewTable(nVertices),
-		det:    det,
 		cfg:    cfg,
 		period: newPeriodController(cfg.PeriodInit, cfg.PeriodFloor, cfg.PeriodCap),
 	}
-	s.lmode = sched.NewTPL(sp, s.locks, det, cfg.Deadlock)
+	s.lmode = sched.NewTPL(sp, s.locks, deadlock.NewDetector(maxThreads))
 	s.lmode.SetTax(cfg.Tax)
 	s.period.m = s.Metrics()
 	return s

@@ -15,9 +15,6 @@
 // threads that are blocked right now. Every new wait edge triggers a
 // check, so any cycle is detected by the thread whose wait completes it
 // — that thread becomes the victim.
-//
-// The package also supports the paper's alternative: deadlock *prevention*
-// by ordered acquisition, in which case detection is disabled entirely.
 package deadlock
 
 import (
@@ -30,37 +27,6 @@ import (
 // ErrDeadlock is returned to a would-be waiter whose wait would close a
 // cycle in the waits-for graph; the waiter must abort (it is the victim).
 var ErrDeadlock = errors.New("deadlock: wait would create a cycle")
-
-// Mode selects how a lock-based scheduler avoids deadlock.
-type Mode int
-
-const (
-	// Detect maintains a waits-for graph and aborts waits that would
-	// close a cycle (the paper's default).
-	Detect Mode = iota
-	// PreventOrdered assumes the application acquires vertex locks in a
-	// global (ID) order, which makes cycles impossible; detection is
-	// skipped (the paper's optional optimization for neighbor-iteration
-	// access patterns).
-	PreventOrdered
-	// NoWait never blocks: lock failures immediately abort and restart
-	// the transaction after randomized backoff.
-	NoWait
-)
-
-// String names the mode.
-func (m Mode) String() string {
-	switch m {
-	case Detect:
-		return "detect"
-	case PreventOrdered:
-		return "prevent-ordered"
-	case NoWait:
-		return "no-wait"
-	default:
-		return "unknown"
-	}
-}
 
 type hold struct {
 	vertex    uint32

@@ -196,18 +196,6 @@ func TestWaitingCount(t *testing.T) {
 	}
 }
 
-func TestModeStrings(t *testing.T) {
-	cases := map[Mode]string{
-		Detect: "detect", PreventOrdered: "prevent-ordered",
-		NoWait: "no-wait", Mode(9): "unknown",
-	}
-	for m, want := range cases {
-		if m.String() != want {
-			t.Errorf("%d.String()=%q want %q", m, m.String(), want)
-		}
-	}
-}
-
 // TestConcurrentDetectorSafety hammers the detector from many goroutines
 // to catch data races (run under -race).
 func TestConcurrentDetectorSafety(t *testing.T) {

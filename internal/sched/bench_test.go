@@ -40,7 +40,7 @@ func benchScheduler(b *testing.B, mk func(sp *mem.Space) Scheduler) {
 
 func Benchmark2PLTxn(b *testing.B) {
 	benchScheduler(b, func(sp *mem.Space) Scheduler {
-		return taxed(NewTPL(sp, vlock.NewTable(1<<16), deadlock.NewDetector(8), deadlock.Detect))
+		return taxed(NewTPL(sp, vlock.NewTable(1<<16), deadlock.NewDetector(8)))
 	})
 }
 
@@ -93,7 +93,7 @@ func BenchmarkTPLReadThenWrite(b *testing.B) {
 	for _, k := range []int{256, 2048} {
 		b.Run(fmt.Sprint(k), func(b *testing.B) {
 			sp := mem.NewSpace(1 << 16)
-			s := NewTPL(sp, vlock.NewTable(k), deadlock.NewDetector(8), deadlock.Detect)
+			s := NewTPL(sp, vlock.NewTable(k), deadlock.NewDetector(8))
 			w := s.Worker(0)
 			fn := func(tx Tx) error {
 				for v := uint32(0); int(v) < k; v++ {

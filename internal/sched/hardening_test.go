@@ -113,7 +113,7 @@ func newTPLFixture(t *testing.T, vertices int) (*TPL, *mem.Space, *vlock.Table) 
 	t.Helper()
 	sp := mem.NewSpace(vertices * 8)
 	locks := vlock.NewTable(vertices)
-	return NewTPL(sp, locks, nil, deadlock.PreventOrdered), sp, locks
+	return NewTPL(sp, locks, deadlock.NewDetector(8)), sp, locks
 }
 
 // assertNoLocksHeld fails if any vertex lock is held.
@@ -316,7 +316,7 @@ func TestTPLDetectModeCancelClearsWaitGraph(t *testing.T) {
 	sp := mem.NewSpace(64)
 	locks := vlock.NewTable(8)
 	det := deadlock.NewDetector(8)
-	s := NewTPL(sp, locks, det, deadlock.Detect)
+	s := NewTPL(sp, locks, det)
 	w := s.NewWorker(0)
 
 	const blocker = 3

@@ -134,10 +134,7 @@ func TestSerializabilityHistories(t *testing.T) {
 	const words = 12 // few words -> high contention -> hard histories
 	mk := map[string]func(sp *mem.Space) Scheduler{
 		"2pl-detect": func(sp *mem.Space) Scheduler {
-			return NewTPL(sp, vlock.NewTable(words), deadlock.NewDetector(16), deadlock.Detect)
-		},
-		"2pl-nowait": func(sp *mem.Space) Scheduler {
-			return NewTPL(sp, vlock.NewTable(words), nil, deadlock.NoWait)
+			return NewTPL(sp, vlock.NewTable(words), deadlock.NewDetector(16))
 		},
 		"occ":   func(sp *mem.Space) Scheduler { return NewOCC(sp, vlock.NewTable(words)) },
 		"to":    func(sp *mem.Space) Scheduler { return NewTO(sp, vlock.NewTable(words), words) },
@@ -183,7 +180,7 @@ func TestSerializabilityCheckerCatchesViolations(t *testing.T) {
 // workers sharing a tid would corrupt lock ownership.
 func TestConcurrentWorkersUniqueIDs(t *testing.T) {
 	sp := mem.NewSpace(256)
-	s := NewTPL(sp, vlock.NewTable(16), nil, deadlock.NoWait)
+	s := NewTPL(sp, vlock.NewTable(16), deadlock.NewDetector(8))
 	var active atomic.Int32
 	var wg sync.WaitGroup
 	for tid := 0; tid < 8; tid++ {

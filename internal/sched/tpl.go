@@ -13,18 +13,18 @@ import (
 )
 
 // TPL is strict two-phase locking over per-vertex reader-writer locks,
-// with pluggable deadlock handling (detection, ordered prevention, or
-// no-wait restart). It is both the paper's 2PL baseline (§III, §VI-B) and
-// TuFast's L mode (§IV-A, Algorithm 3): writes go in place under
-// exclusive locks (with an undo log), so optimistic readers in other
-// modes observe the version bumps and the lock stamps.
+// with waits-for-graph deadlock detection: a wait that would close a
+// cycle makes its transaction the victim. It is both the paper's 2PL
+// baseline (§III, §VI-B) and TuFast's L mode (§IV-A, Algorithm 3):
+// writes go in place under exclusive locks (with an undo log), so
+// optimistic readers in other modes observe the version bumps and the
+// lock stamps.
 type TPL struct {
 	Instrumented
 	Taxed
 	sp    *mem.Space
 	locks *vlock.Table
 	det   *deadlock.Detector
-	mode  deadlock.Mode
 	name  string
 
 	// drain is the starvation drain of every worker's loop: the
@@ -52,12 +52,12 @@ func (s *TPL) SetExclusiveOnly(on bool) { s.exclusiveOnly = on }
 // SetFaultInjector installs (or, with nil, removes) a fault injector.
 func (s *TPL) SetFaultInjector(fi *FaultInjector) { s.faults.Store(fi) }
 
-// NewTPL creates a 2PL scheduler. det may be nil unless mode is Detect.
-func NewTPL(sp *mem.Space, locks *vlock.Table, det *deadlock.Detector, mode deadlock.Mode) *TPL {
-	if mode == deadlock.Detect && det == nil {
-		panic("sched: TPL in Detect mode requires a detector")
+// NewTPL creates a 2PL scheduler whose waits det checks for cycles.
+func NewTPL(sp *mem.Space, locks *vlock.Table, det *deadlock.Detector) *TPL {
+	if det == nil {
+		panic("sched: TPL requires a deadlock detector")
 	}
-	return &TPL{sp: sp, locks: locks, det: det, mode: mode, name: "2PL"}
+	return &TPL{sp: sp, locks: locks, det: det, name: "2PL"}
 }
 
 // Name implements Scheduler.
@@ -83,8 +83,8 @@ func (s *TPL) NewWorkerFor(tid int, probe *obs.Probe) *TPLWorker {
 }
 
 // A held-table value packs the hold's mode with its position in order
-// (and, in Detect mode, in the detector's hold list, which grows in
-// lockstep): an upgrade names its hold instead of searching for it.
+// (and in the detector's hold list, which grows in lockstep): an upgrade
+// names its hold instead of searching for it.
 const (
 	holdShared int32 = 1
 	holdExcl   int32 = 2
@@ -111,10 +111,6 @@ type TPLWorker struct {
 
 	nreads, nwrites uint64
 }
-
-// upgradeSpinLimit bounds shared-to-exclusive upgrade spinning in modes
-// without detection; two upgraders of the same vertex deadlock otherwise.
-const upgradeSpinLimit = 1 << 14
 
 func (w *TPLWorker) begin(int) bool {
 	w.dlAbort = false
@@ -177,9 +173,7 @@ func (w *TPLWorker) finish(commit bool) {
 			w.s.locks.ReleaseExclusive(v, w.tid)
 		}
 	}
-	if w.s.mode == deadlock.Detect {
-		w.s.det.RemoveAll(w.tid)
-	}
+	w.s.det.RemoveAll(w.tid)
 	w.order = w.order[:0]
 	w.undo = w.undo[:0]
 	w.held.Reset()
@@ -222,9 +216,7 @@ func (w *TPLWorker) lockExclusive(v uint32) {
 		// Shared-to-exclusive upgrade: wait until we are the sole holder.
 		w.block(v, true, func() bool { return w.s.locks.UpgradeToExclusive(v, w.tid) })
 		w.held.Put(uint64(v), m&^holdMode|holdExcl)
-		if w.s.mode == deadlock.Detect {
-			w.s.det.UpgradeHold(w.tid, int(m>>holdShift), v)
-		}
+		w.s.det.UpgradeHold(w.tid, int(m>>holdShift), v)
 		return
 	}
 	w.block(v, true, func() bool { return w.s.locks.TryExclusive(v, w.tid) })
@@ -236,58 +228,33 @@ func (w *TPLWorker) lockExclusive(v uint32) {
 func (w *TPLWorker) noteHold(v uint32, mode int32) {
 	w.held.Put(uint64(v), int32(len(w.order))<<holdShift|mode)
 	w.order = append(w.order, v)
-	if w.s.mode == deadlock.Detect {
-		w.s.det.AddHold(w.tid, v, mode == holdExcl)
-	}
+	w.s.det.AddHold(w.tid, v, mode == holdExcl)
 }
 
-// block acquires a lock via try, spinning according to the deadlock mode.
-// On deadlock (or no-wait failure) it unwinds the attempt; on context
-// cancellation it unwinds terminally via ThrowCancel, so a cancelled
-// transaction stuck behind a lock returns instead of spinning forever.
+// block acquires a lock via try, spinning while it waits. A wait that
+// would close a waits-for cycle unwinds the attempt as the deadlock
+// victim; context cancellation unwinds it terminally via ThrowCancel, so
+// a cancelled transaction stuck behind a lock returns instead of spinning
+// forever.
 func (w *TPLWorker) block(v uint32, exclusive bool, try func() bool) {
 	if try() {
 		return
 	}
-	switch w.s.mode {
-	case deadlock.NoWait:
-		ThrowAbort("lock busy (no-wait)")
-	case deadlock.PreventOrdered:
-		for i := 0; ; i++ {
-			if try() {
-				return
-			}
-			if exclusive && i >= upgradeSpinLimit {
-				// Ordered acquisition cannot order upgrades; bail out to
-				// avoid upgrade-upgrade deadlock.
-				ThrowAbort("upgrade stall")
-			}
-			if i&15 == 15 {
-				if err := w.ctxErr(); err != nil {
-					ThrowCancel(err)
-				}
-				runtime.Gosched()
-			}
+	if err := w.s.det.BeginWait(w.tid, v, exclusive); err != nil {
+		w.dlAbort = true
+		ThrowAbort("deadlock victim")
+	}
+	for i := 0; ; i++ {
+		if try() {
+			w.s.det.EndWait(w.tid)
+			return
 		}
-	case deadlock.Detect:
-		if err := w.s.det.BeginWait(w.tid, v, exclusive); err != nil {
-			w.dlAbort = true
-			ThrowAbort("deadlock victim")
-		}
-		for i := 0; ; i++ {
-			if try() {
+		if i&15 == 15 {
+			if err := w.ctxErr(); err != nil {
 				w.s.det.EndWait(w.tid)
-				return
+				ThrowCancel(err)
 			}
-			if i&15 == 15 {
-				if err := w.ctxErr(); err != nil {
-					w.s.det.EndWait(w.tid)
-					ThrowCancel(err)
-				}
-				runtime.Gosched()
-			}
+			runtime.Gosched()
 		}
-	default:
-		panic("sched: unknown deadlock mode")
 	}
 }

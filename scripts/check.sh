@@ -105,7 +105,7 @@ end
 # (with the lockers always there, and coming and going), mode ladder,
 # router, commit gate, quiet-attempt interleavings, O-commit announcement
 # and the one record of outcomes (cancellations between rungs
-# included), over the
+# included), and two L transactions closing a waits-for cycle, over the
 # queued driver (its own quiesce and chunk tests and the algorithms'
 # entry point into it), over the overlay's target index: attempts
 # killed after a build, a doubling and a repoint in each mode, and
@@ -144,7 +144,7 @@ oversubscribed() { # test binary, -test.run pattern, -test.count
     fi
 }
 oversubscribed "$tmp/sched.test" 'TestSerializabilityHistories|TestBankTransfer|TestCounterIsolation|TestWriteSkewPrevented|TestDeadlockResolution|TestOutcomesRecordedOnce' 50
-oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestCrossModeHistoriesLockersComeAndGo|TestIsolationAcrossModes|TestRouter|TestBackoffStartsAtZeroAfterLadder|TestOCapacityAbortDoesNotBackOff|TestLEntryWaitsForHCommitWindow|TestPanicInCommitWindowClearsGate|TestLateWorkerSeesLActive|TestQuietH|TestOCommitLowersCountOnEveryExit|TestOneCountFourViews|TestCancelAfterHAbortCountsOnce' 30
+oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestCrossModeHistoriesLockersComeAndGo|TestIsolationAcrossModes|TestRouter|TestBackoffStartsAtZeroAfterLadder|TestOCapacityAbortDoesNotBackOff|TestLEntryWaitsForHCommitWindow|TestPanicInCommitWindowClearsGate|TestLateWorkerSeesLActive|TestQuietH|TestOCommitLowersCountOnEveryExit|TestOneCountFourViews|TestCancelAfterHAbortCountsOnce|TestLDeadlockCycleResolved' 30
 oversubscribed "$tmp/worklist.test" 'TestDrain' 30
 oversubscribed "$tmp/algo.test" 'TestForEachQueued|TestResultsCountCommitsNotAttempts' 10
 oversubscribed "$tmp/dyngraph.test" 'TestIndexAbortSafety' 20

@@ -40,7 +40,6 @@ import (
 
 	"tufast/internal/algo"
 	"tufast/internal/core"
-	"tufast/internal/deadlock"
 	"tufast/internal/graph"
 	"tufast/internal/mem"
 	"tufast/internal/sched"
@@ -64,21 +63,6 @@ type TxPanicError = sched.TxPanicError
 // Addr is a word address inside a System's shared memory space.
 type Addr = uint64
 
-// DeadlockPolicy selects how L-mode (lock-based) transactions avoid
-// deadlock.
-type DeadlockPolicy int
-
-const (
-	// DeadlockDetect runs waits-for-graph cycle detection (the paper's
-	// default).
-	DeadlockDetect DeadlockPolicy = iota
-	// DeadlockPreventOrdered assumes neighbor iteration in id order and
-	// disables detection (the paper's §IV-E optimization).
-	DeadlockPreventOrdered
-	// DeadlockNoWait aborts and restarts instead of blocking.
-	DeadlockNoWait
-)
-
 // Options tunes a System. The zero value gives the paper's defaults.
 type Options struct {
 	// Threads is the parallelism of ForEachVertex / ForEachQueued
@@ -87,8 +71,6 @@ type Options struct {
 	// SpaceWords overrides the shared-space size in 8-byte words
 	// (default: 24 words per vertex plus slack).
 	SpaceWords int
-	// Deadlock selects the L-mode policy.
-	Deadlock DeadlockPolicy
 	// HMaxHint and OMaxHint override the §IV-B routing ceilings: a
 	// transaction with size hint ≤ HMaxHint may try H mode first, one
 	// above OMaxHint goes straight to L mode, and anything between
@@ -128,14 +110,6 @@ func NewSystem(g *Graph, opt Options) *System {
 		AdaptivePeriod: true,
 		HMaxHint:       opt.HMaxHint,
 		OMaxHint:       opt.OMaxHint,
-	}
-	switch opt.Deadlock {
-	case DeadlockDetect:
-		cfg.Deadlock = deadlock.Detect
-	case DeadlockPreventOrdered:
-		cfg.Deadlock = deadlock.PreventOrdered
-	case DeadlockNoWait:
-		cfg.Deadlock = deadlock.NoWait
 	}
 	sp := mem.NewSpace(opt.SpaceWords)
 	c := core.New(sp, n, cfg)
