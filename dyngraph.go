@@ -3,6 +3,8 @@ package tufast
 import (
 	"cmp"
 	"context"
+	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -44,13 +46,13 @@ type DynGraph struct {
 	// run across all the System's threads; only batch admission is
 	// serial, which also gives each effective batch a distinct epoch.
 	batchMu sync.Mutex
-	// streaming is true while an ApplyStream batch holds batchMu. It
-	// backs the best-effort assertion in Tx.AddEdge/RemoveEdge that no
-	// direct edge mutation overlaps a batch — a direct mutation racing
-	// the batch's end-of-stream stamp transition could commit an entry
-	// under an epoch that pinned views already treat as sealed, and
-	// break the per-target stamp monotonicity chain resolution relies
-	// on (see Tx.AddEdge).
+	// streaming is true while a batch (ApplyStream or ReplayOwned) holds
+	// batchMu. It backs the best-effort assertion in Tx.AddEdge/RemoveEdge
+	// that no direct edge mutation overlaps a batch — a direct mutation
+	// racing the batch's end-of-stream stamp transition could commit an
+	// entry under an epoch that pinned views already treat as sealed, and
+	// break the per-target stamp monotonicity chain resolution relies on
+	// (see Tx.AddEdge).
 	streaming atomic.Bool
 
 	// pinMu guards pins: epoch → number of live GraphViews pinned
@@ -166,9 +168,9 @@ func (d *DynGraph) RestoreEpoch(e uint64) {
 	d.st.SetWriteStamp(e + 1)
 }
 
-// MutationStats returns how many ApplyStream operations actually
-// inserted an edge, actually removed one, and were no-ops (duplicate
-// insert / missing delete).
+// MutationStats returns how many ApplyStream (and ReplayOwned)
+// operations actually inserted an edge, actually removed one, and were
+// no-ops (duplicate insert / missing delete).
 func (d *DynGraph) MutationStats() (inserted, removed, noops uint64) {
 	return d.inserted.Load(), d.removed.Load(), d.noops.Load()
 }
@@ -374,7 +376,7 @@ func gcMinChainWords(opsSince uint64, numVertices int) int {
 // never through AddEdge/RemoveEdge.
 func (tx Tx) AddEdge(g *DynGraph, u, v uint32) bool {
 	g.assertNoStream("AddEdge")
-	return g.addEdge(tx, u, v)
+	return g.mutateEdge(tx, u, v, false)
 }
 
 // RemoveEdge deletes edge (u, v) from g within tx, returning whether
@@ -384,7 +386,7 @@ func (tx Tx) AddEdge(g *DynGraph, u, v uint32) bool {
 // not overlap an ApplyStream batch.
 func (tx Tx) RemoveEdge(g *DynGraph, u, v uint32) bool {
 	g.assertNoStream("RemoveEdge")
-	return g.removeEdge(tx, u, v)
+	return g.mutateEdge(tx, u, v, true)
 }
 
 // assertNoStream panics when a direct edge mutation is attempted while
@@ -397,28 +399,24 @@ func (g *DynGraph) assertNoStream(op string) {
 	}
 }
 
-// addEdge is the assertion-free mutation body shared by Tx.AddEdge and
-// the stream applier (whose transactions are part of the batch and
-// therefore correctly stamped by construction).
-func (g *DynGraph) addEdge(tx Tx, u, v uint32) bool {
-	changed := g.st.AddArc(tx.t, u, v)
-	if g.st.Undirected() {
-		if g.st.AddArc(tx.t, v, u) {
-			changed = true
-		}
+// mutateEdge is the assertion-free mutation body shared by Tx.AddEdge,
+// Tx.RemoveEdge and the stream applier (whose transactions are part of
+// the batch and therefore correctly stamped by construction): it inserts
+// (or, with del, removes) edge (u, v), both arcs on an undirected graph.
+func (g *DynGraph) mutateEdge(tx Tx, u, v uint32, del bool) bool {
+	changed := g.mutateArc(tx.t, u, v, del)
+	if g.st.Undirected() && g.mutateArc(tx.t, v, u, del) {
+		changed = true
 	}
 	return changed
 }
 
-// removeEdge is addEdge's delete twin.
-func (g *DynGraph) removeEdge(tx Tx, u, v uint32) bool {
-	changed := g.st.RemoveArc(tx.t, u, v)
-	if g.st.Undirected() {
-		if g.st.RemoveArc(tx.t, v, u) {
-			changed = true
-		}
+// mutateArc inserts (or, with del, removes) the single arc u→v.
+func (g *DynGraph) mutateArc(tx sched.Tx, u, v uint32, del bool) bool {
+	if del {
+		return g.st.RemoveArc(tx, u, v)
 	}
-	return changed
+	return g.st.AddArc(tx, u, v)
 }
 
 // HasEdgeMut reports whether edge (u, v) is live in g within tx,
@@ -541,6 +539,14 @@ func (d *DynGraph) ApplyStreamCtx(ctx context.Context, ops []StreamOp, opt Strea
 	// or some of its own transactions — committed has still changed the
 	// topology, and any committed change must invalidate epoch-keyed
 	// consumers (result caches, lazy snapshots).
+	d.publish(cur, &stats)
+	return stats, applyErr
+}
+
+// publish ends a batch that ran at write stamp cur+1: it adds the
+// batch's outcomes to the graph's counters and, when anything changed,
+// bumps the epoch to cur+1.
+func (d *DynGraph) publish(cur uint64, stats *StreamStats) {
 	stats.Applied = stats.Inserted + stats.Removed + stats.NoOps
 	d.inserted.Add(uint64(stats.Inserted))
 	d.removed.Add(uint64(stats.Removed))
@@ -556,7 +562,84 @@ func (d *DynGraph) ApplyStreamCtx(ctx context.Context, ops []StreamOp, opt Strea
 	} else {
 		stats.Epoch = cur
 	}
-	return stats, applyErr
+}
+
+// ReplayOwned applies ops as one batch the way ApplyStreamCtx does — it
+// takes the batch lock, stamps what it writes with epoch+1 and publishes
+// that epoch when anything changed — but for a caller that owns the
+// graph outright: boot recovery replaying a log tail into a graph no
+// other goroutine can reach yet. Nothing can conflict there, so there is
+// no transaction: each arc mutation runs on the goroutine that owns its
+// source vertex (the id modulo the System's threads), in slice order,
+// through the same arc mutation a transaction runs, reading and writing
+// the space directly (dyngraph.Store.Owned). An undirected op's two arcs
+// go to their two owners and the op counts as changed if either did.
+// Ops apply in the order given; unlike ApplyStream they are not sorted
+// by Time. No hook runs.
+//
+// The caller must hold the only reference: no transaction, batch or
+// reader may run on the graph or its System until ReplayOwned returns.
+// What it can see of a violation it refuses, changing nothing: a pinned
+// view, a batch in flight, an op naming a vertex out of range. A direct
+// Tx.AddEdge/RemoveEdge during the replay panics as it does during a
+// batch.
+func (d *DynGraph) ReplayOwned(ops []StreamOp) (StreamStats, error) {
+	if !d.batchMu.TryLock() {
+		return StreamStats{Epoch: d.epoch.Load()}, errors.New("tufast: ReplayOwned while a batch is in flight")
+	}
+	defer d.batchMu.Unlock()
+	cur := d.epoch.Load()
+	d.pinMu.Lock()
+	pinned := len(d.pins)
+	d.pinMu.Unlock()
+	if pinned > 0 {
+		return StreamStats{Epoch: cur}, errors.New("tufast: ReplayOwned with a view pinned")
+	}
+	n := uint32(d.st.NumVertices())
+	for _, op := range ops {
+		if op.U >= n || op.V >= n {
+			return StreamStats{Epoch: cur}, fmt.Errorf("tufast: ReplayOwned op (%d, %d) out of range [0,%d)", op.U, op.V, n)
+		}
+	}
+	d.streaming.Store(true)
+	defer d.streaming.Store(false)
+	d.st.SetWriteStamp(cur + 1)
+
+	undirected := d.st.Undirected()
+	threads := uint32(d.sys.rt.Threads)
+	// Whether op i changed its arc U→V (written by U's owner) and, on an
+	// undirected graph, its arc V→U (written by V's owner).
+	fwd := make([]bool, len(ops))
+	var rev []bool
+	if undirected {
+		rev = make([]bool, len(ops))
+	}
+	worklist.Range(int(threads), int(threads), 1, func(_, lo, hi int) {
+		tx := d.st.Owned()
+		for owner := uint32(lo); owner < uint32(hi); owner++ {
+			for i, op := range ops {
+				if op.U%threads == owner {
+					fwd[i] = d.mutateArc(tx, op.U, op.V, op.Del)
+				}
+				if undirected && op.V%threads == owner {
+					rev[i] = d.mutateArc(tx, op.V, op.U, op.Del)
+				}
+			}
+		}
+	})
+	var stats StreamStats
+	for i, op := range ops {
+		switch {
+		case !fwd[i] && (rev == nil || !rev[i]):
+			stats.NoOps++
+		case op.Del:
+			stats.Removed++
+		default:
+			stats.Inserted++
+		}
+	}
+	d.publish(cur, &stats)
+	return stats, nil
 }
 
 // ComposeOnEdge chains OnEdge hooks: the returned hook runs each
@@ -649,11 +732,7 @@ func (a *applier) init(d *DynGraph, opt StreamOptions) {
 func (a *applier) run(t sched.Tx) error {
 	tx := Tx{t: t}
 	a.pending = a.pending[:0]
-	if a.op.Del {
-		a.changed = a.d.removeEdge(tx, a.op.U, a.op.V)
-	} else {
-		a.changed = a.d.addEdge(tx, a.op.U, a.op.V)
-	}
+	a.changed = a.d.mutateEdge(tx, a.op.U, a.op.V, a.op.Del)
 	if a.onEdge != nil {
 		return a.onEdge(tx, a.op, a.changed, a.emit)
 	}

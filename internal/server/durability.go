@@ -13,10 +13,13 @@
 // Recovery (recoverDataDir) inverts the write path: load the newest
 // checkpoint that passes its CRC (falling back to older ones), restore
 // the epoch counter to the checkpoint's epoch, then replay every WAL
-// record above it through the ordinary stream-apply path — decode
-// pipelined against apply (wal.ReplayPipelined), and consecutive records
-// that commute gathered into one full apply window (replayGroup), so a
-// tail of serving-sized batches replays on every thread instead of one.
+// record above it through DynGraph.ReplayOwned — the live path's arc
+// mutations without its transactions, since recovery holds the only
+// reference to the graph, each arc applied by the thread that owns its
+// source — decode pipelined against apply (wal.ReplayPipelined), and
+// consecutive records that commute gathered into one call of up to
+// Window ops (replayGroup), so a tail of serving-sized batches replays on
+// every thread instead of one.
 // The WAL's own open already repaired any torn tail, so a kill at any
 // instant costs at most the batch that was mid-append — which was
 // never acknowledged.
@@ -106,10 +109,11 @@ type RecoveryInfo struct {
 	CheckpointFallbacks int `json:"checkpoint_fallbacks,omitempty"`
 	// EpochAdjusts counts replay windows whose re-application published
 	// a different epoch than their last record logged (possible when
-	// same-edge ops of one record shared an apply window, so a record
-	// effective then replays as a no-op) and were realigned.
+	// same-edge ops of one record raced in the live apply window, so a
+	// record effective then replays as a no-op in log order) and were
+	// realigned.
 	EpochAdjusts uint64 `json:"epoch_adjusts,omitempty"`
-	// ReplayWindows counts the ApplyStream calls the replayed records
+	// ReplayWindows counts the ReplayOwned calls the replayed records
 	// were gathered into (see replayGroup): ReplayedOps / ReplayWindows
 	// is how full the windows ran.
 	ReplayWindows uint64 `json:"replay_windows"`
@@ -117,7 +121,9 @@ type RecoveryInfo struct {
 	// checkpoint (or the base graph on a fresh dir), building the runtime
 	// and overlay around it (the arena is most of that when it is
 	// cleared rather than mapped), opening the WAL (every segment read
-	// and validated once), and replaying the tail.
+	// and validated once), and replaying the tail: decoding it, and
+	// applying it owned — no transaction, no validation, no commit, each
+	// of the System's threads mutating the arcs whose source it owns.
 	CheckpointLoadMS float64 `json:"checkpoint_load_ms"`
 	SpaceNewMS       float64 `json:"space_new_ms"`
 	WALScanMS        float64 `json:"wal_scan_ms"`
@@ -217,18 +223,20 @@ type recoveredState struct {
 const replayDepth = 32
 
 // replayGroup gathers consecutive WAL records into one apply window. The
-// live server applied each record as a batch of its own, on one thread
-// when it was a few hundred ops; recovery has the whole tail in hand, so
-// it applies up to Window ops at a time, which is what the sweep's
-// workers need to pay for themselves.
+// live server applied each record as a batch of its own; recovery has
+// the whole tail in hand, so it hands up to Window ops at a time to one
+// ReplayOwned call, which spreads the call's fixed cost (a goroutine per
+// thread, each passing over the window) over many records.
 //
-// Ops inside a window commit in any order, so a record joins the group
-// only if that cannot matter: a group is cut where a record touches an
-// edge an EARLIER record of the group touched (either orientation on an
-// undirected graph), because insert-then-delete and delete-then-insert
-// of one edge end differently. Ops on different edges commute — each
-// changes its own arc's presence, and degrees add up the same — and
-// repeats inside one record shared a window when they first ran.
+// A record joins the group only if its ops commute with the group's: a
+// group is cut where a record touches an edge an EARLIER record of the
+// group touched (either orientation on an undirected graph), because
+// insert-then-delete and delete-then-insert of one edge end differently.
+// Ops on different edges commute — each changes its own arc's presence,
+// and degrees add up the same — and repeats inside one record shared a
+// window when they first ran. ReplayOwned applies each arc's ops in log
+// order and would be exact without the cut; the cut keeps a group a set
+// of commuting records, which any apply order reproduces.
 //
 // The whole group is stamped with its last record's epoch. A reader
 // pinned between two of the group's epochs would see all of it or none,
@@ -290,8 +298,7 @@ func (g *replayGroup) flush() error {
 		return nil
 	}
 	g.dyn.RestoreEpoch(g.last - 1)
-	stats, err := g.dyn.ApplyStreamCtx(context.Background(), g.ops,
-		tufast.StreamOptions{Window: g.window})
+	stats, err := g.dyn.ReplayOwned(g.ops)
 	if err != nil {
 		return fmt.Errorf("server: wal replay at epoch %d: %w", g.last, err)
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,15 +49,22 @@ func startDurableServer(t *testing.T, dir string, dcfg DurabilityConfig) *Server
 // (live batches' and replay's) chosen by the caller.
 func startDurableServerWindow(t *testing.T, dir string, dcfg DurabilityConfig, window int) *Server {
 	t.Helper()
+	return startDurableServerOn(t, dir, dcfg, window, durBase(), 4)
+}
+
+// startDurableServerOn is startDurableServerWindow over a day-zero graph
+// and a System thread count chosen by the caller.
+func startDurableServerOn(t *testing.T, dir string, dcfg DurabilityConfig, window int, base *tufast.Graph, threads int) *Server {
+	t.Helper()
 	dcfg.DataDir = dir
 	if dcfg.CheckpointInterval == 0 {
 		dcfg.CheckpointInterval = -1
 	}
 	s, err := OpenDurable(Config{Addr: "127.0.0.1:0", Window: window}, dcfg,
-		func() (*tufast.Graph, error) { return durBase(), nil },
+		func() (*tufast.Graph, error) { return base, nil },
 		func(g *tufast.Graph) *tufast.DynGraph {
 			sys := tufast.NewSystem(g, tufast.Options{
-				Threads:    4,
+				Threads:    threads,
 				SpaceWords: tufast.DynSpaceWords(g, 200_000),
 				HMaxHint:   64,
 				OMaxHint:   256,
@@ -842,4 +850,152 @@ func TestReplayReadsEachSegmentOnce(t *testing.T) {
 		}
 	}
 	assertRecoveredTopology(t, s2, acked)
+}
+
+// recoveredGraph is what an owned replay must rebuild: the frozen state
+// (epoch, arcs, compacted topology), every vertex's live degree, and the
+// mutation counters.
+type recoveredGraph struct {
+	epoch           uint64
+	arcs            int
+	topo            uint32
+	degrees         []int
+	ins, rem, noops uint64
+}
+
+func recoveredGraphOf(t *testing.T, g *graphInstance) recoveredGraph {
+	t.Helper()
+	var r recoveredGraph
+	r.epoch, r.arcs, r.topo = frozenState(t, g)
+	r.ins, r.rem, r.noops = g.dyn.MutationStats()
+	for v := uint32(0); int(v) < g.dyn.NumVertices(); v++ {
+		r.degrees = append(r.degrees, g.dyn.LiveDegree(v))
+	}
+	return r
+}
+
+// ownedReplayLog builds eight rounds of records over base, no edge twice
+// in one record. Hubs 0 and 1 gain twelve fresh arcs a round, so their
+// chains pass the length at which a vertex gets its target index (four
+// blocks of six entries) early in the tail and keep growing the index
+// after; each round also deletes one arc each hub gained two rounds
+// before, deletes four base edges that a record three rounds later puts
+// back, and carries two no-ops (an insert of a live base edge, a delete
+// of an absent one).
+func ownedReplayLog(base *tufast.Graph) [][]edgeOp {
+	n := uint32(base.NumVertices())
+	inBase := func(u, v uint32) bool {
+		for _, w := range base.Neighbors(u) {
+			if w == v {
+				return true
+			}
+		}
+		return false
+	}
+	var fresh [2][]uint32 // per hub, targets it has no base arc to
+	for h := uint32(0); h < 2; h++ {
+		for v := uint32(2); v < n; v++ {
+			if !inBase(h, v) {
+				fresh[h] = append(fresh[h], v)
+			}
+		}
+	}
+	var flip, live, absent [][2]uint32 // base edges, base edges, non-edges; hubs excluded
+	for u := uint32(2); u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			switch {
+			case inBase(u, v) && len(flip) < 32:
+				flip = append(flip, [2]uint32{u, v})
+			case inBase(u, v):
+				live = append(live, [2]uint32{u, v})
+			case !inBase(v, u):
+				absent = append(absent, [2]uint32{u, v})
+			}
+		}
+	}
+	var records [][]edgeOp
+	hubArc := func(h uint32, round, k int) edgeOp {
+		return edgeOp{U: h, V: fresh[h][12*round+k]}
+	}
+	for round := 0; round < 8; round++ {
+		var a, b []edgeOp
+		for k := 0; k < 6; k++ {
+			a = append(a, hubArc(0, round, k), hubArc(1, round, k))
+			b = append(b, hubArc(0, round, 6+k), hubArc(1, round, 6+k))
+		}
+		for _, e := range flip[4*round : 4*round+4] {
+			a = append(a, edgeOp{U: e[0], V: e[1], Del: true})
+		}
+		if round >= 2 {
+			for h := uint32(0); h < 2; h++ {
+				del := hubArc(h, round-2, 0)
+				del.Del = true
+				b = append(b, del)
+			}
+		}
+		b = append(b, edgeOp{U: live[round][0], V: live[round][1]},
+			edgeOp{U: absent[round][0], V: absent[round][1], Del: true})
+		records = append(records, a, b)
+		if round >= 3 {
+			var c []edgeOp
+			for _, e := range flip[4*(round-3) : 4*(round-3)+4] {
+				if base.Undirected() {
+					e[0], e[1] = e[1], e[0] // put back through the other orientation
+				}
+				c = append(c, edgeOp{U: e[0], V: e[1]})
+			}
+			records = append(records, c)
+		}
+	}
+	return records
+}
+
+// TestReplayOwnedMatchesLiveServer writes ownedReplayLog through a live
+// server on four threads, kills it, and recovers the log with the
+// System on one, two and four threads: the recovered graph must be the
+// one the live server held — frozen state, every live degree, the
+// mutation counters. It runs over a directed base, where each hub's
+// arcs all fall to one owner, and an undirected one, where the reverse
+// arcs of a hub's edges fall to every owner.
+func TestReplayOwnedMatchesLiveServer(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		base *tufast.Graph
+	}{
+		{"directed", tufast.GenerateUniform(200, 4, 42)},
+		{"undirected", durBase()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			dcfg := DurabilityConfig{Sync: wal.SyncNone}
+			s := startDurableServerOn(t, dir, dcfg, 256, tc.base, 4)
+			client := &http.Client{}
+			records := ownedReplayLog(tc.base)
+			for i, ops := range records {
+				if code, epoch := postBatch(t, client, "http://"+s.Addr(), ops); code != http.StatusOK || epoch != uint64(i+1) {
+					t.Fatalf("record %d: status %d epoch %d", i, code, epoch)
+				}
+			}
+			want := recoveredGraphOf(t, s.def)
+			if want.noops == 0 || want.rem == 0 || want.degrees[0] < 48 || want.degrees[1] < 48 {
+				t.Fatalf("log exercises too little: %d no-ops, %d removes, hub degrees %d and %d",
+					want.noops, want.rem, want.degrees[0], want.degrees[1])
+			}
+			crashServer(s)
+
+			for _, threads := range []int{1, 2, 4} {
+				s2 := startDurableServerOn(t, dir, dcfg, 256, tc.base, threads)
+				if rec := s2.Recovery(); rec.ReplayedBatches != uint64(len(records)) {
+					t.Fatalf("threads %d: replayed %d records, want %d", threads, rec.ReplayedBatches, len(records))
+				}
+				got := recoveredGraphOf(t, s2.def)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("threads %d: recovered epoch %d arcs %d topology %08x counters %d/%d/%d; live server had %d, %d, %08x, %d/%d/%d",
+						threads, got.epoch, got.arcs, got.topo, got.ins, got.rem, got.noops,
+						want.epoch, want.arcs, want.topo, want.ins, want.rem, want.noops)
+				}
+				crashServer(s2) // the log stays as it is for the next recovery
+			}
+		})
+	}
 }
