@@ -40,3 +40,39 @@ func TestApplyStreamAllocsPerOp(t *testing.T) {
 		t.Logf("%.4f allocations per op", perOp)
 	}
 }
+
+// TestApplyOwnedAllocsPerOp holds the owned path to allocating per batch,
+// never per op: its per-op outcomes live in slices the graph keeps
+// between batches, so serving-sized (256-op) batches on a warmed,
+// undirected overlay stay under a tenth of an allocation per op.
+func TestApplyOwnedAllocsPerOp(t *testing.T) {
+	const n, batch = 8192, 256
+	g, err := tufast.BuildGraph(n, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, d := newDynFixture(t, g, 64*batch, tufast.Options{Threads: 2})
+	ops := make([]tufast.StreamOp, batch)
+	run := 0
+	apply := func() {
+		// As above: inserts on even runs, deletes on odd ones.
+		for i := range ops {
+			ops[i] = tufast.StreamOp{U: uint32(i), V: uint32(i + batch), Del: run%2 == 1}
+		}
+		run++
+		stats, err := d.ApplyOwned(ops)
+		if err != nil || stats.Inserted+stats.Removed != batch {
+			t.Fatalf("ApplyOwned: %+v, %v", stats, err)
+		}
+	}
+	apply() // warm the outcome slices and the chains' blocks
+	apply()
+	// Eleven runs in all leave each chain two blocks long, short of the
+	// length that builds a target index (an allocation per vertex, not
+	// per op, and one the race detector's pool would repeat).
+	if perOp := testing.AllocsPerRun(8, apply) / batch; perOp >= 0.1 {
+		t.Errorf("ApplyOwned allocates %.3f times per op, want under 0.1", perOp)
+	} else {
+		t.Logf("%.4f allocations per op", perOp)
+	}
+}

@@ -3,8 +3,8 @@ package tufast
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -46,7 +46,18 @@ type DynGraph struct {
 	// run across all the System's threads; only batch admission is
 	// serial, which also gives each effective batch a distinct epoch.
 	batchMu sync.Mutex
-	// streaming is true while a batch (ApplyStream or ReplayOwned) holds
+	// ownedFwd and ownedRev are ApplyOwned's per-op outcomes, kept
+	// between batches so a batch allocates none; batchMu guards them.
+	ownedFwd, ownedRev []bool
+	// ownedMu keeps GC's transactions out of an owned batch: ApplyOwned
+	// holds it (under batchMu) while its plain stores run, GCCtx around
+	// each per-vertex rebuild. A transactional batch does not take it:
+	// its transactions and GC's arbitrate like any others.
+	ownedMu sync.Mutex
+	// broken holds the panic that cut an ApplyOwned batch short, after
+	// which the graph takes no batch (see ApplyOwned); batchMu guards it.
+	broken error
+	// streaming is true while a batch (ApplyStream or ApplyOwned) holds
 	// batchMu. It backs the best-effort assertion in Tx.AddEdge/RemoveEdge
 	// that no direct edge mutation overlaps a batch — a direct mutation
 	// racing the batch's end-of-stream stamp transition could commit an
@@ -168,7 +179,7 @@ func (d *DynGraph) RestoreEpoch(e uint64) {
 	d.st.SetWriteStamp(e + 1)
 }
 
-// MutationStats returns how many ApplyStream (and ReplayOwned)
+// MutationStats returns how many ApplyStream (and ApplyOwned)
 // operations actually inserted an edge, actually removed one, and were
 // no-ops (duplicate insert / missing delete).
 func (d *DynGraph) MutationStats() (inserted, removed, noops uint64) {
@@ -280,9 +291,10 @@ func (v *GraphView) Compact() (*Graph, error) {
 // frozen readers finish safely); GC therefore consumes headroom to
 // reclaim reachability, and skips vertices — returning early — when
 // the space has less than the rebuild size plus reserveWords left.
-// Runs concurrently with mutators and readers: each per-vertex rebuild
-// is one transaction owning that vertex. Returns the number of chains
-// rewritten.
+// Runs concurrently with readers and transactional batches: each
+// per-vertex rebuild is one transaction owning that vertex, run between
+// owned batches (ApplyOwned), never inside one, so a pass interleaves
+// with those vertex by vertex. Returns the number of chains rewritten.
 //
 // The pass is load-adaptive: it drains the count of effective stream
 // ops applied since the previous pass and skips chains smaller than
@@ -318,6 +330,11 @@ func (d *DynGraph) GCCtx(ctx context.Context, reserveWords int) (int, error) {
 			return rewritten, nil
 		}
 		did := false
+		// Under ownedMu: a GC transaction falls between owned batches,
+		// never inside one, so it cannot overlap their plain stores
+		// (AtomicCtx returns a panic as an error, so the lock is always
+		// released).
+		d.ownedMu.Lock()
 		err := w.AtomicCtx(ctx, 2*words+8, func(tx Tx) error {
 			// No Tx escapes here: CompactChain returns a bool, and the
 			// plain overwrite is retry-safe — an aborted attempt's writes
@@ -326,6 +343,7 @@ func (d *DynGraph) GCCtx(ctx context.Context, reserveWords int) (int, error) {
 			did = d.st.CompactChain(tx.t, uint32(u), keep)
 			return nil
 		})
+		d.ownedMu.Unlock()
 		if err != nil {
 			return rewritten, err
 		}
@@ -361,13 +379,13 @@ func gcMinChainWords(opsSince uint64, numVertices int) int {
 // work exactly as for property writes.
 //
 // CONTRACT: a direct AddEdge/RemoveEdge transaction must not run
-// concurrently with an ApplyStream batch. A direct mutation stamps
-// its entry with the batch write stamp, so one racing the batch's
-// end-of-stream stamp transition could commit an entry at an epoch
-// that pinned views already read as complete — an edge appearing mid
-// view lifetime — and append it after later-stamped entries for the
-// same target, breaking the stamp monotonicity that "last entry with
-// stamp ≤ e wins" relies on. The overlap panics when detected, but
+// concurrently with a batch (ApplyStream or ApplyOwned). A direct
+// mutation stamps its entry with the batch write stamp, so one racing
+// the batch's end-of-stream stamp transition could commit an entry at
+// an epoch that pinned views already read as complete — an edge
+// appearing mid view lifetime — and append it after later-stamped
+// entries for the same target, breaking the stamp monotonicity that
+// "last entry with stamp ≤ e wins" relies on. The overlap panics when detected, but
 // the check is best-effort (it cannot see a direct transaction that
 // begins before the batch starts and commits after it ends): the
 // contract, not the assertion, is the guarantee. Serving-path
@@ -390,10 +408,10 @@ func (tx Tx) RemoveEdge(g *DynGraph, u, v uint32) bool {
 }
 
 // assertNoStream panics when a direct edge mutation is attempted while
-// an ApplyStream batch is in flight — see the contract on Tx.AddEdge.
+// a batch is in flight — see the contract on Tx.AddEdge.
 func (g *DynGraph) assertNoStream(op string) {
 	if g.streaming.Load() {
-		panic("tufast: Tx." + op + " during an ApplyStream batch: direct edge mutations " +
+		panic("tufast: Tx." + op + " during an ApplyStream or ApplyOwned batch: direct edge mutations " +
 			"must not run concurrently with ApplyStream (see Tx.AddEdge); " +
 			"route serving-path mutations through ApplyStream")
 	}
@@ -503,21 +521,11 @@ func (d *DynGraph) ApplyStream(ops []StreamOp, opt StreamOptions) (StreamStats, 
 func (d *DynGraph) ApplyStreamCtx(ctx context.Context, ops []StreamOp, opt StreamOptions) (StreamStats, error) {
 	d.batchMu.Lock()
 	defer d.batchMu.Unlock()
-	// Deferred LIFO: the flag clears before batchMu releases, so a
-	// direct mutation admitted after the batch can never trip the
-	// assertion spuriously.
-	d.streaming.Store(true)
-	defer d.streaming.Store(false)
-	cur := d.epoch.Load()
-	// Entries this batch writes become visible exactly when the epoch
-	// reaches cur+1 — i.e. when this batch commits its bump below.
-	// Readers pinned at ≤ cur filter them out even mid-flight.
-	d.st.SetWriteStamp(cur + 1)
-	// A serving batch arrives in time order (all zero, or the client's
-	// clock); only an unordered stream pays for the sort.
-	if !slices.IsSortedFunc(ops, byTime) {
-		slices.SortStableFunc(ops, byTime)
+	cur, err := d.beginBatch(ops)
+	if err != nil {
+		return StreamStats{Epoch: cur}, err
 	}
+	defer d.streaming.Store(false)
 	window := opt.Window
 	if window <= 0 {
 		window = 4096
@@ -543,6 +551,32 @@ func (d *DynGraph) ApplyStreamCtx(ctx context.Context, ops []StreamOp, opt Strea
 	return stats, applyErr
 }
 
+// beginBatch opens a batch (ApplyStreamCtx or ApplyOwned) under the
+// batch lock the caller holds: it raises the streaming flag, sorts ops
+// by Time and installs the write stamp epoch+1, returning the epoch cur
+// it started at. The caller defers lowering the flag after deferring
+// the unlock: deferred LIFO, the flag clears before batchMu releases, so
+// a direct mutation admitted after the batch can never trip the
+// assertion spuriously. On a graph an owned batch broke it opens
+// nothing and returns the error.
+func (d *DynGraph) beginBatch(ops []StreamOp) (cur uint64, err error) {
+	cur = d.epoch.Load()
+	if d.broken != nil {
+		return cur, fmt.Errorf("tufast: graph takes no batch after an owned batch failed: %w", d.broken)
+	}
+	d.streaming.Store(true)
+	// Entries this batch writes become visible exactly when the epoch
+	// reaches cur+1 — i.e. when the batch publishes its bump. Readers
+	// pinned at ≤ cur filter them out even mid-flight.
+	d.st.SetWriteStamp(cur + 1)
+	// A serving batch arrives in time order (all zero, or the client's
+	// clock); only an unordered stream pays for the sort.
+	if !slices.IsSortedFunc(ops, byTime) {
+		slices.SortStableFunc(ops, byTime)
+	}
+	return cur, nil
+}
+
 // publish ends a batch that ran at write stamp cur+1: it adds the
 // batch's outcomes to the graph's counters and, when anything changed,
 // bumps the epoch to cur+1.
@@ -564,57 +598,74 @@ func (d *DynGraph) publish(cur uint64, stats *StreamStats) {
 	}
 }
 
-// ReplayOwned applies ops as one batch the way ApplyStreamCtx does — it
-// takes the batch lock, stamps what it writes with epoch+1 and publishes
-// that epoch when anything changed — but for a caller that owns the
-// graph outright: boot recovery replaying a log tail into a graph no
-// other goroutine can reach yet. Nothing can conflict there, so there is
-// no transaction: each arc mutation runs on the goroutine that owns its
-// source vertex (the id modulo the System's threads), in slice order,
-// through the same arc mutation a transaction runs, reading and writing
-// the space directly (dyngraph.Store.Owned). An undirected op's two arcs
-// go to their two owners and the op counts as changed if either did.
-// Ops apply in the order given; unlike ApplyStream they are not sorted
-// by Time. No hook runs.
+// ApplyOwned applies ops as one batch the way ApplyStreamCtx does — it
+// sorts them by Time (in place), takes the batch lock (waiting for a
+// batch in flight), stamps what it writes with epoch+1 and publishes that
+// epoch when anything changed — but without transactions: each arc
+// mutation runs on the goroutine that owns its source vertex (the id
+// modulo the System's threads), in slice order, through the same arc
+// mutation a transaction runs, reading and writing the space directly
+// (dyngraph.Store.Owned). An undirected op's two arcs go to their two
+// owners and the op counts as changed if either did. No hook runs.
 //
-// The caller must hold the only reference: no transaction, batch or
-// reader may run on the graph or its System until ReplayOwned returns.
-// What it can see of a violation it refuses, changing nothing: a pinned
-// view, a batch in flight, an op naming a vertex out of range. A direct
-// Tx.AddEdge/RemoveEdge during the replay panics as it does during a
-// batch.
-func (d *DynGraph) ReplayOwned(ops []StreamOp) (StreamStats, error) {
-	if !d.batchMu.TryLock() {
-		return StreamStats{Epoch: d.epoch.Load()}, errors.New("tufast: ReplayOwned while a batch is in flight")
-	}
-	defer d.batchMu.Unlock()
-	cur := d.epoch.Load()
-	d.pinMu.Lock()
-	pinned := len(d.pins)
-	d.pinMu.Unlock()
-	if pinned > 0 {
-		return StreamStats{Epoch: cur}, errors.New("tufast: ReplayOwned with a view pinned")
-	}
+// It is for a batch with nothing to arbitrate: boot recovery replaying a
+// log tail, and a serving batch no hook rides. The batch lock already
+// makes it the graph's only writer; the caller promises that no
+// transaction touches the graph's chains while it runs — no direct
+// Tx.AddEdge/RemoveEdge (it panics, as during any batch), no
+// Tx.NeighborsMut/HasEdgeMut/DegreeMut reader. Pinned views are fine:
+// the *At readers never look at a line version and filter what the
+// batch writes by its stamp (see dyngraph.Store.NeighborsAt), so they
+// read owned stores as they read committed ones. GCCtx is fine too: its
+// transactions wait for the batch to end. An op naming a vertex out of
+// range is refused before anything moves.
+//
+// Nothing is rolled back. A panic on an owner's goroutine — the space
+// running out is the one a caller's ops can cause — ends that owner's
+// share of the batch, possibly with its arc half written (an entry
+// linked, its degree not yet bumped, or one arc of an undirected op
+// without the other). ApplyOwned still publishes what the finished
+// arcs changed, as ApplyStreamCtx does after a failed window, returns
+// the first such panic as a *TxPanicError, and from then on the graph
+// refuses every batch with it: it can be read, never again written.
+func (d *DynGraph) ApplyOwned(ops []StreamOp) (StreamStats, error) {
 	n := uint32(d.st.NumVertices())
 	for _, op := range ops {
 		if op.U >= n || op.V >= n {
-			return StreamStats{Epoch: cur}, fmt.Errorf("tufast: ReplayOwned op (%d, %d) out of range [0,%d)", op.U, op.V, n)
+			return StreamStats{Epoch: d.epoch.Load()}, fmt.Errorf("tufast: ApplyOwned op (%d, %d) out of range [0,%d)", op.U, op.V, n)
 		}
 	}
-	d.streaming.Store(true)
+	d.batchMu.Lock()
+	defer d.batchMu.Unlock()
+	cur, err := d.beginBatch(ops)
+	if err != nil {
+		return StreamStats{Epoch: cur}, err
+	}
 	defer d.streaming.Store(false)
-	d.st.SetWriteStamp(cur + 1)
+	d.ownedMu.Lock()
+	defer d.ownedMu.Unlock()
 
 	undirected := d.st.Undirected()
 	threads := uint32(d.sys.rt.Threads)
 	// Whether op i changed its arc U→V (written by U's owner) and, on an
-	// undirected graph, its arc V→U (written by V's owner).
-	fwd := make([]bool, len(ops))
+	// undirected graph, its arc V→U (written by V's owner). Cleared, so
+	// that an arc a panicking owner never reached counts as unchanged.
+	fwd := slices.Grow(d.ownedFwd[:0], len(ops))[:len(ops)]
+	clear(fwd)
+	d.ownedFwd = fwd
 	var rev []bool
 	if undirected {
-		rev = make([]bool, len(ops))
+		rev = slices.Grow(d.ownedRev[:0], len(ops))[:len(ops)]
+		clear(rev)
+		d.ownedRev = rev
 	}
+	var failed atomic.Pointer[TxPanicError]
 	worklist.Range(int(threads), int(threads), 1, func(_, lo, hi int) {
+		defer func() {
+			if r := recover(); r != nil {
+				failed.CompareAndSwap(nil, &TxPanicError{Value: r, Stack: debug.Stack()})
+			}
+		}()
 		tx := d.st.Owned()
 		for owner := uint32(lo); owner < uint32(hi); owner++ {
 			for i, op := range ops {
@@ -639,6 +690,10 @@ func (d *DynGraph) ReplayOwned(ops []StreamOp) (StreamStats, error) {
 		}
 	}
 	d.publish(cur, &stats)
+	if p := failed.Load(); p != nil {
+		d.broken = p
+		return stats, p
+	}
 	return stats, nil
 }
 

@@ -16,8 +16,8 @@ import (
 // pinned it; re-reading Epoch() after the fact observes concurrent
 // batches. Three patterns are flagged:
 //
-//  1. An Epoch() call positioned after an ApplyStream/ApplyStreamCtx
-//     call in the same function body. The stream's own bump is already
+//  1. An Epoch() call positioned after an ApplyStream/ApplyStreamCtx/
+//     ApplyOwned call in the same function body. The stream's own bump is already
 //     in the returned StreamStats.Epoch; re-reading the graph races
 //     with the next writer (the PR 6 handleEdges bug).
 //  2. An Epoch() call (or a read of an unexported epoch counter field)
@@ -74,10 +74,11 @@ func isEpochCall(call *ast.CallExpr) (ast.Expr, bool) {
 	return sel.X, true
 }
 
-// isApplyStreamCall matches calls to ApplyStream-family methods.
-func isApplyStreamCall(call *ast.CallExpr) bool {
+// isBatchCall matches calls to the methods that apply a batch: the
+// ApplyStream family and ApplyOwned.
+func isBatchCall(call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	return ok && strings.HasPrefix(sel.Sel.Name, "ApplyStream")
+	return ok && (strings.HasPrefix(sel.Sel.Name, "ApplyStream") || sel.Sel.Name == "ApplyOwned")
 }
 
 // isGraphViewType reports whether t is a GraphView (or a pointer to
@@ -115,7 +116,7 @@ func checkEpochCapture(pass *analysis.Pass, body *ast.BlockStmt) {
 			}
 		},
 		call: func(held []*heldLock, call *ast.CallExpr) {
-			if isApplyStreamCall(call) {
+			if isBatchCall(call) {
 				if applyPos == token.NoPos || call.Pos() < applyPos {
 					applyPos = call.Pos()
 				}
@@ -135,7 +136,7 @@ func checkEpochCapture(pass *analysis.Pass, body *ast.BlockStmt) {
 			}
 			if applyPos != token.NoPos && call.Pos() > applyPos {
 				pass.Reportf(call.Pos(),
-					"%s.Epoch() read after ApplyStream: use the StreamStats.Epoch captured at the batch's own bump",
+					"%s.Epoch() read after ApplyStream/ApplyOwned: use the StreamStats.Epoch captured at the batch's own bump",
 					exprString(recv))
 				return
 			}

@@ -20,8 +20,9 @@ import (
 //     batchMu) — already held by the apply path
 //   - a channel send or receive with no escape hatch: not a select arm
 //     in a select that has a default or a ctx.Done() case
-//   - any call to an ApplyStream-family method — reentrant stream
-//     application
+//   - any call to an ApplyStream-family method or ApplyOwned —
+//     reentrant batch application, which waits for the batch lock its
+//     own batch holds
 //
 // Hooks are recognized structurally: OnEdge/Emit methods and functions
 // by name and signature, function literals bound to the OnEdge/Emit
@@ -166,7 +167,7 @@ func hookBodyViolations(pass *analysis.Pass, body *ast.BlockStmt) []hookViolatio
 				}
 				return true
 			}
-			if isApplyStreamCall(n) {
+			if isBatchCall(n) {
 				sel := ast.Unparen(n.Fun).(*ast.SelectorExpr)
 				out = append(out, hookViolation{n.Pos(),
 					"calls " + sel.Sel.Name + ": reentrant stream application deadlocks"})

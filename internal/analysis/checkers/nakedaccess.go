@@ -34,14 +34,14 @@ var spaceMethods = map[string]bool{
 // dynMethods are the quiescent accessors of tufast.DynGraph: they read
 // (or rebuild from) the edge overlay with no transactional protection,
 // so inside a TxFunc they can observe torn chains and miss the
-// transaction's own uncommitted mutations — and ReplayOwned writes it
+// transaction's own uncommitted mutations — and ApplyOwned writes it
 // with plain stores, for a caller no transaction can overlap. The
 // transactional counterparts are tx.AddEdge / tx.RemoveEdge /
 // tx.HasEdgeMut / tx.DegreeMut / tx.NeighborsMut.
 var dynMethods = map[string]bool{
 	"NeighborsNow": true, "HasEdgeNow": true, "LiveDegree": true,
 	"LiveArcs": true, "Compact": true, "ApplyStream": true, "ApplyStreamCtx": true,
-	"ReplayOwned": true, "MutationStats": true,
+	"ApplyOwned": true, "MutationStats": true,
 }
 
 func runNakedAccess(pass *analysis.Pass) {

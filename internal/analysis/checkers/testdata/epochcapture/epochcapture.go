@@ -23,6 +23,13 @@ func (s *serv) stale(ops []tufast.StreamOp) uint64 {
 	return s.dyn.Epoch() // want "read after ApplyStream"
 }
 
+// staleOwned is stale through an owned batch.
+func (s *serv) staleOwned(ops []tufast.StreamOp) uint64 {
+	stats, _ := s.dyn.ApplyOwned(ops)
+	_ = stats
+	return s.dyn.Epoch() // want "read after ApplyStream/ApplyOwned"
+}
+
 // captured uses the epoch the batch's own bump produced.
 func (s *serv) captured(ops []tufast.StreamOp) uint64 {
 	stats, _ := s.dyn.ApplyStream(ops, tufast.StreamOptions{})

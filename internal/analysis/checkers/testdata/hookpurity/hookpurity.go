@@ -44,6 +44,7 @@ func (e *eng) opts(ctx context.Context) tufast.StreamOptions {
 	return tufast.StreamOptions{
 		OnEdge: func(tx tufast.Tx, op tufast.StreamOp, changed bool, emit func(u uint32)) error {
 			_, _ = e.dyn.ApplyStream(nil, tufast.StreamOptions{}) // want "reentrant"
+			_, _ = e.dyn.ApplyOwned(nil)                          // want "reentrant"
 			e.helper()                                            // want "hook calls helper"
 			return nil
 		},

@@ -37,8 +37,8 @@ func badDyn() {
 		if d.HasEdgeNow(v, v+1) { // want "DynGraph.HasEdgeNow inside a transaction"
 			return nil
 		}
-		_ = d.LiveDegree(v)                                       // want "DynGraph.LiveDegree inside a transaction"
-		_, _ = d.ReplayOwned([]tufast.StreamOp{{U: v, V: v + 1}}) // want "DynGraph.ReplayOwned inside a transaction"
+		_ = d.LiveDegree(v)                                      // want "DynGraph.LiveDegree inside a transaction"
+		_, _ = d.ApplyOwned([]tufast.StreamOp{{U: v, V: v + 1}}) // want "DynGraph.ApplyOwned inside a transaction"
 		return nil
 	})
 }
@@ -48,7 +48,7 @@ func goodDyn() {
 	d := tufast.NewDynGraph(sys)
 	_ = d.LiveDegree(0)          // nowant: quiescent read outside any transaction
 	_ = d.NeighborsNow(0, nil)   // nowant: outside any transaction
-	_, _ = d.ReplayOwned(nil)    // nowant: an owned replay, before any transaction
+	_, _ = d.ApplyOwned(nil)     // nowant: an owned batch, outside any transaction
 	hint := d.MutationHint(1, 2) // nowant: size hints are computed before the transaction
 	_ = sys.Atomic(hint, func(tx tufast.Tx) error {
 		if !tx.HasEdgeMut(d, 1, 2) { // nowant: transactional accessor

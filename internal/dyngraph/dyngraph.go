@@ -152,8 +152,8 @@ type quiescent struct{ sp *mem.Space }
 
 func (q quiescent) Read(_ uint32, a mem.Addr) uint64 { return q.sp.Load(a) }
 
-// owned is quiescent plus a plain-store Write: the sched.Tx of a caller
-// that owns the Store outright (see Store.Owned).
+// owned is quiescent plus a plain-store Write: the sched.Tx of the
+// Store's only writer (see Store.Owned).
 type owned struct{ quiescent }
 
 func (o owned) Write(_ uint32, a mem.Addr, v uint64) { o.sp.Store(a, v) }
@@ -162,10 +162,14 @@ func (o owned) Write(_ uint32, a mem.Addr, v uint64) { o.sp.Store(a, v) }
 // validation, no commit, no rollback, no line version bumped. AddArc and
 // RemoveArc run through it unchanged, so the link-last order, the stamp
 // rule and the index invariant hold as under a transaction. It is exact
-// only for a caller that holds the only reference to the Store — no
-// transaction in flight, none started until it is done — and that gives
-// each vertex's words to one goroutine: the plain stores are then the
-// initialization mem.Space.Store is for.
+// for a caller that is the Store's only writer, gives each vertex's
+// words to one goroutine, and runs while no transaction touches the
+// chains — none in flight when it starts, none started until it is
+// done. A transaction after it is ordered after its stores by whatever
+// lock handed the Store over, so the unbumped versions hide nothing from
+// it. The *At readers may run throughout: they never look at a line
+// version, and the stamp filter hides the entries being written (see
+// NeighborsAt).
 func (s *Store) Owned() sched.Tx { return owned{quiescent{s.sp}} }
 
 // Store is a mutable graph: an immutable CSR base plus a transactional
@@ -238,7 +242,7 @@ func (s *Store) WriteStamp() uint64 { return s.stamp.Load() }
 // stamped entry when the epoch has moved) and the index tables of the
 // long chains, each with the smaller ones its doublings left behind —
 // about as much again as the final table. Only transactions leak blocks:
-// an owned replay (Owned) never aborts, so every block it allocates is
+// an owned batch (Owned) never aborts, so every block it allocates is
 // linked. Measured per effective edge
 // op (two arc mutations, so against a budget of 48): serve_write's
 // chains take 1.74 words and its tables 1.5 more; on serve_mixed's

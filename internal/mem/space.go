@@ -188,8 +188,10 @@ func (s *Space) Load(a Addr) uint64 {
 }
 
 // Store atomically writes the word at a WITHOUT touching the line version.
-// It is only safe for initialization and for data that is never read
-// transactionally. Schedulers use StoreVersioned.
+// It is only safe for initialization, for data that is never read
+// transactionally, and for words no transaction touches until a lock
+// orders it after the store (an owned batch: dyngraph.Store.Owned).
+// Schedulers use StoreVersioned.
 func (s *Space) Store(a Addr, v uint64) {
 	atomic.StoreUint64(&s.words[a], v)
 	runtime.KeepAlive(s)

@@ -13,11 +13,10 @@
 // Recovery (recoverDataDir) inverts the write path: load the newest
 // checkpoint that passes its CRC (falling back to older ones), restore
 // the epoch counter to the checkpoint's epoch, then replay every WAL
-// record above it through DynGraph.ReplayOwned — the live path's arc
-// mutations without its transactions, since recovery holds the only
-// reference to the graph, each arc applied by the thread that owns its
-// source — decode pipelined against apply (wal.ReplayPipelined), and
-// consecutive records that commute gathered into one call of up to
+// record above it through DynGraph.ApplyOwned — the path a hook-free
+// live batch takes: no transactions, each arc applied by the thread that
+// owns its source — decode pipelined against apply (wal.ReplayPipelined),
+// and consecutive records that commute gathered into one call of up to
 // Window ops (replayGroup), so a tail of serving-sized batches replays on
 // every thread instead of one.
 // The WAL's own open already repaired any torn tail, so a kill at any
@@ -108,12 +107,14 @@ type RecoveryInfo struct {
 	// way to a loadable one.
 	CheckpointFallbacks int `json:"checkpoint_fallbacks,omitempty"`
 	// EpochAdjusts counts replay windows whose re-application published
-	// a different epoch than their last record logged (possible when
-	// same-edge ops of one record raced in the live apply window, so a
-	// record effective then replays as a no-op in log order) and were
-	// realigned.
+	// a different epoch than their last record logged and were
+	// realigned. A record a hook-free batch wrote replays exactly: live
+	// and replay both apply it owned, each arc's ops in slice order. One
+	// written by a hooked (transactional) batch can differ when same-edge
+	// ops of the record raced in the live apply window, so a record
+	// effective then replays as a no-op in log order.
 	EpochAdjusts uint64 `json:"epoch_adjusts,omitempty"`
-	// ReplayWindows counts the ReplayOwned calls the replayed records
+	// ReplayWindows counts the ApplyOwned calls the replayed records
 	// were gathered into (see replayGroup): ReplayedOps / ReplayWindows
 	// is how full the windows ran.
 	ReplayWindows uint64 `json:"replay_windows"`
@@ -225,7 +226,7 @@ const replayDepth = 32
 // replayGroup gathers consecutive WAL records into one apply window. The
 // live server applied each record as a batch of its own; recovery has
 // the whole tail in hand, so it hands up to Window ops at a time to one
-// ReplayOwned call, which spreads the call's fixed cost (a goroutine per
+// ApplyOwned call, which spreads the call's fixed cost (a goroutine per
 // thread, each passing over the window) over many records.
 //
 // A record joins the group only if its ops commute with the group's: a
@@ -234,9 +235,11 @@ const replayDepth = 32
 // insert-then-delete and delete-then-insert of one edge end differently.
 // Ops on different edges commute — each changes its own arc's presence,
 // and degrees add up the same — and repeats inside one record shared a
-// window when they first ran. ReplayOwned applies each arc's ops in log
-// order and would be exact without the cut; the cut keeps a group a set
-// of commuting records, which any apply order reproduces.
+// window when they first ran. ApplyOwned sorts the group by Time, stably:
+// a record's own ops keep their logged order (the live apply sorted them
+// before the log took them), but records can trade places when their
+// clients' times disagree with log order. The cut keeps a group a set of
+// commuting records, which any order of records reproduces.
 //
 // The whole group is stamped with its last record's epoch. A reader
 // pinned between two of the group's epochs would see all of it or none,
@@ -298,7 +301,7 @@ func (g *replayGroup) flush() error {
 		return nil
 	}
 	g.dyn.RestoreEpoch(g.last - 1)
-	stats, err := g.dyn.ReplayOwned(g.ops)
+	stats, err := g.dyn.ApplyOwned(g.ops)
 	if err != nil {
 		return fmt.Errorf("server: wal replay at epoch %d: %w", g.last, err)
 	}

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -375,6 +376,75 @@ func TestCrashRecoveryPoisonedLogFreezesGraph(t *testing.T) {
 	assertRecoveredTopology(t, s2, acked)
 	if code, _ := postBatch(t, client, "http://"+s2.Addr(), distinctBatch(rng, 200, 8)); code != http.StatusOK {
 		t.Fatalf("post-reboot batch: status %d", code)
+	}
+}
+
+// TestOwnedBatchExhaustingArena: a hook-free batch that runs the arena
+// out panics on an owner's goroutine, where no HTTP handler can recover
+// it, with nothing rolled back. The daemon must answer that batch 500,
+// poison the log and keep serving: reads answer, later batches are
+// refused 503 rather than hanging on the mutation bracket, and a reboot
+// on a roomier arena recovers exactly the acknowledged batches. One
+// thread runs the owners on the handler's goroutine, four on their own.
+func TestOwnedBatchExhaustingArena(t *testing.T) {
+	for _, threads := range []int{1, 4} {
+		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := OpenDurable(Config{Addr: "127.0.0.1:0", GCInterval: -1},
+				DurabilityConfig{DataDir: dir, Sync: wal.SyncAlways, CheckpointInterval: -1},
+				func() (*tufast.Graph, error) { return durBase(), nil },
+				func(g *tufast.Graph) *tufast.DynGraph {
+					return tufast.NewDynGraph(tufast.NewSystem(g, tufast.Options{
+						Threads:    threads,
+						SpaceWords: tufast.DynSpaceWords(g, 2000),
+					}))
+				})
+			if err != nil {
+				t.Fatalf("OpenDurable: %v", err)
+			}
+			if err := s.Start(); err != nil {
+				t.Fatalf("start: %v", err)
+			}
+			client := &http.Client{Timeout: time.Minute}
+			base := "http://" + s.Addr()
+			rng := rand.New(rand.NewSource(5))
+
+			var acked []ackedBatch
+			code := http.StatusOK
+			for code == http.StatusOK {
+				if len(acked) == 200 {
+					t.Fatal("200 batches never ran the arena out")
+				}
+				ops := distinctBatch(rng, 200, 64)
+				var epoch uint64
+				if code, epoch = postBatch(t, client, base, ops); code == http.StatusOK {
+					acked = append(acked, ackedBatch{epoch: epoch, ops: ops})
+				}
+			}
+			if code != http.StatusInternalServerError {
+				t.Fatalf("batch %d: status %d, want 500 once the arena runs out", len(acked), code)
+			}
+			if got := s.def.met.ownedBatches.Load(); got != uint64(len(acked)) {
+				t.Fatalf("%d of %d acknowledged batches applied owned, want all", got, len(acked))
+			}
+			if code, health := getJSON(t, client, base+"/v1/health"); code != http.StatusOK || health["status"] != "degraded" {
+				t.Fatalf("/v1/health after the failed batch: %d %v", code, health["status"])
+			}
+			if code, _ := getJSON(t, client, base+"/v1/graph"); code != http.StatusOK {
+				t.Fatalf("GET /v1/graph after the failed batch: %d", code)
+			}
+			if code, _ := postBatch(t, client, base, distinctBatch(rng, 200, 8)); code != http.StatusServiceUnavailable {
+				t.Fatalf("batch after the failed one: status %d, want 503", code)
+			}
+			crashServer(s)
+
+			s2 := startDurableServer(t, dir, DurabilityConfig{Sync: wal.SyncAlways})
+			t.Cleanup(func() { shutdownServer(t, s2) })
+			if rec := s2.Recovery(); rec.ReplayedBatches != uint64(len(acked)) {
+				t.Fatalf("replayed %d batches, want the %d acknowledged", rec.ReplayedBatches, len(acked))
+			}
+			assertRecoveredTopology(t, s2, acked)
+		})
 	}
 }
 
@@ -998,4 +1068,82 @@ func TestReplayOwnedMatchesLiveServer(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCrashRecoveryRepeatedEdgeInOneBatch sends batches that name one
+// edge several times — insert, delete, insert of a fresh edge; delete,
+// insert, delete of a base edge; an insert its own batch takes back —
+// beside ops on edges named once. No standing query rides them, so the
+// live server applies each owned, and every arc's ops land in slice
+// order, as replay applies them: the recovered graph must be the live
+// one (frozen state, degrees, counters), at the live epoch with no
+// realignment, and both must be the sequential oracle's.
+func TestCrashRecoveryRepeatedEdgeInOneBatch(t *testing.T) {
+	dir := t.TempDir()
+	dcfg := DurabilityConfig{Sync: wal.SyncNone}
+	s := startDurableServer(t, dir, dcfg)
+	client := &http.Client{}
+	base := durBase()
+	n := uint32(base.NumVertices())
+	var fresh, inBase [][2]uint32
+	for u := uint32(0); u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if slices.Contains(base.Neighbors(u), v) {
+				inBase = append(inBase, [2]uint32{u, v})
+			} else {
+				fresh = append(fresh, [2]uint32{u, v})
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(23))
+	var acked []ackedBatch
+	for b := 0; b < 12; b++ {
+		f, e, x := fresh[3*b], inBase[2*b], fresh[3*b+1]
+		// The repeats sit 40 ops apart, in different chunks of a
+		// transactional apply window, where they would commit in any order.
+		repeats := map[int]edgeOp{
+			0: {U: f[0], V: f[1]}, 40: {U: f[1], V: f[0], Del: true}, 80: {U: f[0], V: f[1]},
+			10: {U: e[0], V: e[1], Del: true}, 50: {U: e[0], V: e[1]}, 90: {U: e[1], V: e[0], Del: true},
+			20: {U: x[0], V: x[1]}, 60: {U: x[0], V: x[1], Del: true},
+		}
+		named := func(op edgeOp) bool {
+			for _, r := range repeats {
+				if min(r.U, r.V) == min(op.U, op.V) && max(r.U, r.V) == max(op.U, op.V) {
+					return true
+				}
+			}
+			return false
+		}
+		// Fillers on edges of their own, none of the repeats'.
+		fillers := slices.DeleteFunc(distinctBatch(rng, int(n), 110), named)
+		var ops []edgeOp
+		for i := 0; i < 100; i++ {
+			if r, ok := repeats[i]; ok {
+				ops = append(ops, r)
+			} else {
+				ops = append(ops, fillers[0])
+				fillers = fillers[1:]
+			}
+		}
+		code, epoch := postBatch(t, client, "http://"+s.Addr(), ops)
+		if code != http.StatusOK || epoch != uint64(b+1) {
+			t.Fatalf("batch %d: status %d epoch %d", b, code, epoch)
+		}
+		acked = append(acked, ackedBatch{epoch: epoch, ops: ops})
+	}
+	want := recoveredGraphOf(t, s.def)
+	assertRecoveredTopology(t, s, acked)
+	crashServer(s)
+
+	s2 := startDurableServer(t, dir, dcfg)
+	defer crashServer(s2)
+	if rec := s2.Recovery(); rec.ReplayedBatches != uint64(len(acked)) || rec.EpochAdjusts != 0 {
+		t.Fatalf("replayed %d records with %d epoch adjusts, want %d and 0", rec.ReplayedBatches, rec.EpochAdjusts, len(acked))
+	}
+	if got := recoveredGraphOf(t, s2.def); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered epoch %d arcs %d topology %08x counters %d/%d/%d; live server had %d, %d, %08x, %d/%d/%d",
+			got.epoch, got.arcs, got.topo, got.ins, got.rem, got.noops,
+			want.epoch, want.arcs, want.topo, want.ins, want.rem, want.noops)
+	}
+	assertRecoveredTopology(t, s2, acked)
 }

@@ -3,9 +3,12 @@
 // runtimes, with two planes per graph.
 //
 // The mutation plane (POST /v1/graphs/{name}/edges) applies batched
-// edge mutations through DynGraph.ApplyStream — windowed, routed H/O/L
-// by live degree like every other transaction — and bumps that graph's
-// mutation epoch.
+// edge mutations and bumps that graph's mutation epoch. A batch no
+// standing query hooks applies owned (DynGraph.ApplyOwned: no
+// transaction, each arc written by the thread that owns its source);
+// a hooked one goes through DynGraph.ApplyStream — windowed, routed
+// H/O/L by live degree like every other transaction — so its hooks run
+// inside the mutation transactions.
 //
 // The analytics plane (POST /v1/graphs/{name}/jobs, GET …/jobs/{id})
 // runs pagerank/cc/sssp/degree asynchronously: one bounded worker pool
@@ -87,8 +90,9 @@ type Config struct {
 	// (default 2m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// Window is the ApplyStream window for mutation batches
-	// (default 4096).
+	// Window is the ApplyStream window for hooked mutation batches
+	// and the most ops recovery gathers into one replay call (default
+	// 4096); a hook-free batch applies whole.
 	Window int
 	// MaxBatch bounds ops per mutation batch (default 65536).
 	MaxBatch int
@@ -454,7 +458,7 @@ const (
 	stageDecode   = iota // read the body, decode it, size checks
 	stageAdmit           // rate quota and vertex-range validation
 	stageLockWait        // waiting for mutMu
-	stageApply           // ApplyStreamCtx
+	stageApply           // ApplyOwned or ApplyStreamCtx
 	stageWAL             // the log append (and its fsync under SyncAlways)
 	stageStanding        // standing-query bookkeeping, leaving the bracket
 	stageRespond         // encoding and writing the answer
@@ -535,20 +539,35 @@ func (s *graphInstance) handleEdges(w http.ResponseWriter, r *http.Request) {
 	// so finishing an orphaned batch is cheap — and the client gets no
 	// response either way, which is exactly the indeterminate outcome
 	// a disconnected mutation always had.
-	stats, err := s.dyn.ApplyStreamCtx(context.WithoutCancel(r.Context()), ops, tufast.StreamOptions{
-		Window: s.cfg.Window,
-		OnEdge: s.streamOnEdge,
-		Emit:   s.streamEmit,
-	})
+	//
+	// A batch no standing query hooks has nothing to arbitrate: mutMu
+	// makes it the graph's only writer, pinned views read it through the
+	// stamp filter, and GC waits for it to end, so it applies owned —
+	// no transaction. The active list only grows under mutMu (seed), so
+	// the answer read here holds for the whole batch.
+	var stats tufast.StreamStats
+	var err error
+	owned := !s.standing.hooked()
+	if owned {
+		stats, err = s.dyn.ApplyOwned(ops)
+	} else {
+		stats, err = s.dyn.ApplyStreamCtx(context.WithoutCancel(r.Context()), ops, tufast.StreamOptions{
+			Window: s.cfg.Window,
+			OnEdge: s.streamOnEdge,
+			Emit:   s.streamEmit,
+		})
+	}
 	clock.lap(stageApply)
 	effective := stats.Inserted+stats.Removed > 0
 	var walErr error
-	if effective {
+	// An owned batch errs only on a panic (the arena running out), which
+	// may leave an arc half written even when no op counts as changed.
+	if effective || owned && err != nil {
 		switch {
 		case s.wlog == nil:
 		case err != nil:
-			// A partially applied batch (only possible through an
-			// erroring OnEdge hook now that cancellation is out) left
+			// A partially applied batch (an erroring OnEdge hook, or a
+			// panic cutting an owned batch short) left
 			// memory holding an unknown subset of ops. Logging the full
 			// slice would make recovery replay ops that never committed,
 			// shifting the base state under every later acknowledged
@@ -563,8 +582,8 @@ func (s *graphInstance) handleEdges(w http.ResponseWriter, r *http.Request) {
 			// Log the batch inside the same bracket that serialized it:
 			// WAL order is commit order by construction, and the record
 			// carries the exact epoch this batch's bump published. The
-			// ops slice was sorted in place by ApplyStreamCtx, so the
-			// log holds applied order and replay's re-sort is a no-op.
+			// ops slice was sorted in place by the apply, so the log
+			// holds applied order and replay's re-sort is a no-op.
 			// Under SyncAlways the append is durable before the 200
 			// below — an acknowledged batch survives any crash.
 			if walErr = s.wlog.Append(stats.Epoch, ops); walErr != nil {
@@ -596,6 +615,9 @@ func (s *graphInstance) handleEdges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.mutBatches.Add(1)
+	if owned {
+		s.met.ownedBatches.Add(1)
+	}
 	s.met.mutOps.Add(uint64(stats.Applied))
 	// stats.Epoch is captured at this batch's own bump, not re-read
 	// after the lock drops — a concurrent batch committing right after

@@ -240,11 +240,73 @@ func TestServeConcurrentMixed(t *testing.T) {
 		t.Error("job latency histogram empty")
 	}
 
-	// The mutation plane must have routed real transactions: the TM
-	// snapshot in the same document carries per-mode commits.
-	snap := s.MetricsSnapshot()
-	if snap.Totals().Commits == 0 {
-		t.Error("no transactional commits recorded during serving")
+	// No standing query rode these batches, so every one applied owned.
+	if sm.OwnedBatches != sm.MutationBatches {
+		t.Errorf("owned batches = %d of %d, want all", sm.OwnedBatches, sm.MutationBatches)
+	}
+}
+
+// TestServeBatchRouting checks which path a batch takes, both ways: with
+// no standing query a batch applies owned and the graph's TM records no
+// commit for it; once a standing query is registered, batches run as
+// transactions again — one commit at least per op — and stop counting
+// as owned.
+func TestServeBatchRouting(t *testing.T) {
+	const n = 300
+	d := standingTestDyn(t, n, 4)
+	// No GC pass: its transactions would land in the same commit counter.
+	s := startServer(t, d, Config{JobWorkers: 1, QueueDepth: 8, GCInterval: -1})
+	base := "http://" + s.Addr()
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	commits := func() uint64 { return s.MetricsSnapshot().Totals().Commits }
+	batch := func(ops []map[string]any) {
+		t.Helper()
+		if code, body, _ := postJSON(t, client, base+"/v1/edges", map[string]any{"ops": ops}); code != http.StatusOK {
+			t.Fatalf("batch: %d %v", code, body)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	randomOps := func(k int) []map[string]any {
+		ops := make([]map[string]any, k)
+		for i := range ops {
+			ops[i] = map[string]any{"u": rng.Intn(n), "v": rng.Intn(n), "del": rng.Intn(4) == 0}
+		}
+		return ops
+	}
+
+	c0 := commits()
+	for range 4 {
+		batch(randomOps(40))
+	}
+	if c := commits(); c != c0 {
+		t.Errorf("hook-free batches recorded %d TM commits, want 0", c-c0)
+	}
+	if sm := serverMetrics(t, client, base); sm.OwnedBatches != 4 || sm.MutationBatches != 4 || sm.Epoch != 4 {
+		t.Fatalf("after hook-free batches: %d owned of %d, epoch %d; want 4 of 4 at epoch 4",
+			sm.OwnedBatches, sm.MutationBatches, sm.Epoch)
+	}
+
+	if code, view := submitStanding(t, client, base, "pagerank", nil); code != http.StatusAccepted {
+		t.Fatalf("standing submit: %d %v", code, view)
+	}
+	waitStandingStable(t, client, base, 1)
+	// Deletes of absent edges: hooked transactions that change nothing,
+	// so no repair follows whose drain could add commits of its own.
+	var noops []map[string]any
+	for u := 0; u < n && len(noops) < 20; u++ {
+		if v := (u + n/2) % n; !d.HasEdgeNow(uint32(u), uint32(v)) {
+			noops = append(noops, map[string]any{"u": u, "v": v, "del": true})
+		}
+	}
+	c1 := commits()
+	batch(noops)
+	if c := commits(); c < c1+uint64(len(noops)) {
+		t.Errorf("hooked batch of %d ops recorded %d TM commits, want at least one per op", len(noops), c-c1)
+	}
+	batch(randomOps(40))
+	if sm := serverMetrics(t, client, base); sm.OwnedBatches != 4 || sm.MutationBatches != 6 {
+		t.Errorf("after hooked batches: %d owned of %d, want 4 of 6", sm.OwnedBatches, sm.MutationBatches)
 	}
 }
 

@@ -39,10 +39,10 @@ type standingManager struct {
 	s *graphInstance
 
 	// mu guards registry mutations (register/remove) and the writes of
-	// the active list; the hook fan-out reads the copy-on-write active
-	// list instead, so the per-op cost with no standing queries is one
-	// atomic load. seed() appends to the active list while holding the
-	// instance's mutMu, so mu ranks below it.
+	// the active list; the hook fan-out and the mutation plane's choice
+	// of path (hooked) read the copy-on-write active list instead, with
+	// one atomic load. seed() appends to the active list while holding
+	// the instance's mutMu, so mu ranks below it.
 	//
 	//tufast:lockorder 40
 	mu    sync.Mutex
@@ -171,6 +171,14 @@ func (m *standingManager) batchCommitted(stats tufast.StreamStats, ops []tufast.
 		default:
 		}
 	}
+}
+
+// hooked reports whether any seeded query rides the mutation hooks. The
+// list only grows in seed, under mutMu, so a batch that reads it inside
+// its mutMu bracket and finds none stays hook-free to its end.
+func (m *standingManager) hooked() bool {
+	qs := m.active.Load()
+	return qs != nil && len(*qs) > 0
 }
 
 // lookup returns the registered query for key, nil if none.

@@ -57,7 +57,8 @@ const None = ^uint64(0)
 // L-mode writes rolled back, and every vertex lock released — the System
 // remains healthy and subsequent transactions commit normally. Value holds
 // the original panic payload and Stack the stack trace at recovery; use
-// errors.As to detect it.
+// errors.As to detect it. DynGraph.ApplyOwned returns one too, but runs
+// no transaction and so unwinds nothing (see there).
 type TxPanicError = sched.TxPanicError
 
 // Addr is a word address inside a System's shared memory space.
