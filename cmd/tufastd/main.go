@@ -134,9 +134,9 @@ func main() {
 			os.Exit(1)
 		}
 		rec := srv.Recovery()
-		fmt.Printf("tufastd: recovered from %s: checkpoint epoch %d, replayed %d batches (%d ops) in %d windows"+
+		fmt.Printf("tufastd: recovered from %s: checkpoint epoch %d, replayed %d batches (%d ops)"+
 			" (checkpoint load %.1f ms, runtime and arena %.1f ms, wal scan %.1f ms, replay %.1f ms)",
-			*dataDir, rec.CheckpointEpoch, rec.ReplayedBatches, rec.ReplayedOps, rec.ReplayWindows,
+			*dataDir, rec.CheckpointEpoch, rec.ReplayedBatches, rec.ReplayedOps,
 			rec.CheckpointLoadMS, rec.SpaceNewMS, rec.WALScanMS, rec.ReplayMS)
 		if rec.TornTail {
 			fmt.Printf(", torn WAL tail truncated")

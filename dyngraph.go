@@ -186,6 +186,34 @@ func (d *DynGraph) MutationStats() (inserted, removed, noops uint64) {
 	return d.inserted.Load(), d.removed.Load(), d.noops.Load()
 }
 
+// RestoreMutationStats adds a folded log's outcomes (FoldStream's
+// stats) to the mutation counters, for boot-time recovery only: the
+// ops a recovery folded into the base before the DynGraph existed
+// still count as applied. Same contract as RestoreEpoch.
+func (d *DynGraph) RestoreMutationStats(st StreamStats) {
+	d.inserted.Add(uint64(st.Inserted))
+	d.removed.Add(uint64(st.Removed))
+	d.noops.Add(uint64(st.NoOps))
+}
+
+// FoldStream returns the graph that results from applying ops to g in
+// slice order, exactly as ApplyOwned batches over a DynGraph on g would
+// leave it, but built directly as a frozen graph in one merge pass: no
+// overlay, no arena, no epoch. The stats count the ops as those batches
+// would have (Epoch stays 0). An op naming a vertex out of range is
+// refused. Boot recovery folds a WAL tail into its checkpoint with it,
+// so the DynGraph it serves from starts with every acknowledged arc in
+// the base.
+func FoldStream(g *Graph, ops []StreamOp) (*Graph, StreamStats, error) {
+	csr, st, err := dyngraph.Fold(g.csr, ops)
+	if err != nil {
+		return nil, StreamStats{}, fmt.Errorf("tufast: %w", err)
+	}
+	return &Graph{csr: csr}, StreamStats{
+		Applied: len(ops), Inserted: st.Inserted, Removed: st.Removed, NoOps: st.NoOps,
+	}, nil
+}
+
 // GraphView is a consistent, immutable read-only view of the graph
 // pinned at a mutation epoch: every read resolves the overlay's
 // multi-version chains to the state the pinned epoch saw, no matter

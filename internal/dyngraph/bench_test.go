@@ -86,3 +86,40 @@ func BenchmarkNeighborsAt(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFold folds a serve_write-shaped WAL tail into serve_write's
+// base: 255k ops, 70% inserts with preferential targets (and sources
+// one time in five), 30% deletes of base arcs, into a directed R-MAT-16
+// graph, one op per iteration's whole fold.
+func BenchmarkFold(b *testing.B) {
+	base := gen.RMAT(16, 8, 1)
+	n := base.NumVertices()
+	var arcs [][2]uint32
+	for u := uint32(0); int(u) < n; u++ {
+		for _, v := range base.Neighbors(u) {
+			arcs = append(arcs, [2]uint32{u, v})
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	ops := make([]Op, 255_000)
+	for i := range ops {
+		a := arcs[rng.Intn(len(arcs))]
+		if rng.Intn(10) < 3 {
+			ops[i] = Op{U: a[0], V: a[1], Del: true}
+			continue
+		}
+		u := uint32(rng.Intn(n))
+		if rng.Intn(5) == 0 {
+			u = arcs[rng.Intn(len(arcs))][0]
+		}
+		ops[i] = Op{U: u, V: a[1]}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Fold(base, ops); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(base.NumEdges()), "base-arcs")
+}

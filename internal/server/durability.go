@@ -11,14 +11,12 @@
 // fallback still has the tail it needs to replay.
 //
 // Recovery (recoverDataDir) inverts the write path: load the newest
-// checkpoint that passes its CRC (falling back to older ones), restore
-// the epoch counter to the checkpoint's epoch, then replay every WAL
-// record above it through DynGraph.ApplyOwned — the path a hook-free
-// live batch takes: no transactions, each arc applied by the thread that
-// owns its source — decode pipelined against apply (wal.ReplayPipelined),
-// and consecutive records that commute gathered into one call of up to
-// Window ops (replayGroup), so a tail of serving-sized batches replays on
-// every thread instead of one.
+// checkpoint that passes its CRC (falling back to older ones), read
+// every WAL record above it, fold the whole tail into the checkpoint's
+// graph in one merge pass (tufast.FoldStream: each arc's last op in log
+// order decides it), build the DynGraph on the folded graph, and
+// restore the epoch counter to the last record's epoch. The overlay
+// starts empty, as after a checkpoint.
 // The WAL's own open already repaired any torn tail, so a kill at any
 // instant costs at most the batch that was mid-append — which was
 // never acknowledged.
@@ -106,25 +104,12 @@ type RecoveryInfo struct {
 	// CheckpointFallbacks counts corrupt checkpoints skipped on the
 	// way to a loadable one.
 	CheckpointFallbacks int `json:"checkpoint_fallbacks,omitempty"`
-	// EpochAdjusts counts replay windows whose re-application published
-	// a different epoch than their last record logged and were
-	// realigned. A record a hook-free batch wrote replays exactly: live
-	// and replay both apply it owned, each arc's ops in slice order. One
-	// written by a hooked (transactional) batch can differ when same-edge
-	// ops of the record raced in the live apply window, so a record
-	// effective then replays as a no-op in log order.
-	EpochAdjusts uint64 `json:"epoch_adjusts,omitempty"`
-	// ReplayWindows counts the ApplyOwned calls the replayed records
-	// were gathered into (see replayGroup): ReplayedOps / ReplayWindows
-	// is how full the windows ran.
-	ReplayWindows uint64 `json:"replay_windows"`
 	// Where the recovery's time went, in milliseconds: loading the
 	// checkpoint (or the base graph on a fresh dir), building the runtime
-	// and overlay around it (the arena is most of that when it is
-	// cleared rather than mapped), opening the WAL (every segment read
-	// and validated once), and replaying the tail: decoding it, and
-	// applying it owned — no transaction, no validation, no commit, each
-	// of the System's threads mutating the arcs whose source it owns.
+	// and overlay around the folded graph (the arena is most of that
+	// when it is cleared rather than mapped), opening the WAL (every
+	// segment read and validated once), and replaying the tail: decoding
+	// it and folding it into the checkpoint's graph.
 	CheckpointLoadMS float64 `json:"checkpoint_load_ms"`
 	SpaceNewMS       float64 `json:"space_new_ms"`
 	WALScanMS        float64 `json:"wal_scan_ms"`
@@ -217,114 +202,12 @@ type recoveredState struct {
 	fromCheckpoint bool
 }
 
-// replayDepth bounds the decode-ahead of pipelined WAL replay: decoded
-// records buffered between the segment decoder and the apply loop. A
-// window is gathered from this many serving-sized batches and more, so
-// the decoder stays a window ahead.
-const replayDepth = 32
-
-// replayGroup gathers consecutive WAL records into one apply window. The
-// live server applied each record as a batch of its own; recovery has
-// the whole tail in hand, so it hands up to Window ops at a time to one
-// ApplyOwned call, which spreads the call's fixed cost (a goroutine per
-// thread, each passing over the window) over many records.
-//
-// A record joins the group only if its ops commute with the group's: a
-// group is cut where a record touches an edge an EARLIER record of the
-// group touched (either orientation on an undirected graph), because
-// insert-then-delete and delete-then-insert of one edge end differently.
-// Ops on different edges commute — each changes its own arc's presence,
-// and degrees add up the same — and repeats inside one record shared a
-// window when they first ran. ApplyOwned sorts the group by Time, stably:
-// a record's own ops keep their logged order (the live apply sorted them
-// before the log took them), but records can trade places when their
-// clients' times disagree with log order. The cut keeps a group a set of
-// commuting records, which any order of records reproduces.
-//
-// The whole group is stamped with its last record's epoch. A reader
-// pinned between two of the group's epochs would see all of it or none,
-// where the live server showed it a prefix; no such reader exists: pins
-// do not survive a restart and nothing is served until replay is done.
-type replayGroup struct {
-	dyn        *tufast.DynGraph
-	window     int
-	undirected bool
-	rec        *RecoveryInfo
-
-	records int                 // gathered and not yet applied
-	ops     []wal.Op            // their ops, in log order
-	keys    map[uint64]struct{} // the edges they touch
-	last    uint64              // epoch of the newest of them
-}
-
-func (g *replayGroup) key(op wal.Op) uint64 {
-	u, v := op.U, op.V
-	if g.undirected && u > v {
-		u, v = v, u
-	}
-	return uint64(u)<<32 | uint64(v)
-}
-
-// add gathers one record, applying what was gathered first when the
-// record does not fit the window or does not commute with it.
-func (g *replayGroup) add(epoch uint64, ops []wal.Op) error {
-	if g.records > 0 && (len(g.ops)+len(ops) > g.window || g.touches(ops)) {
-		if err := g.flush(); err != nil {
-			return err
-		}
-	}
-	g.records++
-	g.ops = append(g.ops, ops...)
-	for _, op := range ops {
-		g.keys[g.key(op)] = struct{}{}
-	}
-	g.last = epoch
-	g.rec.ReplayedBatches++
-	g.rec.ReplayedOps += uint64(len(ops))
-	return nil
-}
-
-// touches reports whether any of ops is on an edge already in the group.
-func (g *replayGroup) touches(ops []wal.Op) bool {
-	for _, op := range ops {
-		if _, ok := g.keys[g.key(op)]; ok {
-			return true
-		}
-	}
-	return false
-}
-
-// flush applies the gathered records as one batch that publishes the
-// last record's epoch.
-func (g *replayGroup) flush() error {
-	if g.records == 0 {
-		return nil
-	}
-	g.dyn.RestoreEpoch(g.last - 1)
-	stats, err := g.dyn.ApplyOwned(g.ops)
-	if err != nil {
-		return fmt.Errorf("server: wal replay at epoch %d: %w", g.last, err)
-	}
-	if stats.Epoch != g.last {
-		// Re-application can publish a different epoch than the original
-		// run (ops on one edge sharing a window race, so a record
-		// effective then can replay as a no-op). Realign: the log's
-		// epoch is the authoritative one.
-		g.dyn.RestoreEpoch(g.last)
-		g.rec.EpochAdjusts++
-	}
-	g.rec.ReplayWindows++
-	g.records, g.ops = 0, g.ops[:0]
-	clear(g.keys)
-	return nil
-}
-
 // recoverDataDir runs one graph's boot recovery against dcfg.DataDir:
-// newest valid checkpoint (or loadBase on a fresh dir), epoch
-// restored, WAL tail replayed. loadBase loads or generates the
+// newest valid checkpoint (or loadBase on a fresh dir), WAL tail folded
+// into it, epoch restored. loadBase loads or generates the
 // day-zero graph; mkDyn builds the runtime and overlay around
 // whichever graph recovery produced.
-func recoverDataDir(dcfg DurabilityConfig, window int,
+func recoverDataDir(dcfg DurabilityConfig,
 	loadBase func() (*tufast.Graph, error),
 	mkDyn func(*tufast.Graph) *tufast.DynGraph) (recoveredState, error) {
 
@@ -383,14 +266,6 @@ func recoverDataDir(dcfg DurabilityConfig, window int,
 	rv.rec.CheckpointLoadMS = sinceMS(t0)
 
 	t0 = time.Now()
-	dyn := mkDyn(g)
-	rv.rec.SpaceNewMS = sinceMS(t0)
-	// Replayed batches must re-commit at the epochs they originally
-	// published, so epoch-keyed state (caches, checkpoint names, client
-	// ack epochs) stays consistent across the restart.
-	dyn.RestoreEpoch(ckptEpoch)
-
-	t0 = time.Now()
 	wlog, scan, err := wal.Open(walDir(dcfg.DataDir), wal.Options{
 		Sync:         dcfg.Sync,
 		SyncInterval: dcfg.SyncInterval,
@@ -403,19 +278,42 @@ func recoverDataDir(dcfg DurabilityConfig, window int,
 	rv.rec.TornTail = scan.TornTail
 	rv.rec.WALScanMS = sinceMS(t0)
 
+	// The whole tail, in log order, folded into the checkpoint's graph in
+	// one pass: the DynGraph starts with every acknowledged arc in its
+	// base and an empty overlay. The last record's epoch is the one its
+	// bump published, so epoch-keyed state (caches, checkpoint names,
+	// client ack epochs) stays consistent across the restart.
 	t0 = time.Now()
-	grp := replayGroup{
-		dyn: dyn, window: window, undirected: dyn.Undirected(), rec: &rv.rec,
-		keys: make(map[uint64]struct{}, window),
-	}
-	if err = wlog.ReplayPipelined(ckptEpoch, replayDepth, grp.add); err == nil {
-		err = grp.flush()
+	n := uint32(g.NumVertices())
+	ops := make([]wal.Op, 0, scan.Ops) // the whole log: room for any tail of it
+	epoch := ckptEpoch
+	err = wlog.Replay(ckptEpoch, func(e uint64, rec []wal.Op) error {
+		for _, op := range rec {
+			if op.U >= n || op.V >= n {
+				return fmt.Errorf("server: wal replay at epoch %d: op (%d, %d) out of range [0,%d)", e, op.U, op.V, n)
+			}
+		}
+		ops = append(ops, rec...)
+		epoch = e
+		rv.rec.ReplayedBatches++
+		return nil
+	})
+	var folded tufast.StreamStats
+	if err == nil {
+		g, folded, err = tufast.FoldStream(g, ops)
 	}
 	if err != nil {
 		wlog.Close()
 		return rv, err
 	}
+	rv.rec.ReplayedOps = uint64(len(ops))
 	rv.rec.ReplayMS = sinceMS(t0)
+
+	t0 = time.Now()
+	dyn := mkDyn(g)
+	rv.rec.SpaceNewMS = sinceMS(t0)
+	dyn.RestoreEpoch(epoch)
+	dyn.RestoreMutationStats(folded)
 	rv.rec.Recovered = true
 	rv.rec.CheckpointEpoch = ckptEpoch
 	rv.dyn, rv.wlog, rv.man, rv.fromCheckpoint = dyn, wlog, man, found
@@ -457,7 +355,7 @@ func OpenDurable(cfg Config, dcfg DurabilityConfig,
 		return nil, errors.New("server: OpenDurable requires DataDir")
 	}
 	cfg = cfg.withDefaults()
-	rv, err := recoverDataDir(dcfg, cfg.Window, loadBase, mkDyn)
+	rv, err := recoverDataDir(dcfg, loadBase, mkDyn)
 	if err != nil {
 		return nil, err
 	}
@@ -519,7 +417,7 @@ func (s *Server) recoverNamedGraphs() error {
 func (s *Server) openNamedInstance(name, dir string, spec createSpec) (*graphInstance, error) {
 	dcfg := s.durTpl
 	dcfg.DataDir = dir
-	rv, err := recoverDataDir(dcfg, s.cfg.Window,
+	rv, err := recoverDataDir(dcfg,
 		func() (*tufast.Graph, error) { return buildFromSpec(spec) },
 		func(base *tufast.Graph) *tufast.DynGraph { return s.buildDyn(base, spec.MutationBudget) })
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,35 +44,20 @@ func durBase() *tufast.Graph {
 // drives checkpoints explicitly.
 func startDurableServer(t *testing.T, dir string, dcfg DurabilityConfig) *Server {
 	t.Helper()
-	return startDurableServerWindow(t, dir, dcfg, 256)
+	return startDurableServerOn(t, dir, dcfg, durBase(), 4)
 }
 
-// startDurableServerWindow is startDurableServer with the apply window
-// (live batches' and replay's) chosen by the caller.
-func startDurableServerWindow(t *testing.T, dir string, dcfg DurabilityConfig, window int) *Server {
-	t.Helper()
-	return startDurableServerOn(t, dir, dcfg, window, durBase(), 4)
-}
-
-// startDurableServerOn is startDurableServerWindow over a day-zero graph
-// and a System thread count chosen by the caller.
-func startDurableServerOn(t *testing.T, dir string, dcfg DurabilityConfig, window int, base *tufast.Graph, threads int) *Server {
+// startDurableServerOn is startDurableServer over a day-zero graph and a
+// System thread count chosen by the caller.
+func startDurableServerOn(t *testing.T, dir string, dcfg DurabilityConfig, base *tufast.Graph, threads int) *Server {
 	t.Helper()
 	dcfg.DataDir = dir
 	if dcfg.CheckpointInterval == 0 {
 		dcfg.CheckpointInterval = -1
 	}
-	s, err := OpenDurable(Config{Addr: "127.0.0.1:0", Window: window}, dcfg,
+	s, err := OpenDurable(Config{Addr: "127.0.0.1:0", Window: 256}, dcfg,
 		func() (*tufast.Graph, error) { return base, nil },
-		func(g *tufast.Graph) *tufast.DynGraph {
-			sys := tufast.NewSystem(g, tufast.Options{
-				Threads:    threads,
-				SpaceWords: tufast.DynSpaceWords(g, 200_000),
-				HMaxHint:   64,
-				OMaxHint:   256,
-			})
-			return tufast.NewDynGraph(sys)
-		})
+		func(g *tufast.Graph) *tufast.DynGraph { return durDyn(g, threads) })
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
@@ -79,6 +65,17 @@ func startDurableServerOn(t *testing.T, dir string, dcfg DurabilityConfig, windo
 		t.Fatalf("start: %v", err)
 	}
 	return s
+}
+
+// durDyn builds the runtime and overlay every durable test server runs
+// on g.
+func durDyn(g *tufast.Graph, threads int) *tufast.DynGraph {
+	return tufast.NewDynGraph(tufast.NewSystem(g, tufast.Options{
+		Threads:    threads,
+		SpaceWords: tufast.DynSpaceWords(g, 200_000),
+		HMaxHint:   64,
+		OMaxHint:   256,
+	}))
 }
 
 // shutdownServer is the graceful path (final checkpoint + WAL close).
@@ -771,15 +768,13 @@ func TestCrashRecoveryCleanRestart(t *testing.T) {
 // TestReplayWindowsCutOnRepeatedEdge seeds a log in which the same edges
 // are inserted, deleted through the other orientation and inserted again
 // by adjacent and by nearby records, with records of fresh edges between
-// them, and recovers it twice: gathered into windows, and one record at a
-// time with an apply window of one op (plain sequential replay). Both
-// must end where the live server stood — epoch, live arcs, every degree
-// and neighbour — and where the sequential oracle over the acknowledged
-// batches puts them. The records' times fall along the log, so a window
-// that gathered two records of one edge would sort the later one first:
-// without the cut-on-repeat rule (or with the two orientations keyed
-// apart) the window count is wrong on every run, and on most of them a
-// delete overtakes the insert it follows and the topology differs too.
+// them, and recovers it: the recovered graph must end where the live
+// server stood — epoch, live arcs, every degree and neighbour — and where
+// the sequential oracle over the acknowledged batches puts it. The
+// records' times fall along the log, so a recovery that ordered the tail
+// by time rather than by log position, or that folded the two
+// orientations of an edge apart, lets a delete overtake the insert it
+// follows.
 func TestReplayWindowsCutOnRepeatedEdge(t *testing.T) {
 	dir := t.TempDir()
 	s := startDurableServer(t, dir, DurabilityConfig{Sync: wal.SyncNone})
@@ -818,7 +813,7 @@ func TestReplayWindowsCutOnRepeatedEdge(t *testing.T) {
 		}
 		acked = append(acked, ackedBatch{epoch: epoch, ops: ops})
 	}
-	flipRecords, present := 0, false
+	present := false
 	flipBatch := func() {
 		ops := make([]edgeOp, flips)
 		for i, e := range flip {
@@ -829,7 +824,6 @@ func TestReplayWindowsCutOnRepeatedEdge(t *testing.T) {
 			}
 		}
 		present = !present
-		flipRecords++
 		post(ops)
 	}
 	fillerBatch := func() {
@@ -853,28 +847,17 @@ func TestReplayWindowsCutOnRepeatedEdge(t *testing.T) {
 	liveEpoch, liveArcs, liveTopo := frozenState(t, s.def)
 	crashServer(s)
 
-	for _, window := range []int{256, 1} {
-		s2 := startDurableServerWindow(t, dir, DurabilityConfig{Sync: wal.SyncNone}, window)
-		rec := s2.Recovery()
-		if rec.ReplayedBatches != uint64(len(acked)) {
-			t.Fatalf("window %d: replayed %d records, want %d", window, rec.ReplayedBatches, len(acked))
-		}
-		// A window is cut at every flip record but the log's first, and
-		// nowhere else: the fillers between two of them fit and commute.
-		if want := uint64(flipRecords); window > 1 && rec.ReplayWindows != want {
-			t.Fatalf("window %d: %d replay windows, want %d", window, rec.ReplayWindows, want)
-		}
-		if window == 1 && rec.ReplayWindows != rec.ReplayedBatches {
-			t.Fatalf("window 1: %d replay windows for %d records", rec.ReplayWindows, rec.ReplayedBatches)
-		}
-		epoch, arcs, topo := frozenState(t, s2.def)
-		if epoch != liveEpoch || arcs != liveArcs || topo != liveTopo {
-			t.Fatalf("window %d: recovered epoch %d arcs %d topology %08x, live server had %d, %d, %08x",
-				window, epoch, arcs, topo, liveEpoch, liveArcs, liveTopo)
-		}
-		assertRecoveredTopology(t, s2, acked)
-		crashServer(s2) // the log stays as it is for the next replay
+	s2 := startDurableServer(t, dir, DurabilityConfig{Sync: wal.SyncNone})
+	defer crashServer(s2)
+	if rec := s2.Recovery(); rec.ReplayedBatches != uint64(len(acked)) {
+		t.Fatalf("replayed %d records, want %d", rec.ReplayedBatches, len(acked))
 	}
+	epoch, arcs, topo := frozenState(t, s2.def)
+	if epoch != liveEpoch || arcs != liveArcs || topo != liveTopo {
+		t.Fatalf("recovered epoch %d arcs %d topology %08x, live server had %d, %d, %08x",
+			epoch, arcs, topo, liveEpoch, liveArcs, liveTopo)
+	}
+	assertRecoveredTopology(t, s2, acked)
 }
 
 // TestReplayReadsEachSegmentOnce recovers a log of several segments and
@@ -920,6 +903,83 @@ func TestReplayReadsEachSegmentOnce(t *testing.T) {
 		}
 	}
 	assertRecoveredTopology(t, s2, acked)
+}
+
+// TestCrashRecoveryRebases checks a restart leaves every acknowledged
+// arc in the recovered graph's base: the tail of repeated, deleted and
+// re-inserted edges is folded in, so /v1/graph reports as many base arcs
+// as live ones, and the overlay's arena holds nothing a fresh DynGraph on
+// the same base would not.
+func TestCrashRecoveryRebases(t *testing.T) {
+	dir := t.TempDir()
+	dcfg := DurabilityConfig{Sync: wal.SyncNone}
+	s := startDurableServer(t, dir, dcfg)
+	client := &http.Client{}
+	records := ownedReplayLog(durBase())
+	for i, ops := range records {
+		if code, epoch := postBatch(t, client, "http://"+s.Addr(), ops); code != http.StatusOK || epoch != uint64(i+1) {
+			t.Fatalf("record %d: status %d epoch %d", i, code, epoch)
+		}
+	}
+	want := recoveredGraphOf(t, s.def)
+	crashServer(s)
+
+	s2 := startDurableServer(t, dir, dcfg)
+	defer crashServer(s2)
+	if got := recoveredGraphOf(t, s2.def); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered epoch %d arcs %d topology %08x, live server had %d, %d, %08x",
+			got.epoch, got.arcs, got.topo, want.epoch, want.arcs, want.topo)
+	}
+	_, body := getJSON(t, client, "http://"+s2.Addr()+"/v1/graph")
+	if baseArcs, liveArcs := body["base_arcs"].(float64), body["live_arcs"].(float64); baseArcs != liveArcs || int(liveArcs) != want.arcs {
+		t.Fatalf("/v1/graph after restart: base_arcs %v live_arcs %v, want both %d", baseArcs, liveArcs, want.arcs)
+	}
+	fresh := durDyn(s2.def.dyn.Base(), 4).System().Space().Used()
+	if used := s2.MetricsSnapshot().Server.ArenaUsedWords; used != fresh {
+		t.Fatalf("recovered arena holds %d words, a fresh overlay on its base %d", used, fresh)
+	}
+}
+
+// TestCrashRecoveryOutOfRangeRecord forges a well-framed WAL record that
+// names a vertex past the graph, after one good record: the boot must
+// refuse with an error naming the bad record's epoch — no panic, no
+// server.
+func TestCrashRecoveryOutOfRangeRecord(t *testing.T) {
+	dir := t.TempDir()
+	dcfg := DurabilityConfig{Sync: wal.SyncNone}
+	s := startDurableServer(t, dir, dcfg)
+	client := &http.Client{}
+	code, epoch := postBatch(t, client, "http://"+s.Addr(), distinctBatch(rand.New(rand.NewSource(3)), 200, 8))
+	if code != http.StatusOK {
+		t.Fatalf("batch: status %d", code)
+	}
+	crashServer(s)
+
+	n := uint32(durBase().NumVertices())
+	l, _, err := wal.Open(walDir(dir), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(epoch+1, []wal.Op{{U: 1, V: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(epoch+2, []wal.Op{{U: 3, V: 4}, {U: 5, V: n}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	dcfg.DataDir, dcfg.CheckpointInterval = dir, -1
+	s2, err := OpenDurable(Config{Addr: "127.0.0.1:0"}, dcfg,
+		func() (*tufast.Graph, error) { return durBase(), nil },
+		func(g *tufast.Graph) *tufast.DynGraph { return durDyn(g, 4) })
+	if err == nil || s2 != nil {
+		t.Fatalf("boot over an out-of-range record: server %v, error %v", s2, err)
+	}
+	if want := fmt.Sprintf("epoch %d", epoch+2); !strings.Contains(err.Error(), want) {
+		t.Fatalf("boot error %q does not name %s", err, want)
+	}
 }
 
 // recoveredGraph is what an owned replay must rebuild: the frozen state
@@ -1038,7 +1098,7 @@ func TestReplayOwnedMatchesLiveServer(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			dcfg := DurabilityConfig{Sync: wal.SyncNone}
-			s := startDurableServerOn(t, dir, dcfg, 256, tc.base, 4)
+			s := startDurableServerOn(t, dir, dcfg, tc.base, 4)
 			client := &http.Client{}
 			records := ownedReplayLog(tc.base)
 			for i, ops := range records {
@@ -1054,7 +1114,7 @@ func TestReplayOwnedMatchesLiveServer(t *testing.T) {
 			crashServer(s)
 
 			for _, threads := range []int{1, 2, 4} {
-				s2 := startDurableServerOn(t, dir, dcfg, 256, tc.base, threads)
+				s2 := startDurableServerOn(t, dir, dcfg, tc.base, threads)
 				if rec := s2.Recovery(); rec.ReplayedBatches != uint64(len(records)) {
 					t.Fatalf("threads %d: replayed %d records, want %d", threads, rec.ReplayedBatches, len(records))
 				}
@@ -1137,8 +1197,8 @@ func TestCrashRecoveryRepeatedEdgeInOneBatch(t *testing.T) {
 
 	s2 := startDurableServer(t, dir, dcfg)
 	defer crashServer(s2)
-	if rec := s2.Recovery(); rec.ReplayedBatches != uint64(len(acked)) || rec.EpochAdjusts != 0 {
-		t.Fatalf("replayed %d records with %d epoch adjusts, want %d and 0", rec.ReplayedBatches, rec.EpochAdjusts, len(acked))
+	if rec := s2.Recovery(); rec.ReplayedBatches != uint64(len(acked)) {
+		t.Fatalf("replayed %d records, want %d", rec.ReplayedBatches, len(acked))
 	}
 	if got := recoveredGraphOf(t, s2.def); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered epoch %d arcs %d topology %08x counters %d/%d/%d; live server had %d, %d, %08x, %d/%d/%d",

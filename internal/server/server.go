@@ -91,8 +91,7 @@ type Config struct {
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
 	// Window is the ApplyStream window for hooked mutation batches
-	// and the most ops recovery gathers into one replay call (default
-	// 4096); a hook-free batch applies whole.
+	// (default 4096); a hook-free batch applies whole.
 	Window int
 	// MaxBatch bounds ops per mutation batch (default 65536).
 	MaxBatch int

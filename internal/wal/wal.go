@@ -680,23 +680,12 @@ func (l *Log) TruncateBelow(epoch uint64) error {
 // open, replay, then serve); fn errors abort the replay. fn must not
 // retain ops past its return: one buffer is decoded into again and again.
 func (l *Log) Replay(after uint64, fn func(epoch uint64, ops []Op) error) error {
-	return l.replay(after, false, fn)
-}
-
-// slabOps is how many ops the pipelined decoder allocates room for at a
-// time; records are carved from a slab one after another, so a run of
-// serving-sized batches costs one allocation per few thousand ops.
-const slabOps = 8192
-
-// replay is Replay; with own set, every record's ops are a slice of
-// their own that is never written again (see ReplayPipelined).
-func (l *Log) replay(after uint64, own bool, fn func(epoch uint64, ops []Op) error) error {
 	l.mu.Lock()
 	segs := append(append([]segment(nil), l.sealed...), l.active)
 	scanned := l.scanned
 	l.scanned = nil
 	l.mu.Unlock()
-	var buf []Op // own: the slab being carved; otherwise what fn saw last
+	var buf []Op
 	for _, s := range segs {
 		raw := scanned[s.seq]
 		delete(scanned, s.seq) // let each segment's bytes go as soon as it is replayed
@@ -725,12 +714,7 @@ func (l *Log) replay(after uint64, own bool, fn func(epoch uint64, ops []Op) err
 				continue
 			}
 			nops := int(binary.LittleEndian.Uint32(payload[8:12]))
-			if !own {
-				buf = buf[:0]
-			} else if cap(buf)-len(buf) < nops {
-				buf = make([]Op, 0, max(nops, slabOps))
-			}
-			start := len(buf)
+			buf = buf[:0]
 			for p := recHead; p < recHead+nops*opBytes; p += opBytes {
 				buf = append(buf, Op{
 					Time: binary.LittleEndian.Uint64(payload[p:]),
@@ -739,66 +723,13 @@ func (l *Log) replay(after uint64, own bool, fn func(epoch uint64, ops []Op) err
 					Del:  binary.LittleEndian.Uint32(payload[p+16:])&flagDel != 0,
 				})
 			}
-			// Capped, so an append by fn cannot reach the next record's ops.
-			if err := fn(epoch, buf[start:len(buf):len(buf)]); err != nil {
+			if err := fn(epoch, buf); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
 }
-
-// ReplayPipelined is Replay with frame decode overlapped against fn:
-// a decoder goroutine decodes segments, handing batches over a channel
-// holding at most depth decoded batches, while the caller's goroutine
-// runs fn. Record order is unchanged — one decoder, one consumer, one
-// FIFO — so it is a drop-in for Replay wherever fn does real work per
-// batch (recovery's stream-apply), buying the decode time back for
-// free. Unlike Replay's fn, which must not retain ops past its return,
-// each pipelined batch owns its slice: the decoder writes every record
-// into a part of a slab it never touches again, which is what the
-// hand-off requires and costs no copy. Same contract otherwise: run
-// before the first Append; fn errors abort the replay.
-func (l *Log) ReplayPipelined(after uint64, depth int, fn func(epoch uint64, ops []Op) error) error {
-	if depth < 1 {
-		depth = 1
-	}
-	type batch struct {
-		epoch uint64
-		ops   []Op
-	}
-	out := make(chan batch, depth)
-	stop := make(chan struct{})
-	errc := make(chan error, 1)
-	go func() {
-		defer close(out)
-		errc <- l.replay(after, true, func(epoch uint64, ops []Op) error {
-			select {
-			case out <- batch{epoch, ops}:
-				return nil
-			case <-stop:
-				return errReplayStopped
-			}
-		})
-	}()
-	for b := range out {
-		if err := fn(b.epoch, b.ops); err != nil {
-			close(stop)
-			for range out { // unblock and drain the decoder
-			}
-			<-errc
-			return err
-		}
-	}
-	if err := <-errc; err != nil && !errors.Is(err, errReplayStopped) {
-		return err
-	}
-	return nil
-}
-
-// errReplayStopped is the decoder's internal abort signal when the
-// consumer side of ReplayPipelined failed first.
-var errReplayStopped = errors.New("wal: replay stopped by consumer")
 
 // Stats returns the cumulative counters.
 func (l *Log) Stats() Stats {

@@ -76,12 +76,15 @@ end
 # benchmark/, which reads rusage and is linux-only) and vet the other
 # unix. Then the tests that drop mapped arenas, ten times with a
 # collection after nearly every allocation: a finalizer that unmaps an
-# arena something still reads is a fault here, not a rumour.
+# arena something still reads is a fault here, not a rumour. Beside the
+# recovery tests (TestReplayOwnedMatchesLiveServer among them), the fold
+# recovery is built on runs twenty times against ApplyOwned.
 begin "arena fallback cross-compiles; finalizers under GOGC=1 -race"
 GOOS=windows go build $(go list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./... | grep -v '^tufast/benchmark$')
 GOOS=darwin go vet ./internal/mem
 GOGC=1 go test -race -count=10 ./internal/mem
 GOGC=1 go test -race -count=10 -run 'TestCrashRecovery|TestTenancyCrashRecovery|TestReplay' ./internal/server
+go test -race -count=20 -run 'TestFoldMatchesApplyOwned' .
 end
 
 # The benchmarks EXPERIMENTS quotes, one iteration each, so they at least
