@@ -2,11 +2,14 @@ package algorithms_test
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"tufast"
 	"tufast/algorithms"
+	"tufast/internal/algo"
 	"tufast/internal/dyngraph"
 )
 
@@ -124,9 +127,9 @@ func TestIncrementalCCRepair(t *testing.T) {
 	}
 	apply := func(ops ...tufast.StreamOp) {
 		t.Helper()
-		stats, err := d.ApplyStream(ops, tufast.StreamOptions{OnEdge: cc.OnEdge, Emit: cc.Emit})
+		stats, err := d.ApplyOwned(ops)
 		if err != nil {
-			t.Fatalf("ApplyStream: %v", err)
+			t.Fatalf("ApplyOwned: %v", err)
 		}
 		cc.Committed(ops, stats)
 	}
@@ -238,4 +241,137 @@ func TestStreamingPageRankMixed(t *testing.T) {
 		t.Fatalf("Compact: %v", err)
 	}
 	checkRanksClose(t, ranks, staticRanks(t, final, damping, eps), 1e-3)
+}
+
+// TestRepairExactAtPinnedEpoch is the repair oracle: a standing
+// DeltaPageRank and IncrementalCC, repaired against a pinned view while
+// later batches apply owned beside the repair, must each equal a
+// from-scratch computation of the view's own topology — PageRank within
+// the residual bound, labels exactly. The batches flip arcs of a hub
+// source. After the pin one arc is inserted and deleted in one batch,
+// and another is inserted before the Repair and deleted beside it.
+func TestRepairExactAtPinnedEpoch(t *testing.T) {
+	// Paths of five vertices, every third path hanging off hub 0: many
+	// components for inserts to merge and deletes to split.
+	const n, damping, eps = 300, 0.85, 1e-7
+	var edges []tufast.EdgePair
+	for v := 1; v < n; v++ {
+		if v%5 != 0 && v+1 < n {
+			edges = append(edges, tufast.EdgePair{U: uint32(v), V: uint32(v + 1)})
+		}
+		if v%15 == 1 {
+			edges = append(edges, tufast.EdgePair{U: 0, V: uint32(v)})
+		}
+	}
+	g, err := tufast.BuildGraph(n, edges, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tol := 2 * n * eps / (1 - damping) // the summed-residual bound, both sides
+	for _, threads := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+			d := tufast.NewDynGraph(tufast.NewSystem(g, tufast.Options{
+				Threads:    threads,
+				SpaceWords: tufast.DynSpaceWords(g, 20_000) + 8*(n+8),
+			}))
+			pr := algorithms.NewDeltaPageRank(d, damping, eps)
+			defer pr.Close()
+			cc, err := algorithms.NewIncrementalCC(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comps := []algorithms.Incremental{pr, cc}
+			apply := func(ops []tufast.StreamOp) {
+				stats, err := d.ApplyOwned(ops)
+				if err != nil {
+					t.Errorf("ApplyOwned: %v", err)
+					return
+				}
+				for _, c := range comps {
+					c.Committed(ops, stats)
+				}
+			}
+			rng := rand.New(rand.NewSource(int64(threads)))
+			// hubOps flips k of the hub's arcs: deletes where the hub has
+			// an arc, inserts where it has none.
+			hubOps := func(k int) []tufast.StreamOp {
+				var ops []tufast.StreamOp
+				for range k {
+					v := uint32(1 + rng.Intn(n-1))
+					ops = append(ops, tufast.StreamOp{U: 0, V: v, Del: d.HasEdgeNow(0, v)})
+				}
+				return ops
+			}
+			// randomOps inserts random pairs and deletes live edges.
+			randomOps := func(k int) []tufast.StreamOp {
+				var ops []tufast.StreamOp
+				for range k {
+					u := uint32(rng.Intn(n))
+					if nbs := d.NeighborsNow(u, nil); len(nbs) > 0 && rng.Intn(2) == 0 {
+						ops = append(ops, tufast.StreamOp{U: u, V: nbs[rng.Intn(len(nbs))], Del: true})
+					} else {
+						ops = append(ops, tufast.StreamOp{U: u, V: uint32(rng.Intn(n))})
+					}
+				}
+				return ops
+			}
+			check := func(round int, view *tufast.GraphView) {
+				t.Helper()
+				frozen, err := view.Compact()
+				if err != nil {
+					t.Fatalf("round %d: Compact: %v", round, err)
+				}
+				checkRanksClose(t, pr.Ranks(), algo.SeqPageRank(frozen.CSR(), damping, 1e-12), tol)
+				want := staticLabels(t, frozen)
+				for v, l := range cc.Components() {
+					if l != want[v] {
+						t.Fatalf("round %d (epoch %d): label[%d] = %d, from-scratch says %d", round, view.Epoch(), v, l, want[v])
+					}
+				}
+			}
+			// absent returns a vertex u has no arc to, other than u and skip.
+			absent := func(u, skip uint32) uint32 {
+				for {
+					if v := uint32(rng.Intn(n)); v != u && v != skip && !d.HasEdgeNow(u, v) {
+						return v
+					}
+				}
+			}
+			for round := 0; round < 4; round++ {
+				apply(append(hubOps(12), randomOps(24)...))
+				view := d.View()
+				// Between the pin and the Repair: hub arcs flip, a fresh arc
+				// is inserted and a second is inserted and deleted in one
+				// batch. Beside the Repair: the first fresh arc is deleted
+				// again and more hub arcs flip.
+				u := uint32(1 + rng.Intn(n-1))
+				v := absent(u, u)
+				w := absent(u, v)
+				apply(append(hubOps(8), tufast.StreamOp{U: u, V: v},
+					tufast.StreamOp{U: u, V: w}, tufast.StreamOp{U: w, V: u, Del: true}))
+				beside := append(hubOps(8), tufast.StreamOp{U: v, V: u, Del: true})
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					apply(beside)
+				}()
+				for _, c := range comps {
+					if _, err := c.Repair(context.Background(), view); err != nil {
+						t.Fatalf("round %d: Repair: %v", round, err)
+					}
+				}
+				<-done
+				check(round, view)
+				view.Close()
+			}
+			view := d.View()
+			defer view.Close()
+			for _, c := range comps {
+				if _, err := c.Repair(context.Background(), view); err != nil {
+					t.Fatalf("final Repair: %v", err)
+				}
+			}
+			check(4, view)
+		})
+	}
 }

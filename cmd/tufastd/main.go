@@ -71,7 +71,6 @@ func main() {
 		jobWorkers = flag.Int("job-workers", 2, "concurrent analytics jobs")
 		jobThreads = flag.Int("job-threads", 0, "per-job runtime threads (0 = GOMAXPROCS)")
 		queue      = flag.Int("queue", 64, "analytics admission queue depth (full = 429)")
-		window     = flag.Int("window", 4096, "apply window of batches a standing query hooks (ops applied concurrently), and most ops per replay call")
 		mutations  = flag.Int("mutations", 1_000_000, "edge-mutation budget the shared space is sized for")
 		jobTimeout = flag.Duration("job-timeout", 30*time.Second, "default per-job deadline")
 		maxJobs    = flag.Int("max-jobs", 1024, "retained terminal jobs (older results evicted, ids answer 404)")
@@ -107,7 +106,6 @@ func main() {
 		JobWorkers:     *jobWorkers,
 		JobThreads:     *jobThreads,
 		QueueDepth:     *queue,
-		Window:         *window,
 		DefaultTimeout: *jobTimeout,
 		DrainGrace:     *drainGrace,
 		MaxJobs:        *maxJobs,

@@ -41,9 +41,9 @@ var EpochCapture = &analysis.Analyzer{
 }
 
 // bracketLockNames are the struct fields recognized as the locks held
-// around a mutation batch, OnEdge/Emit hooks included: the serving
-// plane's mutMu (apply, log, standing bookkeeping) and DynGraph's batchMu
-// (one ApplyStream batch, one epoch stamp).
+// around a mutation batch: the serving plane's mutMu (apply, log,
+// standing delivery) and DynGraph's batchMu (one batch, one epoch
+// stamp, and any OnEdge/Emit hooks the batch runs).
 var bracketLockNames = map[string]bool{"mutMu": true, "batchMu": true}
 
 func runEpochCapture(pass *analysis.Pass) {

@@ -11,13 +11,14 @@ import (
 
 // HookPurity checks that stream hooks stay non-blocking. OnEdge and
 // Emit hooks run inside ApplyStream's critical section, on worker
-// goroutines the batch's owner waits for with the mutation-bracket
-// locks held; a hook that blocks stalls every later batch, and one that
-// re-enters the stream path deadlocks outright. Flagged in a hook body, or one same-package call
-// away from it:
+// goroutines the batch's owner waits for with the graph's batch lock
+// held, and whatever mutation bracket the caller applies the batch
+// under; a hook that blocks stalls every later batch, and one that
+// re-enters the stream path deadlocks outright. Flagged in a hook body,
+// or one same-package call away from it:
 //
 //   - acquiring a mutation-bracket lock (a field named mutMu or
-//     batchMu) — already held by the apply path
+//     batchMu) — possibly held by the apply path
 //   - a channel send or receive with no escape hatch: not a select arm
 //     in a select that has a default or a ctx.Done() case
 //   - any call to an ApplyStream-family method or ApplyOwned —

@@ -59,10 +59,6 @@ type ServerSnapshot struct {
 	// the stream operations they carried.
 	MutationBatches uint64 `json:"mutation_batches"`
 	MutationOps     uint64 `json:"mutation_ops"`
-	// OwnedBatches counts the accepted batches that no standing query
-	// hooked, which applied owned (without transactions); the rest of
-	// MutationBatches ran through the TM.
-	OwnedBatches uint64 `json:"owned_batches"`
 	// Epoch is the graph's mutation epoch at snapshot time.
 	Epoch uint64 `json:"epoch"`
 	// QueueDepth / QueueCap describe the admission queue now.
@@ -180,7 +176,6 @@ func (s ServerSnapshot) merge(other ServerSnapshot) ServerSnapshot {
 	out.Canceled += other.Canceled
 	out.MutationBatches += other.MutationBatches
 	out.MutationOps += other.MutationOps
-	out.OwnedBatches += other.OwnedBatches
 	out.StandingHits += other.StandingHits
 	out.StandingRepairs += other.StandingRepairs
 	out.StandingRecomputes += other.StandingRecomputes

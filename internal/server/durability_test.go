@@ -55,7 +55,7 @@ func startDurableServerOn(t *testing.T, dir string, dcfg DurabilityConfig, base 
 	if dcfg.CheckpointInterval == 0 {
 		dcfg.CheckpointInterval = -1
 	}
-	s, err := OpenDurable(Config{Addr: "127.0.0.1:0", Window: 256}, dcfg,
+	s, err := OpenDurable(Config{Addr: "127.0.0.1:0"}, dcfg,
 		func() (*tufast.Graph, error) { return base, nil },
 		func(g *tufast.Graph) *tufast.DynGraph { return durDyn(g, threads) })
 	if err != nil {
@@ -331,7 +331,7 @@ func TestCrashRecoveryPoisonedLogFreezesGraph(t *testing.T) {
 	}
 	epoch, arcs, topo := frozenState(t, s.def)
 	batches := s.def.met.mutBatches.Load()
-	seq := s.def.mutSeq.Load()
+	ins, rem, noops := s.def.dyn.MutationStats()
 
 	const refused = 12
 	for i := 0; i < refused; i++ {
@@ -342,8 +342,8 @@ func TestCrashRecoveryPoisonedLogFreezesGraph(t *testing.T) {
 	if e, a, h := frozenState(t, s.def); e != epoch || a != arcs || h != topo {
 		t.Fatalf("graph moved under a poisoned log: epoch %d→%d, arcs %d→%d, topology %08x→%08x", epoch, e, arcs, a, topo, h)
 	}
-	if got := s.def.mutSeq.Load(); got != seq {
-		t.Fatalf("refused batches opened the mutation bracket: mutSeq %d→%d", seq, got)
+	if i, r, n := s.def.dyn.MutationStats(); i != ins || r != rem || n != noops {
+		t.Fatalf("refused batches reached the apply: mutation counters %d/%d/%d→%d/%d/%d", ins, rem, noops, i, r, n)
 	}
 	if got := s.def.met.mutBatches.Load(); got != batches {
 		t.Fatalf("refused batches were counted as applied: %d→%d", batches, got)
@@ -421,8 +421,8 @@ func TestOwnedBatchExhaustingArena(t *testing.T) {
 			if code != http.StatusInternalServerError {
 				t.Fatalf("batch %d: status %d, want 500 once the arena runs out", len(acked), code)
 			}
-			if got := s.def.met.ownedBatches.Load(); got != uint64(len(acked)) {
-				t.Fatalf("%d of %d acknowledged batches applied owned, want all", got, len(acked))
+			if got := s.def.met.mutBatches.Load(); got != uint64(len(acked)) {
+				t.Fatalf("%d batches counted as applied, want the %d acknowledged", got, len(acked))
 			}
 			if code, health := getJSON(t, client, base+"/v1/health"); code != http.StatusOK || health["status"] != "degraded" {
 				t.Fatalf("/v1/health after the failed batch: %d %v", code, health["status"])
@@ -1133,16 +1133,36 @@ func TestReplayOwnedMatchesLiveServer(t *testing.T) {
 // TestCrashRecoveryRepeatedEdgeInOneBatch sends batches that name one
 // edge several times — insert, delete, insert of a fresh edge; delete,
 // insert, delete of a base edge; an insert its own batch takes back —
-// beside ops on edges named once. No standing query rides them, so the
-// live server applies each owned, and every arc's ops land in slice
-// order, as replay applies them: the recovered graph must be the live
-// one (frozen state, degrees, counters), at the live epoch with no
-// realignment, and both must be the sequential oracle's.
+// beside ops on edges named once, with and without standing PageRank
+// and CC registered. Either way the live server applies each batch
+// owned, so every arc's ops land in slice order, as replay applies
+// them: the recovered graph must be the live one (frozen state, degrees,
+// counters), at the live epoch with no realignment, and both must be
+// the sequential oracle's.
 func TestCrashRecoveryRepeatedEdgeInOneBatch(t *testing.T) {
+	for _, standing := range []bool{false, true} {
+		t.Run(fmt.Sprintf("standing=%v", standing), func(t *testing.T) {
+			crashRecoveryRepeatedEdge(t, standing)
+		})
+	}
+}
+
+func crashRecoveryRepeatedEdge(t *testing.T, standing bool) {
 	dir := t.TempDir()
 	dcfg := DurabilityConfig{Sync: wal.SyncNone}
 	s := startDurableServer(t, dir, dcfg)
 	client := &http.Client{}
+	if standing {
+		for _, algo := range []string{"pagerank", "cc"} {
+			code, view := submitStanding(t, client, "http://"+s.Addr(), algo, nil)
+			if code != http.StatusAccepted {
+				t.Fatalf("register standing %s: %d %v", algo, code, view)
+			}
+			if final := pollJob(t, client, "http://"+s.Addr(), view["job_id"].(string)); final["status"] != StatusDone {
+				t.Fatalf("standing %s registration: %v", algo, final)
+			}
+		}
+	}
 	base := durBase()
 	n := uint32(base.NumVertices())
 	var fresh, inBase [][2]uint32
@@ -1160,7 +1180,8 @@ func TestCrashRecoveryRepeatedEdgeInOneBatch(t *testing.T) {
 	for b := 0; b < 12; b++ {
 		f, e, x := fresh[3*b], inBase[2*b], fresh[3*b+1]
 		// The repeats sit 40 ops apart, in different chunks of a
-		// transactional apply window, where they would commit in any order.
+		// transactional apply window, where they would commit in any
+		// order.
 		repeats := map[int]edgeOp{
 			0: {U: f[0], V: f[1]}, 40: {U: f[1], V: f[0], Del: true}, 80: {U: f[0], V: f[1]},
 			10: {U: e[0], V: e[1], Del: true}, 50: {U: e[0], V: e[1]}, 90: {U: e[1], V: e[0], Del: true},
@@ -1190,6 +1211,9 @@ func TestCrashRecoveryRepeatedEdgeInOneBatch(t *testing.T) {
 			t.Fatalf("batch %d: status %d epoch %d", b, code, epoch)
 		}
 		acked = append(acked, ackedBatch{epoch: epoch, ops: ops})
+	}
+	if standing {
+		waitStandingStable(t, client, "http://"+s.Addr(), 2)
 	}
 	want := recoveredGraphOf(t, s.def)
 	assertRecoveredTopology(t, s, acked)

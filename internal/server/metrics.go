@@ -24,11 +24,9 @@ type metrics struct {
 	deadline  atomic.Uint64
 	canceled  atomic.Uint64
 
-	// mutBatches counts accepted batches; ownedBatches the share of
-	// them no standing query hooked, applied without transactions.
-	mutBatches   atomic.Uint64
-	ownedBatches atomic.Uint64
-	mutOps       atomic.Uint64
+	// mutBatches counts accepted batches, mutOps the ops they carried.
+	mutBatches atomic.Uint64
+	mutOps     atomic.Uint64
 
 	// Standing-query plane: reads served from resident results, repair
 	// cycles completed, seed-time (or retried) CC recomputes, and
@@ -76,7 +74,6 @@ func (m *metrics) snapshot(queueDepth, queueCap int, epoch uint64, standing, sta
 		DeadlineExceeded:      m.deadline.Load(),
 		Canceled:              m.canceled.Load(),
 		MutationBatches:       m.mutBatches.Load(),
-		OwnedBatches:          m.ownedBatches.Load(),
 		MutationOps:           m.mutOps.Load(),
 		Epoch:                 epoch,
 		QueueDepth:            queueDepth,

@@ -131,66 +131,6 @@ func TestGraphReadsUnderMutations(t *testing.T) {
 	}
 }
 
-// TestMutationSeqlockSingleWriter pins the seqlock contract repairOnce
-// depends on: mutSeq is odd for as long as ANY batch bracket is open.
-// Before the mutation mutex, two overlapping POST /v1/edges requests
-// each bumped the counter on entry — it read even (1 then 2) while
-// both batches were still applying, so a standing repair could observe
-// an even, unchanged value across its summary build and publish a torn
-// result marked exact.
-func TestMutationSeqlockSingleWriter(t *testing.T) {
-	d := newTestDyn(t, 200, 3)
-	entered := make(chan struct{}, 2)
-	release := make(chan struct{})
-	cfg := Config{JobWorkers: 1, QueueDepth: 4, GCInterval: -1}
-	cfg.mutGate = func() {
-		entered <- struct{}{}
-		<-release
-	}
-	s := startServer(t, d, cfg)
-	base := "http://" + s.Addr()
-	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}}
-	defer client.CloseIdleConnections()
-
-	post := func(u, v int, done chan<- struct{}) {
-		defer close(done)
-		code, body, _ := postJSON(t, client, base+"/v1/edges",
-			map[string]any{"ops": []map[string]any{{"u": u, "v": v}}})
-		if code != http.StatusOK {
-			t.Errorf("batch (%d,%d): %d %v", u, v, code, body)
-		}
-	}
-	doneA, doneB := make(chan struct{}), make(chan struct{})
-	go post(0, 9, doneA)
-	select {
-	case <-entered: // batch A is parked inside its bracket
-	case <-time.After(10 * time.Second):
-		t.Fatal("batch A never entered the mutation bracket")
-	}
-	if got := s.def.mutSeq.Load(); got != 1 {
-		t.Fatalf("mutSeq = %d with one batch in flight, want 1 (odd)", got)
-	}
-	go post(1, 8, doneB)
-	// Batch B must queue on the mutation mutex OUTSIDE the bracket: the
-	// seqlock stays odd and unchanged no matter how long we wait.
-	time.Sleep(150 * time.Millisecond)
-	if got := s.def.mutSeq.Load(); got != 1 {
-		t.Fatalf("mutSeq = %d while a second batch raced the bracket, want 1: "+
-			"overlapping batches made the seqlock even mid-apply", got)
-	}
-	close(release)
-	for _, done := range []chan struct{}{doneA, doneB} {
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatal("batch did not complete after release")
-		}
-	}
-	if got := s.def.mutSeq.Load(); got != 4 {
-		t.Fatalf("mutSeq = %d after two batches, want 4", got)
-	}
-}
-
 // TestSnapshotDoesNotBlockMutations gates snapshot compaction through
 // the test hook and proves the property the restructure bought: a
 // mutation batch commits while a snapshot is compacting. The legacy

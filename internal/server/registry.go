@@ -126,7 +126,7 @@ func (b *tokenBucket) take(now time.Time) (bool, int) {
 }
 
 // graphInstance is one tenant graph's complete serving plane. Field
-// names and lock ranks mirror the pre-registry Server so the seqlock,
+// names and lock ranks mirror the pre-registry Server so the mutation,
 // MVCC, standing, and durability protocols carry over unchanged; srv
 // points back at the fleet-wide state (worker pool, drain control).
 type graphInstance struct {
@@ -137,10 +137,9 @@ type graphInstance struct {
 	sys *tufast.System
 	dyn *tufast.DynGraph
 
-	// mutMu makes the mutation plane's seqlock bracket single-writer,
-	// and is what standing-query seeding takes to exclude batches: no
-	// batch commits between a seed's read of the topology and its hooks
-	// going live.
+	// mutMu is the mutation bracket: one batch at a time applies, is
+	// logged and is delivered to the standing queries, so WAL order and
+	// the order queries hear of batches are both epoch order.
 	//
 	//tufast:lockorder 15
 	mutMu sync.Mutex
@@ -154,13 +153,7 @@ type graphInstance struct {
 
 	jobs jobTable
 
-	standing     *standingManager
-	streamOnEdge func(tufast.Tx, tufast.StreamOp, bool, func(uint32)) error
-	streamEmit   func(uint32)
-
-	// mutSeq is the seqlock over mutation batches; single writer is the
-	// handleEdges bracket under mutMu.
-	mutSeq atomic.Uint64
+	standing *standingManager
 
 	// Admission quotas. inflight counts queued-plus-running jobs, and
 	// admissions still deciding (see admitJob); it is always maintained,
@@ -214,10 +207,6 @@ func (s *Server) newInstance(name string, d *tufast.DynGraph, q Quotas) *graphIn
 		g.mutBucket = newTokenBucket(q.MutBatchRate, q.MutBatchBurst)
 	}
 	g.standing = newStandingManager(g)
-	// Compose the standing fan-out into the stream hooks once; with no
-	// queries registered the fan-out is one atomic load per op.
-	g.streamOnEdge = tufast.ComposeOnEdge(g.standing.onEdge)
-	g.streamEmit = tufast.ComposeEmit(g.standing.emit)
 	return g
 }
 

@@ -3,12 +3,11 @@
 // runtimes, with two planes per graph.
 //
 // The mutation plane (POST /v1/graphs/{name}/edges) applies batched
-// edge mutations and bumps that graph's mutation epoch. A batch no
-// standing query hooks applies owned (DynGraph.ApplyOwned: no
-// transaction, each arc written by the thread that owns its source);
-// a hooked one goes through DynGraph.ApplyStream — windowed, routed
-// H/O/L by live degree like every other transaction — so its hooks run
-// inside the mutation transactions.
+// edge mutations and bumps that graph's mutation epoch. Every batch
+// applies owned (DynGraph.ApplyOwned: no transaction, each arc written
+// by the thread that owns its source): the bracket makes it the graph's
+// only writer, and nothing else reads the chains it writes except
+// through epoch-pinned views.
 //
 // The analytics plane (POST /v1/graphs/{name}/jobs, GET …/jobs/{id})
 // runs pagerank/cc/sssp/degree asynchronously: one bounded worker pool
@@ -33,15 +32,13 @@
 // admission epoch and compacts or reads through it while batches keep
 // committing — no lock stands between the two planes. A background GC
 // pass reclaims superseded chain versions below the oldest live pin.
-// Standing-query seeding, which must observe a quiescent point, takes
-// the mutation bracket's own lock (mutMu) to exclude batches.
 //
 // Standing queries ("standing": true on POST …/jobs) skip the
 // per-epoch recompute entirely: a resident delta-maintained
-// computation (DeltaPageRank / IncrementalCC) rides the mutation
-// plane's stream hooks and a repair worker re-stabilizes it after
-// each effective batch, so reads are O(1) hits on the maintained
-// result — exact between repairs, last-stable (flagged repairing)
+// computation (DeltaPageRank / IncrementalCC) hears of each effective
+// batch after it committed, and a repair worker brings it up to date
+// at a pinned view, so reads are O(1) hits on the maintained result —
+// exact at its tagged epoch, last-stable (flagged repairing)
 // immediately after a mutation. See standing.go.
 //
 // Shutdown drains gracefully: admission stops (503), queued and
@@ -90,9 +87,6 @@ type Config struct {
 	// (default 2m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// Window is the ApplyStream window for hooked mutation batches
-	// (default 4096); a hook-free batch applies whole.
-	Window int
 	// MaxBatch bounds ops per mutation batch (default 65536).
 	MaxBatch int
 	// DrainGrace is how long Shutdown lets queued and in-flight jobs
@@ -123,8 +117,8 @@ type Config struct {
 	compactGate func(epoch uint64)
 
 	// mutGate, when non-nil, runs inside handleEdges' mutation bracket
-	// (after the seqlock turns odd, before the batch applies) — a test
-	// hook to hold a batch deterministically.
+	// (after mutMu is taken, before the batch applies) — a test hook to
+	// hold a batch deterministically.
 	mutGate func()
 }
 
@@ -146,9 +140,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 2 * time.Minute
-	}
-	if c.Window <= 0 {
-		c.Window = 4096
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 65536
@@ -457,7 +448,7 @@ const (
 	stageDecode   = iota // read the body, decode it, size checks
 	stageAdmit           // rate quota and vertex-range validation
 	stageLockWait        // waiting for mutMu
-	stageApply           // ApplyOwned or ApplyStreamCtx
+	stageApply           // ApplyOwned
 	stageWAL             // the log append (and its fsync under SyncAlways)
 	stageStanding        // standing-query bookkeeping, leaving the bracket
 	stageRespond         // encoding and writing the answer
@@ -517,7 +508,7 @@ func (s *graphInstance) handleEdges(w http.ResponseWriter, r *http.Request) {
 	}
 	clock.lap(stageAdmit)
 
-	s.mutMu.Lock() // single-writer seqlock bracket; see the field docs
+	s.mutMu.Lock() // the mutation bracket; see the field docs
 	if werr := s.walErr(); werr != nil {
 		// Poisoned while this batch decoded or queued for the bracket:
 		// refuse before anything moves (see walErr).
@@ -526,47 +517,32 @@ func (s *graphInstance) handleEdges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	clock.lap(stageLockWait)
-	s.mutSeq.Add(1) // odd: batch in flight
 	if s.cfg.mutGate != nil {
 		s.cfg.mutGate()
 	}
 	// Once a batch enters the bracket it runs to completion: a client
 	// disconnect mid-apply must not cancel it halfway, because memory
 	// would then hold a subset of the batch that no WAL record can
-	// reproduce (committed ops within the failing window are an
-	// arbitrary subset, not a prefix). The work is bounded by MaxBatch,
-	// so finishing an orphaned batch is cheap — and the client gets no
-	// response either way, which is exactly the indeterminate outcome
-	// a disconnected mutation always had.
+	// reproduce. The work is bounded by MaxBatch, so finishing an
+	// orphaned batch is cheap — and the client gets no response either
+	// way, which is exactly the indeterminate outcome a disconnected
+	// mutation always had.
 	//
-	// A batch no standing query hooks has nothing to arbitrate: mutMu
-	// makes it the graph's only writer, pinned views read it through the
-	// stamp filter, and GC waits for it to end, so it applies owned —
-	// no transaction. The active list only grows under mutMu (seed), so
-	// the answer read here holds for the whole batch.
-	var stats tufast.StreamStats
-	var err error
-	owned := !s.standing.hooked()
-	if owned {
-		stats, err = s.dyn.ApplyOwned(ops)
-	} else {
-		stats, err = s.dyn.ApplyStreamCtx(context.WithoutCancel(r.Context()), ops, tufast.StreamOptions{
-			Window: s.cfg.Window,
-			OnEdge: s.streamOnEdge,
-			Emit:   s.streamEmit,
-		})
-	}
+	// The batch has nothing to arbitrate, so it applies owned — no
+	// transaction: mutMu makes it the graph's only writer, pinned views
+	// (jobs, standing repairs) read it through the stamp filter, and GC
+	// waits for it to end.
+	stats, err := s.dyn.ApplyOwned(ops)
 	clock.lap(stageApply)
 	effective := stats.Inserted+stats.Removed > 0
 	var walErr error
 	// An owned batch errs only on a panic (the arena running out), which
 	// may leave an arc half written even when no op counts as changed.
-	if effective || owned && err != nil {
+	if effective || err != nil {
 		switch {
 		case s.wlog == nil:
 		case err != nil:
-			// A partially applied batch (an erroring OnEdge hook, or a
-			// panic cutting an owned batch short) left
+			// A partially applied batch (a panic cutting it short) left
 			// memory holding an unknown subset of ops. Logging the full
 			// slice would make recovery replay ops that never committed,
 			// shifting the base state under every later acknowledged
@@ -594,11 +570,9 @@ func (s *graphInstance) handleEdges(w http.ResponseWriter, r *http.Request) {
 	if effective {
 		// Even a batch that failed partway committed changes; standing
 		// queries must repair over them like any other effective batch.
-		// The ops ride along so cc queries can log the batch's deletes
-		// for localized split repair.
+		// The ops ride along: the queries log them to repair from.
 		s.standing.batchCommitted(stats, ops)
 	}
-	s.mutSeq.Add(1) // even: batch and its bookkeeping fully delivered
 	s.mutMu.Unlock()
 	clock.lap(stageStanding)
 	if err != nil {
@@ -614,9 +588,6 @@ func (s *graphInstance) handleEdges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.mutBatches.Add(1)
-	if owned {
-		s.met.ownedBatches.Add(1)
-	}
 	s.met.mutOps.Add(uint64(stats.Applied))
 	// stats.Epoch is captured at this batch's own bump, not re-read
 	// after the lock drops — a concurrent batch committing right after

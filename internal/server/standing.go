@@ -16,39 +16,38 @@ import (
 // The standing-query plane keeps analytics results *resident* instead
 // of recomputing them per epoch: a job submitted with "standing": true
 // registers a delta-maintained computation (an algorithms.Incremental:
-// DeltaPageRank or IncrementalCC) whose OnEdge/Emit hooks ride every
-// mutation batch the server applies. After each effective batch a
-// per-query repair worker runs the computation's Repair against an
-// epoch-pinned view — mutation batches keep committing while it runs —
+// DeltaPageRank or IncrementalCC) that hears of every effective batch
+// the server applies, after it committed, through Committed. A
+// per-query repair worker then runs the computation's Repair against an
+// epoch-pinned view — mutation batches keep applying while it runs —
 // and publishes a fresh (result, epoch) state, so standing reads
 // between mutations are O(1) map hits and reads immediately after a
 // mutation see either the last stable result (tagged with its epoch
 // and repairing=true) or the already-repaired one — never a torn mix.
-// The generation counter carries the exactness argument: a state whose
-// repair began at the current generation covers every batch that has
-// committed, so its pinned epoch IS the current topology.
+// A published result is exact at its epoch: every batch at or below it
+// reached Committed before the Repair (see repairOnce), and only Repair
+// writes the arrays the summary reads. It is current while no batch
+// past its epoch has been delivered.
 //
 // The server drives both computations through the one contract and
-// never asks which it holds: Committed after each batch (IncrementalCC
-// logs the batch's deletes there, since min-label propagation cannot
-// split components), Repair in the worker (DeltaPageRank's is an
-// O(delta) drain for inserts and deletes alike; IncrementalCC's first
-// one is the full recompute, later ones re-derive just the components
-// the logged deletes touched), and Pending for GET /v1/standing.
+// never asks which it holds: Committed after each batch, Repair in the
+// worker (the first one computes the result at its view; later ones
+// repair from the logged ops — DeltaPageRank diffs each dirty source
+// between its previous view and this one, IncrementalCC merges inserts
+// and re-derives just the components deletes touched), Pending for
+// GET /v1/standing, and Close when the worker exits.
 type standingManager struct {
 	s *graphInstance
 
 	// mu guards registry mutations (register/remove) and the writes of
-	// the active list; the hook fan-out and the mutation plane's choice
-	// of path (hooked) read the copy-on-write active list instead, with
-	// one atomic load. seed() appends to the active list while holding
-	// the instance's mutMu, so mu ranks below it.
+	// the active list; the mutation plane's delivery reads the
+	// copy-on-write active list instead, with one atomic load.
 	//
 	//tufast:lockorder 40
 	mu    sync.Mutex
 	byKey map[string]*standingQuery
 
-	// active lists the seeded queries, the only ones whose comp is read.
+	// active lists the attached queries, the only ones whose comp is read.
 	active atomic.Pointer[[]*standingQuery]
 
 	wg sync.WaitGroup
@@ -64,14 +63,14 @@ type standingQuery struct {
 	req      JobRequest
 	regJobID string
 
-	// comp and summary are set by seed before the query joins the
+	// comp and summary are set by attach before the query joins the
 	// active list and never change; nothing reads them before then.
 	comp    algorithms.Incremental
 	summary func() any
 
-	// gen counts effective batches delivered to this query; a state
-	// whose repair began at the current gen covers every one of them.
-	gen atomic.Uint64
+	// delivered is the epoch of the last batch handed to comp.Committed;
+	// a state at a lower epoch is stale.
+	delivered atomic.Uint64
 	// dirtySince is the unix-nano commit time of the oldest batch not
 	// yet covered by a publish (0 = none); it feeds the repair-lag
 	// histogram.
@@ -86,11 +85,9 @@ type standingQuery struct {
 // standingState is one immutable publish: a reader loads it whole, so
 // result and epoch always belong together.
 type standingState struct {
-	result   any
-	epoch    uint64
-	gen      uint64 // q.gen when the repair that built result began
-	seqClean bool   // no batch was mid-commit while result was built
-	err      error  // the failure that retired the query
+	result any
+	epoch  uint64
+	err    error // the failure that retired the query
 }
 
 // publish installs st and releases the first-result waiters.
@@ -100,10 +97,10 @@ func (q *standingQuery) publish(st *standingState) {
 	}
 }
 
-// repairing reports whether st may be stale: not yet published, built
-// beside a batch in flight, or older than a batch delivered since.
+// repairing reports whether st may be stale: not yet published, or
+// older than a batch delivered since.
 func (q *standingQuery) repairing(st *standingState) bool {
-	return st == nil || !st.seqClean || q.gen.Load() != st.gen
+	return st == nil || st.epoch < q.delivered.Load()
 }
 
 // serve returns the published view when the query is ready.
@@ -120,42 +117,12 @@ func (q *standingQuery) serve() (jobView, bool) {
 	}, true
 }
 
-// onEdge is the StreamOptions.OnEdge fan-out the server installs on
-// every mutation batch. It runs inside the mutation transaction and
-// must be retry-safe, which holds because the computations' hooks are.
-func (m *standingManager) onEdge(tx tufast.Tx, op tufast.StreamOp, changed bool, emit func(u uint32)) error {
-	qs := m.active.Load()
-	if qs == nil {
-		return nil
-	}
-	for _, q := range *qs {
-		if err := q.comp.OnEdge(tx, op, changed, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// emit is the StreamOptions.Emit fan-out. Every registered query sees
-// every emitted vertex (the stream has one emit channel); a vertex
-// another query emitted is a spurious wakeup here, which both drains
-// treat as a no-op.
-func (m *standingManager) emit(u uint32) {
-	qs := m.active.Load()
-	if qs == nil {
-		return
-	}
-	for _, q := range *qs {
-		q.comp.Emit(u)
-	}
-}
-
 // batchCommitted is called by the mutation plane after every effective
-// batch, still inside the mutMu bracket: it hands each query the batch
-// and wakes its repair worker. Committed runs BEFORE the gen bump: a
-// repair that loads gen and sees this batch counted is then guaranteed
-// (by the atomic's ordering) to also see what Committed recorded, so a
-// stable publish can never have skipped a delete.
+// batch, still inside the mutMu bracket, so queries hear of batches in
+// epoch order: it hands each query the batch, records its epoch as
+// delivered and wakes the repair worker. Committed runs BEFORE the
+// delivered store, and the store before the wakeup: a repair that sees
+// the epoch delivered also sees what Committed logged.
 func (m *standingManager) batchCommitted(stats tufast.StreamStats, ops []tufast.StreamOp) {
 	qs := m.active.Load()
 	if qs == nil {
@@ -164,21 +131,13 @@ func (m *standingManager) batchCommitted(stats tufast.StreamStats, ops []tufast.
 	now := time.Now().UnixNano()
 	for _, q := range *qs {
 		q.comp.Committed(ops, stats)
-		q.gen.Add(1)
+		q.delivered.Store(stats.Epoch)
 		q.dirtySince.CompareAndSwap(0, now)
 		select {
 		case q.notify <- struct{}{}:
 		default:
 		}
 	}
-}
-
-// hooked reports whether any seeded query rides the mutation hooks. The
-// list only grows in seed, under mutMu, so a batch that reads it inside
-// its mutMu bracket and finds none stays hook-free to its end.
-func (m *standingManager) hooked() bool {
-	qs := m.active.Load()
-	return qs != nil && len(*qs) > 0
 }
 
 // lookup returns the registered query for key, nil if none.
@@ -194,7 +153,7 @@ func (m *standingManager) count() int {
 	return len(m.byKey)
 }
 
-// repairingCount reports how many seeded queries are currently stale
+// repairingCount reports how many attached queries are currently stale
 // (initializing or mid-repair), a /metrics gauge.
 func (m *standingManager) repairingCount() int {
 	qs := m.active.Load()
@@ -212,7 +171,8 @@ func (m *standingManager) repairingCount() int {
 
 // ensure registers (or finds) the standing query for req, returning it
 // with its repair worker running. Called from job workers: the O(graph)
-// seeding cost is paid once, under the job's admission slot.
+// first repair is paid once, while the registration job that waits for
+// it holds its admission slot.
 func (m *standingManager) ensure(req JobRequest, jobID string) (*standingQuery, error) {
 	key := req.cacheKey()
 	m.mu.Lock()
@@ -232,7 +192,7 @@ func (m *standingManager) ensure(req JobRequest, jobID string) (*standingQuery, 
 	m.byKey[key] = q
 	m.mu.Unlock()
 
-	if err := m.seed(q); err != nil {
+	if err := m.attach(q); err != nil {
 		m.fail(q, err) // a registration that joined q waits on readyCh
 		return nil, err
 	}
@@ -243,24 +203,20 @@ func (m *standingManager) ensure(req JobRequest, jobID string) (*standingQuery, 
 	return q, nil
 }
 
-// seed constructs the resident computation at a quiescent point and
-// makes it visible to the mutation hooks. Holding mutMu, the mutation
-// bracket's own lock, is what guarantees no batch commits between
-// "initial state read" and "hooks active" — a batch in that gap would
-// be invisible to both. The hooks need no lock of their own: they find
-// q through the active-list pointer stored last, which happens-after
-// the comp assignment.
-func (m *standingManager) seed(q *standingQuery) (err error) {
+// attach constructs the resident computation and adds it to the active
+// list, from which every later batch reaches its Committed. It excludes
+// no batch: the first Repair computes the initial result at a view
+// pinned after this returns, so a batch that committed before the
+// query joined is in that view, and one after is delivered.
+func (m *standingManager) attach(q *standingQuery) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			// Most likely shared-space exhaustion (each query allocates
 			// per-vertex arrays); surface it as a job failure instead of
 			// killing the daemon.
-			err = fmt.Errorf("standing %s: seed failed: %v", q.req.Algo, r)
+			err = fmt.Errorf("standing %s: attach failed: %v", q.req.Algo, r)
 		}
 	}()
-	m.s.mutMu.Lock()
-	defer m.s.mutMu.Unlock()
 	switch q.req.Algo {
 	case "pagerank":
 		pr := algorithms.NewDeltaPageRank(m.s.dyn, q.req.Damping, q.req.Eps)
@@ -304,9 +260,12 @@ func (m *standingManager) fail(q *standingQuery, err error) {
 }
 
 // worker is q's repair loop: one cycle per coalesced batch of
-// notifications, exiting when the server's base context dies (drain).
+// notifications, exiting when the server's base context dies (drain) or
+// a repair fails. It closes the computation on the way out, so a dead
+// query pins no view.
 func (m *standingManager) worker(q *standingQuery) {
 	defer m.wg.Done()
+	defer q.comp.Close()
 	for {
 		select {
 		case <-m.s.baseCtx.Done():
@@ -324,63 +283,28 @@ func (m *standingManager) worker(q *standingQuery) {
 }
 
 // repairOnce brings q up to date and publishes — WITHOUT excluding
-// mutators: the drain runs against the live overlay while batches keep
-// committing, and the published state comes from a view pinned at the
-// repair's admission epoch. The ordering carries correctness:
-//
-//  1. load gen — any batch counted here committed before the load, so
-//     its emits are in the sink and Committed has seen it;
-//  2. pin the view — at an epoch ≥ every batch counted by (1);
-//  3. Repair: consume what Committed logged ≤ the pinned epoch, drain;
-//  4. publish (result, pinned epoch, gen from (1)): while gen still
-//     equals it, no batch committed since (1), so the pinned epoch is
-//     the current topology and the result is exact; once a batch
-//     slips in, its own notification re-runs this cycle, and readers
-//     see the state as repairing until then.
-//
-// Pinning before the gen load would be wrong: a batch could bump gen
-// between the two, count as "covered" at publish, yet have committed
-// after the pin — publishing an epoch the repair never saw.
-//
-// gen covers completed batches; the server's mutSeq seqlock covers the
-// one still in flight. The summary is built from advisory atomic word
-// reads while mutators run, so a batch mid-commit during the build can
-// leak partial hook writes into it. Observing mutSeq unchanged and even
-// across the whole cycle proves no batch overlapped the build; anything
-// else marks the state repairing for good. A mid-flight batch may turn
-// out ineffective and never notify, so that path schedules its own
-// re-check rather than waiting on a wakeup that might not come.
+// mutators: batches keep applying while Repair runs, and the published
+// state comes from a view pinned at the repair's admission epoch. The
+// state is exact at that epoch only if every batch at or below it has
+// reached Committed. A batch publishes its epoch before the mutation
+// plane delivers it, so a view can be ahead of q.delivered by that one
+// batch; the repair then stands down, and the batch's delivery, which
+// comes next, wakes the worker again. The first repair needs no such
+// wait: it computes its result from the view alone.
 func (m *standingManager) repairOnce(q *standingQuery) error {
 	s := m.s
-	dirty := q.dirtySince.Swap(0)
-	start := time.Now()
-
-	seq := s.mutSeq.Load()
-	gen := q.gen.Load()
 	view := s.dyn.View()
 	defer view.Close()
+	if q.state.Load() != nil && view.Epoch() > q.delivered.Load() {
+		return nil
+	}
+	dirty := q.dirtySince.Swap(0)
+	start := time.Now()
 	did, err := q.comp.Repair(s.baseCtx, view)
 	if err != nil {
 		return err
 	}
-	result := q.summary()
-	// seq must be re-read after the summary build: an even, unchanged
-	// value brackets the build in a mutation-free window.
-	seqClean := seq&1 == 0 && s.mutSeq.Load() == seq
-	q.publish(&standingState{result: result, epoch: view.Epoch(), gen: gen, seqClean: seqClean})
-	if !seqClean && q.gen.Load() == gen {
-		// Staleness came only from a batch that was mid-commit during the
-		// build. If it proves effective its notification re-runs us; if
-		// not, nothing would — so nudge ourselves after a short pause
-		// (bounds the spin while a long batch drains).
-		go func() {
-			time.Sleep(time.Millisecond)
-			select {
-			case q.notify <- struct{}{}:
-			default:
-			}
-		}()
-	}
+	q.publish(&standingState{result: q.summary(), epoch: view.Epoch()})
 
 	s.met.standingRepairs.Add(1)
 	if did.Recomputed {

@@ -4,14 +4,16 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tufast"
 	"tufast/algorithms"
+	"tufast/internal/algo"
+	"tufast/internal/wal"
 )
 
 // standingTestDyn is newTestDyn with space headroom for the standing
@@ -517,26 +519,17 @@ func TestStandingListEndpoint(t *testing.T) {
 	}
 }
 
-// TestStandingSeedExcludesBatches pins the exclusion seed() gets from
-// the mutation bracket's own lock: a registration that arrives while a
-// batch is inside the bracket does not build its resident computation
-// until the batch has left, so the batch is part of the initial state
-// it reads. A seed overlapping the batch would read a topology the
-// batch is still changing with no hook installed to deliver the rest.
-// The batch bridges two rings into one component through a new hub, so
-// missing it shows in both oracles.
-func TestStandingSeedExcludesBatches(t *testing.T) {
+// TestStandingSeedBesideParkedBatch pins that registering a standing
+// query excludes no batch: registrations that arrive while a batch is
+// parked inside the mutation bracket finish their first repair without
+// waiting for it, and that first answer is exact at its tagged epoch —
+// the topology before the batch. Once the batch commits, both queries
+// repair to its epoch. The batch bridges two rings into one component
+// through a new hub, so a result on the wrong side of it shows in both
+// oracles.
+func TestStandingSeedBesideParkedBatch(t *testing.T) {
 	const ring, n, eps = 100, 2 * 100, 1e-7
-	var edges []tufast.EdgePair
-	for i := 0; i < ring; i++ {
-		edges = append(edges,
-			tufast.EdgePair{U: uint32(i), V: uint32((i + 1) % ring)},
-			tufast.EdgePair{U: uint32(ring + i), V: uint32(ring + (i+1)%ring)})
-	}
-	g, err := tufast.BuildGraph(n, edges, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := twoRings(t, ring)
 	d := tufast.NewDynGraph(tufast.NewSystem(g, tufast.Options{
 		Threads:    4,
 		SpaceWords: tufast.DynSpaceWords(g, 10_000) + 8*(n+8),
@@ -556,13 +549,9 @@ func TestStandingSeedExcludesBatches(t *testing.T) {
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}}
 	defer client.CloseIdleConnections()
 
-	ops := make([]map[string]any, 0, ring/2)
-	for v := ring; v < n; v += 2 {
-		ops = append(ops, map[string]any{"u": 0, "v": v})
-	}
 	batchEpoch := make(chan uint64, 1)
 	go func() {
-		code, body, _ := postJSON(t, client, base+"/v1/edges", map[string]any{"ops": ops})
+		code, body, _ := postJSON(t, client, base+"/v1/edges", map[string]any{"ops": bridgeOps(ring)})
 		if code != http.StatusOK {
 			t.Errorf("batch: %d %v", code, body)
 			batchEpoch <- 0
@@ -576,89 +565,197 @@ func TestStandingSeedExcludesBatches(t *testing.T) {
 		t.Fatal("batch never entered the mutation bracket")
 	}
 
-	reqs := map[string]JobRequest{
-		"pagerank": {Algo: "pagerank", Eps: eps, Standing: true},
-		"cc":       {Algo: "cc", Standing: true},
+	// check compares both resident results with from-scratch ones on
+	// snap's topology.
+	check := func(when string, snap *tufast.Graph, queries map[string]*standingQuery) {
+		t.Helper()
+		wantRanks := algo.SeqPageRank(snap.CSR(), 0.85, 1e-10)
+		wantComp, err := algorithms.ConnectedComponents(tufast.NewSystem(snap, tufast.Options{Threads: 4}))
+		if err != nil {
+			t.Fatalf("oracle cc: %v", err)
+		}
+		gotRanks := queries["pagerank"].comp.(*algorithms.DeltaPageRank).Ranks()
+		for v := range wantRanks {
+			if diff := math.Abs(gotRanks[v] - wantRanks[v]); diff > 1e-3*wantRanks[v] {
+				t.Fatalf("%s: standing rank[%d] = %g, from-scratch says %g", when, v, gotRanks[v], wantRanks[v])
+			}
+		}
+		gotComp := queries["cc"].comp.(*algorithms.IncrementalCC).Components()
+		for v := range wantComp {
+			if gotComp[v] != wantComp[v] {
+				t.Fatalf("%s: standing label[%d] = %d, from-scratch says %d", when, v, gotComp[v], wantComp[v])
+			}
+		}
 	}
-	jobIDs := map[string]string{}
-	for algo, req := range reqs {
-		extra := map[string]any{}
+
+	queries := map[string]*standingQuery{}
+	for _, algo := range []string{"pagerank", "cc"} {
+		req, extra := JobRequest{Algo: algo, Standing: true}, map[string]any{}
 		if algo == "pagerank" {
-			extra["eps"] = eps
+			req.Eps, extra["eps"] = eps, eps
 		}
 		code, view := submitStanding(t, client, base, algo, extra)
 		if code != http.StatusAccepted {
 			t.Fatalf("register standing %s: %d %v", algo, code, view)
 		}
-		jobIDs[algo] = view["job_id"].(string)
+		final := pollJob(t, client, base, view["job_id"].(string))
+		if final["status"] != StatusDone {
+			t.Fatalf("standing %s registration beside a parked batch: %v", algo, final)
+		}
+		// The registration's result is the query's first publish.
+		if got := uint64(final["epoch"].(float64)); got != 0 {
+			t.Fatalf("standing %s first published at epoch %d with the only batch parked", algo, got)
+		}
 		if err := req.normalize(s.cfg, n); err != nil {
 			t.Fatal(err)
 		}
-		reqs[algo] = req
+		queries[algo] = s.def.standing.lookup(req.cacheKey())
 	}
-	// Wait until both registrations are in the registry (seed is the
-	// next thing ensure does), then give an unexcluded seed ample time
-	// to finish: building either computation over 200 vertices takes
-	// microseconds.
-	queries := map[string]*standingQuery{}
-	deadline := time.Now().Add(10 * time.Second)
-	for len(queries) < len(reqs) {
-		if time.Now().After(deadline) {
-			t.Fatal("registrations never reached the standing registry")
-		}
-		for algo, req := range reqs {
-			if q := s.def.standing.lookup(req.cacheKey()); q != nil {
-				queries[algo] = q
-			}
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	time.Sleep(150 * time.Millisecond)
-	for algo, q := range queries {
-		if qs := s.def.standing.active.Load(); qs != nil && slices.Contains(*qs, q) {
-			t.Fatalf("standing %s seeded while a batch was inside the mutation bracket", algo)
-		}
-	}
+	check("first answer, batch parked", g, queries)
 
 	unpark()
 	epoch := <-batchEpoch
-	for algo, id := range jobIDs {
-		final := pollJob(t, client, base, id)
-		if final["status"] != StatusDone {
-			t.Fatalf("standing %s registration: %v", algo, final)
-		}
-		// The registration's result is the query's first publish.
-		if got := uint64(final["epoch"].(float64)); got != epoch {
-			t.Errorf("standing %s first published at epoch %d, the parked batch committed %d", algo, got, epoch)
+	waitStandingStable(t, client, base, 2)
+	snap, snapEpoch, err := s.def.snapshot()
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	if epoch != 1 || snapEpoch != epoch {
+		t.Fatalf("batch committed epoch %d, graph at %d; want both 1", epoch, snapEpoch)
+	}
+	for algo, q := range queries {
+		if st := q.state.Load(); st.epoch != epoch {
+			t.Errorf("standing %s at epoch %d after the batch committed %d", algo, st.epoch, epoch)
 		}
 	}
-	waitStandingStable(t, client, base, 2)
+	check("after the batch", snap, queries)
+	if c := queries["cc"].comp.(*algorithms.IncrementalCC).Components(); c[0] != c[ring] {
+		t.Fatal("the batch did not bridge the two rings: the oracle is not exercising it")
+	}
+}
 
+// twoRings is two undirected rings of ring vertices each, 0..ring-1 and
+// ring..2·ring-1.
+func twoRings(t *testing.T, ring int) *tufast.Graph {
+	t.Helper()
+	var edges []tufast.EdgePair
+	for i := 0; i < ring; i++ {
+		edges = append(edges,
+			tufast.EdgePair{U: uint32(i), V: uint32((i + 1) % ring)},
+			tufast.EdgePair{U: uint32(ring + i), V: uint32(ring + (i+1)%ring)})
+	}
+	g, err := tufast.BuildGraph(2*ring, edges, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// bridgeOps joins twoRings' rings through vertex 0, which gains an arc
+// to every other vertex of the second ring.
+func bridgeOps(ring int) []map[string]any {
+	ops := make([]map[string]any, 0, ring/2)
+	for v := ring; v < 2*ring; v += 2 {
+		ops = append(ops, map[string]any{"u": 0, "v": v})
+	}
+	return ops
+}
+
+// TestStandingRepairWaitsForDelivery pins the guard in repairOnce: a
+// batch publishes its epoch before the mutation plane hands it to the
+// standing queries, so a repair can pin a view holding a batch its
+// computation has not heard of yet. That repair must stand down rather
+// than publish a result tagged with the batch's epoch. Here the batch
+// is parked in its WAL fsync — applied and published, not delivered —
+// when the query's worker is woken; once it is released the query
+// repairs to it.
+func TestStandingRepairWaitsForDelivery(t *testing.T) {
+	const ring = 100
+	g := twoRings(t, ring)
+	var park atomic.Bool
+	parked := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unpark := func() { releaseOnce.Do(func() { close(release) }) }
+	hooks := &wal.Hooks{SyncErr: func() error {
+		if park.Load() {
+			parked <- struct{}{}
+			<-release
+		}
+		return nil
+	}}
+	s := startDurableServerOn(t, t.TempDir(), DurabilityConfig{Sync: wal.SyncAlways, walHooks: hooks}, g, 4)
+	t.Cleanup(func() { unpark(); shutdownServer(t, s) })
+	base := "http://" + s.Addr()
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+
+	code, view := submitStanding(t, client, base, "cc", nil)
+	if code != http.StatusAccepted {
+		t.Fatalf("register standing cc: %d %v", code, view)
+	}
+	if final := pollJob(t, client, base, view["job_id"].(string)); final["status"] != StatusDone {
+		t.Fatalf("registration: %v", final)
+	}
+	req := JobRequest{Algo: "cc", Standing: true}
+	if err := req.normalize(s.cfg, 2*ring); err != nil {
+		t.Fatal(err)
+	}
+	q := s.def.standing.lookup(req.cacheKey())
+
+	park.Store(true)
+	batchEpoch := make(chan uint64, 1)
+	go func() {
+		code, body, _ := postJSON(t, client, base+"/v1/edges", map[string]any{"ops": bridgeOps(ring)})
+		if code != http.StatusOK {
+			t.Errorf("batch: %d %v", code, body)
+			batchEpoch <- 0
+			return
+		}
+		batchEpoch <- uint64(body["epoch"].(float64))
+	}()
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("batch never reached its WAL fsync")
+	}
+	if e := s.def.dyn.Epoch(); e != 1 {
+		t.Fatalf("parked batch left the graph at epoch %d, want it published at 1", e)
+	}
+	// Wakeups whose repairs pin the parked batch's epoch. The buffer
+	// holds one, so the third send waits for the worker to take the
+	// second, which it does only once the first repair has returned.
+	for range 3 {
+		q.notify <- struct{}{}
+	}
+	if st := q.state.Load(); st.epoch != 0 {
+		t.Fatalf("standing cc published epoch %d before the batch at that epoch reached Committed", st.epoch)
+	}
+
+	park.Store(false)
+	unpark()
+	if e := <-batchEpoch; e != 1 {
+		t.Fatalf("batch answered epoch %d, want 1", e)
+	}
+	waitStandingStable(t, client, base, 1)
+	if st := q.state.Load(); st.epoch != 1 {
+		t.Fatalf("standing cc at epoch %d after the batch was delivered, want 1", st.epoch)
+	}
 	snap, _, err := s.def.snapshot()
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	wantRanks, err := algorithms.PageRank(tufast.NewSystem(snap, tufast.Options{Threads: 4}), reqs["pagerank"].Damping, eps)
-	if err != nil {
-		t.Fatalf("oracle pagerank: %v", err)
-	}
-	wantComp, err := algorithms.ConnectedComponents(tufast.NewSystem(snap, tufast.Options{Threads: 4}))
+	want, err := algorithms.ConnectedComponents(tufast.NewSystem(snap, tufast.Options{Threads: 4}))
 	if err != nil {
 		t.Fatalf("oracle cc: %v", err)
 	}
-	gotRanks := queries["pagerank"].comp.(*algorithms.DeltaPageRank).Ranks()
-	for v := range wantRanks {
-		if diff := math.Abs(gotRanks[v] - wantRanks[v]); diff > 1e-3*wantRanks[v] {
-			t.Fatalf("standing rank[%d] = %g, from-scratch says %g", v, gotRanks[v], wantRanks[v])
+	got := q.comp.(*algorithms.IncrementalCC).Components()
+	for v := range want {
+		if got[v] != want[v] {
+			t.Fatalf("label[%d] = %d, from-scratch says %d", v, got[v], want[v])
 		}
 	}
-	gotComp := queries["cc"].comp.(*algorithms.IncrementalCC).Components()
-	for v := range wantComp {
-		if gotComp[v] != wantComp[v] {
-			t.Fatalf("standing label[%d] = %d, from-scratch says %d", v, gotComp[v], wantComp[v])
-		}
-	}
-	if wantComp[0] != wantComp[ring] {
+	if want[0] != want[ring] {
 		t.Fatal("the batch did not bridge the two rings: the oracle is not exercising it")
 	}
 }

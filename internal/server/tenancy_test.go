@@ -171,7 +171,7 @@ func emptyTenantBase(t *testing.T, n int) *tufast.Graph {
 // independently, and job IDs do not leak across graphs.
 func TestTenancyIsolationOracle(t *testing.T) {
 	const n = 120
-	s := startServer(t, newTestDyn(t, 200, 4), Config{Window: 64})
+	s := startServer(t, newTestDyn(t, 200, 4), Config{})
 	base := "http://" + s.Addr()
 	client := &http.Client{}
 	defer client.CloseIdleConnections()

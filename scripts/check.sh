@@ -78,13 +78,17 @@ end
 # collection after nearly every allocation: a finalizer that unmaps an
 # arena something still reads is a fault here, not a rumour. Beside the
 # recovery tests (TestReplayOwnedMatchesLiveServer among them), the fold
-# recovery is built on runs twenty times against ApplyOwned.
+# recovery is built on runs twenty times against ApplyOwned, and the
+# standing computations' repair oracle twenty times: PageRank and CC
+# repaired at a pinned view while owned batches land beside the repair,
+# at 1, 2 and 4 threads.
 begin "arena fallback cross-compiles; finalizers under GOGC=1 -race"
 GOOS=windows go build $(go list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./... | grep -v '^tufast/benchmark$')
 GOOS=darwin go vet ./internal/mem
 GOGC=1 go test -race -count=10 ./internal/mem
 GOGC=1 go test -race -count=10 -run 'TestCrashRecovery|TestTenancyCrashRecovery|TestReplay' ./internal/server
 go test -race -count=20 -run 'TestFoldMatchesApplyOwned' .
+go test -race -count=20 -run 'TestRepairExactAtPinnedEpoch' ./algorithms
 end
 
 # The benchmarks EXPERIMENTS quotes, one iteration each, so they at least
@@ -118,8 +122,9 @@ end
 # goroutines loses updates; and, under the race detector, over the
 # server's lock-free admission: 32 racing submissions against a
 # two-job quota, and submitters racing Shutdown's drain; and over the
-# standing plane's lock-free publish: reads right after batches, seeding
-# against a parked batch, delete repairs, and the seqlock they rely on.
+# standing plane's lock-free publish: reads right after batches, a first
+# repair beside a parked batch, delete repairs, and a repair that must
+# stand down while its view holds a batch not yet delivered to it.
 begin "oversubscribed serializability (8 processes, -cpu 8)"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -153,7 +158,7 @@ oversubscribed "$tmp/algo.test" 'TestForEachQueued|TestResultsCountCommitsNotAtt
 oversubscribed "$tmp/dyngraph.test" 'TestIndexAbortSafety' 20
 oversubscribed "$tmp/tufast.test" 'TestHubMutationOracle|TestAlgorithmsShareSystemWorkers' 4
 oversubscribed "$tmp/server.test" 'TestInflightQuotaExactUnderConcurrentAdmission|TestShutdownRacingSubmitters' 20
-oversubscribed "$tmp/server.test" 'TestStandingReadAfterBatch|TestStandingSeedExcludesBatches|TestStandingDeleteRepairNoRecompute|TestMutationSeqlockSingleWriter' 10
+oversubscribed "$tmp/server.test" 'TestStandingReadAfterBatch|TestStandingSeedBesideParkedBatch|TestStandingDeleteRepairNoRecompute|TestStandingRepairWaitsForDelivery' 10
 end
 
 echo "All checks passed."
