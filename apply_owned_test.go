@@ -2,9 +2,10 @@
 // batch: it must end where applying the same ops one at a time through
 // transactions ends, on any thread count; a view pinned across owned
 // batches must keep reading its own epoch; an owned batch must queue
-// behind a batch in flight and beside GC passes; it must refuse,
-// changing nothing, an op out of range; and a panic in it must come back
-// as an error that closes the graph to batches.
+// behind a batch in flight and take turns with GC passes, which are
+// batches too; it must refuse, changing nothing, an op out of range;
+// and a panic in it must come back as an error that closes the graph to
+// batches.
 package tufast_test
 
 import (
@@ -209,6 +210,114 @@ func TestApplyOwnedWaitsForBatchInFlight(t *testing.T) {
 	}
 	if got := captureOwnedState(d); !reflect.DeepEqual(got, want) {
 		t.Fatalf("graph after both batches: epoch %d, arcs %d; the batches in turn: epoch %d, arcs %d",
+			got.epoch, got.liveArcs, want.epoch, want.liveArcs)
+	}
+}
+
+// parkCtx is a context that is never cancelled but parks the first
+// goroutine to ask it for its error until release closes (later askers
+// wait with it). A GC pass asks at every chunk it claims, so a pass run
+// with it is parked inside itself.
+type parkCtx struct {
+	context.Context
+	once             sync.Once
+	entered, release chan struct{}
+	never            chan struct{}
+}
+
+func newParkCtx() *parkCtx {
+	return &parkCtx{Context: context.Background(), entered: make(chan struct{}),
+		release: make(chan struct{}), never: make(chan struct{})}
+}
+
+func (c *parkCtx) Done() <-chan struct{} { return c.never }
+
+func (c *parkCtx) Err() error {
+	c.once.Do(func() { close(c.entered); <-c.release })
+	return nil
+}
+
+// TestGCPassTakesTurnsWithBatches: a GC pass is a batch. Started while
+// an ApplyStream batch is parked in its OnEdge hook, the pass does not
+// return until that batch has published; an owned batch issued while a
+// pass is parked inside itself publishes after the pass. Either way the
+// graph ends where the batches alone leave it.
+func TestGCPassTakesTurnsWithBatches(t *testing.T) {
+	d, ops := ownedFixture(t)
+	alone, _ := ownedFixture(t)
+	batch := []tufast.StreamOp{{Time: 1, U: 0, V: 63}}
+	if _, err := alone.ApplyStream(slices.Clone(batch), tufast.StreamOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alone.ApplyOwned(slices.Clone(ops)); err != nil {
+		t.Fatal(err)
+	}
+	want := captureOwnedState(alone)
+	start := d.Epoch()
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	var gate sync.Once
+	streamed := make(chan tufast.StreamStats, 1)
+	go func() {
+		stats, err := d.ApplyStream(batch, tufast.StreamOptions{
+			OnEdge: func(tufast.Tx, tufast.StreamOp, bool, func(uint32)) error {
+				// Retry-safe: only the first attempt parks the batch.
+				gate.Do(func() { close(entered); <-release })
+				return nil
+			},
+		})
+		if err != nil {
+			t.Errorf("ApplyStream: %v", err)
+		}
+		streamed <- stats
+	}()
+	<-entered
+	gcEpoch := make(chan uint64, 1)
+	go func() {
+		if _, err := d.GCCtx(context.Background(), 0); err != nil {
+			t.Errorf("GCCtx beside the parked batch: %v", err)
+		}
+		gcEpoch <- d.Epoch()
+	}()
+	select {
+	case <-gcEpoch:
+		t.Fatal("GCCtx returned while a batch was parked in its OnEdge")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if s1, e := <-streamed, <-gcEpoch; s1.Epoch != start+1 || e != start+1 {
+		t.Fatalf("batch published epoch %d, pass returned at epoch %d; want both %d", s1.Epoch, e, start+1)
+	}
+
+	park := newParkCtx()
+	passed := make(chan struct{})
+	go func() {
+		if _, err := d.GCCtx(park, 0); err != nil {
+			t.Errorf("parked GCCtx: %v", err)
+		}
+		close(passed)
+	}()
+	<-park.entered
+	owned := make(chan tufast.StreamStats, 1)
+	go func() {
+		stats, err := d.ApplyOwned(ops)
+		if err != nil {
+			t.Errorf("ApplyOwned: %v", err)
+		}
+		owned <- stats
+	}()
+	select {
+	case <-owned:
+		t.Fatal("ApplyOwned returned while a GC pass was parked inside itself")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(park.release)
+	<-passed
+	if s2 := <-owned; s2.Epoch != start+2 {
+		t.Fatalf("owned batch published epoch %d, want %d", s2.Epoch, start+2)
+	}
+	if got := captureOwnedState(d); !reflect.DeepEqual(got, want) {
+		t.Fatalf("graph after the batches and passes: epoch %d, arcs %d; the batches alone: epoch %d, arcs %d",
 			got.epoch, got.liveArcs, want.epoch, want.liveArcs)
 	}
 }

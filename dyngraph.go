@@ -39,26 +39,21 @@ type DynGraph struct {
 	noops    atomic.Uint64
 	epoch    atomic.Uint64
 
-	// batchMu serializes ApplyStream batches. Each batch stamps its
-	// entries with epoch+1, so two concurrent batches must not share a
-	// stamp — the second would leak half-committed entries into views
-	// pinned at the first batch's epoch. Windows within a batch still
-	// run across all the System's threads; only batch admission is
-	// serial, which also gives each effective batch a distinct epoch.
+	// batchMu serializes batches: ApplyStream, ApplyOwned and GCCtx. A
+	// mutation batch stamps its entries with epoch+1, so two must not
+	// share a stamp (the second would leak half-committed entries into
+	// views pinned at the first's epoch), and an owned batch or GC pass
+	// must be the chains' only writer. Work within a batch still runs on
+	// all the System's threads.
 	batchMu sync.Mutex
 	// ownedFwd and ownedRev are ApplyOwned's per-op outcomes, kept
 	// between batches so a batch allocates none; batchMu guards them.
 	ownedFwd, ownedRev []bool
-	// ownedMu keeps GC's transactions out of an owned batch: ApplyOwned
-	// holds it (under batchMu) while its plain stores run, GCCtx around
-	// each per-vertex rebuild. A transactional batch does not take it:
-	// its transactions and GC's arbitrate like any others.
-	ownedMu sync.Mutex
 	// broken holds the panic that cut an ApplyOwned batch short, after
 	// which the graph takes no batch (see ApplyOwned); batchMu guards it.
 	broken error
-	// streaming is true while a batch (ApplyStream or ApplyOwned) holds
-	// batchMu. It backs the best-effort assertion in Tx.AddEdge/RemoveEdge
+	// streaming is true while a batch (ApplyStream, ApplyOwned or GCCtx)
+	// holds batchMu. It backs the best-effort assertion in Tx.AddEdge/RemoveEdge
 	// that no direct edge mutation overlaps a batch — a direct mutation
 	// racing the batch's end-of-stream stamp transition could commit an
 	// entry under an epoch that pinned views already treat as sealed, and
@@ -154,15 +149,15 @@ func (d *DynGraph) Compact() (*Graph, error) {
 }
 
 // Epoch returns the graph's mutation epoch: it starts at 0 and
-// increments once per ApplyStream batch that actually changed the
-// topology (no-op-only batches leave it alone). A batch that fails
-// partway — cancellation mid-stream, an OnEdge error — still bumps the
-// epoch when any of its transactions committed a change, so partial
-// application invalidates epoch-keyed consumers too. Consumers tag derived
-// results (analytics caches, compacted snapshots) with the epoch they
-// were computed at and treat a bumped epoch as invalidation. Direct
-// Tx.AddEdge/RemoveEdge calls outside ApplyStream do not move the
-// epoch; batch all serving-path mutations through ApplyStream.
+// increments once per ApplyOwned or ApplyStream batch that actually
+// changed the topology (no-op batches and GCCtx passes leave it alone).
+// A batch that fails partway — an owner's panic, cancellation, an
+// OnEdge error — still bumps the epoch when any of its arcs changed, so
+// partial application invalidates epoch-keyed consumers too. Consumers
+// tag derived results (analytics caches, compacted snapshots) with the
+// epoch they were computed at and treat a bumped epoch as invalidation.
+// Direct Tx.AddEdge/RemoveEdge calls outside a batch do not move the
+// epoch; batch all serving-path mutations through ApplyOwned.
 func (d *DynGraph) Epoch() uint64 { return d.epoch.Load() }
 
 // RestoreEpoch sets the mutation epoch to e, for boot-time recovery
@@ -229,12 +224,12 @@ type GraphView struct {
 }
 
 // View pins the current mutation epoch and returns its view. Mutations
-// outside ApplyStream batches (direct Tx.AddEdge/RemoveEdge) are
-// stamped past the current epoch and therefore invisible to views, as
-// they are to Epoch — but only while they respect the contract on
-// Tx.AddEdge: a direct mutation transaction overlapping a batch's
-// stamp transition could commit under an already-pinnable epoch.
-// Batch serving-path mutations through ApplyStream.
+// outside batches (direct Tx.AddEdge/RemoveEdge) are stamped past the
+// current epoch and therefore invisible to views, as they are to Epoch
+// — but only while they respect the contract on Tx.AddEdge: a direct
+// mutation transaction overlapping a batch's stamp transition could
+// commit under an already-pinnable epoch. Batch serving-path mutations
+// through ApplyOwned.
 func (d *DynGraph) View() *GraphView {
 	d.pinMu.Lock()
 	e := d.epoch.Load()
@@ -317,23 +312,30 @@ func (v *GraphView) Compact() (*Graph, error) {
 // pinned epoch (or the current epoch with nothing pinned). Rebuilt
 // chains go into freshly allocated blocks (the arena never reuses, so
 // frozen readers finish safely); GC therefore consumes headroom to
-// reclaim reachability, and skips vertices — returning early — when
-// the space has less than the rebuild size plus reserveWords left.
-// Runs concurrently with readers and transactional batches: each
-// per-vertex rebuild is one transaction owning that vertex, run between
-// owned batches (ApplyOwned), never inside one, so a pass interleaves
-// with those vertex by vertex. Returns the number of chains rewritten.
+// reclaim reachability, and stops — returning early — once the space
+// has less than a rebuild's size plus reserveWords left. Returns the
+// number of chains rewritten.
+//
+// A pass is a batch with ApplyOwned's contract: it waits for the batch
+// lock, then rebuilds chains in vertex chunks on the System's threads
+// without transactions (dyngraph.Store.Owned). Pinned views read beside
+// it: CompactChain writes a chain's head last, and allocates before it
+// writes anything reachable, so a rebuild the arena cannot hold leaves
+// its chain as it was; the pass returns that panic as a *TxPanicError
+// and, unlike ApplyOwned, leaves the graph writable.
 //
 // The pass is load-adaptive: it drains the count of effective stream
 // ops applied since the previous pass and skips chains smaller than
 // gcMinChainWords of that rate. On a quiet graph the threshold is 1 —
-// every non-empty chain compacts, the historical behavior — while
-// under a heavy append stream the pass concentrates on the chains
-// worth rewriting: each rebuild copies the survivors into fresh blocks
-// (the arena never reuses), so compacting a tiny chain that mutators
-// are about to regrow spends headroom and vertex-ownership conflicts
-// to reclaim almost nothing.
+// every non-empty chain compacts — while under a heavy append stream
+// the pass concentrates on the chains worth rewriting: compacting a
+// tiny chain that mutators are about to regrow spends headroom to
+// reclaim almost nothing.
 func (d *DynGraph) GCCtx(ctx context.Context, reserveWords int) (int, error) {
+	d.batchMu.Lock()
+	defer d.batchMu.Unlock()
+	d.streaming.Store(true)
+	defer d.streaming.Store(false)
 	d.pinMu.Lock()
 	keep := d.epoch.Load()
 	for e := range d.pins {
@@ -343,43 +345,49 @@ func (d *DynGraph) GCCtx(ctx context.Context, reserveWords int) (int, error) {
 	}
 	d.pinMu.Unlock()
 	minWords := gcMinChainWords(d.gcAppended.Swap(0), d.st.NumVertices())
-	w := d.sys.Worker()
-	defer d.sys.Release(w)
-	rewritten := 0
-	for u := 0; u < d.st.NumVertices(); u++ {
-		if err := ctx.Err(); err != nil {
-			return rewritten, err
+	sp := d.sys.rt.Sp
+	var rewritten atomic.Int64
+	var full atomic.Bool // once one owner finds no headroom, all stop
+	err := d.owners(ctx, d.st.NumVertices(), 64, func(lo, hi int) {
+		tx := d.st.Owned()
+		for u := uint32(lo); u < uint32(hi) && !full.Load(); u++ {
+			words := d.st.ChainWords(u)
+			if words < minWords {
+				continue
+			}
+			if sp.Cap()-sp.Used() < words+reserveWords {
+				full.Store(true)
+				return
+			}
+			if d.st.CompactChain(tx, u, keep) {
+				rewritten.Add(1)
+			}
 		}
-		words := d.st.ChainWords(uint32(u))
-		if words < minWords {
-			continue
+	})
+	return int(rewritten.Load()), err
+}
+
+// owners runs fn over chunks of [0, n), grain items each, on the
+// System's threads, for a batch whose chunks write disjoint vertices
+// without transactions. A panic ends its chunk and no chunk starts after
+// it: owners returns the first as a *TxPanicError, else ctx's error.
+func (d *DynGraph) owners(ctx context.Context, n, grain int, fn func(lo, hi int)) error {
+	var failed atomic.Pointer[TxPanicError]
+	err := worklist.RangeCtx(ctx, n, d.sys.rt.Threads, grain, func(_, lo, hi int) {
+		if failed.Load() != nil {
+			return
 		}
-		if d.sys.rt.Sp.Cap()-d.sys.rt.Sp.Used() < words+reserveWords {
-			return rewritten, nil
-		}
-		did := false
-		// Under ownedMu: a GC transaction falls between owned batches,
-		// never inside one, so it cannot overlap their plain stores
-		// (AtomicCtx returns a panic as an error, so the lock is always
-		// released).
-		d.ownedMu.Lock()
-		err := w.AtomicCtx(ctx, 2*words+8, func(tx Tx) error {
-			// No Tx escapes here: CompactChain returns a bool, and the
-			// plain overwrite is retry-safe — an aborted attempt's writes
-			// are undone, so the rerun recomputes from the original chain.
-			//tufast:ignore retryunsafe,txescape idempotent bool overwrite; no handle stored
-			did = d.st.CompactChain(tx.t, uint32(u), keep)
-			return nil
-		})
-		d.ownedMu.Unlock()
-		if err != nil {
-			return rewritten, err
-		}
-		if did {
-			rewritten++
-		}
+		defer func() {
+			if r := recover(); r != nil {
+				failed.CompareAndSwap(nil, &TxPanicError{Value: r, Stack: debug.Stack()})
+			}
+		}()
+		fn(lo, hi)
+	})
+	if p := failed.Load(); p != nil {
+		return p
 	}
-	return rewritten, nil
+	return err
 }
 
 // gcMinChainWords maps the effective-op count since the last GC pass
@@ -407,7 +415,7 @@ func gcMinChainWords(opsSince uint64, numVertices int) int {
 // work exactly as for property writes.
 //
 // CONTRACT: a direct AddEdge/RemoveEdge transaction must not run
-// concurrently with a batch (ApplyStream or ApplyOwned). A direct
+// concurrently with a batch (ApplyStream, ApplyOwned or GCCtx). A direct
 // mutation stamps its entry with the batch write stamp, so one racing
 // the batch's end-of-stream stamp transition could commit an entry at
 // an epoch that pinned views already read as complete — an edge
@@ -417,7 +425,7 @@ func gcMinChainWords(opsSince uint64, numVertices int) int {
 // the check is best-effort (it cannot see a direct transaction that
 // begins before the batch starts and commits after it ends): the
 // contract, not the assertion, is the guarantee. Serving-path
-// mutations belong in ApplyStream batches; ApplyStream's own OnEdge
+// mutations belong in ApplyOwned batches; ApplyStream's own OnEdge
 // hooks must likewise mutate topology only through the stream's ops,
 // never through AddEdge/RemoveEdge.
 func (tx Tx) AddEdge(g *DynGraph, u, v uint32) bool {
@@ -429,7 +437,7 @@ func (tx Tx) AddEdge(g *DynGraph, u, v uint32) bool {
 // the edge was actually removed (false when it was not live). On
 // undirected graphs both arcs are removed atomically. The concurrency
 // contract of AddEdge applies: direct RemoveEdge transactions must
-// not overlap an ApplyStream batch.
+// not overlap a batch.
 func (tx Tx) RemoveEdge(g *DynGraph, u, v uint32) bool {
 	g.assertNoStream("RemoveEdge")
 	return g.mutateEdge(tx, u, v, true)
@@ -439,9 +447,9 @@ func (tx Tx) RemoveEdge(g *DynGraph, u, v uint32) bool {
 // a batch is in flight — see the contract on Tx.AddEdge.
 func (g *DynGraph) assertNoStream(op string) {
 	if g.streaming.Load() {
-		panic("tufast: Tx." + op + " during an ApplyStream or ApplyOwned batch: direct edge mutations " +
-			"must not run concurrently with ApplyStream (see Tx.AddEdge); " +
-			"route serving-path mutations through ApplyStream")
+		panic("tufast: Tx." + op + " during a batch (ApplyStream, ApplyOwned or GCCtx): direct edge " +
+			"mutations must not run concurrently with one (see Tx.AddEdge); " +
+			"route serving-path mutations through ApplyOwned")
 	}
 }
 
@@ -644,13 +652,13 @@ func (d *DynGraph) publish(cur uint64, stats *StreamStats) {
 // Tx.NeighborsMut/HasEdgeMut/DegreeMut reader. Pinned views are fine:
 // the *At readers never look at a line version and filter what the
 // batch writes by its stamp (see dyngraph.Store.NeighborsAt), so they
-// read owned stores as they read committed ones. GCCtx is fine too: its
-// transactions wait for the batch to end. An op naming a vertex out of
+// read owned stores as they read committed ones. A GCCtx pass is a batch
+// too: the two take turns on the lock. An op naming a vertex out of
 // range is refused before anything moves.
 //
 // Nothing is rolled back. A panic on an owner's goroutine — the space
 // running out is the one a caller's ops can cause — ends that owner's
-// share of the batch, possibly with its arc half written (an entry
+// share of the batch (and any share not yet started), possibly with its arc half written (an entry
 // linked, its degree not yet bumped, or one arc of an undirected op
 // without the other). ApplyOwned still publishes what the finished
 // arcs changed, as ApplyStreamCtx does after a failed window, returns
@@ -670,8 +678,6 @@ func (d *DynGraph) ApplyOwned(ops []StreamOp) (StreamStats, error) {
 		return StreamStats{Epoch: cur}, err
 	}
 	defer d.streaming.Store(false)
-	d.ownedMu.Lock()
-	defer d.ownedMu.Unlock()
 
 	undirected := d.st.Undirected()
 	threads := uint32(d.sys.rt.Threads)
@@ -687,13 +693,7 @@ func (d *DynGraph) ApplyOwned(ops []StreamOp) (StreamStats, error) {
 		clear(rev)
 		d.ownedRev = rev
 	}
-	var failed atomic.Pointer[TxPanicError]
-	worklist.Range(int(threads), int(threads), 1, func(_, lo, hi int) {
-		defer func() {
-			if r := recover(); r != nil {
-				failed.CompareAndSwap(nil, &TxPanicError{Value: r, Stack: debug.Stack()})
-			}
-		}()
+	failed := d.owners(context.Background(), int(threads), 1, func(lo, hi int) {
 		tx := d.st.Owned()
 		for owner := uint32(lo); owner < uint32(hi); owner++ {
 			for i, op := range ops {
@@ -718,11 +718,8 @@ func (d *DynGraph) ApplyOwned(ops []StreamOp) (StreamStats, error) {
 		}
 	}
 	d.publish(cur, &stats)
-	if p := failed.Load(); p != nil {
-		d.broken = p
-		return stats, p
-	}
-	return stats, nil
+	d.broken = failed // nil unless an owner panicked: beginBatch let no broken graph in
+	return stats, failed
 }
 
 // ComposeOnEdge chains OnEdge hooks: the returned hook runs each

@@ -1,7 +1,10 @@
 package tufast
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -74,5 +77,69 @@ func TestGCAdaptiveSkip(t *testing.T) {
 	}
 	if rewritten != 10 {
 		t.Fatalf("quiet pass rewrote %d chains, want 10", rewritten)
+	}
+}
+
+// TestGCRunningArenaOut runs a GC pass into an arena that cannot hold
+// its one rebuild: the allocation cursor sits one word past a line
+// boundary with a block less one word left, and a reserve of -1 lets
+// the headroom check admit the rebuild that AllocLineAligned's padding
+// then refuses. The pass must return the panic as a *TxPanicError,
+// leave the graph's image as it was, and leave the graph open: the next
+// owned batch applies.
+func TestGCRunningArenaOut(t *testing.T) {
+	for _, threads := range []int{1, 4} {
+		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+			const n = 1024 // several GC chunks, so four threads fan out
+			g, err := BuildGraph(n, nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys := NewSystem(g, Options{Threads: threads, SpaceWords: DynSpaceWords(g, 64)})
+			d := NewDynGraph(sys)
+			// Insert, delete and re-insert 1→2: three versions in one
+			// block, of which a pass keeps only the last.
+			for _, del := range []bool{false, true, false} {
+				if _, err := d.ApplyOwned([]StreamOp{{U: 1, V: 2, Del: del}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			image := func() []byte {
+				c, err := d.Compact()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := c.CSR().WriteBinary(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			before := image()
+			sp := sys.rt.Sp
+			words := d.st.ChainWords(1)
+			sp.Alloc(sp.Cap() - sp.Used() - words + 1)
+
+			rewritten, err := d.GCCtx(context.Background(), -1)
+			var pe *TxPanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("pass into a full arena: %v, want a *TxPanicError", err)
+			}
+			if rewritten != 0 {
+				t.Fatalf("failed pass reports %d chains rewritten", rewritten)
+			}
+			if !bytes.Equal(image(), before) {
+				t.Fatal("failed pass changed the graph's image")
+			}
+			if d.st.ChainWords(1) != words {
+				t.Fatalf("failed pass left a %d-word chain, want the %d words it had", d.st.ChainWords(1), words)
+			}
+			// The chain's block has free slots: the tombstone needs no
+			// allocation.
+			stats, err := d.ApplyOwned([]StreamOp{{U: 1, V: 2, Del: true}})
+			if err != nil || stats.Removed != 1 {
+				t.Fatalf("owned batch after the failed pass: %+v, %v; want one removal", stats, err)
+			}
+		})
 	}
 }

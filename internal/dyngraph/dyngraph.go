@@ -159,17 +159,17 @@ type owned struct{ quiescent }
 func (o owned) Write(_ uint32, a mem.Addr, v uint64) { o.sp.Store(a, v) }
 
 // Owned returns a sched.Tx that reads and writes the Space directly: no
-// validation, no commit, no rollback, no line version bumped. AddArc and
-// RemoveArc run through it unchanged, so the link-last order, the stamp
-// rule and the index invariant hold as under a transaction. It is exact
-// for a caller that is the Store's only writer, gives each vertex's
-// words to one goroutine, and runs while no transaction touches the
-// chains — none in flight when it starts, none started until it is
-// done. A transaction after it is ordered after its stores by whatever
-// lock handed the Store over, so the unbumped versions hide nothing from
-// it. The *At readers may run throughout: they never look at a line
-// version, and the stamp filter hides the entries being written (see
-// NeighborsAt).
+// validation, no commit, no rollback, no line version bumped. AddArc,
+// RemoveArc and CompactChain run through it unchanged, so the link-last
+// order, the stamp rule and the index invariant hold as under a
+// transaction. It is exact for a caller that is the Store's only
+// writer, gives each vertex's words to one goroutine, and runs while no
+// transaction touches the chains — none in flight when it starts, none
+// started until it is done. A transaction after it is ordered after its
+// stores by whatever lock handed the Store over, so the unbumped
+// versions hide nothing from it. The *At readers may run throughout:
+// they never look at a line version, and the stamp filter hides the
+// entries being written (see NeighborsAt).
 func (s *Store) Owned() sched.Tx { return owned{quiescent{s.sp}} }
 
 // Store is a mutable graph: an immutable CSR base plus a transactional
@@ -350,8 +350,8 @@ func (s *Store) lookup(r reader, u, w uint32, hdr mem.Addr) cursor {
 	c := cursor{hdr: hdr, bits: s.indexBits(r, u, hdr)}
 	slots, mask := hdr+idxSlots, mem.Addr(1)<<c.bits-1
 	// Load ≤ ½ ends every probe at an empty slot long before the bound;
-	// only a torn table (half refilled by a CompactChain the attempt
-	// raced with, say) reads full, and then any slot of it will do.
+	// only a torn table (read by a doomed O-mode attempt, see
+	// findLatest) reads full, and then any slot of it will do.
 	i := slotHash(w, c.bits)
 	for n := mem.Addr(0); n <= mask; n++ {
 		c.at = slots + i

@@ -133,7 +133,7 @@ type BatchStagesSnapshot struct {
 	Admit  HistSnapshot `json:"admit"`
 	// LockWait is the wait for the graph's single-writer bracket.
 	LockWait HistSnapshot `json:"lock_wait"`
-	// Apply is DynGraph.ApplyStreamCtx; WAL the log append (zero on an
+	// Apply is DynGraph.ApplyOwned; WAL the log append (zero on an
 	// ephemeral graph or a no-op batch); Standing the standing-query
 	// bookkeeping and leaving the bracket.
 	Apply    HistSnapshot `json:"apply"`

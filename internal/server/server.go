@@ -243,8 +243,8 @@ func (s *Server) Start() error {
 }
 
 // gcLoop periodically collects overlay chain versions no live view can
-// observe. Each per-vertex rebuild is its own transaction, so the pass
-// coexists with mutation batches and pinned readers; the watermark
+// observe. A pass takes turns with mutation batches on the graph's
+// batch lock while pinned readers read beside it; the watermark
 // (minimum pinned epoch) is computed inside GCCtx under the pin lock.
 func (s *graphInstance) gcLoop() {
 	defer s.gcWG.Done()
@@ -263,9 +263,9 @@ func (s *graphInstance) gcLoop() {
 			if s.baseCtx.Err() != nil {
 				return // shutdown cancelled the pass
 			}
-			// A transient scheduler/space failure must not disable
-			// reclamation for the daemon's lifetime: count it and try
-			// again next tick.
+			// A pass the arena could not hold (its chains are left as
+			// they were) must not disable reclamation for the daemon's
+			// lifetime: count it and try again next tick.
 			s.met.gcErrors.Add(1)
 			continue
 		}
@@ -529,9 +529,9 @@ func (s *graphInstance) handleEdges(w http.ResponseWriter, r *http.Request) {
 	// mutation always had.
 	//
 	// The batch has nothing to arbitrate, so it applies owned — no
-	// transaction: mutMu makes it the graph's only writer, pinned views
-	// (jobs, standing repairs) read it through the stamp filter, and GC
-	// waits for it to end.
+	// transaction: mutMu and the graph's batch lock, which GC passes
+	// take too, make it the only writer, and pinned views (jobs,
+	// standing repairs) read it through the stamp filter.
 	stats, err := s.dyn.ApplyOwned(ops)
 	clock.lap(stageApply)
 	effective := stats.Inserted+stats.Removed > 0

@@ -78,7 +78,9 @@ end
 # collection after nearly every allocation: a finalizer that unmaps an
 # arena something still reads is a fault here, not a rumour. Beside the
 # recovery tests (TestReplayOwnedMatchesLiveServer among them), the fold
-# recovery is built on runs twenty times against ApplyOwned, and the
+# recovery is built on runs twenty times against ApplyOwned, chain GC
+# twenty times as the batch it is (passes beside owned batches, taking
+# turns with batches on the batch lock, running the arena out), and the
 # standing computations' repair oracle twenty times: PageRank and CC
 # repaired at a pinned view while owned batches land beside the repair,
 # at 1, 2 and 4 threads.
@@ -88,6 +90,7 @@ GOOS=darwin go vet ./internal/mem
 GOGC=1 go test -race -count=10 ./internal/mem
 GOGC=1 go test -race -count=10 -run 'TestCrashRecovery|TestTenancyCrashRecovery|TestReplay' ./internal/server
 go test -race -count=20 -run 'TestFoldMatchesApplyOwned' .
+go test -race -count=20 -run 'TestApplyOwnedBesideGC|TestGCPassTakesTurnsWithBatches|TestGCRunningArenaOut' .
 go test -race -count=20 -run 'TestRepairExactAtPinnedEpoch' ./algorithms
 end
 
@@ -117,7 +120,8 @@ end
 # entry point into it), over the overlay's target index: attempts
 # killed after a build, a doubling and a repoint in each mode, and
 # concurrent batches on four hub sources beside chain GC and pinned
-# views; over the one worker pool: an algorithms call beside the
+# views, and GC passes beside, between and out of arena under owned
+# batches; over the one worker pool: an algorithms call beside the
 # System's own sweeps, mostly in L mode, where a thread id shared by two
 # goroutines loses updates; and, under the race detector, over the
 # server's lock-free admission: 32 racing submissions against a
@@ -156,7 +160,7 @@ oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestCrossMod
 oversubscribed "$tmp/worklist.test" 'TestDrain' 30
 oversubscribed "$tmp/algo.test" 'TestForEachQueued|TestResultsCountCommitsNotAttempts' 10
 oversubscribed "$tmp/dyngraph.test" 'TestIndexAbortSafety' 20
-oversubscribed "$tmp/tufast.test" 'TestHubMutationOracle|TestAlgorithmsShareSystemWorkers' 4
+oversubscribed "$tmp/tufast.test" 'TestHubMutationOracle|TestAlgorithmsShareSystemWorkers|TestApplyOwnedBesideGC|TestGCPassTakesTurnsWithBatches|TestGCRunningArenaOut' 4
 oversubscribed "$tmp/server.test" 'TestInflightQuotaExactUnderConcurrentAdmission|TestShutdownRacingSubmitters' 20
 oversubscribed "$tmp/server.test" 'TestStandingReadAfterBatch|TestStandingSeedBesideParkedBatch|TestStandingDeleteRepairNoRecompute|TestStandingRepairWaitsForDelivery' 10
 end
