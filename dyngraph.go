@@ -722,61 +722,6 @@ func (d *DynGraph) ApplyOwned(ops []StreamOp) (StreamStats, error) {
 	return stats, failed
 }
 
-// ComposeOnEdge chains OnEdge hooks: the returned hook runs each
-// non-nil hook in order inside the mutation transaction, stopping at
-// the first error. Nil (and all-nil) inputs collapse to nil, so
-// composition never adds per-op overhead when nothing is attached.
-// Multiple incremental computations share one stream this way: each
-// hook sees the same op and the same emit callback, and every emitted
-// vertex reaches every Emit consumer (see ComposeEmit) — spurious
-// wakeups for computations that did not emit a vertex are benign
-// because their drain bodies are no-ops on converged vertices.
-func ComposeOnEdge(hooks ...func(tx Tx, op StreamOp, changed bool, emit func(u uint32)) error) func(Tx, StreamOp, bool, func(uint32)) error {
-	live := hooks[:0:0]
-	for _, h := range hooks {
-		if h != nil {
-			live = append(live, h)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return func(tx Tx, op StreamOp, changed bool, emit func(u uint32)) error {
-		for _, h := range live {
-			if err := h(tx, op, changed, emit); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// ComposeEmit chains Emit hooks: every post-commit emitted vertex is
-// delivered to each non-nil hook in order. Nil inputs collapse as in
-// ComposeOnEdge.
-func ComposeEmit(hooks ...func(u uint32)) func(u uint32) {
-	live := hooks[:0:0]
-	for _, h := range hooks {
-		if h != nil {
-			live = append(live, h)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return func(u uint32) {
-		for _, h := range live {
-			h(u)
-		}
-	}
-}
-
 // byTime orders stream ops by timestamp.
 func byTime(a, b StreamOp) int { return cmp.Compare(a.Time, b.Time) }
 

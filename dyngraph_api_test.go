@@ -12,7 +12,6 @@ import (
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"tufast"
@@ -427,102 +426,6 @@ func TestStreamStatsEpoch(t *testing.T) {
 	}
 }
 
-// TestComposeHooks pins the hook-composition helpers the serving layer
-// uses to fan mutation-stream callbacks out to standing queries: nil
-// hooks are dropped, order is preserved, and a failing OnEdge hook
-// stops the chain.
-func TestComposeHooks(t *testing.T) {
-	if tufast.ComposeOnEdge() != nil || tufast.ComposeOnEdge(nil, nil) != nil {
-		t.Error("ComposeOnEdge of no live hooks should be nil (stream fast path)")
-	}
-	if tufast.ComposeEmit() != nil || tufast.ComposeEmit(nil) != nil {
-		t.Error("ComposeEmit of no live hooks should be nil")
-	}
-
-	var order []string
-	mk := func(name string, fail error) func(tufast.Tx, tufast.StreamOp, bool, func(uint32)) error {
-		return func(_ tufast.Tx, _ tufast.StreamOp, _ bool, _ func(uint32)) error {
-			order = append(order, name)
-			return fail
-		}
-	}
-	h := tufast.ComposeOnEdge(nil, mk("a", nil), nil, mk("b", nil))
-	if h == nil {
-		t.Fatal("composed OnEdge is nil")
-	}
-	if err := h(tufast.Tx{}, tufast.StreamOp{}, true, nil); err != nil {
-		t.Fatalf("composed OnEdge: %v", err)
-	}
-	if !reflect.DeepEqual(order, []string{"a", "b"}) {
-		t.Fatalf("OnEdge order = %v, want [a b]", order)
-	}
-
-	boom := errors.New("boom")
-	order = nil
-	h = tufast.ComposeOnEdge(mk("a", boom), mk("b", nil))
-	if err := h(tufast.Tx{}, tufast.StreamOp{}, true, nil); !errors.Is(err, boom) {
-		t.Fatalf("composed OnEdge err = %v, want %v", err, boom)
-	}
-	if !reflect.DeepEqual(order, []string{"a"}) {
-		t.Fatalf("failing hook did not stop the chain: %v", order)
-	}
-
-	var got []uint32
-	e := tufast.ComposeEmit(nil, func(u uint32) { got = append(got, u) }, func(u uint32) { got = append(got, u+100) })
-	e(7)
-	if !reflect.DeepEqual(got, []uint32{7, 107}) {
-		t.Fatalf("composed Emit = %v, want [7 107]", got)
-	}
-
-	// Composed hooks ride a real stream: both hooks observe every
-	// effective op, emits reach both sinks.
-	g, err := tufast.BuildGraph(8, nil, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, d := newDynFixture(t, g, 64, tufast.Options{Threads: 2})
-	var aOps, bOps int32
-	onEdge := tufast.ComposeOnEdge(
-		func(_ tufast.Tx, _ tufast.StreamOp, changed bool, emit func(uint32)) error {
-			if changed {
-				atomic.AddInt32(&aOps, 1)
-				emit(1)
-			}
-			return nil
-		},
-		func(_ tufast.Tx, _ tufast.StreamOp, changed bool, _ func(uint32)) error {
-			if changed {
-				atomic.AddInt32(&bOps, 1)
-			}
-			return nil
-		},
-	)
-	var emitted int32
-	emit := tufast.ComposeEmit(func(_ uint32) { atomic.AddInt32(&emitted, 1) },
-		func(_ uint32) { atomic.AddInt32(&emitted, 1) })
-	stats, err := d.ApplyStream([]tufast.StreamOp{
-		{Time: 1, U: 0, V: 1}, {Time: 2, U: 2, V: 3},
-	}, tufast.StreamOptions{OnEdge: onEdge, Emit: emit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Inserted != 2 {
-		t.Fatalf("stats = %+v, want Inserted=2", stats)
-	}
-	if aOps != 2 || bOps != 2 {
-		t.Fatalf("hook counts a=%d b=%d, want 2,2", aOps, bOps)
-	}
-	if emitted != 4 { // 2 emits × 2 composed sinks
-		t.Fatalf("emitted = %d, want 4", emitted)
-	}
-}
-
-// TestDirectMutationDuringStreamRejected pins the Tx.AddEdge contract:
-// a direct edge mutation attempted while an ApplyStream batch is in
-// flight must panic instead of silently stamping an entry under the
-// batch's epoch — such an entry could commit after the batch publishes
-// its epoch, making a pinned view watch an edge appear mid-lifetime
-// and breaking per-target stamp monotonicity.
 func TestDirectMutationDuringStreamRejected(t *testing.T) {
 	g, err := tufast.BuildGraph(16, []tufast.EdgePair{{U: 0, V: 1}}, true)
 	if err != nil {

@@ -47,7 +47,7 @@ func TestResultsCountCommitsNotAttempts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := s.Stats()
+		st := s.Metrics().Snapshot().Totals()
 		if fi.Fired() != 1 || st.Aborts == 0 {
 			t.Fatalf("injector fired %d times, %d aborts: the test exercises nothing", fi.Fired(), st.Aborts)
 		}
@@ -64,7 +64,7 @@ func TestResultsCountCommitsNotAttempts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := s.Stats()
+			st := s.Metrics().Snapshot().Totals()
 			if res.Iterations != st.Commits {
 				t.Fatalf("PageRank: Iterations = %d, commits = %d, aborts = %d", res.Iterations, st.Commits, st.Aborts)
 			}
@@ -75,7 +75,7 @@ func TestResultsCountCommitsNotAttempts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st = s.Stats()
+			st = s.Metrics().Snapshot().Totals()
 			if sres.Relaxed != st.Commits {
 				t.Fatalf("BellmanFord: Relaxed = %d, commits = %d, aborts = %d", sres.Relaxed, st.Commits, st.Aborts)
 			}

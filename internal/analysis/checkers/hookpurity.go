@@ -26,9 +26,8 @@ import (
 //     own batch holds
 //
 // Hooks are recognized structurally: OnEdge/Emit methods and functions
-// by name and signature, function literals bound to the OnEdge/Emit
-// fields of a StreamOptions composite literal, and literal arguments to
-// ComposeOnEdge/ComposeEmit.
+// by name and signature, and function literals bound to the OnEdge/Emit
+// fields of a StreamOptions composite literal.
 var HookPurity = &analysis.Analyzer{
 	Name: "hookpurity",
 	Doc:  "stream hooks must not block: no mutation-bracket locks, bare channel ops, or reentrant ApplyStream",
@@ -96,19 +95,6 @@ func hookBodies(pass *analysis.Pass) []*ast.BlockStmt {
 					}
 					if lit, ok := ast.Unparen(kv.Value).(*ast.FuncLit); ok {
 						add(lit.Body)
-					}
-				}
-			case *ast.CallExpr:
-				callee := calleeObj(pass.Info, n)
-				if callee == nil {
-					return true
-				}
-				switch callee.Name() {
-				case "ComposeOnEdge", "ComposeEmit":
-					for _, arg := range n.Args {
-						if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-							add(lit.Body)
-						}
 					}
 				}
 			}

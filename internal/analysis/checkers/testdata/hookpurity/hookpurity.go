@@ -57,15 +57,6 @@ func (e *eng) opts(ctx context.Context) tufast.StreamOptions {
 	}
 }
 
-// compose covers literal arguments to the hook combinators.
-func compose(e *eng) {
-	_ = tufast.ComposeOnEdge(func(tx tufast.Tx, op tufast.StreamOp, changed bool, emit func(u uint32)) error {
-		e.mutMu.Lock() // want "mutation-bracket lock"
-		e.mutMu.Unlock()
-		return nil
-	})
-}
-
 // overlay stands in for a type that, like DynGraph, serializes its
 // batches on a batchMu: ApplyStream holds it while hooks run, so a hook
 // that takes it waits for its own batch to end.

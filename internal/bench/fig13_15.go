@@ -6,6 +6,7 @@ import (
 
 	"tufast/internal/core"
 	"tufast/internal/graph/gen"
+	"tufast/internal/obs"
 )
 
 // tempDir creates a scratch directory for the out-of-core engine.
@@ -70,7 +71,6 @@ func Fig15(o Options) []Table {
 		sp, base := newWorkloadSpace(n)
 		tf := newTuFast(sp, n, core.Config{})
 		runWorkload(g, sp, tf, kind, base, txns, o.Threads)
-		ms := tf.ModeStats()
 		snap := tf.Metrics().Snapshot()
 		t := &Table{
 			ID:     "fig15",
@@ -81,9 +81,9 @@ func Fig15(o Options) []Table {
 				"abort columns from the observability snapshot: per-class retried attempts by reason",
 			},
 		}
-		for _, c := range core.Classes() {
+		for c := obs.ModeH; c <= obs.ModeL; c++ {
 			m := snap.Modes[c.String()]
-			t.AddRow(c.String(), ms.Count(c), ms.Ops(c), m.AbortTotal(),
+			t.AddRow(c.String(), m.Commits, m.Reads+m.Writes, m.AbortTotal(),
 				m.Aborts["conflict"], m.Aborts["capacity"], m.Aborts["explicit"],
 				m.Aborts["locked"], m.Aborts["deadlock"])
 		}

@@ -99,7 +99,7 @@ func Fig17(o Options) []Table {
 					}
 					samples = append(samples, windowSample{
 						ms:     time.Since(start).Milliseconds(),
-						txns:   tf.Stats().Commits,
+						txns:   tf.Metrics().Snapshot().Totals().Commits,
 						period: tf.CurrentPeriod(),
 					})
 				}
@@ -111,7 +111,7 @@ func Fig17(o Options) []Table {
 		<-samplerDone
 		samples = append(samples, windowSample{
 			ms:     time.Since(start).Milliseconds(),
-			txns:   tf.Stats().Commits,
+			txns:   tf.Metrics().Snapshot().Totals().Commits,
 			period: tf.CurrentPeriod(),
 		})
 		return samples, elapsed

@@ -1,8 +1,8 @@
 package bench
 
 import (
-	"tufast/internal/core"
 	"tufast/internal/graph/gen"
+	"tufast/internal/obs"
 )
 
 // LowSkew is an extension experiment beyond the paper: the paper scopes
@@ -42,12 +42,9 @@ func LowSkew(o Options) []Table {
 			tput := runWorkload(g, sp, set[name], kind, base, txns, o.Threads)
 			row = append(row, tput)
 			if name == "TuFast" {
-				total := uint64(0)
-				for _, c := range core.Classes() {
-					total += tf.ModeStats().Count(c)
-				}
-				if total > 0 {
-					hShare = float64(tf.ModeStats().Count(core.ClassH)) / float64(total)
+				snap := tf.Metrics().Snapshot()
+				if total := snap.Totals().Commits; total > 0 {
+					hShare = float64(snap.Modes[obs.ModeH.String()].Commits) / float64(total)
 				}
 			}
 		}

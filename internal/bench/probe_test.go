@@ -6,6 +6,7 @@ import (
 
 	"tufast/internal/core"
 	"tufast/internal/graph/gen"
+	"tufast/internal/obs"
 )
 
 // TestProbeTuFastRM is a minimal canary: a small RM workload on TuFast
@@ -21,16 +22,22 @@ func TestProbeTuFastRM(t *testing.T) {
 	start := time.Now()
 	tput := runWorkload(g, sp, tf, RM, base, 20000, 4)
 	t.Logf("500 txns in %v (%.0f txn/s)", time.Since(start), tput)
-	st := tf.Stats()
-	hs := tf.HTMStats()
-	t.Logf("commits=%d aborts=%d htm{starts=%d commits=%d confl=%d cap=%d expl=%d lock=%d}",
-		st.Commits, st.Aborts, hs.Starts, hs.Commits, hs.AbortConflicts, hs.AbortCapacity,
-		hs.AbortExplicit, hs.AbortLocked)
-	ms := tf.ModeStats()
-	for _, c := range core.Classes() {
-		t.Logf("  %-3s %6d txns %8d ops", c, ms.Count(c), ms.Ops(c))
-	}
+	logBreakdown(t, tf)
 	if time.Since(start) > 30*time.Second {
 		t.Fatal("pathologically slow")
+	}
+}
+
+// logBreakdown logs where a TuFast run's transactions went, from one
+// metrics snapshot: totals, emulated-HTM counts and the Figure 15 classes.
+func logBreakdown(t *testing.T, tf *core.System) {
+	t.Helper()
+	snap := tf.Metrics().Snapshot()
+	st, hs := snap.Totals(), snap.HTM
+	t.Logf("commits=%d aborts=%d deadlocks=%d; htm starts=%d commits=%d aborts=%v",
+		st.Commits, st.Aborts, st.Deadlocks, hs.Starts, hs.Commits, hs.Aborts)
+	for c := obs.ModeH; c <= obs.ModeL; c++ {
+		m := snap.Modes[c.String()]
+		t.Logf("  %-3s %6d txns %8d ops", c, m.Commits, m.Reads+m.Writes)
 	}
 }

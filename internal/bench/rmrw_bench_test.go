@@ -17,8 +17,8 @@ import (
 // One iteration is one cell as `tufast-bench -short fig13` runs it: a
 // fresh space and scheduler, the injected tax, 8 workers, 6000
 // transactions. ns/txn is the cell's wall time over its transactions;
-// beside TuFast's the run prints where its attempts went, from the core's
-// own counters: the share of H attempts that began quiet, and per thousand
+// beside TuFast's the run prints where its attempts went, from its
+// metrics snapshot: the share of H attempts that began quiet, and per thousand
 // transactions the quiet attempts a locker killed, the aborts by reason
 // (all modes) and the microseconds inside Backoff.Wait.
 func BenchmarkRM(b *testing.B) { benchCell(b, RM) }
@@ -40,9 +40,7 @@ func benchCell(b *testing.B, kind Workload) {
 				runWorkload(g, sp, set[name], kind, base, txns, threads)
 				if name == "TuFast" {
 					b.StopTimer()
-					snap := tf.Metrics().Snapshot()
-					snap.HQuiet = tf.QuietStats()
-					split = split.Merge(snap)
+					split = split.Merge(tf.Metrics().Snapshot())
 					b.StartTimer()
 				}
 			}

@@ -21,14 +21,6 @@ func TestProbeRWBreakdown(t *testing.T) {
 	start := time.Now()
 	tput := runWorkload(g, sp, tf, RW, base, 6000, 8)
 	t.Logf("TuFast RW: %.0f txn/s in %v", tput, time.Since(start).Round(time.Millisecond))
-	st := tf.Stats()
-	hs := tf.HTMStats()
-	t.Logf("commits=%d aborts=%d; htm starts=%d commits=%d confl=%d cap=%d expl=%d lock=%d",
-		st.Commits, st.Aborts, hs.Starts, hs.Commits, hs.AbortConflicts, hs.AbortCapacity,
-		hs.AbortExplicit, hs.AbortLocked)
-	t.Logf("L-mode deadlocks=%d", tf.Deadlocks())
-	for _, c := range core.Classes() {
-		t.Logf("  %-3s %6d txns %8d ops", c, tf.ModeStats().Count(c), tf.ModeStats().Ops(c))
-	}
+	logBreakdown(t, tf)
 	t.Logf("period=%d", tf.CurrentPeriod())
 }

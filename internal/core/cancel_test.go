@@ -36,9 +36,10 @@ func overflowOneSet(tx sched.Tx) error {
 // not, so Stats().UserStops missed what /metrics counted. A transaction
 // takes an injected H abort, is cancelled during its retry, and leaves H
 // on a capacity abort; the cancellation is then found before O and, once
-// its size class has learnt to skip O, before L. Each time the core's
-// Stats, the public StatsSnapshot and the snapshot's "cancel" stops move
-// by exactly one, the last under the mode the transaction was entering.
+// its size class has learnt to skip O, before L. Each time the snapshot's
+// user stops, the public StatsSnapshot and the snapshot's "cancel" stops
+// move by exactly one, the last under the mode the transaction was
+// entering.
 func TestCancelAfterHAbortCountsOnce(t *testing.T) {
 	sys := tufast.NewSystem(tufast.GenerateUniform(16, 2, 1), tufast.Options{
 		Threads:    1,
@@ -57,7 +58,7 @@ func TestCancelAfterHAbortCountsOnce(t *testing.T) {
 		for _, m := range snap.Modes {
 			cancels += m.Stops["cancel"]
 		}
-		return [4]uint64{c.Stats().UserStops, sys.StatsSnapshot().UserStops, cancels, snap.Modes[mode].Stops["cancel"]}
+		return [4]uint64{snap.Totals().UserStops, sys.StatsSnapshot().UserStops, cancels, snap.Modes[mode].Stops["cancel"]}
 	}
 	cancelAfterHAbort := func(when string, hint int, mode string) {
 		t.Helper()
@@ -77,7 +78,7 @@ func TestCancelAfterHAbortCountsOnce(t *testing.T) {
 			t.Fatalf("%s: err %v after %d injected aborts, want the cancellation after one", when, err, fi.Fired())
 		}
 		after := views(mode)
-		for i, name := range []string{"Stats().UserStops", "StatsSnapshot().UserStops", `stops["cancel"]`, `stops["cancel"] under ` + mode} {
+		for i, name := range []string{"Totals().UserStops", "StatsSnapshot().UserStops", `stops["cancel"]`, `stops["cancel"] under ` + mode} {
 			if got := after[i] - before[i]; got != 1 {
 				t.Errorf("%s: %s moved by %d, want 1", when, name, got)
 			}

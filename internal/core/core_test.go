@@ -7,6 +7,7 @@ import (
 
 	"tufast/internal/htm"
 	"tufast/internal/mem"
+	"tufast/internal/obs"
 	"tufast/internal/sched"
 )
 
@@ -29,7 +30,7 @@ func TestSmallTxCommitsInH(t *testing.T) {
 	if sp.Load(1) != 10 || sp.Load(2) != 20 {
 		t.Fatal("writes missing")
 	}
-	if s.ModeStats().Count(ClassH) != 1 {
+	if commits(s, obs.ModeH) != 1 {
 		t.Fatalf("expected H commit, got %v", modeDump(s))
 	}
 }
@@ -50,8 +51,8 @@ func TestMediumTxGoesToO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := s.ModeStats().Count(ClassO) + s.ModeStats().Count(ClassOPlus) +
-		s.ModeStats().Count(ClassO2L)
+	o := commits(s, obs.ModeO) + commits(s, obs.ModeOPlus) +
+		commits(s, obs.ModeO2L)
 	if o != 1 {
 		t.Fatalf("expected O-family commit, got %v", modeDump(s))
 	}
@@ -70,7 +71,7 @@ func TestHugeHintRoutesToL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.ModeStats().Count(ClassL) != 1 {
+	if commits(s, obs.ModeL) != 1 {
 		t.Fatalf("expected direct L, got %v", modeDump(s))
 	}
 }
@@ -90,13 +91,12 @@ func TestCapacityAbortSkipsHRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := s.HTMStats()
-	if hs.AbortCapacity < 1 {
+	if snapshot(s).HTM.Aborts["capacity"] < 1 {
 		t.Fatal("no capacity abort recorded")
 	}
 	// H must not have been retried after the capacity abort: total H
 	// attempts for this txn = 1 (plus O segments recorded as starts).
-	if s.ModeStats().Count(ClassH) != 0 {
+	if commits(s, obs.ModeH) != 0 {
 		t.Fatalf("capacity-aborted txn committed in H?! %v", modeDump(s))
 	}
 }
@@ -133,7 +133,7 @@ func TestUserErrorPropagatesFromEveryMode(t *testing.T) {
 			if sp.Load(5) != 0 {
 				t.Fatal("aborted write visible")
 			}
-			if got := s.Stats().UserStops; got != 1 {
+			if got := snapshot(s).Totals().UserStops; got != 1 {
 				t.Fatalf("user stops=%d", got)
 			}
 		})
@@ -229,7 +229,7 @@ func TestLDeadlockCycleResolved(t *testing.T) {
 	if sp.Load(leaf) != 2*each || sp.Load(hub) != 2*each {
 		t.Fatalf("leaf=%d hub=%d, want %d each", sp.Load(leaf), sp.Load(hub), 2*each)
 	}
-	if got := s.ModeStats().Count(ClassL); got != 2*each {
+	if got := commits(s, obs.ModeL); got != 2*each {
 		t.Fatalf("%d L commits, want %d: %v", got, 2*each, modeDump(s))
 	}
 	for v := 0; v < s.Locks().Len(); v++ {
@@ -240,22 +240,9 @@ func TestLDeadlockCycleResolved(t *testing.T) {
 			t.Fatalf("vertex %d still has %d shared holders", v, n)
 		}
 	}
-	victims := s.Metrics().Snapshot().Modes[ClassL.String()].Aborts["deadlock"]
-	if s.Deadlocks() != victims || victims == 0 {
-		t.Fatalf("Deadlocks() = %d, metrics record %d deadlock aborts; want equal and > 0", s.Deadlocks(), victims)
-	}
-}
-
-func TestModeClassStrings(t *testing.T) {
-	want := map[ModeClass]string{ClassH: "H", ClassO: "O", ClassOPlus: "O+",
-		ClassO2L: "O2L", ClassL: "L", ModeClass(9): "?"}
-	for c, s := range want {
-		if c.String() != s {
-			t.Errorf("%d -> %q want %q", c, c.String(), s)
-		}
-	}
-	if len(Classes()) != 5 {
-		t.Fatal("classes list wrong")
+	victims := s.Metrics().Snapshot().Modes[obs.ModeL.String()].Aborts["deadlock"]
+	if snapshot(s).Totals().Deadlocks != victims || victims == 0 {
+		t.Fatalf("Deadlocks() = %d, metrics record %d deadlock aborts; want equal and > 0", snapshot(s).Totals().Deadlocks, victims)
 	}
 }
 
@@ -274,15 +261,13 @@ func TestModeStatsReset(t *testing.T) {
 	if err := w.Run(1<<21, fiveOps); err != nil {
 		t.Fatal(err)
 	}
-	if m := s.ModeStats(); m.Count(ClassH) != 1 || m.Ops(ClassH) != 5 || m.Count(ClassL) != 1 || m.Ops(ClassL) != 5 {
+	m := snapshot(s).Modes
+	if h, l := m["H"], m["L"]; h.Commits != 1 || h.Reads+h.Writes != 5 || l.Commits != 1 || l.Reads+l.Writes != 5 {
 		t.Fatalf("record broken: %v", modeDump(s))
 	}
-	s.ResetStats()
-	m := s.ModeStats()
-	for _, c := range Classes() {
-		if m.Count(c) != 0 || m.Ops(c) != 0 {
-			t.Fatal("reset incomplete")
-		}
+	s.Metrics().Reset()
+	for name, ms := range snapshot(s).Modes {
+		t.Errorf("mode %s survived the reset: %+v", name, ms)
 	}
 }
 
@@ -356,10 +341,21 @@ func TestWorkerTidBounds(t *testing.T) {
 	s.Worker(maxThreads)
 }
 
+// snapshot is the System's metrics snapshot now: every count a test reads.
+func snapshot(s *System) obs.Snapshot { return s.Metrics().Snapshot() }
+
+// commits is how many transactions the metrics record committing in mode.
+func commits(s *System, mode obs.Mode) uint64 {
+	return snapshot(s).Modes[mode.String()].Commits
+}
+
+// fig15 lists the Figure 15 classes, the modes TuFast commits in.
+var fig15 = []obs.Mode{obs.ModeH, obs.ModeO, obs.ModeOPlus, obs.ModeO2L, obs.ModeL}
+
 func modeDump(s *System) map[string]uint64 {
 	out := map[string]uint64{}
-	for _, c := range Classes() {
-		out[c.String()] = s.ModeStats().Count(c)
+	for _, c := range fig15 {
+		out[c.String()] = commits(s, c)
 	}
 	return out
 }

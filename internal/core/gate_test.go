@@ -80,7 +80,7 @@ func TestLEntryWaitsForHCommitWindow(t *testing.T) {
 	if firstRead != 42 {
 		t.Fatalf("the L transaction read %d, want the 42 the H commit published", firstRead)
 	}
-	if got := s.ModeStats(); got.Count(ClassH) != 1 || got.Count(ClassL) != 1 {
+	if commits(s, obs.ModeH) != 1 || commits(s, obs.ModeL) != 1 {
 		t.Fatalf("want one H and one L commit, got %v", modeDump(s))
 	}
 }
@@ -221,16 +221,16 @@ func pausedH(s *System, tid int, first, rest func(tx sched.Tx)) (paused, retried
 }
 
 // wantOneKill checks that exactly one quiet attempt was killed and that it
-// was recorded as an explicit abort in every view, never as a data
-// conflict.
+// was recorded as an explicit abort, never as a data conflict, both in
+// the emulated-HTM counts and among H's aborts.
 func wantOneKill(t *testing.T, s *System) {
 	t.Helper()
-	hs, snap := s.HTMStats(), s.Metrics().Snapshot()
-	if qs := s.QuietStats(); qs.Killed != 1 {
+	snap := snapshot(s)
+	if qs := snap.HQuiet; qs.Killed != 1 {
 		t.Errorf("quiet attempts killed = %d, want the paused one (%+v)", qs.Killed, qs)
 	}
-	if hs.AbortExplicit == 0 || hs.AbortConflicts != 0 {
-		t.Errorf("HTMStats %+v: want the kill as an explicit abort and no data conflict", hs)
+	if hs := snap.HTM; hs.Aborts["explicit"] == 0 || hs.Aborts["conflict"] != 0 {
+		t.Errorf("HTM %+v: want the kill as an explicit abort and no data conflict", hs)
 	}
 	if m := snap.Modes["H"]; m.Aborts["explicit"] == 0 || m.Aborts["conflict"] != 0 {
 		t.Errorf("metrics H aborts %v: want the kill as an explicit abort and no data conflict", m.Aborts)
@@ -369,7 +369,7 @@ func TestQuietHWriterNeverPublishesUnderLReader(t *testing.T) {
 	case err := <-hDone:
 		t.Fatalf("a quiet H writer committed under an L reader's shared lock (word = %d, err %v)", sp.Load(1), err)
 	}
-	for s.Stats().Aborts < 3 {
+	for snapshot(s).Totals().Aborts < 3 {
 		runtime.Gosched() // the kill, and two subscribed retries turned away by the shared lock
 	}
 	close(again)
@@ -403,18 +403,18 @@ func TestOCommitLowersCountOnEveryExit(t *testing.T) {
 	// settled checks the count is back at 0 and the fast path with it.
 	settled := func(t *testing.T, s *System, w sched.Worker, wantAborts uint64) {
 		t.Helper()
-		if got := s.Stats().Aborts; got != wantAborts {
+		if got := snapshot(s).Totals().Aborts; got != wantAborts {
 			t.Errorf("%d aborted attempts, want %d: the exit under test was not taken", got, wantAborts)
 		}
 		if got := lockers(s.lState.Load()); got != 0 {
 			t.Fatalf("%d lockers announced after the O commit left its window", got)
 		}
-		begun := s.QuietStats().Attempts
+		begun := snapshot(s).HQuiet.Attempts
 		if err := w.Run(1, smallFootprint); err != nil {
 			t.Fatal(err)
 		}
-		if s.QuietStats().Attempts != begun+1 || s.ModeStats().Count(ClassH) != 1 {
-			t.Fatalf("the H transaction after it did not run quiet (%+v, %v)", s.QuietStats(), modeDump(s))
+		if snapshot(s).HQuiet.Attempts != begun+1 || commits(s, obs.ModeH) != 1 {
+			t.Fatalf("the H transaction after it did not run quiet (%+v, %v)", snapshot(s).HQuiet, modeDump(s))
 		}
 	}
 
@@ -513,18 +513,19 @@ func TestOCommitLowersCountOnEveryExit(t *testing.T) {
 }
 
 // TestOneCountFourViews: a commit is recorded once, by the committing
-// worker, and Stats, ModeStats, HTMStats and the metrics snapshot are
-// views of that one record. Workers commit known numbers of H, O and L
-// transactions concurrently on private lines (so every transaction
-// commits in the class its hint names), with one injected abort and one
-// user stop; the views must agree exactly, and again after ResetStats and
-// a second round on the same workers. The O commits and L transactions
-// kill whichever quiet H attempts they arrive beside, so how many
-// attempts aborted is exact only in a round of H transactions alone;
+// worker, and the four views of a metrics snapshot — its totals, its
+// per-mode counts and histograms, its emulated-HTM counts and its quiet
+// H-attempt counts — read that one record. Workers commit known numbers
+// of H, O and L transactions concurrently on private lines (so every
+// transaction commits in the class its hint names), with one injected
+// abort and one user stop; the views must agree exactly, and again after
+// a reset and a second round on the same workers. The O commits and L
+// transactions kill whichever quiet H attempts they arrive beside, so how
+// many attempts aborted is exact only in a round of H transactions alone;
 // that every abort is counted once in every view is exact in both. A
 // last round runs L transactions alone with the injected abort at an L
 // commit: the retry loop L mode runs under records it once, under L, in
-// the core worker's block and probe, and waits once on that probe.
+// the core worker's probe, and waits once on that probe.
 func TestOneCountFourViews(t *testing.T) {
 	const (
 		workers   = 4
@@ -593,32 +594,23 @@ func TestOneCountFourViews(t *testing.T) {
 	// check's mode is where the round's injected abort and user stop land.
 	check := func(when, mode string, wantH, wantO, wantL uint64) {
 		t.Helper()
-		st := s.Stats()
-		ms := s.ModeStats()
-		hs := s.HTMStats()
-		qs := s.QuietStats()
-		snap := s.Metrics().Snapshot()
+		snap := snapshot(s)
+		st, hs, qs := snap.Totals(), snap.HTM, snap.HQuiet
 		if st.Commits != total {
-			t.Errorf("%s: Stats().Commits = %d, want %d", when, st.Commits, total)
-		}
-		if got := snap.Totals().Commits; got != total {
-			t.Errorf("%s: metrics snapshot commits = %d, want %d", when, got, total)
+			t.Errorf("%s: snapshot commits = %d, want %d", when, st.Commits, total)
 		}
 		var classes, ops, histCount, histSum uint64
-		for _, c := range Classes() {
-			classes += ms.Count(c)
-			ops += ms.Ops(c)
+		for _, c := range fig15 {
 			m := snap.Modes[c.String()]
-			if m.Commits != ms.Count(c) {
-				t.Errorf("%s: class %v: ModeStats counts %d commits, the metrics snapshot %d", when, c, ms.Count(c), m.Commits)
-			}
+			classes += m.Commits
+			ops += m.Reads + m.Writes
 			histCount += m.Retries.Count()
 			histSum += m.Retries.Sum
 		}
 		if classes != total || histCount != total {
-			t.Errorf("%s: ModeStats counts sum to %d, the retries histograms hold %d entries, want %d", when, classes, histCount, total)
+			t.Errorf("%s: class commits sum to %d, the retries histograms hold %d entries, want %d", when, classes, histCount, total)
 		}
-		if ms.Count(ClassH) != wantH || ms.Count(ClassO) != wantO || ms.Count(ClassL) != wantL {
+		if snap.Modes["H"].Commits != wantH || snap.Modes["O"].Commits != wantO || snap.Modes["L"].Commits != wantL {
 			t.Errorf("%s: classes %v, want H=%d O=%d L=%d", when, modeDump(s), wantH, wantO, wantL)
 		}
 		// Each transaction does 2 reads and 2 writes, whatever its mode.
@@ -628,7 +620,7 @@ func TestOneCountFourViews(t *testing.T) {
 		// An O transaction this small is one segment, and on private
 		// lines it never aborts.
 		if hs.Commits != wantH+wantO {
-			t.Errorf("%s: HTMStats().Commits = %d, want H commits + O segments = %d", when, hs.Commits, wantH+wantO)
+			t.Errorf("%s: HTM commits = %d, want H commits + O segments = %d", when, hs.Commits, wantH+wantO)
 		}
 		// The aborted attempts are the injected one and the quiet
 		// attempts a locker killed, each counted once in every view; of
@@ -637,11 +629,15 @@ func TestOneCountFourViews(t *testing.T) {
 		// the user stop is an H start that did not commit.
 		aborts := 1 + qs.Killed
 		t.Logf("%s: %d of %d H attempts began quiet, %d killed", when, qs.Attempts, hs.Starts, qs.Killed)
-		if st.Aborts != aborts || snap.Totals().Aborts != aborts || histSum != aborts {
-			t.Errorf("%s: aborts: Stats %d, metrics %d, retries sum %d, want the injected one + %d kills in each", when, st.Aborts, snap.Totals().Aborts, histSum, qs.Killed)
+		if st.Aborts != aborts || histSum != aborts {
+			t.Errorf("%s: aborts: totals %d, retries sum %d, want the injected one + %d kills in each", when, st.Aborts, histSum, qs.Killed)
 		}
-		if got := snap.Modes["H"].Aborts["explicit"]; got != qs.Killed || hs.AbortExplicit != qs.Killed || hs.Aborts() != qs.Killed {
-			t.Errorf("%s: %d kills, but metrics count %d explicit H aborts and HTMStats %+v", when, qs.Killed, got, hs)
+		var htmAborts uint64
+		for _, c := range hs.Aborts {
+			htmAborts += c
+		}
+		if got := snap.Modes["H"].Aborts["explicit"]; got != qs.Killed || hs.Aborts["explicit"] != qs.Killed || htmAborts != qs.Killed {
+			t.Errorf("%s: %d kills, but H has %d explicit aborts and HTM %+v", when, qs.Killed, got, hs)
 		}
 		if snap.Backoff.Waits != 1 {
 			t.Errorf("%s: %d backoff waits, want the injected abort's one", when, snap.Backoff.Waits)
@@ -651,10 +647,10 @@ func TestOneCountFourViews(t *testing.T) {
 			starts += aborts + 1
 		}
 		if hs.Starts != starts {
-			t.Errorf("%s: HTMStats().Starts = %d, want %d", when, hs.Starts, starts)
+			t.Errorf("%s: HTM starts = %d, want %d", when, hs.Starts, starts)
 		}
 		if st.UserStops != 1 || snap.Modes[mode].Stops["user"] != 1 {
-			t.Errorf("%s: user stops: Stats %d, metrics %v, want 1 in %s", when, st.UserStops, snap.Modes[mode].Stops, mode)
+			t.Errorf("%s: user stops: totals %d, modes %v, want 1 in %s", when, st.UserStops, snap.Modes[mode].Stops, mode)
 		}
 		if mode == "L" && (len(snap.Modes["L"].Aborts) != 1 || snap.Modes["L"].Aborts["conflict"] != 1) {
 			t.Errorf("%s: L aborts %v, want the injected one as a conflict", when, snap.Modes["L"].Aborts)
@@ -669,9 +665,11 @@ func TestOneCountFourViews(t *testing.T) {
 	}
 	reset := func() {
 		t.Helper()
-		s.ResetStats()
-		if st, snap := s.Stats(), s.Metrics().Snapshot(); st != (obs.Totals{}) || snap.Totals().Commits != 0 || s.HTMStats() != (htm.StatsSnapshot{}) || s.ModeStats() != (ModeStats{}) || s.QuietStats() != (obs.QuietSnapshot{}) {
-			t.Fatalf("after ResetStats: Stats %+v, metrics commits %d, HTM %+v, modes %v, quiet %+v", st, snap.Totals().Commits, s.HTMStats(), modeDump(s), s.QuietStats())
+		s.Metrics().Reset()
+		snap := snapshot(s)
+		if len(snap.Modes) != 0 || snap.Backoff != (obs.BackoffSnapshot{}) || snap.HQuiet != (obs.QuietSnapshot{}) ||
+			snap.HTM.Starts != 0 || snap.HTM.Commits != 0 || snap.HTM.Ops != 0 || snap.HTM.WastedOps != 0 || len(snap.HTM.Aborts) != 0 {
+			t.Fatalf("after the reset: %+v", snap)
 		}
 	}
 

@@ -75,7 +75,7 @@ type hSub struct {
 func newHCtx(w *worker) *hCtx {
 	h := &hCtx{
 		w:      w,
-		tx:     htm.NewTx(w.s.sp, &w.c.htm),
+		tx:     htm.NewTx(w.s.sp, w.probe.HTM()),
 		vstate: gentab.New(6),
 	}
 	h.check, h.watch = h.validateSubs, h.lockerFree
@@ -101,7 +101,7 @@ func (w *worker) runH(fn sched.TxFunc) (done bool, err error) {
 			return true, nil
 		}
 		code := h.settleAbort()
-		w.probe.TxAbort(obs.ModeH, sched.HTMReason(code))
+		w.probe.TxAbort(obs.ModeH, code.Reason())
 		w.attempts++
 		if code == htm.AbortCapacity {
 			return false, nil // straight to O mode
@@ -130,7 +130,7 @@ func (h *hCtx) begin() {
 	h.lState = h.w.s.lState.Load()
 	h.quiet = lockers(h.lState) == 0
 	if h.quiet {
-		h.w.c.quietBegun.Add(1)
+		h.w.probe.QuietBegin()
 		h.vchanges = 0
 		h.tx.AddCheck(h.watch)
 		return
@@ -168,17 +168,15 @@ func (h *hCtx) lockerFree() bool {
 // A quiet attempt a locker killed died of Algorithm 1's explicit abort —
 // the subscribed word moved — wherever it was caught. Caught by the Check
 // inside htm.Tx, it was counted as a data conflict there (all a Check can
-// say is "false"); the worker's htm.Stats is corrected.
+// say is "false"); the worker's HTM counters are corrected.
 func (h *hCtx) settleAbort() htm.AbortCode {
 	code := h.tx.LastAbort()
 	if !h.killed {
 		return code
 	}
-	c := h.w.c
-	c.quietKilled.Add(1)
+	h.w.probe.QuietKilled()
 	if code == htm.AbortConflict {
-		c.htm.AbortConflicts.Add(^uint64(0))
-		c.htm.AbortExplicit.Add(1)
+		h.w.probe.HTM().Reattribute(obs.ReasonConflict, obs.ReasonExplicit)
 	}
 	return htm.AbortExplicit
 }

@@ -7,6 +7,7 @@ import (
 
 	"tufast/internal/htm"
 	"tufast/internal/mem"
+	"tufast/internal/obs"
 	"tufast/internal/sched"
 )
 
@@ -71,7 +72,7 @@ func TestBackoffStartsAtZeroAfterLadder(t *testing.T) {
 	if err := w.Run(16, overflowOneSet); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.ModeStats().Count(ClassO2L); got != 1 {
+	if got := commits(s, obs.ModeO2L); got != 1 {
 		t.Fatalf("want one O2L commit, got %v", modeDump(s))
 	}
 	if waits := s.Metrics().Snapshot().Backoff.Waits; waits == 0 {
@@ -161,7 +162,7 @@ func TestRouterLearnsAndRelearns(t *testing.T) {
 	for i := routeMinSamples - 1; i < 64; i++ {
 		runTraced(t, w, hint, overflowOneSet)
 	}
-	lBefore := s.ModeStats().Count(ClassL)
+	lBefore := commits(s, obs.ModeL)
 	// ... and over the next 128 enters H only to probe: about one
 	// transaction in routeProbeEvery.
 	probes := 0
@@ -177,7 +178,7 @@ func TestRouterLearnsAndRelearns(t *testing.T) {
 	if probes < 2 || probes > 128/routeProbeEvery+1 {
 		t.Fatalf("%d of 128 transactions of a skipping class entered H, want about %d", probes, 128/routeProbeEvery)
 	}
-	if got := s.ModeStats().Count(ClassL) - lBefore; got != uint64(128-probes) {
+	if got := commits(s, obs.ModeL) - lBefore; got != uint64(128-probes) {
 		t.Fatalf("%d direct-L commits for %d skipped transactions (%v)", got, 128-probes, modeDump(s))
 	}
 	// Another size class is untouched by what this one learnt.
@@ -186,7 +187,7 @@ func TestRouterLearnsAndRelearns(t *testing.T) {
 	}
 
 	// The footprint shrinks: within 64 probes the class is back in H.
-	hBefore := s.ModeStats().Count(ClassH)
+	hBefore := commits(s, obs.ModeH)
 	back := -1
 	for i := 0; i < 64*routeProbeEvery; i++ {
 		if rc := &w.(*worker).route[sizeClass(hint)]; !mostlyFails(rc.hCapacity, rc.hTries) {
@@ -196,7 +197,7 @@ func TestRouterLearnsAndRelearns(t *testing.T) {
 		runTraced(t, w, hint, smallFootprint)
 	}
 	if back < 0 {
-		t.Fatalf("class still skips H after %d successful probes", s.ModeStats().Count(ClassH)-hBefore)
+		t.Fatalf("class still skips H after %d successful probes", commits(s, obs.ModeH)-hBefore)
 	}
 	for i := 0; i < 8; i++ {
 		if tr := runTraced(t, w, hint, smallFootprint); !tr.h || tr.o || tr.l {
@@ -240,7 +241,7 @@ func TestRouterIsolationWhileLearning(t *testing.T) {
 	if got := s.sp.Load(0); got != workers*perWorker {
 		t.Fatalf("counter = %d after %d increments (%v)", got, workers*perWorker, modeDump(s))
 	}
-	if s.ModeStats().Count(ClassL) == 0 || s.ModeStats().Count(ClassH) == 0 {
+	if commits(s, obs.ModeL) == 0 || commits(s, obs.ModeH) == 0 {
 		t.Fatalf("want both learnt direct-L and H commits in the mix, got %v", modeDump(s))
 	}
 }
@@ -279,7 +280,7 @@ func TestCommitsDoNotAllocate(t *testing.T) {
 	// allocsPerCommit runs body with hint on worker 0 of s, once to size
 	// the worker's tables and then 201 times under AllocsPerRun, and
 	// checks that each run committed in class.
-	allocsPerCommit := func(t *testing.T, s *System, class ModeClass, hint int, body sched.TxFunc) float64 {
+	allocsPerCommit := func(t *testing.T, s *System, class obs.Mode, hint int, body sched.TxFunc) float64 {
 		w := s.Worker(0)
 		run := func() {
 			if err := w.Run(hint, body); err != nil {
@@ -288,7 +289,7 @@ func TestCommitsDoNotAllocate(t *testing.T) {
 		}
 		run()
 		allocs := testing.AllocsPerRun(200, run)
-		if got := s.ModeStats().Count(class); got != 1+201 {
+		if got := commits(s, class); got != 1+201 {
 			t.Errorf("want every run to commit in %v, got %v", class, modeDump(s))
 		}
 		return allocs
@@ -303,7 +304,7 @@ func TestCommitsDoNotAllocate(t *testing.T) {
 			return nil
 		}
 		s := New(mem.NewSpace(4096), 16, Config{})
-		if allocs := allocsPerCommit(t, s, ClassH, 4, sixteenLines); allocs != 0 {
+		if allocs := allocsPerCommit(t, s, obs.ModeH, 4, sixteenLines); allocs != 0 {
 			t.Fatalf("H commit of 16 write lines allocates %.1f times", allocs)
 		}
 	})
@@ -320,7 +321,7 @@ func TestCommitsDoNotAllocate(t *testing.T) {
 			})
 		}()
 		<-inL
-		allocs := allocsPerCommit(t, s, ClassH, 4, twoVertices)
+		allocs := allocsPerCommit(t, s, obs.ModeH, 4, twoVertices)
 		close(release)
 		if err := <-done; err != nil {
 			t.Fatal(err)
@@ -331,14 +332,14 @@ func TestCommitsDoNotAllocate(t *testing.T) {
 	})
 
 	t.Run("O", func(t *testing.T) {
-		if allocs := allocsPerCommit(t, newLadderSys(Config{HMaxHint: 1}), ClassO, 4, twoVertices); allocs != 0 {
+		if allocs := allocsPerCommit(t, newLadderSys(Config{HMaxHint: 1}), obs.ModeO, 4, twoVertices); allocs != 0 {
 			t.Fatalf("O commit allocates %.1f times", allocs)
 		}
 	})
 
 	t.Run("L", func(t *testing.T) {
 		s := newLadderSys(Config{})
-		if allocs := allocsPerCommit(t, s, ClassL, s.cfg.OMaxHint+1, twoVertices); allocs != 0 {
+		if allocs := allocsPerCommit(t, s, obs.ModeL, s.cfg.OMaxHint+1, twoVertices); allocs != 0 {
 			t.Fatalf("L commit allocates %.1f times", allocs)
 		}
 	})

@@ -23,6 +23,8 @@ import (
 // tension is what the adaptive period controller optimizes.
 type oCtx struct {
 	w *worker
+	// htm counts the segments in the worker's probe.
+	htm *obs.HTM
 
 	reads    []oRead
 	readIdx  *gentab.Table
@@ -79,6 +81,7 @@ type segLine struct {
 func newOCtx(w *worker) *oCtx {
 	return &oCtx{
 		w:        w,
+		htm:      w.probe.HTM(),
 		readIdx:  gentab.New(7),
 		writeIdx: gentab.New(5),
 		segSeen:  gentab.New(7),
@@ -110,11 +113,11 @@ func (w *worker) runO(fn sched.TxFunc) (done bool, err error) {
 			return true, uerr
 		}
 		if ok && o.commit() {
-			class := ClassO
+			class := obs.ModeO
 			if !first {
-				class = ClassOPlus
+				class = obs.ModeOPlus
 			}
-			w.probe.TxCommit(class.obsMode(), w.attempts, w.span, o.nreads, o.nwrites)
+			w.probe.TxCommit(class, w.attempts, w.span, o.nreads, o.nwrites)
 			return true, nil
 		}
 		reason := obs.ReasonConflict
@@ -174,19 +177,14 @@ func (o *oCtx) segBegin() {
 	clear(o.sets[:])
 	o.segOps = 0
 	o.snapshot = o.w.s.sp.Commits()
-	o.w.c.htm.Starts.Add(1)
+	o.htm.Starts.Add(1)
 }
 
 // segAbort records an aborted segment and unwinds the attempt.
 func (o *oCtx) segAbort(code htm.AbortCode, reason string) {
 	o.segAborted = true
-	switch code {
-	case htm.AbortCapacity:
-		o.capacityAbort = true
-		o.w.c.htm.AbortCapacity.Add(1)
-	default:
-		o.w.c.htm.AbortConflicts.Add(1)
-	}
+	o.capacityAbort = code == htm.AbortCapacity
+	o.htm.Abort(code.Reason())
 	sched.ThrowAbort(reason)
 }
 
@@ -208,7 +206,7 @@ func (o *oCtx) segTick() {
 	o.segOps++
 	o.opsInSegments++
 	if o.segOps >= o.period {
-		o.w.c.htm.Commits.Add(1) // segment XEND
+		o.htm.Commits.Add(1) // segment XEND
 		o.segBegin()
 	}
 }
@@ -307,7 +305,7 @@ func (o *oCtx) commit() bool {
 
 // publish is the commit proper; leave undoes whatever it acquired.
 func (o *oCtx) publish() bool {
-	o.w.c.htm.Commits.Add(1) // final segment XEND
+	o.htm.Commits.Add(1) // final segment XEND
 
 	locks := o.w.s.locks
 	tid := o.w.tid

@@ -101,8 +101,8 @@ func TestCrossModeHistoriesLockersComeAndGo(t *testing.T) {
 			runtime.Gosched() // on one core, lets a locker arrive or leave
 		}
 	})
-	qs := s.QuietStats()
-	h := s.Metrics().Snapshot().Modes["H"]
+	snap := snapshot(s)
+	qs, h := snap.HQuiet, snap.Modes["H"]
 	attempts := h.Commits + h.AbortTotal()
 	t.Logf("%d H attempts: %d began quiet, %d of them killed", attempts, qs.Attempts, qs.Killed)
 	if qs.Attempts == 0 || qs.Attempts >= attempts {
@@ -246,8 +246,8 @@ func crossModeHistories(t *testing.T, next func(tid, i int) bool, begin, mid fun
 	}
 	// The workload must actually have exercised several classes.
 	classes := 0
-	for _, c := range Classes() {
-		if s.ModeStats().Count(c) > 0 {
+	for _, c := range fig15 {
+		if commits(s, c) > 0 {
 			classes++
 		}
 	}
@@ -260,8 +260,8 @@ func crossModeHistories(t *testing.T, next func(tid, i int) bool, begin, mid fun
 
 func dumpModes(s *System) string {
 	out := ""
-	for _, c := range Classes() {
-		out += fmt.Sprintf("%s=%d ", c, s.ModeStats().Count(c))
+	for _, c := range fig15 {
+		out += fmt.Sprintf("%s=%d ", c, commits(s, c))
 	}
 	return out
 }

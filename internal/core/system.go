@@ -30,7 +30,7 @@ type System struct {
 	// operations (tests only); nil when inactive.
 	faults atomic.Pointer[sched.FaultInjector]
 
-	// registry lists every worker's counters block (counters.go).
+	// registry lists every worker's commit-gate flag (counters.go).
 	regMu    sync.Mutex
 	registry atomic.Pointer[[]*counters]
 
@@ -119,7 +119,7 @@ func (s *System) Worker(tid int) sched.Worker {
 	if tid < 0 || tid >= maxThreads {
 		panic("core: worker tid out of range")
 	}
-	w := &worker{s: s, tid: tid, c: new(counters)}
+	w := &worker{s: s, tid: tid, c: new(counters), probe: s.Metrics().NewProbe()}
 	// Registered before the worker can commit: an L transaction whose
 	// scan missed the block raised lState before the registration, so this
 	// worker's first H commit will see it.
@@ -127,7 +127,6 @@ func (s *System) Worker(tid int) sched.Worker {
 	w.h = newHCtx(w)
 	w.o = newOCtx(w)
 	w.bo = sched.NewBackoff(uint64(tid)*0x9E3779B97F4A7C15 + 0xA5)
-	w.probe = s.Metrics().NewProbe()
 	// L mode runs the TPL protocol under the loop every baseline runs
 	// under, recording into this worker's probe (runL).
 	w.l = s.lmode.NewWorkerFor(tid, &w.probe)
@@ -172,7 +171,7 @@ func (w *worker) Run(sizeHint int, fn sched.TxFunc) error {
 	// previous one ended (commit in any mode, user stop, cancel, panic).
 	w.bo.Reset()
 	if sizeHint > cfg.OMaxHint {
-		return w.runL(fn, ClassL)
+		return w.runL(fn, obs.ModeL)
 	}
 	rc := &w.route[sizeClass(sizeHint)]
 	skipH, skipO := rc.plan()
@@ -186,7 +185,7 @@ func (w *worker) Run(sizeHint int, fn sched.TxFunc) error {
 	}
 	// A transaction that never entered O commits as class L, whether or
 	// not it tried H first.
-	class := ClassL
+	class := obs.ModeL
 	if !skipO {
 		if triedH {
 			w.s.Metrics().Transition(obs.TransHO)
@@ -201,10 +200,10 @@ func (w *worker) Run(sizeHint int, fn sched.TxFunc) error {
 			return err
 		}
 		w.s.Metrics().Transition(obs.TransOL)
-		class = ClassO2L
+		class = obs.ModeO2L
 	}
 	if err := w.ctxErr(); err != nil {
-		w.probe.TxStop(class.obsMode(), sched.StopReason(err))
+		w.probe.TxStop(class, sched.StopReason(err))
 		return err
 	}
 	return w.runL(fn, class)
@@ -255,7 +254,7 @@ func (w *worker) AbandonInFlight() bool {
 
 // TrimScratch implements sched.Trimmer: a mode context is empty between
 // transactions and as large as the biggest one it ran, so one that a giant
-// transaction grew is rebuilt. The worker's identity — id, counters block,
+// transaction grew is rebuilt. The worker's identity — id, gate flag,
 // probe, router, backoff — is what the pool keeps it for and stays.
 func (w *worker) TrimScratch() {
 	if cap(w.h.subs)+w.h.vstate.Cap() > sched.ScratchKeep {
@@ -285,12 +284,12 @@ func (s *System) awaitHCommits() {
 // user error, a panic or a cancellation: the TPL worker's loop retries
 // deadlock victims and records every attempt under class, as the rest of
 // the transaction this worker began.
-func (w *worker) runL(fn sched.TxFunc, class ModeClass) error {
+func (w *worker) runL(fn sched.TxFunc, class obs.Mode) error {
 	// Announce the L transaction: from here on every H commit either
 	// sees it in lState or finishes publishing before awaitHCommits
 	// returns.
 	w.s.lockerEnter()
 	defer w.s.lockerExit()
 	w.s.awaitHCommits()
-	return w.l.Continue(w.ctx, class.obsMode(), w.span, w.attempts, fn)
+	return w.l.Continue(w.ctx, class, w.span, w.attempts, fn)
 }

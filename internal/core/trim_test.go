@@ -7,6 +7,7 @@ import (
 	"tufast/internal/algo"
 	"tufast/internal/graph"
 	"tufast/internal/mem"
+	"tufast/internal/obs"
 	"tufast/internal/sched"
 )
 
@@ -25,7 +26,7 @@ func (s *mintSpy) Worker(tid int) sched.Worker {
 // TestPooledWorkerDropsGiantScratch: a worker in the driver's pool lives
 // as long as the System, so once a whole-graph call has ended the mode
 // contexts a hub-sized transaction grew must not stay with it — while
-// everything the pool keeps the worker for (id, counters block, probe,
+// everything the pool keeps the worker for (id, gate flag, probe,
 // router state, the L-mode worker hosted on that probe) must. A Release
 // alone keeps them: the next lease may be the next window of one stream.
 func TestPooledWorkerDropsGiantScratch(t *testing.T) {
@@ -40,7 +41,7 @@ func TestPooledWorkerDropsGiantScratch(t *testing.T) {
 		return nil
 	}
 	oSize := func(o *oCtx) int { return cap(o.reads) + o.readIdx.Cap() + cap(o.writes) + o.writeIdx.Cap() }
-	fresh := oSize(newOCtx(&worker{s: s}))
+	fresh := oSize(newOCtx(&worker{s: s, probe: s.Metrics().NewProbe()}))
 
 	w := rt.Lease()
 	cw := spy.minted[0]
@@ -51,7 +52,7 @@ func TestPooledWorkerDropsGiantScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.ModeStats(); got.Count(ClassO)+got.Count(ClassOPlus) != 1 || got.Count(ClassL) != 1 {
+	if commits(s, obs.ModeO)+commits(s, obs.ModeOPlus) != 1 || commits(s, obs.ModeL) != 1 {
 		t.Fatalf("want one O and one L commit, got %v", modeDump(s))
 	}
 	if grown := oSize(cw.o); grown < 2*hub {
@@ -85,7 +86,7 @@ func TestPooledWorkerDropsGiantScratch(t *testing.T) {
 	if err := w.Run(context.Background(), s.cfg.HMaxHint+1, touchAll); err != nil {
 		t.Fatal(err)
 	}
-	if sp.Load(mem.Addr(hub-1)) != 3 || s.Stats().Commits != 4 {
-		t.Fatalf("after the trim: word = %d, commits = %d, want 3 and 4", sp.Load(mem.Addr(hub-1)), s.Stats().Commits)
+	if sp.Load(mem.Addr(hub-1)) != 3 || snapshot(s).Totals().Commits != 4 {
+		t.Fatalf("after the trim: word = %d, commits = %d, want 3 and 4", sp.Load(mem.Addr(hub-1)), snapshot(s).Totals().Commits)
 	}
 }

@@ -20,6 +20,7 @@ import (
 
 	"tufast/internal/gentab"
 	"tufast/internal/mem"
+	"tufast/internal/obs"
 )
 
 // Geometry of the emulated L1 data cache used for capacity aborts.
@@ -74,6 +75,22 @@ func (c AbortCode) String() string {
 	}
 }
 
+// Reason is the obs attribution of the code. An attempt that died
+// without the emulated hardware aborting it (AbortNone: a fault injected
+// into the body, an abort thrown by it) is attributed as a conflict.
+func (c AbortCode) Reason() obs.Reason {
+	switch c {
+	case AbortCapacity:
+		return obs.ReasonCapacity
+	case AbortExplicit:
+		return obs.ReasonExplicit
+	case AbortLocked:
+		return obs.ReasonLocked
+	default:
+		return obs.ReasonConflict
+	}
+}
+
 // Retryable reports whether a retry of the same transaction could
 // plausibly succeed (Intel's guidance: retry conflicts, never capacity).
 func (c AbortCode) Retryable() bool {
@@ -124,8 +141,8 @@ type Tx struct {
 	active    bool
 	lastAbort AbortCode
 
-	// ops is batched into stats at commit/abort to keep the hot path
-	// free of atomics.
+	// ops is batched into the counters at commit/abort to keep the hot
+	// path free of atomics.
 	ops uint64
 
 	// lastLine/lastIdx cache the most recently touched line: sorted-
@@ -134,7 +151,7 @@ type Tx struct {
 	lastLine mem.Line
 	lastIdx  int32
 
-	stats *Stats
+	stats *obs.HTM
 }
 
 // LastAbort returns the code of the most recent abort (AbortNone if the
@@ -146,9 +163,9 @@ func (t *Tx) LastAbort() AbortCode { return t.lastAbort }
 func (t *Tx) LastAbortRetryable() bool { return t.lastAbort.Retryable() }
 
 // NewTx returns a transaction bound to sp, reporting into stats (which may
-// be nil). TuFast's core hands every worker's transactions that worker's
-// own Stats, so the counters are written by one thread only.
-func NewTx(sp *mem.Space, stats *Stats) *Tx {
+// be nil). Schedulers hand every worker's transactions the HTM block of
+// that worker's obs.Probe, so the counters are written by one thread only.
+func NewTx(sp *mem.Space, stats *obs.HTM) *Tx {
 	return &Tx{sp: sp, lineIdx: gentab.New(7), stats: stats}
 }
 
@@ -343,7 +360,7 @@ func (t *Tx) fail(code AbortCode) AbortCode {
 	t.active = false
 	t.lastAbort = code
 	if t.stats != nil {
-		t.stats.record(code)
+		t.stats.Abort(code.Reason())
 		t.stats.WastedOps.Add(t.ops)
 	}
 	return code

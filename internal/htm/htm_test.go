@@ -9,12 +9,21 @@ import (
 
 	"tufast/internal/gentab"
 	"tufast/internal/mem"
+	"tufast/internal/obs"
 )
 
-func newTestTx() (*mem.Space, *Tx, *Stats) {
+// counted returns a probe's metrics and its HTM block, the counters a
+// scheduler hands its workers' transactions.
+func counted() (*obs.Metrics, *obs.HTM) {
+	m := new(obs.Metrics)
+	p := m.NewProbe()
+	return m, p.HTM()
+}
+
+func newTestTx() (*mem.Space, *Tx, *obs.Metrics) {
 	sp := mem.NewSpace(1 << 16)
-	st := &Stats{}
-	return sp, NewTx(sp, st), st
+	m, st := counted()
+	return sp, NewTx(sp, st), m
 }
 
 func TestReadWriteCommit(t *testing.T) {
@@ -32,7 +41,7 @@ func TestReadWriteCommit(t *testing.T) {
 	if sp.Load(3) != 42 {
 		t.Fatal("write not published")
 	}
-	if st.Commits.Load() != 1 {
+	if st.Snapshot().HTM.Commits != 1 {
 		t.Fatal("commit not counted")
 	}
 }
@@ -56,7 +65,7 @@ func TestExplicitAbortDiscards(t *testing.T) {
 	if sp.Load(3) != 0 {
 		t.Fatal("aborted write visible")
 	}
-	if st.AbortExplicit.Load() != 1 {
+	if st.Snapshot().HTM.Aborts["explicit"] != 1 {
 		t.Fatal("explicit abort not counted")
 	}
 	if tx.LastAbort() != AbortExplicit || tx.LastAbortRetryable() {
@@ -117,7 +126,7 @@ func TestCapacitySequentialBoundary(t *testing.T) {
 	if _, code := tx.Read(mem.Addr(CacheSets * CacheWays * mem.WordsPerLine)); code != AbortCapacity {
 		t.Fatalf("expected capacity abort, got %v", code)
 	}
-	if st.AbortCapacity.Load() != 1 {
+	if st.Snapshot().HTM.Aborts["capacity"] != 1 {
 		t.Fatal("capacity abort not counted")
 	}
 	if AbortCapacity.Retryable() {
@@ -270,13 +279,13 @@ type txUnderTest interface {
 	Footprint() int
 }
 
-// diffSide is one implementation with its own Space and Stats, plus a
+// diffSide is one implementation with its own Space and counters, plus a
 // second transaction of the same implementation that plays the other
 // thread.
 type diffSide struct {
 	name    string
 	sp      *mem.Space
-	st      *Stats
+	m       *obs.Metrics
 	tx      txUnderTest
 	foreign txUnderTest
 }
@@ -284,7 +293,7 @@ type diffSide struct {
 // TestDifferentialAgainstReferenceTx drives Tx and the three-table
 // referenceTx with the same seeded operation sequences, each over its own
 // Space, and requires them to agree op for op on returned values, abort
-// codes, LastAbort, Footprint and Stats, and on the final memory. The
+// codes, LastAbort, Footprint and HTM counters, and on the final memory. The
 // address pool is small and skewed so the sequences keep hitting the
 // cases the rewrite could get wrong: read-own-write, several words of one
 // line, a write then a read of its neighbour, external touches, the 9th
@@ -301,16 +310,17 @@ func TestDifferentialAgainstReferenceTx(t *testing.T) {
 	if testing.Short() {
 		seeds = 10
 	}
-	var total StatsSnapshot
+	var total obs.Snapshot
 	for seed := 0; seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		mk := func(name string, newTx func(*mem.Space, *Stats) txUnderTest) *diffSide {
-			sp, st := mem.NewSpace(words), &Stats{}
-			return &diffSide{name: name, sp: sp, st: st, tx: newTx(sp, st), foreign: newTx(sp, nil)}
+		mk := func(name string, newTx func(*mem.Space, *obs.HTM) txUnderTest) *diffSide {
+			sp := mem.NewSpace(words)
+			m, st := counted()
+			return &diffSide{name: name, sp: sp, m: m, tx: newTx(sp, st), foreign: newTx(sp, nil)}
 		}
 		sides := []*diffSide{
-			mk("Tx", func(sp *mem.Space, st *Stats) txUnderTest { return NewTx(sp, st) }),
-			mk("referenceTx", func(sp *mem.Space, st *Stats) txUnderTest { return newReferenceTx(sp, st) }),
+			mk("Tx", func(sp *mem.Space, st *obs.HTM) txUnderTest { return NewTx(sp, st) }),
+			mk("referenceTx", func(sp *mem.Space, st *obs.HTM) txUnderTest { return newReferenceTx(sp, st) }),
 		}
 		// Twelve hot lines, and a column of lines that all fall into
 		// cache set 0.
@@ -334,7 +344,7 @@ func TestDifferentialAgainstReferenceTx(t *testing.T) {
 				val, c := op(s)
 				code = c
 				got[i] = fmt.Sprintf("val=%d code=%v last=%v active=%v footprint=%d stats=%+v",
-					val, c, s.tx.LastAbort(), s.tx.Active(), s.tx.Footprint(), s.st.Snapshot())
+					val, c, s.tx.LastAbort(), s.tx.Active(), s.tx.Footprint(), s.m.Snapshot().HTM)
 			}
 			if got[0] != got[1] {
 				t.Fatalf("seed %d step %d %s:\n  %s: %s\n  %s: %s", seed, step, desc,
@@ -424,12 +434,12 @@ func TestDifferentialAgainstReferenceTx(t *testing.T) {
 				t.Fatalf("seed %d: final version of line %d differs: %d vs %d", seed, l, x, y)
 			}
 		}
-		total = total.Add(sides[0].st.Snapshot())
+		total = total.Merge(sides[0].m.Snapshot())
 	}
-	if total.Commits == 0 || total.AbortConflicts == 0 || total.AbortCapacity == 0 || total.AbortLocked == 0 || total.AbortExplicit == 0 {
-		t.Fatalf("the sequences exercised too little: %+v", total)
+	if h := total.HTM; h.Commits == 0 || h.Aborts["conflict"] == 0 || h.Aborts["capacity"] == 0 || h.Aborts["locked"] == 0 || h.Aborts["explicit"] == 0 {
+		t.Fatalf("the sequences exercised too little: %+v", h)
 	}
-	t.Logf("over %d seeds: %+v", seeds, total)
+	t.Logf("over %d seeds: %+v", seeds, total.HTM)
 }
 
 type refReadEntry struct {
@@ -485,7 +495,7 @@ type referenceTx struct {
 	lastLine mem.Line
 	lastIdx  int32
 
-	stats *Stats
+	stats *obs.HTM
 }
 
 // LastAbort returns the code of the most recent abort (AbortNone if the
@@ -498,7 +508,7 @@ func (t *referenceTx) LastAbortRetryable() bool { return t.lastAbort.Retryable()
 
 // NewTx returns a transaction bound to sp, reporting into stats (which may
 // be nil).
-func newReferenceTx(sp *mem.Space, stats *Stats) *referenceTx {
+func newReferenceTx(sp *mem.Space, stats *obs.HTM) *referenceTx {
 	return &referenceTx{
 		sp:        sp,
 		lineIdx:   gentab.New(7),
@@ -681,7 +691,7 @@ func (t *referenceTx) fail(code AbortCode) AbortCode {
 	t.active = false
 	t.lastAbort = code
 	if t.stats != nil {
-		t.stats.record(code)
+		t.stats.Abort(code.Reason())
 		t.stats.WastedOps.Add(t.ops)
 	}
 	return code

@@ -9,14 +9,18 @@
 //   - mode-transition counters that make the H→O→L fallback ladder and
 //     the adaptive-period trajectory directly observable,
 //   - per-worker backoff counters (waits, the waits that slept, wall
-//     time inside them), and
+//     time inside them),
+//   - per-worker emulated-HTM counters (starts, commits, operations and
+//     aborts by reason of the hardware transactions and segments a
+//     worker ran) and TuFast's quiet H-attempt counters, and
 //   - export paths: plain-value Snapshot (and its Totals) for programs,
 //     JSON over expvar / HTTP for operators.
 //
-// A Probe is the only place a scheduler records a transaction's outcome:
-// every count a scheduler reports — commits, aborts, stops, operations,
-// deadlock victims — is read from a Snapshot, so no two views can
-// disagree.
+// A Probe is the only place a scheduler records a transaction's outcome
+// and what its hardware transactions did: every count a scheduler reports
+// — commits, aborts, stops, operations, deadlock victims, emulated-HTM
+// starts and aborts, quiet attempts — is read from one Snapshot, so no two
+// views can disagree and one Reset clears them all.
 //
 // Hot-path budget: recording a committed transaction is three atomic
 // adds into the recording worker's own block — lines no other worker
@@ -26,7 +30,8 @@
 // Snapshot and Reset sum and clear the per-worker blocks. Commit latency
 // is sampled (1 in 64 transactions) so the timestamp reads stay off the
 // common path. Aborts, stops and transitions are rarer and stay shared
-// counters.
+// counters. The emulated-HTM and quiet-attempt counters are adds into the
+// worker's own block as well.
 package obs
 
 import (
@@ -195,7 +200,60 @@ type workerState struct {
 	backoffSleeps atomic.Uint64
 	backoffNs     atomic.Uint64
 
+	htm         HTM
+	quietBegun  atomic.Uint64 // H attempts begun with no locker in flight
+	quietKilled atomic.Uint64 // of those, the ones a locker's arrival killed
+
 	_ [64]byte
+}
+
+// HTM counts one worker's emulated hardware transactions: those its
+// htm.Tx runs (TuFast's H mode, a baseline's hardware path) and the
+// segments O mode and H-TO open and close themselves. It lives in the
+// worker's block, so its adds are uncontended; Snapshot sums it over the
+// workers as Snapshot.HTM.
+type HTM struct {
+	Starts    atomic.Uint64
+	Commits   atomic.Uint64
+	Ops       atomic.Uint64 // operations of committed hardware transactions
+	WastedOps atomic.Uint64 // operations discarded by aborts
+	aborts    [NumReasons]atomic.Uint64
+}
+
+// Abort records one aborted hardware transaction.
+func (h *HTM) Abort(r Reason) { h.aborts[r].Add(1) }
+
+// Reattribute moves one recorded abort from reason from to reason to:
+// TuFast's H mode learns only after htm.Tx recorded a failed check as a
+// conflict that the attempt was killed by a locker's arrival.
+func (h *HTM) Reattribute(from, to Reason) {
+	h.aborts[from].Add(^uint64(0))
+	h.aborts[to].Add(1)
+}
+
+func (h *HTM) reset() {
+	h.Starts.Store(0)
+	h.Commits.Store(0)
+	h.Ops.Store(0)
+	h.WastedOps.Store(0)
+	for r := range h.aborts {
+		h.aborts[r].Store(0)
+	}
+}
+
+func (h *HTM) addTo(s *HTMSnapshot) {
+	s.Starts += h.Starts.Load()
+	s.Commits += h.Commits.Load()
+	s.Ops += h.Ops.Load()
+	s.WastedOps += h.WastedOps.Load()
+	for r := range h.aborts {
+		if c := h.aborts[r].Load(); c != 0 {
+			if s.Aborts == nil {
+				s.Aborts = make(map[string]uint64)
+			}
+			s.Aborts[Reason(r).String()] += c
+		}
+	}
 }
 
 // commitState is what a mode's commits record: the operations of the
@@ -245,6 +303,9 @@ func (m *Metrics) Reset() {
 		ws.backoffWaits.Store(0)
 		ws.backoffSleeps.Store(0)
 		ws.backoffNs.Store(0)
+		ws.htm.reset()
+		ws.quietBegun.Store(0)
+		ws.quietKilled.Store(0)
 	}
 }
 
@@ -272,8 +333,9 @@ type Span struct {
 }
 
 // Probe is the per-worker recording handle: it owns the worker's commit
-// histograms and operation counts, backoff counters and the local
-// sampling counter, so a commit writes no state another worker writes.
+// histograms and operation counts, backoff, emulated-HTM and quiet-attempt
+// counters and the local sampling counter, so a commit writes no state
+// another worker writes.
 type Probe struct {
 	m  *Metrics
 	ws *workerState
@@ -326,3 +388,13 @@ func (p *Probe) BackoffWait(slept bool, d time.Duration) {
 	}
 	p.ws.backoffNs.Add(uint64(max(d, 0)))
 }
+
+// HTM returns the worker's emulated-HTM counters, for its htm.Tx and the
+// segments it opens and closes itself.
+func (p *Probe) HTM() *HTM { return &p.ws.htm }
+
+// QuietBegin records an H attempt begun with no transaction able to hold
+// a vertex lock in flight; QuietKilled records one such attempt that such
+// a transaction's arrival killed.
+func (p *Probe) QuietBegin()  { p.ws.quietBegun.Add(1) }
+func (p *Probe) QuietKilled() { p.ws.quietKilled.Add(1) }

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"encoding/json"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -121,12 +123,28 @@ func TestMetricsReset(t *testing.T) {
 	p.TxStop(ModeL, ReasonUser)
 	p.BackoffWait(true, time.Millisecond)
 	m.Transition(TransHO)
-	if b := m.Snapshot().Backoff; b != (BackoffSnapshot{Waits: 1, Sleeps: 1, Ns: 1e6}) {
+	h := p.HTM()
+	h.Starts.Add(2)
+	h.Commits.Add(1)
+	h.Ops.Add(8)
+	h.WastedOps.Add(3)
+	h.Abort(ReasonCapacity)
+	p.QuietBegin()
+	p.QuietKilled()
+	s := m.Snapshot()
+	if b := s.Backoff; b != (BackoffSnapshot{Waits: 1, Sleeps: 1, Ns: 1e6}) {
 		t.Fatalf("backoff before Reset = %+v", b)
 	}
+	if hs := s.HTM; hs.Starts != 2 || hs.Commits != 1 || hs.Ops != 8 || hs.WastedOps != 3 || len(hs.Aborts) != 1 || hs.Aborts["capacity"] != 1 {
+		t.Fatalf("htm before Reset = %+v", hs)
+	}
+	if s.HQuiet != (QuietSnapshot{Attempts: 1, Killed: 1}) {
+		t.Fatalf("quiet attempts before Reset = %+v", s.HQuiet)
+	}
 	m.Reset()
-	s := m.Snapshot()
-	if len(s.Modes) != 0 || len(s.Transitions) != 0 || s.Backoff != (BackoffSnapshot{}) {
+	s = m.Snapshot()
+	if len(s.Modes) != 0 || len(s.Transitions) != 0 || s.Backoff != (BackoffSnapshot{}) || s.HQuiet != (QuietSnapshot{}) ||
+		s.HTM.Starts != 0 || s.HTM.Commits != 0 || s.HTM.Ops != 0 || s.HTM.WastedOps != 0 || s.HTM.Aborts != nil {
 		t.Fatalf("snapshot not empty after Reset: %+v", s)
 	}
 	p.TxCommit(ModeO, 0, Span{}, 0, 0)
@@ -152,13 +170,38 @@ func TestSnapshotMergeAndJSON(t *testing.T) {
 	p1b.BackoffWait(true, 2000)
 	p2.BackoffWait(true, 30000)
 
-	// The quiet-attempt counters are folded in by the caller and sum too.
-	s1, s2 := m1.Snapshot(), m2.Snapshot()
-	s1.HQuiet, s2.HQuiet = QuietSnapshot{Attempts: 5, Killed: 1}, QuietSnapshot{Attempts: 7}
+	// So are the quiet-attempt and emulated-HTM counters; an abort
+	// reattributed moves between reasons.
+	for range 5 {
+		p1.QuietBegin()
+	}
+	p1.QuietKilled()
+	for range 7 {
+		p1b.QuietBegin()
+	}
+	h1, h1b, h2 := p1.HTM(), p1b.HTM(), p2.HTM()
+	h1.Starts.Add(3)
+	h1.Commits.Add(1)
+	h1.Ops.Add(4)
+	h1.Abort(ReasonConflict)
+	h1.Abort(ReasonConflict)
+	h1.Reattribute(ReasonConflict, ReasonExplicit)
+	h1.WastedOps.Add(2)
+	h1b.Abort(ReasonCapacity)
+	h2.Starts.Add(5)
+	h2.Commits.Add(4)
+	h2.Ops.Add(9)
+	h2.Abort(ReasonConflict)
+	h2.WastedOps.Add(1)
 
-	merged := s1.Merge(s2)
+	merged := m1.Snapshot().Merge(m2.Snapshot())
 	if want := (QuietSnapshot{Attempts: 12, Killed: 1}); merged.HQuiet != want {
 		t.Fatalf("merged quiet attempts = %+v, want %+v", merged.HQuiet, want)
+	}
+	wantHTM := HTMSnapshot{Starts: 8, Commits: 5, Ops: 13, WastedOps: 3,
+		Aborts: map[string]uint64{"conflict": 2, "explicit": 1, "capacity": 1}}
+	if !reflect.DeepEqual(merged.HTM, wantHTM) {
+		t.Fatalf("merged htm = %+v, want %+v", merged.HTM, wantHTM)
 	}
 	if h := merged.Modes["H"]; h.Commits != 2 || h.Reads != 5 || h.Writes != 1 {
 		t.Fatalf("merged H: %d commits, %d reads, %d writes, want 2, 5, 1", h.Commits, h.Reads, h.Writes)
@@ -185,8 +228,11 @@ func TestSnapshotMergeAndJSON(t *testing.T) {
 	if err := json.Unmarshal(buf, &back); err != nil {
 		t.Fatalf("snapshot does not round-trip: %v", err)
 	}
-	if back.Totals() != merged.Totals() || back.Backoff != merged.Backoff || back.HQuiet != merged.HQuiet {
+	if back.Totals() != merged.Totals() || back.Backoff != merged.Backoff || back.HQuiet != merged.HQuiet || !reflect.DeepEqual(back.HTM, merged.HTM) {
 		t.Fatal("counts lost in JSON round-trip")
+	}
+	if !strings.Contains(string(buf), `"htm":{"starts":8,`) {
+		t.Fatalf("no htm object in %s", buf)
 	}
 }
 
@@ -210,5 +256,16 @@ func TestLatencySampling(t *testing.T) {
 	}
 	if s.Retries.Count() != 256 {
 		t.Fatalf("retry histogram must record every commit, got %d", s.Retries.Count())
+	}
+}
+
+// TestModeStrings pins the mode names snapshots and JSON key on: the
+// Figure 15 classes TuFast commits in, and the baselines' tx.
+func TestModeStrings(t *testing.T) {
+	want := map[Mode]string{ModeH: "H", ModeO: "O", ModeOPlus: "O+", ModeO2L: "O2L", ModeL: "L", ModeTx: "tx", NumModes: "?"}
+	for m, s := range want {
+		if m.String() != s {
+			t.Errorf("%d -> %q, want %q", m, m.String(), s)
+		}
 	}
 }

@@ -15,8 +15,12 @@ type Snapshot struct {
 	// the per-mode abort reasons (a conflict abort is worth a wait, a
 	// capacity abort is not).
 	Backoff BackoffSnapshot `json:"backoff"`
-	// HQuiet is how much of H mode ran without per-vertex lock
-	// subscriptions; the caller folds it in (TuFast's core counts it).
+	// HTM counts the emulated hardware transactions (H-mode attempts,
+	// O-mode and H-TO segments, a baseline's hardware attempts), summed
+	// over workers.
+	HTM HTMSnapshot `json:"htm"`
+	// HQuiet is how much of TuFast's H mode ran without per-vertex lock
+	// subscriptions, summed over workers.
 	HQuiet QuietSnapshot `json:"h_quiet"`
 	// Gauges carries point-in-time values (e.g. adaptive_period) the
 	// caller folds in; counters above are cumulative.
@@ -218,6 +222,17 @@ type BackoffSnapshot struct {
 	Ns uint64 `json:"backoff_ns"`
 }
 
+// HTMSnapshot counts emulated hardware transactions: begun, committed,
+// the operations of the committed ones and of the aborted ones, and the
+// aborts by reason (conflict, capacity, explicit, locked).
+type HTMSnapshot struct {
+	Starts    uint64            `json:"starts"`
+	Commits   uint64            `json:"commits"`
+	Ops       uint64            `json:"ops"`
+	WastedOps uint64            `json:"wasted_ops"`
+	Aborts    map[string]uint64 `json:"aborts,omitempty"`
+}
+
 // QuietSnapshot counts the H-mode attempts that began with no transaction
 // able to hold a vertex lock in flight (they watch one word instead of a
 // lock word per vertex) and those of them such a transaction's arrival
@@ -263,6 +278,9 @@ func (m *Metrics) Snapshot() Snapshot {
 		s.Backoff.Waits += ws.backoffWaits.Load()
 		s.Backoff.Sleeps += ws.backoffSleeps.Load()
 		s.Backoff.Ns += ws.backoffNs.Load()
+		ws.htm.addTo(&s.HTM)
+		s.HQuiet.Attempts += ws.quietBegun.Load()
+		s.HQuiet.Killed += ws.quietKilled.Load()
 	}
 	for mo := Mode(0); mo < NumModes; mo++ {
 		ms := ModeSnapshot{
@@ -310,7 +328,7 @@ func (m *Metrics) Snapshot() Snapshot {
 }
 
 // Totals is a Snapshot summed over its modes: the scheduler-wide counts
-// (core.System.Stats, tufast.Stats) read from the one record.
+// (tufast.Stats) read from the one record.
 type Totals struct {
 	Commits   uint64 // transactions committed
 	Aborts    uint64 // attempts aborted and retried
@@ -360,6 +378,13 @@ func (s Snapshot) Merge(other Snapshot) Snapshot {
 			Waits:  s.Backoff.Waits + other.Backoff.Waits,
 			Sleeps: s.Backoff.Sleeps + other.Backoff.Sleeps,
 			Ns:     s.Backoff.Ns + other.Backoff.Ns,
+		},
+		HTM: HTMSnapshot{
+			Starts:    s.HTM.Starts + other.HTM.Starts,
+			Commits:   s.HTM.Commits + other.HTM.Commits,
+			Ops:       s.HTM.Ops + other.HTM.Ops,
+			WastedOps: s.HTM.WastedOps + other.HTM.WastedOps,
+			Aborts:    mergeCounts(copyCounts(s.HTM.Aborts), other.HTM.Aborts),
 		},
 		HQuiet: QuietSnapshot{
 			Attempts: s.HQuiet.Attempts + other.HQuiet.Attempts,

@@ -30,8 +30,6 @@ type HSync struct {
 	// subscribe to it and abort when it moves.
 	seq atomic.Uint64
 	mu  sync.Mutex // serializes software commits (seq's writer side)
-
-	HTMStats htm.Stats
 }
 
 // NewHSync creates the hybrid; retries bounds the HTM attempts.
@@ -47,8 +45,8 @@ func (s *HSync) Name() string { return "HSync" }
 
 // Worker implements Scheduler.
 func (s *HSync) Worker(tid int) Worker {
-	w := &hsyncWorker{s: s, tx: htm.NewTx(s.sp, &s.HTMStats), writeIdx: gentab.New(5)}
 	p := s.Metrics().NewProbe()
+	w := &hsyncWorker{s: s, tx: htm.NewTx(s.sp, p.HTM()), writeIdx: gentab.New(5)}
 	w.loop = newLoop(w, &p, obs.ModeTx, nil, uint64(tid)*0xFF51AFD7ED558CCD+13)
 	return w
 }
@@ -116,7 +114,7 @@ func (w *hsyncWorker) reason() obs.Reason {
 	case w.locked:
 		return obs.ReasonLocked
 	}
-	return HTMReason(w.tx.LastAbort())
+	return w.tx.LastAbort().Reason()
 }
 
 // softCommit serializes on the global sequence lock, re-validates every

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"tufast/internal/htm"
 	"tufast/internal/obs"
 )
 
@@ -29,18 +28,4 @@ func StopReason(err error) obs.Reason {
 		return obs.ReasonCancel
 	}
 	return obs.ReasonUser
-}
-
-// HTMReason maps an emulated-HTM abort code to its obs attribution.
-func HTMReason(code htm.AbortCode) obs.Reason {
-	switch code {
-	case htm.AbortCapacity:
-		return obs.ReasonCapacity
-	case htm.AbortExplicit:
-		return obs.ReasonExplicit
-	case htm.AbortLocked:
-		return obs.ReasonLocked
-	default:
-		return obs.ReasonConflict
-	}
 }

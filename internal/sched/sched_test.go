@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tufast/internal/deadlock"
+	"tufast/internal/htm"
 	"tufast/internal/mem"
 	"tufast/internal/obs"
 	"tufast/internal/vlock"
@@ -478,4 +479,67 @@ func TestOutcomesRecordedOnce(t *testing.T) {
 			t.Logf("%d commits, %d aborts (%d deadlock victims), %d stops", st.Commits, st.Aborts, st.Deadlocks, st.UserStops)
 		})
 	}
+}
+
+// TestBaselineHTMCountsInOwnSnapshot: a baseline's hardware attempts are
+// counted in its own metrics snapshot, by the worker that ran them. HSync
+// at one thread commits disjoint small transactions in hardware, one HTM
+// commit each; a transaction past the emulated cache's capacity spends
+// its retries+1 hardware attempts on capacity aborts and commits on the
+// NOrec path. H-TO closes one segment per period operations.
+func TestBaselineHTMCountsInOwnSnapshot(t *testing.T) {
+	const retries = 4
+	// CacheWays+1 lines that all map to cache set 0: no attempt fits.
+	const setStride = htm.CacheSets * mem.WordsPerLine
+	t.Run("hsync disjoint", func(t *testing.T) {
+		s := NewHSync(mem.NewSpace(64*mem.WordsPerLine), retries)
+		w := s.Worker(0)
+		for i := range 64 {
+			a := mem.Addr(i * mem.WordsPerLine)
+			if err := w.Run(2, func(tx Tx) error { tx.Write(uint32(i), a, tx.Read(uint32(i), a)+1); return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := s.Metrics().Snapshot()
+		if h := snap.HTM; h.Commits != 64 || h.Commits != snap.Totals().Commits || h.Starts != 64 || len(h.Aborts) != 0 || h.Ops != 128 {
+			t.Fatalf("HTM %+v beside %d commits, want one hardware commit of two operations each", h, snap.Totals().Commits)
+		}
+	})
+	t.Run("hsync past capacity", func(t *testing.T) {
+		sp := mem.NewSpace((htm.CacheWays + 1) * setStride)
+		s := NewHSync(sp, retries)
+		err := s.Worker(0).Run(0, func(tx Tx) error {
+			for i := range htm.CacheWays + 1 {
+				tx.Write(uint32(i), mem.Addr(i*setStride), 7)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := s.Metrics().Snapshot()
+		h, tx := snap.HTM, snap.Modes[obs.ModeTx.String()]
+		if h.Starts != retries+1 || h.Commits != 0 || len(h.Aborts) != 1 || h.Aborts["capacity"] != retries+1 {
+			t.Errorf("HTM %+v, want %d capacity aborts and no hardware commit", h, retries+1)
+		}
+		if tx.Commits != 1 || tx.Aborts["capacity"] != retries+1 || sp.Load(mem.Addr(htm.CacheWays*setStride)) != 7 {
+			t.Errorf("outcomes %+v, want the capacity aborts and one NOrec commit", tx)
+		}
+	})
+	t.Run("hto segments", func(t *testing.T) {
+		const period, k = 10, 3
+		s := NewHTO(mem.NewSpace(k*period*mem.WordsPerLine), vlock.NewTable(k*period), k*period, period)
+		err := s.Worker(0).Run(0, func(tx Tx) error {
+			for v := range uint32(k * period) {
+				tx.Read(v, mem.Addr(v)*mem.WordsPerLine)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := s.Metrics().Snapshot().HTM; h.Commits != k || h.Starts != k+1 || len(h.Aborts) != 0 {
+			t.Fatalf("HTM %+v, want %d segment commits out of %d starts", h, k, k+1)
+		}
+	})
 }

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"tufast/internal/gentab"
-	"tufast/internal/htm"
 	"tufast/internal/mem"
 	"tufast/internal/obs"
 	"tufast/internal/vlock"
@@ -30,8 +29,6 @@ type TO struct {
 
 	// period is H-TO's HTM segment length in operations; 0 is plain TO.
 	period int
-	// HTMStats counts H-TO's emulated HTM segments.
-	HTMStats htm.Stats
 
 	// drain is the starvation drain of every worker's loop: timestamp
 	// ordering aborts a large writer whose footprint newer transactions
@@ -73,12 +70,12 @@ func (s *TO) Name() string { return s.name }
 // Worker implements Scheduler.
 func (s *TO) Worker(tid int) Worker {
 	w := &toWorker{s: s, tid: tid, held: gentab.New(5)}
+	p := s.Metrics().NewProbe()
 	seed := uint64(tid)*0xD1342543DE82EF95 + 3
 	if s.period > 0 {
-		w.seg = &segment{s: s, seen: gentab.New(6)}
+		w.seg = &segment{s: s, htm: p.HTM(), seen: gentab.New(6)}
 		seed = uint64(tid)*0xC2B2AE3D27D4EB4F + 17
 	}
-	p := s.Metrics().NewProbe()
 	w.loop = newLoop(w, &p, obs.ModeTx, &s.drain, seed)
 	return w
 }
@@ -215,9 +212,11 @@ func (w *toWorker) Write(v uint32, addr mem.Addr, val uint64) {
 
 // segment is H-TO's HTM segment monitor: reads of the open segment are
 // revalidated whenever the global commit clock moves, and the segment
-// closes (XEND; XBEGIN) every period operations.
+// closes (XEND; XBEGIN) every period operations. It counts the segments
+// in its worker's probe.
 type segment struct {
 	s        *TO
+	htm      *obs.HTM
 	reads    []readRec
 	seen     *gentab.Table
 	ops      int
@@ -229,7 +228,7 @@ func (g *segment) begin() {
 	g.seen.Reset()
 	g.ops = 0
 	g.snapshot = g.s.sp.Commits()
-	g.s.HTMStats.Starts.Add(1)
+	g.htm.Starts.Add(1)
 }
 
 // op ticks the segment forward before every operation.
@@ -237,7 +236,7 @@ func (g *segment) op() {
 	if c := g.s.sp.Commits(); c != g.snapshot {
 		for i := range g.reads {
 			if g.s.sp.Meta(g.reads[i].line) != g.reads[i].ver {
-				g.s.HTMStats.AbortConflicts.Add(1)
+				g.htm.Abort(obs.ReasonConflict)
 				ThrowAbort("hto segment conflict")
 			}
 		}
@@ -245,7 +244,7 @@ func (g *segment) op() {
 	}
 	g.ops++
 	if g.ops >= g.s.period {
-		g.s.HTMStats.Commits.Add(1)
+		g.htm.Commits.Add(1)
 		g.begin()
 	}
 }

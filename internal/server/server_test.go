@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -130,7 +131,8 @@ func waitGoroutines(t *testing.T, baseline int) {
 		runtime.NumGoroutine(), baseline, buf[:n])
 }
 
-func serverMetrics(t *testing.T, client *http.Client, base string) *obs.ServerSnapshot {
+// fetchMetrics decodes the /metrics document.
+func fetchMetrics(t *testing.T, client *http.Client, base string) obs.Snapshot {
 	t.Helper()
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {
@@ -141,10 +143,70 @@ func serverMetrics(t *testing.T, client *http.Client, base string) *obs.ServerSn
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatalf("decode metrics: %v", err)
 	}
+	return snap
+}
+
+func serverMetrics(t *testing.T, client *http.Client, base string) *obs.ServerSnapshot {
+	t.Helper()
+	snap := fetchMetrics(t, client, base)
 	if snap.Server == nil {
 		t.Fatal("metrics snapshot has no server section")
 	}
 	return snap.Server
+}
+
+// TestMetricsCarryHTM: /metrics serves the emulated-HTM counts beside the
+// outcomes they belong to. A standing job runs on its graph's own System
+// (an ordinary one builds a System of its own), so after one the default
+// graph's System has started hardware transactions; once a second graph
+// has run one too, the served counts are its and the default graph's
+// merged.
+func TestMetricsCarryHTM(t *testing.T) {
+	s := startServer(t, standingTestDyn(t, 500, 4), Config{JobWorkers: 1, QueueDepth: 8})
+	base := "http://" + s.Addr()
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	// runJob runs a standing pagerank on the named graph to completion.
+	runJob := func(graph string) {
+		t.Helper()
+		route := base + "/v1/graphs/" + graph + "/jobs"
+		code, view, _ := postJSON(t, client, route, map[string]any{"algo": "pagerank", "standing": true, "timeout_ms": 60_000})
+		if code != http.StatusAccepted {
+			t.Fatalf("submit on %s: %d %v", graph, code, view)
+		}
+		id, _ := view["job_id"].(string)
+		waitTenantStatus(t, client, base, graph, id, StatusDone)
+	}
+
+	runJob("default")
+	if h := fetchMetrics(t, client, base).HTM; h.Starts == 0 || h.Commits == 0 {
+		t.Fatalf("htm after one job = %+v, want hardware transactions started and committed", h)
+	}
+
+	code, out, _ := doJSON(t, client, http.MethodPut, base+"/v1/graphs/beta", map[string]any{"vertices": 200, "undirected": true})
+	if code != http.StatusCreated {
+		t.Fatalf("PUT graph beta: %d %v", code, out)
+	}
+	if code, _ := postTenantBatch(t, client, base, "beta", distinctBatch(rand.New(rand.NewSource(1)), 200, 60)); code != http.StatusOK {
+		t.Fatalf("batch on beta: %d", code)
+	}
+	runJob("beta")
+	served := fetchMetrics(t, client, base).HTM
+	insts := s.instances()
+	if len(insts) != 2 {
+		t.Fatalf("%d graphs, want default and beta", len(insts))
+	}
+	var sum obs.Snapshot
+	for _, g := range insts {
+		own := g.sys.MetricsSnapshot().HTM
+		if own.Starts == 0 {
+			t.Errorf("graph %s started no hardware transaction", g.name)
+		}
+		sum = sum.Merge(g.sys.MetricsSnapshot())
+	}
+	if !reflect.DeepEqual(served, sum.HTM) {
+		t.Fatalf("served htm %+v, the graphs' Systems merged %+v", served, sum.HTM)
+	}
 }
 
 // TestServeConcurrentMixed is the end-to-end serving test: concurrent

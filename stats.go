@@ -43,23 +43,23 @@ type ModeBucket struct {
 	Operations   uint64 // their total read+write operations
 }
 
-// StatsSnapshot captures the system counters. Every count of transaction
-// outcomes and their operations, Mode and Deadlocks included, is read from
-// one metrics snapshot, so they agree with each other and with
+// StatsSnapshot captures the system counters, read from one
+// MetricsSnapshot: every count agrees with every other and with a
 // MetricsSnapshot taken at the same moment.
-func (s *System) StatsSnapshot() Stats {
-	snap := s.core.Metrics().Snapshot()
+func (s *System) StatsSnapshot() Stats { return statsOf(s.MetricsSnapshot()) }
+
+// statsOf sums a metrics snapshot into a Stats.
+func statsOf(snap MetricsSnapshot) Stats {
 	t := snap.Totals()
-	hs := s.core.HTMStats()
-	qs := s.core.QuietStats()
 	mode := make(map[string]ModeBucket, 5)
-	for _, c := range core.Classes() {
-		m := snap.Modes[c.String()]
-		mode[c.String()] = ModeBucket{
-			Transactions: m.Commits,
-			Operations:   m.Reads + m.Writes,
+	for m := obs.ModeH; m <= obs.ModeL; m++ {
+		ms := snap.Modes[m.String()]
+		mode[m.String()] = ModeBucket{
+			Transactions: ms.Commits,
+			Operations:   ms.Reads + ms.Writes,
 		}
 	}
+	h := snap.HTM
 	return Stats{
 		Commits:       t.Commits,
 		Aborts:        t.Aborts,
@@ -68,30 +68,28 @@ func (s *System) StatsSnapshot() Stats {
 		Reads:         t.Reads,
 		Writes:        t.Writes,
 		Mode:          mode,
-		HTMStarts:     hs.Starts,
-		HTMCommits:    hs.Commits,
-		HTMConflicts:  hs.AbortConflicts,
-		HTMCapacity:   hs.AbortCapacity,
-		HTMExplicit:   hs.AbortExplicit,
-		HTMLocked:     hs.AbortLocked,
-		HQuiet:        qs.Attempts,
-		HQuietKilled:  qs.Killed,
+		HTMStarts:     h.Starts,
+		HTMCommits:    h.Commits,
+		HTMConflicts:  h.Aborts[obs.ReasonConflict.String()],
+		HTMCapacity:   h.Aborts[obs.ReasonCapacity.String()],
+		HTMExplicit:   h.Aborts[obs.ReasonExplicit.String()],
+		HTMLocked:     h.Aborts[obs.ReasonLocked.String()],
+		HQuiet:        snap.HQuiet.Attempts,
+		HQuietKilled:  snap.HQuiet.Killed,
 		Deadlocks:     t.Deadlocks,
-		CurrentPeriod: s.core.CurrentPeriod(),
+		CurrentPeriod: int(snap.Gauges["adaptive_period"]),
 	}
 }
 
 // ResetStats zeroes every counter StatsSnapshot and MetricsSnapshot
-// report: the observability metrics, which every outcome count is read
-// from (Commits, Aborts, UserStops, Panics, Reads, Writes, the per-class
-// Mode buckets and Deadlocks, beside the per-mode latency and retry
-// histograms, transition and backoff counters), the emulated-HTM
-// counters (HTMStarts through HTMLocked), and HQuiet and HQuietKilled.
+// report, all of which live in the one metrics record: outcomes and their
+// operations, latency and retry histograms, transition and backoff
+// counters, the emulated-HTM counters and the quiet H-mode attempts.
 // It does NOT reset the adaptive period controller: its estimate of the
 // workload's conflict rate remains valid across a warmup boundary
 // (resetting it would re-learn from scratch and skew the measured run),
 // so CurrentPeriod is a gauge that persists.
-func (s *System) ResetStats() { s.core.ResetStats() }
+func (s *System) ResetStats() { s.core.Metrics().Reset() }
 
 // MetricsSnapshot is the observability snapshot: per-mode commit and
 // abort-reason counts, sampled commit-latency and retry histograms,
@@ -100,12 +98,11 @@ func (s *System) ResetStats() { s.core.ResetStats() }
 type MetricsSnapshot = obs.Snapshot
 
 // MetricsSnapshot captures the observability metrics. The adaptive
-// period in force is exported as the "adaptive_period" gauge, the worker
-// thread ids in use (of the 512 a System can hand out before it panics)
-// as "workers", the quiet H-mode attempts and their kills as HQuiet.
+// period in force is exported as the "adaptive_period" gauge and the
+// worker thread ids in use (of the 512 a System can hand out before it
+// panics) as "workers".
 func (s *System) MetricsSnapshot() MetricsSnapshot {
 	snap := s.core.Metrics().Snapshot()
-	snap.HQuiet = s.core.QuietStats()
 	if snap.Gauges == nil {
 		snap.Gauges = make(map[string]int64, 2)
 	}

@@ -52,10 +52,10 @@ func runCounterWorkload(t *testing.T, sys *tufast.System, g *tufast.Graph) {
 }
 
 // TestResetStatsZeroesEveryCounter pins the Snapshot/Reset invariant
-// with reflection, so a counter added to Stats without a matching Reset
-// (the bug this test was written against: HTM counters survived
-// ResetStats) fails the test automatically instead of silently skewing
-// post-warmup measurements.
+// with reflection, so a counter added to Stats or to the metrics snapshot
+// without a matching Reset (the bug this test was written against: HTM
+// counters survived ResetStats) fails the test automatically instead of
+// silently skewing post-warmup measurements.
 func TestResetStatsZeroesEveryCounter(t *testing.T) {
 	g := tufast.GeneratePowerLaw(4_000, 60_000, 2.1, 7)
 	sys := tufast.NewSystem(g, tufast.Options{Threads: 8})
@@ -72,30 +72,18 @@ func TestResetStatsZeroesEveryCounter(t *testing.T) {
 		t.Fatalf("workload recorded no terminal stops: %+v", pre)
 	}
 
-	if b := sys.MetricsSnapshot().Backoff; b.Waits == 0 {
-		t.Fatalf("workload recorded no backoff wait: %+v", b)
+	// The metrics snapshot holds counters the public Stats leaves out
+	// (backoff, HTM operation counts): the walker below must find them
+	// zeroed too, beside the HTM and quiet-attempt counts both report.
+	pm := sys.MetricsSnapshot()
+	if pm.Backoff.Waits == 0 {
+		t.Fatalf("workload recorded no backoff wait: %+v", pm.Backoff)
 	}
-	// Quiet attempts are counted in both snapshots; the walker below must
-	// find them zeroed in both (and in core.QuietStats).
-	if q := sys.MetricsSnapshot().HQuiet; pre.HQuiet == 0 || q.Attempts == 0 {
+	if h := pm.HTM; h.Ops == 0 || h.Starts != pre.HTMStarts || h.Aborts["explicit"] != pre.HTMExplicit {
+		t.Fatalf("workload moved no HTM operation counters, or the snapshots disagree: %+v, %+v", h, pre)
+	}
+	if q := pm.HQuiet; pre.HQuiet == 0 || q.Attempts != pre.HQuiet {
 		t.Fatalf("workload began no quiet H attempt: %+v, %+v", pre, q)
-	}
-
-	// The core's own views show counters the public Stats leaves out
-	// (HTM operation counts): they are sums over per-worker blocks, so
-	// only ResetStats can clear them, and it must clear all of them.
-	coreViews := func() map[string]any {
-		c := sys.Core()
-		return map[string]any{
-			"core.Stats":      c.Stats(),
-			"core.ModeStats":  c.ModeStats(),
-			"core.HTMStats":   c.HTMStats(),
-			"core.QuietStats": c.QuietStats(),
-			"core.Deadlocks":  c.Deadlocks(),
-		}
-	}
-	if hs := sys.Core().HTMStats(); hs.Ops == 0 {
-		t.Fatalf("workload moved no HTM operation counters: %+v", hs)
 	}
 	if pre.Mode["L"].Transactions == 0 {
 		t.Fatalf("workload committed nothing in L mode: %+v", pre.Mode)
@@ -103,9 +91,6 @@ func TestResetStatsZeroesEveryCounter(t *testing.T) {
 
 	sys.ResetStats()
 	post := sys.StatsSnapshot()
-	for name, view := range coreViews() {
-		assertZero(t, name, reflect.ValueOf(view))
-	}
 
 	// Every numeric field of Stats is a cumulative counter and must be
 	// zero after ResetStats — except CurrentPeriod, a gauge: the
@@ -122,9 +107,10 @@ func TestResetStatsZeroesEveryCounter(t *testing.T) {
 		assertZero(t, f.Name, rv.Field(i))
 	}
 
-	// The observability layer resets with the same call: every numeric
-	// field of the metrics snapshot but the gauges (backoff counters
-	// included) is a cumulative counter too.
+	// The metrics snapshot is the one record both views read: every
+	// numeric field of it but the gauges — the modes, transitions,
+	// backoff, HTM and quiet-attempt counters — is a cumulative counter
+	// that the same call clears.
 	ms := sys.MetricsSnapshot()
 	mv := reflect.ValueOf(ms)
 	for i := 0; i < mv.NumField(); i++ {
