@@ -43,15 +43,27 @@ func TestApplyStreamAllocsPerOp(t *testing.T) {
 
 // TestApplyOwnedAllocsPerOp holds the owned path to allocating per batch,
 // never per op: its per-op outcomes live in slices the graph keeps
-// between batches, so serving-sized (256-op) batches on a warmed,
-// undirected overlay stay under a tenth of an allocation per op.
+// between batches, so on a warmed, undirected overlay serving-sized
+// (256-op) batches, which apply on the caller's goroutine, and batches
+// large enough to fan out over two owners both stay under a tenth of an
+// allocation per op.
 func TestApplyOwnedAllocsPerOp(t *testing.T) {
-	const n, batch = 8192, 256
+	t.Run("inline", func(t *testing.T) { ownedAllocsPerOp(t, 8192, 256, 64) })
+	t.Run("fanout", func(t *testing.T) {
+		const batch = 2 * tufast.MinOwnerOps
+		ownedAllocsPerOp(t, 2*batch, batch, 12)
+	})
+}
+
+// ownedAllocsPerOp applies batches of batch ops on two threads to n
+// isolated vertices, with room for runs batches, and fails if they
+// allocate a tenth of a time per op or more.
+func ownedAllocsPerOp(t *testing.T, n, batch, runs int) {
 	g, err := tufast.BuildGraph(n, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, d := newDynFixture(t, g, 64*batch, tufast.Options{Threads: 2})
+	_, d := newDynFixture(t, g, runs*batch, tufast.Options{Threads: 2})
 	ops := make([]tufast.StreamOp, batch)
 	run := 0
 	apply := func() {
@@ -70,7 +82,7 @@ func TestApplyOwnedAllocsPerOp(t *testing.T) {
 	// Eleven runs in all leave each chain two blocks long, short of the
 	// length that builds a target index (an allocation per vertex, not
 	// per op, and one the race detector's pool would repeat).
-	if perOp := testing.AllocsPerRun(8, apply) / batch; perOp >= 0.1 {
+	if perOp := testing.AllocsPerRun(8, apply) / float64(batch); perOp >= 0.1 {
 		t.Errorf("ApplyOwned allocates %.3f times per op, want under 0.1", perOp)
 	} else {
 		t.Logf("%.4f allocations per op", perOp)

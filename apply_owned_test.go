@@ -417,56 +417,65 @@ func TestReplayOwnedRefusesOutOfRangeOp(t *testing.T) {
 }
 
 // TestApplyOwnedPanicBreaksGraph runs owned batches of fresh edges into
-// an arena sized for a few hundred until one runs it out. The panic on
-// the owner's goroutine comes back as a *TxPanicError with the epoch the
-// batch published, a view pinned before it still reads its own epoch,
-// and the graph refuses every later batch, owned or transactional,
-// without moving.
+// an arena sized for a few hundred until one runs it out, in batches
+// that apply on one owner and in batches large enough to fan out over
+// every thread. The panic in the owner comes back as a *TxPanicError
+// with the epoch the batch published, a view pinned before it still
+// reads its own epoch, and the graph refuses every later batch, owned or
+// transactional, without moving.
 func TestApplyOwnedPanicBreaksGraph(t *testing.T) {
 	for _, threads := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
-			const n = 300
-			g := tufast.GenerateUniform(n, 4, 3).Undirect()
-			_, d := newDynFixture(t, g, 400, tufast.Options{Threads: threads})
-			view := d.View()
-			defer view.Close()
-			before := compactImage(t, view.Compact)
-			rng := rand.New(rand.NewSource(int64(threads)))
-			var pe *tufast.TxPanicError
-			for i := 0; ; i++ {
-				if i == 100 {
-					t.Fatal("100 batches never ran the arena out")
-				}
-				ops := make([]tufast.StreamOp, 64)
-				for j := range ops {
-					ops[j] = tufast.StreamOp{U: uint32(rng.Intn(n)), V: uint32(rng.Intn(n))}
-				}
-				stats, err := d.ApplyOwned(ops)
-				if err == nil {
-					continue
-				}
-				if !errors.As(err, &pe) {
-					t.Fatalf("batch %d: %v, want a *TxPanicError", i, err)
-				}
-				if stats.Epoch != d.Epoch() {
-					t.Fatalf("failed batch reports epoch %d, the graph is at %d", stats.Epoch, d.Epoch())
-				}
-				break
-			}
-			if got := compactImage(t, view.Compact); !bytes.Equal(got, before) {
-				t.Fatalf("view at epoch %d changed under the failed batch", view.Epoch())
-			}
-			epoch := d.Epoch()
-			op := []tufast.StreamOp{{U: 1, V: 2, Del: !d.HasEdgeNow(1, 2)}}
-			if _, err := d.ApplyOwned(slices.Clone(op)); !errors.As(err, &pe) {
-				t.Fatalf("owned batch after the failed one: %v, want the panic", err)
-			}
-			if _, err := d.ApplyStream(slices.Clone(op), tufast.StreamOptions{}); !errors.As(err, &pe) {
-				t.Fatalf("stream batch after the failed one: %v, want the panic", err)
-			}
-			if d.Epoch() != epoch {
-				t.Fatalf("refused batches moved the epoch %d→%d", epoch, d.Epoch())
+			for _, batch := range []int{64, 2 * tufast.MinOwnerOps, 4 * tufast.MinOwnerOps} {
+				t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+					ownedPanicBreaksGraph(t, threads, batch)
+				})
 			}
 		})
+	}
+}
+
+func ownedPanicBreaksGraph(t *testing.T, threads, batch int) {
+	const n = 300
+	g := tufast.GenerateUniform(n, 4, 3).Undirect()
+	_, d := newDynFixture(t, g, 400, tufast.Options{Threads: threads})
+	view := d.View()
+	defer view.Close()
+	before := compactImage(t, view.Compact)
+	rng := rand.New(rand.NewSource(int64(threads)))
+	var pe *tufast.TxPanicError
+	for i := 0; ; i++ {
+		if i == 100 {
+			t.Fatal("100 batches never ran the arena out")
+		}
+		ops := make([]tufast.StreamOp, batch)
+		for j := range ops {
+			ops[j] = tufast.StreamOp{U: uint32(rng.Intn(n)), V: uint32(rng.Intn(n))}
+		}
+		stats, err := d.ApplyOwned(ops)
+		if err == nil {
+			continue
+		}
+		if !errors.As(err, &pe) {
+			t.Fatalf("batch %d: %v, want a *TxPanicError", i, err)
+		}
+		if stats.Epoch != d.Epoch() {
+			t.Fatalf("failed batch reports epoch %d, the graph is at %d", stats.Epoch, d.Epoch())
+		}
+		break
+	}
+	if got := compactImage(t, view.Compact); !bytes.Equal(got, before) {
+		t.Fatalf("view at epoch %d changed under the failed batch", view.Epoch())
+	}
+	epoch := d.Epoch()
+	op := []tufast.StreamOp{{U: 1, V: 2, Del: !d.HasEdgeNow(1, 2)}}
+	if _, err := d.ApplyOwned(slices.Clone(op)); !errors.As(err, &pe) {
+		t.Fatalf("owned batch after the failed one: %v, want the panic", err)
+	}
+	if _, err := d.ApplyStream(slices.Clone(op), tufast.StreamOptions{}); !errors.As(err, &pe) {
+		t.Fatalf("stream batch after the failed one: %v, want the panic", err)
+	}
+	if d.Epoch() != epoch {
+		t.Fatalf("refused batches moved the epoch %d→%d", epoch, d.Epoch())
 	}
 }

@@ -1,7 +1,10 @@
 package tufast_test
 
 import (
+	"fmt"
 	"io"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"tufast"
@@ -146,4 +149,85 @@ func BenchmarkApplyStreamHub(b *testing.B) {
 	applyBench(b, 2*hub, 2, prep, func(round, i int) tufast.StreamOp {
 		return tufast.StreamOp{U: 0, V: uint32(1 + hub + round*256 + i)}
 	})
+}
+
+// writeMix draws n ops in serve_write's mix over g: 30% deletes of a
+// base arc; otherwise an insert from a uniform source (one in five the
+// source of a base arc) to the target of a base arc.
+func writeMix(g *tufast.Graph, n int, seed int64) []tufast.StreamOp {
+	rng := rand.New(rand.NewSource(seed))
+	var arcs [][2]uint32
+	for u := uint32(0); int(u) < g.NumVertices(); u++ {
+		for _, v := range g.Neighbors(u) {
+			arcs = append(arcs, [2]uint32{u, v})
+		}
+	}
+	nv := g.NumVertices()
+	ops := make([]tufast.StreamOp, n)
+	for i := range ops {
+		if rng.Float64() < 0.3 {
+			a := arcs[rng.Intn(len(arcs))]
+			ops[i] = tufast.StreamOp{U: a[0], V: a[1], Del: true}
+			continue
+		}
+		u := uint32(rng.Intn(nv))
+		if rng.Float64() < 0.2 {
+			u = arcs[rng.Intn(len(arcs))][0]
+		}
+		v := arcs[rng.Intn(len(arcs))][1]
+		if v == u {
+			v = (u + 1) % uint32(nv)
+		}
+		ops[i] = tufast.StreamOp{U: u, V: v}
+	}
+	return ops
+}
+
+// ownedBed is BenchmarkApplyOwned's graph and op stream, built once.
+var ownedBed = sync.OnceValues(func() (*tufast.Graph, []tufast.StreamOp) {
+	g := tufast.GenerateRMAT(16, 8, 1)
+	return g, writeMix(g, 1<<19, 1)
+})
+
+// BenchmarkApplyOwned is the per-op cost of ApplyOwned on serve_write's
+// shape — a directed R-MAT scale-16 base, its op mix, two threads — at
+// five batch sizes, each applied inline (one owner, the caller's
+// goroutine) and fanned out (an owner per thread). Every sub-benchmark
+// applies the same op stream to the same graph states: the overlay is
+// rebuilt (off the clock) each time the 2^19 ops are used up. minOwnerOps
+// is the smallest per-owner share (batch / 2) at which fanned out beat
+// inline.
+func BenchmarkApplyOwned(b *testing.B) {
+	const threads = 2
+	for _, batch := range []int{256, 1024, 4096, 16384, 65536} {
+		for _, mode := range []struct {
+			name   string
+			owners int
+		}{{"inline", 1}, {"fanout", threads}} {
+			b.Run(fmt.Sprintf("ops=%d/%s", batch, mode.name), func(b *testing.B) {
+				g, stream := ownedBed()
+				var d *tufast.DynGraph
+				ops := make([]tufast.StreamOp, batch)
+				applied, next := 0, len(stream)
+				b.ResetTimer()
+				for applied < b.N {
+					if next == len(stream) {
+						b.StopTimer()
+						d = tufast.NewDynGraph(tufast.NewSystem(g, tufast.Options{
+							Threads: threads, SpaceWords: tufast.DynSpaceWords(g, len(stream)),
+						}))
+						next = 0
+						b.StartTimer()
+					}
+					copy(ops, stream[next:next+batch])
+					next += batch
+					if _, err := d.ApplyOwnedOn(ops, mode.owners); err != nil {
+						b.Fatal(err)
+					}
+					applied += batch
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(applied), "ns/op")
+			})
+		}
+	}
 }

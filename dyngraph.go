@@ -43,12 +43,19 @@ type DynGraph struct {
 	// mutation batch stamps its entries with epoch+1, so two must not
 	// share a stamp (the second would leak half-committed entries into
 	// views pinned at the first's epoch), and an owned batch or GC pass
-	// must be the chains' only writer. Work within a batch still runs on
-	// all the System's threads.
+	// must be the chains' only writer. Within the lock a batch spreads
+	// over as many of the System's threads as it has work for: a
+	// transactional window over all of them, a GC pass in vertex chunks,
+	// an owned batch on one owner per minOwnerOps ops (a serving-sized
+	// one on the caller's goroutine).
 	batchMu sync.Mutex
 	// ownedFwd and ownedRev are ApplyOwned's per-op outcomes, kept
 	// between batches so a batch allocates none; batchMu guards them.
 	ownedFwd, ownedRev []bool
+	// warmed sums the words ApplyOwned's warm passes loaded. Nothing
+	// reads it: it is there so that the loads, whose values nothing else
+	// uses, are kept.
+	warmed atomic.Uint64
 	// broken holds the panic that cut an ApplyOwned batch short, after
 	// which the graph takes no batch (see ApplyOwned); batchMu guards it.
 	broken error
@@ -367,13 +374,15 @@ func (d *DynGraph) GCCtx(ctx context.Context, reserveWords int) (int, error) {
 	return int(rewritten.Load()), err
 }
 
-// owners runs fn over chunks of [0, n), grain items each, on the
-// System's threads, for a batch whose chunks write disjoint vertices
-// without transactions. A panic ends its chunk and no chunk starts after
-// it: owners returns the first as a *TxPanicError, else ctx's error.
+// owners runs fn over chunks of [0, n), grain items each, on up to the
+// System's threads (on the caller's goroutine when there is one chunk),
+// for a batch whose chunks write disjoint vertices without
+// transactions. A panic ends its chunk and no chunk starts after it:
+// owners returns the first as a *TxPanicError, else ctx's error.
 func (d *DynGraph) owners(ctx context.Context, n, grain int, fn func(lo, hi int)) error {
 	var failed atomic.Pointer[TxPanicError]
-	err := worklist.RangeCtx(ctx, n, d.sys.rt.Threads, grain, func(_, lo, hi int) {
+	workers := min(d.sys.rt.Threads, (n+grain-1)/grain)
+	err := worklist.RangeCtx(ctx, n, workers, grain, func(_, lo, hi int) {
 		if failed.Load() != nil {
 			return
 		}
@@ -638,11 +647,21 @@ func (d *DynGraph) publish(cur uint64, stats *StreamStats) {
 // sorts them by Time (in place), takes the batch lock (waiting for a
 // batch in flight), stamps what it writes with epoch+1 and publishes that
 // epoch when anything changed — but without transactions: each arc
-// mutation runs on the goroutine that owns its source vertex (the id
-// modulo the System's threads), in slice order, through the same arc
-// mutation a transaction runs, reading and writing the space directly
-// (dyngraph.Store.Owned). An undirected op's two arcs go to their two
-// owners and the op counts as changed if either did. No hook runs.
+// mutation runs on the goroutine that owns its source vertex, in slice
+// order, through the same arc mutation a transaction runs, reading and
+// writing the space directly (dyngraph.Store.Owned). An undirected op's
+// two arcs go to their two owners and the op counts as changed if either
+// did. No hook runs.
+//
+// The batch sizes its own fan-out: it has one owner per minOwnerOps ops,
+// at least one and at most the System's threads, and a vertex's owner is
+// its id modulo that count. A serving-sized batch thus has one owner and
+// runs on the caller's goroutine; only a batch large enough to repay
+// starting goroutines and waiting for them spreads over the threads.
+// Each owner takes its ops a window at a time and loads the window's
+// source words in two passes before it mutates any of them
+// (dyngraph.Store.Warm), so their cache misses overlap instead of
+// queueing one behind another down the chains.
 //
 // It is for a batch with nothing to arbitrate: boot recovery replaying a
 // log tail, and a serving batch no hook rides. The batch lock already
@@ -656,15 +675,32 @@ func (d *DynGraph) publish(cur uint64, stats *StreamStats) {
 // too: the two take turns on the lock. An op naming a vertex out of
 // range is refused before anything moves.
 //
-// Nothing is rolled back. A panic on an owner's goroutine — the space
-// running out is the one a caller's ops can cause — ends that owner's
-// share of the batch (and any share not yet started), possibly with its arc half written (an entry
-// linked, its degree not yet bumped, or one arc of an undirected op
-// without the other). ApplyOwned still publishes what the finished
-// arcs changed, as ApplyStreamCtx does after a failed window, returns
-// the first such panic as a *TxPanicError, and from then on the graph
-// refuses every batch with it: it can be read, never again written.
+// Nothing is rolled back. A panic in an owner — the space running out
+// is the one a caller's ops can cause — ends that owner's share of the
+// batch (and any share not yet started), possibly with its arc half
+// written (an entry linked, its degree not yet bumped, or one arc of an
+// undirected op without the other). ApplyOwned still publishes what the
+// finished arcs changed, as ApplyStreamCtx does after a failed window,
+// returns the first such panic as a *TxPanicError, and from then on the
+// graph refuses every batch with it: it can be read, never again
+// written.
 func (d *DynGraph) ApplyOwned(ops []StreamOp) (StreamStats, error) {
+	return d.applyOwned(ops, min(d.sys.rt.Threads, max(1, len(ops)/minOwnerOps)))
+}
+
+const (
+	// minOwnerOps is the smallest share of a batch worth an owner of its
+	// own: below twice this many ops a batch runs on the caller's
+	// goroutine. Set from BenchmarkApplyOwned (EXPERIMENTS "Owned batches
+	// apply where they arrive"): the smallest per-owner share at which
+	// fanning out beat applying inline.
+	minOwnerOps = 512
+	// warmWindow is how many ops an owner warms before it mutates them.
+	warmWindow = 256
+)
+
+// applyOwned is ApplyOwned on k owners.
+func (d *DynGraph) applyOwned(ops []StreamOp, k int) (StreamStats, error) {
 	n := uint32(d.st.NumVertices())
 	for _, op := range ops {
 		if op.U >= n || op.V >= n {
@@ -679,8 +715,6 @@ func (d *DynGraph) ApplyOwned(ops []StreamOp) (StreamStats, error) {
 	}
 	defer d.streaming.Store(false)
 
-	undirected := d.st.Undirected()
-	threads := uint32(d.sys.rt.Threads)
 	// Whether op i changed its arc U→V (written by U's owner) and, on an
 	// undirected graph, its arc V→U (written by V's owner). Cleared, so
 	// that an arc a panicking owner never reached counts as unchanged.
@@ -688,22 +722,14 @@ func (d *DynGraph) ApplyOwned(ops []StreamOp) (StreamStats, error) {
 	clear(fwd)
 	d.ownedFwd = fwd
 	var rev []bool
-	if undirected {
+	if d.st.Undirected() {
 		rev = slices.Grow(d.ownedRev[:0], len(ops))[:len(ops)]
 		clear(rev)
 		d.ownedRev = rev
 	}
-	failed := d.owners(context.Background(), int(threads), 1, func(lo, hi int) {
-		tx := d.st.Owned()
-		for owner := uint32(lo); owner < uint32(hi); owner++ {
-			for i, op := range ops {
-				if op.U%threads == owner {
-					fwd[i] = d.mutateArc(tx, op.U, op.V, op.Del)
-				}
-				if undirected && op.V%threads == owner {
-					rev[i] = d.mutateArc(tx, op.V, op.U, op.Del)
-				}
-			}
+	failed := d.owners(context.Background(), k, 1, func(lo, hi int) {
+		for owner := lo; owner < hi; owner++ {
+			d.warmed.Add(d.ownShare(ops, fwd, rev, uint32(owner), uint32(k)))
 		}
 	})
 	var stats StreamStats
@@ -720,6 +746,52 @@ func (d *DynGraph) ApplyOwned(ops []StreamOp) (StreamStats, error) {
 	d.publish(cur, &stats)
 	d.broken = failed // nil unless an owner panicked: beginBatch let no broken graph in
 	return stats, failed
+}
+
+// ownShare applies, in slice order, owner's arcs of ops out of k owners:
+// op i's arc U→V when U mod k is owner, recording whether it changed in
+// fwd[i], and on an undirected graph (rev non-nil) its arc V→U when V
+// mod k is, in rev[i]. It goes a window at a time: one pass picks the
+// window's arcs and warms their sources, a second follows what the first
+// loaded (see dyngraph.Store.Warm), and only then are they mutated. It
+// returns the sum of the words the warm passes loaded.
+func (d *DynGraph) ownShare(ops []StreamOp, fwd, rev []bool, owner, k uint32) uint64 {
+	tx := d.st.Owned()
+	undirected := rev != nil
+	// The window's arcs this owner writes, in order: op index << 1, with
+	// bit 0 set for the op's arc V→U.
+	var picked [2 * warmWindow]uint32
+	var sum uint64
+	for lo := 0; lo < len(ops); lo += warmWindow {
+		win := ops[lo:min(lo+warmWindow, len(ops))]
+		arcs := picked[:0]
+		for i, op := range win {
+			if k == 1 || op.U%k == owner {
+				arcs = append(arcs, uint32(i)<<1)
+				sum += d.st.Warm(op.U)
+			}
+			if undirected && (k == 1 || op.V%k == owner) {
+				arcs = append(arcs, uint32(i)<<1|1)
+				sum += d.st.Warm(op.V)
+			}
+		}
+		for _, a := range arcs {
+			if op := win[a>>1]; a&1 == 0 {
+				sum += d.st.WarmChain(op.U)
+			} else {
+				sum += d.st.WarmChain(op.V)
+			}
+		}
+		for _, a := range arcs {
+			i, op := lo+int(a>>1), win[a>>1]
+			if a&1 == 0 {
+				fwd[i] = d.mutateArc(tx, op.U, op.V, op.Del)
+			} else {
+				rev[i] = d.mutateArc(tx, op.V, op.U, op.Del)
+			}
+		}
+	}
+	return sum
 }
 
 // byTime orders stream ops by timestamp.

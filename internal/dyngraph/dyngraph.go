@@ -332,6 +332,36 @@ func (s *Store) findLatest(r reader, u, w uint32) cursor {
 	return c
 }
 
+// Warm and WarmChain load, without using them, the words a mutation at
+// source u reads first, so that a caller warming a window of sources
+// before mutating them has their cache misses in flight together
+// instead of one after another (group prefetching: Go has no prefetch
+// instruction, and a plain load does the job). Warm reads u's head, idx
+// and deg words and the middle of u's base row, where baseHas's binary
+// search starts; WarmChain, run over the window after Warm, follows
+// u's index header or the used word of its first block, whose address
+// Warm's loads brought in. Each returns the words it read folded into
+// one value: a caller that keeps the sum keeps the loads. Both read the
+// Space directly and are meant for the Store's only writer (see Owned).
+func (s *Store) Warm(u uint32) uint64 {
+	sum := s.sp.Load(s.headOf(u)) + s.sp.Load(s.idxOf(u)) + s.sp.Load(s.degOf(u))
+	if row := s.base.Neighbors(u); len(row) > 0 {
+		sum += uint64(row[len(row)/2])
+	}
+	return sum
+}
+
+// WarmChain is Warm's second pass: see Warm.
+func (s *Store) WarmChain(u uint32) uint64 {
+	if hdr := mem.Addr(s.sp.Load(s.idxOf(u))); hdr != 0 {
+		return s.sp.Load(hdr + idxBits)
+	}
+	if b := mem.Addr(s.sp.Load(s.headOf(u))); b != 0 {
+		return s.sp.Load(b + 1)
+	}
+	return 0
+}
+
 // slotHash is the index's multiplicative (Fibonacci) hash of target w
 // into a table of 1<<bits slots.
 func slotHash(w uint32, bits uint) mem.Addr {

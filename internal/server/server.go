@@ -5,9 +5,10 @@
 // The mutation plane (POST /v1/graphs/{name}/edges) applies batched
 // edge mutations and bumps that graph's mutation epoch. Every batch
 // applies owned (DynGraph.ApplyOwned: no transaction, each arc written
-// by the thread that owns its source): the bracket makes it the graph's
-// only writer, and nothing else reads the chains it writes except
-// through epoch-pinned views.
+// by the owner of its source, and a serving-sized batch has one owner,
+// the handler's goroutine): the bracket makes it the graph's only
+// writer, and nothing else reads the chains it writes except through
+// epoch-pinned views.
 //
 // The analytics plane (POST /v1/graphs/{name}/jobs, GET …/jobs/{id})
 // runs pagerank/cc/sssp/degree asynchronously: one bounded worker pool

@@ -78,7 +78,9 @@ end
 # collection after nearly every allocation: a finalizer that unmaps an
 # arena something still reads is a fault here, not a rumour. Beside the
 # recovery tests (TestReplayOwnedMatchesLiveServer among them), the fold
-# recovery is built on runs twenty times against ApplyOwned, chain GC
+# recovery is built on runs twenty times against ApplyOwned, and an owned
+# batch that runs the arena out twenty times, both on batches that apply
+# on the caller's goroutine and on batches that fan out; chain GC
 # twenty times as the batch it is (passes beside owned batches, taking
 # turns with batches on the batch lock, running the arena out), and the
 # standing computations' repair oracle twenty times: PageRank and CC
@@ -89,17 +91,19 @@ GOOS=windows go build $(go list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./...
 GOOS=darwin go vet ./internal/mem
 GOGC=1 go test -race -count=10 ./internal/mem
 GOGC=1 go test -race -count=10 -run 'TestCrashRecovery|TestTenancyCrashRecovery|TestReplay' ./internal/server
-go test -race -count=20 -run 'TestFoldMatchesApplyOwned' .
+go test -race -count=20 -run 'TestFoldMatchesApplyOwned|TestApplyOwnedPanicBreaksGraph' .
 go test -race -count=20 -run 'TestApplyOwnedBesideGC|TestGCPassTakesTurnsWithBatches|TestGCRunningArenaOut' .
 go test -race -count=20 -run 'TestRepairExactAtPinnedEpoch' ./algorithms
 end
 
 # The benchmarks EXPERIMENTS quotes, one iteration each, so they at least
-# keep compiling and running: the write path's, the H-mode fast path's
+# keep compiling and running: the write path's (the owned batch's sweep
+# of inline against fanned-out among them), the H-mode fast path's
 # "shares nothing" number, the Fig. 13/14 RM and RW cells, and the
 # per-scheduler transactions those cells are built from.
 begin "benchmarks run (1x)"
 go test -run '^$' -bench 'BenchmarkApplyStream(Leaf|Hub)$' -benchtime 1x . >/dev/null
+go test -run '^$' -bench 'BenchmarkApplyOwned$' -benchtime 1x . >/dev/null
 go test -run '^$' -bench 'BenchmarkDecodeBatch256$' -benchtime 1x ./internal/server >/dev/null
 go test -run '^$' -bench 'BenchmarkHCommitDisjoint$' -benchtime 1x ./internal/core >/dev/null
 go test -run '^$' -bench 'Benchmark(RM|RW)$' -benchtime 1x ./internal/bench >/dev/null
@@ -122,7 +126,8 @@ end
 # killed after a build, a doubling and a repoint in each mode, and
 # concurrent batches on four hub sources beside chain GC and pinned
 # views, and GC passes beside, between and out of arena under owned
-# batches; over the one worker pool: an algorithms call beside the
+# batches; over owned batches inline and fanned out, held to the fold
+# and run out of arena; over the one worker pool: an algorithms call beside the
 # System's own sweeps, mostly in L mode, where a thread id shared by two
 # goroutines loses updates; and, under the race detector, over the
 # server's lock-free admission: 32 racing submissions against a
@@ -161,7 +166,7 @@ oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestCrossMod
 oversubscribed "$tmp/worklist.test" 'TestDrain' 30
 oversubscribed "$tmp/algo.test" 'TestForEachQueued|TestResultsCountCommitsNotAttempts' 10
 oversubscribed "$tmp/dyngraph.test" 'TestIndexAbortSafety' 20
-oversubscribed "$tmp/tufast.test" 'TestHubMutationOracle|TestAlgorithmsShareSystemWorkers|TestApplyOwnedBesideGC|TestGCPassTakesTurnsWithBatches|TestGCRunningArenaOut' 4
+oversubscribed "$tmp/tufast.test" 'TestHubMutationOracle|TestAlgorithmsShareSystemWorkers|TestApplyOwnedBesideGC|TestGCPassTakesTurnsWithBatches|TestGCRunningArenaOut|TestFoldMatchesApplyOwned|TestApplyOwnedPanicBreaksGraph' 4
 oversubscribed "$tmp/server.test" 'TestInflightQuotaExactUnderConcurrentAdmission|TestShutdownRacingSubmitters' 20
 oversubscribed "$tmp/server.test" 'TestStandingReadAfterBatch|TestStandingSeedBesideParkedBatch|TestStandingDeleteRepairNoRecompute|TestStandingRepairWaitsForDelivery' 10
 end
