@@ -132,10 +132,10 @@ func main() {
 			os.Exit(1)
 		}
 		rec := srv.Recovery()
-		fmt.Printf("tufastd: recovered from %s: checkpoint epoch %d, replayed %d batches (%d ops)"+
-			" (checkpoint load %.1f ms, runtime and arena %.1f ms, wal scan %.1f ms, replay %.1f ms)",
-			*dataDir, rec.CheckpointEpoch, rec.ReplayedBatches, rec.ReplayedOps,
-			rec.CheckpointLoadMS, rec.SpaceNewMS, rec.WALScanMS, rec.ReplayMS)
+		fmt.Printf("tufastd: recovered from %s in %.1f ms: checkpoint epoch %d, replayed %d batches (%d ops)"+
+			" (checkpoint load %.1f ms beside wal scan %.1f ms, replay %.1f ms, fold %.1f ms, runtime and arena %.1f ms)",
+			*dataDir, rec.RecoverMS, rec.CheckpointEpoch, rec.ReplayedBatches, rec.ReplayedOps,
+			rec.CheckpointLoadMS, rec.WALScanMS, rec.ReplayMS, rec.FoldMS, rec.SpaceNewMS)
 		if rec.TornTail {
 			fmt.Printf(", torn WAL tail truncated")
 		}

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"testing"
 
+	"tufast/internal/graph"
 	"tufast/internal/graph/gen"
 	"tufast/internal/mem"
 )
@@ -87,12 +88,10 @@ func BenchmarkNeighborsAt(b *testing.B) {
 	}
 }
 
-// BenchmarkFold folds a serve_write-shaped WAL tail into serve_write's
-// base: 255k ops, 70% inserts with preferential targets (and sources
-// one time in five), 30% deletes of base arcs, into a directed R-MAT-16
-// graph, one op per iteration's whole fold.
-func BenchmarkFold(b *testing.B) {
-	base := gen.RMAT(16, 8, 1)
+// foldTail draws a serve_write-shaped WAL tail of nops ops over base:
+// 70% inserts with preferential targets (and sources one time in five),
+// 30% deletes of base arcs.
+func foldTail(base *graph.CSR, nops int) []Op {
 	n := base.NumVertices()
 	var arcs [][2]uint32
 	for u := uint32(0); int(u) < n; u++ {
@@ -101,7 +100,7 @@ func BenchmarkFold(b *testing.B) {
 		}
 	}
 	rng := rand.New(rand.NewSource(1))
-	ops := make([]Op, 255_000)
+	ops := make([]Op, nops)
 	for i := range ops {
 		a := arcs[rng.Intn(len(arcs))]
 		if rng.Intn(10) < 3 {
@@ -114,12 +113,45 @@ func BenchmarkFold(b *testing.B) {
 		}
 		ops[i] = Op{U: u, V: a[1]}
 	}
+	return ops
+}
+
+// benchFold times one whole fold of ops into base per iteration on the
+// given number of workers.
+func benchFold(b *testing.B, base *graph.CSR, ops []Op, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Fold(base, ops); err != nil {
+		if _, _, err := fold(base, ops, workers); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(base.NumEdges()), "base-arcs")
+}
+
+// BenchmarkFold folds a serve_write-shaped WAL tail into serve_write's
+// base, 255k ops into a directed R-MAT-16 graph, one whole fold per
+// iteration, on one worker and on two.
+func BenchmarkFold(b *testing.B) {
+	base := gen.RMAT(16, 8, 1)
+	ops := foldTail(base, 255_000)
+	for _, workers := range []int{1, 2} {
+		b.Run("threads="+strconv.Itoa(workers), func(b *testing.B) {
+			benchFold(b, base, ops, workers)
+			b.ReportMetric(float64(base.NumEdges()), "base-arcs")
+		})
+	}
+}
+
+// BenchmarkFoldCutoff is the table minFoldArcs was set from: folds of
+// serve_write's shape scaled down, an R-MAT base of 2^scale vertices and
+// a tail of half its arcs, on one worker and on two.
+func BenchmarkFoldCutoff(b *testing.B) {
+	for scale := 7; scale <= 13; scale++ {
+		base := gen.RMAT(scale, 8, 1)
+		ops := foldTail(base, base.NumEdges()/2)
+		for _, workers := range []int{1, 2} {
+			name := "arcs=" + strconv.Itoa(base.NumEdges()+len(ops)) + "/threads=" + strconv.Itoa(workers)
+			b.Run(name, func(b *testing.B) { benchFold(b, base, ops, workers) })
+		}
+	}
 }

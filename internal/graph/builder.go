@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"sort"
+
+	"tufast/internal/worklist"
 )
 
 // BuildOptions controls CSR construction.
@@ -99,9 +101,42 @@ func MustBuild(n int, edges []Edge, opt BuildOptions) *CSR {
 // FromCSRParts assembles a CSR from raw parts that already satisfy the
 // Validate invariants (loaders use it).
 func FromCSRParts(n int, offsets []uint64, adj []uint32, undirected bool) (*CSR, error) {
+	return FromCSRRanges(n, offsets, adj, undirected, []int{0, n}, 1, nil)
+}
+
+// FromCSRRanges is FromCSRParts for parts filled over the row ranges
+// that bounds cuts [0, n) into (worklist.Ranges' form): fill(k, lo, hi),
+// when not nil, writes rows [lo, hi) of offsets[1:] and adj. The ranges
+// run on up to workers goroutines (worklist.EachRange), and each range's
+// rows are validated right after they are filled, while they are in
+// cache. A range's first row starts where the range before it ends, so
+// the first rows are checked once every range is filled.
+func FromCSRRanges(n int, offsets []uint64, adj []uint32, undirected bool, bounds []int, workers int,
+	fill func(k, lo, hi int)) (*CSR, error) {
+	if len(bounds) == 0 || bounds[0] != 0 || bounds[len(bounds)-1] != n {
+		return nil, fmt.Errorf("graph: row ranges %v do not cover [0, %d)", bounds, n)
+	}
 	g := &CSR{n: n, offsets: offsets, adj: adj, undirected: undirected}
-	if err := g.Validate(); err != nil {
+	if len(offsets) != n+1 {
+		return nil, g.validateBounds()
+	}
+	errs := make([]error, len(bounds)-1)
+	worklist.EachRange(bounds, workers, func(k, lo, hi int) {
+		if fill != nil {
+			fill(k, lo, hi)
+		}
+		errs[k] = g.validateRows(min(lo+1, hi), hi)
+	})
+	if err := g.validateBounds(); err != nil {
 		return nil, err
+	}
+	for k, err := range errs {
+		if err == nil && bounds[k] < bounds[k+1] {
+			err = g.validateRows(bounds[k], bounds[k]+1)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	return g, nil
 }

@@ -71,15 +71,33 @@ func (g *CSR) AvgDegree() float64 {
 // Validate checks structural invariants; it is used by tests and after
 // loading untrusted files.
 func (g *CSR) Validate() error {
+	if err := g.validateBounds(); err != nil {
+		return err
+	}
+	return g.validateRows(0, g.n)
+}
+
+// validateBounds checks the offsets' length and their ends.
+func (g *CSR) validateBounds() error {
 	if len(g.offsets) != g.n+1 {
 		return fmt.Errorf("graph: offsets length %d, want %d", len(g.offsets), g.n+1)
 	}
 	if g.offsets[0] != 0 || g.offsets[g.n] != uint64(len(g.adj)) {
 		return fmt.Errorf("graph: offset bounds [%d, %d], want [0, %d]", g.offsets[0], g.offsets[g.n], len(g.adj))
 	}
-	for v := 0; v < g.n; v++ {
+	return nil
+}
+
+// validateRows checks rows [lo, hi): offsets that rise, and neighbours in
+// range and strictly sorted. It reads offsets[lo:hi+1], so it needs only
+// their length to be right.
+func (g *CSR) validateRows(lo, hi int) error {
+	for v := lo; v < hi; v++ {
 		if g.offsets[v] > g.offsets[v+1] {
 			return fmt.Errorf("graph: offsets not monotone at vertex %d", v)
+		}
+		if g.offsets[v+1] > uint64(len(g.adj)) {
+			return fmt.Errorf("graph: vertex %d ends at %d, past %d arcs", v, g.offsets[v+1], len(g.adj))
 		}
 		nb := g.adj[g.offsets[v]:g.offsets[v+1]]
 		for i, u := range nb {

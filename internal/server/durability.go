@@ -11,12 +11,15 @@
 // fallback still has the tail it needs to replay.
 //
 // Recovery (recoverDataDir) inverts the write path: load the newest
-// checkpoint that passes its CRC (falling back to older ones), read
-// every WAL record above it, fold the whole tail into the checkpoint's
-// graph in one merge pass (tufast.FoldStream: each arc's last op in log
-// order decides it), build the DynGraph on the folded graph, and
-// restore the epoch counter to the last record's epoch. The overlay
-// starts empty, as after a checkpoint.
+// checkpoint that passes its CRC (falling back to older ones) on one
+// goroutine while the WAL's open scans the log on another, read every
+// WAL record above the checkpoint into a buffer sized to exactly that
+// tail (wal.Log.OpsAfter), fold the whole tail into the checkpoint's
+// graph in one merge pass on every core (tufast.FoldStream: each arc's
+// last op in log order decides it), build the DynGraph on the folded
+// graph, and restore the epoch counter to the last record's epoch. The
+// overlay starts empty, as after a checkpoint. RecoveryInfo times each
+// stage and the whole.
 // The WAL's own open already repaired any torn tail, so a kill at any
 // instant costs at most the batch that was mid-append — which was
 // never acknowledged.
@@ -105,15 +108,20 @@ type RecoveryInfo struct {
 	// way to a loadable one.
 	CheckpointFallbacks int `json:"checkpoint_fallbacks,omitempty"`
 	// Where the recovery's time went, in milliseconds: loading the
-	// checkpoint (or the base graph on a fresh dir), building the runtime
-	// and overlay around the folded graph (the arena is most of that
-	// when it is cleared rather than mapped), opening the WAL (every
-	// segment read and validated once), and replaying the tail: decoding
-	// it and folding it into the checkpoint's graph.
+	// checkpoint (or the base graph on a fresh dir) and opening the WAL
+	// (every segment read and validated once), which run side by side;
+	// replaying the tail above the checkpoint (decoding it); folding it
+	// into the checkpoint's graph; and building the runtime and overlay
+	// around the folded graph (the arena is most of that when it is
+	// cleared rather than mapped). RecoverMS is the wall time of the
+	// whole recovery: the load and the scan overlap, so the stages add
+	// up to more than it.
 	CheckpointLoadMS float64 `json:"checkpoint_load_ms"`
 	SpaceNewMS       float64 `json:"space_new_ms"`
 	WALScanMS        float64 `json:"wal_scan_ms"`
 	ReplayMS         float64 `json:"replay_ms"`
+	FoldMS           float64 `json:"fold_ms"`
+	RecoverMS        float64 `json:"recover_ms"`
 }
 
 // sinceMS is the time since t0 in milliseconds.
@@ -211,6 +219,7 @@ func recoverDataDir(dcfg DurabilityConfig,
 	loadBase func() (*tufast.Graph, error),
 	mkDyn func(*tufast.Graph) *tufast.DynGraph) (recoveredState, error) {
 
+	begin := time.Now()
 	var rv recoveredState
 	for _, d := range []string{dcfg.DataDir, ckptDir(dcfg.DataDir)} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
@@ -231,52 +240,31 @@ func recoverDataDir(dcfg DurabilityConfig,
 	if err != nil {
 		return rv, err
 	}
-	var g *tufast.Graph
-	ckptEpoch := uint64(0)
-	found := false
+	// The checkpoint loads on a goroutine of its own while this one opens
+	// the log, which reads and validates every segment: the two read
+	// different files and neither needs the other until the replay.
+	loaded := make(chan loadedCheckpoint, 1)
+	go func() { loaded <- loadCheckpoint(dcfg.DataDir, man, loadBase) }()
 	t0 := time.Now()
-	for i := len(man.Checkpoints) - 1; i >= 0; i-- {
-		ent := man.Checkpoints[i]
-		gg, err := tufast.LoadGraphBinary(filepath.Join(ckptDir(dcfg.DataDir), ent.File))
-		if err != nil {
-			// CRC or structural failure: fall back to the previous
-			// checkpoint. The WAL was only ever truncated below the
-			// oldest RETAINED checkpoint, so the older one's replay
-			// tail is still on disk.
-			rv.rec.CheckpointFallbacks++
-			continue
-		}
-		g, ckptEpoch, found = gg, ent.Epoch, true
-		man.Checkpoints = man.Checkpoints[:i+1] // forget the corrupt newer entries
-		break
-	}
-	switch {
-	case found:
-	case len(man.Checkpoints) > 0:
-		// Checkpoints existed but none loads: the WAL below the oldest
-		// one is gone, so rebuilding from the base graph would silently
-		// lose acknowledged batches. Refuse instead of serving wrong data.
-		return rv, fmt.Errorf("server: all %d checkpoints in %s failed validation",
-			len(man.Checkpoints), ckptDir(dcfg.DataDir))
-	default:
-		if g, err = loadBase(); err != nil {
-			return rv, err
-		}
-	}
-	rv.rec.CheckpointLoadMS = sinceMS(t0)
-
-	t0 = time.Now()
 	wlog, scan, err := wal.Open(walDir(dcfg.DataDir), wal.Options{
 		Sync:         dcfg.Sync,
 		SyncInterval: dcfg.SyncInterval,
 		SegmentBytes: dcfg.SegmentBytes,
 		Hooks:        dcfg.walHooks,
 	})
+	rv.rec.WALScanMS = sinceMS(t0)
+	ck := <-loaded
+	if err == nil && ck.err != nil {
+		wlog.Close()
+		err = ck.err
+	}
 	if err != nil {
 		return rv, err
 	}
+	g, ckptEpoch := ck.g, ck.epoch
+	man = ck.man
+	rv.rec.CheckpointLoadMS, rv.rec.CheckpointFallbacks = ck.ms, ck.fallbacks
 	rv.rec.TornTail = scan.TornTail
-	rv.rec.WALScanMS = sinceMS(t0)
 
 	// The whole tail, in log order, folded into the checkpoint's graph in
 	// one pass: the DynGraph starts with every acknowledged arc in its
@@ -285,29 +273,34 @@ func recoverDataDir(dcfg DurabilityConfig,
 	// client ack epochs) stays consistent across the restart.
 	t0 = time.Now()
 	n := uint32(g.NumVertices())
-	ops := make([]wal.Op, 0, scan.Ops) // the whole log: room for any tail of it
+	tail, err := wlog.OpsAfter(ckptEpoch)
+	ops := make([]wal.Op, 0, tail)
 	epoch := ckptEpoch
-	err = wlog.Replay(ckptEpoch, func(e uint64, rec []wal.Op) error {
-		for _, op := range rec {
-			if op.U >= n || op.V >= n {
-				return fmt.Errorf("server: wal replay at epoch %d: op (%d, %d) out of range [0,%d)", e, op.U, op.V, n)
+	if err == nil {
+		err = wlog.Replay(ckptEpoch, func(e uint64, rec []wal.Op) error {
+			for _, op := range rec {
+				if op.U >= n || op.V >= n {
+					return fmt.Errorf("server: wal replay at epoch %d: op (%d, %d) out of range [0,%d)", e, op.U, op.V, n)
+				}
 			}
-		}
-		ops = append(ops, rec...)
-		epoch = e
-		rv.rec.ReplayedBatches++
-		return nil
-	})
+			ops = append(ops, rec...)
+			epoch = e
+			rv.rec.ReplayedBatches++
+			return nil
+		})
+	}
+	rv.rec.ReplayMS = sinceMS(t0)
 	var folded tufast.StreamStats
 	if err == nil {
+		t0 = time.Now()
 		g, folded, err = tufast.FoldStream(g, ops)
+		rv.rec.FoldMS = sinceMS(t0)
 	}
 	if err != nil {
 		wlog.Close()
 		return rv, err
 	}
 	rv.rec.ReplayedOps = uint64(len(ops))
-	rv.rec.ReplayMS = sinceMS(t0)
 
 	t0 = time.Now()
 	dyn := mkDyn(g)
@@ -316,8 +309,57 @@ func recoverDataDir(dcfg DurabilityConfig,
 	dyn.RestoreMutationStats(folded)
 	rv.rec.Recovered = true
 	rv.rec.CheckpointEpoch = ckptEpoch
-	rv.dyn, rv.wlog, rv.man, rv.fromCheckpoint = dyn, wlog, man, found
+	rv.rec.RecoverMS = sinceMS(begin)
+	rv.dyn, rv.wlog, rv.man, rv.fromCheckpoint = dyn, wlog, man, ck.found
 	return rv, nil
+}
+
+// loadedCheckpoint is what loadCheckpoint found: the graph recovery
+// starts from, the epoch it holds, and the manifest without the corrupt
+// entries newer than it.
+type loadedCheckpoint struct {
+	g         *tufast.Graph
+	epoch     uint64
+	found     bool // false: g is loadBase's, on a fresh dir
+	man       manifest
+	fallbacks int
+	ms        float64
+	err       error
+}
+
+// loadCheckpoint loads the newest checkpoint in man that passes its CRC,
+// falling back to older ones, or loadBase's graph when man lists none.
+func loadCheckpoint(dataDir string, man manifest, loadBase func() (*tufast.Graph, error)) loadedCheckpoint {
+	t0 := time.Now()
+	ck := loadedCheckpoint{man: man}
+	for i := len(man.Checkpoints) - 1; i >= 0; i-- {
+		ent := man.Checkpoints[i]
+		g, err := tufast.LoadGraphBinary(filepath.Join(ckptDir(dataDir), ent.File))
+		if err != nil {
+			// CRC or structural failure: fall back to the previous
+			// checkpoint. The WAL was only ever truncated below the
+			// oldest RETAINED checkpoint, so the older one's replay
+			// tail is still on disk.
+			ck.fallbacks++
+			continue
+		}
+		ck.g, ck.epoch, ck.found = g, ent.Epoch, true
+		ck.man.Checkpoints = man.Checkpoints[:i+1] // forget the corrupt newer entries
+		break
+	}
+	switch {
+	case ck.found:
+	case len(man.Checkpoints) > 0:
+		// Checkpoints existed but none loads: the WAL below the oldest
+		// one is gone, so rebuilding from the base graph would silently
+		// lose acknowledged batches. Refuse instead of serving wrong data.
+		ck.err = fmt.Errorf("server: all %d checkpoints in %s failed validation",
+			len(man.Checkpoints), ckptDir(dataDir))
+	default:
+		ck.g, ck.err = loadBase()
+	}
+	ck.ms = sinceMS(t0)
+	return ck
 }
 
 // attachDurability wires a recovered durability plane into the

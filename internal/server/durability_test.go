@@ -1231,3 +1231,60 @@ func crashRecoveryRepeatedEdge(t *testing.T, standing bool) {
 	}
 	assertRecoveredTopology(t, s2, acked)
 }
+
+// TestCrashRecoveryReportsStages recovers a dir with a checkpoint and a
+// tail above it and holds the recovery's stage timers to their meaning,
+// in Recovery and in /v1/health: the fold and the whole recovery are
+// timed, and the stages that run one after another on the recovering
+// goroutine (the log's open or the checkpoint's load, whichever it
+// waited on, then replay, fold and the runtime's build) fit inside the
+// whole, while the load and the scan, which overlap, need not add up.
+func TestCrashRecoveryReportsStages(t *testing.T) {
+	dir := t.TempDir()
+	dcfg := DurabilityConfig{Sync: wal.SyncNone}
+	s := startDurableServer(t, dir, dcfg)
+	client := &http.Client{}
+	base := "http://" + s.Addr()
+	rng := rand.New(rand.NewSource(5))
+	post := func(k int) {
+		for i := 0; i < k; i++ {
+			if code, _ := postBatch(t, client, base, distinctBatch(rng, 200, 16)); code != http.StatusOK {
+				t.Fatalf("batch: status %d", code)
+			}
+		}
+	}
+	post(4)
+	if code, out, _ := postJSON(t, client, base+"/v1/checkpoint", struct{}{}); code != http.StatusOK {
+		t.Fatalf("POST /v1/checkpoint: %d (%v)", code, out)
+	}
+	post(6)
+	crashServer(s)
+
+	s2 := startDurableServer(t, dir, dcfg)
+	t.Cleanup(func() { shutdownServer(t, s2) })
+	rec := s2.Recovery()
+	if rec.CheckpointEpoch == 0 || rec.ReplayedBatches != 6 || rec.ReplayedOps != 6*16 {
+		t.Fatalf("recovered from checkpoint epoch %d replaying %d batches (%d ops), want a checkpoint and 6 batches of 16",
+			rec.CheckpointEpoch, rec.ReplayedBatches, rec.ReplayedOps)
+	}
+	if rec.FoldMS <= 0 || rec.RecoverMS <= 0 {
+		t.Fatalf("fold_ms %v recover_ms %v: both stages must be timed", rec.FoldMS, rec.RecoverMS)
+	}
+	serial := max(rec.CheckpointLoadMS, rec.WALScanMS) + rec.ReplayMS + rec.FoldMS + rec.SpaceNewMS
+	if serial > rec.RecoverMS+1e-6 {
+		t.Fatalf("stages on the recovering goroutine take %.4f ms, more than the whole recovery's %.4f ms: %+v",
+			serial, rec.RecoverMS, rec)
+	}
+
+	code, health := getJSON(t, client, "http://"+s2.Addr()+"/v1/health")
+	if code != http.StatusOK {
+		t.Fatalf("/v1/health: %d", code)
+	}
+	dur, _ := health["durability"].(map[string]any)
+	doc, _ := dur["recovery"].(map[string]any)
+	for key, want := range map[string]float64{"fold_ms": rec.FoldMS, "recover_ms": rec.RecoverMS} {
+		if got, ok := doc[key].(float64); !ok || got != want {
+			t.Fatalf("/v1/health durability.recovery.%s = %v, Recovery has %v", key, doc[key], want)
+		}
+	}
+}

@@ -694,26 +694,14 @@ func (l *Log) Replay(after uint64, fn func(epoch uint64, ops []Op) error) error 
 		if s.records == 0 || s.lastEpoch <= after {
 			continue
 		}
-		if raw == nil {
-			var err error
-			if raw, err = l.readSegment(s.path); err != nil {
-				return err
-			}
-			if int64(len(raw)) < s.size {
-				return fmt.Errorf("wal: %s shrank under us", s.path)
-			}
-			raw = raw[:s.size]
+		raw, err := l.segmentBytes(s, raw)
+		if err != nil {
+			return err
 		}
-		// The frames were validated when raw was scanned.
-		for off := headerSize; off < len(raw); {
-			plen := int(binary.LittleEndian.Uint32(raw[off : off+4]))
-			payload := raw[off+frameHead : off+frameHead+plen]
-			off += frameHead + plen
-			epoch := binary.LittleEndian.Uint64(payload[0:8])
+		err = eachRecord(raw, func(epoch uint64, nops int, payload []byte) error {
 			if epoch <= after {
-				continue
+				return nil
 			}
-			nops := int(binary.LittleEndian.Uint32(payload[8:12]))
 			buf = buf[:0]
 			for p := recHead; p < recHead+nops*opBytes; p += opBytes {
 				buf = append(buf, Op{
@@ -723,9 +711,72 @@ func (l *Log) Replay(after uint64, fn func(epoch uint64, ops []Op) error) error 
 					Del:  binary.LittleEndian.Uint32(payload[p+16:])&flagDel != 0,
 				})
 			}
-			if err := fn(epoch, buf); err != nil {
-				return err
+			return fn(epoch, buf)
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// OpsAfter counts the ops of the records Replay(after) would stream, so
+// recovery can size its buffer to the tail above its checkpoint rather
+// than to the whole log. Like Replay, it must run before the first
+// Append; it reads the frame heads of the bytes Open scanned and decodes
+// no op.
+func (l *Log) OpsAfter(after uint64) (int, error) {
+	l.mu.Lock()
+	segs := append(append([]segment(nil), l.sealed...), l.active)
+	scanned := l.scanned
+	l.mu.Unlock()
+	total := 0
+	for _, s := range segs {
+		if s.records == 0 || s.lastEpoch <= after {
+			continue
+		}
+		raw, err := l.segmentBytes(s, scanned[s.seq])
+		if err != nil {
+			return 0, err
+		}
+		_ = eachRecord(raw, func(epoch uint64, nops int, _ []byte) error { // fn never fails
+			if epoch > after {
+				total += nops
 			}
+			return nil
+		})
+	}
+	return total, nil
+}
+
+// segmentBytes is s's valid bytes: raw, what Open's scan kept of them,
+// or the file read again when the scan kept nothing.
+func (l *Log) segmentBytes(s segment, raw []byte) ([]byte, error) {
+	if raw != nil {
+		return raw, nil
+	}
+	raw, err := l.readSegment(s.path)
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(raw)) < s.size {
+		return nil, fmt.Errorf("wal: %s shrank under us", s.path)
+	}
+	return raw[:s.size], nil
+}
+
+// eachRecord calls fn(epoch, op count, payload) for every frame of raw,
+// a segment's valid bytes, in order, and stops at fn's first error. The
+// frames were validated when raw was scanned.
+func eachRecord(raw []byte, fn func(epoch uint64, nops int, payload []byte) error) error {
+	for off := headerSize; off < len(raw); {
+		plen := int(binary.LittleEndian.Uint32(raw[off : off+4]))
+		payload := raw[off+frameHead : off+frameHead+plen]
+		off += frameHead + plen
+		epoch := binary.LittleEndian.Uint64(payload[0:8])
+		nops := int(binary.LittleEndian.Uint32(payload[8:12]))
+		if err := fn(epoch, nops, payload); err != nil {
+			return err
 		}
 	}
 	return nil

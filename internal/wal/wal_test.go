@@ -531,3 +531,61 @@ func TestReplayDecodesScannedBytes(t *testing.T) {
 		t.Fatalf("replay after an append: %d records, want 41 ending at epoch 41", len(epochs))
 	}
 }
+
+// TestOpsAfterCountsTheReplayedTail checks OpsAfter against what Replay
+// streams, for every cut of a log spread over several segments, before
+// the first replay (from the scanned bytes, reading no file) and after
+// it (from the files).
+func TestOpsAfterCountsTheReplayedTail(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{Sync: SyncNone, SegmentBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := uint64(1); e <= 40; e++ {
+		if err := l.Append(e, mkOps(e*100, int(e%7)+1)); err != nil {
+			t.Fatalf("append %d: %v", e, err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reads := 0
+	hooks := &Hooks{ReadSegment: func(string) { reads++ }}
+	l, scan, err := Open(dir, Options{Sync: SyncNone, SegmentBytes: 512, Hooks: hooks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	opened := reads
+	want := func(after uint64) (n int) {
+		for e := after + 1; e <= 40; e++ {
+			n += int(e%7) + 1
+		}
+		return n
+	}
+	for _, replayed := range []bool{false, true} {
+		for after := uint64(0); after <= 41; after++ {
+			got, err := l.OpsAfter(after)
+			if err != nil || got != want(after) {
+				t.Fatalf("replayed=%v: OpsAfter(%d) = %d, %v; want %d", replayed, after, got, err, want(after))
+			}
+		}
+		if !replayed {
+			if reads != opened {
+				t.Fatalf("OpsAfter read %d files before the replay, want none", reads-opened)
+			}
+			if all, _ := l.OpsAfter(0); all != scan.Ops {
+				t.Fatalf("OpsAfter(0) = %d, the scan found %d", all, scan.Ops)
+			}
+			_, ops := collect(t, l, 0)
+			n := 0
+			for _, rec := range ops {
+				n += len(rec)
+			}
+			if n != want(0) {
+				t.Fatalf("replay streamed %d ops, want %d", n, want(0))
+			}
+		}
+	}
+}

@@ -78,7 +78,8 @@ end
 # collection after nearly every allocation: a finalizer that unmaps an
 # arena something still reads is a fault here, not a rumour. Beside the
 # recovery tests (TestReplayOwnedMatchesLiveServer among them), the fold
-# recovery is built on runs twenty times against ApplyOwned, and an owned
+# recovery is built on runs twenty times against ApplyOwned, and twenty
+# times at 1, 2 and 4 workers against an op-by-op model, and an owned
 # batch that runs the arena out twenty times, both on batches that apply
 # on the caller's goroutine and on batches that fan out; chain GC
 # twenty times as the batch it is (passes beside owned batches, taking
@@ -91,20 +92,23 @@ GOOS=windows go build $(go list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./...
 GOOS=darwin go vet ./internal/mem
 GOGC=1 go test -race -count=10 ./internal/mem
 GOGC=1 go test -race -count=10 -run 'TestCrashRecovery|TestTenancyCrashRecovery|TestReplay' ./internal/server
-go test -race -count=20 -run 'TestFoldMatchesApplyOwned|TestApplyOwnedPanicBreaksGraph' .
+go test -race -count=20 -run 'TestFoldMatchesApplyOwned|TestApplyOwnedPanicBreaksGraph|TestFoldParallelMatchesSerial' . ./internal/dyngraph
 go test -race -count=20 -run 'TestApplyOwnedBesideGC|TestGCPassTakesTurnsWithBatches|TestGCRunningArenaOut' .
 go test -race -count=20 -run 'TestRepairExactAtPinnedEpoch' ./algorithms
 end
 
 # The benchmarks EXPERIMENTS quotes, one iteration each, so they at least
 # keep compiling and running: the write path's (the owned batch's sweep
-# of inline against fanned-out among them), the H-mode fast path's
+# of inline against fanned-out among them), the recovery fold's at one
+# and two threads and its inline cutoff's table, recovery's stage
+# timers on a data dir of serve_write's shape, the H-mode fast path's
 # "shares nothing" number, the Fig. 13/14 RM and RW cells, and the
 # per-scheduler transactions those cells are built from.
 begin "benchmarks run (1x)"
 go test -run '^$' -bench 'BenchmarkApplyStream(Leaf|Hub)$' -benchtime 1x . >/dev/null
 go test -run '^$' -bench 'BenchmarkApplyOwned$' -benchtime 1x . >/dev/null
-go test -run '^$' -bench 'BenchmarkDecodeBatch256$' -benchtime 1x ./internal/server >/dev/null
+go test -run '^$' -bench 'BenchmarkFold' -benchtime 1x ./internal/dyngraph >/dev/null
+go test -run '^$' -bench 'BenchmarkDecodeBatch256$|BenchmarkRecover$' -benchtime 1x ./internal/server >/dev/null
 go test -run '^$' -bench 'BenchmarkHCommitDisjoint$' -benchtime 1x ./internal/core >/dev/null
 go test -run '^$' -bench 'Benchmark(RM|RW)$' -benchtime 1x ./internal/bench >/dev/null
 go test -run '^$' -bench 'Benchmark(2PL|OCC|TO|STM|HSync|HTO)Txn$|BenchmarkTPLReadThenWrite' -benchtime 1x ./internal/sched >/dev/null
