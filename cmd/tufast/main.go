@@ -52,7 +52,7 @@ func main() {
 
 		streamIn   = flag.String("stream", "", "edge-stream file (graphgen -stream); replays it through the dynamic-graph API instead of -algo/-system")
 		streamAlgo = flag.String("stream-algo", "mutate", "with -stream: mutate|cc|pagerank")
-		window     = flag.Int("window", 4096, "with -stream: ops applied concurrently between barriers; with -stream-algo, ops per batch, repaired after each")
+		window     = flag.Int("window", 4096, "with -stream: ops per batch, each applied owned (and, with -stream-algo cc|pagerank, repaired after)")
 	)
 	flag.Parse()
 

@@ -1,16 +1,19 @@
 // The -stream mode: replay a timestamped edge-stream workload (from
-// graphgen -stream) through the public dynamic-graph API — mutations
-// run as transactions routed H/O/L by live degree, optionally with an
-// incremental algorithm maintained concurrently — and report
-// throughput plus the per-mode mutation commit mix.
+// graphgen -stream) through the public dynamic-graph API — in time
+// order, as owned batches of -window ops (DynGraph.ApplyOwned, no
+// transactions), optionally with an incremental algorithm repaired
+// after each batch — and report throughput, plus the mode mix of the
+// repairs' transactions.
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -53,7 +56,7 @@ func runStream(ctx context.Context, path, algoName string, threads, window int,
 	start := time.Now()
 	switch algoName {
 	case "mutate":
-		sstats, err = d.ApplyStreamCtx(ctx, st.Ops, tufast.StreamOptions{Window: window})
+		sstats, err = applyBatches(ctx, d, st.Ops, window)
 		summary = "applied"
 	case "cc":
 		var comp []uint64
@@ -111,6 +114,29 @@ func runStream(ctx context.Context, path, algoName string, threads, window int,
 		}
 		fmt.Printf("metrics: %s\n", buf)
 	}
+}
+
+// applyBatches applies ops to d in time order, window ops a batch, as
+// the incremental drivers do without their repairs.
+func applyBatches(ctx context.Context, d *tufast.DynGraph, ops []tufast.StreamOp, window int) (tufast.StreamStats, error) {
+	slices.SortStableFunc(ops, func(a, b tufast.StreamOp) int { return cmp.Compare(a.Time, b.Time) })
+	window = max(window, 1)
+	var total tufast.StreamStats
+	for lo := 0; lo < len(ops); lo += window {
+		if err := ctx.Err(); err != nil {
+			return total, err
+		}
+		st, err := d.ApplyOwned(ops[lo:min(lo+window, len(ops))])
+		total.Applied += st.Applied
+		total.Inserted += st.Inserted
+		total.Removed += st.Removed
+		total.NoOps += st.NoOps
+		total.Epoch = st.Epoch
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
 }
 
 func distinct(labels []uint64) int {

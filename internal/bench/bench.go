@@ -146,7 +146,6 @@ func Experiments() []Experiment {
 		{"fig17", "Adaptive vs static period over PageRank progress", Fig17},
 		{"ablation", "Design ablations (subscription, early abort, chopping)", Ablation},
 		{"lowskew", "Extension: behaviour on a skew-free road-like grid", LowSkew},
-		{"stream", "Streaming mutations: throughput and mode mix (dynamic graphs)", FigStream},
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"tufast/internal/core"
 	"tufast/internal/graph/gen"
 )
 
@@ -39,7 +40,7 @@ func TestReproductionInjectsTax(t *testing.T) {
 	if _, tf := schedulerSet(sp, 64); tf.Config().Tax == nil {
 		t.Error("schedulerSet's TuFast has no tax")
 	}
-	if newTuFast(sp, 64, streamConfig()).Config().Tax == nil {
+	if newTuFast(sp, 64, core.Config{HMaxHint: 64, OMaxHint: 256}).Config().Tax == nil {
 		t.Error("newTuFast dropped the tax")
 	}
 }

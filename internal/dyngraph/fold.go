@@ -62,8 +62,8 @@ func foldArc(key uint64) uint32 { return uint32(key) >> 1 }
 // last op on an arc decides it, self-loops are dropped (from the base's
 // rows too, as Compact drops them), and an op on an undirected base
 // covers both arcs. Time is not consulted. An op naming a vertex out of
-// range is refused before anything is built. With no ops, base itself
-// is returned, as it is.
+// range is refused before anything is built. With no ops and no
+// self-loop in base, base itself is returned.
 //
 // It is one counting sort of the ops' arcs by source, then one merge of
 // each sorted base row with its arcs sorted by target: where a target
@@ -96,7 +96,7 @@ func fold(base *graph.CSR, ops []Op, workers int) (*graph.CSR, FoldStats, error)
 	if err := foldLenErr(len(ops)); err != nil {
 		return nil, st, err
 	}
-	if len(ops) == 0 {
+	if len(ops) == 0 && !hasSelfLoop(base) {
 		return base, st, nil
 	}
 	undirected := base.Undirected()
@@ -175,6 +175,16 @@ func fold(base *graph.CSR, ops []Op, workers int) (*graph.CSR, FoldStats, error)
 		st.NoOps += c.NoOps
 	}
 	return g, st, nil
+}
+
+// hasSelfLoop reports whether any row of g holds its own source.
+func hasSelfLoop(g *graph.CSR) bool {
+	for u := uint32(0); int(u) < g.NumVertices(); u++ {
+		if _, found := slices.BinarySearch(g.Neighbors(u), u); found {
+			return true
+		}
+	}
+	return false
 }
 
 // rangesPerWorker is how many ranges of rows each worker merges, claimed

@@ -3,23 +3,26 @@
 // The unit of durability is the committed mutation batch. handleEdges
 // appends one WAL record per effective batch inside the same mutMu
 // bracket that serializes batches, so log order equals commit order
-// and a record's epoch is exactly the epoch its bump published. A
-// checkpoint is a compacted CSR of an epoch-pinned view written
-// crash-atomically (temp file + fsync + rename, CRC-validated on
-// read), recorded in MANIFEST.json; the WAL is truncated below the
+// and a record's epoch is exactly the epoch its bump published.
+//
+// Checkpoints and recovery build their graph on one path: load the
+// newest checkpoint that passes its CRC, falling back to older ones
+// (loadCheckpoint), and fold every WAL record above it into its graph in
+// one merge pass on every core (foldLog; tufast.FoldStream: each arc's
+// last op in log order decides it). A checkpoint at epoch e is that fold
+// over the records the log held, e the last of them, written
+// crash-atomically (temp file + fsync + rename, CRC-validated on read)
+// and recorded in MANIFEST.json. It reads only files: it pins no view,
+// walks no chain, and a batch whose WAL append failed is in no
+// checkpoint, as it is in no recovery. The WAL is truncated below the
 // OLDEST retained checkpoint, never the newest, so a corrupt-newest
 // fallback still has the tail it needs to replay.
 //
-// Recovery (recoverDataDir) inverts the write path: load the newest
-// checkpoint that passes its CRC (falling back to older ones) on one
-// goroutine while the WAL's open scans the log on another, read every
-// WAL record above the checkpoint into a buffer sized to exactly that
-// tail (wal.Log.OpsAfter), fold the whole tail into the checkpoint's
-// graph in one merge pass on every core (tufast.FoldStream: each arc's
-// last op in log order decides it), build the DynGraph on the folded
-// graph, and restore the epoch counter to the last record's epoch. The
-// overlay starts empty, as after a checkpoint. RecoveryInfo times each
-// stage and the whole.
+// Recovery (recoverDataDir) loads the checkpoint while the WAL's open
+// scans the log, folds, builds the DynGraph on the folded graph and
+// restores the epoch counter to the last record's epoch; the overlay
+// starts empty. A fresh dir's day-zero checkpoint is the graph recovery
+// built. RecoveryInfo times each stage and the whole.
 // The WAL's own open already repaired any torn tail, so a kill at any
 // instant costs at most the batch that was mid-append — which was
 // never acknowledged.
@@ -54,7 +57,7 @@ import (
 // documented defaults.
 type DurabilityConfig struct {
 	// DataDir roots the on-disk state: <DataDir>/wal/ holds log
-	// segments, <DataDir>/checkpoints/ the compacted snapshots,
+	// segments, <DataDir>/checkpoints/ the checkpoint files,
 	// <DataDir>/MANIFEST.json the checkpoint index, and
 	// <DataDir>/graphs/<name>/ the same layout per named graph.
 	DataDir string
@@ -204,10 +207,12 @@ type recoveredState struct {
 	wlog *wal.Log
 	man  manifest
 	rec  RecoveryInfo
-	// fromCheckpoint is false on a fresh dir (booted from loadBase):
-	// the instance then writes its day-zero checkpoint so no later
-	// boot ever depends on loadBase reproducing the base graph.
-	fromCheckpoint bool
+	// dayZero is the graph recovery built on a fresh dir (booted from
+	// loadBase), at epoch; nil otherwise. attachDurability saves it as
+	// the day-zero checkpoint so no later boot ever depends on loadBase
+	// reproducing the base graph.
+	dayZero *tufast.Graph
+	epoch   uint64
 }
 
 // recoverDataDir runs one graph's boot recovery against dcfg.DataDir:
@@ -261,46 +266,18 @@ func recoverDataDir(dcfg DurabilityConfig,
 	if err != nil {
 		return rv, err
 	}
-	g, ckptEpoch := ck.g, ck.epoch
-	man = ck.man
 	rv.rec.CheckpointLoadMS, rv.rec.CheckpointFallbacks = ck.ms, ck.fallbacks
 	rv.rec.TornTail = scan.TornTail
 
-	// The whole tail, in log order, folded into the checkpoint's graph in
-	// one pass: the DynGraph starts with every acknowledged arc in its
-	// base and an empty overlay. The last record's epoch is the one its
-	// bump published, so epoch-keyed state (caches, checkpoint names,
-	// client ack epochs) stays consistent across the restart.
-	t0 = time.Now()
-	n := uint32(g.NumVertices())
-	tail, err := wlog.OpsAfter(ckptEpoch)
-	ops := make([]wal.Op, 0, tail)
-	epoch := ckptEpoch
-	if err == nil {
-		err = wlog.Replay(ckptEpoch, func(e uint64, rec []wal.Op) error {
-			for _, op := range rec {
-				if op.U >= n || op.V >= n {
-					return fmt.Errorf("server: wal replay at epoch %d: op (%d, %d) out of range [0,%d)", e, op.U, op.V, n)
-				}
-			}
-			ops = append(ops, rec...)
-			epoch = e
-			rv.rec.ReplayedBatches++
-			return nil
-		})
-	}
-	rv.rec.ReplayMS = sinceMS(t0)
-	var folded tufast.StreamStats
-	if err == nil {
-		t0 = time.Now()
-		g, folded, err = tufast.FoldStream(g, ops)
-		rv.rec.FoldMS = sinceMS(t0)
-	}
+	// The DynGraph starts with every acknowledged arc in its base and an
+	// empty overlay. The last record's epoch is the one its bump
+	// published, so epoch-keyed state (caches, checkpoint names, client
+	// ack epochs) stays consistent across the restart.
+	g, epoch, folded, err := foldLog(ck, wlog, &rv.rec)
 	if err != nil {
 		wlog.Close()
 		return rv, err
 	}
-	rv.rec.ReplayedOps = uint64(len(ops))
 
 	t0 = time.Now()
 	dyn := mkDyn(g)
@@ -308,10 +285,48 @@ func recoverDataDir(dcfg DurabilityConfig,
 	dyn.RestoreEpoch(epoch)
 	dyn.RestoreMutationStats(folded)
 	rv.rec.Recovered = true
-	rv.rec.CheckpointEpoch = ckptEpoch
+	rv.rec.CheckpointEpoch = ck.epoch
 	rv.rec.RecoverMS = sinceMS(begin)
-	rv.dyn, rv.wlog, rv.man, rv.fromCheckpoint = dyn, wlog, man, ck.found
+	rv.dyn, rv.wlog, rv.man, rv.epoch = dyn, wlog, ck.man, epoch
+	if !ck.found {
+		rv.dayZero = g
+	}
 	return rv, nil
+}
+
+// foldLog folds every record wlog holds above ck's epoch, in log order,
+// into ck's graph in one merge pass, and returns the graph, the last
+// folded record's epoch (ck's with none) and the fold's counts; rec gets
+// the replay's and the fold's stage timers and counts. Recovery and
+// checkpoints both build their graph here: recovery before anything
+// appends, a checkpoint beside live appends, from the records the log
+// held when it was called.
+func foldLog(ck loadedCheckpoint, wlog *wal.Log, rec *RecoveryInfo) (*tufast.Graph, uint64, tufast.StreamStats, error) {
+	t0 := time.Now()
+	n, epoch := uint32(ck.g.NumVertices()), ck.epoch
+	tail, err := wlog.OpsAfter(ck.epoch)
+	ops := make([]wal.Op, 0, tail)
+	if err == nil {
+		err = wlog.Replay(ck.epoch, func(e uint64, batch []wal.Op) error {
+			for _, op := range batch {
+				if op.U >= n || op.V >= n {
+					return fmt.Errorf("server: wal replay at epoch %d: op (%d, %d) out of range [0,%d)", e, op.U, op.V, n)
+				}
+			}
+			ops = append(ops, batch...)
+			epoch = e
+			rec.ReplayedBatches++
+			return nil
+		})
+	}
+	rec.ReplayMS, rec.ReplayedOps = sinceMS(t0), uint64(len(ops))
+	if err != nil {
+		return nil, 0, tufast.StreamStats{}, err
+	}
+	t0 = time.Now()
+	g, folded, err := tufast.FoldStream(ck.g, ops)
+	rec.FoldMS = sinceMS(t0)
+	return g, epoch, folded, err
 }
 
 // loadedCheckpoint is what loadCheckpoint found: the graph recovery
@@ -367,11 +382,14 @@ func loadCheckpoint(dataDir string, man manifest, loadBase func() (*tufast.Graph
 func (g *graphInstance) attachDurability(rv recoveredState, dcfg DurabilityConfig) error {
 	g.wlog, g.dur, g.man, g.recovery = rv.wlog, dcfg, rv.man, rv.rec
 	g.ckptEpochGauge.Store(rv.rec.CheckpointEpoch)
-	if !rv.fromCheckpoint {
+	if rv.dayZero != nil {
 		// Day zero: checkpoint the base graph so the next boot never
 		// depends on loadBase reproducing it (generators are seeded,
 		// but input files move).
-		if _, err := g.checkpointNow(); err != nil {
+		g.ckptMu.Lock()
+		err := g.saveCheckpoint(rv.dayZero, rv.epoch, rv.man)
+		g.ckptMu.Unlock()
+		if err != nil {
 			_ = rv.wlog.Close()
 			return err
 		}
@@ -495,35 +513,55 @@ func (s *Server) NamedGraphs() []string {
 	return names
 }
 
-// checkpointNow writes a checkpoint of the current epoch, prunes old
-// ones past CheckpointKeep, and truncates the WAL below the oldest
-// survivor. Single-flight under ckptMu; a no-op (returning the existing
-// epoch) when nothing committed since the last checkpoint. Safe while
-// mutators run: the compaction reads an epoch-pinned view.
+// errCheckpointClosed refuses a checkpoint of a graph whose teardown
+// began: its directory may already belong to a graph re-created under
+// the same name.
+var errCheckpointClosed = errors.New("graph deleted or closed")
+
+// checkpointNow writes the checkpoint of the last epoch the WAL holds:
+// the newest loadable checkpoint with the records above it folded in
+// (foldLog). It reads only the checkpoint file and the log, never the
+// live graph, so batches apply beside it. Single-flight under ckptMu; a
+// no-op (returning the existing epoch) when nothing was logged since the
+// last checkpoint; refused once teardown began.
 func (s *graphInstance) checkpointNow() (uint64, error) {
 	if s.wlog == nil {
 		return 0, errNotDurable
 	}
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	view := s.dyn.View()
-	e := view.Epoch()
-	if n := len(s.man.Checkpoints); n > 0 && e <= s.man.Checkpoints[n-1].Epoch {
-		view.Close()
-		return s.man.Checkpoints[n-1].Epoch, nil
+	if s.logClosed || s.deleted.Load() {
+		return 0, errCheckpointClosed
 	}
-	g, err := view.Compact()
-	view.Close()
+	// attachDurability left at least the day-zero checkpoint listed, so
+	// loadCheckpoint never falls back to a base graph here.
+	if prev := s.man.Checkpoints[len(s.man.Checkpoints)-1].Epoch; s.wlog.LastEpoch() <= prev {
+		return prev, nil
+	}
+	ck := loadCheckpoint(s.dur.DataDir, s.man, nil)
+	var g *tufast.Graph
+	var e uint64
+	err := ck.err
+	if err == nil {
+		g, e, _, err = foldLog(ck, s.wlog, &RecoveryInfo{})
+	}
 	if err != nil {
 		s.met.checkpointErrors.Add(1)
 		return 0, err
 	}
+	return e, s.saveCheckpoint(g, e, ck.man)
+}
+
+// saveCheckpoint writes g as the checkpoint at epoch e, adds it to man,
+// prunes the checkpoints past CheckpointKeep, and truncates the WAL
+// below the oldest survivor. Callers hold ckptMu.
+func (s *graphInstance) saveCheckpoint(g *tufast.Graph, e uint64, man manifest) error {
 	file := fmt.Sprintf("ckpt-%016x.bin", e)
 	if err := g.SaveBinary(filepath.Join(ckptDir(s.dur.DataDir), file)); err != nil {
 		s.met.checkpointErrors.Add(1)
-		return 0, err
+		return err
 	}
-	next := append(append([]manifestEntry(nil), s.man.Checkpoints...), manifestEntry{Epoch: e, File: file})
+	next := append(append([]manifestEntry(nil), man.Checkpoints...), manifestEntry{Epoch: e, File: file})
 	var pruned []manifestEntry
 	if len(next) > s.dur.CheckpointKeep {
 		pruned = next[:len(next)-s.dur.CheckpointKeep]
@@ -534,7 +572,7 @@ func (s *graphInstance) checkpointNow() (uint64, error) {
 	// never a manifest pointing at removed ones.
 	if err := saveManifest(s.dur.DataDir, manifest{Checkpoints: next}); err != nil {
 		s.met.checkpointErrors.Add(1)
-		return 0, err
+		return err
 	}
 	s.man.Checkpoints = next
 	for _, p := range pruned {
@@ -544,11 +582,11 @@ func (s *graphInstance) checkpointNow() (uint64, error) {
 	// corruption fallbacks and need their replay tails.
 	if err := s.wlog.TruncateBelow(next[0].Epoch); err != nil {
 		s.met.checkpointErrors.Add(1)
-		return e, err
+		return err
 	}
 	s.ckptEpochGauge.Store(e)
 	s.met.checkpoints.Add(1)
-	return e, nil
+	return nil
 }
 
 // checkpointLoop checkpoints on a timer until shutdown (or this
@@ -582,7 +620,11 @@ func (s *graphInstance) handleCheckpoint(w http.ResponseWriter, _ *http.Request)
 		return
 	}
 	e, err := s.checkpointNow()
-	if err != nil {
+	switch {
+	case errors.Is(err, errCheckpointClosed):
+		writeError(w, http.StatusNotFound, "graph deleted")
+		return
+	case err != nil:
 		writeError(w, http.StatusInternalServerError, "checkpoint: "+err.Error())
 		return
 	}

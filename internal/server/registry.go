@@ -167,6 +167,7 @@ type graphInstance struct {
 	//
 	//tufast:lockorder 5
 	ckptMu         sync.Mutex
+	logClosed      bool // under ckptMu: teardown closed the log
 	wlog           *wal.Log
 	dur            DurabilityConfig
 	man            manifest
@@ -240,8 +241,9 @@ func (g *graphInstance) drain() {
 // so running jobs stop at their next transaction boundary, queued ones
 // as soon as they are dequeued, and repair workers and background loops
 // exit; its jobs drain; a final checkpoint is written when asked for;
-// and the log closes under mutMu: once that is held no append is in
-// flight, and a mutation bracket that resolved g before the flags were
+// and the log closes under ckptMu and mutMu: once those are held no
+// checkpoint or append is in flight, a checkpoint that comes later is
+// refused, and a mutation bracket that resolved g before the flags were
 // set meets the closed log.
 func (g *graphInstance) teardown(checkpoint bool) {
 	g.cancel()
@@ -254,9 +256,12 @@ func (g *graphInstance) teardown(checkpoint bool) {
 	if checkpoint {
 		_, _ = g.checkpointNow()
 	}
+	g.ckptMu.Lock()
+	g.logClosed = true
 	g.mutMu.Lock()
 	_ = g.wlog.Close()
 	g.mutMu.Unlock()
+	g.ckptMu.Unlock()
 }
 
 // buildDyn builds the runtime and overlay of a registry-created graph,

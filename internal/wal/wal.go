@@ -7,10 +7,10 @@
 // single-writer bracket that serializes batches, so log order equals
 // commit order by construction and a record's epoch is the epoch its
 // batch published. Recovery is then trivial to state: load the newest
-// valid checkpoint (a compacted CSR at epoch C) and re-apply every
-// record with epoch > C through the normal stream-apply path; the
-// result is byte-identical to the pre-crash topology for every
-// acknowledged batch.
+// valid checkpoint (a CSR at epoch C) and fold every record with epoch
+// > C into it; the result is byte-identical to the pre-crash topology
+// for every acknowledged batch. A checkpoint is the same fold, written
+// out, so Replay and OpsAfter read the log beside appends.
 //
 // On disk the log is a directory of segments (`wal-<seq>.seg`), each a
 // 16-byte header followed by length+CRC32-C framed records:
@@ -125,7 +125,7 @@ type Hooks struct {
 	SyncErr func() error
 	// ReadSegment, when non-nil, is told of every segment file read in
 	// full: one per segment by Open's scan, and one more by any Replay
-	// that no longer holds the scan's bytes.
+	// or OpsAfter that no longer holds the scan's bytes.
 	ReadSegment func(path string)
 }
 
@@ -215,8 +215,9 @@ type ScanResult struct {
 }
 
 // Log is an append-only segmented write-ahead log. One writer
-// (Append/Rotate/TruncateBelow are serialized internally); Replay must
-// run before the first Append, which is how recovery uses it.
+// (Append/Rotate/TruncateBelow are serialized internally); Replay and
+// OpsAfter may run beside it and read the records appended before they
+// were called.
 type Log struct {
 	dir string
 	opt Options
@@ -235,6 +236,7 @@ type Log struct {
 	scanned map[uint64][]byte
 	dirty   bool   // bytes appended since the last fsync
 	buf     []byte // frame scratch, reused across Appends (under mu)
+	last    uint64 // epoch of the last record scanned or appended
 
 	// failErr is non-nil once the log fail-stopped (see Poison): set
 	// once, under mu, and read without it, so the serving layer can ask
@@ -252,7 +254,7 @@ type Log struct {
 }
 
 // Open opens (creating if needed) the log directory, repairs any torn
-// tail, and readies the log for Replay-then-Append. The returned
+// tail, and readies the log for Append. The returned
 // ScanResult reports the surviving records and whatever repair was
 // done.
 func Open(dir string, opt Options) (*Log, ScanResult, error) {
@@ -265,6 +267,7 @@ func Open(dir string, opt Options) (*Log, ScanResult, error) {
 	if err != nil {
 		return nil, res, err
 	}
+	l.last = res.LastEpoch
 	if err := l.openActive(); err != nil {
 		return nil, res, err
 	}
@@ -530,6 +533,7 @@ func (l *Log) Append(epoch uint64, ops []Op) error {
 	l.active.size += int64(len(frame))
 	l.active.records++
 	l.active.lastEpoch = epoch
+	l.last = epoch
 	l.dirty = true
 	if l.opt.Sync == SyncAlways {
 		if err := l.syncLocked(); err != nil {
@@ -675,22 +679,70 @@ func (l *Log) TruncateBelow(epoch uint64) error {
 	return nil
 }
 
-// Replay streams every surviving record with epoch > after, in log
-// order, to fn. It must run before the first Append (recovery does:
-// open, replay, then serve); fn errors abort the replay. fn must not
-// retain ops past its return: one buffer is decoded into again and again.
+// LastEpoch returns the epoch of the last record the log scanned on
+// Open or appended since (0 for a log that never held one): a
+// checkpoint at or above it has nothing to fold.
+func (l *Log) LastEpoch() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.last
+}
+
+// Replay streams every record with epoch > after that the log held when
+// it was called, in log order, to fn; records appended meanwhile are
+// not streamed. fn errors abort the replay. fn must not retain ops past
+// its return: one buffer is decoded into again and again.
 func (l *Log) Replay(after uint64, fn func(epoch uint64, ops []Op) error) error {
+	var buf []Op
+	return l.eachRecordAfter(after, true, func(epoch uint64, nops int, payload []byte) error {
+		buf = buf[:0]
+		for p := recHead; p < recHead+nops*opBytes; p += opBytes {
+			buf = append(buf, Op{
+				Time: binary.LittleEndian.Uint64(payload[p:]),
+				U:    binary.LittleEndian.Uint32(payload[p+8:]),
+				V:    binary.LittleEndian.Uint32(payload[p+12:]),
+				Del:  binary.LittleEndian.Uint32(payload[p+16:])&flagDel != 0,
+			})
+		}
+		return fn(epoch, buf)
+	})
+}
+
+// OpsAfter counts the ops of the records Replay(after) would stream if
+// called now, so a fold can size its buffer to the tail above its
+// checkpoint rather than to the whole log. It reads the frame heads of
+// the bytes Open scanned, where they are still held, and decodes no op.
+func (l *Log) OpsAfter(after uint64) (int, error) {
+	total := 0
+	err := l.eachRecordAfter(after, false, func(_ uint64, nops int, _ []byte) error {
+		total += nops
+		return nil
+	})
+	return total, err
+}
+
+// eachRecordAfter calls fn(epoch, op count, payload) for every record
+// with epoch > after, in log order, and stops at fn's first error. The
+// segments and their sizes are snapshotted under mu, and a size only
+// ever covers whole records, so it reads beside Append. take hands the
+// bytes Open's scan holds over to this call, each segment's let go once
+// it has been walked.
+func (l *Log) eachRecordAfter(after uint64, take bool, fn func(epoch uint64, nops int, payload []byte) error) error {
 	l.mu.Lock()
 	segs := append(append([]segment(nil), l.sealed...), l.active)
-	scanned := l.scanned
-	l.scanned = nil
+	raws := make([][]byte, len(segs))
+	for i, s := range segs {
+		raws[i] = l.scanned[s.seq]
+	}
+	if take {
+		l.scanned = nil
+	}
 	l.mu.Unlock()
-	var buf []Op
-	for _, s := range segs {
-		raw := scanned[s.seq]
-		delete(scanned, s.seq) // let each segment's bytes go as soon as it is replayed
+	for i, s := range segs {
+		raw := raws[i]
+		raws[i] = nil
 		// Epochs never decrease along the log, so a segment that ends at
-		// or below after holds nothing to replay.
+		// or below after holds nothing to walk.
 		if s.records == 0 || s.lastEpoch <= after {
 			continue
 		}
@@ -702,51 +754,13 @@ func (l *Log) Replay(after uint64, fn func(epoch uint64, ops []Op) error) error 
 			if epoch <= after {
 				return nil
 			}
-			buf = buf[:0]
-			for p := recHead; p < recHead+nops*opBytes; p += opBytes {
-				buf = append(buf, Op{
-					Time: binary.LittleEndian.Uint64(payload[p:]),
-					U:    binary.LittleEndian.Uint32(payload[p+8:]),
-					V:    binary.LittleEndian.Uint32(payload[p+12:]),
-					Del:  binary.LittleEndian.Uint32(payload[p+16:])&flagDel != 0,
-				})
-			}
-			return fn(epoch, buf)
+			return fn(epoch, nops, payload)
 		})
 		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// OpsAfter counts the ops of the records Replay(after) would stream, so
-// recovery can size its buffer to the tail above its checkpoint rather
-// than to the whole log. Like Replay, it must run before the first
-// Append; it reads the frame heads of the bytes Open scanned and decodes
-// no op.
-func (l *Log) OpsAfter(after uint64) (int, error) {
-	l.mu.Lock()
-	segs := append(append([]segment(nil), l.sealed...), l.active)
-	scanned := l.scanned
-	l.mu.Unlock()
-	total := 0
-	for _, s := range segs {
-		if s.records == 0 || s.lastEpoch <= after {
-			continue
-		}
-		raw, err := l.segmentBytes(s, scanned[s.seq])
-		if err != nil {
-			return 0, err
-		}
-		_ = eachRecord(raw, func(epoch uint64, nops int, _ []byte) error { // fn never fails
-			if epoch > after {
-				total += nops
-			}
-			return nil
-		})
-	}
-	return total, nil
 }
 
 // segmentBytes is s's valid bytes: raw, what Open's scan kept of them,

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -587,5 +588,75 @@ func TestOpsAfterCountsTheReplayedTail(t *testing.T) {
 				t.Fatalf("replay streamed %d ops, want %d", n, want(0))
 			}
 		}
+	}
+}
+
+// TestReplayBesideAppend reads the log while another goroutine appends
+// and rotates across small segments: each Replay must stream a prefix of
+// the records, whole, in epoch order, reaching at least the last epoch
+// LastEpoch reported before it began; each OpsAfter must count such a
+// prefix.
+func TestReplayBesideAppend(t *testing.T) {
+	const records = 300
+	l, _, err := Open(t.TempDir(), Options{Sync: SyncNone, SegmentBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	nops := func(e uint64) int { return int(e%7) + 1 }
+	prefix := make(map[int]bool) // op counts of every prefix of the log
+	for e, n := uint64(1), 0; e <= records; e++ {
+		n += nops(e)
+		prefix[n] = true
+	}
+	done := make(chan error, 1)
+	go func() {
+		for e := uint64(1); e <= records; e++ {
+			if err := l.Append(e, mkOps(e*100, nops(e))); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	partial := 0
+	for finished := false; !finished; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("append: %v", err)
+			}
+			finished = true
+		default:
+		}
+		last := l.LastEpoch()
+		next := uint64(1)
+		err := l.Replay(0, func(epoch uint64, ops []Op) error {
+			if epoch != next {
+				return fmt.Errorf("record at epoch %d, want %d", epoch, next)
+			}
+			if want := mkOps(epoch*100, nops(epoch)); !reflect.DeepEqual(ops, want) {
+				return fmt.Errorf("record at epoch %d is torn: %v, want %v", epoch, ops, want)
+			}
+			next++
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+		if next-1 < records {
+			partial++
+		}
+		if next-1 < last {
+			t.Fatalf("replay ended at epoch %d, LastEpoch was %d before it began", next-1, last)
+		}
+		n, err := l.OpsAfter(0)
+		if err != nil || (n != 0 && !prefix[n]) {
+			t.Fatalf("OpsAfter(0) = %d, %v: not the op count of a prefix of the log", n, err)
+		}
+	}
+	t.Logf("partial replays: %d", partial)
+	if st := l.Stats(); st.Rotations < 10 || l.LastEpoch() != records {
+		t.Fatalf("%d rotations, last epoch %d: want ≥ 10 and %d", st.Rotations, l.LastEpoch(), records)
 	}
 }

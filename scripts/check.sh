@@ -77,7 +77,11 @@ end
 # unix. Then the tests that drop mapped arenas, ten times with a
 # collection after nearly every allocation: a finalizer that unmaps an
 # arena something still reads is a fault here, not a rumour. Beside the
-# recovery tests (TestReplayOwnedMatchesLiveServer among them), the fold
+# recovery tests (TestReplayOwnedMatchesLiveServer among them), a
+# checkpoint, the fold of the previous checkpoint and the log, is held
+# to a compaction of the live graph, a deleted graph's checkpoint to the
+# graph re-created in its directory, and the log's Replay and OpsAfter
+# run twenty times beside appends that rotate segments; the fold
 # recovery is built on runs twenty times against ApplyOwned, and twenty
 # times at 1, 2 and 4 workers against an op-by-op model, and an owned
 # batch that runs the arena out twenty times, both on batches that apply
@@ -91,7 +95,8 @@ begin "arena fallback cross-compiles; finalizers under GOGC=1 -race"
 GOOS=windows go build $(go list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./... | grep -v '^tufast/benchmark$')
 GOOS=darwin go vet ./internal/mem
 GOGC=1 go test -race -count=10 ./internal/mem
-GOGC=1 go test -race -count=10 -run 'TestCrashRecovery|TestTenancyCrashRecovery|TestReplay' ./internal/server
+GOGC=1 go test -race -count=10 -run 'TestCrashRecovery|TestTenancyCrashRecovery|TestReplay|TestCheckpointFoldMatchesCompact|TestStaleCheckpointAfterRecreate' ./internal/server
+go test -race -count=20 -run 'TestReplayBesideAppend' ./internal/wal
 go test -race -count=20 -run 'TestFoldMatchesApplyOwned|TestApplyOwnedPanicBreaksGraph|TestFoldParallelMatchesSerial' . ./internal/dyngraph
 go test -race -count=20 -run 'TestApplyOwnedBesideGC|TestGCPassTakesTurnsWithBatches|TestGCRunningArenaOut' .
 go test -race -count=20 -run 'TestRepairExactAtPinnedEpoch' ./algorithms
