@@ -208,7 +208,7 @@ func (cc *IncrementalCC) Repair(ctx context.Context, view *tufast.GraphView) (Re
 
 func (cc *IncrementalCC) stabilize(ctx context.Context, view *tufast.GraphView) error {
 	hint := func(v uint32) int { return 2*cc.dyn.LiveDegree(v) + 4 }
-	_, err := cc.sys.Runtime().WithContext(ctx).Drain("incremental_cc", cc.sink, cc.sink, hint,
+	_, err := cc.sys.Runtime().WithContext(ctx).Drain("incremental_cc", cc.sink, cc.sink, hint, algo.NoWarm,
 		func(out *worklist.Emits) func(sched.Tx, uint32) error {
 			var nbs []uint32
 			return func(t sched.Tx, v uint32) error {
@@ -523,7 +523,7 @@ func (pr *DeltaPageRank) fixSources(ctx context.Context, view *tufast.GraphView,
 	}
 	prev := pr.prev
 	hint := func(v uint32) int { return 4*pr.dyn.LiveDegree(v) + 8 }
-	_, err := pr.sys.Runtime().WithContext(ctx).Drain("delta_pagerank_fix", algo.FIFOSource{Queue: q}, pr.sink, hint,
+	_, err := pr.sys.Runtime().WithContext(ctx).Drain("delta_pagerank_fix", algo.FIFOSource{Queue: q}, pr.sink, hint, algo.NoWarm,
 		func(out *worklist.Emits) func(sched.Tx, uint32) error {
 			emit := func(w uint32) { out.Emit(w, 0) }
 			var n0, n1 []uint32
@@ -571,7 +571,7 @@ func (pr *DeltaPageRank) Stabilize() error {
 
 func (pr *DeltaPageRank) stabilize(ctx context.Context, view *tufast.GraphView) error {
 	hint := func(v uint32) int { return 2*pr.dyn.LiveDegree(v) + 8 }
-	_, err := pr.sys.Runtime().WithContext(ctx).Drain("delta_pagerank", pr.sink, pr.sink, hint,
+	_, err := pr.sys.Runtime().WithContext(ctx).Drain("delta_pagerank", pr.sink, pr.sink, hint, algo.NoWarm,
 		func(out *worklist.Emits) func(sched.Tx, uint32) error {
 			emit := func(u uint32) { out.Emit(u, 0) }
 			var nbs []uint32

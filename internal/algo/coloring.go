@@ -27,7 +27,7 @@ func GreedyColoring(r *Runtime) (*ColoringResult, error) {
 	g := r.G
 	color := r.NewVertexArray(colorNone)
 
-	err := r.ForEachVertex(func(tx sched.Tx, v uint32) error {
+	err := r.ForEachVertex(color, func(tx sched.Tx, v uint32) error {
 		if tx.Read(v, color+mem.Addr(v)) != colorNone {
 			return nil
 		}
@@ -98,7 +98,7 @@ func LabelPropagation(r *Runtime, maxRounds int) (*WCCResult, error) {
 	}
 	for round := 0; round < maxRounds; round++ {
 		changed := &atomicCounter{}
-		err := r.ForEachVertex(func(tx sched.Tx, v uint32) error {
+		err := r.ForEachVertex(label, func(tx sched.Tx, v uint32) error {
 			if g.Degree(v) == 0 {
 				return nil
 			}
@@ -141,7 +141,7 @@ func LabelPropagation(r *Runtime, maxRounds int) (*WCCResult, error) {
 func ClusteringCoefficients(r *Runtime) ([]float64, error) {
 	g := r.G
 	coeff := r.NewVertexArray(0)
-	err := r.ForEachVertex(func(tx sched.Tx, v uint32) error {
+	err := r.ForEachVertex(NoWarm, func(tx sched.Tx, v uint32) error {
 		nb := g.Neighbors(v)
 		d := len(nb)
 		if d < 2 {

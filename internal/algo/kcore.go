@@ -36,42 +36,50 @@ func KCore(r *Runtime) (*KCoreResult, error) {
 		q.Push(v)
 	}
 
-	_, err := r.ForEachQueued(DedupFIFO{Q: q, Queued: queued}, func(tx sched.Tx, v uint32, emit func(uint32, uint64)) error {
-		queued.Clear(v)
-		cur := tx.Read(v, bound+mem.Addr(v))
-		if cur == 0 {
-			return nil
-		}
-		// h-index of neighbor bounds, capped at cur: the largest h such
-		// that at least h neighbors have bound >= h.
-		counts := make([]uint32, cur+1)
-		for _, u := range g.Neighbors(v) {
-			bu := tx.Read(u, bound+mem.Addr(u))
-			if bu > cur {
-				bu = cur
+	src := DedupFIFO{Q: q, Queued: queued}
+	_, err := r.Drain("foreach_queued", src, src, nil, bound, func(out *worklist.Emits) func(sched.Tx, uint32) error {
+		// The h-index histogram, one per worker: a bound is only ever a
+		// degree or a smaller h, so none exceeds the maximum degree, and
+		// every attempt clears what it uses.
+		hist := make([]uint32, g.MaxDegree()+1)
+		return func(tx sched.Tx, v uint32) error {
+			queued.Clear(v)
+			cur := tx.Read(v, bound+mem.Addr(v))
+			if cur == 0 {
+				return nil
 			}
-			counts[bu]++
-		}
-		var h, seen uint64
-		for h = cur; h > 0; h-- {
-			seen += uint64(counts[h])
-			if seen >= h {
-				break
-			}
-		}
-		if h < cur {
-			tx.Write(v, bound+mem.Addr(v), h)
+			// h-index of neighbor bounds, capped at cur: the largest h such
+			// that at least h neighbors have bound >= h.
+			counts := hist[:cur+1]
+			clear(counts)
 			for _, u := range g.Neighbors(v) {
-				// A neighbor whose bound exceeds ours may now shrink; the
-				// DedupFIFO's flush-time bitset dedupes re-activations (a
-				// hub would otherwise be enqueued once per shrinking
-				// neighbor).
-				if tx.Read(u, bound+mem.Addr(u)) > h {
-					emit(u, 0)
+				bu := tx.Read(u, bound+mem.Addr(u))
+				if bu > cur {
+					bu = cur
+				}
+				counts[bu]++
+			}
+			var h, seen uint64
+			for h = cur; h > 0; h-- {
+				seen += uint64(counts[h])
+				if seen >= h {
+					break
 				}
 			}
+			if h < cur {
+				tx.Write(v, bound+mem.Addr(v), h)
+				for _, u := range g.Neighbors(v) {
+					// A neighbor whose bound exceeds ours may now shrink; the
+					// DedupFIFO's flush-time bitset dedupes re-activations (a
+					// hub would otherwise be enqueued once per shrinking
+					// neighbor).
+					if tx.Read(u, bound+mem.Addr(u)) > h {
+						out.Emit(u, 0)
+					}
+				}
+			}
+			return nil
 		}
-		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -29,7 +29,7 @@ func MIS(r *Runtime) (*MISResult, error) {
 	g := r.G
 	state := r.NewVertexArray(misUnknown)
 
-	err := r.ForEachVertex(func(tx sched.Tx, v uint32) error {
+	err := r.ForEachVertex(state, func(tx sched.Tx, v uint32) error {
 		if tx.Read(v, state+mem.Addr(v)) != misUnknown {
 			return nil
 		}
@@ -70,7 +70,7 @@ func MaximalMatching(r *Runtime) (*MatchingResult, error) {
 	g := r.G
 	match := r.NewVertexArray(None)
 
-	err := r.ForEachVertex(func(tx sched.Tx, v uint32) error {
+	err := r.ForEachVertex(match, func(tx sched.Tx, v uint32) error {
 		if tx.Read(v, match+mem.Addr(v)) != None {
 			return nil
 		}

@@ -65,6 +65,9 @@ type Worker struct {
 	// busy is set for the duration of a Run call; it stays set only when
 	// a panic unwound the call, marking in-flight state for Release.
 	busy bool
+	// warmed sums the words the drivers' warms loaded on this worker
+	// (see Runtime.warm), so the compiler keeps the loads. Nothing reads it.
+	warmed uint64
 }
 
 // Run executes fn as one serializable transaction. With a cancellable ctx
@@ -244,11 +247,40 @@ func (r *Runtime) Sweep(driver string, n, grain int, start func(tid int, w *Work
 	return nil
 }
 
+// NoWarm is the array argument of a driver whose body's footprint is
+// unknown (a user's body, or one that reads no vertex array across v's
+// neighbourhood): nothing is warmed before its transactions.
+const NoWarm = ^mem.Addr(0)
+
+// warm loads, without using them, the words a transaction over v's
+// neighbourhood reads first from the vertex array at arr: v's and each
+// neighbour's data word and its line's version word. The transaction's
+// reads each sit at the end of the TM's long read path, so the CPU takes
+// their misses one at a time; these plain loads have nothing between
+// them, so their misses are in flight together and the transaction finds
+// its lines in cache or on their way (group prefetching, as
+// dyngraph.Store.Warm does for owned batches). It runs once per
+// transaction, before the first attempt and outside the TxFunc: nothing
+// it loads is used, so it changes no outcome. It returns the loaded
+// words' sum.
+func (r *Runtime) warm(arr mem.Addr, v uint32) uint64 {
+	sp := r.Sp
+	a := arr + mem.Addr(v)
+	sum := sp.Load(a) + sp.Meta(mem.LineOf(a))
+	for _, u := range r.G.Neighbors(v) {
+		a := arr + mem.Addr(u)
+		sum += sp.Load(a) + sp.Meta(mem.LineOf(a))
+	}
+	return sum
+}
+
 // ForEachVertex runs fn for every vertex as its own transaction with the
-// degree as the size hint (parallel_for + BEGIN(degree[v])). When the
-// runtime carries a context, cancellation stops the sweep at the next
-// chunk or vertex boundary and the context's error is returned.
-func (r *Runtime) ForEachVertex(fn func(tx sched.Tx, v uint32) error) error {
+// degree as the size hint (parallel_for + BEGIN(degree[v])). arr is the
+// one vertex array fn reads across v's neighbourhood, warmed before each
+// transaction (see warm), or NoWarm. When the runtime carries a context,
+// cancellation stops the sweep at the next chunk or vertex boundary and
+// the context's error is returned.
+func (r *Runtime) ForEachVertex(arr mem.Addr, fn func(tx sched.Tx, v uint32) error) error {
 	defer r.trimIdle()
 	return r.Sweep("foreach_vertex", r.G.NumVertices(), 256, func(_ int, w *Worker) func(int) error {
 		// One body per goroutine, not per vertex: cur is the vertex in hand.
@@ -256,6 +288,9 @@ func (r *Runtime) ForEachVertex(fn func(tx sched.Tx, v uint32) error) error {
 		body := func(tx sched.Tx) error { return fn(tx, cur) }
 		return func(v int) error {
 			cur = uint32(v)
+			if arr != NoWarm {
+				w.warmed += r.warm(arr, cur)
+			}
 			return w.Run(r.Ctx, r.G.Degree(cur)*2+2, body)
 		}
 	})
@@ -341,9 +376,9 @@ func (s DedupFIFO) Len() int { return s.Q.Len() }
 // lost-wakeup window of eager pushes under commit-time visibility — a
 // vertex pushed before its activating write was visible could be popped,
 // observed unimproved, and dropped, with nobody left to re-deliver the
-// improvement once it landed.
-func (r *Runtime) ForEachQueued(q Source, fn func(tx sched.Tx, v uint32, emit func(u uint32, prio uint64)) error) (uint64, error) {
-	return r.Drain("foreach_queued", q, q, nil, func(out *worklist.Emits) func(sched.Tx, uint32) error {
+// improvement once it landed. arr is as for Drain.
+func (r *Runtime) ForEachQueued(q Source, arr mem.Addr, fn func(tx sched.Tx, v uint32, emit func(u uint32, prio uint64)) error) (uint64, error) {
+	return r.Drain("foreach_queued", q, q, nil, arr, func(out *worklist.Emits) func(sched.Tx, uint32) error {
 		emit := out.Emit
 		return func(tx sched.Tx, v uint32) error { return fn(tx, v, emit) }
 	})
@@ -357,8 +392,9 @@ func (r *Runtime) ForEachQueued(q Source, fn func(tx sched.Tx, v uint32, emit fu
 // each goroutine and returns the body run for every polled vertex; what
 // the body emits through out reaches sink only if its attempt commits. A
 // nil sink is for bodies that push into src themselves; a nil hint means
-// the graph's degree.
-func (r *Runtime) Drain(driver string, src worklist.Source, sink worklist.Sink, hint func(v uint32) int,
+// the graph's degree. arr is the one vertex array the body reads across
+// v's neighbourhood, warmed before each transaction (see warm), or NoWarm.
+func (r *Runtime) Drain(driver string, src worklist.Source, sink worklist.Sink, hint func(v uint32) int, arr mem.Addr,
 	start func(out *worklist.Emits) (body func(tx sched.Tx, v uint32) error)) (uint64, error) {
 	ctx := r.ctx()
 	defer r.trimIdle()
@@ -377,6 +413,9 @@ func (r *Runtime) Drain(driver string, src worklist.Source, sink worklist.Sink, 
 			h := r.G.Degree(v)*2 + 2
 			if hint != nil {
 				h = hint(v)
+			}
+			if arr != NoWarm {
+				w.warmed += r.warm(arr, v)
 			}
 			return w.Run(r.Ctx, h, txn)
 		}

@@ -43,7 +43,7 @@ func sssp(r *Runtime, source uint32, src Source) (*SSSPResult, error) {
 	dist := r.NewVertexArray(None)
 	r.Sp.Store(dist+mem.Addr(source), 0)
 
-	relaxed, err := r.ForEachQueued(src, func(tx sched.Tx, v uint32, emit func(uint32, uint64)) error {
+	relaxed, err := r.ForEachQueued(src, dist, func(tx sched.Tx, v uint32, emit func(uint32, uint64)) error {
 		dv := tx.Read(v, dist+mem.Addr(v))
 		if dv == None {
 			return nil

@@ -22,7 +22,7 @@ func Triangles(r *Runtime) (*TriangleResult, error) {
 	g := r.G
 	counts := r.NewVertexArray(0)
 
-	err := r.ForEachVertex(func(tx sched.Tx, v uint32) error {
+	err := r.ForEachVertex(NoWarm, func(tx sched.Tx, v uint32) error {
 		nv := forward(g.Neighbors(v), v)
 		var local uint64
 		for _, u := range nv {

@@ -33,7 +33,7 @@ func WCC(r *Runtime) (*WCCResult, error) {
 		q.Push(v)
 	}
 
-	_, err := r.ForEachQueued(FIFOSource{q}, func(tx sched.Tx, v uint32, emit func(uint32, uint64)) error {
+	_, err := r.ForEachQueued(FIFOSource{q}, comp, func(tx sched.Tx, v uint32, emit func(uint32, uint64)) error {
 		cv := tx.Read(v, comp+mem.Addr(v))
 		min := cv
 		for _, u := range g.Neighbors(v) {

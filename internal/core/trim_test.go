@@ -66,7 +66,7 @@ func TestPooledWorkerDropsGiantScratch(t *testing.T) {
 	if kept := oSize(cw.o); kept < 2*hub {
 		t.Fatalf("Release alone left the O context %d slots: a stream's next window would regrow it", kept)
 	}
-	if err := rt.ForEachVertex(func(sched.Tx, uint32) error { return nil }); err != nil {
+	if err := rt.ForEachVertex(algo.NoWarm, func(sched.Tx, uint32) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 

@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"net/http"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"tufast"
 	"tufast/internal/graph"
+	"tufast/internal/wal"
 )
 
 // checkpointFile loads the newest checkpoint g's manifest names.
@@ -109,6 +111,64 @@ func TestCheckpointFoldMatchesCompact(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestCheckpointReadsEachSegmentOnce takes a checkpoint after live
+// appends, when the log no longer holds its boot scan's bytes: the fold
+// must read each segment above the checkpoint's base at most once.
+// Recovery, before any append, reads each segment once too, in Open's
+// scan, and decodes the scanned bytes.
+func TestCheckpointReadsEachSegmentOnce(t *testing.T) {
+	dir := t.TempDir()
+	var mu sync.Mutex
+	reads := make(map[string]int)
+	dcfg := DurabilityConfig{Sync: wal.SyncNone, SegmentBytes: 2048, walHooks: &wal.Hooks{ReadSegment: func(path string) {
+		mu.Lock()
+		reads[path]++
+		mu.Unlock()
+	}}}
+	counted := func(what string) {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		if len(reads) < 3 {
+			t.Fatalf("%s read %d segments, want several", what, len(reads))
+		}
+		for path, c := range reads {
+			if c != 1 {
+				t.Errorf("%s read %s %d times", what, filepath.Base(path), c)
+			}
+		}
+		clear(reads)
+	}
+	s := startDurableServer(t, dir, dcfg)
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	rng := rand.New(rand.NewSource(5))
+	post := func() {
+		for i := 0; i < 12; i++ {
+			if code, _ := postBatch(t, client, "http://"+s.Addr(), distinctBatch(rng, 200, 24)); code != http.StatusOK {
+				t.Fatalf("batch %d: status %d", i, code)
+			}
+		}
+	}
+	post()
+	mu.Lock()
+	clear(reads)
+	mu.Unlock()
+	if _, err := s.def.checkpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	counted("checkpoint after appends")
+
+	post()
+	crashServer(s)
+	s = startDurableServer(t, dir, dcfg)
+	defer shutdownServer(t, s)
+	if rec := s.Recovery(); rec.ReplayedBatches == 0 {
+		t.Fatal("nothing replayed")
+	}
+	counted("recovery")
 }
 
 // TestStaleCheckpointAfterRecreate runs a deleted graph's checkpoint

@@ -304,22 +304,16 @@ func recoverDataDir(dcfg DurabilityConfig,
 func foldLog(ck loadedCheckpoint, wlog *wal.Log, rec *RecoveryInfo) (*tufast.Graph, uint64, tufast.StreamStats, error) {
 	t0 := time.Now()
 	n, epoch := uint32(ck.g.NumVertices()), ck.epoch
-	tail, err := wlog.OpsAfter(ck.epoch)
-	ops := make([]wal.Op, 0, tail)
-	if err == nil {
-		err = wlog.Replay(ck.epoch, func(e uint64, batch []wal.Op) error {
-			for _, op := range batch {
-				if op.U >= n || op.V >= n {
-					return fmt.Errorf("server: wal replay at epoch %d: op (%d, %d) out of range [0,%d)", e, op.U, op.V, n)
-				}
+	ops, recs, err := wlog.Tail(ck.epoch)
+	for _, r := range recs {
+		for _, op := range r.Ops {
+			if err == nil && (op.U >= n || op.V >= n) {
+				err = fmt.Errorf("server: wal replay at epoch %d: op (%d, %d) out of range [0,%d)", r.Epoch, op.U, op.V, n)
 			}
-			ops = append(ops, batch...)
-			epoch = e
-			rec.ReplayedBatches++
-			return nil
-		})
+		}
+		epoch = r.Epoch
 	}
-	rec.ReplayMS, rec.ReplayedOps = sinceMS(t0), uint64(len(ops))
+	rec.ReplayMS, rec.ReplayedOps, rec.ReplayedBatches = sinceMS(t0), uint64(len(ops)), uint64(len(recs))
 	if err != nil {
 		return nil, 0, tufast.StreamStats{}, err
 	}

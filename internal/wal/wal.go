@@ -125,7 +125,7 @@ type Hooks struct {
 	SyncErr func() error
 	// ReadSegment, when non-nil, is told of every segment file read in
 	// full: one per segment by Open's scan, and one more by any Replay
-	// or OpsAfter that no longer holds the scan's bytes.
+	// or Tail that no longer holds the scan's bytes.
 	ReadSegment func(path string)
 }
 
@@ -178,11 +178,13 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // segment is one on-disk log file.
 type segment struct {
-	seq       uint64
-	path      string
-	size      int64  // valid bytes (post-repair)
-	records   int    // valid records
-	lastEpoch uint64 // epoch of the last record (0 when records == 0)
+	seq        uint64
+	path       string
+	size       int64  // valid bytes (post-repair)
+	records    int    // valid records
+	ops        int    // ops of the valid records
+	firstEpoch uint64 // epoch of the first record (0 when records == 0)
+	lastEpoch  uint64 // epoch of the last record (0 when records == 0)
 }
 
 // Stats are the log's cumulative counters since Open.
@@ -227,12 +229,12 @@ type Log struct {
 	active segment
 	sealed []segment // older segments, oldest first
 	// scanned holds, by segment sequence number, the valid bytes Open's
-	// scan read and checked, so recovery's Replay decodes them instead of
-	// reading and walking every file a second time. The first Replay takes
-	// them and the first Append drops them (they no longer are the whole
-	// file). What they cost in between is bounded by what the replay is
-	// about to write: a logged op is 20 bytes here and more than that in
-	// the arena it is re-applied to.
+	// scan read and checked, so recovery's Tail decodes them instead of
+	// reading and walking every file a second time. The first Tail or
+	// Replay takes them and the first Append drops them (they no longer
+	// are the whole file). What they cost in between is bounded by what
+	// recovery is about to build: a logged op is 20 bytes here and more
+	// than that in the graph it is folded into.
 	scanned map[uint64][]byte
 	dirty   bool   // bytes appended since the last fsync
 	buf     []byte // frame scratch, reused across Appends (under mu)
@@ -366,9 +368,9 @@ func (l *Log) readSegment(path string) ([]byte, error) {
 }
 
 // scanSegment validates the frames of s in raw, the file's bytes,
-// filling size/records/lastEpoch with the valid prefix. Returns whether
-// a bad frame (or header) was found. onRecord fires per valid record in
-// order.
+// filling size/records/ops/firstEpoch/lastEpoch with the valid prefix.
+// Returns whether a bad frame (or header) was found. onRecord fires per
+// valid record in order.
 func scanSegment(s *segment, raw []byte, onRecord func(epoch uint64, nops int)) bool {
 	if len(raw) < headerSize || binary.LittleEndian.Uint64(raw[0:8]) != segMagic {
 		// Torn before the header finished (or foreign bytes): keep the
@@ -404,7 +406,11 @@ func scanSegment(s *segment, raw []byte, onRecord func(epoch uint64, nops int)) 
 		}
 		off += int64(frameHead + int(plen))
 		s.size = off
+		if s.records == 0 {
+			s.firstEpoch = epoch
+		}
 		s.records++
+		s.ops += nops
 		s.lastEpoch = epoch
 		onRecord(epoch, nops)
 	}
@@ -531,7 +537,11 @@ func (l *Log) Append(epoch uint64, ops []Op) error {
 		return ErrInjectedCrash
 	}
 	l.active.size += int64(len(frame))
+	if l.active.records == 0 {
+		l.active.firstEpoch = epoch
+	}
 	l.active.records++
+	l.active.ops += len(ops)
 	l.active.lastEpoch = epoch
 	l.last = epoch
 	l.dirty = true
@@ -694,67 +704,19 @@ func (l *Log) LastEpoch() uint64 {
 // its return: one buffer is decoded into again and again.
 func (l *Log) Replay(after uint64, fn func(epoch uint64, ops []Op) error) error {
 	var buf []Op
-	return l.eachRecordAfter(after, true, func(epoch uint64, nops int, payload []byte) error {
-		buf = buf[:0]
-		for p := recHead; p < recHead+nops*opBytes; p += opBytes {
-			buf = append(buf, Op{
-				Time: binary.LittleEndian.Uint64(payload[p:]),
-				U:    binary.LittleEndian.Uint32(payload[p+8:]),
-				V:    binary.LittleEndian.Uint32(payload[p+12:]),
-				Del:  binary.LittleEndian.Uint32(payload[p+16:])&flagDel != 0,
-			})
-		}
-		return fn(epoch, buf)
-	})
-}
-
-// OpsAfter counts the ops of the records Replay(after) would stream if
-// called now, so a fold can size its buffer to the tail above its
-// checkpoint rather than to the whole log. It reads the frame heads of
-// the bytes Open scanned, where they are still held, and decodes no op.
-func (l *Log) OpsAfter(after uint64) (int, error) {
-	total := 0
-	err := l.eachRecordAfter(after, false, func(_ uint64, nops int, _ []byte) error {
-		total += nops
-		return nil
-	})
-	return total, err
-}
-
-// eachRecordAfter calls fn(epoch, op count, payload) for every record
-// with epoch > after, in log order, and stops at fn's first error. The
-// segments and their sizes are snapshotted under mu, and a size only
-// ever covers whole records, so it reads beside Append. take hands the
-// bytes Open's scan holds over to this call, each segment's let go once
-// it has been walked.
-func (l *Log) eachRecordAfter(after uint64, take bool, fn func(epoch uint64, nops int, payload []byte) error) error {
-	l.mu.Lock()
-	segs := append(append([]segment(nil), l.sealed...), l.active)
-	raws := make([][]byte, len(segs))
+	segs, raws := l.snapshot()
 	for i, s := range segs {
-		raws[i] = l.scanned[s.seq]
-	}
-	if take {
-		l.scanned = nil
-	}
-	l.mu.Unlock()
-	for i, s := range segs {
-		raw := raws[i]
-		raws[i] = nil
-		// Epochs never decrease along the log, so a segment that ends at
-		// or below after holds nothing to walk.
 		if s.records == 0 || s.lastEpoch <= after {
 			continue
 		}
-		raw, err := l.segmentBytes(s, raw)
+		raw, err := l.segmentBytes(s, raws[i])
+		raws[i] = nil
 		if err != nil {
 			return err
 		}
-		err = eachRecord(raw, func(epoch uint64, nops int, payload []byte) error {
-			if epoch <= after {
-				return nil
-			}
-			return fn(epoch, nops, payload)
+		err = eachRecord(raw, after, func(epoch uint64, payload []byte) error {
+			buf = decodeOps(buf[:0], payload)
+			return fn(epoch, buf)
 		})
 		if err != nil {
 			return err
@@ -762,6 +724,93 @@ func (l *Log) eachRecordAfter(after uint64, take bool, fn func(epoch uint64, nop
 	}
 	return nil
 }
+
+// Record is one logged batch: its epoch and its ops.
+type Record struct {
+	Epoch uint64
+	Ops   []Op
+}
+
+// Tail returns every record with epoch > after that the log held when it
+// was called, in log order; records appended meanwhile are not returned.
+// The records' ops are consecutive windows of ops, which holds them all
+// in log order and is allocated once at its final size. Each segment is
+// read at most once: from the bytes Open's scan holds, or from its file.
+// The size comes from the segments' op counts; a segment the cut falls
+// inside (its first record at or below after, its last above) is read
+// first and counted from its frame heads, then decoded from the same
+// bytes. Epochs never decrease along the log, so a segment that ends at
+// or below after holds nothing to walk.
+func (l *Log) Tail(after uint64) (ops []Op, recs []Record, err error) {
+	segs, raws := l.snapshot()
+	total := 0
+	for i, s := range segs {
+		switch {
+		case s.records == 0 || s.lastEpoch <= after:
+		case s.firstEpoch > after:
+			total += s.ops
+		default:
+			if raws[i], err = l.segmentBytes(s, raws[i]); err != nil {
+				return nil, nil, err
+			}
+			_ = eachRecord(raws[i], after, func(_ uint64, payload []byte) error {
+				total += recordOps(payload)
+				return nil
+			})
+		}
+	}
+	ops = make([]Op, 0, total)
+	for i, s := range segs {
+		if s.records == 0 || s.lastEpoch <= after {
+			continue
+		}
+		raw, err := l.segmentBytes(s, raws[i])
+		raws[i] = nil
+		if err != nil {
+			return nil, nil, err
+		}
+		_ = eachRecord(raw, after, func(epoch uint64, payload []byte) error {
+			lo := len(ops)
+			ops = decodeOps(ops, payload)
+			recs = append(recs, Record{Epoch: epoch, Ops: ops[lo:len(ops):len(ops)]})
+			return nil
+		})
+	}
+	return ops, recs, nil
+}
+
+// snapshot returns the segments and their sizes as they are now, with
+// the bytes Open's scan holds of each (nil where it holds none), and
+// hands those bytes over to the caller: the first reader after Open
+// walks them, every later one reads the files. A size only ever covers
+// whole records, so a snapshot reads beside Append.
+func (l *Log) snapshot() ([]segment, [][]byte) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	segs := append(append([]segment(nil), l.sealed...), l.active)
+	raws := make([][]byte, len(segs))
+	for i, s := range segs {
+		raws[i] = l.scanned[s.seq]
+	}
+	l.scanned = nil
+	return segs, raws
+}
+
+// decodeOps appends the ops of a record's payload to buf.
+func decodeOps(buf []Op, payload []byte) []Op {
+	for p := recHead; p < recHead+recordOps(payload)*opBytes; p += opBytes {
+		buf = append(buf, Op{
+			Time: binary.LittleEndian.Uint64(payload[p:]),
+			U:    binary.LittleEndian.Uint32(payload[p+8:]),
+			V:    binary.LittleEndian.Uint32(payload[p+12:]),
+			Del:  binary.LittleEndian.Uint32(payload[p+16:])&flagDel != 0,
+		})
+	}
+	return buf
+}
+
+// recordOps is the op count in a record's payload.
+func recordOps(payload []byte) int { return int(binary.LittleEndian.Uint32(payload[8:12])) }
 
 // segmentBytes is s's valid bytes: raw, what Open's scan kept of them,
 // or the file read again when the scan kept nothing.
@@ -779,18 +828,18 @@ func (l *Log) segmentBytes(s segment, raw []byte) ([]byte, error) {
 	return raw[:s.size], nil
 }
 
-// eachRecord calls fn(epoch, op count, payload) for every frame of raw,
-// a segment's valid bytes, in order, and stops at fn's first error. The
-// frames were validated when raw was scanned.
-func eachRecord(raw []byte, fn func(epoch uint64, nops int, payload []byte) error) error {
+// eachRecord calls fn(epoch, payload) for every frame of raw, a
+// segment's valid bytes, whose epoch is above after, in order, and stops
+// at fn's first error. The frames were validated when raw was scanned.
+func eachRecord(raw []byte, after uint64, fn func(epoch uint64, payload []byte) error) error {
 	for off := headerSize; off < len(raw); {
 		plen := int(binary.LittleEndian.Uint32(raw[off : off+4]))
 		payload := raw[off+frameHead : off+frameHead+plen]
 		off += frameHead + plen
-		epoch := binary.LittleEndian.Uint64(payload[0:8])
-		nops := int(binary.LittleEndian.Uint32(payload[8:12]))
-		if err := fn(epoch, nops, payload); err != nil {
-			return err
+		if epoch := binary.LittleEndian.Uint64(payload[0:8]); epoch > after {
+			if err := fn(epoch, payload); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -533,11 +533,12 @@ func TestReplayDecodesScannedBytes(t *testing.T) {
 	}
 }
 
-// TestOpsAfterCountsTheReplayedTail checks OpsAfter against what Replay
-// streams, for every cut of a log spread over several segments, before
-// the first replay (from the scanned bytes, reading no file) and after
-// it (from the files).
-func TestOpsAfterCountsTheReplayedTail(t *testing.T) {
+// TestTailMatchesReplay checks Tail against what Replay streams, for
+// every cut of a log spread over several segments: first from the bytes
+// Open scanned (reading no file), then from the files after an append,
+// reading each segment at most once per call, and only those holding a
+// record above the cut.
+func TestTailMatchesReplay(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(dir, Options{Sync: SyncNone, SegmentBytes: 512})
 	if err != nil {
@@ -551,50 +552,81 @@ func TestOpsAfterCountsTheReplayedTail(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reads := 0
-	hooks := &Hooks{ReadSegment: func(string) { reads++ }}
+	reads := make(map[string]int)
+	hooks := &Hooks{ReadSegment: func(path string) { reads[path]++ }}
 	l, scan, err := Open(dir, Options{Sync: SyncNone, SegmentBytes: 512, Hooks: hooks})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	opened := reads
-	want := func(after uint64) (n int) {
-		for e := after + 1; e <= 40; e++ {
-			n += int(e%7) + 1
+	check := func(after uint64, last uint64) {
+		t.Helper()
+		ops, recs, err := l.Tail(after)
+		if err != nil {
+			t.Fatalf("Tail(%d): %v", after, err)
 		}
-		return n
+		wantEpochs, wantOps := collect(t, l, after)
+		var epochs []uint64
+		var flat []Op
+		for i, r := range recs {
+			epochs = append(epochs, r.Epoch)
+			if !reflect.DeepEqual(r.Ops, wantOps[i]) {
+				t.Fatalf("Tail(%d): record at epoch %d holds %v, Replay streamed %v", after, r.Epoch, r.Ops, wantOps[i])
+			}
+			flat = append(flat, r.Ops...)
+		}
+		if !reflect.DeepEqual(epochs, wantEpochs) || len(ops) != len(flat) || (len(ops) > 0 && !reflect.DeepEqual(ops, flat)) {
+			t.Fatalf("Tail(%d): epochs %v, %d ops; Replay streamed %v, %d ops", after, epochs, len(ops), wantEpochs, len(flat))
+		}
+		if cap(ops) != len(ops) {
+			t.Fatalf("Tail(%d): %d ops in a slice of capacity %d, want it sized exactly", after, len(ops), cap(ops))
+		}
+		if n := len(recs); n > 0 && recs[n-1].Epoch != last {
+			t.Fatalf("Tail(%d) ends at epoch %d, want %d", after, recs[n-1].Epoch, last)
+		}
 	}
-	for _, replayed := range []bool{false, true} {
-		for after := uint64(0); after <= 41; after++ {
-			got, err := l.OpsAfter(after)
-			if err != nil || got != want(after) {
-				t.Fatalf("replayed=%v: OpsAfter(%d) = %d, %v; want %d", replayed, after, got, err, want(after))
+
+	// From the scanned bytes: no file is read again.
+	opened := len(reads)
+	ops, recs, err := l.Tail(0)
+	if err != nil || len(ops) != scan.Ops || len(recs) != scan.Batches {
+		t.Fatalf("Tail(0) from the scan: %d ops in %d records, %v; the scan found %d in %d", len(ops), len(recs), err, scan.Ops, scan.Batches)
+	}
+	for path, c := range reads {
+		if c != 1 {
+			t.Fatalf("Tail(0) after Open read %s again", filepath.Base(path))
+		}
+	}
+	if opened < 3 {
+		t.Fatalf("log has %d segments, want several", opened)
+	}
+
+	// From the files, after an append dropped the scan.
+	if err := l.Append(41, mkOps(4100, 3)); err != nil {
+		t.Fatal(err)
+	}
+	for after := uint64(0); after <= 42; after++ {
+		clear(reads)
+		ops, _, err := l.Tail(after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for path, c := range reads {
+			if c != 1 {
+				t.Fatalf("Tail(%d) read %s %d times", after, filepath.Base(path), c)
 			}
 		}
-		if !replayed {
-			if reads != opened {
-				t.Fatalf("OpsAfter read %d files before the replay, want none", reads-opened)
-			}
-			if all, _ := l.OpsAfter(0); all != scan.Ops {
-				t.Fatalf("OpsAfter(0) = %d, the scan found %d", all, scan.Ops)
-			}
-			_, ops := collect(t, l, 0)
-			n := 0
-			for _, rec := range ops {
-				n += len(rec)
-			}
-			if n != want(0) {
-				t.Fatalf("replay streamed %d ops, want %d", n, want(0))
-			}
+		if len(ops) == 0 && len(reads) != 0 {
+			t.Fatalf("Tail(%d) found nothing and read %d files", after, len(reads))
 		}
+		check(after, 41)
 	}
 }
 
 // TestReplayBesideAppend reads the log while another goroutine appends
 // and rotates across small segments: each Replay must stream a prefix of
 // the records, whole, in epoch order, reaching at least the last epoch
-// LastEpoch reported before it began; each OpsAfter must count such a
+// LastEpoch reported before it began; each Tail must return such a
 // prefix.
 func TestReplayBesideAppend(t *testing.T) {
 	const records = 300
@@ -650,9 +682,14 @@ func TestReplayBesideAppend(t *testing.T) {
 		if next-1 < last {
 			t.Fatalf("replay ended at epoch %d, LastEpoch was %d before it began", next-1, last)
 		}
-		n, err := l.OpsAfter(0)
-		if err != nil || (n != 0 && !prefix[n]) {
-			t.Fatalf("OpsAfter(0) = %d, %v: not the op count of a prefix of the log", n, err)
+		ops, recs, err := l.Tail(0)
+		if err != nil || (len(ops) != 0 && !prefix[len(ops)]) {
+			t.Fatalf("Tail(0) = %d ops, %v: not the op count of a prefix of the log", len(ops), err)
+		}
+		for i, r := range recs {
+			if r.Epoch != uint64(i+1) || !reflect.DeepEqual(r.Ops, mkOps(r.Epoch*100, nops(r.Epoch))) {
+				t.Fatalf("Tail(0): record %d at epoch %d is torn or out of order", i, r.Epoch)
+			}
 		}
 	}
 	t.Logf("partial replays: %d", partial)

@@ -6,7 +6,6 @@
 package worklist
 
 import (
-	"container/heap"
 	"context"
 	"sync"
 	"sync/atomic"
@@ -215,13 +214,47 @@ type pqItem struct {
 	prio uint64
 }
 
+// pqHeap is a binary min-heap on prio. Its push and pop are
+// container/heap's sift-up and sift-down on the concrete item type: the
+// interface version boxes every item it moves in and out in an any.
 type pqHeap []pqItem
 
-func (h pqHeap) Len() int           { return len(h) }
-func (h pqHeap) Less(i, j int) bool { return h[i].prio < h[j].prio }
-func (h pqHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *pqHeap) Push(x any)        { *h = append(*h, x.(pqItem)) }
-func (h *pqHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+// push inserts it.
+func (h *pqHeap) push(it pqItem) {
+	*h = append(*h, it)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if s[j].prio >= s[i].prio {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+// pop removes and returns a minimal item; h must not be empty.
+func (h *pqHeap) pop() pqItem {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].prio < s[j].prio {
+			j = j2
+		}
+		if s[j].prio >= s[i].prio {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
+}
 
 // NewPQ creates a priority queue with the given shard count.
 func NewPQ(shards int) *PQ {
@@ -235,7 +268,7 @@ func NewPQ(shards int) *PQ {
 func (q *PQ) Push(v uint32, prio uint64) {
 	s := &q.shards[int(uint64(v)%uint64(len(q.shards)))]
 	s.mu.Lock()
-	heap.Push(&s.h, pqItem{v: v, prio: prio})
+	s.h.push(pqItem{v: v, prio: prio})
 	s.mu.Unlock()
 	q.size.Add(1)
 }
@@ -246,7 +279,7 @@ func (q *PQ) Push(v uint32, prio uint64) {
 func (q *PQ) PushChunk(items []Item) {
 	pushSharded(items, len(q.shards),
 		func(shard int) *sync.Mutex { return &q.shards[shard].mu },
-		func(shard int, it Item) { heap.Push(&q.shards[shard].h, pqItem{v: it.V, prio: it.Prio}) })
+		func(shard int, it Item) { q.shards[shard].h.push(pqItem{v: it.V, prio: it.Prio}) })
 	q.size.Add(int64(len(items)))
 }
 
@@ -259,8 +292,8 @@ func (q *PQ) Pop() (uint32, uint64, bool) {
 	for i := 0; i < n; i++ {
 		s := &q.shards[(start+i)%n]
 		s.mu.Lock()
-		if s.h.Len() > 0 {
-			it := heap.Pop(&s.h).(pqItem)
+		if len(s.h) > 0 {
+			it := s.h.pop()
 			s.mu.Unlock()
 			q.size.Add(-1)
 			return it.v, it.prio, true

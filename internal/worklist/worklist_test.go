@@ -1,6 +1,8 @@
 package worklist
 
 import (
+	"container/heap"
+	"math/rand"
 	"sort"
 	"sync"
 	"testing"
@@ -130,6 +132,57 @@ func TestPQPropertyMinFirstSingleShard(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refHeap is container/heap's interface over the same items, the order
+// the typed heap must reproduce pop for pop (ties included), so a drain
+// over a PQ visits vertices as it did on container/heap.
+type refHeap []pqItem
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i].prio < h[j].prio }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(pqItem)) }
+func (h *refHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+
+func TestPQHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var h pqHeap
+	var ref refHeap
+	for i := 0; i < 20000; i++ {
+		if len(h) == 0 || rng.Intn(3) > 0 {
+			it := pqItem{v: uint32(i), prio: uint64(rng.Intn(64))} // many ties
+			h.push(it)
+			heap.Push(&ref, it)
+			continue
+		}
+		if got, want := h.pop(), heap.Pop(&ref).(pqItem); got != want {
+			t.Fatalf("pop %d: got %+v, container/heap pops %+v", i, got, want)
+		}
+	}
+	for len(h) > 0 {
+		if got, want := h.pop(), heap.Pop(&ref).(pqItem); got != want {
+			t.Fatalf("drain: got %+v, container/heap pops %+v", got, want)
+		}
+	}
+}
+
+// TestPQPushPopAllocatesNothing: once a shard's heap has grown, a push
+// and a pop allocate nothing (container/heap boxed each item in an any,
+// two allocations a pair).
+func TestPQPushPopAllocatesNothing(t *testing.T) {
+	q := NewPQ(2)
+	for i := 0; i < 64; i++ {
+		q.Push(uint32(i), uint64(64-i))
+	}
+	i := uint32(0)
+	if a := testing.AllocsPerRun(1000, func() {
+		q.Push(i, uint64(i%17))
+		q.Pop()
+		i++
+	}); a != 0 {
+		t.Fatalf("push+pop allocates %.1f times, want 0", a)
 	}
 }
 

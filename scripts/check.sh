@@ -66,9 +66,14 @@ end
 # and the MVCC view oracle (TestMVCCViewOracle) fail with their own
 # diagnostics without being run a second time by name; FuzzDecodeBatch's
 # seed corpus runs here as ordinary tests. The pipe's status is the
-# summariser's, which is 1 on any failure.
+# summariser's, which is 1 on any failure. internal/algo runs on its own
+# line after the rest: every scheduler times every algorithm there, and
+# under the race detector that alone takes 8 to 10 minutes on a 2-core
+# box (longer beside the other packages), at go test's default
+# per-binary timeout of ten. Its own is twice that.
 begin "go test -race (short)"
-go test -race -short -json ./... | go run ./cmd/testsummary
+go test -race -short -json $(go list ./... | grep -v '^tufast/internal/algo$') | go run ./cmd/testsummary
+go test -race -short -timeout 20m -json ./internal/algo | go run ./cmd/testsummary
 end
 
 # mem.Space maps its arena where the platform can and allocates it where
@@ -80,7 +85,7 @@ end
 # recovery tests (TestReplayOwnedMatchesLiveServer among them), a
 # checkpoint, the fold of the previous checkpoint and the log, is held
 # to a compaction of the live graph, a deleted graph's checkpoint to the
-# graph re-created in its directory, and the log's Replay and OpsAfter
+# graph re-created in its directory, and the log's Replay and Tail
 # run twenty times beside appends that rotate segments; the fold
 # recovery is built on runs twenty times against ApplyOwned, and twenty
 # times at 1, 2 and 4 workers against an op-by-op model, and an owned
@@ -108,7 +113,8 @@ end
 # and two threads and its inline cutoff's table, recovery's stage
 # timers on a data dir of serve_write's shape, the H-mode fast path's
 # "shares nothing" number, the Fig. 13/14 RM and RW cells, and the
-# per-scheduler transactions those cells are built from.
+# per-scheduler transactions those cells are built from, and the lib
+# suite's calls at 1 and 2 threads on small graphs of both shapes.
 begin "benchmarks run (1x)"
 go test -run '^$' -bench 'BenchmarkApplyStream(Leaf|Hub)$' -benchtime 1x . >/dev/null
 go test -run '^$' -bench 'BenchmarkApplyOwned$' -benchtime 1x . >/dev/null
@@ -116,6 +122,7 @@ go test -run '^$' -bench 'BenchmarkFold' -benchtime 1x ./internal/dyngraph >/dev
 go test -run '^$' -bench 'BenchmarkDecodeBatch256$|BenchmarkRecover$' -benchtime 1x ./internal/server >/dev/null
 go test -run '^$' -bench 'BenchmarkHCommitDisjoint$' -benchtime 1x ./internal/core >/dev/null
 go test -run '^$' -bench 'Benchmark(RM|RW)$' -benchtime 1x ./internal/bench >/dev/null
+go test -run '^$' -bench 'BenchmarkLibSuite$' -benchtime 1x -short ./internal/bench >/dev/null
 go test -run '^$' -bench 'Benchmark(2PL|OCC|TO|STM|HSync|HTO)Txn$|BenchmarkTPLReadThenWrite' -benchtime 1x ./internal/sched >/dev/null
 end
 

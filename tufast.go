@@ -179,7 +179,7 @@ func (s *System) ForEachVertex(fn func(tx Tx, v uint32) error) error {
 // cancelled sweep returns ctx.Err() promptly instead of draining the
 // remaining vertices.
 func (s *System) ForEachVertexCtx(ctx context.Context, fn func(tx Tx, v uint32) error) error {
-	return s.rt.WithContext(ctx).ForEachVertex(func(t sched.Tx, v uint32) error { return fn(Tx{t: t}, v) })
+	return s.rt.WithContext(ctx).ForEachVertex(algo.NoWarm, func(t sched.Tx, v uint32) error { return fn(Tx{t: t}, v) })
 }
 
 // ForEachQueued drains queue q with the configured parallelism, running
@@ -211,7 +211,7 @@ func (s *System) ForEachQueuedCtx(ctx context.Context, q Source, fn func(tx Tx, 
 // public API's types.
 func (s *System) drain(ctx context.Context, driver string, src Source, sink worklist.Sink,
 	hint func(v uint32) int, fn func(tx Tx, v uint32, emit func(u uint32)) error) error {
-	_, err := s.rt.WithContext(ctx).Drain(driver, chunked(src), sink, hint, func(out *worklist.Emits) func(sched.Tx, uint32) error {
+	_, err := s.rt.WithContext(ctx).Drain(driver, chunked(src), sink, hint, algo.NoWarm, func(out *worklist.Emits) func(sched.Tx, uint32) error {
 		emit := func(u uint32) { out.Emit(u, 0) }
 		return func(t sched.Tx, v uint32) error { return fn(Tx{t: t}, v, emit) }
 	})
