@@ -11,6 +11,7 @@ import (
 
 	"tufast/internal/algo"
 	"tufast/internal/dyngraph"
+	"tufast/internal/graph"
 	"tufast/internal/sched"
 	"tufast/internal/worklist"
 )
@@ -306,11 +307,30 @@ func (v *GraphView) NumVertices() int { return v.d.st.NumVertices() }
 // Graph, materialising rows on the System's threads. Unlike
 // DynGraph.Compact it is safe while mutators run.
 func (v *GraphView) Compact() (*Graph, error) {
-	csr, err := v.d.st.CompactAt(v.epoch, v.d.sys.rt.Threads)
-	if err != nil {
-		return nil, err
+	g, _, err := v.CompactFrom(nil, 0)
+	return g, err
+}
+
+// CompactFrom is Compact that starts from prev, a Graph this DynGraph's
+// views compacted at epoch prevEpoch (by Compact or CompactFrom): the
+// rows changed since prevEpoch are folded into prev's and the rest are
+// copied, which costs far less than Compact's re-sort of every chain
+// when few rows changed. It reports whether it folded from prev. It does
+// not — and compacts the whole overlay as Compact does — when prev is
+// nil, when prevEpoch is after the view's epoch, or when a GCCtx pass
+// has rebuilt a chain under a watermark above prevEpoch, which can have
+// dropped the versions the fold needs (see dyngraph.Store.CompactFrom).
+// Safe while mutators and GC passes run.
+func (v *GraphView) CompactFrom(prev *Graph, prevEpoch uint64) (*Graph, bool, error) {
+	var base *graph.CSR
+	if prev != nil {
+		base = prev.csr
 	}
-	return &Graph{csr: csr}, nil
+	csr, folded, err := v.d.st.CompactFrom(base, prevEpoch, v.epoch, v.d.sys.rt.Threads)
+	if err != nil {
+		return nil, false, err
+	}
+	return &Graph{csr: csr}, folded, nil
 }
 
 // GCCtx garbage-collects the overlay's multi-version chains: for every

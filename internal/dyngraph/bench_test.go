@@ -58,6 +58,28 @@ func BenchmarkCompactAt(b *testing.B) {
 	}
 }
 
+// BenchmarkCompactFrom is a job snapshot folded from the one before:
+// the snapshot at epoch 62 with the last two epochs' ~3k mutations
+// merged in, beside BenchmarkCompactAt's full compaction of the same
+// store at epoch 64.
+func BenchmarkCompactFrom(b *testing.B) {
+	s := benchStore(b, 100_000)
+	prev, err := s.CompactAt(62, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, threads := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run("threads="+strconv.Itoa(threads), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, folded, err := s.CompactFrom(prev, 62, 64, threads); err != nil || !folded {
+					b.Fatal(folded, err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkNeighborsAt(b *testing.B) {
 	s := benchStore(b, 100_000)
 	var hub, leaf, free uint32

@@ -15,8 +15,9 @@
 //
 // Layout. Store allocates three line-aligned vertex arrays: head[v]
 // (word address of v's first overlay block, 0 = none), deg[v] (live
-// out-degree, seeded from the base) and idx[v] (word address of v's
-// target index, 0 = none). Each block is one emulated cache line of
+// out-degree, seeded from the base, below the stamp of the arc
+// mutation that last set it: stamp<<34|degree) and idx[v] (word address
+// of v's target index, 0 = none). Each block is one emulated cache line of
 // mem.WordsPerLine words: [next, used, slot0..slot5]. A slot holds
 // stamp<<34|target<<2|flags, with bit 0 marking a valid entry and bit 1
 // a tombstone:
@@ -106,8 +107,10 @@ const (
 	entryShift = 2
 
 	// stampShift positions the write stamp above the 32-bit target and
-	// the two flag bits, leaving 30 bits of epoch space.
+	// the two flag bits, leaving 30 bits of epoch space. A deg word keeps
+	// its stamp in the same place, above the degree (degMask).
 	stampShift = 34
+	degMask    = 1<<stampShift - 1
 	// MaxStamp is the largest representable write stamp (~10^9 mutation
 	// epochs). SetWriteStamp panics beyond it; a daemon would need a
 	// billion effective batches to get there.
@@ -192,6 +195,10 @@ type Store struct {
 	// warmed reader resolves a chain — and a warmed mutator builds an
 	// index table — without allocating.
 	scratch sync.Pool
+	// rebuilt is the largest watermark CompactChain has rebuilt a chain
+	// under: a snapshot at an epoch below it may no longer be folded
+	// forward (see CompactFrom).
+	rebuilt atomic.Uint64
 }
 
 // New creates an overlay store over base, allocating its head, degree
@@ -403,10 +410,14 @@ func (s *Store) lookup(r reader, u, w uint32, hdr mem.Addr) cursor {
 	return c
 }
 
-// bumpDeg adjusts u's live degree by delta.
+// bumpDeg adjusts u's live degree by delta and stamps the deg word with
+// the current write stamp. Every arc mutation that changes u's chain
+// calls it, so the word's stamp is that of u's newest chain entry — the
+// one word a scan reads to learn that u's row has not changed since a
+// stamp (see scan).
 func (s *Store) bumpDeg(tx sched.Tx, u uint32, delta int64) {
-	d := tx.Read(u, s.degOf(u))
-	tx.Write(u, s.degOf(u), uint64(int64(d)+delta))
+	d := int64(tx.Read(u, s.degOf(u)) & degMask)
+	tx.Write(u, s.degOf(u), s.stamp.Load()<<stampShift|uint64(d+delta)&degMask)
 }
 
 // appendEntry adds a new entry to u's chain at the place c found: into
@@ -673,7 +684,7 @@ func (s *Store) hasArcAt(r reader, u, v uint32, maxStamp uint64) bool {
 // quiescent reader) r.
 func (s *Store) Degree(r reader, u uint32) int {
 	s.check(u)
-	return int(r.Read(u, s.degOf(u)))
+	return int(r.Read(u, s.degOf(u)) & degMask)
 }
 
 // Neighbors returns u's live out-neighbors, sorted ascending, appended
@@ -697,28 +708,53 @@ const (
 )
 
 // scan is the one chain-scan kernel behind every adjacency reader: it
-// resolves u's out-neighbors as of maxStamp and returns the row's
-// length, appending the row itself — sorted, unique — to out under
-// scanFill. Entries with stamp > maxStamp are skipped. Each remaining
-// version becomes a key target<<32|seq<<1|tomb, seq being its position
-// in chain order (chains are far shorter than 2^31 entries: the arena
-// is), so one plain sort leaves every target's newest version last in
-// its run, and a single merge against the sorted base row applies the
-// winners. It allocates nothing once sc.keys and out have grown.
-func (s *Store) scan(r reader, u uint32, maxStamp uint64, sc *scanScratch, out []uint32, mode int) ([]uint32, int) {
-	base := s.base.Neighbors(u)
+// resolves u's out-neighbors as of maxStamp by merging into row — u's
+// sorted, unique adjacency as of stamp from — the chain entries stamped
+// in (from, maxStamp], and returns the row's length, appending the row
+// itself — sorted, unique — to out under scanFill. The immutable base
+// is the row at stamp 0, where every entry counts; a compacted snapshot
+// at epoch b is the row at b (see CompactFrom). Stamps are
+// non-decreasing in chain order (AddArc and RemoveArc append at the
+// tail, CompactChain keeps the order), so a block whose last entry is
+// stamped ≤ from holds nothing newer and is skipped unread. Each
+// remaining version becomes a key target<<32|seq<<1|tomb, seq being its
+// position in chain order (chains are far shorter than 2^31 entries:
+// the arena is), so one plain sort leaves every target's newest version
+// last in its run, and a single merge against row applies the winners;
+// a row with no entry in (from, maxStamp] is copied unchanged. It
+// allocates nothing once sc.keys and out have grown.
+func (s *Store) scan(r reader, u uint32, row []uint32, from, maxStamp uint64, sc *scanScratch, out []uint32, mode int) ([]uint32, int) {
 	keys := sc.keys[:0]
-	for b := mem.Addr(r.Read(u, s.headOf(u))); b != 0; b = mem.Addr(r.Read(u, b)) {
+	// u's deg word carries the stamp of u's newest entry (see bumpDeg);
+	// an entry stamped ≤ maxStamp was written, deg word included, before
+	// the epoch a reader pins was published. A chain with nothing above
+	// from is not walked.
+	head := mem.Addr(0)
+	if entryStamp(r.Read(u, s.degOf(u))) > from {
+		head = mem.Addr(r.Read(u, s.headOf(u)))
+	}
+	for b := head; b != 0; b = mem.Addr(r.Read(u, b)) {
 		used := min(r.Read(u, b+1), slotsPerBlock)
+		if used == 0 {
+			continue
+		}
+		// A torn append can show a zero last word: not valid, so the
+		// block is scanned.
+		if last := r.Read(u, b+slotBase+mem.Addr(used)-1); last&entryValid != 0 && entryStamp(last) <= from {
+			continue
+		}
 		for i := mem.Addr(0); i < mem.Addr(used); i++ {
 			e := r.Read(u, b+slotBase+i)
-			if e&entryValid != 0 && entryStamp(e) <= maxStamp {
+			if st := entryStamp(e); e&entryValid != 0 && st > from && st <= maxStamp {
 				keys = append(keys, uint64(entryTarget(e))<<32|uint64(len(keys))<<1|(e&entryTomb)>>1)
 			}
 		}
 	}
-	if mode&scanDropSelf != 0 && s.baseHas(u, u) {
-		keys = append(keys, uint64(u)<<32|1) // the only key for target u: a tombstone
+	// A row at a stamp above 0 is a compaction's, which holds none.
+	if mode&scanDropSelf != 0 && from == 0 {
+		if _, self := slices.BinarySearch(row, u); self {
+			keys = append(keys, uint64(u)<<32|1) // the only key for target u: a tombstone
+		}
 	}
 	sc.keys = keys
 	slices.Sort(keys)
@@ -729,15 +765,15 @@ func (s *Store) scan(r reader, u uint32, maxStamp uint64, sc *scanScratch, out [
 			continue // superseded by a newer version of the same target
 		}
 		j := bi
-		for j < len(base) && base[j] < t {
+		for j < len(row) && row[j] < t {
 			j++
 		}
 		n += j - bi
 		if mode&scanFill != 0 {
-			out = append(out, base[bi:j]...)
+			out = append(out, row[bi:j]...)
 		}
-		if bi = j; bi < len(base) && base[bi] == t {
-			bi++ // the overlay decides this base arc
+		if bi = j; bi < len(row) && row[bi] == t {
+			bi++ // the overlay decides this arc of the row
 		}
 		if key&1 == 0 {
 			n++
@@ -747,16 +783,16 @@ func (s *Store) scan(r reader, u uint32, maxStamp uint64, sc *scanScratch, out [
 		}
 	}
 	if mode&scanFill != 0 {
-		out = append(out, base[bi:]...)
+		out = append(out, row[bi:]...)
 	}
-	return out, n + len(base) - bi
+	return out, n + len(row) - bi
 }
 
 // neighborsAt is Neighbors pinned at maxStamp.
 func (s *Store) neighborsAt(r reader, u uint32, maxStamp uint64, buf []uint32) []uint32 {
 	s.check(u)
 	sc := s.scratch.Get().(*scanScratch)
-	out, _ := s.scan(r, u, maxStamp, sc, buf[:0], scanFill)
+	out, _ := s.scan(r, u, s.base.Neighbors(u), 0, maxStamp, sc, buf[:0], scanFill)
 	s.scratch.Put(sc)
 	return out
 }
@@ -823,7 +859,7 @@ func (s *Store) LiveArcs() int {
 func (s *Store) DegreeAt(u uint32, maxStamp uint64) int {
 	s.check(u)
 	sc := s.scratch.Get().(*scanScratch)
-	_, n := s.scan(quiescent{s.sp}, u, maxStamp, sc, nil, 0)
+	_, n := s.scan(quiescent{s.sp}, u, s.base.Neighbors(u), 0, maxStamp, sc, nil, 0)
 	s.scratch.Put(sc)
 	return n
 }
@@ -854,7 +890,7 @@ func (s *Store) ArcsAt(maxStamp uint64, threads int) int {
 	s.sweep(threads, func(sc *scanScratch, lo, hi uint32) {
 		sum := 0
 		for u := lo; u < hi; u++ {
-			_, n := s.scan(quiescent{s.sp}, u, maxStamp, sc, nil, scanDropSelf)
+			_, n := s.scan(quiescent{s.sp}, u, s.base.Neighbors(u), 0, maxStamp, sc, nil, scanDropSelf)
 			sum += n
 		}
 		total.Add(int64(sum))
@@ -939,6 +975,15 @@ func (s *Store) CompactChain(tx sched.Tx, u uint32, keep uint64) bool {
 	if len(kept) == len(ents) {
 		return false // nothing to reclaim
 	}
+	// Raised before the head write that installs the rebuild, so a fold
+	// that reads the rebuilt chain finds it raised afterwards. Raising a
+	// maximum is idempotent, and an attempt that aborts after it only
+	// costs a later fold a full compaction.
+	for old := s.rebuilt.Load(); old < keep; old = s.rebuilt.Load() {
+		if s.rebuilt.CompareAndSwap(old, keep) { //tufast:ignore retryunsafe idempotent maximum, an extra raise is only conservative
+			break
+		}
+	}
 	hdr := mem.Addr(tx.Read(u, s.idxOf(u)))
 	if len(kept) == 0 {
 		if hdr != 0 {
@@ -998,45 +1043,83 @@ func (s *Store) Compact(threads int) (*graph.CSR, error) {
 	return s.CompactAt(StampLatest, threads)
 }
 
-// CompactAt freezes the overlay as of epoch maxStamp into a fresh CSR,
-// materialised directly on up to threads goroutines: each claimed
-// vertex chunk has the scan kernel write its sorted, unique,
-// self-loop-free rows back to back, one chain walk per vertex; a prefix
-// sum over the row lengths gives the offsets, and the chunks are copied
-// to their places in the adjacency. graph.FromCSRParts then validates
-// the result exactly like a loaded file. Safe while mutators run: every
-// worker is one more lock-free NeighborsAt reader (see there) and
-// workers share no word they write. The caller must hold a pin at
-// maxStamp.
+// CompactAt freezes the overlay as of epoch maxStamp into a fresh CSR:
+// the fold of the whole chain into the base (see CompactFrom). Safe
+// while mutators run. The caller must hold a pin at maxStamp.
 func (s *Store) CompactAt(maxStamp uint64, threads int) (*graph.CSR, error) {
+	return s.compact(s.base, 0, maxStamp, threads)
+}
+
+// CompactFrom is CompactAt that starts from prev, a CSR this Store
+// compacted at epoch from ≤ maxStamp: each row is prev's with only the
+// chain entries stamped in (from, maxStamp] merged in, so a snapshot
+// costs the rows changed since prev plus a copy of the rest, not a sort
+// of every chain. It reports whether it folded from prev. It does not
+// when prev does not fit the Store, or when chain GC has rebuilt a chain
+// under a watermark above from: CompactChain keeps only the newest
+// version at or below its watermark and drops that one too when it
+// matches the base, so an arc added by from and deleted after it can
+// leave no entry above from — folded from prev, it would stay. Then the
+// chains are folded into the base, as CompactAt does. The check is made
+// before the fold and again after it, because a GC pass can run beside
+// it: CompactChain raises the mark before it installs a rebuilt chain,
+// so a fold that read one sees the mark on its second look.
+func (s *Store) CompactFrom(prev *graph.CSR, from, maxStamp uint64, threads int) (*graph.CSR, bool, error) {
+	if prev == nil || prev.NumVertices() != s.n || prev.Undirected() != s.base.Undirected() ||
+		from > maxStamp || s.rebuilt.Load() > from {
+		g, err := s.CompactAt(maxStamp, threads)
+		return g, false, err
+	}
+	g, err := s.compact(prev, from, maxStamp, threads)
+	if err == nil && s.rebuilt.Load() > from {
+		g, err = s.CompactAt(maxStamp, threads)
+		return g, false, err
+	}
+	return g, true, err
+}
+
+// compact materialises the CSR at maxStamp from rows, this Store's CSR
+// at stamp from, on up to threads goroutines, a chunk of sweepGrain
+// vertices at a time: the scan kernel writes chunk k's sorted, unique,
+// self-loop-free rows back to back into parts[k], one chain walk per
+// vertex; a prefix sum over the row lengths gives the offsets; then
+// graph.FromCSRRanges copies each chunk to its place in the adjacency
+// and validates its rows while they are in cache, exactly as it
+// validates a loaded file. Every worker is one more lock-free
+// NeighborsAt reader (see there), and workers share no word they write.
+func (s *Store) compact(rows *graph.CSR, from, maxStamp uint64, threads int) (*graph.CSR, error) {
 	if s.n <= 0 {
 		return nil, fmt.Errorf("dyngraph: compact of %d vertices", s.n)
 	}
+	bounds := make([]int, 0, (s.n+sweepGrain-1)/sweepGrain+1)
+	for lo := 0; lo < s.n; lo += sweepGrain {
+		bounds = append(bounds, lo)
+	}
+	bounds = append(bounds, s.n)
 	offsets := make([]uint64, s.n+1)
-	// parts[lo/sweepGrain] holds the rows of the chunk starting at lo (a
-	// single-worker sweep is one chunk starting at 0).
-	parts := make([][]uint32, (s.n+sweepGrain-1)/sweepGrain)
-	s.sweep(threads, func(sc *scanScratch, lo, hi uint32) {
+	parts := make([][]uint32, len(bounds)-1)
+	worklist.EachRange(bounds, threads, func(k, lo, hi int) {
+		sc := s.scratch.Get().(*scanScratch)
 		// The deg words are advisory here, which is all a capacity
 		// hint needs: a snapshot is rarely far behind them.
 		hint := 0
-		for u := lo; u < hi; u++ {
+		for u := uint32(lo); u < uint32(hi); u++ {
 			hint += s.LiveDegree(u)
 		}
-		rows := make([]uint32, 0, hint)
-		for u := lo; u < hi; u++ {
+		out := make([]uint32, 0, hint)
+		for u := uint32(lo); u < uint32(hi); u++ {
 			var n int
-			rows, n = s.scan(quiescent{s.sp}, u, maxStamp, sc, rows, scanFill|scanDropSelf)
+			out, n = s.scan(quiescent{s.sp}, u, rows.Neighbors(u), from, maxStamp, sc, out, scanFill|scanDropSelf)
 			offsets[u+1] = uint64(n)
 		}
-		parts[lo/sweepGrain] = rows
+		parts[k] = out
+		s.scratch.Put(sc)
 	})
 	for u := 0; u < s.n; u++ {
 		offsets[u+1] += offsets[u]
 	}
 	adj := make([]uint32, offsets[s.n])
-	for i, rows := range parts {
-		copy(adj[offsets[i*sweepGrain]:], rows)
-	}
-	return graph.FromCSRParts(s.n, offsets, adj, s.base.Undirected())
+	return graph.FromCSRRanges(s.n, offsets, adj, s.base.Undirected(), bounds, threads, func(k, lo, _ int) {
+		copy(adj[offsets[lo]:], parts[k])
+	})
 }

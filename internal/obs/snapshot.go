@@ -124,6 +124,16 @@ type ServerSnapshot struct {
 	// RepairLag times standing-query repair: effective-batch commit to
 	// the repaired result being published.
 	RepairLag HistSnapshot `json:"repair_lag_ns,omitempty"`
+	// SnapshotFolded and SnapshotFull time the CSR snapshots jobs run on
+	// (nanoseconds, one sample a build): folded ones are the previous
+	// snapshot with the rows changed since merged in, full ones compact
+	// every chain (a graph's first, one after chain GC rebuilt a chain
+	// past the previous snapshot, one for a view older than the cache).
+	// Their counts are the builds of each kind; a job that found no
+	// snapshot cached for its epoch paid one of these before its
+	// algorithm ran.
+	SnapshotFolded HistSnapshot `json:"snapshot_fold_ns,omitempty"`
+	SnapshotFull   HistSnapshot `json:"snapshot_full_ns,omitempty"`
 }
 
 // BatchStagesSnapshot splits BatchLatency into the stages a mutation
@@ -208,6 +218,8 @@ func (s ServerSnapshot) merge(other ServerSnapshot) ServerSnapshot {
 	out.BatchLatency = s.BatchLatency.Merge(other.BatchLatency)
 	out.BatchStages = s.BatchStages.merge(other.BatchStages)
 	out.RepairLag = s.RepairLag.Merge(other.RepairLag)
+	out.SnapshotFolded = s.SnapshotFolded.Merge(other.SnapshotFolded)
+	out.SnapshotFull = s.SnapshotFull.Merge(other.SnapshotFull)
 	return out
 }
 

@@ -58,6 +58,11 @@ type metrics struct {
 	batchStages  [numBatchStages]obs.Histogram
 	// repairLag times batch-commit → standing-result-published.
 	repairLag obs.Histogram
+	// snapshotFolded and snapshotFull time the job snapshots built by
+	// folding the previous one forward and by compacting the whole
+	// overlay.
+	snapshotFolded obs.Histogram
+	snapshotFull   obs.Histogram
 }
 
 // snapshot captures the counters plus the gauges the caller supplies
@@ -98,6 +103,8 @@ func (m *metrics) snapshot(queueDepth, queueCap int, epoch uint64, standing, sta
 			Standing: m.batchStages[stageStanding].Snapshot(),
 			Respond:  m.batchStages[stageRespond].Snapshot(),
 		},
-		RepairLag: m.repairLag.Snapshot(),
+		RepairLag:      m.repairLag.Snapshot(),
+		SnapshotFolded: m.snapshotFolded.Snapshot(),
+		SnapshotFull:   m.snapshotFull.Snapshot(),
 	}
 }

@@ -5,9 +5,13 @@
 package server
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -342,5 +346,87 @@ func TestStandingDeleteRepairNoRecompute(t *testing.T) {
 	}
 	if sm.StandingRepairs == 0 {
 		t.Error("no standing repairs recorded")
+	}
+}
+
+// TestSnapshotFoldMatchesFullCompaction runs a cc and an sssp job after
+// each of a run of mutation batches, with a chain GC pass partway, and
+// holds each job's summary — and the snapshot the epoch cache kept — to
+// what a fresh full compaction of the same epoch gives. Each snapshot
+// but the first and the one after the pass is folded from the one
+// before, and once a build is done the cache holds its CSR alone.
+func TestSnapshotFoldMatchesFullCompaction(t *testing.T) {
+	d := newTestDyn(t, 500, 4)
+	s := startServer(t, d, Config{JobWorkers: 1, QueueDepth: 8, GCInterval: -1})
+	base := "http://" + s.Addr()
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	rng := rand.New(rand.NewSource(9))
+	const rounds, gcRound = 8, 4
+	for round := 0; round < rounds; round++ {
+		ops := make([]map[string]any, 64)
+		for i := range ops {
+			ops[i] = map[string]any{"u": rng.Intn(10), "v": rng.Intn(40), "del": rng.Intn(2) == 0}
+		}
+		if code, body, _ := postJSON(t, client, base+"/v1/edges", map[string]any{"ops": ops}); code != http.StatusOK {
+			t.Fatalf("round %d: batch: %d %v", round, code, body)
+		}
+		if round == gcRound {
+			if n, err := d.GCCtx(context.Background(), 0); err != nil || n == 0 {
+				t.Fatalf("GC pass rebuilt %d chains, err %v", n, err)
+			}
+		}
+		view := d.View()
+		full, err := view.Compact()
+		view.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		source := uint32(rng.Intn(500))
+		comp, err := algorithms.ConnectedComponents(tufast.NewSystem(full, tufast.Options{Threads: 2}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dist, err := algorithms.ShortestPathsSPFA(tufast.NewSystem(full, tufast.Options{Threads: 2}), source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, job := range []struct {
+			req  map[string]any
+			want any
+		}{
+			{map[string]any{"algo": "cc", "timeout_ms": 30_000}, ccSummary(comp)},
+			{map[string]any{"algo": "sssp", "source": source, "timeout_ms": 30_000}, ssspSummary(source, dist)},
+		} {
+			code, v, _ := postJSON(t, client, base+"/v1/jobs", job.req)
+			if code != http.StatusAccepted {
+				t.Fatalf("round %d: submit %v: %d %v", round, job.req, code, v)
+			}
+			final := pollJob(t, client, base, v["job_id"].(string))
+			var want any
+			buf, _ := json.Marshal(job.want)
+			if err := json.Unmarshal(buf, &want); err != nil {
+				t.Fatal(err)
+			}
+			if final["status"] != StatusDone || !reflect.DeepEqual(final["result"], want) {
+				t.Fatalf("round %d: %v gave %v, want %v", round, job.req, final, want)
+			}
+		}
+		g := s.def
+		g.snapMu.Lock()
+		c := g.cache
+		g.snapMu.Unlock()
+		if c.graph == nil || c.prev != nil {
+			t.Fatalf("round %d: the cache holds graph %p and fold base %p, want its graph alone", round, c.graph, c.prev)
+		}
+		for u := uint32(0); u < 500; u++ {
+			if !slices.Equal(c.graph.Neighbors(u), full.Neighbors(u)) {
+				t.Fatalf("round %d: cached row %d = %v, full compaction %v", round, u, c.graph.Neighbors(u), full.Neighbors(u))
+			}
+		}
+	}
+	sm := serverMetrics(t, client, base)
+	if full, folded := sm.SnapshotFull.Count(), sm.SnapshotFolded.Count(); full != 2 || folded != rounds-2 {
+		t.Fatalf("snapshots: %d full, %d folded; want 2 (the first, the one after GC) and %d", full, folded, rounds-2)
 	}
 }

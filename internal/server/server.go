@@ -807,12 +807,20 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // cache holds one epoch: a value computed at an older epoch is dropped,
 // and the first touch at a newer one starts the cache afresh. Epochs
 // only grow, so nothing is ever evicted by something older than itself.
+//
+// The one thing a newer cache takes over is the snapshot it folds from:
+// prev, the newest snapshot an older cache built, at prevEpoch. The
+// build of graph folds the rows changed since prevEpoch into it (see
+// tufast.GraphView.CompactFrom) and drops it, so no snapshot outlives
+// the cache that holds it by more than the build of the next one.
 type epochCache struct {
-	epoch   uint64
-	graph   *tufast.Graph
-	build   chan struct{} // non-nil while a job compacts graph
-	arcs    int           // -1 until counted
-	results map[string]any
+	epoch     uint64
+	graph     *tufast.Graph
+	build     chan struct{} // non-nil while a job compacts graph
+	prev      *tufast.Graph // nil once graph is built, or with no older snapshot
+	prevEpoch uint64
+	arcs      int // -1 until counted
+	results   map[string]any
 }
 
 // cacheAt returns the epoch cache at epoch, starting it afresh when
@@ -821,7 +829,14 @@ type epochCache struct {
 func (s *graphInstance) cacheAt(epoch uint64) *epochCache {
 	switch c := s.cache; {
 	case c == nil || epoch > c.epoch:
-		s.cache = &epochCache{epoch: epoch, arcs: -1, results: make(map[string]any)}
+		next := &epochCache{epoch: epoch, arcs: -1, results: make(map[string]any)}
+		if c != nil {
+			next.prev, next.prevEpoch = c.graph, c.epoch
+			if c.graph == nil {
+				next.prev, next.prevEpoch = c.prev, c.prevEpoch
+			}
+		}
+		s.cache = next
 	case epoch < c.epoch:
 		return nil
 	}
@@ -844,9 +859,10 @@ func (s *graphInstance) withCache(epoch uint64, f func(*epochCache)) {
 // outside snapMu (check/claim, compact, publish), so a job hitting the
 // cached epoch never waits behind a compacting writer and mutation
 // batches never wait at all — the view reads multi-version chains
-// while writers keep appending. Concurrent misses on the same epoch
+// while writers keep appending. The builder folds from the cache's prev
+// snapshot when it has one. Concurrent misses on the same epoch
 // coalesce on the builder's claim channel; a view older than the cache
-// compacts on its own and publishes nothing.
+// compacts the whole overlay on its own and publishes nothing.
 func (s *graphInstance) snapshot() (*tufast.Graph, uint64, error) {
 	view := s.dyn.View()
 	defer view.Close()
@@ -857,7 +873,7 @@ func (s *graphInstance) snapshot() (*tufast.Graph, uint64, error) {
 		switch {
 		case c == nil:
 			s.snapMu.Unlock()
-			g, err := view.Compact()
+			g, err := s.compact(view, nil, 0)
 			return g, cur, err
 		case c.graph != nil:
 			g := c.graph
@@ -874,24 +890,41 @@ func (s *graphInstance) snapshot() (*tufast.Graph, uint64, error) {
 		}
 		ch := make(chan struct{})
 		c.build = ch
+		prev, prevEpoch := c.prev, c.prevEpoch
 		s.snapMu.Unlock()
 
 		if s.cfg.compactGate != nil {
 			s.cfg.compactGate(cur)
 		}
-		g, err := view.Compact()
+		g, err := s.compact(view, prev, prevEpoch)
 
 		// If a newer epoch has started the cache afresh meanwhile, c is
 		// no longer it, and what is published here reaches nobody.
 		s.snapMu.Lock()
 		c.build = nil
 		if err == nil {
-			c.graph = g
+			c.graph, c.prev = g, nil
 		}
 		s.snapMu.Unlock()
 		close(ch)
 		return g, cur, err
 	}
+}
+
+// compact builds view's snapshot, folded from prev at prevEpoch when it
+// can be (see tufast.GraphView.CompactFrom), and times it into the
+// folded or the full snapshot histogram.
+func (s *graphInstance) compact(view *tufast.GraphView, prev *tufast.Graph, prevEpoch uint64) (*tufast.Graph, error) {
+	start := time.Now()
+	g, folded, err := view.CompactFrom(prev, prevEpoch)
+	if err == nil {
+		h := &s.met.snapshotFull
+		if folded {
+			h = &s.met.snapshotFolded
+		}
+		h.Record(uint64(time.Since(start)))
+	}
+	return g, err
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -10,7 +10,7 @@
 // valid checkpoint (a CSR at epoch C) and fold every record with epoch
 // > C into it; the result is byte-identical to the pre-crash topology
 // for every acknowledged batch. A checkpoint is the same fold, written
-// out, so Replay and OpsAfter read the log beside appends.
+// out, so Tail and Replay read the log beside appends.
 //
 // On disk the log is a directory of segments (`wal-<seq>.seg`), each a
 // 16-byte header followed by length+CRC32-C framed records:
@@ -217,8 +217,8 @@ type ScanResult struct {
 }
 
 // Log is an append-only segmented write-ahead log. One writer
-// (Append/Rotate/TruncateBelow are serialized internally); Replay and
-// OpsAfter may run beside it and read the records appended before they
+// (Append/Rotate/TruncateBelow are serialized internally); Tail and
+// Replay may run beside it and read the records appended before they
 // were called.
 type Log struct {
 	dir string

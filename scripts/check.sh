@@ -90,7 +90,9 @@ end
 # recovery is built on runs twenty times against ApplyOwned, and twenty
 # times at 1, 2 and 4 workers against an op-by-op model, and an owned
 # batch that runs the arena out twenty times, both on batches that apply
-# on the caller's goroutine and on batches that fan out; chain GC
+# on the caller's goroutine and on batches that fan out; the job
+# snapshot's fold from the previous snapshot twenty times against a full
+# compaction, across a GC pass's rebuild and beside one; chain GC
 # twenty times as the batch it is (passes beside owned batches, taking
 # turns with batches on the batch lock, running the arena out), and the
 # standing computations' repair oracle twenty times: PageRank and CC
@@ -102,7 +104,7 @@ GOOS=darwin go vet ./internal/mem
 GOGC=1 go test -race -count=10 ./internal/mem
 GOGC=1 go test -race -count=10 -run 'TestCrashRecovery|TestTenancyCrashRecovery|TestReplay|TestCheckpointFoldMatchesCompact|TestStaleCheckpointAfterRecreate' ./internal/server
 go test -race -count=20 -run 'TestReplayBesideAppend' ./internal/wal
-go test -race -count=20 -run 'TestFoldMatchesApplyOwned|TestApplyOwnedPanicBreaksGraph|TestFoldParallelMatchesSerial' . ./internal/dyngraph
+go test -race -count=20 -run 'TestFoldMatchesApplyOwned|TestApplyOwnedPanicBreaksGraph|TestFoldParallelMatchesSerial|TestCompactFromDifferential|TestCompactFromGCHazard|TestCompactFromBesideGC' . ./internal/dyngraph
 go test -race -count=20 -run 'TestApplyOwnedBesideGC|TestGCPassTakesTurnsWithBatches|TestGCRunningArenaOut' .
 go test -race -count=20 -run 'TestRepairExactAtPinnedEpoch' ./algorithms
 end
@@ -138,7 +140,8 @@ end
 # and the one record of outcomes (cancellations between rungs
 # included), and two L transactions closing a waits-for cycle, over the
 # queued driver (its own quiesce and chunk tests and the algorithms'
-# entry point into it), over the overlay's target index: attempts
+# entry point into it), over the snapshot fold beside and after chain
+# GC, over the overlay's target index: attempts
 # killed after a build, a doubling and a repoint in each mode, and
 # concurrent batches on four hub sources beside chain GC and pinned
 # views, and GC passes beside, between and out of arena under owned
@@ -181,7 +184,7 @@ oversubscribed "$tmp/sched.test" 'TestSerializabilityHistories|TestBankTransfer|
 oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestCrossModeHistoriesLockersComeAndGo|TestIsolationAcrossModes|TestRouter|TestBackoffStartsAtZeroAfterLadder|TestOCapacityAbortDoesNotBackOff|TestLEntryWaitsForHCommitWindow|TestPanicInCommitWindowClearsGate|TestLateWorkerSeesLActive|TestQuietH|TestOCommitLowersCountOnEveryExit|TestOneCountFourViews|TestCancelAfterHAbortCountsOnce|TestLDeadlockCycleResolved' 30
 oversubscribed "$tmp/worklist.test" 'TestDrain' 30
 oversubscribed "$tmp/algo.test" 'TestForEachQueued|TestResultsCountCommitsNotAttempts' 10
-oversubscribed "$tmp/dyngraph.test" 'TestIndexAbortSafety' 20
+oversubscribed "$tmp/dyngraph.test" 'TestIndexAbortSafety|TestCompactFromDifferential|TestCompactFromGCHazard|TestCompactFromBesideGC' 20
 oversubscribed "$tmp/tufast.test" 'TestHubMutationOracle|TestAlgorithmsShareSystemWorkers|TestApplyOwnedBesideGC|TestGCPassTakesTurnsWithBatches|TestGCRunningArenaOut|TestFoldMatchesApplyOwned|TestApplyOwnedPanicBreaksGraph' 4
 oversubscribed "$tmp/server.test" 'TestInflightQuotaExactUnderConcurrentAdmission|TestShutdownRacingSubmitters' 20
 oversubscribed "$tmp/server.test" 'TestStandingReadAfterBatch|TestStandingSeedBesideParkedBatch|TestStandingDeleteRepairNoRecompute|TestStandingRepairWaitsForDelivery' 10
