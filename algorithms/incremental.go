@@ -209,9 +209,9 @@ func (cc *IncrementalCC) Repair(ctx context.Context, view *tufast.GraphView) (Re
 func (cc *IncrementalCC) stabilize(ctx context.Context, view *tufast.GraphView) error {
 	hint := func(v uint32) int { return 2*cc.dyn.LiveDegree(v) + 4 }
 	_, err := cc.sys.Runtime().WithContext(ctx).Drain("incremental_cc", cc.sink, cc.sink, hint, algo.NoWarm,
-		func(out *worklist.Emits) func(sched.Tx, uint32) error {
+		func(out *worklist.Emits) func(sched.Tx, uint32, uint64) error {
 			var nbs []uint32
-			return func(t sched.Tx, v uint32) error {
+			return func(t sched.Tx, v uint32, _ uint64) error {
 				tx := tufast.WrapTx(t)
 				cc.sink.Queued.Clear(v)
 				cv := tx.Read(v, cc.comp.Addr(v))
@@ -222,9 +222,11 @@ func (cc *IncrementalCC) stabilize(ctx context.Context, view *tufast.GraphView) 
 						best = cu
 					}
 				}
+				// No self-wakeup: v and its neighbors leave at best, and
+				// the view is undirected, so a later drop of v's label is
+				// a neighbor's write, which emits v (algo.WCC).
 				if best < cv {
 					tx.Write(v, cc.comp.Addr(v), best)
-					out.Emit(v, 0)
 				}
 				for _, u := range nbs {
 					if tx.Read(u, cc.comp.Addr(u)) > best {
@@ -524,10 +526,10 @@ func (pr *DeltaPageRank) fixSources(ctx context.Context, view *tufast.GraphView,
 	prev := pr.prev
 	hint := func(v uint32) int { return 4*pr.dyn.LiveDegree(v) + 8 }
 	_, err := pr.sys.Runtime().WithContext(ctx).Drain("delta_pagerank_fix", algo.FIFOSource{Queue: q}, pr.sink, hint, algo.NoWarm,
-		func(out *worklist.Emits) func(sched.Tx, uint32) error {
+		func(out *worklist.Emits) func(sched.Tx, uint32, uint64) error {
 			emit := func(w uint32) { out.Emit(w, 0) }
 			var n0, n1 []uint32
-			return func(t sched.Tx, u uint32) error {
+			return func(t sched.Tx, u uint32, _ uint64) error {
 				n0 = prev.Neighbors(u, n0[:0]) //tufast:ignore retryunsafe scratch buffer every attempt refills
 				n1 = view.Neighbors(u, n1[:0]) //tufast:ignore retryunsafe scratch buffer every attempt refills
 				if slices.Equal(n0, n1) {
@@ -572,10 +574,10 @@ func (pr *DeltaPageRank) Stabilize() error {
 func (pr *DeltaPageRank) stabilize(ctx context.Context, view *tufast.GraphView) error {
 	hint := func(v uint32) int { return 2*pr.dyn.LiveDegree(v) + 8 }
 	_, err := pr.sys.Runtime().WithContext(ctx).Drain("delta_pagerank", pr.sink, pr.sink, hint, algo.NoWarm,
-		func(out *worklist.Emits) func(sched.Tx, uint32) error {
+		func(out *worklist.Emits) func(sched.Tx, uint32, uint64) error {
 			emit := func(u uint32) { out.Emit(u, 0) }
 			var nbs []uint32
-			return func(t sched.Tx, v uint32) error {
+			return func(t sched.Tx, v uint32, _ uint64) error {
 				tx := tufast.WrapTx(t)
 				pr.sink.Queued.Clear(v)
 				rv := tx.ReadFloat(v, pr.res.Addr(v))

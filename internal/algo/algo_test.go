@@ -52,15 +52,8 @@ func schedFactories(n int) map[string]func(sp *mem.Space) sched.Scheduler {
 
 func testGraph(t *testing.T) *graph.CSR {
 	t.Helper()
-	g := gen.PowerLaw(3_000, 24_000, 2.1, 99)
-	// Symmetrize for the undirected algorithms; directed ones work too.
-	edges := make([]graph.Edge, 0, g.NumEdges())
-	for v := uint32(0); int(v) < g.NumVertices(); v++ {
-		for _, u := range g.Neighbors(v) {
-			edges = append(edges, graph.Edge{U: v, V: u})
-		}
-	}
-	return graph.MustBuild(g.NumVertices(), edges, graph.BuildOptions{Symmetrize: true})
+	// Symmetrized for the undirected algorithms; directed ones work too.
+	return undirect(gen.PowerLaw(3_000, 24_000, 2.1, 99))
 }
 
 func newRuntime(g *graph.CSR, mk func(sp *mem.Space) sched.Scheduler) *Runtime {

@@ -24,10 +24,12 @@ func BFS(r *Runtime, source uint32) (*BFSResult, error) {
 	q := worklist.NewQueue(r.Threads)
 	q.Push(source)
 
-	_, err := r.ForEachQueued(FIFOSource{q}, level, func(tx sched.Tx, v uint32, emit func(uint32, uint64)) error {
+	_, err := r.ForEachQueued(FIFOSource{q}, level, func(tx sched.Tx, v uint32, _ uint64, emit func(uint32, uint64)) error {
 		lv := tx.Read(v, level+mem.Addr(v))
 		if lv == None {
-			return nil // stale wakeup
+			// Unreachable from the queue: the source is levelled before the
+			// drain and every emit follows a write of a level.
+			return nil
 		}
 		for _, u := range r.G.Neighbors(v) {
 			lu := tx.Read(u, level+mem.Addr(u))

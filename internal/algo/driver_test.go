@@ -111,7 +111,7 @@ func TestForEachQueuedAbortedAttemptEmitsOnce(t *testing.T) {
 	s.SetFaultInjector(fi)
 	mark := r.NewVertexArray(0)
 	var attempts atomic.Int32
-	committed, err := r.ForEachQueued(q, NoWarm, func(tx sched.Tx, v uint32, emit func(uint32, uint64)) error {
+	committed, err := r.ForEachQueued(q, NoWarm, func(tx sched.Tx, v uint32, _ uint64, emit func(uint32, uint64)) error {
 		attempts.Add(1)
 		if v+1 < n {
 			emit(v+1, 0)
@@ -153,7 +153,7 @@ func TestForEachQueuedQuiesces(t *testing.T) {
 		r, _, q := chainRuntime(8, 8)
 		boom := errors.New("fn failed")
 		err := within(t, func() error {
-			_, err := r.ForEachQueued(q, NoWarm, func(sched.Tx, uint32, func(uint32, uint64)) error {
+			_, err := r.ForEachQueued(q, NoWarm, func(sched.Tx, uint32, uint64, func(uint32, uint64)) error {
 				time.Sleep(50 * time.Millisecond) // let the other workers reach their idle spin
 				return boom
 			})
@@ -172,7 +172,7 @@ func TestForEachQueuedQuiesces(t *testing.T) {
 			cancel()
 		}()
 		err := within(t, func() error {
-			_, err := r.ForEachQueued(q, NoWarm, func(_ sched.Tx, v uint32, emit func(uint32, uint64)) error {
+			_, err := r.ForEachQueued(q, NoWarm, func(_ sched.Tx, v uint32, _ uint64, emit func(uint32, uint64)) error {
 				emit(v, 0) // never lets the queue drain
 				return nil
 			})

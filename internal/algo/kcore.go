@@ -37,12 +37,12 @@ func KCore(r *Runtime) (*KCoreResult, error) {
 	}
 
 	src := DedupFIFO{Q: q, Queued: queued}
-	_, err := r.Drain("foreach_queued", src, src, nil, bound, func(out *worklist.Emits) func(sched.Tx, uint32) error {
+	_, err := r.Drain("foreach_queued", src, src, nil, bound, func(out *worklist.Emits) func(sched.Tx, uint32, uint64) error {
 		// The h-index histogram, one per worker: a bound is only ever a
 		// degree or a smaller h, so none exceeds the maximum degree, and
 		// every attempt clears what it uses.
 		hist := make([]uint32, g.MaxDegree()+1)
-		return func(tx sched.Tx, v uint32) error {
+		return func(tx sched.Tx, v uint32, _ uint64) error {
 			queued.Clear(v)
 			cur := tx.Read(v, bound+mem.Addr(v))
 			if cur == 0 {

@@ -54,7 +54,7 @@ func PageRank(r *Runtime, d, eps float64) (*PageRankResult, error) {
 		}
 	}
 
-	committed, err := r.ForEachQueued(DedupFIFO{Q: q, Queued: queued}, resid, func(tx sched.Tx, v uint32, emit func(uint32, uint64)) error {
+	committed, err := r.ForEachQueued(DedupFIFO{Q: q, Queued: queued}, resid, func(tx sched.Tx, v uint32, _ uint64, emit func(uint32, uint64)) error {
 		queued.Clear(v)
 		rv := mem.Float(tx.Read(v, resid+mem.Addr(v)))
 		if rv <= eps {

@@ -299,7 +299,8 @@ func (r *Runtime) ForEachVertex(arr mem.Addr, fn func(tx sched.Tx, v uint32) err
 // Source is a work queue the queued driver drains and refills
 // (worklist.Queue or worklist.PQ adapters satisfy it). Push receives the
 // emits of a committed transaction; FIFO adapters ignore prio. The
-// adapters below also carry the chunk methods worklist.Drain looks for.
+// adapters below also carry what worklist.Drain looks for: the FIFOs'
+// chunk methods, PQSource's PopPrio.
 type Source interface {
 	Pop() (uint32, bool)
 	Push(v uint32, prio uint64)
@@ -323,6 +324,10 @@ func (s PQSource) Pop() (uint32, bool) {
 	v, _, ok := s.PQ.Pop()
 	return v, ok
 }
+
+// PopPrio lets the driver hand each body the priority its vertex was
+// popped with.
+func (s PQSource) PopPrio() (uint32, uint64, bool) { return s.PQ.Pop() }
 
 // Push implements Source.
 func (s PQSource) Push(v uint32, prio uint64) { s.PQ.Push(v, prio) }
@@ -369,18 +374,19 @@ func (s DedupFIFO) PushChunk(items []worklist.Item) {
 func (s DedupFIFO) Len() int { return s.Q.Len() }
 
 // ForEachQueued drains q with r.Threads workers, one transaction per
-// polled vertex, and returns how many transactions committed. fn
-// re-activates vertices through emit, NOT by pushing into q directly:
-// emits are buffered and flushed to q only after the transaction commits
+// polled vertex, and returns how many transactions committed. fn gets the
+// priority the vertex was popped with (0 from a FIFO) and re-activates
+// vertices through emit, NOT by pushing into q directly: emits are
+// buffered and flushed to q only after the transaction commits
 // (aborted and retried attempts discard theirs). This closes the
 // lost-wakeup window of eager pushes under commit-time visibility — a
 // vertex pushed before its activating write was visible could be popped,
 // observed unimproved, and dropped, with nobody left to re-deliver the
 // improvement once it landed. arr is as for Drain.
-func (r *Runtime) ForEachQueued(q Source, arr mem.Addr, fn func(tx sched.Tx, v uint32, emit func(u uint32, prio uint64)) error) (uint64, error) {
-	return r.Drain("foreach_queued", q, q, nil, arr, func(out *worklist.Emits) func(sched.Tx, uint32) error {
+func (r *Runtime) ForEachQueued(q Source, arr mem.Addr, fn func(tx sched.Tx, v uint32, prio uint64, emit func(u uint32, prio uint64)) error) (uint64, error) {
+	return r.Drain("foreach_queued", q, q, nil, arr, func(out *worklist.Emits) func(sched.Tx, uint32, uint64) error {
 		emit := out.Emit
-		return func(tx sched.Tx, v uint32) error { return fn(tx, v, emit) }
+		return func(tx sched.Tx, v uint32, prio uint64) error { return fn(tx, v, prio, emit) }
 	})
 }
 
@@ -389,27 +395,30 @@ func (r *Runtime) ForEachQueued(q Source, arr mem.Addr, fn func(tx sched.Tx, v u
 // quiesce rule that lets workers leave, cancellation through the
 // runtime's context — with each of its goroutines labelled for profiles
 // and running its transactions on one leased worker. start runs once on
-// each goroutine and returns the body run for every polled vertex; what
-// the body emits through out reaches sink only if its attempt commits. A
-// nil sink is for bodies that push into src themselves; a nil hint means
-// the graph's degree. arr is the one vertex array the body reads across
+// each goroutine and returns the body run for every polled vertex, which
+// gets the priority the vertex was popped with (0 from a source without
+// PopPrio); what the body emits through out reaches sink only if its
+// attempt commits. A nil sink is for bodies that push into src
+// themselves; a nil hint means the graph's degree. arr is the one vertex array the body reads across
 // v's neighbourhood, warmed before each transaction (see warm), or NoWarm.
 func (r *Runtime) Drain(driver string, src worklist.Source, sink worklist.Sink, hint func(v uint32) int, arr mem.Addr,
-	start func(out *worklist.Emits) (body func(tx sched.Tx, v uint32) error)) (uint64, error) {
+	start func(out *worklist.Emits) (body func(tx sched.Tx, v uint32, prio uint64) error)) (uint64, error) {
 	ctx := r.ctx()
 	defer r.trimIdle()
-	return worklist.Drain(ctx, src, sink, r.Threads, func(tid int, out *worklist.Emits) (func(uint32) error, func()) {
+	return worklist.Drain(ctx, src, sink, r.Threads, func(tid int, out *worklist.Emits) (func(uint32, uint64) error, func()) {
 		label(ctx, driver, tid)
 		w := r.Lease()
-		// One transaction per worker, not per vertex: cur is the vertex in hand.
+		// One transaction per worker, not per vertex: cur and curPrio are
+		// the item in hand.
 		var cur uint32
+		var curPrio uint64
 		body := start(out)
 		txn := func(tx sched.Tx) error {
 			out.Retry() // a retried attempt re-emits from scratch
-			return body(tx, cur)
+			return body(tx, cur, curPrio)
 		}
-		step := func(v uint32) error {
-			cur = v
+		step := func(v uint32, prio uint64) error {
+			cur, curPrio = v, prio
 			h := r.G.Degree(v)*2 + 2
 			if hint != nil {
 				h = hint(v)

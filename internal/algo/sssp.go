@@ -12,7 +12,8 @@ import (
 const MaxEdgeWeight = 100
 
 // SSSPResult carries the distances (None = unreachable) and the number
-// of relax transactions that committed.
+// of transactions that committed: one per polled queue entry, a stale
+// entry's one-read transaction (see SPFA) included.
 type SSSPResult struct {
 	Dist    []uint64
 	Relaxed uint64
@@ -32,6 +33,11 @@ func BellmanFord(r *Runtime, source uint32) (*SSSPResult, error) {
 // paper's point is that switching algorithms is literally swapping the
 // queue (Figure 3: "switch between two algorithms by switching between a
 // FIFO queue and a priority queue").
+//
+// An entry is the distance its push wrote, so one whose priority exceeds
+// the vertex's current distance is stale and its transaction returns after
+// its first read (lazy deletion): the commit that lowered the distance
+// emitted the entry that relaxes the vertex at it.
 func SPFA(r *Runtime, source uint32) (*SSSPResult, error) {
 	pq := worklist.NewPQ(r.Threads)
 	pq.Push(source, 0)
@@ -43,9 +49,23 @@ func sssp(r *Runtime, source uint32, src Source) (*SSSPResult, error) {
 	dist := r.NewVertexArray(None)
 	r.Sp.Store(dist+mem.Addr(source), 0)
 
-	relaxed, err := r.ForEachQueued(src, dist, func(tx sched.Tx, v uint32, emit func(uint32, uint64)) error {
+	relaxed, err := r.ForEachQueued(src, dist, relax(r, dist))
+	if err != nil {
+		return nil, err
+	}
+	return &SSSPResult{Dist: r.ReadArray(dist), Relaxed: relaxed}, nil
+}
+
+// relax is the transaction for one queue entry (v, prio) over the
+// distances at dist: it lowers every neighbor v's distance improves and
+// emits each with its new distance as its priority.
+func relax(r *Runtime, dist mem.Addr) func(tx sched.Tx, v uint32, prio uint64, emit func(uint32, uint64)) error {
+	return func(tx sched.Tx, v uint32, prio uint64, emit func(uint32, uint64)) error {
+		// The staleness test reads inside the transaction: a plain load
+		// could see an L-mode in-place write that later rolls back, and
+		// drop the one entry left to relax v. A FIFO's prio is 0.
 		dv := tx.Read(v, dist+mem.Addr(v))
-		if dv == None {
+		if dv == None || dv < prio {
 			return nil
 		}
 		for _, u := range r.G.Neighbors(v) {
@@ -57,9 +77,5 @@ func sssp(r *Runtime, source uint32, src Source) (*SSSPResult, error) {
 			}
 		}
 		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return &SSSPResult{Dist: r.ReadArray(dist), Relaxed: relaxed}, nil
 }

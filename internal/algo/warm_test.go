@@ -82,7 +82,7 @@ func TestWarmStaysInRange(t *testing.T) {
 	for v := uint32(0); v < n; v++ {
 		q.Push(v)
 	}
-	if _, err := r.ForEachQueued(FIFOSource{q}, arr, func(tx sched.Tx, v uint32, _ func(uint32, uint64)) error {
+	if _, err := r.ForEachQueued(FIFOSource{q}, arr, func(tx sched.Tx, v uint32, _ uint64, _ func(uint32, uint64)) error {
 		return body(tx, v)
 	}); err != nil {
 		t.Fatal(err)

@@ -20,6 +20,12 @@ type WCCResult struct {
 // graph the result is exact connected components; on a directed graph the
 // caller symmetrizes first (the paper converts to undirected for such
 // workloads).
+//
+// A transaction never re-activates its own vertex: it leaves v and every
+// neighbor at one label, and on a symmetric graph a later drop of v's
+// label is some neighbor's transaction writing it, which emits v. The
+// queue is a DedupFIFO, so a vertex waits in it at most once however many
+// neighbors improve it.
 func WCC(r *Runtime) (*WCCResult, error) {
 	g := r.G
 	n := g.NumVertices()
@@ -29,11 +35,16 @@ func WCC(r *Runtime) (*WCCResult, error) {
 	}
 
 	q := worklist.NewQueue(r.Threads)
+	queued := worklist.NewBitset(n)
 	for v := uint32(0); int(v) < n; v++ {
+		queued.TestAndSet(v)
 		q.Push(v)
 	}
 
-	_, err := r.ForEachQueued(FIFOSource{q}, comp, func(tx sched.Tx, v uint32, emit func(uint32, uint64)) error {
+	_, err := r.ForEachQueued(DedupFIFO{Q: q, Queued: queued}, comp, func(tx sched.Tx, v uint32, _ uint64, emit func(uint32, uint64)) error {
+		// Cleared before the first read: a drop committed after this
+		// point queues v again.
+		queued.Clear(v)
 		cv := tx.Read(v, comp+mem.Addr(v))
 		min := cv
 		for _, u := range g.Neighbors(v) {
@@ -43,9 +54,6 @@ func WCC(r *Runtime) (*WCCResult, error) {
 		}
 		if min < cv {
 			tx.Write(v, comp+mem.Addr(v), min)
-			// Our own label improved: neighbors with larger labels may
-			// now improve too.
-			emit(v, 0)
 		}
 		for _, u := range g.Neighbors(v) {
 			if cu := tx.Read(u, comp+mem.Addr(u)); cu > min {

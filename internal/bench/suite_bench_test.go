@@ -19,9 +19,10 @@ import (
 //
 // One iteration is one call on a fresh System, as the suite runs it.
 // Beside ns/op (per call) it reports per call, from the System's metrics
-// snapshot: commits, aborts, deadlock victims, the milliseconds inside
-// Backoff.Wait and the commits in each mode (H, O, O+, O2L, L). -short
-// runs the same on graphs a sixteenth the size.
+// snapshot: commits, the reads those commits made, aborts, deadlock
+// victims, the milliseconds inside Backoff.Wait and the commits in each
+// mode (H, O, O+, O2L, L). -short runs the same on graphs a sixteenth the
+// size.
 func BenchmarkLibSuite(b *testing.B) {
 	scale, n := 14, 50000
 	if testing.Short() {
@@ -70,6 +71,7 @@ func BenchmarkLibSuite(b *testing.B) {
 					per := func(v uint64) float64 { return float64(v) / float64(b.N) }
 					t := snap.Totals()
 					b.ReportMetric(per(t.Commits), "commits/op")
+					b.ReportMetric(per(t.Reads), "reads/op")
 					b.ReportMetric(per(t.Aborts), "aborts/op")
 					b.ReportMetric(per(t.Deadlocks), "deadlocks/op")
 					b.ReportMetric(per(snap.Backoff.Ns)/1e6, "backoff-ms/op")

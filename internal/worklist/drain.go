@@ -8,9 +8,10 @@ import (
 	"time"
 )
 
-// Source is a work queue Drain polls: *Queue, *PQ, or anything else that
-// pops vertex ids. A source that also has PopChunk is polled a chunk at a
-// time.
+// Source is a work queue Drain polls: *Queue, a *PQ adapter, or anything
+// else that pops vertex ids. A source that also has PopChunk is polled a
+// chunk at a time; one that has PopPrio instead is polled through it, and
+// each step gets the priority its id was popped with.
 type Source interface {
 	Pop() (uint32, bool)
 	Len() int
@@ -74,8 +75,9 @@ func (e *Emits) publish(sink Sink) {
 //
 // start runs once on each goroutine and returns that worker's step — which
 // runs the transaction for one id and returns nil once it committed — and
-// a stop to call when the worker leaves. Wakeups go through out: they are
-// buffered privately and published to sink only after the transaction
+// a stop to call when the worker leaves. step gets the id's priority from
+// a source with PopPrio and 0 from any other. Wakeups go through out: they
+// are buffered privately and published to sink only after the transaction
 // committed (an aborted attempt's are dropped, see Emits.Retry), which
 // closes the lost-wakeup window of pushing before the activating write is
 // visible. A drain whose bodies push into src themselves passes a nil
@@ -91,9 +93,10 @@ func (e *Emits) publish(sink Sink) {
 // the threshold no matter why a peer left — also when it left holding an
 // unfinished chunk, which an error or cancellation abandons.
 func Drain(ctx context.Context, src Source, sink Sink, workers int,
-	start func(tid int, out *Emits) (step func(v uint32) error, stop func())) (uint64, error) {
+	start func(tid int, out *Emits) (step func(v uint32, prio uint64) error, stop func())) (uint64, error) {
 	done := ctx.Done() // nil when ctx can never be cancelled
 	chunked, _ := src.(interface{ PopChunk([]uint32) int })
+	prioritised, _ := src.(interface{ PopPrio() (uint32, uint64, bool) })
 	var (
 		firstErr  atomic.Value
 		idle      atomic.Int64
@@ -124,9 +127,13 @@ func Drain(ctx context.Context, src Source, sink Sink, workers int,
 				return
 			default:
 			}
-			got := 0
+			got, prio := 0, uint64(0)
 			if chunked != nil {
 				got = chunked.PopChunk(buf[:])
+			} else if prioritised != nil {
+				if v, p, ok := prioritised.PopPrio(); ok {
+					buf[0], prio, got = v, p, 1
+				}
 			} else if v, ok := src.Pop(); ok {
 				buf[0], got = v, 1
 			}
@@ -153,7 +160,7 @@ func Drain(ctx context.Context, src Source, sink Sink, workers int,
 					return
 				}
 				out.mark = len(out.items)
-				if err := step(v); err != nil {
+				if err := step(v, prio); err != nil {
 					fail(err)
 					return
 				}

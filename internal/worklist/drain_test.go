@@ -23,17 +23,18 @@ func (p popOnly) Pop() (uint32, bool)     { return p.q.Pop() }
 func (p popOnly) Len() int                { return p.q.Len() }
 func (p popOnly) Push(v uint32, _ uint64) { p.q.Push(v) }
 
-// steps adapts a per-id function to Drain's start callback.
-func steps(fn func(tid int, v uint32, out *Emits) error) func(int, *Emits) (func(uint32) error, func()) {
-	return func(tid int, out *Emits) (func(uint32) error, func()) {
-		return func(v uint32) error { return fn(tid, v, out) }, func() {}
+// steps adapts a per-id function to Drain's start callback; the popped
+// priority is dropped.
+func steps(fn func(tid int, v uint32, out *Emits) error) func(int, *Emits) (func(uint32, uint64) error, func()) {
+	return func(tid int, out *Emits) (func(uint32, uint64) error, func()) {
+		return func(v uint32, _ uint64) error { return fn(tid, v, out) }, func() {}
 	}
 }
 
 // drainWithin fails the test if Drain does not return in time: every
 // driver bug this file looks for shows as a hang.
 func drainWithin(t *testing.T, d time.Duration, ctx context.Context, src Source, sink Sink, workers int,
-	start func(int, *Emits) (func(uint32) error, func())) (uint64, error) {
+	start func(int, *Emits) (func(uint32, uint64) error, func())) (uint64, error) {
 	t.Helper()
 	type result struct {
 		n   uint64
@@ -101,6 +102,50 @@ type pqSource struct{ *PQ }
 func (s pqSource) Pop() (uint32, bool) {
 	v, _, ok := s.PQ.Pop()
 	return v, ok
+}
+
+func (s pqSource) PopPrio() (uint32, uint64, bool) { return s.PQ.Pop() }
+
+// TestDrainHandsStepThePoppedPriority: a priority source's step gets the
+// priority its id was popped with, and an emitted item keeps its priority
+// through the sink's PushChunk; a chunked or pop-only FIFO's step gets 0
+// whatever was emitted.
+func TestDrainHandsStepThePoppedPriority(t *testing.T) {
+	const n, base = 500, 1000
+	for name, tc := range map[string]struct {
+		q interface {
+			Source
+			Sink
+		}
+		prio func(v uint32) uint64
+	}{
+		"pq":       {pqSource{NewPQ(2)}, func(v uint32) uint64 { return base + uint64(v) }},
+		"queue":    {fifo{NewQueue(2)}, func(uint32) uint64 { return 0 }},
+		"pop-only": {popOnly{NewQueue(2)}, func(uint32) uint64 { return 0 }},
+	} {
+		t.Run(name, func(t *testing.T) {
+			tc.q.Push(0, base)
+			got := make([]atomic.Uint64, n)
+			_, err := drainWithin(t, 10*time.Second, context.Background(), tc.q, tc.q, 2,
+				func(_ int, out *Emits) (func(uint32, uint64) error, func()) {
+					return func(v uint32, prio uint64) error {
+						got[v].Store(prio + 1)
+						if v+1 < n {
+							out.Emit(v+1, base+uint64(v)+1)
+						}
+						return nil
+					}, func() {}
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range got {
+				if p := got[v].Load(); p != tc.prio(uint32(v))+1 {
+					t.Fatalf("step for %d got priority %d, want %d", v, int64(p)-1, tc.prio(uint32(v)))
+				}
+			}
+		})
+	}
 }
 
 // TestDrainErrorWhileOthersIdle is the quiesce invariant: one worker's

@@ -139,8 +139,9 @@ end
 # router, commit gate, quiet-attempt interleavings, O-commit announcement
 # and the one record of outcomes (cancellations between rungs
 # included), and two L transactions closing a waits-for cycle, over the
-# queued driver (its own quiesce and chunk tests and the algorithms'
-# entry point into it), over the snapshot fold beside and after chain
+# queued driver (its own quiesce, chunk and priority tests, the
+# algorithms' entry point into it, and WCC and SPFA against their
+# sequential references and SPFA's stale entries), over the snapshot fold beside and after chain
 # GC, over the overlay's target index: attempts
 # killed after a build, a doubling and a repoint in each mode, and
 # concurrent batches on four hub sources beside chain GC and pinned
@@ -183,7 +184,7 @@ oversubscribed() { # test binary, -test.run pattern, -test.count
 oversubscribed "$tmp/sched.test" 'TestSerializabilityHistories|TestBankTransfer|TestCounterIsolation|TestWriteSkewPrevented|TestDeadlockResolution|TestOutcomesRecordedOnce|TestBaselineHTMCountsInOwnSnapshot' 50
 oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestCrossModeHistoriesLockersComeAndGo|TestIsolationAcrossModes|TestRouter|TestBackoffStartsAtZeroAfterLadder|TestOCapacityAbortDoesNotBackOff|TestLEntryWaitsForHCommitWindow|TestPanicInCommitWindowClearsGate|TestLateWorkerSeesLActive|TestQuietH|TestOCommitLowersCountOnEveryExit|TestOneCountFourViews|TestCancelAfterHAbortCountsOnce|TestLDeadlockCycleResolved' 30
 oversubscribed "$tmp/worklist.test" 'TestDrain' 30
-oversubscribed "$tmp/algo.test" 'TestForEachQueued|TestResultsCountCommitsNotAttempts' 10
+oversubscribed "$tmp/algo.test" 'TestForEachQueued|TestResultsCountCommitsNotAttempts|TestQueuedKernelsMatchSequential|TestSPFAStaleEntryOneRead' 10
 oversubscribed "$tmp/dyngraph.test" 'TestIndexAbortSafety|TestCompactFromDifferential|TestCompactFromGCHazard|TestCompactFromBesideGC' 20
 oversubscribed "$tmp/tufast.test" 'TestHubMutationOracle|TestAlgorithmsShareSystemWorkers|TestApplyOwnedBesideGC|TestGCPassTakesTurnsWithBatches|TestGCRunningArenaOut|TestFoldMatchesApplyOwned|TestApplyOwnedPanicBreaksGraph' 4
 oversubscribed "$tmp/server.test" 'TestInflightQuotaExactUnderConcurrentAdmission|TestShutdownRacingSubmitters' 20

@@ -211,9 +211,9 @@ func (s *System) ForEachQueuedCtx(ctx context.Context, q Source, fn func(tx Tx, 
 // public API's types.
 func (s *System) drain(ctx context.Context, driver string, src Source, sink worklist.Sink,
 	hint func(v uint32) int, fn func(tx Tx, v uint32, emit func(u uint32)) error) error {
-	_, err := s.rt.WithContext(ctx).Drain(driver, chunked(src), sink, hint, algo.NoWarm, func(out *worklist.Emits) func(sched.Tx, uint32) error {
+	_, err := s.rt.WithContext(ctx).Drain(driver, chunked(src), sink, hint, algo.NoWarm, func(out *worklist.Emits) func(sched.Tx, uint32, uint64) error {
 		emit := func(u uint32) { out.Emit(u, 0) }
-		return func(t sched.Tx, v uint32) error { return fn(Tx{t: t}, v, emit) }
+		return func(t sched.Tx, v uint32, _ uint64) error { return fn(Tx{t: t}, v, emit) }
 	})
 	return err
 }
