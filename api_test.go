@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"tufast"
@@ -147,16 +146,14 @@ func TestForEachQueuedDrains(t *testing.T) {
 	visited := sys.NewVertexArray(0)
 	q := sys.NewQueue()
 	q.Push(0)
-	var pushes atomic.Uint64
-	err := sys.ForEachQueued(q, func(tx tufast.Tx, v uint32) error {
+	err := sys.ForEachQueued(q, func(tx tufast.Tx, v uint32, emit func(uint32, uint64)) error {
 		if tx.Read(v, visited.Addr(v)) == 1 {
 			return nil
 		}
 		tx.Write(v, visited.Addr(v), 1)
 		for _, u := range g.Neighbors(v) {
 			if tx.Read(u, visited.Addr(u)) == 0 {
-				pushes.Add(1)
-				q.Push(u)
+				emit(u, 0)
 			}
 		}
 		return nil

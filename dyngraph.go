@@ -891,42 +891,3 @@ func (d *DynGraph) applyWindow(ctx context.Context, win []StreamOp, opt StreamOp
 	}
 	return err
 }
-
-// Sink is a Source that also accepts pushes; *Queue satisfies it.
-type Sink interface {
-	Source
-	Push(v uint32)
-}
-
-// ForEachQueuedEmit is ForEachQueued for algorithms that push
-// follow-up work from inside transactions: fn receives an emit
-// callback, and emitted vertices are pushed into q only after the
-// transaction commits — never for attempts that abort and retry — so
-// a wakeup always has a committed write behind it. hint overrides the
-// per-vertex size hint (nil falls back to the base graph's degree,
-// which dynamic-graph algorithms replace with live degree).
-func (s *System) ForEachQueuedEmit(q Sink, hint func(v uint32) int,
-	fn func(tx Tx, v uint32, emit func(u uint32)) error) error {
-	return s.ForEachQueuedEmitCtx(context.Background(), q, hint, fn)
-}
-
-// ForEachQueuedEmitCtx is ForEachQueuedEmit with cancellation.
-func (s *System) ForEachQueuedEmitCtx(ctx context.Context, q Sink, hint func(v uint32) int,
-	fn func(tx Tx, v uint32, emit func(u uint32)) error) error {
-	return s.drain(ctx, "foreach_queued_emit", q, sinkOf(q), hint, fn)
-}
-
-// sinkOf returns where the driver publishes emits for q: the library's
-// own queue takes a worker's emits a batch at a time, anything else gets
-// them through its Push.
-func sinkOf(q Sink) worklist.Sink {
-	if fq, ok := q.(*Queue); ok {
-		return algo.FIFOSource{Queue: (*worklist.Queue)(fq)}
-	}
-	return pushSink{q}
-}
-
-// pushSink publishes into a caller's Sink, one Push per emit.
-type pushSink struct{ q Sink }
-
-func (s pushSink) Push(v uint32, _ uint64) { s.q.Push(v) }

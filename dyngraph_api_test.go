@@ -232,7 +232,7 @@ func TestStreamingOracle(t *testing.T) {
 	}
 }
 
-func TestForEachQueuedEmitFlushesPostCommit(t *testing.T) {
+func TestForEachQueuedFlushesPostCommit(t *testing.T) {
 	g := tufast.GenerateUniform(64, 4, 3)
 	s := tufast.NewSystem(g, tufast.Options{Threads: 4})
 	val := s.NewVertexArray(0)
@@ -241,19 +241,18 @@ func TestForEachQueuedEmitFlushesPostCommit(t *testing.T) {
 	// Each unmarked vertex v < 32 marks itself and emits v+1: the
 	// post-commit chain must visit vertices 0..32 exactly, and never
 	// reach past the last emitter.
-	err := s.ForEachQueuedEmit(q, func(v uint32) int { return 4 },
-		func(tx tufast.Tx, v uint32, emit func(u uint32)) error {
-			if tx.Read(v, val.Addr(v)) != 0 {
-				return nil
-			}
-			tx.Write(v, val.Addr(v), 1)
-			if v < 32 {
-				emit(v + 1)
-			}
+	err := s.ForEachQueued(q, func(tx tufast.Tx, v uint32, emit func(uint32, uint64)) error {
+		if tx.Read(v, val.Addr(v)) != 0 {
 			return nil
-		})
+		}
+		tx.Write(v, val.Addr(v), 1)
+		if v < 32 {
+			emit(v+1, 0)
+		}
+		return nil
+	})
 	if err != nil {
-		t.Fatalf("ForEachQueuedEmit: %v", err)
+		t.Fatalf("ForEachQueued: %v", err)
 	}
 	for v := uint32(0); v < 64; v++ {
 		want := uint64(0)

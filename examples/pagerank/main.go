@@ -69,7 +69,7 @@ func main() {
 	}()
 
 	startTime = time.Now()
-	err := sys.ForEachQueued(q, func(tx tufast.Tx, v uint32) error {
+	err := sys.ForEachQueued(q, func(tx tufast.Tx, v uint32, emit func(uint32, uint64)) error {
 		rv := tx.ReadFloat(v, resid.Addr(v))
 		if rv <= eps {
 			return nil
@@ -82,7 +82,7 @@ func main() {
 				ru := tx.ReadFloat(u, resid.Addr(u))
 				tx.WriteFloat(u, resid.Addr(u), ru+share)
 				if ru <= eps && ru+share > eps {
-					q.Push(u)
+					emit(u, 0)
 				}
 			}
 		}

@@ -19,37 +19,21 @@ func main() {
 	sys := tufast.NewSystem(g, tufast.Options{})
 	const source, maxW = 0, 100
 
-	relaxations := runSSSP(sys, g, source, maxW, "bellman-ford (FIFO queue)", func() pusher {
-		q := sys.NewQueue()
-		return fifoPusher{q}
-	})
-	relaxationsPQ := runSSSP(sys, g, source, maxW, "spfa (priority queue)", func() pusher {
-		q := sys.NewPQ()
-		return pqPusher{q}
-	})
+	fifo := sys.NewQueue()
+	fifo.Push(source)
+	relaxations := runSSSP(sys, g, source, maxW, "bellman-ford (FIFO queue)", fifo)
+	pq := sys.NewPQ()
+	pq.Push(source, 0)
+	relaxationsPQ := runSSSP(sys, g, source, maxW, "spfa (priority queue)", pq)
 	fmt.Printf("\npriority scheduling saved %.1f%% of the relaxation transactions\n",
 		100*(1-float64(relaxationsPQ)/float64(relaxations)))
 }
 
-// pusher abstracts the only difference between the two algorithms.
-type pusher interface {
-	tufast.Source
-	push(v uint32, prio uint64)
-}
-
-type fifoPusher struct{ *tufast.Queue }
-
-func (p fifoPusher) push(v uint32, _ uint64) { p.Queue.Push(v) }
-
-type pqPusher struct{ *tufast.PQ }
-
-func (p pqPusher) push(v uint32, prio uint64) { p.PQ.Push(v, prio) }
-
-func runSSSP(sys *tufast.System, g *tufast.Graph, source uint32, maxW uint32, name string, mkQueue func() pusher) uint64 {
+// runSSSP drains q, which holds only source, relaxing out of each polled
+// vertex; the queue kind is the only difference between the algorithms.
+func runSSSP(sys *tufast.System, g *tufast.Graph, source uint32, maxW uint32, name string, q tufast.Source) uint64 {
 	dist := sys.NewVertexArray(tufast.None)
 	dist.Set(source, 0)
-	q := mkQueue()
-	q.push(source, 0)
 
 	// Count relaxation transactions from the scheduler's commit counter:
 	// an in-transaction counter would tick once per retried attempt, not
@@ -57,8 +41,9 @@ func runSSSP(sys *tufast.System, g *tufast.Graph, source uint32, maxW uint32, na
 	before := sys.StatsSnapshot().Commits
 	start := time.Now()
 	// Figure 3: while Q not empty: v = poll(Q); BEGIN(degree[v]);
-	// relax all neighbors; COMMIT.
-	err := sys.ForEachQueued(q, func(tx tufast.Tx, v uint32) error {
+	// relax all neighbors and wake them; COMMIT. The wakeups reach Q
+	// once the relaxations they announce have committed.
+	err := sys.ForEachQueued(q, func(tx tufast.Tx, v uint32, emit func(uint32, uint64)) error {
 		dv := tx.Read(v, dist.Addr(v))
 		if dv == tufast.None {
 			return nil
@@ -67,7 +52,7 @@ func runSSSP(sys *tufast.System, g *tufast.Graph, source uint32, maxW uint32, na
 			w := uint64(tufast.EdgeWeight(v, u, maxW))
 			if du := tx.Read(u, dist.Addr(u)); dv+w < du {
 				tx.Write(u, dist.Addr(u), dv+w)
-				q.push(u, dv+w)
+				emit(u, dv+w)
 			}
 		}
 		return nil

@@ -259,7 +259,7 @@ func TestForEachVertexCtxCancelPrompt(t *testing.T) {
 }
 
 // TestForEachQueuedCtxCancelPrompt cancels a drain whose queue never
-// empties (fn re-pushes every vertex): only cancellation can end it.
+// empties (fn re-emits every vertex): only cancellation can end it.
 func TestForEachQueuedCtxCancelPrompt(t *testing.T) {
 	g := tufast.GenerateUniform(1024, 4, 1)
 	s := tufast.NewSystem(g, tufast.Options{Threads: 4})
@@ -275,9 +275,9 @@ func TestForEachQueuedCtxCancelPrompt(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	err := s.ForEachQueuedCtx(ctx, q, func(tx tufast.Tx, v uint32) error {
+	err := s.ForEachQueuedCtx(ctx, q, func(tx tufast.Tx, v uint32, emit func(uint32, uint64)) error {
 		tx.Write(v, arr.Addr(v), tx.Read(v, arr.Addr(v))+1)
-		q.Push(v) // never lets the queue drain
+		emit(v, 0) // never lets the queue drain
 		return nil
 	})
 	elapsed := time.Since(start)
@@ -304,7 +304,7 @@ func TestForEachQueuedErrorWhileOthersIdle(t *testing.T) {
 	boom := errors.New("fn failed")
 	done := make(chan error, 1)
 	go func() {
-		done <- s.ForEachQueued(q, func(tx tufast.Tx, v uint32) error {
+		done <- s.ForEachQueued(q, func(tufast.Tx, uint32, func(uint32, uint64)) error {
 			time.Sleep(50 * time.Millisecond) // let the other workers reach their idle spin
 			return boom
 		})
@@ -320,51 +320,39 @@ func TestForEachQueuedErrorWhileOthersIdle(t *testing.T) {
 	assertNoVertexLocks(t, s)
 }
 
-// popOnlyQueue is a caller's own Source and Sink: it has none of the
-// chunk methods the library's queues have, so the driver polls it one id
-// at a time and publishes emits one Push at a time.
-type popOnlyQueue struct{ q *tufast.Queue }
-
-func (p popOnlyQueue) Pop() (uint32, bool) { return p.q.Pop() }
-func (p popOnlyQueue) Len() int            { return p.q.Len() }
-func (p popOnlyQueue) Push(v uint32)       { p.q.Push(v) }
-
 // TestQueuedDriversQuiesce runs the two cases above — a failing
 // transaction while every other worker idles, a cancelled drain that
-// never empties — through every queued entry point and both kinds of
-// queue, now that one loop (worklist.Drain) serves them all.
+// never empties — through both kinds of queue: the FIFO the driver
+// polls a chunk at a time and the PQ it polls one id at a time.
 func TestQueuedDriversQuiesce(t *testing.T) {
 	g := tufast.GenerateUniform(256, 4, 1)
-	type drain func(ctx context.Context, s *tufast.System, q tufast.Sink, fn func(tx tufast.Tx, v uint32, emit func(uint32)) error) error
-	queued := func(ctx context.Context, s *tufast.System, q tufast.Sink, fn func(tufast.Tx, uint32, func(uint32)) error) error {
-		return s.ForEachQueuedCtx(ctx, q, func(tx tufast.Tx, v uint32) error { return fn(tx, v, q.Push) })
-	}
-	emitting := func(ctx context.Context, s *tufast.System, q tufast.Sink, fn func(tufast.Tx, uint32, func(uint32)) error) error {
-		return s.ForEachQueuedEmitCtx(ctx, q, nil, fn)
-	}
 	for _, tc := range []struct {
-		name    string
-		run     drain
-		popOnly bool
+		name string
+		// seeded returns a queue holding vertices 0..n-1.
+		seeded func(s *tufast.System, n uint32) tufast.Source
 	}{
-		{"ForEachQueuedCtx/pop-only source", queued, true},
-		{"ForEachQueuedEmitCtx/queue", emitting, false},
-		{"ForEachQueuedEmitCtx/pop-only sink", emitting, true},
-	} {
-		newQueue := func(s *tufast.System) tufast.Sink {
-			if tc.popOnly {
-				return popOnlyQueue{s.NewQueue()}
+		{"ForEachQueuedCtx/queue", func(s *tufast.System, n uint32) tufast.Source {
+			q := s.NewQueue()
+			for v := uint32(0); v < n; v++ {
+				q.Push(v)
 			}
-			return s.NewQueue()
-		}
+			return q
+		}},
+		{"ForEachQueuedCtx/pq", func(s *tufast.System, n uint32) tufast.Source {
+			q := s.NewPQ()
+			for v := uint32(0); v < n; v++ {
+				q.Push(v, uint64(v))
+			}
+			return q
+		}},
+	} {
 		t.Run(tc.name+"/error while others idle", func(t *testing.T) {
 			s := tufast.NewSystem(g, tufast.Options{Threads: 8})
-			q := newQueue(s)
-			q.Push(0)
+			q := tc.seeded(s, 1)
 			boom := errors.New("fn failed")
 			done := make(chan error, 1)
 			go func() {
-				done <- tc.run(context.Background(), s, q, func(tufast.Tx, uint32, func(uint32)) error {
+				done <- s.ForEachQueuedCtx(context.Background(), q, func(tufast.Tx, uint32, func(uint32, uint64)) error {
 					time.Sleep(50 * time.Millisecond)
 					return boom
 				})
@@ -382,19 +370,16 @@ func TestQueuedDriversQuiesce(t *testing.T) {
 		t.Run(tc.name+"/cancel", func(t *testing.T) {
 			s := tufast.NewSystem(g, tufast.Options{Threads: 4})
 			arr := s.NewVertexArray(0)
-			q := newQueue(s)
-			for v := uint32(0); v < 64; v++ {
-				q.Push(v)
-			}
+			q := tc.seeded(s, 64)
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() {
 				time.Sleep(10 * time.Millisecond)
 				cancel()
 			}()
 			start := time.Now()
-			err := tc.run(ctx, s, q, func(tx tufast.Tx, v uint32, emit func(uint32)) error {
+			err := s.ForEachQueuedCtx(ctx, q, func(tx tufast.Tx, v uint32, emit func(uint32, uint64)) error {
 				tx.Write(v, arr.Addr(v), tx.Read(v, arr.Addr(v))+1)
-				emit(v) // never lets the queue drain
+				emit(v, uint64(v)) // never lets the queue drain
 				return nil
 			})
 			if !errors.Is(err, context.Canceled) {

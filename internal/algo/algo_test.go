@@ -21,7 +21,7 @@ func schedFactories(n int) map[string]func(sp *mem.Space) sched.Scheduler {
 			return core.New(sp, n, core.Config{})
 		},
 		"tufast-static": func(sp *mem.Space) sched.Scheduler {
-			return core.New(sp, n, core.Config{AdaptivePeriod: false, PeriodInit: 500})
+			return core.New(sp, n, core.Config{StaticPeriod: true, PeriodInit: 500})
 		},
 		"2pl-detect": func(sp *mem.Space) sched.Scheduler {
 			det := deadlock.NewDetector(64)

@@ -16,15 +16,14 @@ import (
 // attempt, not once per commit. Channel sends, goroutine launches,
 // mutations of variables captured from outside the body, I/O, clock and
 // randomness reads, mutex operations and bare atomics all fall in that
-// class.
+// class. So does a push into a tufast Queue or PQ: it publishes the
+// wakeup before the commit (and on attempts that abort), so the woken
+// vertex can run before the write that woke it is visible; a
+// ForEachQueued body wakes vertices through its emit instead.
 //
-// Allowed by design:
-//   - calls to a method named Push (any case): pushing into the queue a
-//     ForEachQueued drain is popping from is the documented wakeup
-//     pattern, and the API contract already requires wakeups to be
-//     stale- and duplicate-tolerant (see tufast.System.ForEachQueued);
-//   - the idempotent buffer reset x = x[:0] (the post-commit emit
-//     pattern re-arms its buffer at the top of every attempt).
+// Allowed by design: the idempotent buffer reset x = x[:0] (a
+// post-commit emit pattern re-arms its buffer at the top of every
+// attempt).
 var RetryUnsafe = &analysis.Analyzer{
 	Name: "retryunsafe",
 	Doc:  "non-idempotent operation in a retryable transaction body",
@@ -145,12 +144,9 @@ func checkRetryCall(pass *analysis.Pass, fn *txFunc, call *ast.CallExpr) {
 		}
 		return
 	}
-	// Methods: locks, atomics, and the Push allowlist.
+	// Methods: locks, atomics, queue pushes.
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if _, isMethod := pass.Info.Selections[sel]; isMethod {
-			if strings.EqualFold(name, "push") {
-				return // documented wakeup pattern; duplicates must be tolerated anyway
-			}
 			named := recvType(pass.Info, sel)
 			if named == nil || named.Obj().Pkg() == nil {
 				return
@@ -158,6 +154,9 @@ func checkRetryCall(pass *analysis.Pass, fn *txFunc, call *ast.CallExpr) {
 			recvPkg := named.Obj().Pkg().Path()
 			recvName := named.Obj().Name()
 			switch {
+			case isTufastPkg(recvPkg) && (recvName == "Queue" || recvName == "PQ") && name == "Push":
+				pass.Reportf(call.Pos(), "%s.Push inside a transaction publishes the wakeup before the commit, so the woken vertex can miss the write; wake it through ForEachQueued's emit",
+					recvName)
 			case recvPkg == "sync" && (recvName == "Mutex" || recvName == "RWMutex") && mutexMethods[name]:
 				pass.Reportf(call.Pos(), "%s.%s inside a transaction: retried attempts re-lock (or double-unlock) and L-mode lock waits can deadlock against it",
 					recvName, name)

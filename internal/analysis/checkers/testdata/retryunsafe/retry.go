@@ -22,6 +22,7 @@ func bad() {
 	var seen []uint32
 	total := 0
 	ch := make(chan uint32, 16)
+	pq := sys.NewPQ()
 	_ = sys.ForEachVertex(func(tx tufast.Tx, v uint32) error {
 		count.Add(1)            // want "atomic Add inside a transaction"
 		mu.Lock()               // want "Mutex.Lock inside a transaction"
@@ -32,6 +33,7 @@ func bad() {
 		ch <- v                 // want "channel send inside a transaction"
 		go sideWork(v)          // want "goroutine launched inside a transaction"
 		fmt.Println(time.Now()) // want "fmt.Println inside a transaction" "time.Now inside a transaction"
+		pq.Push(v, 1)           // want "PQ.Push inside a transaction publishes the wakeup before the commit"
 		tx.Write(v, arr.Addr(v), 1)
 		return nil
 	})
@@ -46,7 +48,7 @@ func good() {
 	q := sys.NewQueue()
 	q.Push(0)
 	var scratch []uint32
-	_ = sys.ForEachQueued(q, func(tx tufast.Tx, v uint32) error {
+	_ = sys.ForEachQueued(q, func(tx tufast.Tx, v uint32, emit func(uint32, uint64)) error {
 		scratch = scratch[:0] // nowant: idempotent buffer reset (the emit pattern)
 		local := 0
 		buf := make([]uint32, 0, 4)
@@ -55,7 +57,8 @@ func good() {
 			buf = append(buf, u) // nowant: transaction-local slice
 			if tx.Read(u, arr.Addr(u)) == 0 {
 				tx.Write(u, arr.Addr(u), 1)
-				q.Push(u) // nowant: documented wakeup pattern (Push is duplicate-tolerant)
+				q.Push(u)  // want "Queue.Push inside a transaction publishes the wakeup before the commit"
+				emit(u, 0) // nowant: the wakeup is published after the commit
 			}
 		}
 		msg := fmt.Sprintf("%d/%d", local, len(buf)) // nowant: Sprintf is pure

@@ -74,9 +74,6 @@ func NewLoader(startDir string) (*Loader, error) {
 // ModuleRoot returns the absolute module root directory.
 func (l *Loader) ModuleRoot() string { return l.moduleRoot }
 
-// ModulePath returns the module's import path prefix.
-func (l *Loader) ModulePath() string { return l.modulePath }
-
 // findModule walks upward from dir to the nearest go.mod and parses its
 // module path and go version.
 func findModule(dir string) (root, modPath, goVer string, err error) {

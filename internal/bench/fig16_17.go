@@ -35,7 +35,7 @@ func Fig16(o Options) []Table {
 		row := []any{period}
 		for _, kind := range []Workload{RM, RW} {
 			sp, base := newWorkloadSpace(n)
-			tf := newTuFast(sp, n, core.Config{AdaptivePeriod: false, PeriodInit: period})
+			tf := newTuFast(sp, n, core.Config{StaticPeriod: true, PeriodInit: period})
 			row = append(row, runWorkload(g, sp, tf, kind, base, txns, o.Threads))
 		}
 		periodTab.AddRow(row...)
@@ -76,7 +76,7 @@ func Fig17(o Options) []Table {
 	}
 	run := func(adaptive bool) ([]windowSample, float64) {
 		sp := mem.NewSpace(algo.SpaceWordsFor(g.NumVertices()))
-		cfg := core.Config{AdaptivePeriod: adaptive, PeriodInit: 1000}
+		cfg := core.Config{StaticPeriod: !adaptive, PeriodInit: 1000}
 		tf := newTuFast(sp, g.NumVertices(), cfg)
 		r := algo.NewRuntime(g, sp, tf, o.Threads)
 
@@ -168,9 +168,9 @@ func Ablation(o Options) []Table {
 	}{
 		{"full", core.Config{}},
 		{"no-early-abort", core.Config{DisableEarlyAbort: true}},
-		{"no-chopping", core.Config{AdaptivePeriod: false, PeriodInit: 1 << 20, PeriodFloor: 1 << 19}},
+		{"no-chopping", core.Config{StaticPeriod: true, PeriodInit: 1 << 20, PeriodFloor: 1 << 19}},
 		{"no-h-retries", core.Config{HRetries: 1}},
-		{"static-period", core.Config{AdaptivePeriod: false, PeriodInit: 1000}},
+		{"static-period", core.Config{StaticPeriod: true, PeriodInit: 1000}},
 	}
 	for _, v := range variants {
 		row := []any{v.name}

@@ -3,8 +3,13 @@ package core
 import (
 	"sync/atomic"
 
+	"tufast/internal/htm"
 	"tufast/internal/obs"
 )
+
+// periodCap bounds the adaptive period from above: the HTM capacity in
+// words is a natural ceiling.
+const periodCap = htm.CapacityWords
 
 // periodController implements the §IV-D adaptive parameter selection.
 //

@@ -52,13 +52,10 @@ type Config struct {
 	// transaction escalates to L mode (paper: 100).
 	PeriodFloor int
 
-	// PeriodCap bounds the adaptive period from above (the HTM capacity
-	// in words is a natural ceiling).
-	PeriodCap int
-
-	// AdaptivePeriod enables the §IV-D controller; when false the period
-	// stays at PeriodInit (Fig. 17's "static" configuration).
-	AdaptivePeriod bool
+	// StaticPeriod turns off the §IV-D controller: the period stays at
+	// PeriodInit (Fig. 17's "static" configuration and the ablation's
+	// static-period row). The zero value adapts.
+	StaticPeriod bool
 
 	// DisableEarlyAbort turns off the NOrec-style mid-transaction
 	// conflict detection inside O-mode segments (ablation: the value of
@@ -92,9 +89,6 @@ func (c Config) normalize() Config {
 	}
 	if c.PeriodFloor <= 0 {
 		c.PeriodFloor = 100
-	}
-	if c.PeriodCap <= 0 {
-		c.PeriodCap = htm.CapacityWords
 	}
 	return c
 }

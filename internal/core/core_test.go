@@ -319,6 +319,33 @@ func TestPeriodControllerTracksChange(t *testing.T) {
 	}
 }
 
+// TestZeroConfigAdaptsPeriod: the zero Config is the TuFast the library
+// runs, §IV-D controller included, so O-mode work moves the period off
+// PeriodInit; StaticPeriod keeps it there.
+func TestZeroConfigAdaptsPeriod(t *testing.T) {
+	for _, static := range []bool{false, true} {
+		s, _ := newSys(64, Config{StaticPeriod: static})
+		w := s.Worker(0)
+		for i := 0; i < 8; i++ {
+			err := w.Run(s.cfg.HMaxHint+1, func(tx sched.Tx) error {
+				for v := uint32(0); v < 64; v++ {
+					tx.Write(v, mem.Addr(v), tx.Read(v, mem.Addr(v))+1)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if commits(s, obs.ModeO)+commits(s, obs.ModeOPlus) == 0 {
+			t.Fatalf("static=%v: no O-mode commit: %v", static, modeDump(s))
+		}
+		if moved := s.CurrentPeriod() != s.cfg.PeriodInit; moved == static {
+			t.Fatalf("static=%v: period %d after O-mode work, PeriodInit %d", static, s.CurrentPeriod(), s.cfg.PeriodInit)
+		}
+	}
+}
+
 func TestConfigNormalize(t *testing.T) {
 	c := Config{}.normalize()
 	if c.HMaxHint != htm.CapacityWords || c.HRetries != 8 ||

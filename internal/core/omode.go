@@ -95,7 +95,7 @@ func newOCtx(w *worker) *oCtx {
 func (w *worker) runO(fn sched.TxFunc) (done bool, err error) {
 	o := w.o
 	period := w.s.period.Current()
-	if !w.s.cfg.AdaptivePeriod {
+	if w.s.cfg.StaticPeriod {
 		period = w.s.cfg.PeriodInit
 	}
 	first := true
@@ -152,7 +152,7 @@ func (w *worker) runO(fn sched.TxFunc) (done bool, err error) {
 // settleTelemetry reports this attempt's segment statistics to the
 // adaptive controller.
 func (o *oCtx) settleTelemetry() {
-	if o.w.s.cfg.AdaptivePeriod {
+	if !o.w.s.cfg.StaticPeriod {
 		o.w.s.period.Observe(o.opsInSegments, o.segAborted)
 	}
 	o.opsInSegments = 0

@@ -81,7 +81,7 @@ func New(sp *mem.Space, nVertices int, cfg Config) *System {
 		sp:     sp,
 		locks:  vlock.NewTable(nVertices),
 		cfg:    cfg,
-		period: newPeriodController(cfg.PeriodInit, cfg.PeriodFloor, cfg.PeriodCap),
+		period: newPeriodController(cfg.PeriodInit, cfg.PeriodFloor, periodCap),
 	}
 	s.lmode = sched.NewTPL(sp, s.locks, deadlock.NewDetector(maxThreads))
 	s.lmode.SetTax(cfg.Tax)

@@ -237,9 +237,6 @@ func (s *Store) SetWriteStamp(stamp uint64) {
 	s.stamp.Store(stamp)
 }
 
-// WriteStamp returns the stamp mutations currently commit under.
-func (s *Store) WriteStamp() uint64 { return s.stamp.Load() }
-
 // SpaceWords returns the extra space (in words) a Store over n vertices
 // needs for arcMutations AddArc/RemoveArc calls: the head, degree and
 // index arrays plus a generous budget of 24 words per mutation that

@@ -35,12 +35,6 @@ type Stream struct {
 	Ops        []Op
 }
 
-// SortOps orders the mutation sequence by timestamp (stable, so equal
-// timestamps keep file order).
-func (s *Stream) SortOps() {
-	sort.SliceStable(s.Ops, func(i, j int) bool { return s.Ops[i].Time < s.Ops[j].Time })
-}
-
 // BuildBase freezes the base edge list into a CSR.
 func (s *Stream) BuildBase() (*graph.CSR, error) {
 	return graph.Build(s.N, s.Base, graph.BuildOptions{Symmetrize: s.Undirected})

@@ -46,31 +46,3 @@ func (g *CSR) PowerLawFit(dmin int) float64 {
 	}
 	return 1 + float64(n)/s
 }
-
-// GiniDegree returns the Gini coefficient of the degree distribution — a
-// scalar skew measure used in reports (0 = perfectly even, ->1 = all
-// edges on one vertex).
-func (g *CSR) GiniDegree() float64 {
-	if g.n == 0 || len(g.adj) == 0 {
-		return 0
-	}
-	// Gini over sorted degrees: counting sort by degree (degrees bounded
-	// by n).
-	counts := make([]uint64, g.MaxDegree()+1)
-	for v := uint32(0); int(v) < g.n; v++ {
-		counts[g.Degree(v)]++
-	}
-	var cum, weighted float64
-	var i float64
-	total := float64(len(g.adj))
-	for d, c := range counts {
-		for range c {
-			cum += float64(d)
-			weighted += (i + 1) * float64(d)
-			i++
-		}
-	}
-	_ = cum
-	nf := float64(g.n)
-	return (2*weighted)/(nf*total) - (nf+1)/nf
-}

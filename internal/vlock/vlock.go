@@ -61,9 +61,6 @@ func (t *Table) Stamp(v uint32) uint64 {
 // vertex.
 func StampFree(s uint64) bool { return s&ownerMask == 0 }
 
-// Raw returns the raw lock word (tests and the deadlock detector use it).
-func (t *Table) Raw(v uint32) uint64 { return t.words[v].Load() }
-
 // ExclusiveOwner returns the thread currently holding v exclusively and
 // true, or 0 and false if v is not exclusively held.
 func (t *Table) ExclusiveOwner(v uint32) (int, bool) {

@@ -149,7 +149,9 @@ end
 # batches; over owned batches inline and fanned out, held to the fold
 # and run out of arena; over the one worker pool: an algorithms call beside the
 # System's own sweeps, mostly in L mode, where a thread id shared by two
-# goroutines loses updates; and, under the race detector, over the
+# goroutines loses updates; over the public queued driver: a wakeup
+# published while its writer stalls before the commit, and the Figure 3
+# SSSP body on FIFO and PQ held to Dijkstra; and, under the race detector, over the
 # server's lock-free admission: 32 racing submissions against a
 # two-job quota, and submitters racing Shutdown's drain; and over the
 # standing plane's lock-free publish: reads right after batches, a first
@@ -186,7 +188,7 @@ oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestCrossMod
 oversubscribed "$tmp/worklist.test" 'TestDrain' 30
 oversubscribed "$tmp/algo.test" 'TestForEachQueued|TestResultsCountCommitsNotAttempts|TestQueuedKernelsMatchSequential|TestSPFAStaleEntryOneRead' 10
 oversubscribed "$tmp/dyngraph.test" 'TestIndexAbortSafety|TestCompactFromDifferential|TestCompactFromGCHazard|TestCompactFromBesideGC' 20
-oversubscribed "$tmp/tufast.test" 'TestHubMutationOracle|TestAlgorithmsShareSystemWorkers|TestApplyOwnedBesideGC|TestGCPassTakesTurnsWithBatches|TestGCRunningArenaOut|TestFoldMatchesApplyOwned|TestApplyOwnedPanicBreaksGraph' 4
+oversubscribed "$tmp/tufast.test" 'TestHubMutationOracle|TestAlgorithmsShareSystemWorkers|TestApplyOwnedBesideGC|TestGCPassTakesTurnsWithBatches|TestGCRunningArenaOut|TestFoldMatchesApplyOwned|TestApplyOwnedPanicBreaksGraph|TestForEachQueuedWakesAfterCommit|TestForEachQueuedSSSPMatchesDijkstra' 4
 oversubscribed "$tmp/server.test" 'TestInflightQuotaExactUnderConcurrentAdmission|TestShutdownRacingSubmitters' 20
 oversubscribed "$tmp/server.test" 'TestStandingReadAfterBatch|TestStandingSeedBesideParkedBatch|TestStandingDeleteRepairNoRecompute|TestStandingRepairWaitsForDelivery' 10
 end

@@ -108,9 +108,8 @@ func NewSystem(g *Graph, opt Options) *System {
 		opt.SpaceWords = 24*(n+8) + 4096
 	}
 	cfg := core.Config{
-		AdaptivePeriod: true,
-		HMaxHint:       opt.HMaxHint,
-		OMaxHint:       opt.OMaxHint,
+		HMaxHint: opt.HMaxHint,
+		OMaxHint: opt.OMaxHint,
 	}
 	sp := mem.NewSpace(opt.SpaceWords)
 	c := core.New(sp, n, cfg)
@@ -183,57 +182,32 @@ func (s *System) ForEachVertexCtx(ctx context.Context, fn func(tx Tx, v uint32) 
 }
 
 // ForEachQueued drains queue q with the configured parallelism, running
-// fn for each polled vertex as its own transaction (the Figure 3 driver:
-// pass a FIFO Queue for Bellman-Ford or a PQ for SPFA via the Source
-// interface). Workers exit when the queue stays empty and all workers
-// are idle.
-//
-// Pushing into q from inside fn happens before the transaction's writes
-// become visible (and also on attempts that later abort and retry), so a
-// popped vertex can observe pre-push state and a push is not a promise
-// that its triggering write committed. Write fn so that a stale or
-// spurious wakeup is harmless — re-check the activating condition
-// transactionally and do nothing if it no longer holds, as the
-// tufast/algorithms implementations do.
-func (s *System) ForEachQueued(q Source, fn func(tx Tx, v uint32) error) error {
+// fn for each polled vertex as its own transaction with its degree as the
+// size hint (the Figure 3 driver: pass a FIFO Queue for Bellman-Ford or a
+// PQ for SPFA). fn wakes a vertex u through emit(u, prio), never by
+// pushing into q: emits are buffered and pushed into q only after the
+// transaction commits, and an attempt that aborts and retries drops its
+// own, so every wakeup has a committed write behind it and a woken vertex
+// always reads that write. A Queue ignores prio; a PQ pops the lowest
+// first. Workers exit when the queue stays empty and all workers are
+// idle.
+func (s *System) ForEachQueued(q Source, fn func(tx Tx, v uint32, emit func(u uint32, prio uint64)) error) error {
 	return s.ForEachQueuedCtx(context.Background(), q, fn)
 }
 
 // ForEachQueuedCtx is ForEachQueued with cancellation: every worker polls
 // ctx between transactions and while idle, so a cancelled drain returns
 // ctx.Err() promptly even when the queue never empties.
-func (s *System) ForEachQueuedCtx(ctx context.Context, q Source, fn func(tx Tx, v uint32) error) error {
-	return s.drain(ctx, "foreach_queued", q, nil, nil,
-		func(tx Tx, v uint32, _ func(uint32)) error { return fn(tx, v) })
-}
-
-// drain runs the module's queued driver (algo.Runtime.Drain) in the
-// public API's types.
-func (s *System) drain(ctx context.Context, driver string, src Source, sink worklist.Sink,
-	hint func(v uint32) int, fn func(tx Tx, v uint32, emit func(u uint32)) error) error {
-	_, err := s.rt.WithContext(ctx).Drain(driver, chunked(src), sink, hint, algo.NoWarm, func(out *worklist.Emits) func(sched.Tx, uint32, uint64) error {
-		emit := func(u uint32) { out.Emit(u, 0) }
-		return func(t sched.Tx, v uint32, _ uint64) error { return fn(Tx{t: t}, v, emit) }
-	})
+func (s *System) ForEachQueuedCtx(ctx context.Context, q Source, fn func(tx Tx, v uint32, emit func(u uint32, prio uint64)) error) error {
+	_, err := s.rt.WithContext(ctx).ForEachQueued(q.source(), algo.NoWarm,
+		func(t sched.Tx, v uint32, _ uint64, emit func(uint32, uint64)) error { return fn(Tx{t: t}, v, emit) })
 	return err
 }
 
-// chunked returns the source the driver polls for q: the library's own
-// FIFO is unwrapped so the driver sees its chunk methods, anything else
-// (a *PQ, whose minimum is its point, or a caller's type) is polled
-// through its Pop, one id at a time.
-func chunked(q Source) worklist.Source {
-	if fq, ok := q.(*Queue); ok {
-		return (*worklist.Queue)(fq)
-	}
-	return q
-}
-
-// Source is the queue interface ForEachQueued drains; *Queue (FIFO) and
-// *PQ (priority) both satisfy it.
+// Source is a queue ForEachQueued drains and refills: a *Queue (FIFO,
+// polled a chunk at a time) or a *PQ (lowest priority first).
 type Source interface {
-	Pop() (uint32, bool)
-	Len() int
+	source() algo.Source
 }
 
 // Worker is a per-goroutine transaction executor.
@@ -332,6 +306,8 @@ type Queue worklist.Queue
 // Push appends v.
 func (q *Queue) Push(v uint32) { (*worklist.Queue)(q).Push(v) }
 
+func (q *Queue) source() algo.Source { return algo.FIFOSource{Queue: (*worklist.Queue)(q)} }
+
 // Pop removes one id (ok=false if empty).
 func (q *Queue) Pop() (uint32, bool) { return (*worklist.Queue)(q).Pop() }
 
@@ -343,6 +319,8 @@ type PQ worklist.PQ
 
 // Push inserts v with a priority (lower pops first).
 func (q *PQ) Push(v uint32, prio uint64) { (*worklist.PQ)(q).Push(v, prio) }
+
+func (q *PQ) source() algo.Source { return algo.PQSource{PQ: (*worklist.PQ)(q)} }
 
 // Pop removes a minimal-priority vertex.
 func (q *PQ) Pop() (uint32, bool) {
