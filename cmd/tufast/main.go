@@ -22,7 +22,6 @@ import (
 
 	"tufast/internal/algo"
 	"tufast/internal/core"
-	"tufast/internal/deadlock"
 	"tufast/internal/engines/bsp"
 	"tufast/internal/engines/dist"
 	"tufast/internal/engines/lockstep"
@@ -172,7 +171,7 @@ func run(ctx context.Context, g *graph.CSR, algoName, system string, threads int
 		case "stm":
 			s = sched.NewSTM(sp)
 		case "2pl":
-			s = sched.NewTPL(sp, vlock.NewTable(n), deadlock.NewDetector(512))
+			s = sched.NewTPL(sp, vlock.NewTable(n))
 		case "occ":
 			s = sched.NewOCC(sp, vlock.NewTable(n))
 		case "to":

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tufast/internal/core"
-	"tufast/internal/deadlock"
 	"tufast/internal/graph"
 	"tufast/internal/graph/gen"
 	"tufast/internal/mem"
@@ -24,11 +23,10 @@ func schedFactories(n int) map[string]func(sp *mem.Space) sched.Scheduler {
 			return core.New(sp, n, core.Config{StaticPeriod: true, PeriodInit: 500})
 		},
 		"2pl-detect": func(sp *mem.Space) sched.Scheduler {
-			det := deadlock.NewDetector(64)
-			return sched.NewTPL(sp, vlock.NewTable(n), det)
+			return sched.NewTPL(sp, vlock.NewTable(n))
 		},
 		"2pl-exclusive": func(sp *mem.Space) sched.Scheduler {
-			s := sched.NewTPL(sp, vlock.NewTable(n), deadlock.NewDetector(64))
+			s := sched.NewTPL(sp, vlock.NewTable(n))
 			s.SetExclusiveOnly(true)
 			return s
 		},

@@ -398,9 +398,9 @@ func (r *Runtime) ForEachQueued(q Source, arr mem.Addr, fn func(tx sched.Tx, v u
 // each goroutine and returns the body run for every polled vertex, which
 // gets the priority the vertex was popped with (0 from a source without
 // PopPrio); what the body emits through out reaches sink only if its
-// attempt commits. A nil sink is for bodies that push into src
-// themselves; a nil hint means the graph's degree. arr is the one vertex array the body reads across
-// v's neighbourhood, warmed before each transaction (see warm), or NoWarm.
+// attempt commits. sink is required; a nil hint means the graph's
+// degree. arr is the one vertex array the body reads across v's
+// neighbourhood, warmed before each transaction (see warm), or NoWarm.
 func (r *Runtime) Drain(driver string, src worklist.Source, sink worklist.Sink, hint func(v uint32) int, arr mem.Addr,
 	start func(out *worklist.Emits) (body func(tx sched.Tx, v uint32, prio uint64) error)) (uint64, error) {
 	ctx := r.ctx()

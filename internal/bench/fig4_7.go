@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"tufast/internal/deadlock"
 	"tufast/internal/graph"
 	"tufast/internal/graph/gen"
 	"tufast/internal/htm"
@@ -249,7 +248,7 @@ func Fig7(o Options) []Table {
 func fig7Scheduler(name string, sp *mem.Space, n int) sched.Scheduler {
 	switch name {
 	case "2PL":
-		tpl := taxed(sched.NewTPL(sp, vlock.NewTable(n), deadlock.NewDetector(512)))
+		tpl := taxed(sched.NewTPL(sp, vlock.NewTable(n)))
 		// Read-then-update transactions under plain S/X locks live on
 		// the upgrade path, which deadlocks under contention; production
 		// 2PL uses update/exclusive-upfront locking for such workloads,

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tufast/internal/core"
-	"tufast/internal/deadlock"
 	"tufast/internal/graph"
 	"tufast/internal/mem"
 	"tufast/internal/sched"
@@ -57,10 +56,9 @@ func taxed[S interface{ SetTax(func()) }](s S) S {
 // stats.
 func schedulerSet(sp *mem.Space, n int) (map[string]sched.Scheduler, *core.System) {
 	tf := newTuFast(sp, n, core.Config{})
-	det := deadlock.NewDetector(512)
 	return map[string]sched.Scheduler{
 		"TuFast": tf,
-		"2PL":    taxed(sched.NewTPL(sp, vlock.NewTable(n), det)),
+		"2PL":    taxed(sched.NewTPL(sp, vlock.NewTable(n))),
 		"OCC":    taxed(sched.NewOCC(sp, vlock.NewTable(n))),
 		"STM":    taxed(sched.NewSTM(sp)),
 		"HSync":  taxed(sched.NewHSync(sp, 8)),

@@ -365,7 +365,7 @@ func TestWorkerTidBounds(t *testing.T) {
 			t.Fatal("expected panic for out-of-range tid")
 		}
 	}()
-	s.Worker(maxThreads)
+	s.Worker(sched.MaxThreads)
 }
 
 // snapshot is the System's metrics snapshot now: every count a test reads.

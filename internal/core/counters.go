@@ -42,5 +42,5 @@ func (s *System) registered() []*counters {
 }
 
 // Workers returns how many worker contexts have registered: with one pool
-// over the System, the thread ids in use out of maxThreads.
+// over the System, the thread ids in use out of sched.MaxThreads.
 func (s *System) Workers() int { return len(s.registered()) }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tufast/internal/deadlock"
 	"tufast/internal/htm"
 	"tufast/internal/mem"
 	"tufast/internal/obs"
@@ -69,10 +68,6 @@ func (s *System) lockerEnter()  { s.lState.Add(1<<32 | 1) }
 func (s *System) lockerExit()   { s.lState.Add(^uint64(0)) }
 func lockers(lState uint64) int { return int(uint32(lState)) }
 
-// maxThreads bounds worker ids for the deadlock detector's per-thread
-// state. Thread ids must be below this.
-const maxThreads = 512
-
 // New creates a TuFast system over sp with per-vertex locks for
 // nVertices vertices.
 func New(sp *mem.Space, nVertices int, cfg Config) *System {
@@ -83,7 +78,7 @@ func New(sp *mem.Space, nVertices int, cfg Config) *System {
 		cfg:    cfg,
 		period: newPeriodController(cfg.PeriodInit, cfg.PeriodFloor, periodCap),
 	}
-	s.lmode = sched.NewTPL(sp, s.locks, deadlock.NewDetector(maxThreads))
+	s.lmode = sched.NewTPL(sp, s.locks)
 	s.lmode.SetTax(cfg.Tax)
 	s.period.m = s.Metrics()
 	return s
@@ -116,7 +111,7 @@ func (s *System) Config() Config { return s.cfg }
 
 // Worker implements sched.Scheduler.
 func (s *System) Worker(tid int) sched.Worker {
-	if tid < 0 || tid >= maxThreads {
+	if tid < 0 || tid >= sched.MaxThreads {
 		panic("core: worker tid out of range")
 	}
 	w := &worker{s: s, tid: tid, c: new(counters), probe: s.Metrics().NewProbe()}

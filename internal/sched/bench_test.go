@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"tufast/internal/deadlock"
 	"tufast/internal/mem"
 	"tufast/internal/simcost"
 	"tufast/internal/vlock"
@@ -40,7 +39,7 @@ func benchScheduler(b *testing.B, mk func(sp *mem.Space) Scheduler) {
 
 func Benchmark2PLTxn(b *testing.B) {
 	benchScheduler(b, func(sp *mem.Space) Scheduler {
-		return taxed(NewTPL(sp, vlock.NewTable(1<<16), deadlock.NewDetector(8)))
+		return taxed(NewTPL(sp, vlock.NewTable(1<<16)))
 	})
 }
 
@@ -87,13 +86,13 @@ func BenchmarkSTMTxnUntaxed(b *testing.B) {
 // reads each of k vertices and then writes it, so every vertex takes the
 // shared-to-exclusive upgrade path. The reported ns/op is per vertex and
 // must stay flat from 256 to 2048: lock bookkeeping is O(1) per hold
-// (when the detector's UpgradeHold searched the hold list from the front
-// the transaction was O(k²) and this grew 8x).
+// (when a second hold list searched for the upgraded hold from the
+// front the transaction was O(k²) and this grew 8x).
 func BenchmarkTPLReadThenWrite(b *testing.B) {
 	for _, k := range []int{256, 2048} {
 		b.Run(fmt.Sprint(k), func(b *testing.B) {
 			sp := mem.NewSpace(1 << 16)
-			s := NewTPL(sp, vlock.NewTable(k), deadlock.NewDetector(8))
+			s := NewTPL(sp, vlock.NewTable(k))
 			w := s.Worker(0)
 			fn := func(tx Tx) error {
 				for v := uint32(0); int(v) < k; v++ {

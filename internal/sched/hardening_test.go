@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"tufast/internal/deadlock"
 	"tufast/internal/mem"
 	"tufast/internal/vlock"
 )
@@ -113,7 +112,7 @@ func newTPLFixture(t *testing.T, vertices int) (*TPL, *mem.Space, *vlock.Table) 
 	t.Helper()
 	sp := mem.NewSpace(vertices * 8)
 	locks := vlock.NewTable(vertices)
-	return NewTPL(sp, locks, deadlock.NewDetector(8)), sp, locks
+	return NewTPL(sp, locks), sp, locks
 }
 
 // assertNoLocksHeld fails if any vertex lock is held.
@@ -310,20 +309,18 @@ func TestTPLInjectedCommitPanicAbandon(t *testing.T) {
 }
 
 // TestTPLDetectModeCancelClearsWaitGraph cancels a worker blocked in the
-// Detect-mode wait loop and checks the deadlock detector forgot the wait
-// (a leaked BeginWait would poison later cycle checks).
+// Detect-mode wait loop and checks its waits-for slot forgot the wait (a
+// hold table left published would poison later cycle checks).
 func TestTPLDetectModeCancelClearsWaitGraph(t *testing.T) {
 	sp := mem.NewSpace(64)
 	locks := vlock.NewTable(8)
-	det := deadlock.NewDetector(8)
-	s := NewTPL(sp, locks, det)
+	s := NewTPL(sp, locks)
 	w := s.NewWorker(0)
 
 	const blocker = 3
 	if !locks.TryExclusive(2, blocker) {
 		t.Fatal("setup lock failed")
 	}
-	det.AddHold(blocker, 2, true)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -337,14 +334,12 @@ func TestTPLDetectModeCancelClearsWaitGraph(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// The cancelled wait must have called EndWait: a leaked waits-for edge
-	// from tid 0 would show up in the detector's waiting count and poison
-	// later cycle checks.
-	if n := det.Waiting(); n != 0 {
-		t.Fatalf("detector still records %d waiting threads after cancel", n)
+	// The cancelled wait must have called endWait: a hold table tid 0
+	// left published would be a leaked waits-for edge.
+	if published(s, 0) {
+		t.Fatal("the cancelled waiter's slot still publishes its hold table")
 	}
 	locks.ReleaseExclusive(2, blocker)
-	det.RemoveAll(blocker)
 	if err := w.Run(0, func(tx Tx) error {
 		tx.Write(2, mem.Addr(2), 9)
 		return nil

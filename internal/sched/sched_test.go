@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"tufast/internal/deadlock"
 	"tufast/internal/htm"
 	"tufast/internal/mem"
 	"tufast/internal/obs"
@@ -29,7 +28,7 @@ func makeAll(n int) map[string]func() (Scheduler, *mem.Space) {
 	}
 	return map[string]func() (Scheduler, *mem.Space){
 		"2pl-detect": mk(func(sp *mem.Space) Scheduler {
-			return NewTPL(sp, vlock.NewTable(n), deadlock.NewDetector(16))
+			return NewTPL(sp, vlock.NewTable(n))
 		}),
 		"occ": mk(func(sp *mem.Space) Scheduler {
 			return NewOCC(sp, vlock.NewTable(n))
@@ -225,7 +224,7 @@ func TestWriteSkewPrevented(t *testing.T) {
 // must all eventually commit under 2PL with detection.
 func TestDeadlockResolution(t *testing.T) {
 	sp := mem.NewSpace(64)
-	s := NewTPL(sp, vlock.NewTable(8), deadlock.NewDetector(8))
+	s := NewTPL(sp, vlock.NewTable(8))
 	var wg sync.WaitGroup
 	const each = 200
 	order := [][2]uint32{{1, 2}, {2, 1}}
@@ -310,7 +309,7 @@ func TestTaxHookChargedPerSoftwareBarrier(t *testing.T) {
 // and the TPL's own metrics stay empty.
 func TestHostedTPLWorkerRecordsOnlyBackoff(t *testing.T) {
 	sp := mem.NewSpace(1024)
-	s := NewTPL(sp, vlock.NewTable(8), deadlock.NewDetector(4))
+	s := NewTPL(sp, vlock.NewTable(8))
 	var host Instrumented
 	probe := host.Metrics().NewProbe()
 	w := s.NewWorkerFor(0, &probe)

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"tufast/internal/deadlock"
 	"tufast/internal/mem"
 	"tufast/internal/vlock"
 )
@@ -134,7 +133,7 @@ func TestSerializabilityHistories(t *testing.T) {
 	const words = 12 // few words -> high contention -> hard histories
 	mk := map[string]func(sp *mem.Space) Scheduler{
 		"2pl-detect": func(sp *mem.Space) Scheduler {
-			return NewTPL(sp, vlock.NewTable(words), deadlock.NewDetector(16))
+			return NewTPL(sp, vlock.NewTable(words))
 		},
 		"occ":   func(sp *mem.Space) Scheduler { return NewOCC(sp, vlock.NewTable(words)) },
 		"to":    func(sp *mem.Space) Scheduler { return NewTO(sp, vlock.NewTable(words), words) },
@@ -180,7 +179,7 @@ func TestSerializabilityCheckerCatchesViolations(t *testing.T) {
 // workers sharing a tid would corrupt lock ownership.
 func TestConcurrentWorkersUniqueIDs(t *testing.T) {
 	sp := mem.NewSpace(256)
-	s := NewTPL(sp, vlock.NewTable(16), deadlock.NewDetector(8))
+	s := NewTPL(sp, vlock.NewTable(16))
 	var active atomic.Int32
 	var wg sync.WaitGroup
 	for tid := 0; tid < 8; tid++ {

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tufast/internal/deadlock"
 	"tufast/internal/gentab"
 	"tufast/internal/mem"
 	"tufast/internal/obs"
@@ -24,8 +23,13 @@ type TPL struct {
 	Taxed
 	sp    *mem.Space
 	locks *vlock.Table
-	det   *deadlock.Detector
 	name  string
+
+	// slots is the waits-for graph, one slot per thread id; top is one
+	// past the highest id that ever began a wait, so a cycle check scans
+	// [0, top) instead of every slot.
+	slots [MaxThreads]waitSlot
+	top   atomic.Int32
 
 	// drain is the starvation drain of every worker's loop: the
 	// shared->exclusive upgrade path can make the same transaction a
@@ -52,12 +56,9 @@ func (s *TPL) SetExclusiveOnly(on bool) { s.exclusiveOnly = on }
 // SetFaultInjector installs (or, with nil, removes) a fault injector.
 func (s *TPL) SetFaultInjector(fi *FaultInjector) { s.faults.Store(fi) }
 
-// NewTPL creates a 2PL scheduler whose waits det checks for cycles.
-func NewTPL(sp *mem.Space, locks *vlock.Table, det *deadlock.Detector) *TPL {
-	if det == nil {
-		panic("sched: TPL requires a deadlock detector")
-	}
-	return &TPL{sp: sp, locks: locks, det: det, name: "2PL"}
+// NewTPL creates a 2PL scheduler over sp guarded by locks.
+func NewTPL(sp *mem.Space, locks *vlock.Table) *TPL {
+	return &TPL{sp: sp, locks: locks, name: "2PL"}
 }
 
 // Name implements Scheduler.
@@ -75,21 +76,21 @@ func (s *TPL) NewWorker(tid int) *TPLWorker {
 
 // NewWorkerFor returns a worker that records its transactions into probe
 // instead. TuFast's core runs L mode on one, recorded in its own worker's
-// probe under the transaction's class (Continue).
+// probe under the transaction's class (Continue). tid must be in
+// [0, MaxThreads).
 func (s *TPL) NewWorkerFor(tid int, probe *obs.Probe) *TPLWorker {
+	if tid < 0 || tid >= MaxThreads {
+		panic("sched: TPL worker tid out of range")
+	}
 	w := &TPLWorker{s: s, tid: tid, held: gentab.New(6)}
 	w.loop = newLoop(w, probe, obs.ModeL, &s.drain, uint64(tid)*0x9E3779B97F4A7C15+1)
 	return w
 }
 
-// A held-table value packs the hold's mode with its position in order
-// (and in the detector's hold list, which grows in lockstep): an upgrade
-// names its hold instead of searching for it.
+// A held-table value is the hold's mode.
 const (
 	holdShared int32 = 1
 	holdExcl   int32 = 2
-	holdMode   int32 = 3
-	holdShift        = 2
 )
 
 type undoRec struct {
@@ -102,7 +103,7 @@ type TPLWorker struct {
 	loop
 	s     *TPL
 	tid   int
-	held  *gentab.Table // vertex -> position in order << holdShift | holdShared/holdExcl
+	held  *gentab.Table // vertex -> holdShared/holdExcl
 	order []uint32
 	undo  []undoRec
 
@@ -141,8 +142,8 @@ func (w *TPLWorker) reason() obs.Reason {
 
 // AbandonInFlight implements Abandoner: it rolls back and releases
 // whatever a panic-interrupted attempt still holds (undo log first, then
-// locks) and clears the deadlock-detector state; the next transaction
-// starts its backoff afresh anyway. Idempotent; a clean worker is a no-op.
+// locks); the next transaction starts its backoff afresh anyway.
+// Idempotent; a clean worker is a no-op.
 func (w *TPLWorker) AbandonInFlight() bool {
 	w.finish(false)
 	return true
@@ -165,15 +166,13 @@ func (w *TPLWorker) finish(commit bool) {
 		}
 	}
 	for _, v := range w.order {
-		m, _ := w.held.Get(uint64(v))
-		switch m & holdMode {
+		switch m, _ := w.held.Get(uint64(v)); m {
 		case holdShared:
 			w.s.locks.ReleaseShared(v)
 		case holdExcl:
 			w.s.locks.ReleaseExclusive(v, w.tid)
 		}
 	}
-	w.s.det.RemoveAll(w.tid)
 	w.order = w.order[:0]
 	w.undo = w.undo[:0]
 	w.held.Reset()
@@ -198,7 +197,7 @@ func (w *TPLWorker) Read(v uint32, addr mem.Addr) uint64 {
 func (w *TPLWorker) Write(v uint32, addr mem.Addr, val uint64) {
 	w.s.chargeTax()
 	w.s.faults.Load().At("L", "write")
-	if m, ok := w.held.Get(uint64(v)); !ok || m&holdMode != holdExcl {
+	if m, ok := w.held.Get(uint64(v)); !ok || m != holdExcl {
 		w.lockExclusive(v)
 	}
 	w.undo = append(w.undo, undoRec{addr: addr, old: w.s.sp.Load(addr)})
@@ -212,23 +211,20 @@ func (w *TPLWorker) lockShared(v uint32) {
 }
 
 func (w *TPLWorker) lockExclusive(v uint32) {
-	if m, ok := w.held.Get(uint64(v)); ok && m&holdMode == holdShared {
+	if m, ok := w.held.Get(uint64(v)); ok && m == holdShared {
 		// Shared-to-exclusive upgrade: wait until we are the sole holder.
 		w.block(v, true, func() bool { return w.s.locks.UpgradeToExclusive(v, w.tid) })
-		w.held.Put(uint64(v), m&^holdMode|holdExcl)
-		w.s.det.UpgradeHold(w.tid, int(m>>holdShift), v)
+		w.held.Put(uint64(v), holdExcl)
 		return
 	}
 	w.block(v, true, func() bool { return w.s.locks.TryExclusive(v, w.tid) })
 	w.noteHold(v, holdExcl)
 }
 
-// noteHold records a freshly acquired lock at the tail of order and of
-// the detector's hold list.
+// noteHold records a freshly acquired lock at the tail of order.
 func (w *TPLWorker) noteHold(v uint32, mode int32) {
-	w.held.Put(uint64(v), int32(len(w.order))<<holdShift|mode)
+	w.held.Put(uint64(v), mode)
 	w.order = append(w.order, v)
-	w.s.det.AddHold(w.tid, v, mode == holdExcl)
 }
 
 // block acquires a lock via try, spinning while it waits. A wait that
@@ -240,18 +236,18 @@ func (w *TPLWorker) block(v uint32, exclusive bool, try func() bool) {
 	if try() {
 		return
 	}
-	if err := w.s.det.BeginWait(w.tid, v, exclusive); err != nil {
+	if w.s.beginWait(w.tid, w.held, v, exclusive) {
 		w.dlAbort = true
 		ThrowAbort("deadlock victim")
 	}
 	for i := 0; ; i++ {
 		if try() {
-			w.s.det.EndWait(w.tid)
+			w.s.endWait(w.tid)
 			return
 		}
 		if i&15 == 15 {
 			if err := w.ctxErr(); err != nil {
-				w.s.det.EndWait(w.tid)
+				w.s.endWait(w.tid)
 				ThrowCancel(err)
 			}
 			runtime.Gosched()

@@ -80,8 +80,7 @@ func (e *Emits) publish(sink Sink) {
 // are buffered privately and published to sink only after the transaction
 // committed (an aborted attempt's are dropped, see Emits.Retry), which
 // closes the lost-wakeup window of pushing before the activating write is
-// visible. A drain whose bodies push into src themselves passes a nil
-// sink and ignores out.
+// visible. sink is required, even where nothing is emitted.
 //
 // A worker takes up to drainChunk ids at a time from a source with
 // PopChunk and publishes its wakeups once per chunk, always before it

@@ -132,9 +132,10 @@ end
 # on schedulers that lose updates once threads outnumber cores, so the
 # same oracles run again as eight concurrent processes at -cpu 8, over
 # every baseline scheduler (with the deadlock-resolution test, which
-# lives on the detector's cycle scan, the one-record-per-outcome test,
-# whose deadlock victims it makes, and the count of HSync's and H-TO's
-# hardware attempts in their own snapshot), over core's cross-mode histories
+# lives on TPL's waits-for cycle scan, the one-record-per-outcome test,
+# whose deadlock victims it makes, the count of HSync's and H-TO's
+# hardware attempts in their own snapshot, and the waits-for graph's own
+# cycle and concurrent-safety tests), over core's cross-mode histories
 # (with the lockers always there, and coming and going), mode ladder,
 # router, commit gate, quiet-attempt interleavings, O-commit announcement
 # and the one record of outcomes (cancellations between rungs
@@ -183,7 +184,7 @@ oversubscribed() { # test binary, -test.run pattern, -test.count
         exit 1
     fi
 }
-oversubscribed "$tmp/sched.test" 'TestSerializabilityHistories|TestBankTransfer|TestCounterIsolation|TestWriteSkewPrevented|TestDeadlockResolution|TestOutcomesRecordedOnce|TestBaselineHTMCountsInOwnSnapshot' 50
+oversubscribed "$tmp/sched.test" 'TestSerializabilityHistories|TestBankTransfer|TestCounterIsolation|TestWriteSkewPrevented|TestDeadlockResolution|TestOutcomesRecordedOnce|TestBaselineHTMCountsInOwnSnapshot|TestNoCycleAllowsWait|TestTwoPartyCycle|TestThreePartyCycle|TestSharedSharedNoCycle|TestUpgradeUpgradeCycle|TestRemoveAllClearsHolds|TestUpgradedHold|TestScanCoversHighestWaiter|TestRunningHolderIsNoEdge|TestConcurrentDetectorSafety' 50
 oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestCrossModeHistoriesLockersComeAndGo|TestIsolationAcrossModes|TestRouter|TestBackoffStartsAtZeroAfterLadder|TestOCapacityAbortDoesNotBackOff|TestLEntryWaitsForHCommitWindow|TestPanicInCommitWindowClearsGate|TestLateWorkerSeesLActive|TestQuietH|TestOCommitLowersCountOnEveryExit|TestOneCountFourViews|TestCancelAfterHAbortCountsOnce|TestLDeadlockCycleResolved' 30
 oversubscribed "$tmp/worklist.test" 'TestDrain' 30
 oversubscribed "$tmp/algo.test" 'TestForEachQueued|TestResultsCountCommitsNotAttempts|TestQueuedKernelsMatchSequential|TestSPFAStaleEntryOneRead' 10
