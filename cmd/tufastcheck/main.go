@@ -2,7 +2,8 @@
 // transaction contract and the serving plane's concurrency contract:
 // the rules the runtime cannot check at run time but serializability
 // and the serving plane's mutex ordering depend on. (L mode's vertex
-// locks need no static rule: its deadlock detector breaks any cycle.)
+// locks need no static rule: a worker waits without bound only for a
+// vertex above every lock it holds, so no wait cycle forms.)
 //
 //	tufastcheck [-json] [-enable a,b] [-strict-ignores] [packages...]
 //

@@ -21,17 +21,18 @@ func main() {
 
 	fifo := sys.NewQueue()
 	fifo.Push(source)
-	relaxations := runSSSP(sys, g, source, maxW, "bellman-ford (FIFO queue)", fifo)
+	_, relaxations := runSSSP(sys, g, source, maxW, "bellman-ford (FIFO queue)", fifo)
 	pq := sys.NewPQ()
 	pq.Push(source, 0)
-	relaxationsPQ := runSSSP(sys, g, source, maxW, "spfa (priority queue)", pq)
+	_, relaxationsPQ := runSSSP(sys, g, source, maxW, "spfa (priority queue)", pq)
 	fmt.Printf("\npriority scheduling saved %.1f%% of the relaxation transactions\n",
 		100*(1-float64(relaxationsPQ)/float64(relaxations)))
 }
 
 // runSSSP drains q, which holds only source, relaxing out of each polled
 // vertex; the queue kind is the only difference between the algorithms.
-func runSSSP(sys *tufast.System, g *tufast.Graph, source uint32, maxW uint32, name string, q tufast.Source) uint64 {
+// It returns the distances and the relaxation transactions committed.
+func runSSSP(sys *tufast.System, g *tufast.Graph, source uint32, maxW uint32, name string, q tufast.Source) (tufast.VertexArray, uint64) {
 	dist := sys.NewVertexArray(tufast.None)
 	dist.Set(source, 0)
 
@@ -70,5 +71,5 @@ func runSSSP(sys *tufast.System, g *tufast.Graph, source uint32, maxW uint32, na
 	}
 	fmt.Printf("%-28s reached %6d vertices with %8d relaxation txns in %v\n",
 		name, reached, relaxed, time.Since(start).Round(time.Millisecond))
-	return relaxed
+	return dist, relaxed
 }

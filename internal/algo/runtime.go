@@ -45,8 +45,8 @@ type Runtime struct {
 }
 
 // pool is the scheduler's worker contexts. A thread id is bound to its
-// worker for life — vertex-lock ownership, the deadlock detector's hold
-// lists and H mode's "the stamp's owner is me" are all per id and assume
+// worker for life — vertex-lock ownership, core's worker registry and
+// H mode's "the stamp's owner is me" are all per id and assume
 // one goroutine per id — so there is one pool per scheduler, ids are
 // minted once, and idle workers wait on an explicit free list rather than
 // in a sync.Pool, which could drop and re-mint them past the id budget.

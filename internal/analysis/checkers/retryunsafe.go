@@ -11,7 +11,7 @@ import (
 
 // RetryUnsafe flags non-idempotent operations inside a transaction body.
 // All three TM modes re-run the TxFunc: H mode on conflict aborts, O
-// mode on validation failure, L mode when chosen as a deadlock victim —
+// mode on validation failure, L mode when a lock wait is refused —
 // so any effect that is not undone by the rollback executes once per
 // attempt, not once per commit. Channel sends, goroutine launches,
 // mutations of variables captured from outside the body, I/O, clock and

@@ -250,7 +250,7 @@ func fig7Scheduler(name string, sp *mem.Space, n int) sched.Scheduler {
 	case "2PL":
 		tpl := taxed(sched.NewTPL(sp, vlock.NewTable(n)))
 		// Read-then-update transactions under plain S/X locks live on
-		// the upgrade path, which deadlocks under contention; production
+		// the upgrade path, whose waits abort under contention; production
 		// 2PL uses update/exclusive-upfront locking for such workloads,
 		// and the paper's Fig. 7 2PL can only win at high contention
 		// with it.

@@ -8,8 +8,10 @@
 //	O mode  HTM-assisted optimistic execution: private write buffer,
 //	        reads monitored in HTM segments of `period` operations,
 //	        commit-time validation (Algorithm 2, Fig. 9);
-//	L mode  strict two-phase locking with deadlock detection
-//	        (Algorithm 3) — reused from the sched package.
+//	L mode  strict two-phase locking with deadlock prevention by lock
+//	        order: a worker waits without bound only for a vertex above
+//	        every lock it holds (Algorithm 3) — reused from the sched
+//	        package.
 //
 // The O-mode segment length adapts at run time: modelling a per-operation
 // abort probability p, the expected committed work (1-p)^P·P is maximal

@@ -2,8 +2,12 @@ package core
 
 import (
 	"errors"
+	"math/rand/v2"
+	"os"
+	"runtime/pprof"
 	"sync"
 	"testing"
+	"time"
 
 	"tufast/internal/htm"
 	"tufast/internal/mem"
@@ -189,12 +193,13 @@ func TestIsolationAcrossModes(t *testing.T) {
 }
 
 // TestLDeadlockCycleResolved: two L transactions that take a leaf and a
-// hub in opposite orders close a waits-for cycle (one holds the leaf
+// hub in opposite orders would close a wait cycle (one holds the leaf
 // exclusively and waits to read the hub, the other the reverse), and the
-// detector must break it: every transaction commits, both counters are
-// exact, no vertex lock is left held, and each victim is one deadlock
-// abort in the metrics. The first attempts meet while each holds its
-// first vertex, so at least one cycle forms on every run.
+// lock order rule must refuse the wait below the leaf: every transaction
+// commits, both counters are exact, no vertex lock is left held, and each
+// refused wait is one deadlock abort in the metrics. The first attempts
+// meet while each holds its first vertex, so at least one wait is refused
+// on every run.
 func TestLDeadlockCycleResolved(t *testing.T) {
 	const leaf, hub, each = 1, 0, 200
 	s, sp := newSys(8, Config{HMaxHint: 1, OMaxHint: 1})
@@ -243,6 +248,71 @@ func TestLDeadlockCycleResolved(t *testing.T) {
 	victims := s.Metrics().Snapshot().Modes[obs.ModeL.String()].Aborts["deadlock"]
 	if snapshot(s).Totals().Deadlocks != victims || victims == 0 {
 		t.Fatalf("Deadlocks() = %d, metrics record %d deadlock aborts; want equal and > 0", snapshot(s).Totals().Deadlocks, victims)
+	}
+}
+
+// TestRandomOrderLockingCommits is the prevention oracle in L mode: 8
+// workers run seeded transactions, routed straight to L, that each read
+// and then write 2–6 distinct vertices of a pool of 16, in random order.
+// Every transaction commits, every counter is exact and no lock is left
+// held; a wait cycle that formed would hang, and the test fails on a 20 s
+// deadline with every goroutine's stack instead.
+func TestRandomOrderLockingCommits(t *testing.T) {
+	const workers, each, pool = 8, 300, 16
+	s, sp := newSys(pool, Config{HMaxHint: 1, OMaxHint: 1})
+	var want [workers][pool]uint64
+	var wg sync.WaitGroup
+	for tid := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := s.Worker(tid)
+			r := rand.New(rand.NewPCG(uint64(tid), 57))
+			for range each {
+				vs := r.Perm(pool)[:2+r.IntN(5)]
+				err := w.Run(len(vs), func(tx sched.Tx) error {
+					for _, v := range vs {
+						tx.Write(uint32(v), mem.Addr(v), tx.Read(uint32(v), mem.Addr(v))+1)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Errorf("worker %d: %v", tid, err)
+					return
+				}
+				for _, v := range vs {
+					want[tid][v]++
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		pprof.Lookup("goroutine").WriteTo(os.Stderr, 2)
+		t.Fatal("transactions still running after 20s: a wait cycle formed")
+	}
+	for v := range pool {
+		var sum uint64
+		for tid := range workers {
+			sum += want[tid][v]
+		}
+		if got := sp.Load(mem.Addr(v)); got != sum {
+			t.Errorf("vertex %d = %d, want %d", v, got, sum)
+		}
+	}
+	if got := commits(s, obs.ModeL); got != workers*each {
+		t.Errorf("%d L commits, want %d: %v", got, workers*each, modeDump(s))
+	}
+	for v := 0; v < s.Locks().Len(); v++ {
+		if owner, ok := s.Locks().ExclusiveOwner(uint32(v)); ok {
+			t.Fatalf("vertex %d still exclusively locked by tid %d", v, owner)
+		}
+		if n := s.Locks().SharedCount(uint32(v)); n != 0 {
+			t.Fatalf("vertex %d still has %d shared holders", v, n)
+		}
 	}
 }
 

@@ -277,8 +277,8 @@ func (s *System) awaitHCommits() {
 
 // runL executes fn under blocking 2PL, which always commits but for a
 // user error, a panic or a cancellation: the TPL worker's loop retries
-// deadlock victims and records every attempt under class, as the rest of
-// the transaction this worker began.
+// attempts whose waits were refused and records every attempt under
+// class, as the rest of the transaction this worker began.
 func (w *worker) runL(fn sched.TxFunc, class obs.Mode) error {
 	// Announce the L transaction: from here on every H commit either
 	// sees it in lState or finishes publishing before awaitHCommits

@@ -18,7 +18,7 @@
 //
 // A Probe is the only place a scheduler records a transaction's outcome
 // and what its hardware transactions did: every count a scheduler reports
-// — commits, aborts, stops, operations, deadlock victims, emulated-HTM
+// — commits, aborts, stops, operations, deadlock aborts, emulated-HTM
 // starts and aborts, quiet attempts — is read from one Snapshot, so no two
 // views can disagree and one Reset clears them all.
 //
@@ -97,7 +97,8 @@ const (
 	ReasonExplicit
 	// ReasonLocked: a line seqlock was held at access or commit.
 	ReasonLocked
-	// ReasonDeadlock: chosen as a deadlock victim (lock-based modes).
+	// ReasonDeadlock: a lock wait that could close a cycle was refused
+	// (L mode and 2PL wait only for a vertex above every lock they hold).
 	ReasonDeadlock
 	// ReasonUser: the transaction function returned an error.
 	ReasonUser

@@ -346,7 +346,7 @@ type Totals struct {
 	Aborts    uint64 // attempts aborted and retried
 	UserStops uint64 // transactions stopped by user error, panic or cancellation
 	Panics    uint64 // the user stops that were panics
-	Deadlocks uint64 // the aborts of deadlock victims
+	Deadlocks uint64 // the aborts of refused lock waits
 	Reads     uint64 // operations of committed transactions
 	Writes    uint64
 }

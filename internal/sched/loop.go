@@ -42,8 +42,9 @@ type loop struct {
 	mode  obs.Mode
 
 	// drain is the starvation escape hatch, nil where the protocol needs
-	// none: under extreme contention 2PL's upgrade path can make the same
-	// transaction a deadlock victim indefinitely, and timestamp ordering
+	// none: under extreme contention 2PL's upgrade waits, which are given
+	// up after 16 tries, can abort the same transaction indefinitely, and
+	// timestamp ordering
 	// aborts a large writer whose footprint newer transactions keep
 	// touching. After starveLimit consecutive aborts an attempt takes the
 	// drain exclusively and runs alone.

@@ -2,7 +2,7 @@
 // TuFast and every baseline the paper compares against (§VI-B), and
 // implements the baselines themselves:
 //
-//	tpl      two-phase locking with deadlock detection (also TuFast's L mode)
+//	tpl      two-phase locking with deadlock prevention by lock order (also TuFast's L mode)
 //	occ      Silo-style optimistic concurrency control
 //	to       timestamp ordering, and with HTM segments H-TO (H-TO-like)
 //	stm      TL2/TinySTM-style software transactional memory

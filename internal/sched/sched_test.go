@@ -221,7 +221,7 @@ func TestWriteSkewPrevented(t *testing.T) {
 }
 
 // TestDeadlockResolution: transactions locking {A,B} in opposite orders
-// must all eventually commit under 2PL with detection.
+// must all eventually commit under 2PL.
 func TestDeadlockResolution(t *testing.T) {
 	sp := mem.NewSpace(64)
 	s := NewTPL(sp, vlock.NewTable(8))
@@ -388,10 +388,10 @@ func TestBackoffStartsAtZero(t *testing.T) {
 
 // TestOutcomesRecordedOnce: the loop records every outcome once, in the
 // metrics every count is read from. Four workers run a seeded mix of
-// commits, injected aborts, conflict aborts on two shared words (deadlock
-// victims under 2PL with detection), user stops and panics; the metrics
+// commits, injected aborts, conflict aborts on two shared words (refused
+// waits, deadlock aborts, under 2PL), user stops and panics; the metrics
 // must agree with what the workers saw on commits, stops and panics, and
-// with what their bodies saw unwind them on deadlock victims, and every
+// with what their bodies saw unwind them on refused waits, and every
 // abort (none was cancelled) must have waited once.
 func TestOutcomesRecordedOnce(t *testing.T) {
 	boom := errors.New("boom")
@@ -415,7 +415,7 @@ func TestOutcomesRecordedOnce(t *testing.T) {
 						err := w.Run(4, func(tx Tx) error {
 							defer func() {
 								if r := recover(); r != nil {
-									if sig, ok := r.(abortSig); ok && sig.reason == "deadlock victim" {
+									if sig, ok := r.(abortSig); ok && sig.reason == "refused wait" {
 										victims.Add(1)
 									}
 									panic(r)
@@ -541,4 +541,22 @@ func TestBaselineHTMCountsInOwnSnapshot(t *testing.T) {
 			t.Fatalf("HTM %+v, want %d segment commits out of %d starts", h, k, k+1)
 		}
 	})
+}
+
+// TestWorkerTidBound: a TPL worker's id must fit a vertex lock's owner
+// field, and one that does not is refused when the worker is made, not at
+// its first lock.
+func TestWorkerTidBound(t *testing.T) {
+	s := NewTPL(nil, nil)
+	s.NewWorker(MaxThreads - 1)
+	for _, tid := range []int{-1, MaxThreads} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewWorker(%d) did not panic", tid)
+				}
+			}()
+			s.NewWorker(tid)
+		}()
+	}
 }

@@ -11,13 +11,16 @@ import (
 	"tufast/internal/vlock"
 )
 
+// MaxThreads bounds thread ids: an id is stored in a vertex lock's 16-bit
+// owner field and indexes core's worker registry.
+const MaxThreads = 512
+
 // TPL is strict two-phase locking over per-vertex reader-writer locks,
-// with waits-for-graph deadlock detection: a wait that would close a
-// cycle makes its transaction the victim. It is both the paper's 2PL
-// baseline (§III, §VI-B) and TuFast's L mode (§IV-A, Algorithm 3):
-// writes go in place under exclusive locks (with an undo log), so
-// optimistic readers in other modes observe the version bumps and the
-// lock stamps.
+// with deadlock prevention by lock order (see block). It is both the
+// paper's 2PL baseline (§III, §VI-B) and TuFast's L mode (§IV-A,
+// Algorithm 3): writes go in place under exclusive locks (with an undo
+// log), so optimistic readers in other modes observe the version bumps
+// and the lock stamps.
 type TPL struct {
 	Instrumented
 	Taxed
@@ -25,23 +28,17 @@ type TPL struct {
 	locks *vlock.Table
 	name  string
 
-	// slots is the waits-for graph, one slot per thread id; top is one
-	// past the highest id that ever began a wait, so a cycle check scans
-	// [0, top) instead of every slot.
-	slots [MaxThreads]waitSlot
-	top   atomic.Int32
-
 	// drain is the starvation drain of every worker's loop: the
-	// shared->exclusive upgrade path can make the same transaction a
-	// deadlock victim indefinitely (every retry meets fresh shared
-	// holders).
+	// shared->exclusive upgrade path, which always waits below the
+	// worker's top, can abort the same transaction indefinitely (every
+	// retry meets fresh shared holders).
 	drain sync.RWMutex
 
 	// exclusiveOnly acquires every lock in exclusive mode (the classic
 	// pessimistic configuration; read-then-update transactions otherwise
-	// live on the deadlock-prone upgrade path). This is how 2PL "wins at
+	// live on the abort-prone upgrade path). This is how 2PL "wins at
 	// high contention" in the paper's Figure 7: blocking on an exclusive
-	// lock is cheap, repeated upgrade deadlocks are not.
+	// lock is cheap, repeated upgrade aborts are not.
 	exclusiveOnly bool
 
 	// faults is the deterministic fault-injection hook (tests only);
@@ -107,7 +104,11 @@ type TPLWorker struct {
 	order []uint32
 	undo  []undoRec
 
-	// dlAbort marks the in-flight attempt as a deadlock victim.
+	// top is one more than the highest vertex the attempt holds, 0 when it
+	// holds none. Vertex ids index the lock table, so v+1 cannot wrap.
+	top uint32
+
+	// dlAbort marks the in-flight attempt as aborted by a refused wait.
 	dlAbort bool
 
 	nreads, nwrites uint64
@@ -176,6 +177,7 @@ func (w *TPLWorker) finish(commit bool) {
 	w.order = w.order[:0]
 	w.undo = w.undo[:0]
 	w.held.Reset()
+	w.top = 0
 }
 
 // Read implements Tx.
@@ -206,51 +208,51 @@ func (w *TPLWorker) Write(v uint32, addr mem.Addr, val uint64) {
 }
 
 func (w *TPLWorker) lockShared(v uint32) {
-	w.block(v, false, func() bool { return w.s.locks.TryShared(v) })
+	w.block(v, func() bool { return w.s.locks.TryShared(v) })
 	w.noteHold(v, holdShared)
 }
 
 func (w *TPLWorker) lockExclusive(v uint32) {
 	if m, ok := w.held.Get(uint64(v)); ok && m == holdShared {
 		// Shared-to-exclusive upgrade: wait until we are the sole holder.
-		w.block(v, true, func() bool { return w.s.locks.UpgradeToExclusive(v, w.tid) })
+		// v is held, so v < top and the wait is a short one.
+		w.block(v, func() bool { return w.s.locks.UpgradeToExclusive(v, w.tid) })
 		w.held.Put(uint64(v), holdExcl)
 		return
 	}
-	w.block(v, true, func() bool { return w.s.locks.TryExclusive(v, w.tid) })
+	w.block(v, func() bool { return w.s.locks.TryExclusive(v, w.tid) })
 	w.noteHold(v, holdExcl)
 }
 
-// noteHold records a freshly acquired lock at the tail of order.
+// noteHold records a freshly acquired lock at the tail of order and
+// raises top over it.
 func (w *TPLWorker) noteHold(v uint32, mode int32) {
 	w.held.Put(uint64(v), mode)
 	w.order = append(w.order, v)
+	if v >= w.top {
+		w.top = v + 1
+	}
 }
 
-// block acquires a lock via try, spinning while it waits. A wait that
-// would close a waits-for cycle unwinds the attempt as the deadlock
-// victim; context cancellation unwinds it terminally via ThrowCancel, so
-// a cancelled transaction stuck behind a lock returns instead of spinning
-// forever.
-func (w *TPLWorker) block(v uint32, exclusive bool, try func() bool) {
-	if try() {
-		return
-	}
-	if w.s.beginWait(w.tid, w.held, v, exclusive) {
-		w.dlAbort = true
-		ThrowAbort("deadlock victim")
-	}
-	for i := 0; ; i++ {
-		if try() {
-			w.s.endWait(w.tid)
-			return
+// block acquires a lock of v via try, spinning while it waits and
+// yielding every 16 tries. A wait for v below top ends at its first yield
+// point instead, aborting the attempt: an unbounded wait then goes only
+// to a holder whose top is strictly greater, so no cycle of them can
+// form, whatever order the caller locks in (H and O mode never wait while
+// holding a lock). Context cancellation unwinds a wait terminally via
+// ThrowCancel, so a cancelled transaction stuck behind a lock returns.
+func (w *TPLWorker) block(v uint32, try func() bool) {
+	for i := 0; !try(); i++ {
+		if i&15 != 15 {
+			continue
 		}
-		if i&15 == 15 {
-			if err := w.ctxErr(); err != nil {
-				w.s.endWait(w.tid)
-				ThrowCancel(err)
-			}
-			runtime.Gosched()
+		if v < w.top {
+			w.dlAbort = true
+			ThrowAbort("refused wait")
 		}
+		if err := w.ctxErr(); err != nil {
+			ThrowCancel(err)
+		}
+		runtime.Gosched()
 	}
 }

@@ -132,14 +132,17 @@ end
 # on schedulers that lose updates once threads outnumber cores, so the
 # same oracles run again as eight concurrent processes at -cpu 8, over
 # every baseline scheduler (with the deadlock-resolution test, which
-# lives on TPL's waits-for cycle scan, the one-record-per-outcome test,
-# whose deadlock victims it makes, the count of HSync's and H-TO's
-# hardware attempts in their own snapshot, and the waits-for graph's own
-# cycle and concurrent-safety tests), over core's cross-mode histories
-# (with the lockers always there, and coming and going), mode ladder,
-# router, commit gate, quiet-attempt interleavings, O-commit announcement
-# and the one record of outcomes (cancellations between rungs
-# included), and two L transactions closing a waits-for cycle, over the
+# lives on TPL's lock order rule, the one-record-per-outcome test, whose
+# refused waits it makes, the count of HSync's and H-TO's hardware
+# attempts in their own snapshot, and TPL's own tests of the rule: wait
+# cycles of two and three workers, upgrades, waits above and below the
+# worker's locks, and random-order locking on a deadline), over core's
+# cross-mode histories (with the lockers always there, and coming and
+# going), mode ladder, router, commit gate, quiet-attempt interleavings,
+# O-commit announcement and the one record of outcomes (cancellations
+# between rungs included), two L transactions that would close a wait
+# cycle, and random-order locking in L mode on a deadline, over the
+# shortest-path example against Dijkstra (hubs in L mode), over the
 # queued driver (its own quiesce, chunk and priority tests, the
 # algorithms' entry point into it, and WCC and SPFA against their
 # sequential references and SPFA's stale entries), over the snapshot fold beside and after chain
@@ -167,6 +170,7 @@ go test -c -o "$tmp/worklist.test" ./internal/worklist
 go test -c -o "$tmp/algo.test" ./internal/algo
 go test -c -o "$tmp/dyngraph.test" ./internal/dyngraph
 go test -c -o "$tmp/tufast.test" .
+go test -c -o "$tmp/shortestpath.test" ./examples/shortestpath
 go test -race -c -o "$tmp/server.test" ./internal/server
 oversubscribed() { # test binary, -test.run pattern, -test.count
     pids=""
@@ -184,9 +188,10 @@ oversubscribed() { # test binary, -test.run pattern, -test.count
         exit 1
     fi
 }
-oversubscribed "$tmp/sched.test" 'TestSerializabilityHistories|TestBankTransfer|TestCounterIsolation|TestWriteSkewPrevented|TestDeadlockResolution|TestOutcomesRecordedOnce|TestBaselineHTMCountsInOwnSnapshot|TestNoCycleAllowsWait|TestTwoPartyCycle|TestThreePartyCycle|TestSharedSharedNoCycle|TestUpgradeUpgradeCycle|TestRemoveAllClearsHolds|TestUpgradedHold|TestScanCoversHighestWaiter|TestRunningHolderIsNoEdge|TestConcurrentDetectorSafety' 50
-oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestCrossModeHistoriesLockersComeAndGo|TestIsolationAcrossModes|TestRouter|TestBackoffStartsAtZeroAfterLadder|TestOCapacityAbortDoesNotBackOff|TestLEntryWaitsForHCommitWindow|TestPanicInCommitWindowClearsGate|TestLateWorkerSeesLActive|TestQuietH|TestOCommitLowersCountOnEveryExit|TestOneCountFourViews|TestCancelAfterHAbortCountsOnce|TestLDeadlockCycleResolved' 30
+oversubscribed "$tmp/sched.test" 'TestSerializabilityHistories|TestBankTransfer|TestCounterIsolation|TestWriteSkewPrevented|TestDeadlockResolution|TestOutcomesRecordedOnce|TestBaselineHTMCountsInOwnSnapshot|TestNoCycleAllowsWait|TestTwoPartyCycle|TestThreePartyCycle|TestSharedSharedNoCycle|TestUpgradeUpgradeCycle|TestRemoveAllClearsHolds|TestUpgradedHold|TestOutOfOrderWaitRefused|TestInOrderWaitBlocks|TestRandomOrderLockingCommits' 50
+oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestCrossModeHistoriesLockersComeAndGo|TestIsolationAcrossModes|TestRouter|TestBackoffStartsAtZeroAfterLadder|TestOCapacityAbortDoesNotBackOff|TestLEntryWaitsForHCommitWindow|TestPanicInCommitWindowClearsGate|TestLateWorkerSeesLActive|TestQuietH|TestOCommitLowersCountOnEveryExit|TestOneCountFourViews|TestCancelAfterHAbortCountsOnce|TestLDeadlockCycleResolved|TestRandomOrderLockingCommits' 30
 oversubscribed "$tmp/worklist.test" 'TestDrain' 30
+oversubscribed "$tmp/shortestpath.test" 'TestRunSSSPMatchesDijkstra' 20
 oversubscribed "$tmp/algo.test" 'TestForEachQueued|TestResultsCountCommitsNotAttempts|TestQueuedKernelsMatchSequential|TestSPFAStaleEntryOneRead' 10
 oversubscribed "$tmp/dyngraph.test" 'TestIndexAbortSafety|TestCompactFromDifferential|TestCompactFromGCHazard|TestCompactFromBesideGC' 20
 oversubscribed "$tmp/tufast.test" 'TestHubMutationOracle|TestAlgorithmsShareSystemWorkers|TestApplyOwnedBesideGC|TestGCPassTakesTurnsWithBatches|TestGCRunningArenaOut|TestFoldMatchesApplyOwned|TestApplyOwnedPanicBreaksGraph|TestForEachQueuedWakesAfterCommit|TestForEachQueuedSSSPMatchesDijkstra' 4

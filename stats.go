@@ -31,7 +31,8 @@ type Stats struct {
 	// them that aborted because such a transaction (an O-mode commit, an
 	// L-mode transaction) arrived. They are HTMExplicit aborts too.
 	HQuiet, HQuietKilled uint64
-	// Deadlocks counts L-mode deadlock victims.
+	// Deadlocks counts L-mode attempts aborted by a refused lock wait,
+	// one below a lock the attempt held that could close a cycle.
 	Deadlocks uint64
 	// CurrentPeriod is the adaptive O-mode segment length now in force.
 	CurrentPeriod int
