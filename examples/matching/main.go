@@ -19,17 +19,33 @@ import (
 func main() {
 	g := tufast.GeneratePowerLaw(40_000, 400_000, 2.1, 5).Undirect()
 
-	tmPairs, tmDur := tmMatching(g)
-	vcPairs, vcDur, rounds := vertexCentricMatching(g)
+	tm, tmDur, err := tmMatching(g, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	vc, vcDur, rounds := vertexCentricMatching(g)
 
 	fmt.Printf("graph: |V|=%d |E|=%d\n\n", g.NumVertices(), g.NumEdges())
-	fmt.Printf("TM formulation (Fig. 1):            %6d pairs in %8v — one transactional loop\n", tmPairs, tmDur.Round(time.Millisecond))
-	fmt.Printf("vertex-centric handshake (Fig. 2):  %6d pairs in %8v — %d message rounds\n", vcPairs, vcDur.Round(time.Millisecond), rounds)
+	fmt.Printf("TM formulation (Fig. 1):            %6d pairs in %8v — one transactional loop\n", pairs(tm), tmDur.Round(time.Millisecond))
+	fmt.Printf("vertex-centric handshake (Fig. 2):  %6d pairs in %8v — %d message rounds\n", pairs(vc), vcDur.Round(time.Millisecond), rounds)
 }
 
-// tmMatching is Figure 1 verbatim.
-func tmMatching(g *tufast.Graph) (int, time.Duration) {
-	sys := tufast.NewSystem(g, tufast.Options{})
+// pairs counts the matched pairs of a partner array.
+func pairs(match []uint64) int {
+	n := 0
+	for v, m := range match {
+		if m != tufast.None && uint64(v) < m {
+			n++
+		}
+	}
+	return n
+}
+
+// tmMatching is Figure 1 verbatim, on the given number of threads (0:
+// GOMAXPROCS). It returns each vertex's partner (tufast.None if
+// unmatched).
+func tmMatching(g *tufast.Graph, threads int) ([]uint64, time.Duration, error) {
+	sys := tufast.NewSystem(g, tufast.Options{Threads: threads})
 	match := sys.NewVertexArray(tufast.None)
 	start := time.Now()
 	err := sys.ForEachVertex(func(tx tufast.Tx, v uint32) error {
@@ -45,23 +61,20 @@ func tmMatching(g *tufast.Graph) (int, time.Duration) {
 		}
 		return nil
 	})
-	if err != nil {
-		log.Fatal(err)
+	elapsed := time.Since(start)
+	out := make([]uint64, g.NumVertices())
+	for v := range out {
+		out[v] = match.Get(uint32(v))
 	}
-	pairs := 0
-	for v := uint32(0); int(v) < g.NumVertices(); v++ {
-		if m := match.Get(v); m != tufast.None && uint64(v) < m {
-			pairs++
-		}
-	}
-	return pairs, time.Since(start)
+	return out, elapsed, err
 }
 
 // vertexCentricMatching is Figure 2: the four-way handshake that a
 // Pregel-style system requires, over per-vertex mailboxes with
 // superstep barriers. Deliberately sequential per round — the point is
-// the programming model, not this harness's speed.
-func vertexCentricMatching(g *tufast.Graph) (int, time.Duration, int) {
+// the programming model, not this harness's speed. It returns each
+// vertex's partner (tufast.None if unmatched).
+func vertexCentricMatching(g *tufast.Graph) ([]uint64, time.Duration, int) {
 	n := g.NumVertices()
 	const none = ^uint32(0)
 	match := make([]uint32, n)
@@ -72,8 +85,12 @@ func vertexCentricMatching(g *tufast.Graph) (int, time.Duration, int) {
 	outbox := make([][]uint32, n)
 	start := time.Now()
 	rounds := 0
-	for iter := 0; iter < 64; iter++ {
-		progress := false
+	// Each iteration pairs at least the smallest vertex that has an
+	// unmatched neighbour with its smallest such neighbour (each is the
+	// other's smallest grant), so the loop ends, and it ends only when no
+	// edge has both ends unmatched.
+	for progress := true; progress; {
+		progress = false
 		for phase := 0; phase < 4; phase++ {
 			rounds++
 			for v := uint32(0); int(v) < n; v++ {
@@ -121,21 +138,22 @@ func vertexCentricMatching(g *tufast.Graph) (int, time.Duration, int) {
 				outbox[i] = outbox[i][:0]
 			}
 		}
-		if !progress {
-			break
+		// Drop half-open handshakes (a requester confirmed a granter
+		// that had meanwhile confirmed another grant), so both ends try
+		// again next iteration.
+		for v := uint32(0); int(v) < n; v++ {
+			if m := match[v]; m != none && match[m] != v {
+				match[v] = none
+			}
 		}
 	}
-	// Drop half-open handshakes (confirmed one side only).
-	for v := uint32(0); int(v) < n; v++ {
-		if m := match[v]; m != none && match[m] != v {
-			match[v] = none
+	elapsed := time.Since(start)
+	out := make([]uint64, n)
+	for v, m := range match {
+		out[v] = tufast.None
+		if m != none {
+			out[v] = uint64(m)
 		}
 	}
-	pairs := 0
-	for v := uint32(0); int(v) < n; v++ {
-		if m := match[v]; m != none && m > v {
-			pairs++
-		}
-	}
-	return pairs, time.Since(start), rounds
+	return out, elapsed, rounds
 }

@@ -29,6 +29,76 @@ func main() {
 	g := tufast.GeneratePowerLaw(30_000, 600_000, 2.1, 11)
 	sys := tufast.NewSystem(g, tufast.Options{})
 
+	// Watch the adaptive O-mode period while the job runs.
+	start := time.Now()
+	done := make(chan struct{})
+	go func() {
+		tick := time.NewTicker(50 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				st := sys.StatsSnapshot()
+				fmt.Printf("  t+%4dms: %8d commits, adaptive period = %d\n",
+					time.Since(start).Milliseconds(), st.Commits, st.CurrentPeriod)
+			}
+		}
+	}()
+
+	ranks, err := pageRank(sys, g)
+	close(done)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	// Report the top-ranked vertices.
+	type vr struct {
+		v uint32
+		r float64
+	}
+	top := make([]vr, 0, 5)
+	for v := uint32(0); int(v) < g.NumVertices(); v++ {
+		r := ranks[v]
+		for i := 0; i <= len(top); i++ {
+			if i == len(top) {
+				if len(top) < 5 {
+					top = append(top, vr{v, r})
+				}
+				break
+			}
+			if r > top[i].r {
+				top = append(top[:i], append([]vr{{v, r}}, top[i:]...)...)
+				if len(top) > 5 {
+					top = top[:5]
+				}
+				break
+			}
+		}
+	}
+	// Count committed vertex transactions from the scheduler stats: an
+	// in-transaction counter would tick once per retried attempt, not
+	// once per commit (tufastcheck's retryunsafe rule).
+	fmt.Printf("\nconverged after %d vertex transactions in %v\n",
+		sys.StatsSnapshot().Commits, time.Since(start).Round(time.Millisecond))
+	fmt.Println("top ranked vertices (degree in parentheses):")
+	for _, t := range top {
+		fmt.Printf("  v%-8d rank %.4f (degree %d)\n", t.v, t.r, g.Degree(t.v))
+	}
+
+	if *metrics {
+		buf, err := json.MarshalIndent(sys.MetricsSnapshot(), "", "  ")
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("\nmetrics:\n%s\n", buf)
+	}
+}
+
+// pageRank runs the residual push on sys, over g, to eps and returns the
+// ranks.
+func pageRank(sys *tufast.System, g *tufast.Graph) ([]float64, error) {
 	rank := sys.NewVertexArray(0)
 	resid := sys.NewVertexArray(0)
 	for v := uint32(0); int(v) < g.NumVertices(); v++ {
@@ -51,24 +121,6 @@ func main() {
 		}
 	}
 
-	// Watch the adaptive O-mode period while the job runs.
-	done := make(chan struct{})
-	go func() {
-		tick := time.NewTicker(50 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				st := sys.StatsSnapshot()
-				fmt.Printf("  t+%4dms: %8d commits, adaptive period = %d\n",
-					time.Since(startTime).Milliseconds(), st.Commits, st.CurrentPeriod)
-			}
-		}
-	}()
-
-	startTime = time.Now()
 	err := sys.ForEachQueued(q, func(tx tufast.Tx, v uint32, emit func(uint32, uint64)) error {
 		rv := tx.ReadFloat(v, resid.Addr(v))
 		if rv <= eps {
@@ -88,52 +140,12 @@ func main() {
 		}
 		return nil
 	})
-	close(done)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-
-	// Report the top-ranked vertices.
-	type vr struct {
-		v uint32
-		r float64
+	ranks := make([]float64, g.NumVertices())
+	for v := range ranks {
+		ranks[v] = rank.GetFloat(uint32(v))
 	}
-	top := make([]vr, 0, 5)
-	for v := uint32(0); int(v) < g.NumVertices(); v++ {
-		r := rank.GetFloat(v)
-		for i := 0; i <= len(top); i++ {
-			if i == len(top) {
-				if len(top) < 5 {
-					top = append(top, vr{v, r})
-				}
-				break
-			}
-			if r > top[i].r {
-				top = append(top[:i], append([]vr{{v, r}}, top[i:]...)...)
-				if len(top) > 5 {
-					top = top[:5]
-				}
-				break
-			}
-		}
-	}
-	// Count committed vertex transactions from the scheduler stats: an
-	// in-transaction counter would tick once per retried attempt, not
-	// once per commit (tufastcheck's retryunsafe rule).
-	fmt.Printf("\nconverged after %d vertex transactions in %v\n",
-		sys.StatsSnapshot().Commits, time.Since(startTime).Round(time.Millisecond))
-	fmt.Println("top ranked vertices (degree in parentheses):")
-	for _, t := range top {
-		fmt.Printf("  v%-8d rank %.4f (degree %d)\n", t.v, t.r, g.Degree(t.v))
-	}
-
-	if *metrics {
-		buf, err := json.MarshalIndent(sys.MetricsSnapshot(), "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\nmetrics:\n%s\n", buf)
-	}
+	return ranks, nil
 }
-
-var startTime time.Time

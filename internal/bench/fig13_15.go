@@ -2,16 +2,16 @@ package bench
 
 import (
 	"fmt"
-	"os"
 
 	"tufast/internal/core"
 	"tufast/internal/graph/gen"
 	"tufast/internal/obs"
 )
 
-// tempDir creates a scratch directory for the out-of-core engine.
-func tempDir() (string, error) {
-	return os.MkdirTemp("", "tufast-ooc-")
+// throughputCols is Fig. 13/14's column order.
+var throughputCols = []labeled{
+	{"TuFast", "tufast"}, {"2PL", "2pl"}, {"OCC", "occ"},
+	{"STM", "stm"}, {"HSync", "hsync"}, {"H-TO", "hto"},
 }
 
 // figThroughput runs the §VI-B scheduler comparison for one workload on
@@ -29,19 +29,21 @@ func figThroughput(o Options, kind Workload, id string) []Table {
 	t := &Table{
 		ID:     id,
 		Title:  fmt.Sprintf("Scheduler throughput (txn/s), workload %s", kind),
-		Header: append([]string{"dataset"}, SchedulerNames...),
+		Header: []string{"dataset"},
 		Notes: []string{
 			"paper shape: TuFast fastest (RM 5.0-8.3x, RW 2.0-39.5x over best other); hybrids beat homogeneous; HTM-based beat non-HTM",
 		},
+	}
+	for _, s := range throughputCols {
+		t.Header = append(t.Header, s.label)
 	}
 	for _, d := range datasets {
 		g := d.Generate(o.Scale / 2)
 		n := g.NumVertices()
 		row := []any{d.Name}
-		for _, name := range SchedulerNames {
+		for _, s := range throughputCols {
 			sp, base := newWorkloadSpace(n)
-			set, _ := schedulerSet(sp, n)
-			row = append(row, runWorkload(g, sp, set[name], kind, base, txns, o.Threads))
+			row = append(row, runWorkload(g, sp, newScheduler(s.id, sp, n), kind, base, txns, o.Threads, 0))
 		}
 		t.AddRow(row...)
 	}
@@ -70,7 +72,7 @@ func Fig15(o Options) []Table {
 	for _, kind := range []Workload{RM, RW} {
 		sp, base := newWorkloadSpace(n)
 		tf := newTuFast(sp, n, core.Config{})
-		runWorkload(g, sp, tf, kind, base, txns, o.Threads)
+		runWorkload(g, sp, tf, kind, base, txns, o.Threads, 0)
 		snap := tf.Metrics().Snapshot()
 		t := &Table{
 			ID:     "fig15",

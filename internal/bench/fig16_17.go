@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -25,38 +26,33 @@ func Fig16(o Options) []Table {
 		txns = 5_000
 	}
 
-	periodTab := &Table{
-		ID:     "fig16",
-		Title:  "Throughput (txn/s) vs static period (adaptation off)",
-		Header: []string{"period", "RM", "RW"},
-		Notes:  []string{"paper shape: flat-ish curve — insensitive under a static workload"},
-	}
-	for _, period := range []int{125, 250, 500, 1000, 2000, 4096} {
-		row := []any{period}
-		for _, kind := range []Workload{RM, RW} {
-			sp, base := newWorkloadSpace(n)
-			tf := newTuFast(sp, n, core.Config{StaticPeriod: true, PeriodInit: period})
-			row = append(row, runWorkload(g, sp, tf, kind, base, txns, o.Threads))
+	// sweep fills t with TuFast's RM and RW throughput at each value of
+	// one parameter.
+	sweep := func(t Table, values []int, cfg func(int) core.Config) Table {
+		for _, v := range values {
+			row := []any{v}
+			for _, kind := range []Workload{RM, RW} {
+				sp, base := newWorkloadSpace(n)
+				row = append(row, runWorkload(g, sp, newTuFast(sp, n, cfg(v)), kind, base, txns, o.Threads, 0))
+			}
+			t.AddRow(row...)
 		}
-		periodTab.AddRow(row...)
+		return t
 	}
-
-	retryTab := &Table{
-		ID:     "fig16",
-		Title:  "Throughput (txn/s) vs H-mode retry budget",
-		Header: []string{"retries", "RM", "RW"},
-		Notes:  []string{"paper: worth retrying a few times (cache warm after first attempt) before falling to O"},
+	return []Table{
+		sweep(Table{
+			ID:     "fig16",
+			Title:  "Throughput (txn/s) vs static period (adaptation off)",
+			Header: []string{"period", "RM", "RW"},
+			Notes:  []string{"paper shape: flat-ish curve — insensitive under a static workload"},
+		}, []int{125, 250, 500, 1000, 2000, 4096}, func(p int) core.Config { return core.Config{StaticPeriod: true, PeriodInit: p} }),
+		sweep(Table{
+			ID:     "fig16",
+			Title:  "Throughput (txn/s) vs H-mode retry budget",
+			Header: []string{"retries", "RM", "RW"},
+			Notes:  []string{"paper: worth retrying a few times (cache warm after first attempt) before falling to O"},
+		}, []int{1, 2, 4, 8, 16}, func(r int) core.Config { return core.Config{HRetries: r} }),
 	}
-	for _, retries := range []int{1, 2, 4, 8, 16} {
-		row := []any{retries}
-		for _, kind := range []Workload{RM, RW} {
-			sp, base := newWorkloadSpace(n)
-			tf := newTuFast(sp, n, core.Config{HRetries: retries})
-			row = append(row, runWorkload(g, sp, tf, kind, base, txns, o.Threads))
-		}
-		retryTab.AddRow(row...)
-	}
-	return []Table{*periodTab, *retryTab}
 }
 
 // Fig17 reproduces the adaptive-period study: PageRank on the uk-2007-05
@@ -172,14 +168,29 @@ func Ablation(o Options) []Table {
 		{"no-h-retries", core.Config{HRetries: 1}},
 		{"static-period", core.Config{StaticPeriod: true, PeriodInit: 1000}},
 	}
-	for _, v := range variants {
-		row := []any{v.name}
-		for _, kind := range []Workload{RM, RW} {
-			sp, base := newWorkloadSpace(n)
-			tf := newTuFast(sp, n, v.cfg)
-			row = append(row, runWorkload(g, sp, tf, kind, base, txns, o.Threads))
+	// A run lasts under a second at Short, too short for one to rank the
+	// rows: the rows take turns over several rounds, and each cell is the
+	// median of its rounds, with their range noted.
+	rounds := 3
+	if o.Short {
+		rounds = 5
+	}
+	runs := make([][2][]float64, len(variants)) // variant, RM/RW, round
+	for range rounds {
+		for i, v := range variants {
+			for k, kind := range []Workload{RM, RW} {
+				sp, base := newWorkloadSpace(n)
+				runs[i][k] = append(runs[i][k], runWorkload(g, sp, newTuFast(sp, n, v.cfg), kind, base, txns, o.Threads, 0))
+			}
 		}
-		t.AddRow(row...)
+	}
+	t.Notes = append(t.Notes, fmt.Sprintf("each cell is the median of %d interleaved rounds; their min-max below", rounds))
+	for i, v := range variants {
+		rm, rw := runs[i][0], runs[i][1]
+		slices.Sort(rm)
+		slices.Sort(rw)
+		t.AddRow(v.name, rm[len(rm)/2], rw[len(rw)/2])
+		t.Notes = append(t.Notes, fmt.Sprintf("%s: RM %.3g-%.3g, RW %.3g-%.3g", v.name, rm[0], rm[len(rm)-1], rw[0], rw[len(rw)-1]))
 	}
 	return []Table{*t}
 }

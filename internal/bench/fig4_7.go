@@ -2,16 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"time"
 
-	"tufast/internal/graph"
 	"tufast/internal/graph/gen"
 	"tufast/internal/htm"
 	"tufast/internal/mem"
-	"tufast/internal/sched"
-	"tufast/internal/vlock"
 )
 
 // Fig4 reproduces the §III abort-probability experiment: two workers
@@ -207,6 +202,10 @@ func hasNeighbor(nb []uint32, x uint32) bool {
 	return lo < len(nb) && nb[lo] == x
 }
 
+// fig7Cols are the ids of Fig. 7's 2PL, OCC and TO columns; its 2PL locks
+// exclusively up front.
+var fig7Cols = []string{"2pl-exclusive", "occ", "to"}
+
 // Fig7 reproduces the §III scheduler-vs-contention study: a uniform
 // degree graph, with the contention rate dialled by routing a fraction
 // of transactions to a small hot vertex set; 2PL, OCC and TO throughput
@@ -233,91 +232,11 @@ func Fig7(o Options) []Table {
 	}
 	for _, contention := range []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0} {
 		row := []any{fmt.Sprintf("%.1f", contention)}
-		for _, name := range []string{"2PL", "OCC", "TO"} {
+		for _, id := range fig7Cols {
 			sp, base := newWorkloadSpace(n)
-			s := fig7Scheduler(name, sp, n)
-			row = append(row, contendedThroughput(g, sp, base, s, txns, o.Threads, contention))
+			row = append(row, runWorkload(g, sp, newScheduler(id, sp, n), RM, base, txns, o.Threads, contention))
 		}
 		t.AddRow(row...)
 	}
 	return []Table{*t}
-}
-
-// fig7Scheduler builds one of Fig. 7's three schedulers, taxed like the
-// §VI-B set.
-func fig7Scheduler(name string, sp *mem.Space, n int) sched.Scheduler {
-	switch name {
-	case "2PL":
-		tpl := taxed(sched.NewTPL(sp, vlock.NewTable(n)))
-		// Read-then-update transactions under plain S/X locks live on
-		// the upgrade path, whose waits abort under contention; production
-		// 2PL uses update/exclusive-upfront locking for such workloads,
-		// and the paper's Fig. 7 2PL can only win at high contention
-		// with it.
-		tpl.SetExclusiveOnly(true)
-		return tpl
-	case "OCC":
-		return taxed(sched.NewOCC(sp, vlock.NewTable(n)))
-	case "TO":
-		return taxed(sched.NewTO(sp, vlock.NewTable(n), n))
-	}
-	panic("bench: no Fig. 7 scheduler named " + name)
-}
-
-// contendedThroughput runs the Fig. 7 micro-benchmark: each transaction
-// reads a vertex and its neighbors and writes the vertex; with
-// probability `contention` the vertex comes from a hot set the size of
-// the thread count, guaranteeing overlapping footprints.
-func contendedThroughput(g *graph.CSR, sp *mem.Space, base mem.Addr, s sched.Scheduler, txns, threads int, contention float64) float64 {
-	n := g.NumVertices()
-	// A tiny hot set makes contended transactions genuinely collide
-	// (same-vertex write-write and neighborhood read-write overlaps).
-	const hot = 2
-	perThread := txns / threads
-	if perThread == 0 {
-		perThread = 1
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			w := s.Worker(tid)
-			rng := uint64(tid)*0x2545F4914F6CDD1D + 0xBEEF
-			next := func() uint64 {
-				rng ^= rng << 13
-				rng ^= rng >> 7
-				rng ^= rng << 17
-				return rng
-			}
-			for i := 0; i < perThread; i++ {
-				var v uint32
-				if float64(next()%1000)/1000 < contention {
-					v = uint32(next() % uint64(hot))
-				} else {
-					v = uint32(next() % uint64(n))
-				}
-				hint := g.Degree(v)*2 + 2
-				_ = w.Run(hint, func(tx sched.Tx) error {
-					sum := tx.Read(v, base+mem.Addr(v))
-					for i, u := range g.Neighbors(v) {
-						sum += tx.Read(u, base+mem.Addr(u))
-						if i == len(g.Neighbors(v))/2 {
-							// Force an interleaving point: on few-core
-							// hosts short transactions would otherwise
-							// run to completion unpreempted and the
-							// contention this experiment studies could
-							// never materialize.
-							runtime.Gosched()
-						}
-					}
-					tx.Write(v, base+mem.Addr(v), sum)
-					return nil
-				})
-			}
-		}(t)
-	}
-	wg.Wait()
-	return float64(perThread*threads) / time.Since(start).Seconds()
 }

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"tufast/internal/graph/gen"
-	"tufast/internal/sched"
-	"tufast/internal/vlock"
 )
 
 // TestProbeHTORW is a canary for the timestamp-ordering livelock under
@@ -17,9 +15,9 @@ func TestProbeHTORW(t *testing.T) {
 	g := ds.Generate(0.02)
 	n := g.NumVertices()
 	sp, base := newWorkloadSpace(n)
-	s := taxed(sched.NewHTO(sp, vlock.NewTable(n), n, 1000))
+	s := newScheduler("hto", sp, n)
 	start := time.Now()
-	tput := runWorkload(g, sp, s, RW, base, 2000, 4)
+	tput := runWorkload(g, sp, s, RW, base, 2000, 4, 0)
 	el := time.Since(start)
 	st := s.Metrics().Snapshot().Totals()
 	t.Logf("2000 RW txns in %v (%.0f txn/s), commits=%d aborts=%d",

@@ -36,13 +36,12 @@ func LowSkew(o Options) []Table {
 	for _, kind := range []Workload{RM, RW} {
 		row := []any{kind.String()}
 		var hShare float64
-		for _, name := range []string{"TuFast", "2PL", "OCC"} {
+		for _, id := range []string{"tufast", "2pl", "occ"} {
 			sp, base := newWorkloadSpace(n)
-			set, tf := schedulerSet(sp, n)
-			tput := runWorkload(g, sp, set[name], kind, base, txns, o.Threads)
-			row = append(row, tput)
-			if name == "TuFast" {
-				snap := tf.Metrics().Snapshot()
+			s := newScheduler(id, sp, n)
+			row = append(row, runWorkload(g, sp, s, kind, base, txns, o.Threads, 0))
+			if id == "tufast" {
+				snap := s.Metrics().Snapshot()
 				if total := snap.Totals().Commits; total > 0 {
 					hShare = float64(snap.Modes[obs.ModeH.String()].Commits) / float64(total)
 				}

@@ -20,7 +20,7 @@ func TestProbeTuFastRM(t *testing.T) {
 	sp, base := newWorkloadSpace(n)
 	tf := newTuFast(sp, n, core.Config{})
 	start := time.Now()
-	tput := runWorkload(g, sp, tf, RM, base, 20000, 4)
+	tput := runWorkload(g, sp, tf, RM, base, 20000, 4, 0)
 	t.Logf("500 txns in %v (%.0f txn/s)", time.Since(start), tput)
 	logBreakdown(t, tf)
 	if time.Since(start) > 30*time.Second {

@@ -29,24 +29,24 @@ func benchCell(b *testing.B, kind Workload) {
 	ds, _ := gen.DatasetByName("twitter-mpi")
 	g := ds.Generate(1.0 / 16)
 	n := g.NumVertices()
-	for _, name := range []string{"TuFast", "HSync", "STM"} {
-		b.Run(name, func(b *testing.B) {
+	for _, s := range []labeled{{"TuFast", "tufast"}, {"HSync", "hsync"}, {"STM", "stm"}} {
+		b.Run(s.label, func(b *testing.B) {
 			var split obs.Snapshot // TuFast's counters, summed over the cells
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				sp, base := newWorkloadSpace(n)
-				set, tf := schedulerSet(sp, n)
+				sc := newScheduler(s.id, sp, n)
 				b.StartTimer()
-				runWorkload(g, sp, set[name], kind, base, txns, threads)
-				if name == "TuFast" {
+				runWorkload(g, sp, sc, kind, base, txns, threads, 0)
+				if s.id == "tufast" {
 					b.StopTimer()
-					split = split.Merge(tf.Metrics().Snapshot())
+					split = split.Merge(sc.Metrics().Snapshot())
 					b.StartTimer()
 				}
 			}
 			done := float64(b.N * txns)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/done, "ns/txn")
-			if name != "TuFast" {
+			if s.id != "tufast" {
 				return
 			}
 			perK := func(v uint64) float64 { return 1000 * float64(v) / done }

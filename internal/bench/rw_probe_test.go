@@ -19,7 +19,7 @@ func TestProbeRWBreakdown(t *testing.T) {
 	sp, base := newWorkloadSpace(n)
 	tf := newTuFast(sp, n, core.Config{})
 	start := time.Now()
-	tput := runWorkload(g, sp, tf, RW, base, 6000, 8)
+	tput := runWorkload(g, sp, tf, RW, base, 6000, 8, 0)
 	t.Logf("TuFast RW: %.0f txn/s in %v", tput, time.Since(start).Round(time.Millisecond))
 	logBreakdown(t, tf)
 	t.Logf("period=%d", tf.CurrentPeriod())

@@ -10,7 +10,6 @@ import (
 	"tufast/internal/mem"
 	"tufast/internal/sched"
 	"tufast/internal/simcost"
-	"tufast/internal/vlock"
 )
 
 // Workload is one of the paper's two §VI-B micro-benchmarks over vertex
@@ -34,7 +33,8 @@ func (w Workload) String() string {
 
 // The reproduction's cost model (internal/simcost) is injected here and
 // nowhere else in the library's dependency set: every scheduler a figure
-// measures is built through newTuFast or taxed, so software barriers —
+// measures is built through newTuFast or taxed (systems.go's table and the
+// TuFast variants of Fig. 15-17 and the ablation), so software barriers —
 // the baselines' and TuFast's own L mode — pay the calibrated tax that
 // keeps Fig. 7/13/14/15 orderings honest, while tufast.NewSystem, tufastd
 // and benchmark/ run without it.
@@ -51,29 +51,13 @@ func taxed[S interface{ SetTax(func()) }](s S) S {
 	return s
 }
 
-// schedulerSet builds the §VI-B comparison set over one space. The
-// TuFast system is returned separately so callers can read its mode
-// stats.
-func schedulerSet(sp *mem.Space, n int) (map[string]sched.Scheduler, *core.System) {
-	tf := newTuFast(sp, n, core.Config{})
-	return map[string]sched.Scheduler{
-		"TuFast": tf,
-		"2PL":    taxed(sched.NewTPL(sp, vlock.NewTable(n))),
-		"OCC":    taxed(sched.NewOCC(sp, vlock.NewTable(n))),
-		"STM":    taxed(sched.NewSTM(sp)),
-		"HSync":  taxed(sched.NewHSync(sp, 8)),
-		"H-TO":   taxed(sched.NewHTO(sp, vlock.NewTable(n), n, 1000)),
-	}, tf
-}
-
-// SchedulerNames is the display order for Fig. 13/14.
-var SchedulerNames = []string{"TuFast", "2PL", "OCC", "STM", "HSync", "H-TO"}
-
 // runWorkload executes `txns` neighborhood transactions of the given kind
 // on scheduler s and returns the throughput in transactions/second.
 // Vertices are drawn uniformly; the power-law adjacency supplies the
-// size skew the paper's argument rests on.
-func runWorkload(g *graph.CSR, sp *mem.Space, s sched.Scheduler, kind Workload, base mem.Addr, txns, threads int) float64 {
+// size skew the paper's argument rests on. With probability contention
+// (Fig. 7) a transaction's vertex comes instead from a hot set so small
+// (two vertices) that contended transactions genuinely collide.
+func runWorkload(g *graph.CSR, sp *mem.Space, s sched.Scheduler, kind Workload, base mem.Addr, txns, threads int, contention float64) float64 {
 	n := g.NumVertices()
 	perThread := txns / threads
 	if perThread == 0 {
@@ -92,6 +76,9 @@ func runWorkload(g *graph.CSR, sp *mem.Space, s sched.Scheduler, kind Workload, 
 				rng ^= rng >> 7
 				rng ^= rng << 17
 				v := uint32(rng % uint64(n))
+				if float64((rng>>32)%1000)/1000 < contention {
+					v = uint32((rng >> 48) % 2)
+				}
 				hint := g.Degree(v)*2 + 2
 				_ = w.Run(hint, func(tx sched.Tx) error {
 					// The mid-body yield forces interleavings on few-core

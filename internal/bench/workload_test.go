@@ -18,15 +18,15 @@ func TestWorkloadPerScheduler(t *testing.T) {
 	t.Logf("graph |V|=%d |E|=%d maxdeg=%d", n, g.NumEdges(), g.MaxDegree())
 	const txns = 30000
 	for _, kind := range []Workload{RM, RW} {
-		for _, name := range SchedulerNames {
+		for _, s := range throughputCols {
 			sp, base := newWorkloadSpace(n)
-			set, _ := schedulerSet(sp, n)
+			sc := newScheduler(s.id, sp, n)
 			start := time.Now()
-			tput := runWorkload(g, sp, set[name], kind, base, txns, 4)
+			tput := runWorkload(g, sp, sc, kind, base, txns, 4, 0)
 			el := time.Since(start)
-			t.Logf("%s %-7s %12.0f txn/s (%v)", kind, name, tput, el.Round(time.Millisecond))
+			t.Logf("%s %-7s %12.0f txn/s (%v)", kind, s.label, tput, el.Round(time.Millisecond))
 			if el > 2*time.Minute {
-				t.Errorf("%s %s pathologically slow: %v", kind, name, el)
+				t.Errorf("%s %s pathologically slow: %v", kind, s.label, el)
 			}
 		}
 	}
@@ -37,8 +37,8 @@ func TestWorkloadPerScheduler(t *testing.T) {
 // TestLibraryCarriesNoTax), on every path that builds one.
 func TestReproductionInjectsTax(t *testing.T) {
 	sp, _ := newWorkloadSpace(64)
-	if _, tf := schedulerSet(sp, 64); tf.Config().Tax == nil {
-		t.Error("schedulerSet's TuFast has no tax")
+	if newScheduler("tufast", sp, 64).(*core.System).Config().Tax == nil {
+		t.Error("the table's TuFast has no tax")
 	}
 	if newTuFast(sp, 64, core.Config{HMaxHint: 64, OMaxHint: 256}).Config().Tax == nil {
 		t.Error("newTuFast dropped the tax")

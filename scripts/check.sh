@@ -3,8 +3,8 @@
 # transaction- and concurrency-contract analyzer suite (tufastcheck,
 # with -strict-ignores), the test suite under the race detector (short
 # profile, one run, failures summarised by cmd/testsummary), the arena's
-# platform split and its finalizer, and the serializability oracles again
-# under oversubscription.
+# platform split and its finalizer, the paper's application figures once,
+# and the serializability oracles again under oversubscription.
 # Run from the repo root or anywhere inside it; `make check` is an
 # alias and `make lint` runs the analyzer stage alone.
 set -eu
@@ -128,6 +128,18 @@ go test -run '^$' -bench 'BenchmarkLibSuite$' -benchtime 1x -short ./internal/be
 go test -run '^$' -bench 'Benchmark(2PL|OCC|TO|STM|HSync|HTO)Txn$|BenchmarkTPLReadThenWrite' -benchtime 1x ./internal/sched >/dev/null
 end
 
+# The paper's application figures, once at -short on two threads. Every
+# row of Fig. 11 and 12 runs through internal/bench's table of systems,
+# and a row or cell that fails is left empty with a note that says so:
+# such a note fails the stage, as does a non-zero exit.
+begin "paper figures run (fig11 fig12 -short)"
+figs=$(go run ./cmd/tufast-bench -short -threads 2 fig11 fig12)
+if echo "$figs" | grep 'note: .*failed'; then
+    echo "a Fig. 11/12 row or cell failed" >&2
+    exit 1
+fi
+end
+
 # Serializability under oversubscription: the isolated run above passes
 # on schedulers that lose updates once threads outnumber cores, so the
 # same oracles run again as eight concurrent processes at -cpu 8, over
@@ -143,6 +155,8 @@ end
 # between rungs included), two L transactions that would close a wait
 # cycle, and random-order locking in L mode on a deadline, over the
 # shortest-path example against Dijkstra (hubs in L mode), over the
+# pagerank example against a power iteration and the matching example's
+# two matchings held to maximality, over the
 # queued driver (its own quiesce, chunk and priority tests, the
 # algorithms' entry point into it, and WCC and SPFA against their
 # sequential references and SPFA's stale entries), over the snapshot fold beside and after chain
@@ -171,6 +185,8 @@ go test -c -o "$tmp/algo.test" ./internal/algo
 go test -c -o "$tmp/dyngraph.test" ./internal/dyngraph
 go test -c -o "$tmp/tufast.test" .
 go test -c -o "$tmp/shortestpath.test" ./examples/shortestpath
+go test -c -o "$tmp/pagerank.test" ./examples/pagerank
+go test -c -o "$tmp/matching.test" ./examples/matching
 go test -race -c -o "$tmp/server.test" ./internal/server
 oversubscribed() { # test binary, -test.run pattern, -test.count
     pids=""
@@ -192,6 +208,8 @@ oversubscribed "$tmp/sched.test" 'TestSerializabilityHistories|TestBankTransfer|
 oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestCrossModeHistoriesLockersComeAndGo|TestIsolationAcrossModes|TestRouter|TestBackoffStartsAtZeroAfterLadder|TestOCapacityAbortDoesNotBackOff|TestLEntryWaitsForHCommitWindow|TestPanicInCommitWindowClearsGate|TestLateWorkerSeesLActive|TestQuietH|TestOCommitLowersCountOnEveryExit|TestOneCountFourViews|TestCancelAfterHAbortCountsOnce|TestLDeadlockCycleResolved|TestRandomOrderLockingCommits' 30
 oversubscribed "$tmp/worklist.test" 'TestDrain' 30
 oversubscribed "$tmp/shortestpath.test" 'TestRunSSSPMatchesDijkstra' 20
+oversubscribed "$tmp/pagerank.test" 'TestPageRankMatchesPowerIteration' 5
+oversubscribed "$tmp/matching.test" 'TestMatchingsAreMaximal' 20
 oversubscribed "$tmp/algo.test" 'TestForEachQueued|TestResultsCountCommitsNotAttempts|TestQueuedKernelsMatchSequential|TestSPFAStaleEntryOneRead' 10
 oversubscribed "$tmp/dyngraph.test" 'TestIndexAbortSafety|TestCompactFromDifferential|TestCompactFromGCHazard|TestCompactFromBesideGC' 20
 oversubscribed "$tmp/tufast.test" 'TestHubMutationOracle|TestAlgorithmsShareSystemWorkers|TestApplyOwnedBesideGC|TestGCPassTakesTurnsWithBatches|TestGCRunningArenaOut|TestFoldMatchesApplyOwned|TestApplyOwnedPanicBreaksGraph|TestForEachQueuedWakesAfterCommit|TestForEachQueuedSSSPMatchesDijkstra' 4
