@@ -26,97 +26,40 @@ func main() {
 	sys := tufast.NewSystem(g, tufast.Options{})
 	fmt.Printf("graph: |V|=%d |E|=%d maxdeg=%d\n\n", g.NumVertices(), g.NumEdges(), g.MaxDegree())
 
-	step := func(name string, fn func() (string, error)) {
-		start := time.Now()
-		summary, err := fn()
-		if err != nil {
-			log.Fatalf("%s: %v", name, err)
-		}
-		fmt.Printf("%-24s %-40s %8v\n", name, summary, time.Since(start).Round(time.Millisecond))
+	p, err := analyze(sys)
+	if err != nil {
+		log.Fatal(err)
+	}
+	row := func(name, summary string, took time.Duration) {
+		fmt.Printf("%-24s %-40s %8v\n", name, summary, took.Round(time.Millisecond))
 	}
 
-	step("components", func() (string, error) {
-		comp, err := algorithms.ConnectedComponents(sys)
-		if err != nil {
-			return "", err
-		}
-		sizes := map[uint64]int{}
-		for _, c := range comp {
-			sizes[c]++
-		}
-		largest := 0
-		for _, n := range sizes {
-			if n > largest {
-				largest = n
-			}
-		}
-		return fmt.Sprintf("%d components, largest %d", len(sizes), largest), nil
-	})
+	sizes := classSizes(p.comp)
+	row("components", fmt.Sprintf("%d components, largest %d", len(sizes), sizes[0]), p.took[0])
 
-	step("k-core", func() (string, error) {
-		core, err := algorithms.KCore(sys)
-		if err != nil {
-			return "", err
+	var degeneracy uint64
+	for _, c := range p.core {
+		degeneracy = max(degeneracy, c)
+	}
+	inMax := 0
+	for _, c := range p.core {
+		if c == degeneracy {
+			inMax++
 		}
-		var max uint64
-		for _, c := range core {
-			if c > max {
-				max = c
-			}
-		}
-		inMax := 0
-		for _, c := range core {
-			if c == max {
-				inMax++
-			}
-		}
-		return fmt.Sprintf("degeneracy %d (%d vertices in the %d-core)", max, inMax, max), nil
-	})
+	}
+	row("k-core", fmt.Sprintf("degeneracy %d (%d vertices in the %d-core)", degeneracy, inMax, degeneracy), p.took[1])
 
-	step("communities", func() (string, error) {
-		labels, err := algorithms.LabelPropagation(sys, 8)
-		if err != nil {
-			return "", err
-		}
-		sizes := map[uint64]int{}
-		for _, l := range labels {
-			sizes[l]++
-		}
-		var top []int
-		for _, n := range sizes {
-			top = append(top, n)
-		}
-		sort.Sort(sort.Reverse(sort.IntSlice(top)))
-		if len(top) > 3 {
-			top = top[:3]
-		}
-		return fmt.Sprintf("%d communities, top sizes %v", len(sizes), top), nil
-	})
+	top := classSizes(p.labels)
+	row("communities", fmt.Sprintf("%d communities, top sizes %v", len(top), top[:min(3, len(top))]), p.took[2])
 
-	step("clustering", func() (string, error) {
-		cc, err := algorithms.ClusteringCoefficients(sys)
-		if err != nil {
-			return "", err
-		}
-		var sum float64
-		for _, c := range cc {
-			sum += c
-		}
-		return fmt.Sprintf("mean local coefficient %.4f", sum/float64(len(cc))), nil
-	})
+	var sum float64
+	for _, c := range p.clustering {
+		sum += c
+	}
+	row("clustering", fmt.Sprintf("mean local coefficient %.4f", sum/float64(len(p.clustering))), p.took[3])
 
-	step("coloring", func() (string, error) {
-		colors, err := algorithms.GreedyColoring(sys)
-		if err != nil {
-			return "", err
-		}
-		palette := map[uint64]bool{}
-		for _, c := range colors {
-			palette[c] = true
-		}
-		return fmt.Sprintf("proper coloring with %d colors (maxdeg+1 = %d)",
-			len(palette), g.MaxDegree()+1), nil
-	})
+	row("coloring", fmt.Sprintf("proper coloring with %d colors (maxdeg+1 = %d)",
+		len(classSizes(p.colors)), g.MaxDegree()+1), p.took[4])
 
 	st := sys.StatsSnapshot()
 	fmt.Printf("\nall five analyses: %d serializable transactions, %d retried aborts\n",
@@ -129,4 +72,47 @@ func main() {
 		}
 		fmt.Printf("\nmetrics:\n%s\n", buf)
 	}
+}
+
+// profile is what the five analyses found, and how long each took.
+type profile struct {
+	comp, core, labels, colors []uint64
+	clustering                 []float64
+	took                       [5]time.Duration
+}
+
+// analyze runs the five analyses over sys, in the order profile lists
+// their times: components, k-core, communities, clustering, coloring.
+func analyze(sys *tufast.System) (*profile, error) {
+	var p profile
+	steps := []func() error{
+		func() (err error) { p.comp, err = algorithms.ConnectedComponents(sys); return },
+		func() (err error) { p.core, err = algorithms.KCore(sys); return },
+		func() (err error) { p.labels, err = algorithms.LabelPropagation(sys, 8); return },
+		func() (err error) { p.clustering, err = algorithms.ClusteringCoefficients(sys); return },
+		func() (err error) { p.colors, err = algorithms.GreedyColoring(sys); return },
+	}
+	for i, step := range steps {
+		start := time.Now()
+		if err := step(); err != nil {
+			return nil, err
+		}
+		p.took[i] = time.Since(start)
+	}
+	return &p, nil
+}
+
+// classSizes returns how many vertices share each distinct value of
+// class, largest first.
+func classSizes(class []uint64) []int {
+	count := map[uint64]int{}
+	for _, c := range class {
+		count[c]++
+	}
+	sizes := make([]int, 0, len(count))
+	for _, n := range count {
+		sizes = append(sizes, n)
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
+	return sizes
 }

@@ -19,8 +19,34 @@ import (
 func main() {
 	// A power-law social-network-like graph: 50k users, ~600k edges.
 	g := tufast.GeneratePowerLaw(50_000, 600_000, 2.1, 42).Undirect()
-	sys := tufast.NewSystem(g, tufast.Options{})
+	match, st, err := matching(g, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 
+	pairs := 0
+	for v, m := range match {
+		if m != tufast.None && uint64(v) < m {
+			pairs++
+		}
+	}
+	fmt.Printf("matched %d pairs on |V|=%d |E|=%d\n", pairs, g.NumVertices(), g.NumEdges())
+	fmt.Printf("transactions: %d committed, %d retried aborts\n", st.Commits, st.Aborts)
+	fmt.Printf("mode breakdown (the three-mode hybrid at work):\n")
+	for _, class := range modeClasses {
+		b := st.Mode[class]
+		fmt.Printf("  %-3s %8d txns %10d ops\n", class, b.Transactions, b.Operations)
+	}
+}
+
+// modeClasses are the classes a TuFast transaction commits in (Fig. 15).
+var modeClasses = []string{"H", "O", "O+", "O2L", "L"}
+
+// matching runs Figure 1 over g on the given number of threads (0:
+// GOMAXPROCS). It returns each vertex's partner (tufast.None if
+// unmatched) and the System's counters after the run.
+func matching(g *tufast.Graph, threads int) ([]uint64, tufast.Stats, error) {
+	sys := tufast.NewSystem(g, tufast.Options{Threads: threads})
 	match := sys.NewVertexArray(tufast.None)
 
 	// parallel_for v: all vertices ... BEGIN(degree[v]) (Figure 1).
@@ -40,22 +66,9 @@ func main() {
 		}
 		return nil
 	})
-	if err != nil {
-		log.Fatal(err)
+	out := make([]uint64, g.NumVertices())
+	for v := range out {
+		out[v] = match.Get(uint32(v))
 	}
-
-	pairs := 0
-	for v := uint32(0); int(v) < g.NumVertices(); v++ {
-		if m := match.Get(v); m != tufast.None && uint64(v) < m {
-			pairs++
-		}
-	}
-	st := sys.StatsSnapshot()
-	fmt.Printf("matched %d pairs on |V|=%d |E|=%d\n", pairs, g.NumVertices(), g.NumEdges())
-	fmt.Printf("transactions: %d committed, %d retried aborts\n", st.Commits, st.Aborts)
-	fmt.Printf("mode breakdown (the three-mode hybrid at work):\n")
-	for _, class := range []string{"H", "O", "O+", "O2L", "L"} {
-		b := st.Mode[class]
-		fmt.Printf("  %-3s %8d txns %10d ops\n", class, b.Transactions, b.Operations)
-	}
+	return out, sys.StatsSnapshot(), err
 }

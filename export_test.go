@@ -1,5 +1,11 @@
 package tufast
 
+import "tufast/internal/core"
+
+// Core exposes the internal scheduler: tests install fault injectors and
+// inspect the lock table through it.
+func (s *System) Core() *core.System { return s.core }
+
 // MinOwnerOps is minOwnerOps, for tests that size batches above it.
 const MinOwnerOps = minOwnerOps
 

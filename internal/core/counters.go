@@ -18,7 +18,7 @@ type counters struct {
 	_ [64]byte
 
 	// committing is 1 while an H commit of this worker is between
-	// reading lState and finishing its publish (hmode.go, commit).
+	// reading lState and finishing its publish (hmode.go, Commit).
 	committing atomic.Uint32
 
 	_ [64]byte

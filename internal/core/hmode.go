@@ -35,7 +35,7 @@ type hCtx struct {
 	w  *worker
 	tx *htm.Tx
 
-	// quiet says which kind this attempt is; lState is the word as begin
+	// quiet says which kind this attempt is; lState is the word as Begin
 	// read it (count 0 when quiet), killed that the watch saw it move, and
 	// vchanges counts a quiet attempt's changes of vertex between
 	// consecutive operations (touch).
@@ -59,7 +59,7 @@ type hCtx struct {
 	// value made per attempt would allocate on the hottest path there is.
 	check, watch htm.Check
 
-	// faults is the System's injector as of begin: loaded once per
+	// faults is the System's injector as of Begin: loaded once per
 	// attempt, not per operation.
 	faults *sched.FaultInjector
 
@@ -82,47 +82,9 @@ func newHCtx(w *worker) *hCtx {
 	return h
 }
 
-// runH drives fn through H mode with retries (Fig. 10): transient aborts
-// retry up to HRetries times; a capacity abort proceeds to O mode
-// immediately ("an abort caused by capacity overflow will repeat on
-// retry"). Returns done=false when the transaction should continue in O
-// mode.
-func (w *worker) runH(fn sched.TxFunc) (done bool, err error) {
-	h := w.h
-	for attempt := 0; ; attempt++ {
-		h.begin()
-		uerr, ok := sched.RunAttempt(h, fn)
-		if ok && uerr != nil {
-			w.probe.TxStop(obs.ModeH, sched.StopReason(uerr))
-			return true, uerr
-		}
-		if ok && h.commit() {
-			w.probe.TxCommit(obs.ModeH, w.attempts, w.span, h.nreads, h.nwrites)
-			return true, nil
-		}
-		code := h.settleAbort()
-		w.probe.TxAbort(obs.ModeH, code.Reason())
-		w.attempts++
-		if code == htm.AbortCapacity {
-			return false, nil // straight to O mode
-		}
-		if attempt >= w.s.cfg.HRetries {
-			return false, nil
-		}
-		if err := w.ctxErr(); err != nil {
-			w.probe.TxStop(obs.ModeH, sched.StopReason(err))
-			return true, err
-		}
-		// A quiet attempt a locker's arrival killed retries at once: the
-		// retry runs subscribed beside the locker, so there is nobody to
-		// wait out (the rule for O's capacity aborts).
-		if !h.killed {
-			w.bo.WaitObserved(&w.probe)
-		}
-	}
-}
-
-func (h *hCtx) begin() {
+// Begin implements sched.Protocol: an H attempt always runs, quiet or
+// subscribed as lState says.
+func (h *hCtx) Begin(int) bool {
 	h.tx.Begin()
 	h.faults = h.w.s.faults.Load()
 	h.nreads, h.nwrites = 0, 0
@@ -133,7 +95,7 @@ func (h *hCtx) begin() {
 		h.w.probe.QuietBegin()
 		h.vchanges = 0
 		h.tx.AddCheck(h.watch)
-		return
+		return true
 	}
 	h.subs = h.subs[:0]
 	h.wvs = h.wvs[:0]
@@ -142,9 +104,43 @@ func (h *hCtx) begin() {
 	// One hook validates every subscription (registered once to avoid a
 	// closure per vertex).
 	h.tx.AddCheck(h.check)
+	return true
 }
 
-// lockerFree is a quiet attempt's whole subscription: lState as begin read
+// Rollback has nothing to do: an aborted hardware transaction left
+// nothing behind, and the commit window released what it took.
+func (h *hCtx) Rollback() {}
+
+func (h *hCtx) Ops() (reads, writes uint64) { return h.nreads, h.nwrites }
+
+// Aborted implements sched.Protocol with Fig. 10's H-mode policy:
+// transient aborts retry up to HRetries times, and a capacity abort goes
+// to O mode at once ("an abort caused by capacity overflow will repeat on
+// retry"). A quiet attempt a locker killed died of Algorithm 1's explicit
+// abort — the subscribed word moved — wherever it was caught; caught by
+// the Check inside htm.Tx, it was counted as a data conflict there (all a
+// Check can say is "false"), so the worker's HTM counters are corrected.
+// It retries without a wait: the retry runs subscribed beside the locker,
+// so there is nobody to wait out (the rule for O's capacity aborts).
+func (h *hCtx) Aborted(n int) (obs.Reason, sched.Next) {
+	code := h.tx.LastAbort()
+	if h.killed {
+		h.w.probe.QuietKilled()
+		if code == htm.AbortConflict {
+			h.w.probe.HTM().Reattribute(obs.ReasonConflict, obs.ReasonExplicit)
+		}
+		code = htm.AbortExplicit
+	}
+	switch {
+	case code == htm.AbortCapacity || n >= h.w.s.cfg.HRetries:
+		return code.Reason(), sched.GiveUp
+	case h.killed:
+		return code.Reason(), sched.RetryNow
+	}
+	return code.Reason(), sched.RetryWait
+}
+
+// lockerFree is a quiet attempt's whole subscription: lState as Begin read
 // it. touch asks before every operation, and htm.Tx runs it as a Check
 // wherever it validates — which includes Commit, after the write lines are
 // locked and inside the commit-gate window. That place is the one that
@@ -162,23 +158,6 @@ func (h *hCtx) lockerFree() bool {
 	}
 	h.killed = true
 	return false
-}
-
-// settleAbort returns why the attempt aborted, once per aborted attempt.
-// A quiet attempt a locker killed died of Algorithm 1's explicit abort —
-// the subscribed word moved — wherever it was caught. Caught by the Check
-// inside htm.Tx, it was counted as a data conflict there (all a Check can
-// say is "false"); the worker's HTM counters are corrected.
-func (h *hCtx) settleAbort() htm.AbortCode {
-	code := h.tx.LastAbort()
-	if !h.killed {
-		return code
-	}
-	h.w.probe.QuietKilled()
-	if code == htm.AbortConflict {
-		h.w.probe.HTM().Reattribute(obs.ReasonConflict, obs.ReasonExplicit)
-	}
-	return htm.AbortExplicit
 }
 
 // touch stands in for subscribe on a quiet attempt: the one subscription
@@ -245,12 +224,12 @@ func (h *hCtx) subscribe(v uint32) int32 {
 	return idx
 }
 
-// commit attempts XEND inside the worker's commit-gate window: the flag
-// is up from before lState is read until the publish is over, which is
-// what lets an L transaction wait out every commit that took the fast
-// path (System.lState). A panic in the window leaves the flag up, like
+// Commit implements sched.Protocol: XEND inside the worker's commit-gate
+// window. The flag is up from before lState is read until the publish is
+// over, which is what lets an L transaction wait out every commit that
+// took the fast path (System.lState). A panic in the window leaves the flag up, like
 // the vertex locks the slow path may hold; AbandonInFlight lowers it.
-func (h *hCtx) commit() bool {
+func (h *hCtx) Commit() bool {
 	gate := &h.w.c.committing
 	gate.Store(1)
 	ok := !h.faults.AtCommit("H") && h.publish()

@@ -47,7 +47,7 @@ func levelAtEntry(t *testing.T, w *worker) uint {
 	level := ^uint(0)
 	err := w.Run(2, func(tx sched.Tx) error {
 		if level == ^uint(0) {
-			level = w.bo.Level()
+			level = w.loop.Backoff().Level()
 		}
 		return smallFootprint(tx)
 	})
@@ -99,6 +99,62 @@ func TestBackoffStartsAtZeroAfterLadder(t *testing.T) {
 	}
 	if l := levelAtEntry(t, w); l != 0 {
 		t.Fatalf("backoff level %d at the start of the transaction after a user-stopped L transaction, want 0", l)
+	}
+}
+
+// TestBackoffLevelCarriesAcrossRungs: a transaction keeps one backoff
+// level across H and O — its O rung starts at the level H's waits left,
+// which is what spaces out the retries of a contended transaction that
+// overflowed H — while its L rung starts at level 0 on a loop of its own,
+// however the previous L transaction left that loop.
+func TestBackoffLevelCarriesAcrossRungs(t *testing.T) {
+	s := newLadderSys(Config{})
+	w := s.Worker(0).(*worker)
+
+	// A direct-L transaction that waits once leaves its loop above 0.
+	s.SetFaultInjector(sched.NewFaultInjector(sched.FaultSpec{Mode: "L", Op: "read"}))
+	if err := w.Run(s.cfg.OMaxHint+1, smallFootprint); err != nil {
+		t.Fatal(err)
+	}
+	if w.l.Backoff().Level() == 0 {
+		t.Fatal("the L transaction never waited: the test exercises nothing")
+	}
+
+	// The injected H abort is transient, so H waits once before its
+	// second attempt overflows; O overflows every segment and gives up
+	// without a wait, and L commits.
+	s.SetFaultInjector(sched.NewFaultInjector(sched.FaultSpec{Mode: "H", Op: "read"}))
+	const unset = ^uint(0)
+	hLeft, oEntry, lEntry := unset, unset, unset
+	err := w.Run(16, func(tx sched.Tx) error {
+		switch tx.(type) {
+		case *hCtx:
+			hLeft = w.loop.Backoff().Level()
+		case *oCtx:
+			if oEntry == unset {
+				oEntry = w.loop.Backoff().Level()
+			}
+		case *sched.TPLWorker:
+			if lEntry == unset {
+				lEntry = w.l.Backoff().Level()
+			}
+		}
+		return overflowOneSet(tx)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := commits(s, obs.ModeO2L); got != 1 {
+		t.Fatalf("want one O2L commit, got %v", modeDump(s))
+	}
+	if hLeft == 0 || hLeft == unset {
+		t.Fatalf("H's last attempt ran at level %d: H never waited", hLeft)
+	}
+	if oEntry != hLeft {
+		t.Fatalf("O entered at backoff level %d, H left it at %d", oEntry, hLeft)
+	}
+	if lEntry != 0 {
+		t.Fatalf("L entered at backoff level %d, want 0", lEntry)
 	}
 }
 

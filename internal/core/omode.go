@@ -37,7 +37,9 @@ type oCtx struct {
 	sets     [htm.CacheSets]uint8
 	segOps   int
 	snapshot uint64
-	period   int
+	// period is the rung's segment length; conflicts counts its conflict
+	// aborts.
+	period, conflicts int
 
 	// Commit-phase write-vertex bookkeeping, reused across attempts.
 	wvs   []uint32
@@ -89,85 +91,65 @@ func newOCtx(w *worker) *oCtx {
 	}
 }
 
-// runO drives fn through O mode with the Fig. 10 retry policy: each abort
-// halves the period; below the floor the transaction escalates to L mode.
-// Returns done=false for escalation.
-func (w *worker) runO(fn sched.TxFunc) (done bool, err error) {
-	o := w.o
-	period := w.s.period.Current()
-	if w.s.cfg.StaticPeriod {
-		period = w.s.cfg.PeriodInit
+// enter starts the transaction's O rung at the period in force and
+// reports whether that is at least the floor; below it the rung is skipped.
+func (o *oCtx) enter() bool {
+	o.period = o.w.s.period.Current()
+	if o.w.s.cfg.StaticPeriod {
+		o.period = o.w.s.cfg.PeriodInit
 	}
-	first := true
-	// Conflict aborts retry with the same period (shrinking the segment
-	// cannot fix a data conflict); only capacity overflows halve it
-	// (Fig. 10: the period adjustment exists because the segment no
-	// longer fits, §IV-D).
-	conflictBudget := 6
-	for period >= w.s.cfg.PeriodFloor {
-		o.begin(period)
-		uerr, ok := sched.RunAttempt(o, fn)
-		o.settleTelemetry()
-		if ok && uerr != nil {
-			w.probe.TxStop(obs.ModeO, sched.StopReason(uerr))
-			return true, uerr
+	o.conflicts = 0
+	return o.period >= o.w.s.cfg.PeriodFloor
+}
+
+// Begin opens an attempt at the rung's current period.
+func (o *oCtx) Begin(int) bool {
+	o.capacityAbort = false
+	o.reads = o.reads[:0]
+	o.writes = o.writes[:0]
+	o.readIdx.Reset()
+	o.writeIdx.Reset()
+	o.nreads, o.nwrites = 0, 0
+	o.segBegin()
+	return true
+}
+
+// Rollback only reports the attempt's segments: writes are buffered and
+// the commit window releases what it took.
+func (o *oCtx) Rollback() { o.settleTelemetry() }
+
+func (o *oCtx) Ops() (reads, writes uint64) { return o.nreads, o.nwrites }
+
+// Aborted implements sched.Protocol with the Fig. 10 O-mode policy. Only
+// a capacity overflow halves the period (the period adjustment exists
+// because the segment no longer fits, §IV-D), and the halved attempt
+// retries at once: a capacity abort is deterministic, and nobody has to
+// get out of the way first. A conflict retries at the same period —
+// shrinking the segment cannot fix it — after a wait. The rung gives up,
+// and the transaction goes to L mode, below the period floor or at its
+// seventh conflict.
+func (o *oCtx) Aborted(int) (obs.Reason, sched.Next) {
+	if o.capacityAbort {
+		if o.period /= 2; o.period < o.w.s.cfg.PeriodFloor {
+			return obs.ReasonCapacity, sched.GiveUp
 		}
-		if ok && o.commit() {
-			class := obs.ModeO
-			if !first {
-				class = obs.ModeOPlus
-			}
-			w.probe.TxCommit(class, w.attempts, w.span, o.nreads, o.nwrites)
-			return true, nil
-		}
-		reason := obs.ReasonConflict
-		if o.capacityAbort {
-			reason = obs.ReasonCapacity
-		}
-		w.probe.TxAbort(obs.ModeO, reason)
-		w.attempts++
-		first = false
-		if o.capacityAbort {
-			period /= 2
-		} else {
-			conflictBudget--
-			if conflictBudget < 0 {
-				break
-			}
-		}
-		if err := w.ctxErr(); err != nil {
-			w.probe.TxStop(obs.ModeO, sched.StopReason(err))
-			return true, err
-		}
-		// A capacity abort is deterministic: the halved segment fits or
-		// it does not, and nobody has to get out of the way first. Only
-		// a conflict is worth waiting out.
-		if !o.capacityAbort {
-			w.bo.WaitObserved(&w.probe)
-		}
+		return obs.ReasonCapacity, sched.RetryNow
 	}
-	return false, nil
+	if o.conflicts++; o.conflicts > 6 {
+		return obs.ReasonConflict, sched.GiveUp
+	}
+	return obs.ReasonConflict, sched.RetryWait
 }
 
 // settleTelemetry reports this attempt's segment statistics to the
-// adaptive controller.
+// adaptive controller, once: a failed commit's Rollback finds them
+// reported.
 func (o *oCtx) settleTelemetry() {
 	if !o.w.s.cfg.StaticPeriod {
 		o.w.s.period.Observe(o.opsInSegments, o.segAborted)
 	}
 	o.opsInSegments = 0
 	o.segAborted = false
-}
-
-func (o *oCtx) begin(period int) {
-	o.capacityAbort = false
-	o.reads = o.reads[:0]
-	o.writes = o.writes[:0]
-	o.readIdx.Reset()
-	o.writeIdx.Reset()
-	o.period = period
-	o.nreads, o.nwrites = 0, 0
-	o.segBegin()
 }
 
 // segBegin opens a fresh emulated hardware segment (XBEGIN).
@@ -271,11 +253,12 @@ func (o *oCtx) Write(v uint32, addr mem.Addr, val uint64) {
 	o.nwrites++
 }
 
-// commit implements Algorithm 2 lines 38-49: XEND the live segment, lock
+// Commit implements Algorithm 2 lines 38-49: XEND the live segment, lock
 // the write vertices, verify every read, install the writes. A commit with
 // writes is a locker (System.lState): it is announced from before its
 // first TryExclusive until its last lock is released, on every way out.
-func (o *oCtx) commit() bool {
+func (o *oCtx) Commit() bool {
+	o.settleTelemetry()
 	// Collect and sort distinct write vertices (order avoids needless
 	// mutual aborts between O committers; try-lock keeps us wait-free).
 	o.wvs = o.wvs[:0]

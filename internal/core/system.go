@@ -36,7 +36,7 @@ type System struct {
 	// lState is generation<<32 | lockers in flight. A locker is a
 	// transaction that may hold a vertex lock exclusively while its writes
 	// are not yet all in place: an L transaction (runL) and an O commit
-	// with writes (omode.go, commit). Each raises both halves before its
+	// with writes (omode.go, Commit). Each raises both halves before its
 	// first exclusive acquisition and lowers the count after its last
 	// release, so — outside an H commit's own window, whose publish the
 	// line locks make atomic — an exclusive vertex lock is held only while
@@ -121,9 +121,10 @@ func (s *System) Worker(tid int) sched.Worker {
 	s.register(w.c)
 	w.h = newHCtx(w)
 	w.o = newOCtx(w)
-	w.bo = sched.NewBackoff(uint64(tid)*0x9E3779B97F4A7C15 + 0xA5)
-	// L mode runs the TPL protocol under the loop every baseline runs
-	// under, recording into this worker's probe (runL).
+	// The H and O rungs run under a loop of the worker's own, L mode
+	// under the TPL worker's: the loop every baseline runs under, each
+	// recording into this worker's probe.
+	w.loop = sched.NewLoop(nil, &w.probe, obs.ModeH, nil, uint64(tid)*0x9E3779B97F4A7C15+0xA5)
 	w.l = s.lmode.NewWorkerFor(tid, &w.probe)
 	return w
 }
@@ -136,7 +137,9 @@ type worker struct {
 	h   *hCtx
 	o   *oCtx
 	l   *sched.TPLWorker
-	bo  sched.Backoff
+	// loop runs the H and O rungs (Rung), so a transaction keeps one
+	// backoff level across both.
+	loop sched.Loop
 
 	// route is what this worker has learnt about where each size class's
 	// ladder steps fail (router.go).
@@ -150,7 +153,7 @@ type worker struct {
 	attempts uint32
 
 	// ctx is the cancellation context of the in-flight RunCtx call (nil
-	// when the transaction is not cancellable); retry loops poll it.
+	// when the transaction is not cancellable); the loops poll it.
 	ctx context.Context
 }
 
@@ -164,7 +167,7 @@ func (w *worker) Run(sizeHint int, fn sched.TxFunc) error {
 	w.attempts = 0
 	// Every transaction starts at the minimum backoff, however the
 	// previous one ended (commit in any mode, user stop, cancel, panic).
-	w.bo.Reset()
+	w.loop.Backoff().Reset()
 	if sizeHint > cfg.OMaxHint {
 		return w.runL(fn, obs.ModeL)
 	}
@@ -172,7 +175,7 @@ func (w *worker) Run(sizeHint int, fn sched.TxFunc) error {
 	skipH, skipO := rc.plan()
 	triedH := sizeHint <= cfg.HMaxHint && !skipH
 	if triedH {
-		done, err := w.runH(fn)
+		done, err := w.loop.Rung(w.ctx, w.h, obs.ModeH, w.span, &w.attempts, fn)
 		rc.noteH(!done && w.h.tx.LastAbort() == htm.AbortCapacity)
 		if done {
 			return err
@@ -189,7 +192,10 @@ func (w *worker) Run(sizeHint int, fn sched.TxFunc) error {
 			w.probe.TxStop(obs.ModeO, sched.StopReason(err))
 			return err
 		}
-		done, err := w.runO(fn)
+		done, err := false, error(nil)
+		if w.o.enter() {
+			done, err = w.loop.Rung(w.ctx, w.o, obs.ModeO, w.span, &w.attempts, fn)
+		}
 		rc.noteO(!done)
 		if done {
 			return err
@@ -286,5 +292,8 @@ func (w *worker) runL(fn sched.TxFunc, class obs.Mode) error {
 	w.s.lockerEnter()
 	defer w.s.lockerExit()
 	w.s.awaitHCommits()
-	return w.l.Continue(w.ctx, class, w.span, w.attempts, fn)
+	// L starts from the minimum backoff, on the TPL worker's loop.
+	w.l.Backoff().Reset()
+	_, err := w.l.Rung(w.ctx, w.l, class, w.span, &w.attempts, fn)
+	return err
 }

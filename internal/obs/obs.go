@@ -51,7 +51,7 @@ const (
 	ModeH Mode = iota
 	// ModeO: committed optimistically on the first O attempt.
 	ModeO
-	// ModeOPlus: committed in O mode after at least one period change.
+	// ModeOPlus: committed in O mode after an aborted O attempt.
 	ModeOPlus
 	// ModeO2L: exhausted O mode and committed under locks.
 	ModeO2L
@@ -81,6 +81,14 @@ func (m Mode) String() string {
 	default:
 		return "?"
 	}
+}
+
+// Retried is the class of a commit after an abort in m: O+ for O.
+func (m Mode) Retried() Mode {
+	if m == ModeO {
+		return ModeOPlus
+	}
+	return m
 }
 
 // Reason attributes an abort or terminal stop.

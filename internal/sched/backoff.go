@@ -7,8 +7,8 @@ import (
 	"tufast/internal/obs"
 )
 
-// backoff implements randomized exponential backoff for retry loops. It is
-// per-worker state (not safe for concurrent use).
+// Backoff implements randomized exponential backoff for the retry loop.
+// It is per-worker state (not safe for concurrent use).
 type Backoff struct {
 	rng   uint64
 	level uint
@@ -28,10 +28,12 @@ func (b *Backoff) Next() uint64 {
 	return b.rng
 }
 
-// Wait spins for a randomized, exponentially growing number of
-// iterations, yielding the processor at higher levels, and reports
-// whether it went as far as sleeping.
-func (b *Backoff) Wait() (slept bool) {
+// WaitObserved spins for a randomized, exponentially growing number of
+// iterations, yielding the processor at higher levels and sleeping at the
+// highest, and records on p the wait, whether it slept and the wall time
+// it took.
+func (b *Backoff) WaitObserved(p *obs.Probe) {
+	start := time.Now()
 	if b.level < 12 {
 		b.level++
 	}
@@ -39,8 +41,9 @@ func (b *Backoff) Wait() (slept bool) {
 	for range spins {
 		cpuRelax()
 	}
+	slept := b.level > 8
 	switch {
-	case b.level > 8:
+	case slept:
 		// Persistent contention: sleep so the conflicting transaction
 		// can actually finish (critical on few-core machines, where a
 		// spinner starves the very holder it waits for). The nominal
@@ -54,27 +57,18 @@ func (b *Backoff) Wait() (slept bool) {
 		// level per transaction and does not wait after capacity aborts
 		// (EXPERIMENTS.md "Mode ladder" has both measurements).
 		time.Sleep(time.Duration(b.level-8) * 20 * time.Microsecond)
-		return true
 	case b.level > 3:
 		runtime.Gosched()
 	}
-	return false
-}
-
-// WaitObserved is Wait with the wait, whether it slept and the wall time
-// it took recorded on p.
-func (b *Backoff) WaitObserved(p *obs.Probe) {
-	start := time.Now()
-	slept := b.Wait()
 	p.BackoffWait(slept, time.Since(start))
 }
 
 // Reset returns the backoff to its minimum level, so a pooled worker's
 // next transaction never inherits the previous transaction's contention
-// history. The retry loop every baseline and TuFast's L mode run under
-// calls it when a transaction begins, and so does TuFast's core for its
-// H and O attempts: that covers every way the previous transaction can
-// have ended (commit, user error, panic, cancellation, abandonment).
+// history. A transaction begun on a loop (RunCtx, TuFast's core's Run
+// and its L rung) calls it first: that covers every way the previous
+// transaction can have ended (commit, user error, panic, cancellation,
+// abandonment).
 func (b *Backoff) Reset() { b.level = 0 }
 
 // Level exposes the current escalation level (tests assert that every

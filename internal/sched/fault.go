@@ -98,7 +98,7 @@ func (fi *FaultInjector) at(mode, op string) {
 
 // AtCommit is the commit-point hook, called where an abort must be
 // reported as a commit failure rather than thrown (commit code runs
-// outside RunAttempt). It returns true when the commit must fail; a
+// outside runAttempt). It returns true when the commit must fail; a
 // FaultPanic fault panics instead, deliberately modelling a crash inside
 // the commit window.
 func (fi *FaultInjector) AtCommit(mode string) bool {

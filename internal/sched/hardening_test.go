@@ -15,27 +15,27 @@ import (
 // contract distinguishes.
 func TestRunAttemptClassification(t *testing.T) {
 	// Normal commit.
-	if err, ok := RunAttempt(nil, func(Tx) error { return nil }); err != nil || !ok {
+	if err, ok := runAttempt(nil, func(Tx) error { return nil }); err != nil || !ok {
 		t.Fatalf("commit: (%v, %v), want (nil, true)", err, ok)
 	}
 	// User abort: error returned as-is, no retry.
 	userErr := errors.New("stop")
-	if err, ok := RunAttempt(nil, func(Tx) error { return userErr }); err != userErr || !ok {
+	if err, ok := runAttempt(nil, func(Tx) error { return userErr }); err != userErr || !ok {
 		t.Fatalf("user abort: (%v, %v), want (%v, true)", err, ok, userErr)
 	}
 	// Internal abort: retry.
-	if err, ok := RunAttempt(nil, func(Tx) error { ThrowAbort("conflict"); return nil }); err != nil || ok {
+	if err, ok := runAttempt(nil, func(Tx) error { ThrowAbort("conflict"); return nil }); err != nil || ok {
 		t.Fatalf("internal abort: (%v, %v), want (nil, false)", err, ok)
 	}
 	// Cancellation: terminal with the cancel error.
-	if err, ok := RunAttempt(nil, func(Tx) error { ThrowCancel(context.DeadlineExceeded); return nil }); err != context.DeadlineExceeded || !ok {
+	if err, ok := runAttempt(nil, func(Tx) error { ThrowCancel(context.DeadlineExceeded); return nil }); err != context.DeadlineExceeded || !ok {
 		t.Fatalf("cancel: (%v, %v), want (DeadlineExceeded, true)", err, ok)
 	}
-	if err, ok := RunAttempt(nil, func(Tx) error { ThrowCancel(nil); return nil }); err != context.Canceled || !ok {
+	if err, ok := runAttempt(nil, func(Tx) error { ThrowCancel(nil); return nil }); err != context.Canceled || !ok {
 		t.Fatalf("cancel(nil): (%v, %v), want (Canceled, true)", err, ok)
 	}
 	// User panic: wrapped, terminal, stack captured.
-	err, ok := RunAttempt(nil, func(Tx) error { panic("boom") })
+	err, ok := runAttempt(nil, func(Tx) error { panic("boom") })
 	if !ok {
 		t.Fatal("panic must be terminal (ok=true), not a retry")
 	}
@@ -266,7 +266,7 @@ func TestTPLInjectedCommitAbortRetries(t *testing.T) {
 
 // TestTPLInjectedCommitPanicAbandon models a crash inside the L commit
 // window: the panic escapes Run with locks still held (by design — commit
-// code runs outside RunAttempt), and AbandonInFlight reclaims everything
+// code runs outside runAttempt), and AbandonInFlight reclaims everything
 // so the worker can be pooled again.
 func TestTPLInjectedCommitPanicAbandon(t *testing.T) {
 	s, sp, locks := newTPLFixture(t, 16)

@@ -47,12 +47,12 @@ func (s *HSync) Name() string { return "HSync" }
 func (s *HSync) Worker(tid int) Worker {
 	p := s.Metrics().NewProbe()
 	w := &hsyncWorker{s: s, tx: htm.NewTx(s.sp, p.HTM()), writeIdx: gentab.New(5)}
-	w.loop = newLoop(w, &p, obs.ModeTx, nil, uint64(tid)*0xFF51AFD7ED558CCD+13)
+	w.Loop = NewLoop(w, &p, obs.ModeTx, nil, uint64(tid)*0xFF51AFD7ED558CCD+13)
 	return w
 }
 
 type hsyncWorker struct {
-	loop
+	Loop
 	s  *HSync
 	tx *htm.Tx
 
@@ -73,12 +73,12 @@ type valRead struct {
 	val  uint64
 }
 
-// begin runs the first retries+1 attempts in hardware and the rest on
+// Begin runs the first retries+1 attempts in hardware and the rest on
 // NOrec. HSync is size-oblivious by design: it burns its whole hardware
 // budget even on capacity aborts before falling back (recognizing
 // capacity aborts and routing by size is exactly TuFast's contribution;
 // giving it to the baseline would erase the comparison the paper makes).
-func (w *hsyncWorker) begin(n int) bool {
+func (w *hsyncWorker) Begin(n int) bool {
 	w.nreads, w.nwrites = 0, 0
 	if w.softMode = n > w.s.retries; w.softMode {
 		w.reads = w.reads[:0]
@@ -95,26 +95,26 @@ func (w *hsyncWorker) begin(n int) bool {
 	return true
 }
 
-func (w *hsyncWorker) commit() bool {
+func (w *hsyncWorker) Commit() bool {
 	if w.softMode {
 		return w.softCommit()
 	}
 	return w.tx.Commit() == htm.AbortNone
 }
 
-// rollback has nothing to do: neither path writes before its commit.
-func (w *hsyncWorker) rollback() {}
+// Rollback has nothing to do: neither path writes before its commit.
+func (w *hsyncWorker) Rollback() {}
 
-func (w *hsyncWorker) ops() (reads, writes uint64) { return w.nreads, w.nwrites }
+func (w *hsyncWorker) Ops() (reads, writes uint64) { return w.nreads, w.nwrites }
 
-func (w *hsyncWorker) reason() obs.Reason {
+func (w *hsyncWorker) Aborted(int) (obs.Reason, Next) {
 	switch {
 	case w.softMode:
-		return obs.ReasonConflict
+		return obs.ReasonConflict, RetryWait
 	case w.locked:
-		return obs.ReasonLocked
+		return obs.ReasonLocked, RetryWait
 	}
-	return w.tx.LastAbort().Reason()
+	return w.tx.LastAbort().Reason(), RetryWait
 }
 
 // softCommit serializes on the global sequence lock, re-validates every

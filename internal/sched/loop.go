@@ -7,47 +7,57 @@ import (
 	"tufast/internal/obs"
 )
 
-// protocol is one worker's attempt protocol: the Tx a transaction body
-// runs against, opened by begin and closed by commit or rollback — the
+// Protocol is one worker's attempt protocol: the Tx a transaction body
+// runs against, opened by Begin and closed by Commit or Rollback — the
 // read, write and tryCommit of Ravi's common retry model (PAPERS.md). The
-// loop it runs under decides everything else.
-type protocol interface {
+// loop it runs under decides everything else, on its answer to each
+// aborted attempt.
+type Protocol interface {
 	Tx
-	// begin opens the transaction's attempt n (0 for the first its loop
+	// Begin opens the transaction's attempt n (0 for the first its loop
 	// runs) and reports whether it may run; false aborts it unrun.
-	begin(n int) bool
-	// commit tries to install an attempt whose body returned nil; false
+	Begin(n int) bool
+	// Commit tries to install an attempt whose body returned nil; false
 	// aborts it.
-	commit() bool
-	// rollback discards an attempt that did not commit, whatever ended
+	Commit() bool
+	// Rollback discards an attempt that did not commit, whatever ended
 	// it, a failed commit included.
-	rollback()
-	// ops reports the committed attempt's read and write operations.
-	ops() (reads, writes uint64)
-	// reason attributes an aborted attempt.
-	reason() obs.Reason
+	Rollback()
+	// Ops reports the committed attempt's read and write operations.
+	Ops() (reads, writes uint64)
+	// Aborted attributes aborted attempt n and says what comes next.
+	Aborted(n int) (obs.Reason, Next)
 }
+
+// Next is a protocol's answer to an aborted attempt. Every baseline
+// answers RetryWait.
+type Next uint8
+
+const (
+	RetryWait Next = iota // retry after a backoff wait
+	RetryNow              // retry at once: a wait cannot change the outcome
+	GiveUp                // end the rung: the transaction moves on to its next
+)
 
 // starveLimit is the consecutive-abort count after which an attempt of a
 // scheduler with a starvation drain runs alone.
 const starveLimit = 64
 
-// loop is the one retry loop every scheduler in this package runs its
-// protocol under: it alone retries, drains, cancels, backs off and
-// records each outcome, once, to its probe. Workers embed it, which gives
-// them Run and RunCtx.
-type loop struct {
-	p     protocol
+// Loop is the one retry loop every scheduler runs its protocol under: it
+// alone retries, drains, cancels, backs off and records each outcome,
+// once, to its probe. The workers of this package embed it, which gives
+// them Run and RunCtx; TuFast's core runs its three rungs under it too.
+type Loop struct {
+	p     Protocol
 	probe *obs.Probe
 	mode  obs.Mode
 
 	// drain is the starvation escape hatch, nil where the protocol needs
 	// none: under extreme contention 2PL's upgrade waits, which are given
 	// up after 16 tries, can abort the same transaction indefinitely, and
-	// timestamp ordering
-	// aborts a large writer whose footprint newer transactions keep
-	// touching. After starveLimit consecutive aborts an attempt takes the
-	// drain exclusively and runs alone.
+	// timestamp ordering aborts a large writer whose footprint newer
+	// transactions keep touching. After starveLimit consecutive aborts an
+	// attempt takes the drain exclusively and runs alone.
 	drain *sync.RWMutex
 
 	bo Backoff
@@ -57,20 +67,21 @@ type loop struct {
 	ctx context.Context
 }
 
-func newLoop(p protocol, probe *obs.Probe, mode obs.Mode, drain *sync.RWMutex, seed uint64) loop {
-	return loop{p: p, probe: probe, mode: mode, drain: drain, bo: NewBackoff(seed)}
+// NewLoop returns a loop whose Run and RunCtx run p's attempts under
+// mode (p is nil on a loop only Rung runs on), recorded to probe, taking
+// drain (nil for none) once an attempt starves.
+func NewLoop(p Protocol, probe *obs.Probe, mode obs.Mode, drain *sync.RWMutex, seed uint64) Loop {
+	return Loop{p: p, probe: probe, mode: mode, drain: drain, bo: NewBackoff(seed)}
 }
 
 // Run implements Worker. The size hint is ignored: every protocol here
 // handles any size.
-func (l *loop) Run(_ int, fn TxFunc) error {
-	return l.Continue(nil, l.mode, l.probe.TxBegin(), 0, fn)
-}
+func (l *Loop) Run(_ int, fn TxFunc) error { return l.RunCtx(nil, 0, fn) }
 
 // RunCtx implements CtxWorker: Run, but returning ctx.Err() promptly
 // (with the attempt rolled back) once ctx is cancelled — between retries,
 // and from inside 2PL's lock waits.
-func (l *loop) RunCtx(ctx context.Context, _ int, fn TxFunc) error {
+func (l *Loop) RunCtx(ctx context.Context, _ int, fn TxFunc) error {
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil
 	}
@@ -79,51 +90,66 @@ func (l *loop) RunCtx(ctx context.Context, _ int, fn TxFunc) error {
 			return err
 		}
 	}
-	return l.Continue(ctx, l.mode, l.probe.TxBegin(), 0, fn)
-}
-
-// Continue runs fn to its end as a transaction begun elsewhere: sp is its
-// latency span, retries the attempts it has already aborted, ctx (nil for
-// none) cancels it, and its outcomes are recorded under mode. TuFast's
-// core runs L mode this way, after the transaction's H and O attempts.
-func (l *loop) Continue(ctx context.Context, mode obs.Mode, sp obs.Span, retries uint32, fn TxFunc) error {
-	l.ctx = ctx
-	err := l.run(mode, sp, retries, fn)
-	l.ctx = nil
-	return err
-}
-
-func (l *loop) run(mode obs.Mode, sp obs.Span, retries uint32, fn TxFunc) error {
 	// Every transaction starts at the minimum backoff, however the
 	// previous one ended.
 	l.bo.Reset()
+	var retries uint32
+	_, err := l.Rung(ctx, l.p, l.mode, l.probe.TxBegin(), &retries, fn)
+	return err
+}
+
+// Backoff is the loop's backoff state.
+func (l *Loop) Backoff() *Backoff { return &l.bo }
+
+// Rung runs fn's attempts under p, as a rung of a transaction begun
+// elsewhere: sp is its latency span, *retries the attempts it has aborted
+// (each abort here adds one), ctx (nil for none) cancels it, and the
+// backoff level carries over from the rung before. It runs until an
+// attempt commits, fn returns an error or panics, or ctx is cancelled —
+// done, with that error — or until p gives up: not done. Outcomes are
+// recorded under mode, and a commit after an abort in this rung under
+// mode.Retried().
+func (l *Loop) Rung(ctx context.Context, p Protocol, mode obs.Mode, sp obs.Span, retries *uint32, fn TxFunc) (done bool, err error) {
+	l.ctx = ctx
+	defer func() { l.ctx = nil }()
 	for n := 0; ; n++ {
-		err, done := l.attempt(fn, n)
-		if done && err == nil {
-			reads, writes := l.p.ops()
-			l.probe.TxCommit(mode, retries, sp, reads, writes)
-			return nil
+		err, ok := l.attempt(p, fn, n)
+		if ok && err == nil {
+			class := mode
+			if n > 0 {
+				class = mode.Retried()
+			}
+			reads, writes := p.Ops()
+			l.probe.TxCommit(class, *retries, sp, reads, writes)
+			return true, nil
 		}
-		if !done {
-			l.probe.TxAbort(mode, l.p.reason())
-			retries++
+		if !ok {
+			reason, next := p.Aborted(n)
+			l.probe.TxAbort(mode, reason)
+			*retries++
+			if next == GiveUp {
+				return false, nil
+			}
 			if err = l.ctxErr(); err == nil {
-				l.bo.WaitObserved(l.probe)
+				if next == RetryWait {
+					l.bo.WaitObserved(l.probe)
+				}
 				continue
 			}
 		}
 		// A user error, a panic or a cancellation: never retried.
 		l.probe.TxStop(mode, StopReason(err))
-		return err
+		return true, err
 	}
 }
 
-// attempt runs attempt n of fn and reports how it ended as RunAttempt
-// does, a failed commit counting as an internal abort. The drain is
-// released by defer so that a panic escaping the commit window (fault
-// injection, internal bugs) cannot wedge every other worker; whatever
-// else such a panic leaves behind is the worker's AbandonInFlight's.
-func (l *loop) attempt(fn TxFunc, n int) (err error, done bool) {
+// attempt runs attempt n of fn under p and reports how it ended as
+// runAttempt does, a failed commit counting as an internal abort. The
+// drain is released by defer so that a panic escaping the commit window
+// (fault injection, internal bugs) cannot wedge every other worker;
+// whatever else such a panic leaves behind is the worker's
+// AbandonInFlight's.
+func (l *Loop) attempt(p Protocol, fn TxFunc, n int) (err error, done bool) {
 	if l.drain != nil {
 		if n >= starveLimit {
 			l.drain.Lock()
@@ -133,18 +159,18 @@ func (l *loop) attempt(fn TxFunc, n int) (err error, done bool) {
 			defer l.drain.RUnlock()
 		}
 	}
-	if !l.p.begin(n) {
+	if !p.Begin(n) {
 		return nil, false
 	}
-	if err, done = RunAttempt(l.p, fn); done && err == nil && l.p.commit() {
+	if err, done = runAttempt(p, fn); done && err == nil && p.Commit() {
 		return nil, true
 	}
-	l.p.rollback()
+	p.Rollback()
 	return err, done && err != nil
 }
 
 // ctxErr is the running transaction's cancellation, if any.
-func (l *loop) ctxErr() error {
+func (l *Loop) ctxErr() error {
 	if l.ctx == nil {
 		return nil
 	}

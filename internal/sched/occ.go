@@ -34,7 +34,7 @@ func (s *OCC) Name() string { return "OCC" }
 func (s *OCC) Worker(tid int) Worker {
 	w := &occWorker{s: s, tid: tid, readIdx: gentab.New(6), writeIdx: gentab.New(5)}
 	p := s.Metrics().NewProbe()
-	w.loop = newLoop(w, &p, obs.ModeTx, nil, uint64(tid)*0x2545F4914F6CDD1D+7)
+	w.Loop = NewLoop(w, &p, obs.ModeTx, nil, uint64(tid)*0x2545F4914F6CDD1D+7)
 	return w
 }
 
@@ -51,7 +51,7 @@ type occWrite struct {
 }
 
 type occWorker struct {
-	loop
+	Loop
 	s   *OCC
 	tid int
 
@@ -61,7 +61,7 @@ type occWorker struct {
 	writeIdx *gentab.Table
 }
 
-func (w *occWorker) begin(int) bool {
+func (w *occWorker) Begin(int) bool {
 	w.reads = w.reads[:0]
 	w.writes = w.writes[:0]
 	w.readIdx.Reset()
@@ -69,15 +69,15 @@ func (w *occWorker) begin(int) bool {
 	return true
 }
 
-// rollback has nothing to do: writes are buffered, and commit releases
+// Rollback has nothing to do: writes are buffered, and commit releases
 // whatever it locked.
-func (w *occWorker) rollback() {}
+func (w *occWorker) Rollback() {}
 
-func (w *occWorker) ops() (reads, writes uint64) {
+func (w *occWorker) Ops() (reads, writes uint64) {
 	return uint64(len(w.reads)), uint64(len(w.writes))
 }
 
-func (w *occWorker) reason() obs.Reason { return obs.ReasonConflict }
+func (w *occWorker) Aborted(int) (obs.Reason, Next) { return obs.ReasonConflict, RetryWait }
 
 // Read implements Tx.
 func (w *occWorker) Read(v uint32, addr mem.Addr) uint64 {
@@ -123,7 +123,7 @@ func (w *occWorker) Write(v uint32, addr mem.Addr, val uint64) {
 
 // commit implements the Silo commit protocol: lock write vertices in ID
 // order, validate read stamps, install, release.
-func (w *occWorker) commit() bool {
+func (w *occWorker) Commit() bool {
 	if len(w.writes) == 0 {
 		return w.validate(nil)
 	}

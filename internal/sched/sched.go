@@ -9,7 +9,8 @@
 //	hsync    HTM-first hybrid with STM fallback (HSync-like)
 //
 // Each is an attempt protocol under one retry loop (loop.go), which
-// alone retries, drains, cancels, backs off and records outcomes. It
+// alone retries, drains, cancels, backs off and records outcomes; so are
+// TuFast's H and O modes (internal/core). It
 // records each outcome once, to the worker's obs.Probe; every count a
 // scheduler reports is read from its Metrics().Snapshot().
 //
@@ -147,7 +148,7 @@ func ThrowAbort(reason string) {
 
 // cancelSig is the panic payload used to unwind an attempt blocked in a
 // lock-wait (or any other internal loop) when its context is cancelled.
-// RunAttempt converts it into a terminal error: the scheduler cleans up
+// runAttempt converts it into a terminal error: the scheduler cleans up
 // exactly as for a user abort and Run returns err without retrying.
 type cancelSig struct {
 	err error
@@ -162,7 +163,7 @@ func ThrowCancel(err error) {
 	panic(cancelSig{err: err})
 }
 
-// RunAttempt invokes fn(tx) and classifies how the attempt ended:
+// runAttempt invokes fn(tx) and classifies how the attempt ended:
 //
 //   - normal return: (fn's error, ok=true) — nil commits, non-nil is a
 //     user abort the scheduler must not retry;
@@ -173,7 +174,7 @@ func ThrowCancel(err error) {
 //   - any other panic escaping fn: (*TxPanicError, ok=true) — terminal.
 //     The attempt is unwound like a user abort, so a panicking TxFunc
 //     never leaks locks, undo state, or a poisoned worker.
-func RunAttempt(tx Tx, fn TxFunc) (err error, ok bool) {
+func runAttempt(tx Tx, fn TxFunc) (err error, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			switch sig := r.(type) {

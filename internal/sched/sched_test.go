@@ -330,18 +330,18 @@ func TestHostedTPLWorkerRecordsOnlyBackoff(t *testing.T) {
 }
 
 // loopOf returns the retry loop a worker of this package runs under.
-func loopOf(t *testing.T, w Worker) *loop {
+func loopOf(t *testing.T, w Worker) *Loop {
 	switch w := w.(type) {
 	case *TPLWorker:
-		return &w.loop
+		return &w.Loop
 	case *occWorker:
-		return &w.loop
+		return &w.Loop
 	case *toWorker:
-		return &w.loop
+		return &w.Loop
 	case *stmWorker:
-		return &w.loop
+		return &w.Loop
 	case *hsyncWorker:
-		return &w.loop
+		return &w.Loop
 	}
 	t.Fatalf("no loop in %T", w)
 	return nil

@@ -40,7 +40,7 @@ func (s *STM) Worker(tid int) Worker {
 		lockedIdx: gentab.New(5),
 	}
 	p := s.Metrics().NewProbe()
-	w.loop = newLoop(w, &p, obs.ModeTx, nil, uint64(tid)*0xBF58476D1CE4E5B9+11)
+	w.Loop = NewLoop(w, &p, obs.ModeTx, nil, uint64(tid)*0xBF58476D1CE4E5B9+11)
 	return w
 }
 
@@ -65,7 +65,7 @@ func (w *stmWorker) Write(_ uint32, addr mem.Addr, val uint64) {
 // stmWorker is the encounter-time-locking write-back transaction
 // descriptor of one worker.
 type stmWorker struct {
-	loop
+	Loop
 	s  *STM
 	rv uint64 // read validity clock (TL2 time base)
 
@@ -91,7 +91,7 @@ type lockedLine struct {
 	from uint64 // meta value when locked (even)
 }
 
-func (w *stmWorker) begin(int) bool {
+func (w *stmWorker) Begin(int) bool {
 	w.rv = w.s.sp.Commits()
 	w.reads = w.reads[:0]
 	w.writes = w.writes[:0]
@@ -103,11 +103,11 @@ func (w *stmWorker) begin(int) bool {
 	return true
 }
 
-func (w *stmWorker) ops() (reads, writes uint64) {
+func (w *stmWorker) Ops() (reads, writes uint64) {
 	return uint64(w.nreads), uint64(len(w.writes))
 }
 
-func (w *stmWorker) reason() obs.Reason { return obs.ReasonConflict }
+func (w *stmWorker) Aborted(int) (obs.Reason, Next) { return obs.ReasonConflict, RetryWait }
 
 // extend revalidates the read set against current line versions, allowing
 // the time base to advance (TL2 timestamp extension).
@@ -185,7 +185,7 @@ func (w *stmWorker) write(addr mem.Addr, val uint64) bool {
 	return true
 }
 
-func (w *stmWorker) commit() bool {
+func (w *stmWorker) Commit() bool {
 	if len(w.writes) == 0 {
 		return w.extend()
 	}
@@ -201,7 +201,7 @@ func (w *stmWorker) commit() bool {
 	return true
 }
 
-func (w *stmWorker) rollback() {
+func (w *stmWorker) Rollback() {
 	w.releaseLocks(false)
 }
 

@@ -76,12 +76,12 @@ func (s *TO) Worker(tid int) Worker {
 		w.seg = &segment{s: s, htm: p.HTM(), seen: gentab.New(6)}
 		seed = uint64(tid)*0xC2B2AE3D27D4EB4F + 17
 	}
-	w.loop = newLoop(w, &p, obs.ModeTx, &s.drain, seed)
+	w.Loop = NewLoop(w, &p, obs.ModeTx, &s.drain, seed)
 	return w
 }
 
 type toWorker struct {
-	loop
+	Loop
 	s         *TO
 	tid       int
 	ts        uint64
@@ -94,7 +94,7 @@ type toWorker struct {
 	nreads, nwrites uint64
 }
 
-func (w *toWorker) begin(int) bool {
+func (w *toWorker) Begin(int) bool {
 	w.ts = w.s.clock.Add(1)
 	w.nreads, w.nwrites = 0, 0
 	if w.seg != nil {
@@ -103,16 +103,16 @@ func (w *toWorker) begin(int) bool {
 	return true
 }
 
-func (w *toWorker) commit() bool {
+func (w *toWorker) Commit() bool {
 	w.finish(true)
 	return true
 }
 
-func (w *toWorker) rollback() { w.finish(false) }
+func (w *toWorker) Rollback() { w.finish(false) }
 
-func (w *toWorker) ops() (reads, writes uint64) { return w.nreads, w.nwrites }
+func (w *toWorker) Ops() (reads, writes uint64) { return w.nreads, w.nwrites }
 
-func (w *toWorker) reason() obs.Reason { return obs.ReasonConflict }
+func (w *toWorker) Aborted(int) (obs.Reason, Next) { return obs.ReasonConflict, RetryWait }
 
 func (w *toWorker) finish(commit bool) {
 	if !commit {

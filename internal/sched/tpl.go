@@ -73,14 +73,14 @@ func (s *TPL) NewWorker(tid int) *TPLWorker {
 
 // NewWorkerFor returns a worker that records its transactions into probe
 // instead. TuFast's core runs L mode on one, recorded in its own worker's
-// probe under the transaction's class (Continue). tid must be in
+// probe under the transaction's class (Loop.Rung). tid must be in
 // [0, MaxThreads).
 func (s *TPL) NewWorkerFor(tid int, probe *obs.Probe) *TPLWorker {
 	if tid < 0 || tid >= MaxThreads {
 		panic("sched: TPL worker tid out of range")
 	}
 	w := &TPLWorker{s: s, tid: tid, held: gentab.New(6)}
-	w.loop = newLoop(w, probe, obs.ModeL, &s.drain, uint64(tid)*0x9E3779B97F4A7C15+1)
+	w.Loop = NewLoop(w, probe, obs.ModeL, &s.drain, uint64(tid)*0x9E3779B97F4A7C15+1)
 	return w
 }
 
@@ -97,7 +97,7 @@ type undoRec struct {
 
 // TPLWorker executes transactions under strict 2PL for one goroutine.
 type TPLWorker struct {
-	loop
+	Loop
 	s     *TPL
 	tid   int
 	held  *gentab.Table // vertex -> holdShared/holdExcl
@@ -114,15 +114,15 @@ type TPLWorker struct {
 	nreads, nwrites uint64
 }
 
-func (w *TPLWorker) begin(int) bool {
+func (w *TPLWorker) Begin(int) bool {
 	w.dlAbort = false
 	w.nreads, w.nwrites = 0, 0
 	return true
 }
 
-// commit releases the locks; the fault hook sits where a crash leaves
+// Commit releases the locks; the fault hook sits where a crash leaves
 // them held.
-func (w *TPLWorker) commit() bool {
+func (w *TPLWorker) Commit() bool {
 	if w.s.faults.Load().AtCommit("L") {
 		return false
 	}
@@ -130,15 +130,15 @@ func (w *TPLWorker) commit() bool {
 	return true
 }
 
-func (w *TPLWorker) rollback() { w.finish(false) }
+func (w *TPLWorker) Rollback() { w.finish(false) }
 
-func (w *TPLWorker) ops() (reads, writes uint64) { return w.nreads, w.nwrites }
+func (w *TPLWorker) Ops() (reads, writes uint64) { return w.nreads, w.nwrites }
 
-func (w *TPLWorker) reason() obs.Reason {
+func (w *TPLWorker) Aborted(int) (obs.Reason, Next) {
 	if w.dlAbort {
-		return obs.ReasonDeadlock
+		return obs.ReasonDeadlock, RetryWait
 	}
-	return obs.ReasonConflict
+	return obs.ReasonConflict, RetryWait
 }
 
 // AbandonInFlight implements Abandoner: it rolls back and releases

@@ -151,12 +151,14 @@ end
 # worker's locks, and random-order locking on a deadline), over core's
 # cross-mode histories (with the lockers always there, and coming and
 # going), mode ladder, router, commit gate, quiet-attempt interleavings,
-# O-commit announcement and the one record of outcomes (cancellations
-# between rungs included), two L transactions that would close a wait
-# cycle, and random-order locking in L mode on a deadline, over the
-# shortest-path example against Dijkstra (hubs in L mode), over the
-# pagerank example against a power iteration and the matching example's
-# two matchings held to maximality, over the
+# O-commit announcement, the one record of outcomes, the backoff level a
+# transaction carries from H into O (and not into L), two L transactions
+# that would close a wait cycle, and random-order locking in L mode on a
+# deadline, over the shortest-path example against Dijkstra (hubs in L
+# mode), over the pagerank example against a power iteration, the
+# matching example's two matchings held to maximality, the analytics
+# example's five analyses held to their sequential references and the
+# quickstart's matching and mode breakdown, over the
 # queued driver (its own quiesce, chunk and priority tests, the
 # algorithms' entry point into it, and WCC and SPFA against their
 # sequential references and SPFA's stale entries), over the snapshot fold beside and after chain
@@ -167,7 +169,9 @@ end
 # batches; over owned batches inline and fanned out, held to the fold
 # and run out of arena; over the one worker pool: an algorithms call beside the
 # System's own sweeps, mostly in L mode, where a thread id shared by two
-# goroutines loses updates; over the public queued driver: a wakeup
+# goroutines loses updates; over a cancellation found between rungs of
+# the mode ladder, counted once in every view; over the public queued
+# driver: a wakeup
 # published while its writer stalls before the commit, and the Figure 3
 # SSSP body on FIFO and PQ held to Dijkstra; and, under the race detector, over the
 # server's lock-free admission: 32 racing submissions against a
@@ -187,6 +191,8 @@ go test -c -o "$tmp/tufast.test" .
 go test -c -o "$tmp/shortestpath.test" ./examples/shortestpath
 go test -c -o "$tmp/pagerank.test" ./examples/pagerank
 go test -c -o "$tmp/matching.test" ./examples/matching
+go test -c -o "$tmp/analytics.test" ./examples/analytics
+go test -c -o "$tmp/quickstart.test" ./examples/quickstart
 go test -race -c -o "$tmp/server.test" ./internal/server
 oversubscribed() { # test binary, -test.run pattern, -test.count
     pids=""
@@ -205,14 +211,17 @@ oversubscribed() { # test binary, -test.run pattern, -test.count
     fi
 }
 oversubscribed "$tmp/sched.test" 'TestSerializabilityHistories|TestBankTransfer|TestCounterIsolation|TestWriteSkewPrevented|TestDeadlockResolution|TestOutcomesRecordedOnce|TestBaselineHTMCountsInOwnSnapshot|TestNoCycleAllowsWait|TestTwoPartyCycle|TestThreePartyCycle|TestSharedSharedNoCycle|TestUpgradeUpgradeCycle|TestRemoveAllClearsHolds|TestUpgradedHold|TestOutOfOrderWaitRefused|TestInOrderWaitBlocks|TestRandomOrderLockingCommits' 50
-oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestCrossModeHistoriesLockersComeAndGo|TestIsolationAcrossModes|TestRouter|TestBackoffStartsAtZeroAfterLadder|TestOCapacityAbortDoesNotBackOff|TestLEntryWaitsForHCommitWindow|TestPanicInCommitWindowClearsGate|TestLateWorkerSeesLActive|TestQuietH|TestOCommitLowersCountOnEveryExit|TestOneCountFourViews|TestCancelAfterHAbortCountsOnce|TestLDeadlockCycleResolved|TestRandomOrderLockingCommits' 30
+oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestCrossModeHistoriesLockersComeAndGo|TestIsolationAcrossModes|TestRouter|TestBackoffStartsAtZeroAfterLadder|TestBackoffLevelCarriesAcrossRungs|TestOCapacityAbortDoesNotBackOff|TestLEntryWaitsForHCommitWindow|TestPanicInCommitWindowClearsGate|TestLateWorkerSeesLActive|TestQuietH|TestOCommitLowersCountOnEveryExit|TestOneCountFourViews|TestLDeadlockCycleResolved|TestRandomOrderLockingCommits' 30
 oversubscribed "$tmp/worklist.test" 'TestDrain' 30
 oversubscribed "$tmp/shortestpath.test" 'TestRunSSSPMatchesDijkstra' 20
 oversubscribed "$tmp/pagerank.test" 'TestPageRankMatchesPowerIteration' 5
 oversubscribed "$tmp/matching.test" 'TestMatchingsAreMaximal' 20
+oversubscribed "$tmp/analytics.test" 'TestAnalyticsProfile' 10
+oversubscribed "$tmp/quickstart.test" 'TestQuickstartMatching' 20
 oversubscribed "$tmp/algo.test" 'TestForEachQueued|TestResultsCountCommitsNotAttempts|TestQueuedKernelsMatchSequential|TestSPFAStaleEntryOneRead' 10
 oversubscribed "$tmp/dyngraph.test" 'TestIndexAbortSafety|TestCompactFromDifferential|TestCompactFromGCHazard|TestCompactFromBesideGC' 20
 oversubscribed "$tmp/tufast.test" 'TestHubMutationOracle|TestAlgorithmsShareSystemWorkers|TestApplyOwnedBesideGC|TestGCPassTakesTurnsWithBatches|TestGCRunningArenaOut|TestFoldMatchesApplyOwned|TestApplyOwnedPanicBreaksGraph|TestForEachQueuedWakesAfterCommit|TestForEachQueuedSSSPMatchesDijkstra' 4
+oversubscribed "$tmp/tufast.test" 'TestCancelAfterHAbortCountsOnce' 30
 oversubscribed "$tmp/server.test" 'TestInflightQuotaExactUnderConcurrentAdmission|TestShutdownRacingSubmitters' 20
 oversubscribed "$tmp/server.test" 'TestStandingReadAfterBatch|TestStandingSeedBesideParkedBatch|TestStandingDeleteRepairNoRecompute|TestStandingRepairWaitsForDelivery' 10
 end

@@ -2,7 +2,6 @@ package tufast
 
 import (
 	"tufast/internal/algo"
-	"tufast/internal/core"
 	"tufast/internal/mem"
 	"tufast/internal/obs"
 )
@@ -111,10 +110,6 @@ func (s *System) MetricsSnapshot() MetricsSnapshot {
 	snap.Gauges["workers"] = int64(s.core.Workers())
 	return snap
 }
-
-// Core exposes the internal scheduler to sibling packages in this module
-// (tests install fault injectors and inspect the lock table through it).
-func (s *System) Core() *core.System { return s.core }
 
 // Space exposes the shared memory space to sibling packages in this
 // module (the benchmark reads the arena's fill level from it).
