@@ -48,7 +48,7 @@ func TestCancelAfterHAbortCountsOnce(t *testing.T) {
 	})
 	c := sys.Core()
 	// Thread id 0 is the System's pool worker, idle throughout.
-	w := c.Worker(1).(sched.CtxWorker)
+	w := c.Worker(1)
 
 	// views returns the three counts of cancellations, and the one of
 	// those recorded under mode.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"tufast/internal/baselines"
 	"tufast/internal/core"
 	"tufast/internal/graph"
 	"tufast/internal/graph/gen"
@@ -31,19 +32,19 @@ func schedFactories(n int) map[string]func(sp *mem.Space) sched.Scheduler {
 			return s
 		},
 		"occ": func(sp *mem.Space) sched.Scheduler {
-			return sched.NewOCC(sp, vlock.NewTable(n))
+			return baselines.NewOCC(sp, vlock.NewTable(n))
 		},
 		"to": func(sp *mem.Space) sched.Scheduler {
-			return sched.NewTO(sp, vlock.NewTable(n), n)
+			return baselines.NewTO(sp, vlock.NewTable(n), n)
 		},
 		"stm": func(sp *mem.Space) sched.Scheduler {
-			return sched.NewSTM(sp)
+			return baselines.NewSTM(sp)
 		},
 		"hsync": func(sp *mem.Space) sched.Scheduler {
-			return sched.NewHSync(sp, 8)
+			return baselines.NewHSync(sp, 8)
 		},
 		"hto": func(sp *mem.Space) sched.Scheduler {
-			return sched.NewHTO(sp, vlock.NewTable(n), n, 500)
+			return baselines.NewHTO(sp, vlock.NewTable(n), n, 500)
 		},
 	}
 }

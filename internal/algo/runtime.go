@@ -61,7 +61,6 @@ type pool struct {
 // goroutine at a time.
 type Worker struct {
 	inner sched.Worker
-	cw    sched.CtxWorker // inner, when its Run can be cancelled
 	// busy is set for the duration of a Run call; it stays set only when
 	// a panic unwound the call, marking in-flight state for Release.
 	busy bool
@@ -71,22 +70,11 @@ type Worker struct {
 }
 
 // Run executes fn as one serializable transaction. With a cancellable ctx
-// the transaction stops retrying (and, on a worker that can, stops
-// waiting for locks) and returns ctx.Err(); a nil ctx never cancels.
+// the transaction stops retrying and waiting for locks and returns
+// ctx.Err(); a nil ctx never cancels.
 func (w *Worker) Run(ctx context.Context, sizeHint int, fn sched.TxFunc) error {
 	w.busy = true
-	var err error
-	if w.cw != nil {
-		err = w.cw.RunCtx(ctx, sizeHint, fn)
-	} else {
-		// A worker that cannot stop mid-transaction stops between them.
-		if ctx != nil {
-			err = ctx.Err()
-		}
-		if err == nil {
-			err = w.inner.Run(sizeHint, fn)
-		}
-	}
+	err := w.inner.RunCtx(ctx, sizeHint, fn)
 	w.busy = false
 	return err
 }
@@ -146,10 +134,9 @@ func (r *Runtime) Lease() *Worker {
 		p.free = p.free[:n-1]
 		return w
 	}
-	inner := r.S.Worker(p.created)
+	w := &Worker{inner: r.S.Worker(p.created)}
 	p.created++
-	cw, _ := inner.(sched.CtxWorker)
-	return &Worker{inner: inner, cw: cw}
+	return w
 }
 
 // Release returns a worker obtained from Lease to the pool.

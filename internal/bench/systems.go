@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"tufast/internal/algo"
+	"tufast/internal/baselines"
 	"tufast/internal/core"
 	"tufast/internal/engines/bsp"
 	"tufast/internal/engines/dist"
@@ -37,11 +38,13 @@ var systems = []system{
 		tpl.SetExclusiveOnly(true)
 		return tpl
 	}},
-	{id: "occ", sched: func(sp *mem.Space, n int) sched.Scheduler { return taxed(sched.NewOCC(sp, vlock.NewTable(n))) }},
-	{id: "to", sched: func(sp *mem.Space, n int) sched.Scheduler { return taxed(sched.NewTO(sp, vlock.NewTable(n), n)) }},
-	{id: "stm", sched: func(sp *mem.Space, n int) sched.Scheduler { return taxed(sched.NewSTM(sp)) }},
-	{id: "hsync", sched: func(sp *mem.Space, n int) sched.Scheduler { return taxed(sched.NewHSync(sp, 8)) }},
-	{id: "hto", sched: func(sp *mem.Space, n int) sched.Scheduler { return taxed(sched.NewHTO(sp, vlock.NewTable(n), n, 1000)) }},
+	{id: "occ", sched: func(sp *mem.Space, n int) sched.Scheduler { return taxed(baselines.NewOCC(sp, vlock.NewTable(n))) }},
+	{id: "to", sched: func(sp *mem.Space, n int) sched.Scheduler { return taxed(baselines.NewTO(sp, vlock.NewTable(n), n)) }},
+	{id: "stm", sched: func(sp *mem.Space, n int) sched.Scheduler { return taxed(baselines.NewSTM(sp)) }},
+	{id: "hsync", sched: func(sp *mem.Space, n int) sched.Scheduler { return taxed(baselines.NewHSync(sp, 8)) }},
+	{id: "hto", sched: func(sp *mem.Space, n int) sched.Scheduler {
+		return taxed(baselines.NewHTO(sp, vlock.NewTable(n), n, 1000))
+	}},
 	{id: "ligra", engine: func(g, gu *graph.CSR, threads, _ int) (engine, error) {
 		return engine{dir: runSync(bsp.New(g, threads)), undir: runSync(bsp.New(gu, threads))}, nil
 	}},

@@ -210,7 +210,7 @@ func (w *worker) Run(sizeHint int, fn sched.TxFunc) error {
 	return w.runL(fn, class)
 }
 
-// RunCtx implements sched.CtxWorker: Run, but returning ctx.Err()
+// RunCtx implements sched.Worker: Run, but returning ctx.Err()
 // promptly once ctx is cancelled — between retries in H and O mode and
 // from inside L-mode lock-wait loops.
 func (w *worker) RunCtx(ctx context.Context, sizeHint int, fn sched.TxFunc) error {

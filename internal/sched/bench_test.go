@@ -1,10 +1,12 @@
-package sched
+package sched_test
 
 import (
 	"fmt"
 	"testing"
 
+	"tufast/internal/baselines"
 	"tufast/internal/mem"
+	"tufast/internal/sched"
 	"tufast/internal/simcost"
 	"tufast/internal/vlock"
 )
@@ -19,14 +21,14 @@ func taxed[S interface{ SetTax(func()) }](s S) S {
 	return s
 }
 
-func benchScheduler(b *testing.B, mk func(sp *mem.Space) Scheduler) {
+func benchScheduler(b *testing.B, mk func(sp *mem.Space) sched.Scheduler) {
 	sp := mem.NewSpace(1 << 16)
 	s := mk(sp)
 	w := s.Worker(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		base := mem.Addr((i * 64) % (1 << 12))
-		_ = w.Run(18, func(tx Tx) error {
+		_ = w.Run(18, func(tx sched.Tx) error {
 			var sum uint64
 			for k := 0; k < 8; k++ {
 				sum += tx.Read(uint32(base)+uint32(k), base+mem.Addr(k))
@@ -38,38 +40,38 @@ func benchScheduler(b *testing.B, mk func(sp *mem.Space) Scheduler) {
 }
 
 func Benchmark2PLTxn(b *testing.B) {
-	benchScheduler(b, func(sp *mem.Space) Scheduler {
-		return taxed(NewTPL(sp, vlock.NewTable(1<<16)))
+	benchScheduler(b, func(sp *mem.Space) sched.Scheduler {
+		return taxed(sched.NewTPL(sp, vlock.NewTable(1<<16)))
 	})
 }
 
 func BenchmarkOCCTxn(b *testing.B) {
-	benchScheduler(b, func(sp *mem.Space) Scheduler {
-		return taxed(NewOCC(sp, vlock.NewTable(1<<16)))
+	benchScheduler(b, func(sp *mem.Space) sched.Scheduler {
+		return taxed(baselines.NewOCC(sp, vlock.NewTable(1<<16)))
 	})
 }
 
 func BenchmarkTOTxn(b *testing.B) {
-	benchScheduler(b, func(sp *mem.Space) Scheduler {
-		return taxed(NewTO(sp, vlock.NewTable(1<<16), 1<<16))
+	benchScheduler(b, func(sp *mem.Space) sched.Scheduler {
+		return taxed(baselines.NewTO(sp, vlock.NewTable(1<<16), 1<<16))
 	})
 }
 
 func BenchmarkSTMTxn(b *testing.B) {
-	benchScheduler(b, func(sp *mem.Space) Scheduler {
-		return taxed(NewSTM(sp))
+	benchScheduler(b, func(sp *mem.Space) sched.Scheduler {
+		return taxed(baselines.NewSTM(sp))
 	})
 }
 
 func BenchmarkHSyncTxn(b *testing.B) {
-	benchScheduler(b, func(sp *mem.Space) Scheduler {
-		return taxed(NewHSync(sp, 8))
+	benchScheduler(b, func(sp *mem.Space) sched.Scheduler {
+		return taxed(baselines.NewHSync(sp, 8))
 	})
 }
 
 func BenchmarkHTOTxn(b *testing.B) {
-	benchScheduler(b, func(sp *mem.Space) Scheduler {
-		return taxed(NewHTO(sp, vlock.NewTable(1<<16), 1<<16, 1000))
+	benchScheduler(b, func(sp *mem.Space) sched.Scheduler {
+		return taxed(baselines.NewHTO(sp, vlock.NewTable(1<<16), 1<<16, 1000))
 	})
 }
 
@@ -77,8 +79,8 @@ func BenchmarkHTOTxn(b *testing.B) {
 // internal/simcost): the same STM transaction on an STM built without
 // the hook, as the library builds its schedulers.
 func BenchmarkSTMTxnUntaxed(b *testing.B) {
-	benchScheduler(b, func(sp *mem.Space) Scheduler {
-		return NewSTM(sp)
+	benchScheduler(b, func(sp *mem.Space) sched.Scheduler {
+		return baselines.NewSTM(sp)
 	})
 }
 
@@ -92,9 +94,9 @@ func BenchmarkTPLReadThenWrite(b *testing.B) {
 	for _, k := range []int{256, 2048} {
 		b.Run(fmt.Sprint(k), func(b *testing.B) {
 			sp := mem.NewSpace(1 << 16)
-			s := NewTPL(sp, vlock.NewTable(k))
+			s := sched.NewTPL(sp, vlock.NewTable(k))
 			w := s.Worker(0)
-			fn := func(tx Tx) error {
+			fn := func(tx sched.Tx) error {
 				for v := uint32(0); int(v) < k; v++ {
 					tx.Write(v, mem.Addr(v), tx.Read(v, mem.Addr(v))+1)
 				}

@@ -45,8 +45,8 @@ const starveLimit = 64
 
 // Loop is the one retry loop every scheduler runs its protocol under: it
 // alone retries, drains, cancels, backs off and records each outcome,
-// once, to its probe. The workers of this package embed it, which gives
-// them Run and RunCtx; TuFast's core runs its three rungs under it too.
+// once, to its probe. TPL's and the baselines' workers embed it, which
+// gives them Run and RunCtx; TuFast's core runs its three rungs under it.
 type Loop struct {
 	p     Protocol
 	probe *obs.Probe
@@ -78,7 +78,7 @@ func NewLoop(p Protocol, probe *obs.Probe, mode obs.Mode, drain *sync.RWMutex, s
 // handles any size.
 func (l *Loop) Run(_ int, fn TxFunc) error { return l.RunCtx(nil, 0, fn) }
 
-// RunCtx implements CtxWorker: Run, but returning ctx.Err() promptly
+// RunCtx implements Worker: Run, but returning ctx.Err() promptly
 // (with the attempt rolled back) once ctx is cancelled — between retries,
 // and from inside 2PL's lock waits.
 func (l *Loop) RunCtx(ctx context.Context, _ int, fn TxFunc) error {

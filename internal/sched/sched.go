@@ -1,18 +1,12 @@
-// Package sched defines the transaction-scheduler interface shared by
-// TuFast and every baseline the paper compares against (§VI-B), and
-// implements the baselines themselves:
-//
-//	tpl      two-phase locking with deadlock prevention by lock order (also TuFast's L mode)
-//	occ      Silo-style optimistic concurrency control
-//	to       timestamp ordering, and with HTM segments H-TO (H-TO-like)
-//	stm      TL2/TinySTM-style software transactional memory
-//	hsync    HTM-first hybrid with STM fallback (HSync-like)
-//
-// Each is an attempt protocol under one retry loop (loop.go), which
-// alone retries, drains, cancels, backs off and records outcomes; so are
-// TuFast's H and O modes (internal/core). It
-// records each outcome once, to the worker's obs.Probe; every count a
-// scheduler reports is read from its Metrics().Snapshot().
+// Package sched is the transaction-scheduler contract TuFast runs: Tx,
+// Worker, Scheduler, and the one retry loop (loop.go) every scheduler's
+// attempt protocol runs under, which alone retries, drains, cancels,
+// backs off and records each outcome, once, to the worker's obs.Probe;
+// every count a scheduler reports is read from its Metrics().Snapshot().
+// TuFast's H and O modes (internal/core) are such protocols, and so is
+// this package's one scheduler, TPL: two-phase locking with deadlock
+// prevention by lock order, both TuFast's L mode and the paper's 2PL. The
+// paper's other baselines (§VI-B) are in internal/baselines.
 //
 // Transactions address shared state through a mem.Space; every operation
 // names the vertex the address belongs to, which is the lock and conflict
@@ -81,14 +75,9 @@ type Worker interface {
 	// hint: the approximate number of shared words the transaction will
 	// touch (0 = unknown).
 	Run(sizeHint int, fn TxFunc) error
-}
-
-// CtxWorker is implemented by workers whose Run can be cancelled: RunCtx
-// behaves like Run but returns ctx.Err() (without committing) once ctx is
-// cancelled — including from inside lock-wait and retry loops. A nil ctx
-// or one that can never be cancelled costs nothing over Run.
-type CtxWorker interface {
-	Worker
+	// RunCtx is Run, but returns ctx.Err() (without committing) once ctx
+	// is cancelled — including from inside lock-wait and retry loops. A
+	// nil ctx or one that can never be cancelled costs nothing over Run.
 	RunCtx(ctx context.Context, sizeHint int, fn TxFunc) error
 }
 

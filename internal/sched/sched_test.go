@@ -1,4 +1,4 @@
-package sched
+package sched_test
 
 import (
 	"errors"
@@ -7,43 +7,45 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"tufast/internal/baselines"
 	"tufast/internal/htm"
 	"tufast/internal/mem"
 	"tufast/internal/obs"
+	"tufast/internal/sched"
 	"tufast/internal/vlock"
 )
 
 // totals reads a scheduler's outcome counts from its metrics, the one
 // place they are recorded.
-func totals(s Scheduler) obs.Totals { return s.Metrics().Snapshot().Totals() }
+func totals(s sched.Scheduler) obs.Totals { return s.Metrics().Snapshot().Totals() }
 
 // makeAll builds every baseline scheduler over a fresh space with n
 // vertices.
-func makeAll(n int) map[string]func() (Scheduler, *mem.Space) {
-	mk := func(f func(sp *mem.Space) Scheduler) func() (Scheduler, *mem.Space) {
-		return func() (Scheduler, *mem.Space) {
+func makeAll(n int) map[string]func() (sched.Scheduler, *mem.Space) {
+	mk := func(f func(sp *mem.Space) sched.Scheduler) func() (sched.Scheduler, *mem.Space) {
+		return func() (sched.Scheduler, *mem.Space) {
 			sp := mem.NewSpace(4*n + 1024)
 			return f(sp), sp
 		}
 	}
-	return map[string]func() (Scheduler, *mem.Space){
-		"2pl-detect": mk(func(sp *mem.Space) Scheduler {
-			return NewTPL(sp, vlock.NewTable(n))
+	return map[string]func() (sched.Scheduler, *mem.Space){
+		"2pl-detect": mk(func(sp *mem.Space) sched.Scheduler {
+			return sched.NewTPL(sp, vlock.NewTable(n))
 		}),
-		"occ": mk(func(sp *mem.Space) Scheduler {
-			return NewOCC(sp, vlock.NewTable(n))
+		"occ": mk(func(sp *mem.Space) sched.Scheduler {
+			return baselines.NewOCC(sp, vlock.NewTable(n))
 		}),
-		"to": mk(func(sp *mem.Space) Scheduler {
-			return NewTO(sp, vlock.NewTable(n), n)
+		"to": mk(func(sp *mem.Space) sched.Scheduler {
+			return baselines.NewTO(sp, vlock.NewTable(n), n)
 		}),
-		"stm": mk(func(sp *mem.Space) Scheduler {
-			return NewSTM(sp)
+		"stm": mk(func(sp *mem.Space) sched.Scheduler {
+			return baselines.NewSTM(sp)
 		}),
-		"hsync": mk(func(sp *mem.Space) Scheduler {
-			return NewHSync(sp, 4)
+		"hsync": mk(func(sp *mem.Space) sched.Scheduler {
+			return baselines.NewHSync(sp, 4)
 		}),
-		"hto": mk(func(sp *mem.Space) Scheduler {
-			return NewHTO(sp, vlock.NewTable(n), n, 100)
+		"hto": mk(func(sp *mem.Space) sched.Scheduler {
+			return baselines.NewHTO(sp, vlock.NewTable(n), n, 100)
 		}),
 	}
 }
@@ -62,7 +64,7 @@ func TestCounterIsolation(t *testing.T) {
 					defer wg.Done()
 					w := s.Worker(tid)
 					for i := 0; i < each; i++ {
-						err := w.Run(2, func(tx Tx) error {
+						err := w.Run(2, func(tx sched.Tx) error {
 							v := tx.Read(0, 0)
 							tx.Write(0, 0, v+1)
 							return nil
@@ -112,7 +114,7 @@ func TestBankTransfer(t *testing.T) {
 						if from == to {
 							continue
 						}
-						_ = w.Run(4, func(tx Tx) error {
+						_ = w.Run(4, func(tx sched.Tx) error {
 							a := tx.Read(from, mem.Addr(from))
 							b := tx.Read(to, mem.Addr(to))
 							if a == 0 {
@@ -145,7 +147,7 @@ func TestUserErrorRollsBack(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s, sp := mk()
 			w := s.Worker(0)
-			err := w.Run(4, func(tx Tx) error {
+			err := w.Run(4, func(tx sched.Tx) error {
 				tx.Write(1, 1, 111)
 				tx.Write(2, 2, 222)
 				return boom
@@ -169,7 +171,7 @@ func TestReadYourOwnWrites(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s, _ := mk()
 			w := s.Worker(0)
-			err := w.Run(4, func(tx Tx) error {
+			err := w.Run(4, func(tx sched.Tx) error {
 				tx.Write(3, 3, 77)
 				if got := tx.Read(3, 3); got != 77 {
 					return fmt.Errorf("read-own-write got %d", got)
@@ -199,7 +201,7 @@ func TestWriteSkewPrevented(t *testing.T) {
 				body := func(tid int, mine, other uint32) {
 					defer wg.Done()
 					w := s.Worker(tid)
-					_ = w.Run(4, func(tx Tx) error {
+					_ = w.Run(4, func(tx sched.Tx) error {
 						a := tx.Read(mine, mem.Addr(mine))
 						b := tx.Read(other, mem.Addr(other))
 						if a == 0 && b == 0 {
@@ -224,7 +226,7 @@ func TestWriteSkewPrevented(t *testing.T) {
 // must all eventually commit under 2PL.
 func TestDeadlockResolution(t *testing.T) {
 	sp := mem.NewSpace(64)
-	s := NewTPL(sp, vlock.NewTable(8))
+	s := sched.NewTPL(sp, vlock.NewTable(8))
 	var wg sync.WaitGroup
 	const each = 200
 	order := [][2]uint32{{1, 2}, {2, 1}}
@@ -235,7 +237,7 @@ func TestDeadlockResolution(t *testing.T) {
 			w := s.Worker(tid)
 			a, b := order[tid][0], order[tid][1]
 			for i := 0; i < each; i++ {
-				err := w.Run(2, func(tx Tx) error {
+				err := w.Run(2, func(tx sched.Tx) error {
 					tx.Write(a, mem.Addr(a), tx.Read(a, mem.Addr(a))+1)
 					tx.Write(b, mem.Addr(b), tx.Read(b, mem.Addr(b))+1)
 					return nil
@@ -258,9 +260,9 @@ func TestDeadlockResolution(t *testing.T) {
 func TestHSyncFallsBackToSTM(t *testing.T) {
 	n := 20_000
 	sp := mem.NewSpace(2*n + 64)
-	s := NewHSync(sp, 4)
+	s := baselines.NewHSync(sp, 4)
 	w := s.Worker(0)
-	err := w.Run(n, func(tx Tx) error {
+	err := w.Run(n, func(tx sched.Tx) error {
 		for i := 0; i < n; i++ {
 			tx.Write(uint32(i%64), mem.Addr(i), 9)
 		}
@@ -284,7 +286,7 @@ func TestTaxHookChargedPerSoftwareBarrier(t *testing.T) {
 			s, _ := mk()
 			charged := 0
 			s.(interface{ SetTax(func()) }).SetTax(func() { charged++ })
-			err := s.Worker(0).Run(4, func(tx Tx) error {
+			err := s.Worker(0).Run(4, func(tx sched.Tx) error {
 				charged = 0 // count the committing attempt alone
 				tx.Write(1, 1, tx.Read(1, 1)+tx.Read(2, 2)+tx.Read(3, 3))
 				return nil
@@ -309,12 +311,12 @@ func TestTaxHookChargedPerSoftwareBarrier(t *testing.T) {
 // and the TPL's own metrics stay empty.
 func TestHostedTPLWorkerRecordsOnlyBackoff(t *testing.T) {
 	sp := mem.NewSpace(1024)
-	s := NewTPL(sp, vlock.NewTable(8))
-	var host Instrumented
+	s := sched.NewTPL(sp, vlock.NewTable(8))
+	var host sched.Instrumented
 	probe := host.Metrics().NewProbe()
 	w := s.NewWorkerFor(0, &probe)
-	s.SetFaultInjector(NewFaultInjector(FaultSpec{Mode: "L", Op: "commit"}))
-	if err := w.Run(0, func(tx Tx) error { tx.Write(1, 1, 7); return nil }); err != nil {
+	s.SetFaultInjector(sched.NewFaultInjector(sched.FaultSpec{Mode: "L", Op: "commit"}))
+	if err := w.Run(0, func(tx sched.Tx) error { tx.Write(1, 1, 7); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	own, hosted := s.Metrics().Snapshot(), host.Metrics().Snapshot()
@@ -329,22 +331,13 @@ func TestHostedTPLWorkerRecordsOnlyBackoff(t *testing.T) {
 	}
 }
 
-// loopOf returns the retry loop a worker of this package runs under.
-func loopOf(t *testing.T, w Worker) *Loop {
-	switch w := w.(type) {
-	case *TPLWorker:
-		return &w.Loop
-	case *occWorker:
-		return &w.Loop
-	case *toWorker:
-		return &w.Loop
-	case *stmWorker:
-		return &w.Loop
-	case *hsyncWorker:
-		return &w.Loop
+// backoffOf returns the backoff of the retry loop a worker runs under.
+func backoffOf(t *testing.T, w sched.Worker) *sched.Backoff {
+	l, ok := w.(interface{ Backoff() *sched.Backoff })
+	if !ok {
+		t.Fatalf("no loop in %T", w)
 	}
-	t.Fatalf("no loop in %T", w)
-	return nil
+	return l.Backoff()
 }
 
 // TestBackoffStartsAtZero: a transaction that aborted and then stopped on
@@ -356,13 +349,13 @@ func TestBackoffStartsAtZero(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s, _ := mk()
 			w := s.Worker(0)
-			l := loopOf(t, w)
+			bo := backoffOf(t, w)
 			attempts, waited := 0, uint(0)
-			err := w.Run(2, func(tx Tx) error {
+			err := w.Run(2, func(tx sched.Tx) error {
 				if attempts++; attempts == 1 {
-					ThrowAbort("injected")
+					sched.ThrowAbort("injected")
 				}
-				waited = l.bo.Level()
+				waited = bo.Level()
 				return boom
 			})
 			if !errors.Is(err, boom) || attempts != 2 {
@@ -372,8 +365,8 @@ func TestBackoffStartsAtZero(t *testing.T) {
 				t.Fatal("the abort did not back off: the test exercises nothing")
 			}
 			level := ^uint(0)
-			if err := w.Run(2, func(tx Tx) error {
-				level = l.bo.Level()
+			if err := w.Run(2, func(tx sched.Tx) error {
+				level = bo.Level()
 				tx.Write(1, 1, tx.Read(1, 1)+1)
 				return nil
 			}); err != nil {
@@ -412,10 +405,10 @@ func TestOutcomesRecordedOnce(t *testing.T) {
 						rng ^= rng >> 7
 						rng ^= rng << 17
 						inject, stop := int(rng%3), (rng>>8)%8
-						err := w.Run(4, func(tx Tx) error {
+						err := w.Run(4, func(tx sched.Tx) error {
 							defer func() {
 								if r := recover(); r != nil {
-									if sig, ok := r.(abortSig); ok && sig.reason == "refused wait" {
+									if reason, ok := sched.AbortReason(r); ok && reason == "refused wait" {
 										victims.Add(1)
 									}
 									panic(r)
@@ -427,7 +420,7 @@ func TestOutcomesRecordedOnce(t *testing.T) {
 							if inject > 0 {
 								inject--
 								injected.Add(1)
-								ThrowAbort("injected")
+								sched.ThrowAbort("injected")
 							}
 							switch stop {
 							case 0, 1:
@@ -437,7 +430,7 @@ func TestOutcomesRecordedOnce(t *testing.T) {
 							}
 							return nil
 						})
-						_, isPanic := AsPanicError(err)
+						_, isPanic := sched.AsPanicError(err)
 						switch {
 						case err == nil:
 							commits.Add(1)
@@ -491,11 +484,11 @@ func TestBaselineHTMCountsInOwnSnapshot(t *testing.T) {
 	// CacheWays+1 lines that all map to cache set 0: no attempt fits.
 	const setStride = htm.CacheSets * mem.WordsPerLine
 	t.Run("hsync disjoint", func(t *testing.T) {
-		s := NewHSync(mem.NewSpace(64*mem.WordsPerLine), retries)
+		s := baselines.NewHSync(mem.NewSpace(64*mem.WordsPerLine), retries)
 		w := s.Worker(0)
 		for i := range 64 {
 			a := mem.Addr(i * mem.WordsPerLine)
-			if err := w.Run(2, func(tx Tx) error { tx.Write(uint32(i), a, tx.Read(uint32(i), a)+1); return nil }); err != nil {
+			if err := w.Run(2, func(tx sched.Tx) error { tx.Write(uint32(i), a, tx.Read(uint32(i), a)+1); return nil }); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -506,8 +499,8 @@ func TestBaselineHTMCountsInOwnSnapshot(t *testing.T) {
 	})
 	t.Run("hsync past capacity", func(t *testing.T) {
 		sp := mem.NewSpace((htm.CacheWays + 1) * setStride)
-		s := NewHSync(sp, retries)
-		err := s.Worker(0).Run(0, func(tx Tx) error {
+		s := baselines.NewHSync(sp, retries)
+		err := s.Worker(0).Run(0, func(tx sched.Tx) error {
 			for i := range htm.CacheWays + 1 {
 				tx.Write(uint32(i), mem.Addr(i*setStride), 7)
 			}
@@ -527,8 +520,8 @@ func TestBaselineHTMCountsInOwnSnapshot(t *testing.T) {
 	})
 	t.Run("hto segments", func(t *testing.T) {
 		const period, k = 10, 3
-		s := NewHTO(mem.NewSpace(k*period*mem.WordsPerLine), vlock.NewTable(k*period), k*period, period)
-		err := s.Worker(0).Run(0, func(tx Tx) error {
+		s := baselines.NewHTO(mem.NewSpace(k*period*mem.WordsPerLine), vlock.NewTable(k*period), k*period, period)
+		err := s.Worker(0).Run(0, func(tx sched.Tx) error {
 			for v := range uint32(k * period) {
 				tx.Read(v, mem.Addr(v)*mem.WordsPerLine)
 			}
@@ -547,9 +540,9 @@ func TestBaselineHTMCountsInOwnSnapshot(t *testing.T) {
 // field, and one that does not is refused when the worker is made, not at
 // its first lock.
 func TestWorkerTidBound(t *testing.T) {
-	s := NewTPL(nil, nil)
-	s.NewWorker(MaxThreads - 1)
-	for _, tid := range []int{-1, MaxThreads} {
+	s := sched.NewTPL(nil, nil)
+	s.NewWorker(sched.MaxThreads - 1)
+	for _, tid := range []int{-1, sched.MaxThreads} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -1,4 +1,4 @@
-package sched
+package sched_test
 
 import (
 	"fmt"
@@ -6,7 +6,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"tufast/internal/baselines"
 	"tufast/internal/mem"
+	"tufast/internal/sched"
 	"tufast/internal/vlock"
 )
 
@@ -27,7 +29,7 @@ type obsTx struct {
 // runRandomRMW executes n random increment transactions per goroutine,
 // each touching 1-3 distinct words, and returns all committed
 // observations.
-func runRandomRMW(t *testing.T, s Scheduler, words, goroutines, perG int) []obsTx {
+func runRandomRMW(t *testing.T, s sched.Scheduler, words, goroutines, perG int) []obsTx {
 	t.Helper()
 	var mu sync.Mutex
 	var all []obsTx
@@ -55,7 +57,7 @@ func runRandomRMW(t *testing.T, s Scheduler, words, goroutines, perG int) []obsT
 				for a := range addrSet {
 					ob.addrs = append(ob.addrs, a)
 				}
-				err := w.Run(2*k, func(tx Tx) error {
+				err := w.Run(2*k, func(tx sched.Tx) error {
 					ob.reads = ob.reads[:0]
 					for _, a := range ob.addrs {
 						v := tx.Read(uint32(a), a)
@@ -131,16 +133,16 @@ func checkSerializable(txs []obsTx, words int, sp *mem.Space) error {
 
 func TestSerializabilityHistories(t *testing.T) {
 	const words = 12 // few words -> high contention -> hard histories
-	mk := map[string]func(sp *mem.Space) Scheduler{
-		"2pl-detect": func(sp *mem.Space) Scheduler {
-			return NewTPL(sp, vlock.NewTable(words))
+	mk := map[string]func(sp *mem.Space) sched.Scheduler{
+		"2pl-detect": func(sp *mem.Space) sched.Scheduler {
+			return sched.NewTPL(sp, vlock.NewTable(words))
 		},
-		"occ":   func(sp *mem.Space) Scheduler { return NewOCC(sp, vlock.NewTable(words)) },
-		"to":    func(sp *mem.Space) Scheduler { return NewTO(sp, vlock.NewTable(words), words) },
-		"stm":   func(sp *mem.Space) Scheduler { return NewSTM(sp) },
-		"hsync": func(sp *mem.Space) Scheduler { return NewHSync(sp, 4) },
-		"hto": func(sp *mem.Space) Scheduler {
-			return NewHTO(sp, vlock.NewTable(words), words, 100)
+		"occ":   func(sp *mem.Space) sched.Scheduler { return baselines.NewOCC(sp, vlock.NewTable(words)) },
+		"to":    func(sp *mem.Space) sched.Scheduler { return baselines.NewTO(sp, vlock.NewTable(words), words) },
+		"stm":   func(sp *mem.Space) sched.Scheduler { return baselines.NewSTM(sp) },
+		"hsync": func(sp *mem.Space) sched.Scheduler { return baselines.NewHSync(sp, 4) },
+		"hto": func(sp *mem.Space) sched.Scheduler {
+			return baselines.NewHTO(sp, vlock.NewTable(words), words, 100)
 		},
 	}
 	for name, f := range mk {
@@ -179,7 +181,7 @@ func TestSerializabilityCheckerCatchesViolations(t *testing.T) {
 // workers sharing a tid would corrupt lock ownership.
 func TestConcurrentWorkersUniqueIDs(t *testing.T) {
 	sp := mem.NewSpace(256)
-	s := NewTPL(sp, vlock.NewTable(16))
+	s := sched.NewTPL(sp, vlock.NewTable(16))
 	var active atomic.Int32
 	var wg sync.WaitGroup
 	for tid := 0; tid < 8; tid++ {
@@ -188,7 +190,7 @@ func TestConcurrentWorkersUniqueIDs(t *testing.T) {
 			defer wg.Done()
 			w := s.Worker(tid)
 			for i := 0; i < 200; i++ {
-				_ = w.Run(2, func(tx Tx) error {
+				_ = w.Run(2, func(tx sched.Tx) error {
 					active.Add(1)
 					v := tx.Read(3, 3)
 					tx.Write(3, 3, v+1)

@@ -3,9 +3,9 @@ package sched
 // Taxed carries the paper reproduction's cost model into a scheduler
 // without this package (or anything that links it) depending on it.
 // Every scheduler whose per-operation barrier would be software on real
-// hardware — 2PL, OCC, TO, STM and the software paths of the hybrids —
-// embeds Taxed and charges the hook once per Read and Write. The hook is
-// nil unless the reproduction installs one (internal/bench and
+// hardware — TPL, and the baselines' OCC, TO, STM and hybrid software
+// paths — embeds Taxed and charges the hook once per Read and Write. The
+// hook is nil unless the reproduction installs one (internal/bench and
 // cmd/tufast's -system comparison inject simcost.Tax), so the library,
 // tufastd and benchmark/ pay a nil check per operation and nothing else.
 type Taxed struct {
@@ -16,7 +16,8 @@ type Taxed struct {
 // it). Call it before the scheduler's first transaction runs.
 func (t *Taxed) SetTax(tax func()) { t.tax = tax }
 
-func (t *Taxed) chargeTax() {
+// Charge runs the hook, if one is installed: one software barrier's cost.
+func (t *Taxed) Charge() {
 	if t.tax != nil {
 		t.tax()
 	}

@@ -182,7 +182,7 @@ func (w *TPLWorker) finish(commit bool) {
 
 // Read implements Tx.
 func (w *TPLWorker) Read(v uint32, addr mem.Addr) uint64 {
-	w.s.chargeTax()
+	w.s.Charge()
 	w.s.faults.Load().At("L", "read")
 	if _, ok := w.held.Get(uint64(v)); !ok {
 		if w.s.exclusiveOnly {
@@ -197,7 +197,7 @@ func (w *TPLWorker) Read(v uint32, addr mem.Addr) uint64 {
 
 // Write implements Tx.
 func (w *TPLWorker) Write(v uint32, addr mem.Addr, val uint64) {
-	w.s.chargeTax()
+	w.s.Charge()
 	w.s.faults.Load().At("L", "write")
 	if m, ok := w.held.Get(uint64(v)); !ok || m != holdExcl {
 		w.lockExclusive(v)

@@ -12,6 +12,10 @@ import (
 	"tufast/internal/obs"
 )
 
+// totals reads a scheduler's outcome counts from its metrics, the one
+// place they are recorded.
+func totals(s Scheduler) obs.Totals { return s.Metrics().Snapshot().Totals() }
+
 // incr is a read-then-write of v's word: a shared lock, then its upgrade.
 func incr(tx Tx, v uint32) { tx.Write(v, mem.Addr(v), tx.Read(v, mem.Addr(v))+1) }
 

@@ -21,9 +21,10 @@
 // absolute speedups.
 //
 // The tax belongs to the reproduction, not to the library: nothing under
-// internal/sched or internal/core imports this package. internal/bench
-// and cmd/tufast's -system comparison inject Tax into every baseline
-// (sched.Taxed.SetTax) and into TuFast's L mode (core.Config.Tax), and
+// internal/sched, internal/baselines or internal/core imports this
+// package. internal/bench and cmd/tufast's -system comparison inject Tax
+// into every baseline (the sched.Taxed each embeds) and into TuFast's L
+// mode (core.Config.Tax), and
 // the comparison engines under internal/engines call it directly; a
 // scheduler built without the hook — tufast.NewSystem, tufastd,
 // benchmark/ — runs at raw emulation cost and never links the spin

@@ -51,10 +51,16 @@ end
 
 # The serving binaries' dependency set can only shrink: neither the
 # daemon nor the load generator links the paper-reproduction harness,
-# the comparison engines or the reproduction's cost model.
+# the baseline schedulers, the comparison engines or the reproduction's
+# cost model. internal/sched, the TM contract the daemon runs, imports
+# neither the cost model nor the emulated HTM the baselines use.
 begin "serving binaries link no reproduction code"
-if go list -deps ./cmd/tufastd ./cmd/tufast-loadgen | grep -E '^tufast/internal/(bench|engines|simcost)'; then
+if go list -deps ./cmd/tufastd ./cmd/tufast-loadgen | grep -E '^tufast/internal/(baselines|bench|engines|simcost)'; then
     echo "cmd/tufastd or cmd/tufast-loadgen links the packages above" >&2
+    exit 1
+fi
+if go list -f '{{join .Imports " "}}' ./internal/sched | tr ' ' '\n' | grep -E '^tufast/internal/(simcost|htm)$'; then
+    echo "internal/sched imports the packages above" >&2
     exit 1
 fi
 end
@@ -143,9 +149,10 @@ end
 # Serializability under oversubscription: the isolated run above passes
 # on schedulers that lose updates once threads outnumber cores, so the
 # same oracles run again as eight concurrent processes at -cpu 8, over
-# every baseline scheduler (with the deadlock-resolution test, which
-# lives on TPL's lock order rule, the one-record-per-outcome test, whose
-# refused waits it makes, the count of HSync's and H-TO's hardware
+# every baseline scheduler (with cancellation on each of them and on
+# TuFast, the deadlock-resolution test, which lives on TPL's lock order
+# rule, the one-record-per-outcome test, whose refused waits it makes,
+# the count of HSync's and H-TO's hardware
 # attempts in their own snapshot, and TPL's own tests of the rule: wait
 # cycles of two and three workers, upgrades, waits above and below the
 # worker's locks, and random-order locking on a deadline), over core's
@@ -210,7 +217,7 @@ oversubscribed() { # test binary, -test.run pattern, -test.count
         exit 1
     fi
 }
-oversubscribed "$tmp/sched.test" 'TestSerializabilityHistories|TestBankTransfer|TestCounterIsolation|TestWriteSkewPrevented|TestDeadlockResolution|TestOutcomesRecordedOnce|TestBaselineHTMCountsInOwnSnapshot|TestNoCycleAllowsWait|TestTwoPartyCycle|TestThreePartyCycle|TestSharedSharedNoCycle|TestUpgradeUpgradeCycle|TestRemoveAllClearsHolds|TestUpgradedHold|TestOutOfOrderWaitRefused|TestInOrderWaitBlocks|TestRandomOrderLockingCommits' 50
+oversubscribed "$tmp/sched.test" 'TestSerializabilityHistories|TestRunCtxEveryScheduler|TestBankTransfer|TestCounterIsolation|TestWriteSkewPrevented|TestDeadlockResolution|TestOutcomesRecordedOnce|TestBaselineHTMCountsInOwnSnapshot|TestNoCycleAllowsWait|TestTwoPartyCycle|TestThreePartyCycle|TestSharedSharedNoCycle|TestUpgradeUpgradeCycle|TestRemoveAllClearsHolds|TestUpgradedHold|TestOutOfOrderWaitRefused|TestInOrderWaitBlocks|TestRandomOrderLockingCommits' 50
 oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestCrossModeHistoriesLockersComeAndGo|TestIsolationAcrossModes|TestRouter|TestBackoffStartsAtZeroAfterLadder|TestBackoffLevelCarriesAcrossRungs|TestOCapacityAbortDoesNotBackOff|TestLEntryWaitsForHCommitWindow|TestPanicInCommitWindowClearsGate|TestLateWorkerSeesLActive|TestQuietH|TestOCommitLowersCountOnEveryExit|TestOneCountFourViews|TestLDeadlockCycleResolved|TestRandomOrderLockingCommits' 30
 oversubscribed "$tmp/worklist.test" 'TestDrain' 30
 oversubscribed "$tmp/shortestpath.test" 'TestRunSSSPMatchesDijkstra' 20
