@@ -65,8 +65,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "graphgen: unknown kind %q\n", *kind)
 		os.Exit(2)
 	}
-	if *undirected && !g.Undirected() {
-		g = symmetrize(g)
+	if *undirected {
+		g = g.Symmetrized()
 	}
 
 	fmt.Printf("generated |V|=%d |E|=%d maxdeg=%d avgdeg=%.1f\n",
@@ -106,14 +106,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s\n", *out)
-}
-
-func symmetrize(g *graph.CSR) *graph.CSR {
-	edges := make([]graph.Edge, 0, g.NumEdges())
-	for v := uint32(0); int(v) < g.NumVertices(); v++ {
-		for _, u := range g.Neighbors(v) {
-			edges = append(edges, graph.Edge{U: v, V: u})
-		}
-	}
-	return graph.MustBuild(g.NumVertices(), edges, graph.BuildOptions{Symmetrize: true})
 }

@@ -66,7 +66,7 @@ func main() {
 	fmt.Printf("graph: |V|=%d |E|=%d maxdeg=%d\n", g.NumVertices(), g.NumEdges(), g.MaxDegree())
 
 	// Powergraph and powerlyra simulate the paper's 16 machines.
-	r, err := bench.Open(*system, g, bench.Symmetrized(g), *threads, 16)
+	r, err := bench.Open(*system, g, g.Symmetrized(), *threads, 16)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tufast:", err)
 		os.Exit(1)

@@ -58,14 +58,7 @@ func (g *Graph) Undirect() *Graph {
 	if g.csr.Undirected() {
 		return g
 	}
-	n := g.NumVertices()
-	edges := make([]graph.Edge, 0, g.NumEdges())
-	for v := uint32(0); int(v) < n; v++ {
-		for _, u := range g.Neighbors(v) {
-			edges = append(edges, graph.Edge{U: v, V: u})
-		}
-	}
-	return &Graph{csr: graph.MustBuild(n, edges, graph.BuildOptions{Symmetrize: true})}
+	return &Graph{csr: g.csr.Symmetrized()}
 }
 
 // LoadGraphBinary reads a graph saved with SaveBinary. The round trip

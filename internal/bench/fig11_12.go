@@ -23,21 +23,6 @@ const (
 // labeled is a system id under the label a figure prints for it.
 type labeled struct{ label, id string }
 
-// Symmetrized returns the undirected view of g (Components/Triangle/MIS
-// run on it, per §VI-A "we convert our graphs into undirected ones").
-func Symmetrized(g *graph.CSR) *graph.CSR {
-	if g.Undirected() {
-		return g
-	}
-	edges := make([]graph.Edge, 0, g.NumEdges())
-	for v := uint32(0); int(v) < g.NumVertices(); v++ {
-		for _, u := range g.Neighbors(v) {
-			edges = append(edges, graph.Edge{U: v, V: u})
-		}
-	}
-	return graph.MustBuild(g.NumVertices(), edges, graph.BuildOptions{Symmetrize: true})
-}
-
 // timeIt runs fn and returns milliseconds.
 func timeIt(fn func()) float64 {
 	start := time.Now()
@@ -83,7 +68,9 @@ func appFigure(o Options, id, title, shape string, scale float64, nodes int, row
 	var tables []Table
 	for _, d := range datasets {
 		g := d.Generate(scale)
-		gu := Symmetrized(g)
+		// Components/Triangle/MIS run on the undirected view, per §VI-A
+		// "we convert our graphs into undirected ones".
+		gu := g.Symmetrized()
 		t := &Table{ID: id, Title: fmt.Sprintf(title, d.Name), Header: []string{"system"}, Notes: []string{shape}}
 		for _, c := range appCols {
 			t.Header = append(t.Header, c.label)

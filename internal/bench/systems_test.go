@@ -16,7 +16,7 @@ import (
 // differ in how they schedule, never in what they compute.
 func TestEverySystemAgrees(t *testing.T) {
 	g := gen.PowerLaw(1_500, 12_000, 2.1, 7)
-	gu := Symmetrized(g)
+	gu := g.Symmetrized()
 	const source = 0
 	levels, labels, dist := algo.SeqBFS(g, source), algo.SeqWCC(gu), algo.SeqSSSP(g, source)
 	ranks, triangles := algo.SeqPageRank(g, prDamping, prEps), algo.SeqTriangles(gu)

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"tufast/internal/worklist"
 )
@@ -16,9 +16,13 @@ type BuildOptions struct {
 	KeepSelfLoops bool
 }
 
-// Build constructs a CSR over n vertices from an edge list. Adjacency
-// lists are sorted and de-duplicated; self-loops are dropped unless
-// requested.
+// Build constructs a CSR over n vertices from an edge list. Self-loops
+// are dropped unless requested, Symmetrize adds the reverse of every
+// arc, and duplicates go. An id out of range is an error before any
+// allocation. Rows are sorted by counting, not comparing: one pass
+// buckets the source of every kept arc by its target, and transposing
+// back walks the targets in ascending order, so each row comes out
+// sorted, as a per-row sort would leave it, with duplicates adjacent.
 func Build(n int, edges []Edge, opt BuildOptions) (*CSR, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("graph: non-positive vertex count %d", n)
@@ -29,63 +33,79 @@ func Build(n int, edges []Edge, opt BuildOptions) (*CSR, error) {
 		}
 	}
 
-	// Count pass.
-	deg := make([]uint64, n+1)
-	count := func(u, v uint32) {
-		if u == v && !opt.KeepSelfLoops {
-			return
-		}
-		deg[u+1]++
-	}
+	// The transpose of the kept arcs: row t lists the sources of t's
+	// in-arcs, in input order. out counts the rows of the pass back.
+	keep := func(e Edge) bool { return e.U != e.V || opt.KeepSelfLoops }
+	in, out := make([]uint64, n+1), make([]uint64, n+1)
 	for _, e := range edges {
-		count(e.U, e.V)
-		if opt.Symmetrize {
-			count(e.V, e.U)
-		}
-	}
-	offsets := make([]uint64, n+1)
-	for i := 0; i < n; i++ {
-		offsets[i+1] = offsets[i] + deg[i+1]
-	}
-
-	// Fill pass.
-	adj := make([]uint32, offsets[n])
-	cursor := make([]uint64, n)
-	copy(cursor, offsets[:n])
-	place := func(u, v uint32) {
-		if u == v && !opt.KeepSelfLoops {
-			return
-		}
-		adj[cursor[u]] = v
-		cursor[u]++
-	}
-	for _, e := range edges {
-		place(e.U, e.V)
-		if opt.Symmetrize {
-			place(e.V, e.U)
-		}
-	}
-
-	// Sort and de-duplicate each adjacency list, then compact.
-	out := adj[:0]
-	newOff := make([]uint64, n+1)
-	for v := 0; v < n; v++ {
-		nb := adj[offsets[v]:offsets[v+1]]
-		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
-		prevLen := len(out)
-		var last uint32
-		first := true
-		for _, u := range nb {
-			if first || u != last {
-				out = append(out, u)
-				last, first = u, false
+		if keep(e) {
+			in[e.V+1]++
+			out[e.U+1]++
+			if opt.Symmetrize {
+				in[e.U+1]++
+				out[e.V+1]++
 			}
 		}
-		newOff[v+1] = newOff[v] + uint64(len(out)-prevLen)
+	}
+	prefixSum(in)
+	src := make([]uint32, in[n])
+	cursor := slices.Clone(in[:n])
+	for _, e := range edges {
+		if keep(e) {
+			src[cursor[e.V]] = e.U
+			cursor[e.V]++
+			if opt.Symmetrize {
+				src[cursor[e.U]] = e.V
+				cursor[e.U]++
+			}
+		}
 	}
 
-	g := &CSR{n: n, offsets: newOff, adj: out[:newOff[n]:newOff[n]], undirected: opt.Symmetrize}
-	return g, nil
+	offsets, adj := transpose(n, in, src, out)
+	// Drop the adjacent duplicates, compacting in place.
+	w, lo := uint64(0), uint64(0)
+	for v := 1; v <= n; v++ {
+		hi := offsets[v]
+		for i, x := range adj[lo:hi] {
+			if i == 0 || x != adj[w-1] {
+				adj[w] = x
+				w++
+			}
+		}
+		offsets[v], lo = w, hi
+	}
+	return &CSR{n: n, offsets: offsets, adj: adj[:w:w], undirected: opt.Symmetrize}, nil
+}
+
+// prefixSum turns counts c[i+1] (c[0] is 0) into row offsets.
+func prefixSum(c []uint64) {
+	for i := 1; i < len(c); i++ {
+		c[i] += c[i-1]
+	}
+}
+
+// transpose scatters the rows of (offsets, adj) over n vertices: each
+// entry x of row v appends v to row x of the result. tOff holds the
+// result's row lengths at tOff[x+1], or is nil to have them counted.
+// Rows are walked in ascending order, so every result row is sorted
+// whatever the order inside the input rows.
+func transpose(n int, offsets []uint64, adj []uint32, tOff []uint64) ([]uint64, []uint32) {
+	if tOff == nil {
+		tOff = make([]uint64, n+1)
+		for _, x := range adj {
+			tOff[x+1]++
+		}
+	}
+	prefixSum(tOff)
+	tAdj := make([]uint32, len(adj))
+	cursor := slices.Clone(tOff[:n])
+	for v := range n {
+		for _, x := range adj[offsets[v]:offsets[v+1]] {
+			tAdj[cursor[x]] = uint32(v)
+			cursor[x]++
+		}
+	}
+	return tOff, tAdj
 }
 
 // MustBuild is Build that panics on error (generators with known-good
@@ -143,24 +163,35 @@ func FromCSRRanges(n int, offsets []uint64, adj []uint32, undirected bool, bound
 
 // Reverse returns the transpose graph (in-adjacency as out-adjacency).
 func (g *CSR) Reverse() *CSR {
-	deg := make([]uint64, g.n+1)
-	for _, u := range g.adj {
-		deg[u+1]++
-	}
-	offsets := make([]uint64, g.n+1)
-	for i := 0; i < g.n; i++ {
-		offsets[i+1] = offsets[i] + deg[i+1]
-	}
-	adj := make([]uint32, len(g.adj))
-	cursor := make([]uint64, g.n)
-	copy(cursor, offsets[:g.n])
-	for v := uint32(0); int(v) < g.n; v++ {
-		for _, u := range g.Neighbors(v) {
-			adj[cursor[u]] = v
-			cursor[u]++
-		}
-	}
-	// Transposing a sorted-by-target scan emits sources in ascending
-	// order per bucket already.
+	offsets, adj := transpose(g.n, g.offsets, g.adj, nil)
 	return &CSR{n: g.n, offsets: offsets, adj: adj, undirected: g.undirected}
+}
+
+// Symmetrized returns the undirected view of g, the graph Build makes
+// from g's arcs with Symmetrize, or g if it is undirected. Row v merges
+// v's sorted out-row with its sorted in-row (the transpose's), dropping
+// duplicates and self-loops, so it needs no edge list.
+func (g *CSR) Symmetrized() *CSR {
+	if g.undirected {
+		return g
+	}
+	rt := g.Reverse()
+	offsets := make([]uint64, g.n+1)
+	adj := make([]uint32, 0, 2*len(g.adj))
+	for v := uint32(0); int(v) < g.n; v++ {
+		out, in := g.Neighbors(v), rt.Neighbors(v)
+		for len(out) > 0 || len(in) > 0 {
+			var u uint32
+			if len(in) == 0 || len(out) > 0 && out[0] <= in[0] {
+				u, out = out[0], out[1:]
+			} else {
+				u, in = in[0], in[1:]
+			}
+			if u != v && (len(adj) == int(offsets[v]) || adj[len(adj)-1] != u) {
+				adj = append(adj, u)
+			}
+		}
+		offsets[v+1] = uint64(len(adj))
+	}
+	return &CSR{n: g.n, offsets: offsets, adj: slices.Clip(adj), undirected: true}
 }

@@ -9,8 +9,11 @@ package gen
 
 import (
 	"math"
+	"runtime"
+	"slices"
 
 	"tufast/internal/graph"
+	"tufast/internal/worklist"
 )
 
 // rng is a splitmix64/xorshift generator: fast, seedable, no global state.
@@ -18,13 +21,16 @@ type rng struct{ s uint64 }
 
 func newRng(seed uint64) *rng {
 	if seed == 0 {
-		seed = 0x9E3779B97F4A7C15
+		seed = gamma
 	}
 	return &rng{s: seed}
 }
 
+// gamma is splitmix64's increment.
+const gamma = 0x9E3779B97F4A7C15
+
 func (r *rng) next() uint64 {
-	r.s += 0x9E3779B97F4A7C15
+	r.s += gamma
 	z := r.s
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
@@ -92,34 +98,64 @@ func PowerLaw(n, m int, alpha float64, seed uint64) *graph.CSR {
 // RMAT generates a Kronecker/R-MAT graph with the canonical
 // (a,b,c,d) = (0.57, 0.19, 0.19, 0.05) partition, the standard stand-in
 // for web crawls like sk-2005/uk-2007-05.
+//
+// Candidate arc j takes draws [j*scale, (j+1)*scale) of the seed's
+// stream, a quadrant per bit from the top, and the first m candidates
+// that are not self-loops are the arcs. rmatArc starts the stream at any
+// candidate, so blocks of them fill on GOMAXPROCS workers and are kept
+// in index order: the graph is the sequential draw's on any number of
+// workers.
 func RMAT(scale, edgeFactor int, seed uint64) *graph.CSR {
 	n := 1 << scale
 	m := n * edgeFactor
-	r := newRng(seed)
-	const a, b, c = 0.57, 0.19, 0.19
-	edges := make([]graph.Edge, 0, m)
-	for len(edges) < m {
-		var u, v int
-		for bit := scale - 1; bit >= 0; bit-- {
-			p := r.float()
-			switch {
-			case p < a:
-				// upper-left: no bits set
-			case p < a+b:
-				v |= 1 << bit
-			case p < a+b+c:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
+	s0 := newRng(seed).s
+	var edges []graph.Edge
+	for j := 0; len(edges) < m; {
+		// Draw the arcs still wanted, with a margin for self-loops (a
+		// share of 0.62^scale); a margin used up is topped up.
+		kept, want := len(edges), m-len(edges)
+		block := want + want/16 + 64
+		edges = slices.Grow(edges, block)[:kept+block]
+		worklist.Range(block, runtime.GOMAXPROCS(0), 1<<14, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				edges[kept+i] = rmatArc(scale, s0, uint64(j+i))
+			}
+		})
+		for _, e := range edges[kept : kept+block] {
+			if e.U != e.V && kept < m {
+				edges[kept] = e
+				kept++
 			}
 		}
-		if u == v {
-			continue
-		}
-		edges = append(edges, graph.Edge{U: uint32(u), V: uint32(v)})
+		edges, j = edges[:kept], j+block
 	}
 	return graph.MustBuild(n, edges, graph.BuildOptions{})
+}
+
+// R-MAT's quadrant thresholds as integers: rng.float() < p exactly when
+// next()>>11 < p*2^53, because a, a+b and a+b+c lie in [0.5, 1), where
+// a float64 is a whole multiple of 2^-53.
+const (
+	rmatA   = uint64(float64(0.57) * (1 << 53))
+	rmatAB  = uint64(float64(0.57+0.19) * (1 << 53))
+	rmatABC = uint64(float64(0.57+0.19+0.19) * (1 << 53))
+)
+
+// rmatArc returns candidate j of the stream seeded at s0, whose draw k
+// is the state s0+k*gamma advanced once. It is branch-free: a draw x
+// picks quadrant q = (x>=a)+(x>=a+b)+(x>=a+b+c), whose low bit is v's
+// and high bit u's; x and the thresholds are below 2^53, so x-t wraps to
+// a set top bit exactly when x < t.
+func rmatArc(scale int, s0, j uint64) graph.Edge {
+	r := rng{s: s0 + j*uint64(scale)*gamma}
+	var u, v uint32
+	for bit := scale - 1; bit >= 0; bit-- {
+		x := r.next() >> 11
+		q := uint32(3 - (x-rmatA)>>63 - (x-rmatAB)>>63 - (x-rmatABC)>>63)
+		u |= q >> 1 << bit
+		v |= q & 1 << bit
+	}
+	return graph.Edge{U: u, V: v}
 }
 
 // Uniform generates a graph where every vertex has exactly degree d with

@@ -1,8 +1,11 @@
 package gen
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"tufast/internal/graph"
 	"tufast/internal/htm"
 )
 
@@ -147,4 +150,63 @@ func TestDatasetByName(t *testing.T) {
 	if _, ok := DatasetByName("nope"); ok {
 		t.Fatal("unknown dataset found")
 	}
+}
+
+func BenchmarkRMAT(b *testing.B) {
+	for _, scale := range []int{14, 16} {
+		b.Run(fmt.Sprintf("scale=%d", scale), func(b *testing.B) {
+			for range b.N {
+				RMAT(scale, 8, 1)
+			}
+		})
+	}
+}
+
+// TestRMATMatchesSequentialDraw checks the parallel, branch-free draw
+// against the loop it replaces, down to scales where most candidates
+// are self-loops and the margin runs out.
+func TestRMATMatchesSequentialDraw(t *testing.T) {
+	sequential := func(scale, edgeFactor int, seed uint64) *graph.CSR {
+		n := 1 << scale
+		r := newRng(seed)
+		const a, b, c = 0.57, 0.19, 0.19
+		var edges []graph.Edge
+		for len(edges) < n*edgeFactor {
+			var u, v uint32
+			for bit := scale - 1; bit >= 0; bit-- {
+				switch p := r.float(); {
+				case p < a:
+				case p < a+b:
+					v |= 1 << bit
+				case p < a+b+c:
+					u |= 1 << bit
+				default:
+					u |= 1 << bit
+					v |= 1 << bit
+				}
+			}
+			if u != v {
+				edges = append(edges, graph.Edge{U: u, V: v})
+			}
+		}
+		return graph.MustBuild(n, edges, graph.BuildOptions{})
+	}
+	for scale := 1; scale <= 9; scale++ {
+		for _, seed := range []uint64{0, 1, 0xDEAD} {
+			want, got := sequential(scale, 3, seed), RMAT(scale, 3, seed)
+			if !slices.Equal(edgesOf(got), edgesOf(want)) {
+				t.Fatalf("RMAT(%d, 3, %#x) differs from the sequential draw", scale, seed)
+			}
+		}
+	}
+}
+
+func edgesOf(g *graph.CSR) []graph.Edge {
+	var es []graph.Edge
+	for v := uint32(0); int(v) < g.NumVertices(); v++ {
+		for _, u := range g.Neighbors(v) {
+			es = append(es, graph.Edge{U: v, V: u})
+		}
+	}
+	return es
 }

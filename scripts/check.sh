@@ -4,7 +4,8 @@
 # with -strict-ignores), the test suite under the race detector (short
 # profile, one run, failures summarised by cmd/testsummary), the arena's
 # platform split and its finalizer, the paper's application figures once,
-# and the serializability oracles again under oversubscription.
+# the builder and edge-list loader fuzzed, and the serializability
+# oracles again under oversubscription.
 # Run from the repo root or anywhere inside it; `make check` is an
 # alias and `make lint` runs the analyzer stage alone.
 set -eu
@@ -82,6 +83,16 @@ go test -race -short -json $(go list ./... | grep -v '^tufast/internal/algo$') |
 go test -race -short -timeout 20m -json ./internal/algo | go run ./cmd/testsummary
 end
 
+# The graph builder against its map-and-sort reference, and the edge-list
+# loader on arbitrary text, fuzzed ten seconds each on two workers past
+# the seed corpora in internal/graph/testdata/fuzz (which the stage above
+# runs as ordinary tests). A failing input is written there for the next
+# run to repeat.
+begin "fuzz Build and ReadEdgeList (10s each)"
+go test -run '^$' -fuzz '^FuzzBuild$' -fuzztime 10s -parallel 2 ./internal/graph
+go test -run '^$' -fuzz '^FuzzReadEdgeList$' -fuzztime 10s -parallel 2 ./internal/graph
+end
+
 # mem.Space maps its arena where the platform can and allocates it where
 # it cannot: build the side this box never runs (everything but
 # benchmark/, which reads rusage and is linux-only) and vet the other
@@ -121,8 +132,9 @@ end
 # and two threads and its inline cutoff's table, recovery's stage
 # timers on a data dir of serve_write's shape, the H-mode fast path's
 # "shares nothing" number, the Fig. 13/14 RM and RW cells, and the
-# per-scheduler transactions those cells are built from, and the lib
-# suite's calls at 1 and 2 threads on small graphs of both shapes.
+# per-scheduler transactions those cells are built from, the lib
+# suite's calls at 1 and 2 threads on small graphs of both shapes, and
+# the graph builder and R-MAT generator behind every workload's set-up.
 begin "benchmarks run (1x)"
 go test -run '^$' -bench 'BenchmarkApplyStream(Leaf|Hub)$' -benchtime 1x . >/dev/null
 go test -run '^$' -bench 'BenchmarkApplyOwned$' -benchtime 1x . >/dev/null
@@ -132,6 +144,7 @@ go test -run '^$' -bench 'BenchmarkHCommitDisjoint$' -benchtime 1x ./internal/co
 go test -run '^$' -bench 'Benchmark(RM|RW)$' -benchtime 1x ./internal/bench >/dev/null
 go test -run '^$' -bench 'BenchmarkLibSuite$' -benchtime 1x -short ./internal/bench >/dev/null
 go test -run '^$' -bench 'Benchmark(2PL|OCC|TO|STM|HSync|HTO)Txn$|BenchmarkTPLReadThenWrite' -benchtime 1x ./internal/sched >/dev/null
+go test -run '^$' -bench 'BenchmarkBuild$|BenchmarkRMAT$' -benchtime 1x ./internal/graph ./internal/graph/gen >/dev/null
 end
 
 # The paper's application figures, once at -short on two threads. Every
