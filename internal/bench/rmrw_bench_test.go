@@ -57,7 +57,7 @@ func benchCell(b *testing.B, kind Workload) {
 			for _, r := range []string{"conflict", "capacity", "explicit", "locked", "deadlock"} {
 				b.ReportMetric(perK(aborts[r]), r+"/ktxn")
 			}
-			b.ReportMetric(perK(split.Backoff.Ns)/1000, "backoff-µs/ktxn")
+			b.ReportMetric(perK(split.Waits["backoff"].Ns)/1000, "backoff-µs/ktxn")
 		})
 	}
 }

@@ -20,7 +20,8 @@ import (
 // One iteration is one call on a fresh System, as the suite runs it.
 // Beside ns/op (per call) it reports per call, from the System's metrics
 // snapshot: commits, the reads those commits made, aborts, deadlock
-// victims, the milliseconds inside Backoff.Wait and the commits in each
+// victims, the milliseconds inside backoff waits, the lock waits by reason
+// (l_lock, h_commit, o_commit, committing) and the commits in each
 // mode (H, O, O+, O2L, L). -short runs the same on graphs a sixteenth the
 // size.
 func BenchmarkLibSuite(b *testing.B) {
@@ -74,7 +75,12 @@ func BenchmarkLibSuite(b *testing.B) {
 					b.ReportMetric(per(t.Reads), "reads/op")
 					b.ReportMetric(per(t.Aborts), "aborts/op")
 					b.ReportMetric(per(t.Deadlocks), "deadlocks/op")
-					b.ReportMetric(per(snap.Backoff.Ns)/1e6, "backoff-ms/op")
+					b.ReportMetric(per(snap.Waits["backoff"].Ns)/1e6, "backoff-ms/op")
+					for r, w := range snap.Waits {
+						if r != "backoff" {
+							b.ReportMetric(per(w.Waits), r+"-waits/op")
+						}
+					}
 					for _, m := range []string{"H", "O", "O+", "O2L", "L"} {
 						b.ReportMetric(per(snap.Modes[m].Commits), m+"/op")
 					}

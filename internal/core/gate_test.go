@@ -85,6 +85,37 @@ func TestLEntryWaitsForHCommitWindow(t *testing.T) {
 	}
 }
 
+// TestStalledHCommitWaitCounted: an H commit stalled inside its
+// commit-gate window (FaultStall at its AtCommit hook) holds an L
+// transaction at its entry, in awaitHCommits; the wait is recorded once,
+// under committing, for about the stall.
+func TestStalledHCommitWaitCounted(t *testing.T) {
+	const stall = 200 * time.Millisecond
+	s, _ := newSys(64, Config{})
+	fi := sched.NewFaultInjector(sched.FaultSpec{Mode: "H", Op: "commit", Kind: sched.FaultStall, Stall: stall})
+	s.SetFaultInjector(fi)
+	hDone := make(chan error, 1)
+	go func() {
+		hDone <- s.Worker(0).Run(2, func(tx sched.Tx) error { tx.Write(1, 1, 42); return nil })
+	}()
+	for fi.Fired() == 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	if err := s.Worker(1).Run(lHint, func(tx sched.Tx) error { tx.Write(5, 5, 1); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-hDone; err != nil {
+		t.Fatal(err)
+	}
+	if commits(s, obs.ModeL) != 1 {
+		t.Fatalf("want one L commit, got %v", modeDump(s))
+	}
+	waits := snapshot(s).Waits
+	if w := waits["committing"]; w.Waits != 1 || w.Ns < uint64(stall/2) {
+		t.Fatalf("waits %+v; want one committing wait of at least %v", waits, stall/2)
+	}
+}
+
 // TestPanicInCommitWindowClearsGate crashes an H commit inside its window
 // — after the flag went up, where a crash is most dangerous: every later
 // L transaction waits on that flag — and checks that AbandonInFlight
@@ -639,8 +670,8 @@ func TestOneCountFourViews(t *testing.T) {
 		if got := snap.Modes["H"].Aborts["explicit"]; got != qs.Killed || hs.Aborts["explicit"] != qs.Killed || htmAborts != qs.Killed {
 			t.Errorf("%s: %d kills, but H has %d explicit aborts and HTM %+v", when, qs.Killed, got, hs)
 		}
-		if snap.Backoff.Waits != 1 {
-			t.Errorf("%s: %d backoff waits, want the injected abort's one", when, snap.Backoff.Waits)
+		if w := snap.Waits["backoff"].Waits; w != 1 {
+			t.Errorf("%s: %d backoff waits, want the injected abort's one", when, w)
 		}
 		starts := wantH + wantO
 		if mode == "H" {
@@ -667,7 +698,7 @@ func TestOneCountFourViews(t *testing.T) {
 		t.Helper()
 		s.Metrics().Reset()
 		snap := snapshot(s)
-		if len(snap.Modes) != 0 || snap.Backoff != (obs.BackoffSnapshot{}) || snap.HQuiet != (obs.QuietSnapshot{}) ||
+		if len(snap.Modes) != 0 || len(snap.Waits) != 0 || snap.HQuiet != (obs.QuietSnapshot{}) ||
 			snap.HTM.Starts != 0 || snap.HTM.Commits != 0 || snap.HTM.Ops != 0 || snap.HTM.WastedOps != 0 || len(snap.HTM.Aborts) != 0 {
 			t.Fatalf("after the reset: %+v", snap)
 		}

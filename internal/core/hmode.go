@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"slices"
 
 	"tufast/internal/gentab"
@@ -52,8 +51,6 @@ type hCtx struct {
 	lastV   uint32
 	lastSub int32
 	wvs     []uint32 // vertices with write intent, in first-touch order
-
-	held []uint32 // exclusive locks currently held (commit window only)
 
 	// check and watch are validateSubs and lockerFree bound once: a method
 	// value made per attempt would allocate on the hottest path there is.
@@ -240,57 +237,38 @@ func (h *hCtx) Commit() bool {
 // publish commits the hardware transaction. A quiet attempt's Commit
 // re-checks lState itself (lockerFree). A subscribed one reads it here:
 // while a locker is in flight, the write-intent vertex locks are acquired
-// for real (bounded spin, sorted order) so L's plain reads stay excluded;
-// otherwise the emulated HTM's line locks already make validate+publish
-// atomic and the vertex locks are skipped — the software analogue of TSX
-// buffering the lock-word stores (they would never become globally
-// visible on the fast path).
+// for real (lockWriteSet: 16 polls a vertex, sorted order; a vertex whose
+// stamp moved since it was touched gives up at once) so L's plain reads
+// stay excluded; otherwise the emulated HTM's line locks already make
+// validate+publish atomic and the vertex locks are skipped — the software
+// analogue of TSX buffering the lock-word stores (they would never become
+// globally visible on the fast path).
 func (h *hCtx) publish() bool {
 	if h.quiet || len(h.wvs) == 0 || lockers(h.w.s.lState.Load()) == 0 {
 		return h.tx.Commit() == htm.AbortNone
 	}
-	locks := h.w.s.locks
-	tid := h.w.tid
 	slices.Sort(h.wvs)
-	h.held = h.held[:0]
+	if !h.w.lockWriteSet(h.wvs, 16, obs.WaitHCommit, h.subUnmoved) {
+		h.w.unlockHeld()
+		h.tx.Explicit()
+		return false
+	}
+	// Our own acquisitions moved the stamps; retarget the subscriptions
+	// so validateSubs keeps passing while we hold the locks.
 	for _, v := range h.wvs {
 		idx, _ := h.vstate.Get(uint64(v))
-		sub := &h.subs[idx]
-		acquired := false
-		for attempt := 0; attempt < 16; attempt++ {
-			pre := locks.Stamp(v)
-			if pre != sub.stamp {
-				break // someone committed to v since we touched it
-			}
-			if locks.TryExclusive(v, tid) {
-				// Our own acquisition moved the stamp; retarget the
-				// subscription so validateSubs keeps passing while we
-				// hold the lock.
-				sub.stamp = vlock.StampAfterExclusive(pre, tid)
-				h.held = append(h.held, v)
-				acquired = true
-				break
-			}
-			if attempt&3 == 3 {
-				runtime.Gosched()
-			}
-		}
-		if !acquired {
-			h.releaseHeld()
-			h.tx.Explicit()
-			return false
-		}
+		h.subs[idx].stamp = vlock.StampAfterExclusive(h.subs[idx].stamp, h.w.tid)
 	}
 	ok := h.tx.Commit() == htm.AbortNone
-	h.releaseHeld()
+	h.w.unlockHeld()
 	return ok
 }
 
-func (h *hCtx) releaseHeld() {
-	for _, v := range h.held {
-		h.w.s.locks.ReleaseExclusive(v, h.w.tid)
-	}
-	h.held = h.held[:0]
+// subUnmoved reports whether v's lock stamp still reads what the attempt
+// subscribed to: if not, someone committed to v since it was touched.
+func (h *hCtx) subUnmoved(v uint32, stamp uint64) bool {
+	idx, _ := h.vstate.Get(uint64(v))
+	return h.subs[idx].stamp == stamp
 }
 
 // Read implements sched.Tx (Algorithm 1 lines 5-9).

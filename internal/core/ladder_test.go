@@ -75,7 +75,7 @@ func TestBackoffStartsAtZeroAfterLadder(t *testing.T) {
 	if got := commits(s, obs.ModeO2L); got != 1 {
 		t.Fatalf("want one O2L commit, got %v", modeDump(s))
 	}
-	if waits := s.Metrics().Snapshot().Backoff.Waits; waits == 0 {
+	if waits := s.Metrics().Snapshot().Waits["backoff"].Waits; waits == 0 {
 		t.Fatal("the ladder never waited: the test exercises nothing")
 	}
 	if l := levelAtEntry(t, w); l != 0 {
@@ -171,8 +171,8 @@ func TestOCapacityAbortDoesNotBackOff(t *testing.T) {
 	if got := snap.Modes["O"].Aborts["capacity"]; got < 2 {
 		t.Fatalf("want repeated O capacity aborts, got %d (%v)", got, modeDump(s))
 	}
-	if snap.Backoff.Waits != 0 {
-		t.Fatalf("capacity aborts recorded %d backoff waits, want 0", snap.Backoff.Waits)
+	if w := snap.Waits["backoff"].Waits; w != 0 {
+		t.Fatalf("capacity aborts recorded %d backoff waits, want 0", w)
 	}
 }
 

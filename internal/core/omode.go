@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"slices"
 
 	"tufast/internal/gentab"
@@ -41,14 +40,12 @@ type oCtx struct {
 	// aborts.
 	period, conflicts int
 
-	// Commit-phase write-vertex bookkeeping, reused across attempts.
-	wvs   []uint32
-	wvIdx *gentab.Table
-	// held tracks the exclusive locks actually acquired by the in-flight
-	// commit and announced that the commit is counted in System.lState, so
-	// a panic escaping the commit window can be unwound by abandon()
-	// without leaking either.
-	held      []uint32
+	// wvs is the commit's write set, sorted, reused across attempts.
+	wvs []uint32
+	// announced says that the in-flight commit is counted in
+	// System.lState, so a panic escaping the commit window can be unwound
+	// by abandon() without leaking it (the worker's held list has the
+	// locks).
 	announced bool
 
 	// Telemetry for the adaptive controller and Fig. 15/17.
@@ -87,7 +84,6 @@ func newOCtx(w *worker) *oCtx {
 		readIdx:  gentab.New(7),
 		writeIdx: gentab.New(5),
 		segSeen:  gentab.New(7),
-		wvIdx:    gentab.New(5),
 	}
 }
 
@@ -259,22 +255,14 @@ func (o *oCtx) Write(v uint32, addr mem.Addr, val uint64) {
 // first TryExclusive until its last lock is released, on every way out.
 func (o *oCtx) Commit() bool {
 	o.settleTelemetry()
-	// Collect and sort distinct write vertices (order avoids needless
-	// mutual aborts between O committers; try-lock keeps us wait-free).
+	// Collect and sort distinct write vertices: lockWriteSet takes them in
+	// that order.
 	o.wvs = o.wvs[:0]
-	o.wvIdx.Reset()
 	for i := range o.writes {
-		v := o.writes[i].v
-		if _, ok := o.wvIdx.Get(uint64(v)); !ok {
-			o.wvIdx.Put(uint64(v), int32(len(o.wvs)))
-			o.wvs = append(o.wvs, v)
-		}
+		o.wvs = append(o.wvs, o.writes[i].v)
 	}
 	slices.Sort(o.wvs)
-	o.wvIdx.Reset() // re-key after the sort
-	for i, v := range o.wvs {
-		o.wvIdx.Put(uint64(v), int32(i))
-	}
+	o.wvs = slices.Compact(o.wvs)
 	if len(o.wvs) != 0 {
 		o.announced = true
 		o.w.s.lockerEnter()
@@ -290,44 +278,27 @@ func (o *oCtx) Commit() bool {
 func (o *oCtx) publish() bool {
 	o.htm.Commits.Add(1) // final segment XEND
 
-	locks := o.w.s.locks
-	tid := o.w.tid
-	o.held = o.held[:0]
-	for _, v := range o.wvs {
-		// Bounded spin before giving up (Silo commits do the same): an
-		// instant abort on a momentarily-held lock causes escalation
-		// cascades under write contention.
-		acquired := false
-		for attempt := 0; attempt < 32; attempt++ {
-			if vlock.StampFree(locks.Stamp(v)) && locks.TryExclusive(v, tid) {
-				o.held = append(o.held, v)
-				acquired = true
-				break
-			}
-			if attempt&7 == 7 {
-				runtime.Gosched()
-			}
-		}
-		if !acquired {
-			return false
-		}
+	// A bounded wait on each lock before giving up (Silo commits do the
+	// same): an instant abort on a momentarily-held lock causes
+	// escalation cascades under write contention.
+	if !o.w.lockWriteSet(o.wvs, 32, obs.WaitOCommit, nil) {
+		return false
 	}
 
 	// Verify read access (Algorithm 2 lines 44-46): the line version must
 	// be unchanged since the read (all committers — H line locks, O
 	// write-backs, L in-place stores — bump line versions), the vertex
-	// must not be exclusively held by a concurrent committer, and the
+	// must not be exclusively held by a concurrent committer (the only
+	// exclusive locks this worker holds are its write set's), and the
 	// recorded value must still be current (the paper's value check).
-	sp := o.w.s.sp
+	locks, sp := o.w.s.locks, o.w.s.sp
 	for i := range o.reads {
 		r := &o.reads[i]
 		if sp.Meta(r.line) != r.ver {
 			return false
 		}
-		if _, own := o.wvIdx.Get(uint64(r.v)); !own {
-			if !vlock.StampFree(locks.Stamp(r.v)) {
-				return false
-			}
+		if owner, held := locks.ExclusiveOwner(r.v); held && owner != o.w.tid {
+			return false
 		}
 		if sp.Load(r.addr) != r.val {
 			return false
@@ -342,10 +313,7 @@ func (o *oCtx) publish() bool {
 
 // leave ends the commit window: drop the locks, then the announcement.
 func (o *oCtx) leave() {
-	for _, v := range o.held {
-		o.w.s.locks.ReleaseExclusive(v, o.w.tid)
-	}
-	o.held = o.held[:0]
+	o.w.unlockHeld()
 	if o.announced {
 		o.announced = false
 		o.w.s.lockerExit()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -141,6 +140,10 @@ type worker struct {
 	// backoff level across both.
 	loop sched.Loop
 
+	// held lists the exclusive vertex locks an H or O commit of this
+	// worker has taken (lockWriteSet), until unlockHeld.
+	held []uint32
+
 	// route is what this worker has learnt about where each size class's
 	// ladder steps fail (router.go).
 	route [numSizeClasses]classStats
@@ -238,8 +241,8 @@ func (w *worker) ctxErr() error {
 
 // AbandonInFlight implements sched.Abandoner: after a panic escaped an
 // attempt (e.g. from inside a commit window), lower the commit-gate flag,
-// release every lock the worker may still hold across all three mode
-// contexts, take an interrupted O commit out of lState's count (left up,
+// release every lock the worker may still hold, its commits' and L
+// mode's, take an interrupted O commit out of lState's count (left up,
 // it would make every later H attempt a subscribed one for the life of
 // the System) and roll back L-mode in-place writes (every transaction
 // starts its backoff afresh). The worker is then safe to pool again.
@@ -247,7 +250,6 @@ func (w *worker) AbandonInFlight() bool {
 	// A panic inside the H commit window left the gate flag up; every
 	// later L transaction would wait on it forever.
 	w.c.committing.Store(0)
-	w.h.releaseHeld()
 	w.o.abandon()
 	w.l.AbandonInFlight()
 	return true
@@ -267,18 +269,63 @@ func (w *worker) TrimScratch() {
 	w.l.TrimScratch()
 }
 
-// awaitHCommits returns once no H commit that may have read lState before
-// the caller raised it is still publishing. A commit that raises its flag
-// after the flag was read here sees the caller: it dies if its attempt is
-// quiet and takes real locks otherwise.
-func (s *System) awaitHCommits() {
-	for _, c := range s.registered() {
-		for spins := 1; c.committing.Load() != 0; spins++ {
-			if spins%16 == 0 {
-				runtime.Gosched() // the committer may need this core
+// lockWriteSet takes the exclusive locks of vs, sorted ascending, in
+// order, into w.held: the write set of an H or O commit. A vertex whose
+// lock is held is polled up to polls times with a sched.Spin between
+// polls, recorded under reason; past that, or at once when unmoved (nil
+// for none) says the vertex's stamp moved since the transaction read it,
+// the commit gives up and lockWriteSet returns false. Either way the
+// caller releases what was taken (unlockHeld). The wait is bounded — at
+// most polls polls a vertex (H 16, O 32), so polls·len(vs) in all — but
+// not wait-free, and it cannot close a cycle: taken in ascending order,
+// a commit waits only for a vertex above every lock it holds, as an L
+// transaction does (TPLWorker.block).
+func (w *worker) lockWriteSet(vs []uint32, polls int, reason obs.WaitReason, unmoved func(v uint32, stamp uint64) bool) bool {
+	locks := w.s.locks
+	w.held = w.held[:0]
+	for _, v := range vs {
+		var sp sched.Spin
+		ok := false
+		for n := 1; ; n++ {
+			pre := locks.Stamp(v)
+			if unmoved != nil && !unmoved(v, pre) {
+				break
 			}
+			if ok = vlock.StampFree(pre) && locks.TryExclusive(v, w.tid); ok || n == polls {
+				break
+			}
+			sp.Pause()
+		}
+		sp.Done(&w.probe, reason)
+		if !ok {
+			return false
+		}
+		w.held = append(w.held, v)
+	}
+	return true
+}
+
+// unlockHeld releases the locks lockWriteSet took.
+func (w *worker) unlockHeld() {
+	for _, v := range w.held {
+		w.s.locks.ReleaseExclusive(v, w.tid)
+	}
+	w.held = w.held[:0]
+}
+
+// awaitHCommits returns once no H commit that may have read lState before
+// the caller raised it is still publishing, recording the wait on p under
+// committing. A commit that raises its flag after the flag was read here
+// sees the caller: it dies if its attempt is quiet and takes real locks
+// otherwise.
+func (s *System) awaitHCommits(p *obs.Probe) {
+	var sp sched.Spin
+	for _, c := range s.registered() {
+		for c.committing.Load() != 0 {
+			sp.Pause() // the committer may need this core
 		}
 	}
+	sp.Done(p, obs.WaitCommitting)
 }
 
 // runL executes fn under blocking 2PL, which always commits but for a
@@ -291,7 +338,7 @@ func (w *worker) runL(fn sched.TxFunc, class obs.Mode) error {
 	// returns.
 	w.s.lockerEnter()
 	defer w.s.lockerExit()
-	w.s.awaitHCommits()
+	w.s.awaitHCommits(&w.probe)
 	// L starts from the minimum backoff, on the TPL worker's loop.
 	w.l.Backoff().Reset()
 	_, err := w.l.Rung(w.ctx, w.l, class, w.span, &w.attempts, fn)

@@ -8,26 +8,6 @@ import (
 	"time"
 )
 
-// Publish registers src under name in the process-wide expvar registry
-// (visible at /debug/vars wherever the default mux is served).
-// Publishing the same name twice keeps the first registration.
-func Publish(name string, src func() Snapshot) {
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return src() }))
-}
-
-// Handler serves the snapshot as JSON.
-func Handler(src func() Snapshot) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(src())
-	})
-}
-
 // NewServer wraps h in an http.Server with conservative timeouts. The
 // bare zero-value server never times a connection out, so one client
 // trickling header bytes (slowloris) pins a connection — and its
@@ -59,9 +39,17 @@ func Serve(addr, name string, src func() Snapshot) (bound string, close func() e
 	if err != nil {
 		return "", nil, err
 	}
-	Publish(name, src)
+	// Publishing the same name twice keeps the first registration.
+	if expvar.Get(name) == nil {
+		expvar.Publish(name, expvar.Func(func() any { return src() }))
+	}
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", Handler(src))
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(src())
+	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	srv := NewServer(mux)
 	go func() { _ = srv.Serve(ln) }()

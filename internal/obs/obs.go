@@ -8,8 +8,10 @@
 //     buckets, plain atomic adds, mergeable snapshots),
 //   - mode-transition counters that make the H→O→L fallback ladder and
 //     the adaptive-period trajectory directly observable,
-//   - per-worker backoff counters (waits, the waits that slept, wall
-//     time inside them),
+//   - one per-worker table of waits by reason (an L lock, an H or O
+//     commit's write-set locks, the commit gate, the retry loop's
+//     backoff): how many, the wall time inside them and, for backoff,
+//     how many slept,
 //   - per-worker emulated-HTM counters (starts, commits, operations and
 //     aborts by reason of the hardware transactions and segments a
 //     worker ran) and TuFast's quiet H-attempt counters, and
@@ -64,23 +66,16 @@ const (
 )
 
 // String names the mode as in Figure 15.
-func (m Mode) String() string {
-	switch m {
-	case ModeH:
-		return "H"
-	case ModeO:
-		return "O"
-	case ModeOPlus:
-		return "O+"
-	case ModeO2L:
-		return "O2L"
-	case ModeL:
-		return "L"
-	case ModeTx:
-		return "tx"
-	default:
-		return "?"
+func (m Mode) String() string { return nameOf(modeNames[:], int(m)) }
+
+var modeNames = [NumModes]string{"H", "O", "O+", "O2L", "L", "tx"}
+
+// nameOf is names[i], or "?" past its end.
+func nameOf(names []string, i int) string {
+	if i < len(names) {
+		return names[i]
 	}
+	return "?"
 }
 
 // Retried is the class of a commit after an abort in m: O+ for O.
@@ -119,30 +114,9 @@ const (
 )
 
 // String names the reason for snapshots and JSON.
-func (r Reason) String() string {
-	switch r {
-	case ReasonNone:
-		return "none"
-	case ReasonConflict:
-		return "conflict"
-	case ReasonCapacity:
-		return "capacity"
-	case ReasonExplicit:
-		return "explicit"
-	case ReasonLocked:
-		return "locked"
-	case ReasonDeadlock:
-		return "deadlock"
-	case ReasonUser:
-		return "user"
-	case ReasonPanic:
-		return "panic"
-	case ReasonCancel:
-		return "cancel"
-	default:
-		return "?"
-	}
-}
+func (r Reason) String() string { return nameOf(reasonNames[:], int(r)) }
+
+var reasonNames = [NumReasons]string{"none", "conflict", "capacity", "explicit", "locked", "deadlock", "user", "panic", "cancel"}
 
 // Transition labels a routing or controller state change.
 type Transition uint8
@@ -161,20 +135,9 @@ const (
 )
 
 // String names the transition for snapshots and JSON.
-func (t Transition) String() string {
-	switch t {
-	case TransHO:
-		return "h_to_o"
-	case TransOL:
-		return "o_to_l"
-	case TransPeriodUp:
-		return "period_up"
-	case TransPeriodDown:
-		return "period_down"
-	default:
-		return "?"
-	}
-}
+func (t Transition) String() string { return nameOf(transitionNames[:], int(t)) }
+
+var transitionNames = [NumTransitions]string{"h_to_o", "o_to_l", "period_up", "period_down"}
 
 // latencySampleMask selects 1 in 64 transactions for commit-latency
 // timing; everything between the two timestamp reads is untouched on
@@ -195,7 +158,7 @@ type Metrics struct {
 }
 
 // workerState is what one Probe owns: what its commits record and its
-// backoff counters. Only the probe's worker writes it, so the atomics
+// waits. Only the probe's worker writes it, so the atomics
 // are uncontended — the pads keep a neighbouring allocation's writes off
 // its first and last cache line; snapshots and Reset reach it through
 // Metrics.workers.
@@ -205,9 +168,7 @@ type workerState struct {
 	commits [NumModes]commitState
 	latency [NumModes]Histogram // sampled commit latency, nanoseconds
 
-	backoffWaits  atomic.Uint64
-	backoffSleeps atomic.Uint64
-	backoffNs     atomic.Uint64
+	waits [NumWaitReasons]waitState
 
 	htm         HTM
 	quietBegun  atomic.Uint64 // H attempts begun with no locker in flight
@@ -256,13 +217,31 @@ func (h *HTM) addTo(s *HTMSnapshot) {
 	s.Ops += h.Ops.Load()
 	s.WastedOps += h.WastedOps.Load()
 	for r := range h.aborts {
-		if c := h.aborts[r].Load(); c != 0 {
-			if s.Aborts == nil {
-				s.Aborts = make(map[string]uint64)
-			}
-			s.Aborts[Reason(r).String()] += c
-		}
+		addCount(&s.Aborts, Reason(r).String(), h.aborts[r].Load())
 	}
+}
+
+// WaitReason names what a worker waited for; every wait a worker makes
+// is recorded once, under one of these.
+type WaitReason uint8
+
+const (
+	WaitLLock      WaitReason = iota // an L-mode (2PL) lock acquisition found the lock held
+	WaitHCommit                      // a subscribed H commit found a write-set lock held
+	WaitOCommit                      // an O commit found a write-set lock held
+	WaitCommitting                   // an L transaction waited out H commits in their gate window
+	WaitBackoff                      // the retry loop's randomized backoff between attempts
+	NumWaitReasons
+)
+
+// String names the wait reason for snapshots and JSON.
+func (r WaitReason) String() string { return nameOf(waitNames[:], int(r)) }
+
+var waitNames = [NumWaitReasons]string{"l_lock", "h_commit", "o_commit", "committing", "backoff"}
+
+// waitState is one row of a worker's wait table.
+type waitState struct {
+	n, sleeps, ns atomic.Uint64
 }
 
 // commitState is what a mode's commits record: the operations of the
@@ -272,17 +251,6 @@ func (h *HTM) addTo(s *HTMSnapshot) {
 type commitState struct {
 	reads, writes atomic.Uint64
 	retries       Histogram
-}
-
-// Abort records one aborted (retried) attempt.
-func (m *Metrics) Abort(mode Mode, reason Reason) {
-	m.aborts[mode][reason].Add(1)
-}
-
-// Stop records a terminal non-commit outcome (user error, panic, or
-// cancellation).
-func (m *Metrics) Stop(mode Mode, reason Reason) {
-	m.stops[mode][reason].Add(1)
 }
 
 // Transition records a routing or controller transition.
@@ -309,9 +277,11 @@ func (m *Metrics) Reset() {
 			c.retries.Reset()
 			ws.latency[mo].Reset()
 		}
-		ws.backoffWaits.Store(0)
-		ws.backoffSleeps.Store(0)
-		ws.backoffNs.Store(0)
+		for r := range ws.waits {
+			ws.waits[r].n.Store(0)
+			ws.waits[r].sleeps.Store(0)
+			ws.waits[r].ns.Store(0)
+		}
 		ws.htm.reset()
 		ws.quietBegun.Store(0)
 		ws.quietKilled.Store(0)
@@ -342,7 +312,7 @@ type Span struct {
 }
 
 // Probe is the per-worker recording handle: it owns the worker's commit
-// histograms and operation counts, backoff, emulated-HTM and quiet-attempt
+// histograms and operation counts, wait table, emulated-HTM and quiet-attempt
 // counters and the local sampling counter, so a commit writes no state
 // another worker writes.
 type Probe struct {
@@ -379,23 +349,24 @@ func (p *Probe) TxCommit(mode Mode, retries uint32, sp Span, reads, writes uint6
 
 // TxAbort records one aborted attempt in mode.
 func (p *Probe) TxAbort(mode Mode, reason Reason) {
-	p.m.Abort(mode, reason)
+	p.m.aborts[mode][reason].Add(1)
 }
 
 // TxStop closes a transaction as terminally stopped (user error,
 // panic, cancellation) in mode.
 func (p *Probe) TxStop(mode Mode, reason Reason) {
-	p.m.Stop(mode, reason)
+	p.m.stops[mode][reason].Add(1)
 }
 
-// BackoffWait records one backoff wait between attempts: whether it
-// went as far as sleeping, and the wall time it took.
-func (p *Probe) BackoffWait(slept bool, d time.Duration) {
-	p.ws.backoffWaits.Add(1)
+// Wait records one wait for reason r: whether it went as far as sleeping
+// (only backoff sleeps), and the wall time it took.
+func (p *Probe) Wait(r WaitReason, slept bool, d time.Duration) {
+	w := &p.ws.waits[r]
+	w.n.Add(1)
 	if slept {
-		p.ws.backoffSleeps.Add(1)
+		w.sleeps.Add(1)
 	}
-	p.ws.backoffNs.Add(uint64(max(d, 0)))
+	w.ns.Add(uint64(max(d, 0)))
 }
 
 // HTM returns the worker's emulated-HTM counters, for its htm.Tx and the

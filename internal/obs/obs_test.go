@@ -121,7 +121,8 @@ func TestMetricsReset(t *testing.T) {
 	p.TxAbort(ModeO, ReasonCapacity)
 	p.TxCommit(ModeO, 1, sp, 3, 2)
 	p.TxStop(ModeL, ReasonUser)
-	p.BackoffWait(true, time.Millisecond)
+	p.Wait(WaitBackoff, true, time.Millisecond)
+	p.Wait(WaitLLock, false, time.Microsecond)
 	m.Transition(TransHO)
 	h := p.HTM()
 	h.Starts.Add(2)
@@ -132,8 +133,8 @@ func TestMetricsReset(t *testing.T) {
 	p.QuietBegin()
 	p.QuietKilled()
 	s := m.Snapshot()
-	if b := s.Backoff; b != (BackoffSnapshot{Waits: 1, Sleeps: 1, Ns: 1e6}) {
-		t.Fatalf("backoff before Reset = %+v", b)
+	if want := map[string]WaitSnapshot{"backoff": {Waits: 1, Sleeps: 1, Ns: 1e6}, "l_lock": {Waits: 1, Ns: 1e3}}; !reflect.DeepEqual(s.Waits, want) {
+		t.Fatalf("waits before Reset = %+v, want %+v", s.Waits, want)
 	}
 	if hs := s.HTM; hs.Starts != 2 || hs.Commits != 1 || hs.Ops != 8 || hs.WastedOps != 3 || len(hs.Aborts) != 1 || hs.Aborts["capacity"] != 1 {
 		t.Fatalf("htm before Reset = %+v", hs)
@@ -143,7 +144,7 @@ func TestMetricsReset(t *testing.T) {
 	}
 	m.Reset()
 	s = m.Snapshot()
-	if len(s.Modes) != 0 || len(s.Transitions) != 0 || s.Backoff != (BackoffSnapshot{}) || s.HQuiet != (QuietSnapshot{}) ||
+	if len(s.Modes) != 0 || len(s.Transitions) != 0 || len(s.Waits) != 0 || s.HQuiet != (QuietSnapshot{}) ||
 		s.HTM.Starts != 0 || s.HTM.Commits != 0 || s.HTM.Ops != 0 || s.HTM.WastedOps != 0 || s.HTM.Aborts != nil {
 		t.Fatalf("snapshot not empty after Reset: %+v", s)
 	}
@@ -164,11 +165,13 @@ func TestSnapshotMergeAndJSON(t *testing.T) {
 	p2.TxAbort(ModeL, ReasonDeadlock)
 	p2.TxStop(ModeL, ReasonCancel)
 	m2.Transition(TransOL)
-	// Backoff counters are per probe and sum over probes and snapshots.
-	p1.BackoffWait(false, 100)
+	// Wait counters are per probe and reason and sum over probes and
+	// snapshots.
+	p1.Wait(WaitBackoff, false, 100)
 	p1b := m1.NewProbe()
-	p1b.BackoffWait(true, 2000)
-	p2.BackoffWait(true, 30000)
+	p1b.Wait(WaitBackoff, true, 2000)
+	p2.Wait(WaitBackoff, true, 30000)
+	p2.Wait(WaitCommitting, false, 400)
 
 	// So are the quiet-attempt and emulated-HTM counters; an abort
 	// reattributed moves between reasons.
@@ -216,8 +219,8 @@ func TestSnapshotMergeAndJSON(t *testing.T) {
 	if got := merged.Transitions["o_to_l"]; got != 1 {
 		t.Fatalf("merged o_to_l = %d, want 1", got)
 	}
-	if want := (BackoffSnapshot{Waits: 3, Sleeps: 2, Ns: 32100}); merged.Backoff != want {
-		t.Fatalf("merged backoff = %+v, want %+v", merged.Backoff, want)
+	if want := map[string]WaitSnapshot{"backoff": {Waits: 3, Sleeps: 2, Ns: 32100}, "committing": {Waits: 1, Ns: 400}}; !reflect.DeepEqual(merged.Waits, want) {
+		t.Fatalf("merged waits = %+v, want %+v", merged.Waits, want)
 	}
 
 	buf, err := json.Marshal(merged)
@@ -228,7 +231,7 @@ func TestSnapshotMergeAndJSON(t *testing.T) {
 	if err := json.Unmarshal(buf, &back); err != nil {
 		t.Fatalf("snapshot does not round-trip: %v", err)
 	}
-	if back.Totals() != merged.Totals() || back.Backoff != merged.Backoff || back.HQuiet != merged.HQuiet || !reflect.DeepEqual(back.HTM, merged.HTM) {
+	if back.Totals() != merged.Totals() || !reflect.DeepEqual(back.Waits, merged.Waits) || back.HQuiet != merged.HQuiet || !reflect.DeepEqual(back.HTM, merged.HTM) {
 		t.Fatal("counts lost in JSON round-trip")
 	}
 	if !strings.Contains(string(buf), `"htm":{"starts":8,`) {

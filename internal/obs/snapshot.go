@@ -11,10 +11,11 @@ type Snapshot struct {
 	// Transitions counts routing and controller transitions (h_to_o,
 	// o_to_l, period_up, period_down).
 	Transitions map[string]uint64 `json:"transitions,omitempty"`
-	// Backoff sums the workers' waits between attempts; read it beside
-	// the per-mode abort reasons (a conflict abort is worth a wait, a
-	// capacity abort is not).
-	Backoff BackoffSnapshot `json:"backoff"`
+	// Waits sums the workers' waits by reason (l_lock, h_commit,
+	// o_commit, committing, backoff); reasons never waited for are
+	// omitted. Read backoff beside the per-mode abort reasons (a conflict
+	// abort is worth a wait, a capacity abort is not).
+	Waits map[string]WaitSnapshot `json:"waits,omitempty"`
 	// HTM counts the emulated hardware transactions (H-mode attempts,
 	// O-mode and H-TO segments, a baseline's hardware attempts), summed
 	// over workers.
@@ -173,12 +174,6 @@ func (b BatchStagesSnapshot) merge(other BatchStagesSnapshot) BatchStagesSnapsho
 // gauges from other win (matching Snapshot.Merge's gauge rule). The
 // server uses it to aggregate per-graph sections into a fleet total.
 func (s ServerSnapshot) Merge(other ServerSnapshot) ServerSnapshot {
-	return s.merge(other)
-}
-
-// merge folds other into a copy of s: counters add, histograms merge,
-// gauges from other win (matching Snapshot.Merge's gauge rule).
-func (s ServerSnapshot) merge(other ServerSnapshot) ServerSnapshot {
 	out := s
 	out.Admitted += other.Admitted
 	out.Rejected += other.Rejected
@@ -223,15 +218,15 @@ func (s ServerSnapshot) merge(other ServerSnapshot) ServerSnapshot {
 	return out
 }
 
-// BackoffSnapshot counts the backoff waits between a transaction's
-// attempts, summed over workers.
-type BackoffSnapshot struct {
+// WaitSnapshot is one row of the wait table, summed over workers.
+type WaitSnapshot struct {
 	// Waits counts waits of any length; Sleeps counts those that
-	// escalated to a timer sleep.
-	Waits  uint64 `json:"backoff_waits"`
-	Sleeps uint64 `json:"backoff_sleeps"`
-	// Ns is the wall time spent inside waits, in nanoseconds.
-	Ns uint64 `json:"backoff_ns"`
+	// escalated to a timer sleep (backoff's highest levels; no lock wait
+	// sleeps).
+	Waits  uint64 `json:"waits"`
+	Sleeps uint64 `json:"sleeps,omitempty"`
+	// Ns is the wall time spent inside the waits, in nanoseconds.
+	Ns uint64 `json:"ns"`
 }
 
 // HTMSnapshot counts emulated hardware transactions: begun, committed,
@@ -287,9 +282,10 @@ func (m *Metrics) Snapshot() Snapshot {
 	s := Snapshot{Modes: make(map[string]ModeSnapshot)}
 	workers := m.workerStates()
 	for _, ws := range workers {
-		s.Backoff.Waits += ws.backoffWaits.Load()
-		s.Backoff.Sleeps += ws.backoffSleeps.Load()
-		s.Backoff.Ns += ws.backoffNs.Load()
+		for r := range ws.waits {
+			row := &ws.waits[r]
+			addWait(&s.Waits, WaitReason(r).String(), WaitSnapshot{Waits: row.n.Load(), Sleeps: row.sleeps.Load(), Ns: row.ns.Load()})
+		}
 		ws.htm.addTo(&s.HTM)
 		s.HQuiet.Attempts += ws.quietBegun.Load()
 		s.HQuiet.Killed += ws.quietKilled.Load()
@@ -307,34 +303,16 @@ func (m *Metrics) Snapshot() Snapshot {
 			ws.latency[mo].addTo(&ms.Latency)
 		}
 		ms.Commits = ms.Retries.Count()
-		active := ms.Commits != 0
 		for r := Reason(0); r < NumReasons; r++ {
-			if c := m.aborts[mo][r].Load(); c != 0 {
-				if ms.Aborts == nil {
-					ms.Aborts = make(map[string]uint64)
-				}
-				ms.Aborts[r.String()] = c
-				active = true
-			}
-			if c := m.stops[mo][r].Load(); c != 0 {
-				if ms.Stops == nil {
-					ms.Stops = make(map[string]uint64)
-				}
-				ms.Stops[r.String()] = c
-				active = true
-			}
+			addCount(&ms.Aborts, r.String(), m.aborts[mo][r].Load())
+			addCount(&ms.Stops, r.String(), m.stops[mo][r].Load())
 		}
-		if active {
+		if ms.Commits != 0 || ms.Aborts != nil || ms.Stops != nil {
 			s.Modes[mo.String()] = ms
 		}
 	}
 	for t := Transition(0); t < NumTransitions; t++ {
-		if c := m.trans[t].Load(); c != 0 {
-			if s.Transitions == nil {
-				s.Transitions = make(map[string]uint64)
-			}
-			s.Transitions[t.String()] = c
-		}
+		addCount(&s.Transitions, t.String(), m.trans[t].Load())
 	}
 	return s
 }
@@ -386,47 +364,29 @@ func (s Snapshot) AbortReasons() map[string]uint64 {
 func (s Snapshot) Merge(other Snapshot) Snapshot {
 	out := Snapshot{
 		Modes: make(map[string]ModeSnapshot),
-		Backoff: BackoffSnapshot{
-			Waits:  s.Backoff.Waits + other.Backoff.Waits,
-			Sleeps: s.Backoff.Sleeps + other.Backoff.Sleeps,
-			Ns:     s.Backoff.Ns + other.Backoff.Ns,
-		},
 		HTM: HTMSnapshot{
 			Starts:    s.HTM.Starts + other.HTM.Starts,
 			Commits:   s.HTM.Commits + other.HTM.Commits,
 			Ops:       s.HTM.Ops + other.HTM.Ops,
 			WastedOps: s.HTM.WastedOps + other.HTM.WastedOps,
-			Aborts:    mergeCounts(copyCounts(s.HTM.Aborts), other.HTM.Aborts),
+			Aborts:    mergeCounts(mergeCounts(nil, s.HTM.Aborts), other.HTM.Aborts),
 		},
 		HQuiet: QuietSnapshot{
 			Attempts: s.HQuiet.Attempts + other.HQuiet.Attempts,
 			Killed:   s.HQuiet.Killed + other.HQuiet.Killed,
 		},
 	}
-	switch {
-	case s.Server != nil && other.Server != nil:
-		sv := s.Server.merge(*other.Server)
-		out.Server = &sv
-	case s.Server != nil:
-		sv := *s.Server
-		out.Server = &sv
-	case other.Server != nil:
-		sv := *other.Server
-		out.Server = &sv
+	for _, waits := range []map[string]WaitSnapshot{s.Waits, other.Waits} {
+		for k, w := range waits {
+			addWait(&out.Waits, k, w)
+		}
 	}
+	out.Server = mergeServer(s.Server, other.Server)
 	if s.Graphs != nil || other.Graphs != nil {
 		out.Graphs = make(map[string]*ServerSnapshot, len(s.Graphs)+len(other.Graphs))
-		for name, sv := range s.Graphs {
-			cp := *sv
-			out.Graphs[name] = &cp
-		}
-		for name, sv := range other.Graphs {
-			if have, ok := out.Graphs[name]; ok {
-				merged := have.merge(*sv)
-				out.Graphs[name] = &merged
-			} else {
-				cp := *sv
-				out.Graphs[name] = &cp
+		for _, graphs := range []map[string]*ServerSnapshot{s.Graphs, other.Graphs} {
+			for name, sv := range graphs {
+				out.Graphs[name] = mergeServer(out.Graphs[name], sv)
 			}
 		}
 	}
@@ -448,7 +408,7 @@ func (s Snapshot) Merge(other Snapshot) Snapshot {
 		m.Retries = m.Retries.Merge(om.Retries)
 		out.Modes[name] = m
 	}
-	out.Transitions = mergeCounts(copyCounts(s.Transitions), other.Transitions)
+	out.Transitions = mergeCounts(mergeCounts(nil, s.Transitions), other.Transitions)
 	if s.Gauges != nil || other.Gauges != nil {
 		out.Gauges = make(map[string]int64, len(s.Gauges)+len(other.Gauges))
 		for k, v := range s.Gauges {
@@ -461,26 +421,51 @@ func (s Snapshot) Merge(other Snapshot) Snapshot {
 	return out
 }
 
-func copyCounts(m map[string]uint64) map[string]uint64 {
-	if m == nil {
+// mergeServer returns a new merge of a and b, either of which may be nil.
+func mergeServer(a, b *ServerSnapshot) *ServerSnapshot {
+	var m ServerSnapshot
+	switch {
+	case a != nil && b != nil:
+		m = a.Merge(*b)
+	case a != nil:
+		m = *a
+	case b != nil:
+		m = *b
+	default:
 		return nil
 	}
-	out := make(map[string]uint64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+	return &m
 }
 
+// mergeCounts adds src's counts into dst, made when nil.
 func mergeCounts(dst, src map[string]uint64) map[string]uint64 {
-	if len(src) == 0 {
-		return dst
-	}
-	if dst == nil {
-		dst = make(map[string]uint64, len(src))
-	}
-	for k, v := range src {
-		dst[k] += v
+	for k, c := range src {
+		addCount(&dst, k, c)
 	}
 	return dst
+}
+
+// addCount adds c under k in *m, made on first use; a zero c adds nothing,
+// so a snapshot's maps never hold a zero.
+func addCount(m *map[string]uint64, k string, c uint64) {
+	if c == 0 {
+		return
+	}
+	if *m == nil {
+		*m = make(map[string]uint64)
+	}
+	(*m)[k] += c
+}
+
+// addWait adds w's counts to row k of *m, made on first use; a row of no
+// waits adds nothing.
+func addWait(m *map[string]WaitSnapshot, k string, w WaitSnapshot) {
+	if w.Waits == 0 {
+		return
+	}
+	if *m == nil {
+		*m = make(map[string]WaitSnapshot)
+	}
+	r := (*m)[k]
+	(*m)[k] = WaitSnapshot{Waits: r.Waits + w.Waits, Sleeps: r.Sleeps + w.Sleeps, Ns: r.Ns + w.Ns}
 }

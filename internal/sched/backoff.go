@@ -30,8 +30,8 @@ func (b *Backoff) Next() uint64 {
 
 // WaitObserved spins for a randomized, exponentially growing number of
 // iterations, yielding the processor at higher levels and sleeping at the
-// highest, and records on p the wait, whether it slept and the wall time
-// it took.
+// highest, and records on p the wait under backoff, whether it slept and
+// the wall time it took.
 func (b *Backoff) WaitObserved(p *obs.Probe) {
 	start := time.Now()
 	if b.level < 12 {
@@ -60,7 +60,7 @@ func (b *Backoff) WaitObserved(p *obs.Probe) {
 	case b.level > 3:
 		runtime.Gosched()
 	}
-	p.BackoffWait(slept, time.Since(start))
+	p.Wait(obs.WaitBackoff, slept, time.Since(start))
 }
 
 // Reset returns the backoff to its minimum level, so a pooled worker's

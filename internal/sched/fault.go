@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"sync/atomic"
+	"time"
 )
 
 // FaultKind selects what an injected fault does when it fires.
@@ -15,6 +16,11 @@ const (
 	// FaultPanic panics with an InjectedPanic payload, exercising the
 	// panic-unwinding and worker-recovery paths.
 	FaultPanic
+	// FaultStall sleeps the matched worker for the spec's Stall and lets
+	// the operation go on: a holder descheduled with whatever it holds
+	// (at an L read or write, the locks taken before it; at an H commit,
+	// its commit-gate flag).
+	FaultStall
 )
 
 // FaultSpec selects the operation an injected fault fires at: the Nth
@@ -25,6 +31,8 @@ type FaultSpec struct {
 	Op   string    // "read", "write", "commit"; "" = any
 	N    uint64    // fire on the Nth matching operation (0 means 1st)
 	Kind FaultKind // what to do when firing
+	// Stall is how long a FaultStall fault sleeps.
+	Stall time.Duration
 }
 
 // InjectedPanic is the panic payload of a FaultPanic fault; it surfaces to
@@ -40,7 +48,7 @@ func (p InjectedPanic) String() string {
 }
 
 // FaultInjector deterministically injects one fault into an instrumented
-// scheduler: the Nth operation matching the spec aborts or panics, every
+// scheduler: the Nth operation matching the spec aborts, panics or stalls, every
 // other operation proceeds untouched. The match counter is shared across
 // workers, so under a single-threaded workload the firing point is exactly
 // reproducible; under concurrency it still fires exactly once. A nil
@@ -73,9 +81,10 @@ func (fi *FaultInjector) match(mode, op string) bool {
 }
 
 // At is the read/write hook, called from inside a transaction attempt
-// (where ThrowAbort is legal). It either returns without effect, aborts
-// the attempt, or panics. It sits on every transactional operation of
-// every mode, so the nil case is split off small enough to inline.
+// (where ThrowAbort is legal). It either returns without effect (after a
+// stall, perhaps), aborts the attempt, or panics. It sits on every
+// transactional operation of every mode, so the nil case is split off
+// small enough to inline.
 func (fi *FaultInjector) At(mode, op string) {
 	if fi != nil {
 		fi.at(mode, op)
@@ -83,34 +92,35 @@ func (fi *FaultInjector) At(mode, op string) {
 }
 
 func (fi *FaultInjector) at(mode, op string) {
-	if !fi.match(mode, op) {
-		return
+	if fi.fire(mode, op) {
+		ThrowAbort("injected abort")
 	}
-	if fi.seen.Add(1) != fi.spec.N {
-		return
-	}
-	fi.fired.Add(1)
-	if fi.spec.Kind == FaultPanic {
-		panic(InjectedPanic{Mode: mode, Op: op, N: fi.spec.N})
-	}
-	ThrowAbort("injected abort")
 }
 
 // AtCommit is the commit-point hook, called where an abort must be
 // reported as a commit failure rather than thrown (commit code runs
 // outside runAttempt). It returns true when the commit must fail; a
 // FaultPanic fault panics instead, deliberately modelling a crash inside
-// the commit window.
+// the commit window, and a FaultStall fault stalls there and lets the
+// commit go on.
 func (fi *FaultInjector) AtCommit(mode string) bool {
-	if fi == nil || !fi.match(mode, "commit") {
-		return false
-	}
-	if fi.seen.Add(1) != fi.spec.N {
+	return fi != nil && fi.fire(mode, "commit")
+}
+
+// fire counts an operation that matches the spec and reports whether it
+// is the Nth, where an abort fires: a FaultPanic fault panics there
+// instead, and a FaultStall fault stalls and reports false.
+func (fi *FaultInjector) fire(mode, op string) bool {
+	if !fi.match(mode, op) || fi.seen.Add(1) != fi.spec.N {
 		return false
 	}
 	fi.fired.Add(1)
-	if fi.spec.Kind == FaultPanic {
-		panic(InjectedPanic{Mode: mode, Op: "commit", N: fi.spec.N})
+	switch fi.spec.Kind {
+	case FaultPanic:
+		panic(InjectedPanic{Mode: mode, Op: op, N: fi.spec.N})
+	case FaultStall:
+		time.Sleep(fi.spec.Stall)
+		return false
 	}
 	return true
 }

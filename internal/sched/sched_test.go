@@ -326,8 +326,8 @@ func TestHostedTPLWorkerRecordsOnlyBackoff(t *testing.T) {
 	if len(own.Modes) != 0 {
 		t.Fatalf("hosted worker recorded on its own scheduler: %v", own.Modes)
 	}
-	if hosted.Backoff.Waits != 1 || own.Backoff.Waits != 0 {
-		t.Fatalf("backoff waits: host %d (want 1), own %d (want 0)", hosted.Backoff.Waits, own.Backoff.Waits)
+	if h, o := hosted.Waits["backoff"].Waits, own.Waits["backoff"].Waits; h != 1 || o != 0 {
+		t.Fatalf("backoff waits: host %d (want 1), own %d (want 0)", h, o)
 	}
 }
 
@@ -465,8 +465,8 @@ func TestOutcomesRecordedOnce(t *testing.T) {
 			if st.Aborts < injected.Load()+victims.Load() {
 				t.Errorf("%d aborts for %d injected and %d deadlock victims", st.Aborts, injected.Load(), victims.Load())
 			}
-			if snap.Backoff.Waits != st.Aborts {
-				t.Errorf("%d backoff waits for %d aborts", snap.Backoff.Waits, st.Aborts)
+			if w := snap.Waits["backoff"].Waits; w != st.Aborts {
+				t.Errorf("%d backoff waits for %d aborts", w, st.Aborts)
 			}
 			t.Logf("%d commits, %d aborts (%d deadlock victims), %d stops", st.Commits, st.Aborts, st.Deadlocks, st.UserStops)
 		})

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -234,25 +233,30 @@ func (w *TPLWorker) noteHold(v uint32, mode int32) {
 	}
 }
 
-// block acquires a lock of v via try, spinning while it waits and
-// yielding every 16 tries. A wait for v below top ends at its first yield
-// point instead, aborting the attempt: an unbounded wait then goes only
-// to a holder whose top is strictly greater, so no cycle of them can
-// form, whatever order the caller locks in (H and O mode never wait while
-// holding a lock). Context cancellation unwinds a wait terminally via
-// ThrowCancel, so a cancelled transaction stuck behind a lock returns.
+// block acquires a lock of v via try, waiting on a Spin recorded under
+// l_lock on the probe the worker's loop records to (its host's, for a
+// hosted worker). A wait for v below top ends at its first yield point
+// instead, aborting the attempt: an unbounded wait then goes only to a
+// holder whose top is strictly greater, so no cycle of them can form,
+// whatever order the caller locks in (H and O commits wait only for a
+// vertex above every lock they hold, and only boundedly). Context
+// cancellation unwinds a wait terminally via ThrowCancel, so a cancelled
+// transaction stuck behind a lock returns.
 func (w *TPLWorker) block(v uint32, try func() bool) {
-	for i := 0; !try(); i++ {
-		if i&15 != 15 {
-			continue
+	var sp Spin
+	for !try() {
+		if sp.Yields() {
+			if v < w.top {
+				sp.Done(w.probe, obs.WaitLLock)
+				w.dlAbort = true
+				ThrowAbort("refused wait")
+			}
+			if err := w.ctxErr(); err != nil {
+				sp.Done(w.probe, obs.WaitLLock)
+				ThrowCancel(err)
+			}
 		}
-		if v < w.top {
-			w.dlAbort = true
-			ThrowAbort("refused wait")
-		}
-		if err := w.ctxErr(); err != nil {
-			ThrowCancel(err)
-		}
-		runtime.Gosched()
+		sp.Pause()
 	}
+	sp.Done(w.probe, obs.WaitLLock)
 }

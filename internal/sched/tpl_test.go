@@ -341,3 +341,40 @@ func awaitOrDump(t *testing.T, wg *sync.WaitGroup, deadline time.Duration) {
 		t.Fatalf("transactions still running after %v: a wait cycle formed", deadline)
 	}
 }
+
+// TestStalledLHolderWaitCounted: an L holder stalled at a lock
+// acquisition (FaultStall) keeps the lock it took before; a second worker
+// that asks for that vertex, at or above its own top, waits the stall
+// out, and the wait is recorded once, under l_lock, for about its length.
+func TestStalledLHolderWaitCounted(t *testing.T) {
+	const stall = 200 * time.Millisecond
+	s, _, locks := newTPLFixture(t, 16)
+	fi := NewFaultInjector(FaultSpec{Mode: "L", Op: "write", N: 2, Kind: FaultStall, Stall: stall})
+	s.SetFaultInjector(fi)
+	holder := make(chan error, 1)
+	go func() {
+		holder <- s.NewWorker(0).Run(0, func(tx Tx) error {
+			tx.Write(3, 3, 1) // taken before the stall
+			tx.Write(9, 9, 1) // stalls, holding 3
+			return nil
+		})
+	}()
+	for fi.Fired() == 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	if err := s.NewWorker(1).Run(0, func(tx Tx) error { tx.Write(3, 3, 2); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-holder; err != nil {
+		t.Fatal(err)
+	}
+	assertNoLocksHeld(t, locks)
+	snap := s.Metrics().Snapshot()
+	if tot := snap.Totals(); tot.Commits != 2 || tot.Aborts != 0 {
+		t.Fatalf("%d commits, %d aborts; want 2 and 0", tot.Commits, tot.Aborts)
+	}
+	w := snap.Waits["l_lock"]
+	if len(snap.Waits) != 1 || w.Waits != 1 || w.Ns < uint64(stall/2) {
+		t.Fatalf("waits %+v; want one l_lock wait of at least %v", snap.Waits, stall/2)
+	}
+}

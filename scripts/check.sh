@@ -66,6 +66,16 @@ if go list -f '{{join .Imports " "}}' ./internal/sched | tr ' ' '\n' | grep -E '
 fi
 end
 
+# One wait primitive: in the TM core's non-test code only sched.Spin (the
+# lock waits) and sched.Backoff (the retry loop's) yield the P, so no
+# wait site grows a spin loop of its own back.
+begin "one wait primitive in internal/sched and internal/core"
+if grep -n 'runtime\.Gosched' internal/sched/*.go internal/core/*.go | grep -v '_test\.go:' | grep -v -E '^internal/sched/(spin|backoff)\.go:'; then
+    echo "runtime.Gosched outside internal/sched/spin.go and backoff.go" >&2
+    exit 1
+fi
+end
+
 # One run of the whole suite under the race detector. The summariser
 # prints a line per package as it finishes and, on failure, every
 # failing test grouped by package under the output it produced, so the
@@ -168,13 +178,15 @@ end
 # the count of HSync's and H-TO's hardware
 # attempts in their own snapshot, and TPL's own tests of the rule: wait
 # cycles of two and three workers, upgrades, waits above and below the
-# worker's locks, and random-order locking on a deadline), over core's
+# worker's locks, random-order locking on a deadline, and a stalled L
+# holder's waiter counted once under l_lock), over core's
 # cross-mode histories (with the lockers always there, and coming and
 # going), mode ladder, router, commit gate, quiet-attempt interleavings,
 # O-commit announcement, the one record of outcomes, the backoff level a
 # transaction carries from H into O (and not into L), two L transactions
-# that would close a wait cycle, and random-order locking in L mode on a
-# deadline, over the shortest-path example against Dijkstra (hubs in L
+# that would close a wait cycle, random-order locking in L mode on a
+# deadline, and an H commit stalled in its gate window whose L waiter is
+# counted once under committing, over the shortest-path example against Dijkstra (hubs in L
 # mode), over the pagerank example against a power iteration, the
 # matching example's two matchings held to maximality, the analytics
 # example's five analyses held to their sequential references and the
@@ -230,8 +242,8 @@ oversubscribed() { # test binary, -test.run pattern, -test.count
         exit 1
     fi
 }
-oversubscribed "$tmp/sched.test" 'TestSerializabilityHistories|TestRunCtxEveryScheduler|TestBankTransfer|TestCounterIsolation|TestWriteSkewPrevented|TestDeadlockResolution|TestOutcomesRecordedOnce|TestBaselineHTMCountsInOwnSnapshot|TestNoCycleAllowsWait|TestTwoPartyCycle|TestThreePartyCycle|TestSharedSharedNoCycle|TestUpgradeUpgradeCycle|TestRemoveAllClearsHolds|TestUpgradedHold|TestOutOfOrderWaitRefused|TestInOrderWaitBlocks|TestRandomOrderLockingCommits' 50
-oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestCrossModeHistoriesLockersComeAndGo|TestIsolationAcrossModes|TestRouter|TestBackoffStartsAtZeroAfterLadder|TestBackoffLevelCarriesAcrossRungs|TestOCapacityAbortDoesNotBackOff|TestLEntryWaitsForHCommitWindow|TestPanicInCommitWindowClearsGate|TestLateWorkerSeesLActive|TestQuietH|TestOCommitLowersCountOnEveryExit|TestOneCountFourViews|TestLDeadlockCycleResolved|TestRandomOrderLockingCommits' 30
+oversubscribed "$tmp/sched.test" 'TestSerializabilityHistories|TestRunCtxEveryScheduler|TestBankTransfer|TestCounterIsolation|TestWriteSkewPrevented|TestDeadlockResolution|TestOutcomesRecordedOnce|TestBaselineHTMCountsInOwnSnapshot|TestNoCycleAllowsWait|TestTwoPartyCycle|TestThreePartyCycle|TestSharedSharedNoCycle|TestUpgradeUpgradeCycle|TestRemoveAllClearsHolds|TestUpgradedHold|TestOutOfOrderWaitRefused|TestInOrderWaitBlocks|TestRandomOrderLockingCommits|TestStalledLHolderWaitCounted' 50
+oversubscribed "$tmp/core.test" 'TestCrossModeSerializableHistories|TestCrossModeHistoriesLockersComeAndGo|TestIsolationAcrossModes|TestRouter|TestBackoffStartsAtZeroAfterLadder|TestBackoffLevelCarriesAcrossRungs|TestOCapacityAbortDoesNotBackOff|TestLEntryWaitsForHCommitWindow|TestPanicInCommitWindowClearsGate|TestLateWorkerSeesLActive|TestQuietH|TestOCommitLowersCountOnEveryExit|TestOneCountFourViews|TestLDeadlockCycleResolved|TestRandomOrderLockingCommits|TestStalledHCommitWaitCounted' 30
 oversubscribed "$tmp/worklist.test" 'TestDrain' 30
 oversubscribed "$tmp/shortestpath.test" 'TestRunSSSPMatchesDijkstra' 20
 oversubscribed "$tmp/pagerank.test" 'TestPageRankMatchesPowerIteration' 5

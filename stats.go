@@ -83,8 +83,8 @@ func statsOf(snap MetricsSnapshot) Stats {
 
 // ResetStats zeroes every counter StatsSnapshot and MetricsSnapshot
 // report, all of which live in the one metrics record: outcomes and their
-// operations, latency and retry histograms, transition and backoff
-// counters, the emulated-HTM counters and the quiet H-mode attempts.
+// operations, latency and retry histograms, transition counters, the
+// wait table, the emulated-HTM counters and the quiet H-mode attempts.
 // It does NOT reset the adaptive period controller: its estimate of the
 // workload's conflict rate remains valid across a warmup boundary
 // (resetting it would re-learn from scratch and skew the measured run),
@@ -93,7 +93,7 @@ func (s *System) ResetStats() { s.core.Metrics().Reset() }
 
 // MetricsSnapshot is the observability snapshot: per-mode commit and
 // abort-reason counts, sampled commit-latency and retry histograms,
-// mode-transition and backoff counters. See the internal/obs package
+// mode-transition counters and waits by reason. See the internal/obs package
 // documentation for field details.
 type MetricsSnapshot = obs.Snapshot
 

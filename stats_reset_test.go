@@ -73,11 +73,11 @@ func TestResetStatsZeroesEveryCounter(t *testing.T) {
 	}
 
 	// The metrics snapshot holds counters the public Stats leaves out
-	// (backoff, HTM operation counts): the walker below must find them
+	// (the wait table, HTM operation counts): the walker below must find them
 	// zeroed too, beside the HTM and quiet-attempt counts both report.
 	pm := sys.MetricsSnapshot()
-	if pm.Backoff.Waits == 0 {
-		t.Fatalf("workload recorded no backoff wait: %+v", pm.Backoff)
+	if pm.Waits["backoff"].Waits == 0 {
+		t.Fatalf("workload recorded no backoff wait: %+v", pm.Waits)
 	}
 	if h := pm.HTM; h.Ops == 0 || h.Starts != pre.HTMStarts || h.Aborts["explicit"] != pre.HTMExplicit {
 		t.Fatalf("workload moved no HTM operation counters, or the snapshots disagree: %+v, %+v", h, pre)
@@ -109,7 +109,7 @@ func TestResetStatsZeroesEveryCounter(t *testing.T) {
 
 	// The metrics snapshot is the one record both views read: every
 	// numeric field of it but the gauges — the modes, transitions,
-	// backoff, HTM and quiet-attempt counters — is a cumulative counter
+	// wait table, HTM and quiet-attempt counters — is a cumulative counter
 	// that the same call clears.
 	ms := sys.MetricsSnapshot()
 	mv := reflect.ValueOf(ms)
